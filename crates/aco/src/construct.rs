@@ -110,54 +110,120 @@ pub struct Pass2Result {
     pub length: Cycle,
 }
 
-/// Selects the next instruction with the Ant Colony System rule:
-/// exploit (argmax of τ·η^β) or explore (roulette proportional to τ·η^β).
+/// τ·η^β of every candidate of one selection, in candidate order.
 ///
-/// `weights` is a caller-owned scratch buffer (capacity ≥ the region size)
-/// so the hot loop never allocates; each candidate is scored exactly once
-/// into it, then the roulette or argmax scan reads the buffer.
-#[allow(clippy::too_many_arguments)]
-fn select(
-    rng: &mut SmallRng,
-    pheromone: &PheromoneTable,
-    last: Option<InstrId>,
-    candidates: &[InstrId],
-    eval: &HeuristicEval<'_>,
-    pressure: &PressureTracker<'_>,
-    beta: f64,
-    explore: bool,
-    weights: &mut Vec<f64>,
-) -> usize {
-    debug_assert!(!candidates.is_empty());
-    if candidates.len() == 1 {
-        return 0;
+/// A selection is *scored* once and then *picked from* any number of times:
+/// a lone ant picks once, the lockstep wavefront lets every lane that
+/// shares the ant state resolve its own draw against the same weights
+/// (see [`crate::lockstep`]). The buffer is caller-owned scratch reserved
+/// at region capacity, so the hot loop never allocates.
+#[derive(Debug, Clone)]
+pub(crate) struct Scores {
+    /// Number of candidates of the current selection; 0 = not scored yet.
+    candidates: usize,
+    /// One weight per candidate; left empty for a single candidate, which
+    /// is taken without scoring.
+    weights: Vec<f64>,
+    /// Roulette total, summed by the first exploring pick.
+    total: Option<f64>,
+    /// Argmax, found by the first exploiting pick.
+    best: Option<usize>,
+}
+
+/// One ant's resolved selection.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pick {
+    /// Index into the scored candidate list.
+    pub(crate) pos: usize,
+    /// Whether the ant used biased exploration (vs argmax exploitation).
+    pub(crate) explored: bool,
+    /// Whether resolving this step consumed any of the ant's randomness.
+    /// A step that drew nothing is a function of the ant state alone, so
+    /// every ant sharing that state takes it.
+    pub(crate) drew: bool,
+}
+
+impl Scores {
+    pub(crate) fn with_capacity(n: usize) -> Scores {
+        Scores {
+            candidates: 0,
+            weights: Vec::with_capacity(n),
+            total: None,
+            best: None,
+        }
     }
-    let score = |id: InstrId| pheromone.get(last, id) * pow_beta(eval.eta(id, pressure), beta);
-    weights.clear();
-    weights.extend(candidates.iter().map(|&c| score(c)));
-    if explore {
-        let total: f64 = weights.iter().sum();
-        if total <= 0.0 || !total.is_finite() {
-            return rng.gen_range(0..candidates.len());
+
+    /// Forgets the current selection; the next [`Scores::ensure`] rescores.
+    pub(crate) fn clear(&mut self) {
+        self.candidates = 0;
+    }
+
+    /// Scores `candidates` unless this selection already is.
+    fn ensure(
+        &mut self,
+        pheromone: &PheromoneTable,
+        last: Option<InstrId>,
+        candidates: &[InstrId],
+        eval: &HeuristicEval<'_>,
+        pressure: &PressureTracker<'_>,
+        beta: f64,
+    ) {
+        debug_assert!(!candidates.is_empty());
+        if self.candidates != 0 {
+            debug_assert_eq!(self.candidates, candidates.len());
+            return;
         }
-        let mut draw = rng.gen::<f64>() * total;
-        for (i, w) in weights.iter().enumerate() {
-            draw -= w;
-            if draw <= 0.0 {
-                return i;
+        self.candidates = candidates.len();
+        self.weights.clear();
+        self.total = None;
+        self.best = None;
+        if candidates.len() > 1 {
+            let score =
+                |id: InstrId| pheromone.get(last, id) * pow_beta(eval.eta(id, pressure), beta);
+            self.weights.extend(candidates.iter().map(|&c| score(c)));
+        }
+    }
+
+    /// Whether a pick with this explore flag would draw from the RNG.
+    fn draws(&self, explore: bool) -> bool {
+        explore && self.candidates > 1
+    }
+
+    /// The Ant Colony System rule: exploit (argmax of τ·η^β) or explore
+    /// (roulette proportional to τ·η^β). Draws from `rng` only when
+    /// [`Scores::draws`].
+    fn pick(&mut self, rng: &mut SmallRng, explore: bool) -> usize {
+        debug_assert!(self.candidates > 0, "pick from an unscored selection");
+        let weights = &self.weights;
+        if self.candidates == 1 {
+            return 0;
+        }
+        if explore {
+            let total = *self.total.get_or_insert_with(|| weights.iter().sum());
+            if total <= 0.0 || !total.is_finite() {
+                return rng.gen_range(0..weights.len());
             }
-        }
-        candidates.len() - 1
-    } else {
-        let mut best = 0;
-        let mut best_score = f64::NEG_INFINITY;
-        for (i, &w) in weights.iter().enumerate() {
-            if w > best_score {
-                best_score = w;
-                best = i;
+            let mut draw = rng.gen::<f64>() * total;
+            for (i, w) in weights.iter().enumerate() {
+                draw -= w;
+                if draw <= 0.0 {
+                    return i;
+                }
             }
+            weights.len() - 1
+        } else {
+            *self.best.get_or_insert_with(|| {
+                let mut best = 0;
+                let mut best_score = f64::NEG_INFINITY;
+                for (i, &w) in weights.iter().enumerate() {
+                    if w > best_score {
+                        best_score = w;
+                        best = i;
+                    }
+                }
+                best
+            })
         }
-        best
     }
 }
 
@@ -173,6 +239,146 @@ fn pow_beta(eta: f64, beta: f64) -> f64 {
     }
 }
 
+/// Resolves one ant's selection among `candidates`: its explore/exploit
+/// flag (drawn per thread unless `explore` overrides it), then its pick.
+/// The one place the flag → roulette draw order is spelled out.
+#[allow(clippy::too_many_arguments)]
+fn choose(
+    ctx: &AntContext<'_>,
+    pheromone: &PheromoneTable,
+    heuristic: Heuristic,
+    last: Option<InstrId>,
+    candidates: &[InstrId],
+    pressure: &PressureTracker<'_>,
+    scores: &mut Scores,
+    rng: &mut SmallRng,
+    explore: Option<bool>,
+) -> Pick {
+    let explored = explore.unwrap_or_else(|| rng.gen::<f64>() > ctx.cfg.q0);
+    let eval = HeuristicEval::new(heuristic, ctx.analysis, ctx.lut);
+    scores.ensure(pheromone, last, candidates, &eval, pressure, ctx.cfg.beta);
+    Pick {
+        drew: explore.is_none() || scores.draws(explored),
+        pos: scores.pick(rng, explored),
+        explored,
+    }
+}
+
+/// Everything a pass-1 ant knows except its random stream: the partial
+/// order, the ready list, and the pressure it implies. Ants with the same
+/// decision history hold bit-identical states, which is what lets the
+/// lockstep wavefront keep one per *class* of lanes and
+/// [`Pass1State::copy_from`] it only when a class splits.
+#[derive(Debug, Clone)]
+pub(crate) struct Pass1State<'a> {
+    heuristic: Heuristic,
+    pressure: PressureTracker<'a>,
+    pending: Vec<u32>,
+    ready: Vec<InstrId>,
+    order: Vec<InstrId>,
+    last: Option<InstrId>,
+}
+
+impl<'a> Pass1State<'a> {
+    /// An ant state at region entry, every buffer reserved at region
+    /// capacity.
+    pub(crate) fn new(ctx: &AntContext<'a>, heuristic: Heuristic) -> Pass1State<'a> {
+        let mut ready = Vec::with_capacity(ctx.ddg.len());
+        ready.extend(ctx.ddg.roots());
+        Pass1State {
+            heuristic,
+            pressure: PressureTracker::new(ctx.universe),
+            pending: ctx.ddg.pred_counts().to_vec(),
+            ready,
+            order: Vec::with_capacity(ctx.ddg.len()),
+            last: None,
+        }
+    }
+
+    /// Back to region entry under a (possibly new) guiding heuristic.
+    pub(crate) fn reset(&mut self, ctx: &AntContext<'a>, heuristic: Heuristic) {
+        self.heuristic = heuristic;
+        self.pressure.reset();
+        self.pending.copy_from_slice(ctx.ddg.pred_counts());
+        self.ready.clear();
+        self.ready.extend(ctx.ddg.roots());
+        self.order.clear();
+        self.last = None;
+    }
+
+    /// Overwrites this state with `other`'s, within the reserved capacity.
+    pub(crate) fn copy_from(&mut self, other: &Pass1State<'a>) {
+        self.heuristic = other.heuristic;
+        self.pressure.copy_from(&other.pressure);
+        self.pending.copy_from_slice(&other.pending);
+        self.ready.clone_from(&other.ready);
+        self.order.clone_from(&other.order);
+        self.last = other.last;
+    }
+
+    pub(crate) fn finished(&self, ctx: &AntContext<'a>) -> bool {
+        self.order.len() == ctx.ddg.len()
+    }
+
+    pub(crate) fn ready_len(&self) -> usize {
+        self.ready.len()
+    }
+
+    pub(crate) fn order(&self) -> &[InstrId] {
+        &self.order
+    }
+
+    pub(crate) fn prp(&self) -> [u32; REG_CLASS_COUNT] {
+        self.pressure.peak()
+    }
+
+    /// APRP cost of the order so far.
+    pub(crate) fn cost(&self, ctx: &AntContext<'a>) -> u64 {
+        ctx.lut.rp_cost(self.pressure.peak())
+    }
+
+    /// One ant's pick among the ready list (scoring it into `scores` if
+    /// no ant sharing this state has yet).
+    pub(crate) fn choose(
+        &self,
+        ctx: &AntContext<'a>,
+        pheromone: &PheromoneTable,
+        scores: &mut Scores,
+        rng: &mut SmallRng,
+        explore: Option<bool>,
+    ) -> Pick {
+        choose(
+            ctx,
+            pheromone,
+            self.heuristic,
+            self.last,
+            &self.ready,
+            &self.pressure,
+            scores,
+            rng,
+            explore,
+        )
+    }
+
+    /// Issues the ready-list entry at `pos`; returns the number of
+    /// successor-edge updates performed.
+    pub(crate) fn issue(&mut self, ctx: &AntContext<'a>, pos: usize) -> u32 {
+        let id = self.ready.swap_remove(pos);
+        self.pressure.issue(id);
+        self.order.push(id);
+        self.last = Some(id);
+        let mut succ_ops = 0;
+        for &(s, _) in ctx.ddg.succs(id) {
+            succ_ops += 1;
+            self.pending[s.index()] -= 1;
+            if self.pending[s.index()] == 0 {
+                self.ready.push(s);
+            }
+        }
+        succ_ops
+    }
+}
+
 /// A pass-1 ant: builds a latency-free order minimizing APRP cost.
 ///
 /// All working buffers (ready list, order, roulette weights) are reserved
@@ -182,56 +388,38 @@ fn pow_beta(eta: f64, beta: f64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct Pass1Ant<'a> {
     rng: SmallRng,
-    heuristic: Heuristic,
-    pressure: PressureTracker<'a>,
-    pending: Vec<u32>,
-    ready: Vec<InstrId>,
-    order: Vec<InstrId>,
-    last: Option<InstrId>,
+    state: Pass1State<'a>,
+    scores: Scores,
     ops: u64,
-    weights: Vec<f64>,
 }
 
 impl<'a> Pass1Ant<'a> {
     /// Creates an ant with its own RNG stream.
     pub fn new(ctx: &AntContext<'a>, heuristic: Heuristic, seed: u64) -> Pass1Ant<'a> {
-        let mut ready = Vec::with_capacity(ctx.ddg.len());
-        ready.extend(ctx.ddg.roots());
         Pass1Ant {
             rng: SmallRng::seed_from_u64(seed),
-            heuristic,
-            pressure: PressureTracker::new(ctx.universe),
-            pending: ctx.ddg.pred_counts().to_vec(),
-            ready,
-            order: Vec::with_capacity(ctx.ddg.len()),
-            last: None,
+            state: Pass1State::new(ctx, heuristic),
+            scores: Scores::with_capacity(ctx.ddg.len()),
             ops: 0,
-            weights: Vec::with_capacity(ctx.ddg.len()),
         }
     }
 
     /// Resets for a new construction (new iteration), reseeding the RNG.
     /// Op accounting is cumulative across resets; read it once per pass.
     pub fn reset(&mut self, ctx: &AntContext<'a>, seed: u64) {
-        self.rng = SmallRng::seed_from_u64(seed);
-        self.pressure.reset();
-        self.pending.copy_from_slice(ctx.ddg.pred_counts());
-        self.ready.clear();
-        self.ready.extend(ctx.ddg.roots());
-        self.order.clear();
-        self.last = None;
+        self.reset_with(ctx, self.state.heuristic, seed);
     }
 
     /// [`Pass1Ant::reset`] plus a new guiding heuristic, so one ant can be
     /// reused across wavefronts with rotating heuristics.
     pub fn reset_with(&mut self, ctx: &AntContext<'a>, heuristic: Heuristic, seed: u64) {
-        self.heuristic = heuristic;
-        self.reset(ctx, seed);
+        self.rng = SmallRng::seed_from_u64(seed);
+        self.state.reset(ctx, heuristic);
     }
 
     /// Whether the order is complete.
     pub fn finished(&self, ctx: &AntContext<'a>) -> bool {
-        self.order.len() == ctx.ddg.len()
+        self.state.finished(ctx)
     }
 
     /// Performs one construction step. `explore` overrides the ant's own
@@ -248,37 +436,18 @@ impl<'a> Pass1Ant<'a> {
         explore: Option<bool>,
     ) -> Pass1Step {
         debug_assert!(!self.finished(ctx));
-        let explored = explore.unwrap_or_else(|| self.rng.gen::<f64>() > ctx.cfg.q0);
-        let eval = HeuristicEval::new(self.heuristic, ctx.analysis, ctx.lut);
-        let scanned = self.ready.len() as u32;
-        let pos = select(
-            &mut self.rng,
-            pheromone,
-            self.last,
-            &self.ready,
-            &eval,
-            &self.pressure,
-            ctx.cfg.beta,
-            explored,
-            &mut self.weights,
-        );
-        let id = self.ready.swap_remove(pos);
-        self.pressure.issue(id);
-        self.order.push(id);
-        self.last = Some(id);
-        let mut succ_ops = 0;
-        for &(s, _) in ctx.ddg.succs(id) {
-            succ_ops += 1;
-            self.pending[s.index()] -= 1;
-            if self.pending[s.index()] == 0 {
-                self.ready.push(s);
-            }
-        }
-        self.ops += OPS_PER_STEP + scanned as u64 * OPS_PER_CANDIDATE + succ_ops * OPS_PER_SUCC;
+        let scanned = self.state.ready_len() as u32;
+        self.scores.clear();
+        let pick = self
+            .state
+            .choose(ctx, pheromone, &mut self.scores, &mut self.rng, explore);
+        let succ_ops = self.state.issue(ctx, pick.pos);
+        self.ops +=
+            OPS_PER_STEP + scanned as u64 * OPS_PER_CANDIDATE + succ_ops as u64 * OPS_PER_SUCC;
         Pass1Step {
             scanned,
-            succ_ops: succ_ops as u32,
-            explored,
+            succ_ops,
+            explored: pick.explored,
         }
     }
 
@@ -300,9 +469,9 @@ impl<'a> Pass1Ant<'a> {
     /// Panics (debug) if the order is not complete.
     pub fn result(&self, ctx: &AntContext<'a>) -> Pass1Result {
         debug_assert!(self.finished(ctx));
-        let prp = self.pressure.peak();
+        let prp = self.state.prp();
         Pass1Result {
-            order: self.order.clone(),
+            order: self.state.order().to_vec(),
             prp,
             cost: ctx.lut.rp_cost(prp),
         }
@@ -311,17 +480,17 @@ impl<'a> Pass1Ant<'a> {
     /// APRP cost of the completed order, without materializing anything.
     pub fn cost(&self, ctx: &AntContext<'a>) -> u64 {
         debug_assert!(self.finished(ctx));
-        ctx.lut.rp_cost(self.pressure.peak())
+        self.state.cost(ctx)
     }
 
     /// The constructed order so far (complete once [`Pass1Ant::finished`]).
     pub fn order(&self) -> &[InstrId] {
-        &self.order
+        self.state.order()
     }
 
     /// Peak pressure of the order so far.
     pub fn prp(&self) -> [u32; REG_CLASS_COUNT] {
-        self.pressure.peak()
+        self.state.prp()
     }
 
     /// Abstract operations executed so far (CPU cost accounting).
@@ -331,7 +500,7 @@ impl<'a> Pass1Ant<'a> {
 
     /// Current ready-list length (wavefront cost accounting).
     pub fn ready_len(&self) -> usize {
-        self.ready.len()
+        self.state.ready_len()
     }
 }
 
@@ -343,19 +512,65 @@ enum Phase {
     Finished,
 }
 
-/// A pass-2 ant: builds a timed schedule with stalls under a hard pressure
-/// constraint.
-///
-/// Like [`Pass1Ant`], every working buffer is reserved at region capacity
-/// on construction so a reset + construction cycle allocates nothing;
-/// [`Pass2Ant::result`] is the only allocating call and is meant to run
-/// only for iteration winners.
+/// What the ready list of a running pass-2 ant state allows this step,
+/// before any ant's randomness is involved.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Pass2Scan {
+    /// Every instruction is issued.
+    Finished,
+    /// Nothing can issue; every ant holding the state waits until
+    /// `arrival` (a necessary stall, or an optional one that is the only
+    /// way not to break the pressure constraint).
+    Stall {
+        /// Cycle the next semi-ready instruction arrives.
+        arrival: Cycle,
+        /// Whether the stall is pressure-motivated rather than forced by
+        /// latencies.
+        optional: bool,
+    },
+    /// Nothing can issue within the constraint and waiting is not allowed.
+    Die,
+    /// Something can issue. With `stall`, each ant first flips a coin of
+    /// that probability for waiting until that cycle instead.
+    Select {
+        /// `(arrival, probability)` of the optional-stall heuristic.
+        stall: Option<(Cycle, f64)>,
+    },
+}
+
+/// Per-driver scratch of pass-2 steps: the issuable partition of the
+/// ready list found by [`Pass2State::scan`] and its scores. One serves any
+/// number of states, one step at a time.
 #[derive(Debug, Clone)]
-pub struct Pass2Ant<'a> {
-    rng: SmallRng,
+pub(crate) struct Pass2Scratch {
+    issuable: Vec<InstrId>,
+    /// Ready-list index of each entry in `issuable`, filled during the
+    /// partition scan so the winner's removal is O(1) instead of a linear
+    /// re-search of the ready list.
+    issuable_pos: Vec<u32>,
+    scores: Scores,
+}
+
+impl Pass2Scratch {
+    pub(crate) fn with_capacity(n: usize) -> Pass2Scratch {
+        Pass2Scratch {
+            issuable: Vec::with_capacity(n),
+            issuable_pos: Vec::with_capacity(n),
+            scores: Scores::with_capacity(n),
+        }
+    }
+}
+
+/// Everything a pass-2 ant knows except its random stream (see
+/// [`Pass1State`]): partial timed schedule, ready list with arrival
+/// cycles, pressure, clock, stall count and lifecycle phase.
+#[derive(Debug, Clone)]
+pub(crate) struct Pass2State<'a> {
     heuristic: Heuristic,
     allow_optional_stalls: bool,
     target_cost: u64,
+    /// Maximum optional stalls the ant may insert.
+    stall_budget: u32,
     pressure: PressureTracker<'a>,
     pending: Vec<u32>,
     /// `(instruction, cycle its operands become available)`.
@@ -365,34 +580,25 @@ pub struct Pass2Ant<'a> {
     now: Cycle,
     last: Option<InstrId>,
     optional_stalls: u32,
-    stall_budget_override: Option<u32>,
     phase: Phase,
-    ops: u64,
-    issuable_buf: Vec<InstrId>,
-    /// Ready-list index of each entry in `issuable_buf`, filled during the
-    /// partition scan so the winner's removal is O(1) instead of a linear
-    /// re-search of the ready list.
-    issuable_pos: Vec<u32>,
-    weights: Vec<f64>,
 }
 
-impl<'a> Pass2Ant<'a> {
-    /// Creates a pass-2 ant targeting `target_cost` (the best pass-1 APRP
-    /// cost, treated as a constraint).
-    pub fn new(
+impl<'a> Pass2State<'a> {
+    /// An ant state at region entry targeting `target_cost`, with the
+    /// configured fraction of the region size as its optional-stall budget.
+    pub(crate) fn new(
         ctx: &AntContext<'a>,
         heuristic: Heuristic,
-        seed: u64,
         target_cost: u64,
         allow_optional_stalls: bool,
-    ) -> Pass2Ant<'a> {
+    ) -> Pass2State<'a> {
         let mut ready = Vec::with_capacity(ctx.ddg.len());
         ready.extend(ctx.ddg.roots().map(|i| (i, 0)));
-        Pass2Ant {
-            rng: SmallRng::seed_from_u64(seed),
+        Pass2State {
             heuristic,
             allow_optional_stalls,
             target_cost,
+            stall_budget: (ctx.ddg.len() as f64 * ctx.cfg.optional_stall_budget).ceil() as u32,
             pressure: PressureTracker::new(ctx.universe),
             pending: ctx.ddg.pred_counts().to_vec(),
             ready,
@@ -401,27 +607,20 @@ impl<'a> Pass2Ant<'a> {
             now: 0,
             last: None,
             optional_stalls: 0,
-            stall_budget_override: None,
             phase: Phase::Running,
-            ops: 0,
-            issuable_buf: Vec::with_capacity(ctx.ddg.len()),
-            issuable_pos: Vec::with_capacity(ctx.ddg.len()),
-            weights: Vec::with_capacity(ctx.ddg.len()),
         }
     }
 
-    /// Overrides the optional-stall budget (the host-side greedy input
-    /// constructions stall freely; wavefront ants use the configured
-    /// fraction of the region size). Survives [`Pass2Ant::reset`].
-    pub fn set_stall_budget(&mut self, budget: u32) {
-        self.stall_budget_override = Some(budget);
-    }
-
-    /// Resets for a new construction, reseeding the RNG. The target cost,
-    /// stall-budget override, and op accounting are kept; ops accumulate
-    /// across resets, so read them once per pass.
-    pub fn reset(&mut self, ctx: &AntContext<'a>, seed: u64) {
-        self.rng = SmallRng::seed_from_u64(seed);
+    /// Back to region entry under a (possibly new) heuristic and stall
+    /// permission; target cost and stall budget are kept.
+    pub(crate) fn reset(
+        &mut self,
+        ctx: &AntContext<'a>,
+        heuristic: Heuristic,
+        allow_optional_stalls: bool,
+    ) {
+        self.heuristic = heuristic;
+        self.allow_optional_stalls = allow_optional_stalls;
         self.pressure.reset();
         self.pending.copy_from_slice(ctx.ddg.pred_counts());
         self.ready.clear();
@@ -434,76 +633,82 @@ impl<'a> Pass2Ant<'a> {
         self.phase = Phase::Running;
     }
 
-    /// [`Pass2Ant::reset`] plus a new guiding heuristic and stall
-    /// permission, so one ant can be reused across a colony where both
-    /// rotate (per ant on the host, per wavefront on the GPU).
-    pub fn reset_with(
-        &mut self,
-        ctx: &AntContext<'a>,
-        heuristic: Heuristic,
-        seed: u64,
-        allow_optional_stalls: bool,
-    ) {
-        self.heuristic = heuristic;
-        self.allow_optional_stalls = allow_optional_stalls;
-        self.reset(ctx, seed);
+    /// Overwrites this state with `other`'s, within the reserved capacity.
+    pub(crate) fn copy_from(&mut self, other: &Pass2State<'a>) {
+        self.heuristic = other.heuristic;
+        self.allow_optional_stalls = other.allow_optional_stalls;
+        self.target_cost = other.target_cost;
+        self.stall_budget = other.stall_budget;
+        self.pressure.copy_from(&other.pressure);
+        self.pending.copy_from_slice(&other.pending);
+        self.ready.clone_from(&other.ready);
+        self.cycles.copy_from_slice(&other.cycles);
+        self.order.clone_from(&other.order);
+        self.now = other.now;
+        self.last = other.last;
+        self.optional_stalls = other.optional_stalls;
+        self.phase = other.phase;
     }
 
-    /// Whether the ant is still constructing.
-    pub fn running(&self) -> bool {
+    pub(crate) fn running(&self) -> bool {
         self.phase == Phase::Running
     }
 
-    /// Whether the ant completed a feasible schedule.
-    pub fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         self.phase == Phase::Finished
     }
 
-    /// Kills the ant (early wavefront termination).
-    pub fn kill(&mut self) {
+    /// Early wavefront termination: a running state dies.
+    pub(crate) fn kill(&mut self) {
         if self.phase == Phase::Running {
             self.phase = Phase::Dead;
         }
     }
 
-    /// Maximum optional stalls this ant may insert.
-    fn stall_budget(&self, ctx: &AntContext<'a>) -> u32 {
-        self.stall_budget_override
-            .unwrap_or((ctx.ddg.len() as f64 * ctx.cfg.optional_stall_budget).ceil() as u32)
+    pub(crate) fn ready_len(&self) -> usize {
+        self.ready.len()
     }
 
-    /// Performs one construction step (issue one instruction, schedule one
-    /// stall, die, or finish).
-    pub fn step(
-        &mut self,
-        ctx: &AntContext<'a>,
-        pheromone: &PheromoneTable,
-        explore: Option<bool>,
-    ) -> Pass2Step {
-        match self.phase {
-            Phase::Dead => return Pass2Step::Died,
-            Phase::Finished => return Pass2Step::Finished,
-            Phase::Running => {}
-        }
+    pub(crate) fn order(&self) -> &[InstrId] {
+        &self.order
+    }
+
+    pub(crate) fn cycles(&self) -> &[Cycle] {
+        &self.cycles
+    }
+
+    pub(crate) fn prp(&self) -> [u32; REG_CLASS_COUNT] {
+        self.pressure.peak()
+    }
+
+    /// Length of the completed schedule: the clock only moves forward and
+    /// steps past the last issue, so it *is* the length.
+    pub(crate) fn length(&self) -> Cycle {
+        assert!(self.finished(), "length of an unfinished pass-2 ant");
+        debug_assert_eq!(self.now, self.cycles.iter().max().map_or(0, |&m| m + 1));
+        self.now
+    }
+
+    /// Partitions the ready list by issuability and pressure constraint
+    /// into `scratch` and decides what this step can be. Reads the state
+    /// only; the caller applies the outcome with [`Pass2State::finish`],
+    /// [`Pass2State::stall`], [`Pass2State::die`] or — after
+    /// [`Pass2State::choose`] — [`Pass2State::issue`].
+    pub(crate) fn scan(&self, ctx: &AntContext<'a>, scratch: &mut Pass2Scratch) -> Pass2Scan {
+        debug_assert!(self.running());
         if self.order.len() == ctx.ddg.len() {
-            self.phase = Phase::Finished;
-            return Pass2Step::Finished;
+            return Pass2Scan::Finished;
         }
-
-        let scanned = self.ready.len() as u32;
-        self.ops += OPS_PER_STEP + scanned as u64 * OPS_PER_CANDIDATE;
-
-        // Partition the ready list by issuability and constraint,
-        // remembering each issuable entry's ready-list index.
-        self.issuable_buf.clear();
-        self.issuable_pos.clear();
+        scratch.scores.clear();
+        scratch.issuable.clear();
+        scratch.issuable_pos.clear();
         let mut next_arrival: Option<Cycle> = None;
         let mut has_violating = false;
         for (i, &(id, rc)) in self.ready.iter().enumerate() {
             if rc <= self.now {
                 if ctx.lut.rp_cost(self.pressure.peak_after(id)) <= self.target_cost {
-                    self.issuable_buf.push(id);
-                    self.issuable_pos.push(i as u32);
+                    scratch.issuable.push(id);
+                    scratch.issuable_pos.push(i as u32);
                 } else {
                     has_violating = true;
                 }
@@ -511,15 +716,15 @@ impl<'a> Pass2Ant<'a> {
                 next_arrival = Some(next_arrival.map_or(rc, |a: Cycle| a.min(rc)));
             }
         }
+        let may_stall = self.allow_optional_stalls && self.optional_stalls < self.stall_budget;
 
-        if self.issuable_buf.is_empty() {
+        if scratch.issuable.is_empty() {
             if !has_violating {
                 // Nothing is ready at this cycle at all: a *necessary*
                 // stall, forced by latencies — every ant may take it.
-                let rc = next_arrival.expect("ready list cannot be empty mid-construction");
-                self.now = rc;
-                return Pass2Step::Stalled {
-                    scanned,
+                let arrival = next_arrival.expect("ready list cannot be empty mid-construction");
+                return Pass2Scan::Stall {
+                    arrival,
                     optional: false,
                 };
             }
@@ -528,71 +733,102 @@ impl<'a> Pass2Ant<'a> {
             // an *optional* stall (the paper's Figure-1 cycle-4 case);
             // ants that may not take it are forced into the violation and
             // terminate.
-            if self.allow_optional_stalls && self.optional_stalls < self.stall_budget(ctx) {
-                if let Some(rc) = next_arrival {
-                    self.optional_stalls += 1;
-                    self.now = rc;
-                    return Pass2Step::Stalled {
-                        scanned,
-                        optional: true,
-                    };
-                }
-            }
-            self.phase = Phase::Dead;
-            return Pass2Step::Died;
+            return match next_arrival {
+                Some(arrival) if may_stall => Pass2Scan::Stall {
+                    arrival,
+                    optional: true,
+                },
+                _ => Pass2Scan::Die,
+            };
         }
 
         // Optional-stall heuristic (Section IV-C): when a semi-ready
         // instruction would relieve pressure more than any issuable one,
         // consider waiting for it — with a probability that shrinks as the
         // stall budget is consumed.
+        let mut stall = None;
         if let Some(arrival) = next_arrival {
-            if self.allow_optional_stalls
-                && has_violating
-                && self.optional_stalls < self.stall_budget(ctx)
-            {
+            if may_stall && has_violating {
                 let semi_would_help = self
                     .ready
                     .iter()
                     .filter(|&&(_, rc)| rc > self.now)
                     .any(|&(id, _)| net_total(&self.pressure, id) < 0);
-                let issuable_min = self
-                    .issuable_buf
+                let issuable_min = scratch
+                    .issuable
                     .iter()
                     .map(|&id| net_total(&self.pressure, id))
                     .min()
                     .unwrap_or(0);
                 if semi_would_help && issuable_min >= 0 {
-                    let budget = self.stall_budget(ctx).max(1);
+                    let budget = self.stall_budget.max(1);
                     let p = 0.75 * (1.0 - self.optional_stalls as f64 / budget as f64);
-                    if self.rng.gen::<f64>() < p {
-                        self.optional_stalls += 1;
-                        self.now = arrival;
-                        return Pass2Step::Stalled {
-                            scanned,
-                            optional: true,
-                        };
-                    }
+                    stall = Some((arrival, p));
                 }
             }
         }
+        Pass2Scan::Select { stall }
+    }
 
-        // Issue via the ACO selection rule.
-        let explored = explore.unwrap_or_else(|| self.rng.gen::<f64>() > ctx.cfg.q0);
-        let eval = HeuristicEval::new(self.heuristic, ctx.analysis, ctx.lut);
-        let pos = select(
-            &mut self.rng,
+    /// One ant's decision at a [`Pass2Scan::Select`]: `None` if its coin
+    /// takes the optional stall, else its pick among the issuable
+    /// instructions (scored into `scratch` if no ant sharing this state
+    /// got that far yet). Draw order: stall coin, explore flag, roulette.
+    pub(crate) fn choose(
+        &self,
+        ctx: &AntContext<'a>,
+        pheromone: &PheromoneTable,
+        scratch: &mut Pass2Scratch,
+        stall: Option<(Cycle, f64)>,
+        rng: &mut SmallRng,
+        explore: Option<bool>,
+    ) -> Option<Pick> {
+        if let Some((_, p)) = stall {
+            if rng.gen::<f64>() < p {
+                return None;
+            }
+        }
+        let mut pick = choose(
+            ctx,
             pheromone,
+            self.heuristic,
             self.last,
-            &self.issuable_buf,
-            &eval,
+            &scratch.issuable,
             &self.pressure,
-            ctx.cfg.beta,
-            explored,
-            &mut self.weights,
+            &mut scratch.scores,
+            rng,
+            explore,
         );
-        let id = self.issuable_buf[pos];
-        let ready_pos = self.issuable_pos[pos] as usize;
+        pick.drew |= stall.is_some();
+        Some(pick)
+    }
+
+    /// The order is complete.
+    pub(crate) fn finish(&mut self) {
+        self.phase = Phase::Finished;
+    }
+
+    /// The constraint cannot be kept.
+    pub(crate) fn die(&mut self) {
+        self.phase = Phase::Dead;
+    }
+
+    /// Waits until `arrival`.
+    pub(crate) fn stall(&mut self, arrival: Cycle, optional: bool) {
+        self.optional_stalls += u32::from(optional);
+        self.now = arrival;
+    }
+
+    /// Issues entry `pos` of the issuable partition `scratch` holds for
+    /// this state; returns the number of successor-edge updates performed.
+    pub(crate) fn issue(
+        &mut self,
+        ctx: &AntContext<'a>,
+        scratch: &Pass2Scratch,
+        pos: usize,
+    ) -> u32 {
+        let id = scratch.issuable[pos];
+        let ready_pos = scratch.issuable_pos[pos] as usize;
         debug_assert_eq!(self.ready[ready_pos].0, id);
         self.ready.swap_remove(ready_pos);
         self.cycles[id.index()] = self.now;
@@ -614,16 +850,151 @@ impl<'a> Pass2Ant<'a> {
                 self.ready.push((s, rc));
             }
         }
-        self.ops += succ_ops as u64 * OPS_PER_SUCC;
         self.now += 1;
         if self.order.len() == ctx.ddg.len() {
             self.phase = Phase::Finished;
         }
-        Pass2Step::Issued {
-            scanned,
-            succ_ops,
-            explored,
+        succ_ops
+    }
+}
+
+/// A pass-2 ant: builds a timed schedule with stalls under a hard pressure
+/// constraint.
+///
+/// Like [`Pass1Ant`], every working buffer is reserved at region capacity
+/// on construction so a reset + construction cycle allocates nothing;
+/// [`Pass2Ant::result`] is the only allocating call and is meant to run
+/// only for iteration winners.
+#[derive(Debug, Clone)]
+pub struct Pass2Ant<'a> {
+    rng: SmallRng,
+    state: Pass2State<'a>,
+    scratch: Pass2Scratch,
+    ops: u64,
+}
+
+impl<'a> Pass2Ant<'a> {
+    /// Creates a pass-2 ant targeting `target_cost` (the best pass-1 APRP
+    /// cost, treated as a constraint).
+    pub fn new(
+        ctx: &AntContext<'a>,
+        heuristic: Heuristic,
+        seed: u64,
+        target_cost: u64,
+        allow_optional_stalls: bool,
+    ) -> Pass2Ant<'a> {
+        Pass2Ant {
+            rng: SmallRng::seed_from_u64(seed),
+            state: Pass2State::new(ctx, heuristic, target_cost, allow_optional_stalls),
+            scratch: Pass2Scratch::with_capacity(ctx.ddg.len()),
+            ops: 0,
         }
+    }
+
+    /// Overrides the optional-stall budget (the host-side greedy input
+    /// constructions stall freely; wavefront ants use the configured
+    /// fraction of the region size). Survives [`Pass2Ant::reset`].
+    pub fn set_stall_budget(&mut self, budget: u32) {
+        self.state.stall_budget = budget;
+    }
+
+    /// Resets for a new construction, reseeding the RNG. The target cost,
+    /// stall budget, and op accounting are kept; ops accumulate across
+    /// resets, so read them once per pass.
+    pub fn reset(&mut self, ctx: &AntContext<'a>, seed: u64) {
+        self.reset_with(
+            ctx,
+            self.state.heuristic,
+            seed,
+            self.state.allow_optional_stalls,
+        );
+    }
+
+    /// [`Pass2Ant::reset`] plus a new guiding heuristic and stall
+    /// permission, so one ant can be reused across a colony where both
+    /// rotate (per ant on the host, per wavefront on the GPU).
+    pub fn reset_with(
+        &mut self,
+        ctx: &AntContext<'a>,
+        heuristic: Heuristic,
+        seed: u64,
+        allow_optional_stalls: bool,
+    ) {
+        self.rng = SmallRng::seed_from_u64(seed);
+        self.state.reset(ctx, heuristic, allow_optional_stalls);
+    }
+
+    /// Whether the ant is still constructing.
+    pub fn running(&self) -> bool {
+        self.state.running()
+    }
+
+    /// Whether the ant completed a feasible schedule.
+    pub fn finished(&self) -> bool {
+        self.state.finished()
+    }
+
+    /// Kills the ant (early wavefront termination).
+    pub fn kill(&mut self) {
+        self.state.kill();
+    }
+
+    /// Performs one construction step (issue one instruction, schedule one
+    /// stall, die, or finish).
+    pub fn step(
+        &mut self,
+        ctx: &AntContext<'a>,
+        pheromone: &PheromoneTable,
+        explore: Option<bool>,
+    ) -> Pass2Step {
+        match self.state.phase {
+            Phase::Dead => return Pass2Step::Died,
+            Phase::Finished => return Pass2Step::Finished,
+            Phase::Running => {}
+        }
+        let scanned = self.state.ready_len() as u32;
+        let scan = self.state.scan(ctx, &mut self.scratch);
+        if !matches!(scan, Pass2Scan::Finished) {
+            self.ops += OPS_PER_STEP + scanned as u64 * OPS_PER_CANDIDATE;
+        }
+        let (arrival, optional) = match scan {
+            Pass2Scan::Finished => {
+                self.state.finish();
+                return Pass2Step::Finished;
+            }
+            Pass2Scan::Die => {
+                self.state.die();
+                return Pass2Step::Died;
+            }
+            Pass2Scan::Stall { arrival, optional } => (arrival, optional),
+            Pass2Scan::Select { stall } => {
+                let choice = self.state.choose(
+                    ctx,
+                    pheromone,
+                    &mut self.scratch,
+                    stall,
+                    &mut self.rng,
+                    explore,
+                );
+                match choice {
+                    Some(pick) => {
+                        let succ_ops = self.state.issue(ctx, &self.scratch, pick.pos);
+                        self.ops += succ_ops as u64 * OPS_PER_SUCC;
+                        return Pass2Step::Issued {
+                            scanned,
+                            succ_ops,
+                            explored: pick.explored,
+                        };
+                    }
+                    None => {
+                        let (arrival, _) = stall.expect("only a stall coin declines to pick");
+                        (arrival, true)
+                    }
+                }
+            }
+        };
+        self.state.stall(arrival, optional);
+        Pass2Step::Stalled { scanned, optional }
     }
 
     /// Runs the construction until it finishes or dies (sequential driver).
@@ -648,11 +1019,11 @@ impl<'a> Pass2Ant<'a> {
     /// Panics if the ant has not finished.
     pub fn result(&self) -> Pass2Result {
         assert!(self.finished(), "result of an unfinished pass-2 ant");
-        let schedule = Schedule::from_cycles(self.cycles.clone());
+        let schedule = Schedule::from_cycles(self.state.cycles().to_vec());
         Pass2Result {
             length: schedule.length(),
-            order: self.order.clone(),
-            prp: self.pressure.peak(),
+            order: self.state.order().to_vec(),
+            prp: self.state.prp(),
             schedule,
         }
     }
@@ -664,23 +1035,22 @@ impl<'a> Pass2Ant<'a> {
     ///
     /// Panics if the ant has not finished.
     pub fn length(&self) -> Cycle {
-        assert!(self.finished(), "length of an unfinished pass-2 ant");
-        self.cycles.iter().max().map_or(0, |&m| m + 1)
+        self.state.length()
     }
 
     /// The issue order so far (complete once [`Pass2Ant::finished`]).
     pub fn order(&self) -> &[InstrId] {
-        &self.order
+        self.state.order()
     }
 
     /// Per-instruction issue cycles (dense, indexed by instruction).
     pub fn cycles(&self) -> &[Cycle] {
-        &self.cycles
+        self.state.cycles()
     }
 
     /// Peak pressure of the construction so far.
     pub fn prp(&self) -> [u32; REG_CLASS_COUNT] {
-        self.pressure.peak()
+        self.state.prp()
     }
 
     /// Abstract operations executed so far.
@@ -690,7 +1060,7 @@ impl<'a> Pass2Ant<'a> {
 
     /// Current ready-list length.
     pub fn ready_len(&self) -> usize {
-        self.ready.len()
+        self.state.ready_len()
     }
 }
 

@@ -40,6 +40,7 @@
 pub mod config;
 pub mod construct;
 pub mod host_parallel;
+pub mod lockstep;
 pub mod parallel;
 pub mod pheromone;
 pub mod result;

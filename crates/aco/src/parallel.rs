@@ -27,7 +27,8 @@
 //!   termination, per-wavefront guiding heuristics (Section V-B).
 
 use crate::config::AcoConfig;
-use crate::construct::{AntContext, Pass1Ant, Pass2Ant, Pass2Step};
+use crate::construct::{AntContext, Pass2Ant, Pass2Step};
+use crate::lockstep::{Pass1Wavefront, Pass2Wavefront};
 use crate::pheromone::PheromoneTable;
 use crate::result::{AcoResult, PassStats};
 use crate::sequential::{ant_seed, pass2_target};
@@ -373,12 +374,10 @@ impl ParallelScheduler {
         let lanes = self.cfg.threads_per_block;
         let layout = self.cfg.tuning.layout;
 
-        // One persistent lane of ants, reset per wavefront: the simulated
-        // kernel allocates its per-thread state once per launch, not once
-        // per wavefront per iteration.
-        let mut ants: Vec<Pass1Ant<'_>> = (0..lanes)
-            .map(|_| Pass1Ant::new(ctx, self.cfg.heuristic, 0))
-            .collect();
+        // One persistent wavefront of lane classes, relaunched per wavefront:
+        // the simulated kernel allocates its per-thread state once per
+        // launch, not once per wavefront per iteration.
+        let mut ants = Pass1Wavefront::new(ctx, lanes);
         // Iteration-winner and per-iteration wavefront-cycle buffers live
         // for the whole launch; each iteration clears and refills them so
         // the loop stays allocation-free.
@@ -397,60 +396,36 @@ impl ParallelScheduler {
                     stats.iterations,
                     w,
                 ));
-                let h = self.wavefront_heuristic(w);
-                for (l, ant) in ants.iter_mut().enumerate() {
-                    ant.reset_with(
-                        ctx,
-                        h,
-                        ant_seed(self.cfg.seed, 1, stats.iterations, w * lanes + l as u32),
-                    );
-                }
+                let iteration = stats.iterations;
+                ants.launch(ctx, self.wavefront_heuristic(w), |l| {
+                    ant_seed(self.cfg.seed, 1, iteration, w * lanes + l)
+                });
                 for _step in 0..n {
-                    let scan_max = ants.iter().map(|a| a.ready_len() as u64).max().unwrap_or(0);
                     let (explored, mixed) = if self.cfg.tuning.wavefront_level_choice {
                         (Some(wf_rng.gen::<f64>() > self.cfg.q0), false)
                     } else {
                         (None, true)
                     };
-                    let mut any_explore = false;
-                    let mut any_exploit = false;
-                    let mut succ_max = 0u64;
-                    for ant in &mut ants {
-                        let s = ant.step(ctx, pheromone, explored);
-                        succ_max = succ_max.max(s.succ_ops as u64);
-                        if s.explored {
-                            any_explore = true;
-                        } else {
-                            any_exploit = true;
-                        }
-                    }
-                    let select_steps = scan_max * STEPS_PER_CANDIDATE + STEPS_PER_ROUND;
-                    if mixed && any_explore && any_exploit {
+                    let round = ants.round(ctx, pheromone, explored);
+                    let select_steps = round.scan_max * STEPS_PER_CANDIDATE + STEPS_PER_ROUND;
+                    if mixed && round.any_explore && round.any_exploit {
                         // Thread-level choice: both selection formulas are
                         // traversed serially by the wavefront.
                         wf.diverge(&[select_steps, select_steps]);
                     } else {
                         wf.uniform(select_steps);
                     }
-                    wf.uniform(succ_max * 2);
-                    self.state_accesses(&mut wf, scan_max + succ_max, lanes, layout);
+                    wf.uniform(round.succ_max * 2);
+                    self.state_accesses(&mut wf, round.scan_max + round.succ_max, lanes, layout);
                 }
-                // Reduce to the wavefront's first minimum-cost lane, then
-                // materialize the order only if it beats the running
-                // winner — losing lanes clone nothing.
-                let mut wf_best: Option<(u64, usize)> = None;
-                for (l, ant) in ants.iter().enumerate() {
-                    let cost = ant.cost(ctx);
-                    if wf_best.is_none_or(|(c, _)| cost < c) {
-                        wf_best = Some((cost, l));
-                    }
-                }
-                if let Some((cost, l)) = wf_best {
-                    if winner_cost.is_none_or(|c| cost < c) {
-                        winner_cost = Some(cost);
-                        winner_order.clear();
-                        winner_order.extend_from_slice(ants[l].order());
-                    }
+                // The wavefront's first minimum-cost lane; materialize its
+                // order only if it beats the running winner — losing lanes
+                // clone nothing.
+                let (cost, class) = ants.best(ctx);
+                if winner_cost.is_none_or(|c| cost < c) {
+                    winner_cost = Some(cost);
+                    winner_order.clear();
+                    winner_order.extend_from_slice(ants.order(class));
                 }
                 self.update_stage_cost(ctx, &mut wf);
                 divergent_steps += wf.divergent_steps();
@@ -541,12 +516,10 @@ impl ParallelScheduler {
         let layout = self.cfg.tuning.layout;
         let round_cap = 4 * ctx.ddg.len() as u64 + 64;
 
-        // One persistent lane of ants, reset per wavefront (heuristic and
-        // stall permission rotate per wavefront; the target cost is fixed
-        // for the whole launch).
-        let mut ants: Vec<Pass2Ant<'_>> = (0..lanes)
-            .map(|_| Pass2Ant::new(ctx, self.cfg.heuristic, 0, target_cost, true))
-            .collect();
+        // One persistent wavefront of lane classes (heuristic and stall
+        // permission rotate per wavefront; the target cost is fixed for the
+        // whole launch).
+        let mut ants = Pass2Wavefront::new(ctx, lanes, target_cost);
         // Launch-lifetime iteration-winner buffers (see run_pass1).
         let mut winner_len: Option<Cycle>;
         let mut winner_order: Vec<InstrId> = Vec::with_capacity(ctx.ddg.len());
@@ -564,78 +537,40 @@ impl ParallelScheduler {
                     stats.iterations,
                     w,
                 ));
-                let h = self.wavefront_heuristic(w);
-                let may_stall = self.wavefront_may_stall(w);
-                for (l, ant) in ants.iter_mut().enumerate() {
-                    ant.reset_with(
-                        ctx,
-                        h,
-                        ant_seed(self.cfg.seed, 2, stats.iterations, w * lanes + l as u32),
-                        may_stall,
-                    );
-                }
+                let iteration = stats.iterations;
+                ants.launch(
+                    ctx,
+                    self.wavefront_heuristic(w),
+                    self.wavefront_may_stall(w),
+                    |l| ant_seed(self.cfg.seed, 2, iteration, w * lanes + l),
+                );
                 let mut rounds = 0u64;
-                while ants.iter().any(|a| a.running()) && rounds < round_cap {
+                while ants.any_running() && rounds < round_cap {
                     rounds += 1;
-                    let scan_max = ants
-                        .iter()
-                        .filter(|a| a.running())
-                        .map(|a| a.ready_len() as u64)
-                        .max()
-                        .unwrap_or(0);
                     let explored = if self.cfg.tuning.wavefront_level_choice {
                         Some(wf_rng.gen::<f64>() > self.cfg.q0)
                     } else {
                         None
                     };
-                    let mut issued_exploit = false;
-                    let mut issued_explore = false;
-                    let mut stalled = false;
-                    let mut finished_now = false;
-                    let mut succ_max = 0u64;
-                    for ant in &mut ants {
-                        if !ant.running() {
-                            continue;
-                        }
-                        match ant.step(ctx, pheromone, explored) {
-                            Pass2Step::Issued {
-                                succ_ops,
-                                explored: e,
-                                ..
-                            } => {
-                                succ_max = succ_max.max(succ_ops as u64);
-                                if e {
-                                    issued_explore = true;
-                                } else {
-                                    issued_exploit = true;
-                                }
-                                if ant.finished() {
-                                    finished_now = true;
-                                }
-                            }
-                            Pass2Step::Stalled { .. } => stalled = true,
-                            Pass2Step::Died => {}
-                            Pass2Step::Finished => finished_now = true,
-                        }
-                    }
+                    let round = ants.round(ctx, pheromone, explored);
                     // Divergent paths of this round: the two selection
                     // formulas and the cheap stall path serialize.
                     // Pass-2 selection also runs the pressure-constraint
                     // check per candidate; the stall path rescans the ready
                     // list for issuability and arrival times.
-                    let select_steps = scan_max * (STEPS_PER_CANDIDATE + 2) + STEPS_PER_ROUND;
-                    let stall_steps = scan_max * (STALL_STEPS_PER_CANDIDATE + 1) + 4;
+                    let select_steps = round.scan_max * (STEPS_PER_CANDIDATE + 2) + STEPS_PER_ROUND;
+                    let stall_steps = round.scan_max * (STALL_STEPS_PER_CANDIDATE + 1) + 4;
                     let mut paths = [0u64; 3];
                     let mut np = 0;
-                    if issued_exploit {
+                    if round.issued_exploit {
                         paths[np] = select_steps;
                         np += 1;
                     }
-                    if issued_explore {
+                    if round.issued_explore {
                         paths[np] = select_steps;
                         np += 1;
                     }
-                    if stalled {
+                    if round.stalled {
                         paths[np] = stall_steps;
                         np += 1;
                     }
@@ -644,40 +579,34 @@ impl ParallelScheduler {
                         np = 1;
                     }
                     wf.diverge(&paths[..np]);
-                    wf.uniform(succ_max * 2);
+                    wf.uniform(round.succ_max * 2);
                     // Pass-2 lanes sit at different cycles of different-
                     // length schedules, so their state accesses spread over
                     // several times the address range of the aligned pass-1
                     // case and coalesce far worse.
-                    self.state_accesses(&mut wf, 4 * (scan_max + succ_max), lanes, layout);
+                    self.state_accesses(
+                        &mut wf,
+                        4 * (round.scan_max + round.succ_max),
+                        lanes,
+                        layout,
+                    );
 
-                    if finished_now && self.cfg.tuning.early_wavefront_termination {
+                    if round.finished_now && self.cfg.tuning.early_wavefront_termination {
                         // The first finisher has the fewest cycles; later
                         // finishers cannot win the iteration (Section V-B).
-                        for ant in &mut ants {
-                            ant.kill();
-                        }
+                        ants.kill_running();
                         break;
                     }
                 }
                 // First minimum-length finisher of the wavefront, then
                 // materialize only on global improvement.
-                let mut wf_best: Option<(Cycle, usize)> = None;
-                for (l, ant) in ants.iter().enumerate() {
-                    if ant.finished() {
-                        let len = ant.length();
-                        if wf_best.is_none_or(|(bl, _)| len < bl) {
-                            wf_best = Some((len, l));
-                        }
-                    }
-                }
-                if let Some((len, l)) = wf_best {
+                if let Some((len, class)) = ants.best() {
                     if winner_len.is_none_or(|wl| len < wl) {
                         winner_len = Some(len);
                         winner_order.clear();
-                        winner_order.extend_from_slice(ants[l].order());
+                        winner_order.extend_from_slice(ants.order(class));
                         winner_cycles.clear();
-                        winner_cycles.extend_from_slice(ants[l].cycles());
+                        winner_cycles.extend_from_slice(ants.cycles(class));
                     }
                 }
                 self.update_stage_cost(ctx, &mut wf);

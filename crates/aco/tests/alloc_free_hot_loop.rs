@@ -7,10 +7,16 @@
 //! is reserved at region capacity when the ant is created, so reusing an
 //! ant across a colony costs no allocator traffic at all. Only
 //! `result()` (winner materialization) may allocate.
+//!
+//! The lockstep wavefront (`lockstep.rs`) extends the contract to whole
+//! wavefronts: its state slots, lane partition and split scratch are all
+//! reserved at construction, so launching, stepping and *splitting* lane
+//! classes (copy-on-split into a pre-reserved slot) is silent as well.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use aco::lockstep::{Pass1Wavefront, Pass2Wavefront};
 use aco::{AcoConfig, AntContext, Pass1Ant, Pass2Ant, Pass2Step, PheromoneTable};
 use list_sched::{Heuristic, RegionAnalysis};
 use machine_model::{OccupancyLut, OccupancyModel};
@@ -167,6 +173,83 @@ fn pass1_and_pass2_constructions_allocate_nothing() {
     let (n, r) = count_events(|| ant2.result());
     assert!(n > 0, "result() clones, so it must allocate");
     r.schedule.validate(&ddg).unwrap();
+}
+
+#[test]
+fn wavefronts_with_class_splits_allocate_nothing_after_set_up() {
+    let ddg = workloads::patterns::sized(120, 13);
+    let analysis = RegionAnalysis::new(&ddg);
+    let universe = RegUniverse::new(&ddg);
+    let lut = OccupancyLut::new(&OccupancyModel::vega_like());
+    let cfg = AcoConfig::paper(5);
+    let ctx = AntContext {
+        ddg: &ddg,
+        analysis: &analysis,
+        universe: &universe,
+        lut: &lut,
+        cfg: &cfg,
+    };
+    let pheromone = PheromoneTable::new(ddg.len(), cfg.initial_pheromone);
+    let lanes = cfg.threads_per_block;
+    // Every round explores, so classes split as fast as they can: the
+    // wavefront ends fully fragmented, having forked `lanes - 1` states.
+    let explore = Some(true);
+
+    // ---- Pass 1: launch set-up, then launch + rounds + reduction. ----
+    let mut wf1 = Pass1Wavefront::new(&ctx, lanes);
+    for (w, h) in Heuristic::ALL.into_iter().enumerate() {
+        let (n, cost) = count_events(|| {
+            wf1.launch(&ctx, h, |l| 1000 * w as u64 + u64::from(l));
+            while !wf1.finished(&ctx) {
+                wf1.round(&ctx, &pheromone, explore);
+            }
+            let (cost, class) = wf1.best(&ctx);
+            let _ = wf1.order(class);
+            cost
+        });
+        assert_eq!(n, 0, "pass-1 wavefront {w} hit the allocator");
+        assert_eq!(wf1.class_count(), lanes as usize, "every lane forked off");
+        assert!(cost > 0);
+    }
+    // Per-thread explore flags (the Table 4.b ablation) take the same path.
+    let (n, ()) = count_events(|| {
+        wf1.launch(&ctx, cfg.heuristic, u64::from);
+        while !wf1.finished(&ctx) {
+            wf1.round(&ctx, &pheromone, None);
+        }
+    });
+    assert_eq!(
+        n, 0,
+        "pass-1 wavefront with per-thread flags hit the allocator"
+    );
+    assert!(wf1.class_count() > 1);
+
+    // ---- Pass 2: unconstrained, so every lane finishes. ----
+    let mut wf2 = Pass2Wavefront::new(&ctx, lanes, u64::MAX);
+    for (w, h) in Heuristic::ALL.into_iter().enumerate() {
+        let (n, best) = count_events(|| {
+            wf2.launch(&ctx, h, w % 2 == 0, |l| 2000 * w as u64 + u64::from(l));
+            while wf2.any_running() {
+                wf2.round(&ctx, &pheromone, explore);
+            }
+            let best = wf2.best();
+            if let Some((_, class)) = best {
+                let _ = (wf2.order(class), wf2.cycles(class));
+            }
+            best
+        });
+        assert_eq!(n, 0, "pass-2 wavefront {w} hit the allocator");
+        assert_eq!(wf2.class_count(), lanes as usize, "every lane forked off");
+        assert!(best.is_some(), "unconstrained pass-2 ants cannot die");
+    }
+    // Early wavefront termination is silent too.
+    let (n, ()) = count_events(|| {
+        wf2.launch(&ctx, cfg.heuristic, true, u64::from);
+        wf2.round(&ctx, &pheromone, None);
+        wf2.kill_running();
+    });
+    assert_eq!(n, 0, "pass-2 kill hit the allocator");
+    assert!(!wf2.any_running());
 }
 
 #[test]

@@ -240,6 +240,23 @@ impl<'u> PressureTracker<'u> {
         self.peak = self.current;
     }
 
+    /// Overwrites this tracker with `other`'s state without reallocating:
+    /// two `memcpy`s, like [`Self::reset`], but from a mid-construction
+    /// state (the lockstep wavefront forks an ant state this way when the
+    /// lanes sharing it pick different instructions).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two trackers were built over universes of different
+    /// sizes.
+    pub fn copy_from(&mut self, other: &PressureTracker<'u>) {
+        debug_assert!(std::ptr::eq(self.universe, other.universe));
+        self.remaining.copy_from_slice(&other.remaining);
+        self.live.copy_from_slice(&other.live);
+        self.current = other.current;
+        self.peak = other.peak;
+    }
+
     /// Issues an instruction: closes the live ranges of registers whose last
     /// use this is, then opens its defs' live ranges.
     ///
@@ -520,6 +537,27 @@ mod tests {
             t.issue(id);
         }
         assert_eq!(t.peak()[V], 3);
+    }
+
+    #[test]
+    fn copy_from_forks_a_mid_construction_state() {
+        let (ddg, ids) = figure1::ddg_with_ids();
+        let universe = RegUniverse::new(&ddg);
+        let mut a = PressureTracker::new(&universe);
+        for id in [ids.c, ids.d] {
+            a.issue(id);
+        }
+        let mut b = PressureTracker::new(&universe);
+        b.issue(ids.a); // overwritten by the copy
+        b.copy_from(&a);
+        assert_eq!(b.current(), a.current());
+        assert_eq!(b.peak(), a.peak());
+        assert_eq!(b.net_change(ids.f), a.net_change(ids.f));
+        // The fork diverges independently of its source.
+        b.issue(ids.f);
+        a.issue(ids.a);
+        assert_eq!(b.current()[V], 1);
+        assert_eq!(a.current()[V], 3);
     }
 
     #[test]

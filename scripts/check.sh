@@ -8,7 +8,9 @@
 # clean at -D warnings across every target, all workspace tests green,
 # and (unless --fast) the release build the tier-1 gate uses, the bench
 # binaries compiling, a CLI verify smoke run on generated regions, and
-# the static-analysis deny-gate (`gpu-aco-cli analyze --json`).
+# the static-analysis deny-gate (`gpu-aco-cli analyze --json`), the
+# wall-clock smoke perf gate, and the `benchmark/` package's unit tests and
+# self-checking `suite-unique --smoke` run.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -232,6 +234,17 @@ for path in sys.argv[1:]:
     print(f"tuning gate: {path}: {rep['iterations_saved']} iterations saved, "
           f"{rep['tuner']['warm_hits']} warm hits, no length regression")
 EOF
+
+    echo "==> benchmark/: unit tests + suite-unique smoke"
+    # The repository's one benchmark (BENCHMARK.json, benchmark/) is its own
+    # cargo workspace, so `--workspace` above never builds it. Its smoke run
+    # compiles a tiny suite-unique with the full correctness gate — every
+    # schedule certified, timed passes repeating the warm-up's fingerprint —
+    # and exits non-zero if any output is wrong (`pipefail` carries that
+    # through the `tail`).
+    cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload suite-unique --smoke | tail -n 1
 fi
 
 echo "==> cargo test --workspace -q"
