@@ -451,11 +451,16 @@ impl<'a> Pass1Ant<'a> {
         }
     }
 
-    /// Runs the construction to completion (sequential driver).
-    pub fn run(&mut self, ctx: &AntContext<'a>, pheromone: &PheromoneTable) -> Pass1Result {
+    /// Steps the construction to completion without materializing it.
+    pub(crate) fn construct(&mut self, ctx: &AntContext<'a>, pheromone: &PheromoneTable) {
         while !self.finished(ctx) {
             self.step(ctx, pheromone, None);
         }
+    }
+
+    /// Runs the construction to completion (sequential driver).
+    pub fn run(&mut self, ctx: &AntContext<'a>, pheromone: &PheromoneTable) -> Pass1Result {
+        self.construct(ctx, pheromone);
         self.result(ctx)
     }
 
@@ -997,16 +1002,28 @@ impl<'a> Pass2Ant<'a> {
         Pass2Step::Stalled { scanned, optional }
     }
 
-    /// Runs the construction until it finishes or dies (sequential driver).
-    /// Returns `None` for a dead ant.
-    pub fn run(&mut self, ctx: &AntContext<'a>, pheromone: &PheromoneTable) -> Option<Pass2Result> {
+    /// Steps the construction until it finishes or dies, without
+    /// materializing it; whether it finished. `explore` as in
+    /// [`Pass2Ant::step`].
+    pub(crate) fn construct(
+        &mut self,
+        ctx: &AntContext<'a>,
+        pheromone: &PheromoneTable,
+        explore: Option<bool>,
+    ) -> bool {
         loop {
-            match self.step(ctx, pheromone, None) {
-                Pass2Step::Died => return None,
-                Pass2Step::Finished => return Some(self.result()),
+            match self.step(ctx, pheromone, explore) {
+                Pass2Step::Died => return false,
+                Pass2Step::Finished => return true,
                 Pass2Step::Issued { .. } | Pass2Step::Stalled { .. } => {}
             }
         }
+    }
+
+    /// Runs the construction until it finishes or dies (sequential driver).
+    /// Returns `None` for a dead ant.
+    pub fn run(&mut self, ctx: &AntContext<'a>, pheromone: &PheromoneTable) -> Option<Pass2Result> {
+        self.construct(ctx, pheromone, None).then(|| self.result())
     }
 
     /// The completed result.

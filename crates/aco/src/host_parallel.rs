@@ -12,79 +12,16 @@
 //! **deterministic regardless of thread count or interleaving**: ants are
 //! seeded by colony index and the winner tie-breaks on that index.
 
+use crate::colony::{self, Candidate, Executor};
 use crate::config::AcoConfig;
-use crate::construct::{AntContext, Pass1Ant, Pass2Ant, Pass2Step};
+use crate::construct::{AntContext, Pass1Ant, Pass2Ant};
 use crate::pheromone::PheromoneTable;
-use crate::result::{AcoResult, PassStats};
-use crate::sequential::{ant_seed, pass2_target};
-use list_sched::{Heuristic, ListScheduler, RegionAnalysis};
-use machine_model::{OccupancyLut, OccupancyModel};
+use crate::result::AcoResult;
+use crate::sequential::ant_seed;
+use list_sched::Heuristic;
+use machine_model::OccupancyModel;
 use parking_lot::Mutex;
-use reg_pressure::RegUniverse;
-use sched_ir::{Cycle, Ddg, InstrId, Schedule};
-
-/// Pass-1 winner slot: `(APRP cost, colony index, order)`.
-type Pass1Winner = (u64, u32, Vec<InstrId>);
-
-/// Pass-2 winner slot: `(length, colony index, order, issue cycles)`. The
-/// `Schedule` itself is materialized once, by the caller, from the cycles.
-type Pass2Winner = (u64, u32, Vec<InstrId>, Vec<Cycle>);
-
-/// Whether `(objective, colony index)` beats the current winner. Lower
-/// objective wins; the colony index breaks ties so the result is
-/// independent of thread scheduling.
-fn beats(current: Option<(u64, u32)>, objective: u64, idx: u32) -> bool {
-    match current {
-        None => true,
-        Some((cost, i)) => objective < cost || (objective == cost && idx < i),
-    }
-}
-
-/// Merges a pass-1 candidate into the shared winner slot. The comparison
-/// runs under the lock *before* any materialization: losing ants copy
-/// nothing, and a winning ant's order is copied into the slot's existing
-/// buffer rather than freshly allocated.
-fn merge_pass1(winner: &Mutex<Option<Pass1Winner>>, cost: u64, idx: u32, order: &[InstrId]) {
-    let mut w = winner.lock();
-    if !beats(w.as_ref().map(|(c, i, _)| (*c, *i)), cost, idx) {
-        return;
-    }
-    match &mut *w {
-        Some((c, i, ord)) => {
-            *c = cost;
-            *i = idx;
-            ord.clear();
-            ord.extend_from_slice(order);
-        }
-        slot => *slot = Some((cost, idx, order.to_vec())),
-    }
-}
-
-/// Merges a pass-2 candidate into the shared winner slot; same
-/// compare-before-materialize discipline as [`merge_pass1`].
-fn merge_pass2(
-    winner: &Mutex<Option<Pass2Winner>>,
-    length: u64,
-    idx: u32,
-    order: &[InstrId],
-    cycles: &[Cycle],
-) {
-    let mut w = winner.lock();
-    if !beats(w.as_ref().map(|(l, i, _, _)| (*l, *i)), length, idx) {
-        return;
-    }
-    match &mut *w {
-        Some((l, i, ord, cyc)) => {
-            *l = length;
-            *i = idx;
-            ord.clear();
-            ord.extend_from_slice(order);
-            cyc.clear();
-            cyc.extend_from_slice(cycles);
-        }
-        slot => *slot = Some((length, idx, order.to_vec(), cycles.to_vec())),
-    }
-}
+use sched_ir::{Cycle, Ddg, InstrId};
 
 /// The host-thread-parallel two-pass ACO scheduler.
 ///
@@ -124,224 +61,119 @@ impl HostParallelScheduler {
 
     /// Schedules a region, running ant constructions across host threads.
     pub fn schedule(&mut self, ddg: &Ddg, occ: &OccupancyModel) -> AcoResult {
-        let analysis = RegionAnalysis::new(ddg);
-        let universe = RegUniverse::new(ddg);
-        let lut = OccupancyLut::new(occ);
-        let ctx = AntContext {
-            ddg,
-            analysis: &analysis,
-            universe: &universe,
-            lut: &lut,
-            cfg: &self.cfg,
+        let mut exec = HostExecutor {
+            threads: self.threads,
         };
-
-        let initial = ListScheduler::new(Heuristic::AmdMaxOccupancy)
-            .schedule_in(ddg, &lut, &analysis, &universe);
-        if ddg.len() <= 1 {
-            return AcoResult::trivial(ddg, occ, initial, 0.0);
-        }
-
-        // ---- Pass 1 ----
-        let rp_lb = occ.rp_cost_lb(ddg.rp_lower_bound());
-        let mut best_order = initial.order.clone();
-        let mut best_cost = occ.rp_cost(initial.prp);
-        let mut pheromone = PheromoneTable::new(ddg.len(), self.cfg.initial_pheromone);
-        let mut pass1 = PassStats::default();
-        if best_cost > rp_lb {
-            let budget = self.cfg.termination.budget(ddg.len());
-            let mut no_improve = 0u32;
-            while pass1.iterations < self.cfg.termination.max_iterations {
-                pass1.iterations += 1;
-                let winner = self.run_pass1_iteration(&ctx, &pheromone, pass1.iterations);
-                let (wcost, worder) = winner.expect("at least one ant per iteration");
-                pheromone.evaporate(self.cfg.decay, self.cfg.tau_min);
-                pheromone.deposit_order(&worder, self.cfg.deposit, self.cfg.tau_max);
-                if wcost < best_cost {
-                    best_cost = wcost;
-                    best_order = worder;
-                    pass1.improved = true;
-                    no_improve = 0;
-                } else {
-                    no_improve += 1;
-                }
-                if best_cost <= rp_lb {
-                    pass1.hit_lb = true;
-                    break;
-                }
-                if no_improve >= budget {
-                    break;
-                }
-            }
-        } else {
-            pass1.hit_lb = true;
-        }
-        pass1.best_cost = best_cost;
-
-        // ---- Pass 2 ----
-        let mut best_schedule = Schedule::from_order(ddg, &best_order);
-        let mut best_length = best_schedule.length();
-        let mut best_final_order = best_order.clone();
-        let target_cost = pass2_target(&self.cfg, occ, best_cost);
-        let len_lb: Cycle = ddg.schedule_length_lb();
-        let mut pass2 = PassStats::default();
-        let gate = self.cfg.pass2_gate_cycles.max(1) as Cycle;
-        if best_length >= len_lb + gate {
-            pheromone.reset();
-            let mut greedy = Pass2Ant::new(&ctx, self.cfg.heuristic, 0, target_cost, true);
-            greedy.set_stall_budget(u32::MAX);
-            for h in Heuristic::ALL {
-                greedy.reset_with(&ctx, h, 0, true);
-                while matches!(
-                    greedy.step(&ctx, &pheromone, Some(false)),
-                    Pass2Step::Issued { .. } | Pass2Step::Stalled { .. }
-                ) {}
-                if greedy.finished() && greedy.length() < best_length {
-                    let g = greedy.result();
-                    best_length = g.length;
-                    best_schedule = g.schedule;
-                    best_final_order = g.order;
-                }
-            }
-            let budget = self.cfg.termination.budget(ddg.len());
-            let mut no_improve = 0u32;
-            while pass2.iterations < self.cfg.termination.max_iterations {
-                pass2.iterations += 1;
-                let winner =
-                    self.run_pass2_iteration(&ctx, &pheromone, pass2.iterations, target_cost);
-                pheromone.evaporate(self.cfg.decay, self.cfg.tau_min);
-                let improved = match winner {
-                    Some((wlen, _, worder, wcycles)) => {
-                        pheromone.deposit_order(&worder, self.cfg.deposit, self.cfg.tau_max);
-                        if (wlen as Cycle) < best_length {
-                            best_length = wlen as Cycle;
-                            best_schedule = Schedule::from_cycles(wcycles);
-                            best_final_order = worder;
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    None => false,
-                };
-                if improved {
-                    pass2.improved = true;
-                    no_improve = 0;
-                } else {
-                    no_improve += 1;
-                }
-                if best_length <= len_lb {
-                    pass2.hit_lb = true;
-                    break;
-                }
-                if no_improve >= budget {
-                    break;
-                }
-            }
-        } else if best_length <= len_lb {
-            pass2.hit_lb = true;
-        } else {
-            pass2.gated = true;
-        }
-        pass2.best_cost = best_length as u64;
-
-        let prp = reg_pressure::prp_of_order(ddg, &best_final_order);
-        AcoResult {
-            occupancy: occ.occupancy(prp),
-            prp,
-            length: best_length,
-            order: best_final_order,
-            schedule: best_schedule,
-            initial,
-            pass1,
-            pass2,
-            ops: 0,
-            time_us: 0.0,
-        }
+        colony::with_context(&self.cfg, ddg, occ, |ctx| {
+            colony::run(ctx, occ, None, &mut exec)
+        })
     }
+}
 
-    /// Runs one pass-1 iteration's ants across threads; returns the winner.
+/// Each iteration's ants in per-thread chunks of the colony; no cost model.
+struct HostExecutor {
+    threads: usize,
+}
+
+impl HostExecutor {
+    /// Runs ants `0..cfg.sequential_ants` across threads, one reusable ant
+    /// (from `new_ant`) per thread. `construct(ant, a)` builds colony
+    /// member `a` and returns its objective, or `None` if it died;
+    /// `parts(ant)` is its order and cycles. Returns the winner's
+    /// objective after writing it into `winner`.
     ///
-    /// Each thread reuses a single [`Pass1Ant`] across its whole chunk of
-    /// the colony, and losing ants never clone their order — candidates
-    /// are compared under the merge lock first (cost + colony index) and
-    /// only an improving ant's order is copied into the slot.
-    fn run_pass1_iteration(
+    /// Lower objective wins and the colony index breaks ties, so the result
+    /// is independent of thread scheduling. The comparison runs under the
+    /// lock *before* any copy: losing ants materialize nothing.
+    fn iteration<A>(
         &self,
-        ctx: &AntContext<'_>,
-        pheromone: &PheromoneTable,
-        iteration: u32,
-    ) -> Option<(u64, Vec<InstrId>)> {
-        let winner: Mutex<Option<Pass1Winner>> = Mutex::new(None);
-        let total = self.cfg.sequential_ants;
+        cfg: &AcoConfig,
+        winner: &mut Candidate,
+        new_ant: impl Fn() -> A + Sync,
+        construct: impl Fn(&mut A, u32) -> Option<u64> + Sync,
+        parts: impl Fn(&A) -> (&[InstrId], &[Cycle]) + Sync,
+    ) -> Option<u64> {
+        let slot = Mutex::new((None::<(u64, u32)>, winner));
+        let total = cfg.sequential_ants;
         let chunk = (total as usize).div_ceil(self.threads) as u32;
         crossbeam::scope(|scope| {
             for t in 0..self.threads as u32 {
-                let winner = &winner;
+                let (slot, new_ant, construct, parts) = (&slot, &new_ant, &construct, &parts);
                 scope.spawn(move |_| {
                     let lo = t * chunk;
                     let hi = (lo + chunk).min(total);
                     if lo >= hi {
                         return;
                     }
-                    let mut ant = Pass1Ant::new(ctx, ctx.cfg.heuristic, 0);
+                    let mut ant = new_ant();
                     for a in lo..hi {
-                        ant.reset(ctx, ant_seed(ctx.cfg.seed, 1, iteration, a));
-                        while !ant.finished(ctx) {
-                            ant.step(ctx, pheromone, None);
+                        let Some(objective) = construct(&mut ant, a) else {
+                            continue;
+                        };
+                        let mut slot = slot.lock();
+                        if slot.0.is_none_or(|best| (objective, a) < best) {
+                            slot.0 = Some((objective, a));
+                            let (order, cycles) = parts(&ant);
+                            slot.1.set(order, cycles);
                         }
-                        merge_pass1(winner, ant.cost(ctx), a, ant.order());
                     }
                 });
             }
         })
         .expect("ant threads never panic");
-        winner.into_inner().map(|(c, _, o)| (c, o))
+        slot.into_inner().0.map(|(objective, _)| objective)
+    }
+}
+
+impl<'a> Executor<'a> for HostExecutor {
+    const GREEDY_SEEDS: bool = true;
+
+    fn pass1_iteration(
+        &mut self,
+        ctx: &AntContext<'a>,
+        pheromone: &PheromoneTable,
+        iteration: u32,
+        winner: &mut Candidate,
+    ) -> u64 {
+        let cfg = ctx.cfg;
+        self.iteration(
+            cfg,
+            winner,
+            || Pass1Ant::new(ctx, cfg.heuristic, 0),
+            |ant, a| {
+                ant.reset(ctx, ant_seed(cfg.seed, 1, iteration, a));
+                ant.construct(ctx, pheromone);
+                Some(ant.cost(ctx))
+            },
+            |ant| (ant.order(), &[]),
+        )
+        .expect("at least one ant per iteration")
     }
 
-    /// Runs one pass-2 iteration's ants across threads; returns the winner.
-    /// Same single-ant-per-thread, compare-before-materialize scheme as
-    /// [`HostParallelScheduler::run_pass1_iteration`].
-    fn run_pass2_iteration(
-        &self,
-        ctx: &AntContext<'_>,
+    fn pass2_iteration(
+        &mut self,
+        ctx: &AntContext<'a>,
         pheromone: &PheromoneTable,
         iteration: u32,
         target_cost: u64,
-    ) -> Option<Pass2Winner> {
-        let winner: Mutex<Option<Pass2Winner>> = Mutex::new(None);
-        let total = self.cfg.sequential_ants;
-        let chunk = (total as usize).div_ceil(self.threads) as u32;
-        crossbeam::scope(|scope| {
-            for t in 0..self.threads as u32 {
-                let winner = &winner;
-                scope.spawn(move |_| {
-                    let lo = t * chunk;
-                    let hi = (lo + chunk).min(total);
-                    if lo >= hi {
-                        return;
-                    }
-                    let mut ant = Pass2Ant::new(ctx, ctx.cfg.heuristic, 0, target_cost, true);
-                    for a in lo..hi {
-                        // Heuristic varies across the colony as across
-                        // wavefront groups.
-                        let h = Heuristic::ALL[a as usize % Heuristic::ALL.len()];
-                        ant.reset_with(ctx, h, ant_seed(ctx.cfg.seed, 2, iteration, a), true);
-                        let finished = loop {
-                            match ant.step(ctx, pheromone, None) {
-                                Pass2Step::Died => break false,
-                                Pass2Step::Finished => break true,
-                                Pass2Step::Issued { .. } | Pass2Step::Stalled { .. } => {}
-                            }
-                        };
-                        if finished {
-                            merge_pass2(winner, ant.length() as u64, a, ant.order(), ant.cycles());
-                        }
-                    }
-                });
-            }
-        })
-        .expect("ant threads never panic");
-        winner.into_inner()
+        winner: &mut Candidate,
+    ) -> Option<Cycle> {
+        let cfg = ctx.cfg;
+        self.iteration(
+            cfg,
+            winner,
+            || Pass2Ant::new(ctx, cfg.heuristic, 0, target_cost, true),
+            |ant, a| {
+                // Heuristic varies across the colony as across wavefront
+                // groups.
+                let h = Heuristic::ALL[a as usize % Heuristic::ALL.len()];
+                ant.reset_with(ctx, h, ant_seed(cfg.seed, 2, iteration, a), true);
+                ant.construct(ctx, pheromone, None)
+                    .then(|| u64::from(ant.length()))
+            },
+            |ant| (ant.order(), ant.cycles()),
+        )
+        .map(|len| len as Cycle)
     }
 }
 

@@ -7,7 +7,9 @@
 //! (maximizing occupancy) and pass 2 minimizes schedule length under the
 //! pass-1 cost as a hard constraint.
 //!
-//! Two drivers share the same ant logic ([`construct`]):
+//! The two-pass colony exists once (the crate-private `colony` module);
+//! three schedulers run it, differing only in how one iteration's ants
+//! ([`construct`]) are constructed and what that costs:
 //!
 //! * [`SequentialScheduler`] — the CPU algorithm of Shobaki et al. 2022,
 //!   with a modeled CPU time ([`gpu_sim::CpuSpec`]).
@@ -15,7 +17,7 @@
 //!   mapped onto wavefronts of a (simulated) GPU with the memory and
 //!   divergence optimizations of Section V as individually togglable
 //!   [`GpuTuning`] knobs.
-//! * [`HostParallelScheduler`] — the same colony across host threads
+//! * [`HostParallelScheduler`] — the colony's ants across host threads
 //!   (crossbeam), a deterministic correctness cross-check of the
 //!   independent-ants parallelization argument.
 //!
@@ -37,6 +39,7 @@
 //! assert_eq!(par.result.prp[0], 3);
 //! ```
 
+mod colony;
 pub mod config;
 pub mod construct;
 pub mod host_parallel;
@@ -47,11 +50,12 @@ pub mod result;
 pub mod sequential;
 pub mod warm;
 
+pub use colony::pass2_target;
 pub use config::{AcoConfig, GpuTuning, Termination};
 pub use construct::{AntContext, Pass1Ant, Pass1Result, Pass2Ant, Pass2Result, Pass2Step};
 pub use host_parallel::HostParallelScheduler;
 pub use parallel::{batch_block_split, BatchOutcome, GpuStats, ParallelOutcome, ParallelScheduler};
 pub use pheromone::PheromoneTable;
 pub use result::{AcoResult, PassStats};
-pub use sequential::{pass2_target, SequentialScheduler};
+pub use sequential::SequentialScheduler;
 pub use warm::{WarmStart, WARM_NO_IMPROVE_BUDGET};

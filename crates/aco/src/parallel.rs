@@ -26,20 +26,20 @@
 //!   optional stalls to a fraction of wavefronts, early wavefront
 //!   termination, per-wavefront guiding heuristics (Section V-B).
 
+use crate::colony::{self, Candidate, Executor, Pass};
 use crate::config::AcoConfig;
-use crate::construct::{AntContext, Pass2Ant, Pass2Step};
+use crate::construct::AntContext;
 use crate::lockstep::{Pass1Wavefront, Pass2Wavefront};
 use crate::pheromone::PheromoneTable;
-use crate::result::{AcoResult, PassStats};
-use crate::sequential::{ant_seed, pass2_target};
-use crate::warm::{WarmStart, WARM_NO_IMPROVE_BUDGET};
+use crate::result::AcoResult;
+use crate::sequential::ant_seed;
+use crate::warm::WarmStart;
 use gpu_sim::{GpuSpec, LaunchProfile, MemLayout, WavefrontCost};
-use list_sched::{Heuristic, ListScheduler, RegionAnalysis};
-use machine_model::{OccupancyLut, OccupancyModel};
+use list_sched::Heuristic;
+use machine_model::OccupancyModel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use reg_pressure::RegUniverse;
-use sched_ir::{Cycle, Ddg, InstrId, Schedule};
+use sched_ir::{Cycle, Ddg};
 
 /// SIMT steps charged per candidate in a selection scan.
 const STEPS_PER_CANDIDATE: u64 = 4;
@@ -130,138 +130,28 @@ impl ParallelScheduler {
     /// With `warm = None` this is exactly [`ParallelScheduler::schedule`] —
     /// bit for bit. An applicable hint saturates the trail along the hinted
     /// order before each launch and cuts the no-improvement budget to
-    /// [`WARM_NO_IMPROVE_BUDGET`]; a size-mismatched hint is ignored.
+    /// [`crate::WARM_NO_IMPROVE_BUDGET`]; a size-mismatched hint is ignored.
     pub fn schedule_with(
         &mut self,
         ddg: &Ddg,
         occ: &OccupancyModel,
         warm: Option<&WarmStart>,
     ) -> ParallelOutcome {
-        let warm = warm.filter(|w| w.applies_to(ddg));
-        let analysis = RegionAnalysis::new(ddg);
-        let universe = RegUniverse::new(ddg);
-        // Pressure cost of the hinted order against *this* region: the hint
-        // is injected as a candidate incumbent in both passes, so a warm
-        // result is never lexicographically worse than its seed.
-        let warm_cost =
-            warm.map(|w| occ.rp_cost(reg_pressure::prp_of_order_in(&universe, w.order())));
-        let lut = OccupancyLut::new(occ);
-        let ctx = AntContext {
-            ddg,
-            analysis: &analysis,
-            universe: &universe,
-            lut: &lut,
-            cfg: &self.cfg,
-        };
-
-        let initial = ListScheduler::new(Heuristic::AmdMaxOccupancy)
-            .schedule_in(ddg, &lut, &analysis, &universe);
-
-        if ddg.len() <= 1 {
-            let result = AcoResult::trivial(ddg, occ, initial, 0.0);
-            return ParallelOutcome {
-                result,
+        colony::with_context(&self.cfg, ddg, occ, |ctx| {
+            let mut exec = GpuExecutor {
+                sched: self,
                 gpu: GpuStats::default(),
+                kernel_cycles: 0,
+                iter_wf_cycles: Vec::with_capacity(self.cfg.blocks as usize),
+                ants1: None,
+                ants2: None,
             };
-        }
-
-        let mut gpu = GpuStats::default();
-        // One pheromone table serves both launches: `reset()` restores the
-        // uniform initial level bitwise-identically to a fresh table, so
-        // sharing it keeps per-launch allocations constant without changing
-        // any result.
-        let mut pheromone = PheromoneTable::new(ddg.len(), self.cfg.initial_pheromone);
-
-        // ---- Pass 1 ----
-        let rp_lb = occ.rp_cost_lb(ddg.rp_lower_bound());
-        let mut best_order = initial.order.clone();
-        let mut best_cost = occ.rp_cost(initial.prp);
-        if let (Some(w), Some(wc)) = (warm, warm_cost) {
-            if wc < best_cost {
-                best_cost = wc;
-                best_order.clear();
-                best_order.extend_from_slice(w.order());
+            let result = colony::run(ctx, occ, warm, &mut exec);
+            ParallelOutcome {
+                result,
+                gpu: exec.gpu,
             }
-        }
-        let mut pass1 = PassStats::default();
-        if best_cost > rp_lb {
-            let launch = self.run_pass1(
-                &ctx,
-                &mut pheromone,
-                &mut best_order,
-                &mut best_cost,
-                rp_lb,
-                &mut pass1,
-                warm,
-            );
-            gpu.pass1_profile = launch.profile;
-            gpu.divergent_steps += launch.divergent_steps;
-            gpu.mem_transactions += launch.mem_transactions;
-        } else {
-            pass1.hit_lb = true;
-        }
-        pass1.best_cost = best_cost;
-        pass1.time_us = gpu.pass1_profile.total_us();
-
-        // ---- Pass 2 ----
-        let mut best_schedule = Schedule::from_order(ddg, &best_order);
-        let mut best_length = best_schedule.length();
-        let mut best_final_order = best_order.clone();
-        let target_cost = pass2_target(&self.cfg, occ, best_cost);
-        // Hint-as-candidate, length side: if the hinted order is feasible
-        // under the pass-2 cost target and packs shorter than the pass-1
-        // winner, start pass 2 from it.
-        if let (Some(w), Some(wc)) = (warm, warm_cost) {
-            if wc <= target_cost {
-                let sched = Schedule::from_order(ddg, w.order());
-                if sched.length() < best_length {
-                    best_length = sched.length();
-                    best_final_order.clear();
-                    best_final_order.extend_from_slice(w.order());
-                    best_schedule = sched;
-                }
-            }
-        }
-        let len_lb = ddg.schedule_length_lb();
-        let mut pass2 = PassStats::default();
-        let gate = self.cfg.pass2_gate_cycles.max(1) as Cycle;
-        if best_length >= len_lb + gate {
-            let launch = self.run_pass2(
-                &ctx,
-                &mut pheromone,
-                target_cost,
-                &mut best_final_order,
-                &mut best_schedule,
-                &mut best_length,
-                len_lb,
-                &mut pass2,
-                warm,
-            );
-            gpu.pass2_profile = launch.profile;
-            gpu.divergent_steps += launch.divergent_steps;
-            gpu.mem_transactions += launch.mem_transactions;
-        } else if best_length <= len_lb {
-            pass2.hit_lb = true;
-        } else {
-            pass2.gated = true;
-        }
-        pass2.best_cost = best_length as u64;
-        pass2.time_us = gpu.pass2_profile.total_us();
-
-        let prp = reg_pressure::prp_of_order_in(&universe, &best_final_order);
-        let result = AcoResult {
-            occupancy: occ.occupancy(prp),
-            prp,
-            length: best_length,
-            order: best_final_order,
-            schedule: best_schedule,
-            initial,
-            pass1,
-            pass2,
-            ops: 0,
-            time_us: gpu.total_us(),
-        };
-        ParallelOutcome { result, gpu }
+        })
     }
 
     /// Whether wavefront `w` is allowed to insert optional stalls.
@@ -346,318 +236,6 @@ impl ParallelScheduler {
         wf.mem_accesses(chunk, self.cfg.threads_per_block, self.cfg.tuning.layout);
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_pass1(
-        &self,
-        ctx: &AntContext<'_>,
-        pheromone: &mut PheromoneTable,
-        best_order: &mut Vec<InstrId>,
-        best_cost: &mut u64,
-        rp_lb: u64,
-        stats: &mut PassStats,
-        warm: Option<&WarmStart>,
-    ) -> LaunchResult {
-        let mut profile = self.setup_profile(ctx);
-        match warm {
-            Some(w) => pheromone.seed_order(w.order(), self.cfg.tau_max),
-            None => pheromone.reset(),
-        }
-        let budget = match warm {
-            Some(_) => WARM_NO_IMPROVE_BUDGET,
-            None => self.cfg.termination.budget(ctx.ddg.len()),
-        };
-        let mut no_improve = 0u32;
-        let mut kernel_cycles = 0u64;
-        let mut divergent_steps = 0u64;
-        let mut mem_transactions = 0u64;
-        let n = ctx.ddg.len();
-        let lanes = self.cfg.threads_per_block;
-        let layout = self.cfg.tuning.layout;
-
-        // One persistent wavefront of lane classes, relaunched per wavefront:
-        // the simulated kernel allocates its per-thread state once per
-        // launch, not once per wavefront per iteration.
-        let mut ants = Pass1Wavefront::new(ctx, lanes);
-        // Iteration-winner and per-iteration wavefront-cycle buffers live
-        // for the whole launch; each iteration clears and refills them so
-        // the loop stays allocation-free.
-        let mut winner_cost: Option<u64>;
-        let mut winner_order: Vec<InstrId> = Vec::with_capacity(n);
-        let mut iter_wf_cycles: Vec<u64> = Vec::with_capacity(self.cfg.blocks as usize);
-        while stats.iterations < self.cfg.termination.max_iterations {
-            stats.iterations += 1;
-            winner_cost = None;
-            iter_wf_cycles.clear();
-            for w in 0..self.cfg.blocks {
-                let mut wf = WavefrontCost::new(&self.spec);
-                let mut wf_rng = SmallRng::seed_from_u64(ant_seed(
-                    self.cfg.seed ^ 0x5A5A_F00D,
-                    1,
-                    stats.iterations,
-                    w,
-                ));
-                let iteration = stats.iterations;
-                ants.launch(ctx, self.wavefront_heuristic(w), |l| {
-                    ant_seed(self.cfg.seed, 1, iteration, w * lanes + l)
-                });
-                for _step in 0..n {
-                    let (explored, mixed) = if self.cfg.tuning.wavefront_level_choice {
-                        (Some(wf_rng.gen::<f64>() > self.cfg.q0), false)
-                    } else {
-                        (None, true)
-                    };
-                    let round = ants.round(ctx, pheromone, explored);
-                    let select_steps = round.scan_max * STEPS_PER_CANDIDATE + STEPS_PER_ROUND;
-                    if mixed && round.any_explore && round.any_exploit {
-                        // Thread-level choice: both selection formulas are
-                        // traversed serially by the wavefront.
-                        wf.diverge(&[select_steps, select_steps]);
-                    } else {
-                        wf.uniform(select_steps);
-                    }
-                    wf.uniform(round.succ_max * 2);
-                    self.state_accesses(&mut wf, round.scan_max + round.succ_max, lanes, layout);
-                }
-                // The wavefront's first minimum-cost lane; materialize its
-                // order only if it beats the running winner — losing lanes
-                // clone nothing.
-                let (cost, class) = ants.best(ctx);
-                if winner_cost.is_none_or(|c| cost < c) {
-                    winner_cost = Some(cost);
-                    winner_order.clear();
-                    winner_order.extend_from_slice(ants.order(class));
-                }
-                self.update_stage_cost(ctx, &mut wf);
-                divergent_steps += wf.divergent_steps();
-                mem_transactions += wf.mem_transactions();
-                iter_wf_cycles.push(wf.cycles());
-            }
-            kernel_cycles += self.spec.kernel_cycles(&iter_wf_cycles);
-
-            let wcost = winner_cost.expect("at least one ant");
-            pheromone.evaporate(self.cfg.decay, self.cfg.tau_min);
-            pheromone.deposit_order(&winner_order, self.cfg.deposit, self.cfg.tau_max);
-            if wcost < *best_cost {
-                *best_cost = wcost;
-                best_order.clear();
-                best_order.extend_from_slice(&winner_order);
-                stats.improved = true;
-                no_improve = 0;
-            } else {
-                no_improve += 1;
-            }
-            if *best_cost <= rp_lb {
-                stats.hit_lb = true;
-                break;
-            }
-            if no_improve >= budget {
-                break;
-            }
-        }
-        profile.kernel_us = self.spec.launch_overhead_us + self.spec.cycles_to_us(kernel_cycles);
-        LaunchResult {
-            profile,
-            divergent_steps,
-            mem_transactions,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_pass2(
-        &self,
-        ctx: &AntContext<'_>,
-        pheromone: &mut PheromoneTable,
-        target_cost: u64,
-        best_order: &mut Vec<InstrId>,
-        best_schedule: &mut Schedule,
-        best_length: &mut Cycle,
-        len_lb: Cycle,
-        stats: &mut PassStats,
-        warm: Option<&WarmStart>,
-    ) -> LaunchResult {
-        let mut profile = self.setup_profile(ctx);
-        match warm {
-            Some(w) => pheromone.seed_order(w.order(), self.cfg.tau_max),
-            None => pheromone.reset(),
-        }
-        // The best schedule is kept as a raw cycle vector for the whole
-        // launch and materialized into a `Schedule` exactly once at the end
-        // (`from_cycles` moves the buffer), so improvements never allocate.
-        let mut best_cycles: Vec<Cycle> = Vec::with_capacity(ctx.ddg.len());
-        best_cycles.extend_from_slice(best_schedule.cycles());
-        // Host-side constraint-respecting greedies seed the ILP pass (the
-        // same deterministic exploit-only constructions the sequential
-        // scheduler uses); different heuristics survive different binds.
-        let mut greedy = Pass2Ant::new(ctx, self.cfg.heuristic, 0, target_cost, true);
-        greedy.set_stall_budget(u32::MAX);
-        for h in Heuristic::ALL {
-            greedy.reset_with(ctx, h, 0, true);
-            while matches!(
-                greedy.step(ctx, pheromone, Some(false)),
-                Pass2Step::Issued { .. } | Pass2Step::Stalled { .. }
-            ) {}
-            if greedy.finished() && greedy.length() < *best_length {
-                *best_length = greedy.length();
-                best_order.clear();
-                best_order.extend_from_slice(greedy.order());
-                best_cycles.clear();
-                best_cycles.extend_from_slice(greedy.cycles());
-            }
-        }
-        let budget = match warm {
-            Some(_) => WARM_NO_IMPROVE_BUDGET,
-            None => self.cfg.termination.budget(ctx.ddg.len()),
-        };
-        let mut no_improve = 0u32;
-        let mut kernel_cycles = 0u64;
-        let mut divergent_steps = 0u64;
-        let mut mem_transactions = 0u64;
-        let lanes = self.cfg.threads_per_block;
-        let layout = self.cfg.tuning.layout;
-        let round_cap = 4 * ctx.ddg.len() as u64 + 64;
-
-        // One persistent wavefront of lane classes (heuristic and stall
-        // permission rotate per wavefront; the target cost is fixed for the
-        // whole launch).
-        let mut ants = Pass2Wavefront::new(ctx, lanes, target_cost);
-        // Launch-lifetime iteration-winner buffers (see run_pass1).
-        let mut winner_len: Option<Cycle>;
-        let mut winner_order: Vec<InstrId> = Vec::with_capacity(ctx.ddg.len());
-        let mut winner_cycles: Vec<Cycle> = Vec::with_capacity(ctx.ddg.len());
-        let mut iter_wf_cycles: Vec<u64> = Vec::with_capacity(self.cfg.blocks as usize);
-        while stats.iterations < self.cfg.termination.max_iterations {
-            stats.iterations += 1;
-            winner_len = None;
-            iter_wf_cycles.clear();
-            for w in 0..self.cfg.blocks {
-                let mut wf = WavefrontCost::new(&self.spec);
-                let mut wf_rng = SmallRng::seed_from_u64(ant_seed(
-                    self.cfg.seed ^ 0x5A5A_F00D,
-                    2,
-                    stats.iterations,
-                    w,
-                ));
-                let iteration = stats.iterations;
-                ants.launch(
-                    ctx,
-                    self.wavefront_heuristic(w),
-                    self.wavefront_may_stall(w),
-                    |l| ant_seed(self.cfg.seed, 2, iteration, w * lanes + l),
-                );
-                let mut rounds = 0u64;
-                while ants.any_running() && rounds < round_cap {
-                    rounds += 1;
-                    let explored = if self.cfg.tuning.wavefront_level_choice {
-                        Some(wf_rng.gen::<f64>() > self.cfg.q0)
-                    } else {
-                        None
-                    };
-                    let round = ants.round(ctx, pheromone, explored);
-                    // Divergent paths of this round: the two selection
-                    // formulas and the cheap stall path serialize.
-                    // Pass-2 selection also runs the pressure-constraint
-                    // check per candidate; the stall path rescans the ready
-                    // list for issuability and arrival times.
-                    let select_steps = round.scan_max * (STEPS_PER_CANDIDATE + 2) + STEPS_PER_ROUND;
-                    let stall_steps = round.scan_max * (STALL_STEPS_PER_CANDIDATE + 1) + 4;
-                    let mut paths = [0u64; 3];
-                    let mut np = 0;
-                    if round.issued_exploit {
-                        paths[np] = select_steps;
-                        np += 1;
-                    }
-                    if round.issued_explore {
-                        paths[np] = select_steps;
-                        np += 1;
-                    }
-                    if round.stalled {
-                        paths[np] = stall_steps;
-                        np += 1;
-                    }
-                    if np == 0 {
-                        paths[0] = 2;
-                        np = 1;
-                    }
-                    wf.diverge(&paths[..np]);
-                    wf.uniform(round.succ_max * 2);
-                    // Pass-2 lanes sit at different cycles of different-
-                    // length schedules, so their state accesses spread over
-                    // several times the address range of the aligned pass-1
-                    // case and coalesce far worse.
-                    self.state_accesses(
-                        &mut wf,
-                        4 * (round.scan_max + round.succ_max),
-                        lanes,
-                        layout,
-                    );
-
-                    if round.finished_now && self.cfg.tuning.early_wavefront_termination {
-                        // The first finisher has the fewest cycles; later
-                        // finishers cannot win the iteration (Section V-B).
-                        ants.kill_running();
-                        break;
-                    }
-                }
-                // First minimum-length finisher of the wavefront, then
-                // materialize only on global improvement.
-                if let Some((len, class)) = ants.best() {
-                    if winner_len.is_none_or(|wl| len < wl) {
-                        winner_len = Some(len);
-                        winner_order.clear();
-                        winner_order.extend_from_slice(ants.order(class));
-                        winner_cycles.clear();
-                        winner_cycles.extend_from_slice(ants.cycles(class));
-                    }
-                }
-                self.update_stage_cost(ctx, &mut wf);
-                divergent_steps += wf.divergent_steps();
-                mem_transactions += wf.mem_transactions();
-                iter_wf_cycles.push(wf.cycles());
-            }
-            kernel_cycles += self.spec.kernel_cycles(&iter_wf_cycles);
-
-            pheromone.evaporate(self.cfg.decay, self.cfg.tau_min);
-            let improved = match winner_len {
-                Some(wlen) => {
-                    pheromone.deposit_order(&winner_order, self.cfg.deposit, self.cfg.tau_max);
-                    if wlen < *best_length {
-                        *best_length = wlen;
-                        best_cycles.clone_from(&winner_cycles);
-                        best_order.clear();
-                        best_order.extend_from_slice(&winner_order);
-                        true
-                    } else {
-                        false
-                    }
-                }
-                None => false,
-            };
-            if improved {
-                stats.improved = true;
-                no_improve = 0;
-            } else {
-                no_improve += 1;
-            }
-            if *best_length <= len_lb {
-                stats.hit_lb = true;
-                break;
-            }
-            if no_improve >= budget {
-                break;
-            }
-        }
-        // The single materialization of the launch: `from_cycles` moves the
-        // buffer, so an unimproved launch reproduces the incoming schedule
-        // bit for bit without copying.
-        *best_schedule = Schedule::from_cycles(best_cycles);
-        profile.kernel_us = self.spec.launch_overhead_us + self.spec.cycles_to_us(kernel_cycles);
-        LaunchResult {
-            profile,
-            divergent_steps,
-            mem_transactions,
-        }
-    }
-
     /// Charges the per-round state traffic (ready-list reads/writes,
     /// pressure counters, successor lists) under the configured layout.
     fn state_accesses(&self, wf: &mut WavefrontCost, accesses: u64, lanes: u32, layout: MemLayout) {
@@ -669,18 +247,220 @@ impl ParallelScheduler {
         }
     }
 }
+/// The colony's iterations as kernel launches on the simulated GPU: every
+/// wavefront of an iteration is stepped in lockstep and priced on the cost
+/// model.
+struct GpuExecutor<'s, 'a> {
+    sched: &'s ParallelScheduler,
+    gpu: GpuStats,
+    /// Kernel cycles of the launch in flight.
+    kernel_cycles: u64,
+    /// Per-iteration wavefront cycles; cleared and refilled every iteration
+    /// so the loop stays allocation-free.
+    iter_wf_cycles: Vec<u64>,
+    // One persistent wavefront of lane classes per launch, relaunched per
+    // wavefront: the simulated kernel allocates its per-thread state once
+    // per launch, not once per wavefront per iteration.
+    ants1: Option<Pass1Wavefront<'a>>,
+    ants2: Option<Pass2Wavefront<'a>>,
+}
 
-/// Internal: cost observations of one launch.
-struct LaunchResult {
-    profile: LaunchProfile,
-    divergent_steps: u64,
-    mem_transactions: u64,
+impl GpuExecutor<'_, '_> {
+    /// Stream of wavefront `w`'s explore/exploit choices.
+    fn wavefront_rng(&self, pass: u32, iteration: u32, w: u32) -> SmallRng {
+        let seed = self.sched.cfg.seed ^ 0x5A5A_F00D;
+        SmallRng::seed_from_u64(ant_seed(seed, pass, iteration, w))
+    }
+
+    /// Closes wavefront `w` of an iteration: the reduction and update
+    /// stages, then its observations.
+    fn end_wavefront(&mut self, ctx: &AntContext<'_>, mut wf: WavefrontCost) {
+        self.sched.update_stage_cost(ctx, &mut wf);
+        self.gpu.divergent_steps += wf.divergent_steps();
+        self.gpu.mem_transactions += wf.mem_transactions();
+        self.iter_wf_cycles.push(wf.cycles());
+    }
+}
+
+impl<'a> Executor<'a> for GpuExecutor<'_, 'a> {
+    const GREEDY_SEEDS: bool = true;
+
+    fn pass1_iteration(
+        &mut self,
+        ctx: &AntContext<'a>,
+        pheromone: &PheromoneTable,
+        iteration: u32,
+        winner: &mut Candidate,
+    ) -> u64 {
+        let (sched, cfg) = (self.sched, ctx.cfg);
+        let n = ctx.ddg.len();
+        let lanes = cfg.threads_per_block;
+        let layout = cfg.tuning.layout;
+        let mut ants = self
+            .ants1
+            .take()
+            .unwrap_or_else(|| Pass1Wavefront::new(ctx, lanes));
+        let mut winner_cost: Option<u64> = None;
+        self.iter_wf_cycles.clear();
+        for w in 0..cfg.blocks {
+            let mut wf = WavefrontCost::new(&sched.spec);
+            let mut wf_rng = self.wavefront_rng(1, iteration, w);
+            ants.launch(ctx, sched.wavefront_heuristic(w), |l| {
+                ant_seed(cfg.seed, 1, iteration, w * lanes + l)
+            });
+            for _step in 0..n {
+                let (explored, mixed) = if cfg.tuning.wavefront_level_choice {
+                    (Some(wf_rng.gen::<f64>() > cfg.q0), false)
+                } else {
+                    (None, true)
+                };
+                let round = ants.round(ctx, pheromone, explored);
+                let select_steps = round.scan_max * STEPS_PER_CANDIDATE + STEPS_PER_ROUND;
+                if mixed && round.any_explore && round.any_exploit {
+                    // Thread-level choice: both selection formulas are
+                    // traversed serially by the wavefront.
+                    wf.diverge(&[select_steps, select_steps]);
+                } else {
+                    wf.uniform(select_steps);
+                }
+                wf.uniform(round.succ_max * 2);
+                sched.state_accesses(&mut wf, round.scan_max + round.succ_max, lanes, layout);
+            }
+            // The wavefront's first minimum-cost lane; materialize its
+            // order only if it beats the running winner — losing lanes
+            // clone nothing.
+            let (cost, class) = ants.best(ctx);
+            if winner_cost.is_none_or(|c| cost < c) {
+                winner_cost = Some(cost);
+                winner.set(ants.order(class), &[]);
+            }
+            self.end_wavefront(ctx, wf);
+        }
+        self.ants1 = Some(ants);
+        self.kernel_cycles += sched.spec.kernel_cycles(&self.iter_wf_cycles);
+        winner_cost.expect("at least one ant")
+    }
+
+    fn pass2_iteration(
+        &mut self,
+        ctx: &AntContext<'a>,
+        pheromone: &PheromoneTable,
+        iteration: u32,
+        target_cost: u64,
+        winner: &mut Candidate,
+    ) -> Option<Cycle> {
+        let (sched, cfg) = (self.sched, ctx.cfg);
+        let lanes = cfg.threads_per_block;
+        let layout = cfg.tuning.layout;
+        let round_cap = 4 * ctx.ddg.len() as u64 + 64;
+        // Heuristic and stall permission rotate per wavefront; the target
+        // cost is fixed for the whole launch.
+        let mut ants = self
+            .ants2
+            .take()
+            .unwrap_or_else(|| Pass2Wavefront::new(ctx, lanes, target_cost));
+        let mut winner_len: Option<Cycle> = None;
+        self.iter_wf_cycles.clear();
+        for w in 0..cfg.blocks {
+            let mut wf = WavefrontCost::new(&sched.spec);
+            let mut wf_rng = self.wavefront_rng(2, iteration, w);
+            ants.launch(
+                ctx,
+                sched.wavefront_heuristic(w),
+                sched.wavefront_may_stall(w),
+                |l| ant_seed(cfg.seed, 2, iteration, w * lanes + l),
+            );
+            let mut rounds = 0u64;
+            while ants.any_running() && rounds < round_cap {
+                rounds += 1;
+                let explored = cfg
+                    .tuning
+                    .wavefront_level_choice
+                    .then(|| wf_rng.gen::<f64>() > cfg.q0);
+                let round = ants.round(ctx, pheromone, explored);
+                // Divergent paths of this round: the two selection
+                // formulas and the cheap stall path serialize.
+                // Pass-2 selection also runs the pressure-constraint
+                // check per candidate; the stall path rescans the ready
+                // list for issuability and arrival times.
+                let select_steps = round.scan_max * (STEPS_PER_CANDIDATE + 2) + STEPS_PER_ROUND;
+                let stall_steps = round.scan_max * (STALL_STEPS_PER_CANDIDATE + 1) + 4;
+                let mut paths = [0u64; 3];
+                let mut np = 0;
+                if round.issued_exploit {
+                    paths[np] = select_steps;
+                    np += 1;
+                }
+                if round.issued_explore {
+                    paths[np] = select_steps;
+                    np += 1;
+                }
+                if round.stalled {
+                    paths[np] = stall_steps;
+                    np += 1;
+                }
+                if np == 0 {
+                    paths[0] = 2;
+                    np = 1;
+                }
+                wf.diverge(&paths[..np]);
+                wf.uniform(round.succ_max * 2);
+                // Pass-2 lanes sit at different cycles of different-
+                // length schedules, so their state accesses spread over
+                // several times the address range of the aligned pass-1
+                // case and coalesce far worse.
+                sched.state_accesses(
+                    &mut wf,
+                    4 * (round.scan_max + round.succ_max),
+                    lanes,
+                    layout,
+                );
+
+                if round.finished_now && cfg.tuning.early_wavefront_termination {
+                    // The first finisher has the fewest cycles; later
+                    // finishers cannot win the iteration (Section V-B).
+                    ants.kill_running();
+                    break;
+                }
+            }
+            // First minimum-length finisher of the wavefront, then
+            // materialize only on global improvement.
+            if let Some((len, class)) = ants.best() {
+                if winner_len.is_none_or(|wl| len < wl) {
+                    winner_len = Some(len);
+                    winner.set(ants.order(class), ants.cycles(class));
+                }
+            }
+            self.end_wavefront(ctx, wf);
+        }
+        self.ants2 = Some(ants);
+        self.kernel_cycles += sched.spec.kernel_cycles(&self.iter_wf_cycles);
+        winner_len
+    }
+
+    /// Prices the launch: setup is charged only for a pass that ran.
+    fn end_pass(&mut self, ctx: &AntContext<'a>, pass: Pass) -> f64 {
+        let spec = &self.sched.spec;
+        let mut profile = self.sched.setup_profile(ctx);
+        profile.kernel_us =
+            spec.launch_overhead_us + spec.cycles_to_us(std::mem::take(&mut self.kernel_cycles));
+        match pass {
+            Pass::Pressure => self.gpu.pass1_profile = profile,
+            Pass::Length => self.gpu.pass2_profile = profile,
+        }
+        profile.total_us()
+    }
+
+    fn totals(&self) -> (u64, f64) {
+        (0, self.gpu.total_us())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::GpuTuning;
+    use machine_model::OccupancyLut;
 
     fn small_cfg(seed: u64) -> AcoConfig {
         AcoConfig {

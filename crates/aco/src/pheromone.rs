@@ -40,23 +40,15 @@ impl PheromoneTable {
         self.tau.fill(self.initial);
     }
 
-    /// Creates a **warm-started** table: uniform at `initial` except the
-    /// consecutive links of `order` (including the virtual start link),
-    /// which are saturated at `tau_max`.
+    /// **Warm-starts** the table: every entry back at the initial level,
+    /// except the consecutive links of `order` (including the virtual start
+    /// link), which are saturated at `tau_max`.
     ///
     /// This is the pheromone image a long converged run on `order` leaves
     /// behind: under exploitation the first iteration reproduces `order`
     /// exactly (see the `deposited_order_dominates_exploitation` test), so
     /// a search seeded this way starts from a known-good schedule instead
     /// of a cold uniform trail.
-    pub fn warm_started(n: usize, initial: f64, order: &[InstrId], tau_max: f64) -> PheromoneTable {
-        let mut t = PheromoneTable::new(n, initial);
-        t.seed_order(order, tau_max);
-        t
-    }
-
-    /// Resets the table, then saturates the consecutive links of `order` at
-    /// `tau_max` (the between-pass form of [`PheromoneTable::warm_started`]).
     pub fn seed_order(&mut self, order: &[InstrId], tau_max: f64) {
         self.reset();
         // Depositing `tau_max` clamps every seeded link exactly at the
@@ -199,7 +191,8 @@ mod tests {
     #[test]
     fn warm_start_saturates_only_the_seeded_links() {
         let order = [InstrId(1), InstrId(2), InstrId(0)];
-        let t = PheromoneTable::warm_started(3, 1.0, &order, 8.0);
+        let mut t = PheromoneTable::new(3, 1.0);
+        t.seed_order(&order, 8.0);
         assert_eq!(t.get(None, InstrId(1)), 8.0);
         assert_eq!(t.get(Some(InstrId(1)), InstrId(2)), 8.0);
         assert_eq!(t.get(Some(InstrId(2)), InstrId(0)), 8.0);
@@ -309,8 +302,8 @@ mod convergence_tests {
             cfg: &cfg,
         };
         let target: Vec<InstrId> = (0..10u32).map(|i| InstrId((i * 3) % 10)).collect();
-        let table =
-            PheromoneTable::warm_started(ddg.len(), cfg.initial_pheromone, &target, cfg.tau_max);
+        let mut table = PheromoneTable::new(ddg.len(), cfg.initial_pheromone);
+        table.seed_order(&target, cfg.tau_max);
         let mut ant = Pass1Ant::new(&ctx, Heuristic::CriticalPath, 11);
         while !ant.finished(&ctx) {
             ant.step(&ctx, &table, Some(false)); // pure exploitation

@@ -1,43 +1,22 @@
 //! The sequential (CPU) two-pass ACO scheduler of Shobaki et al. 2022,
 //! which the paper parallelizes.
 
+use crate::colony::{self, Candidate, Executor, Pass};
 use crate::config::AcoConfig;
-use crate::construct::{AntContext, Pass1Ant, Pass2Ant, Pass2Step};
+use crate::construct::{AntContext, Pass1Ant, Pass2Ant};
 use crate::pheromone::PheromoneTable;
-use crate::result::{AcoResult, PassStats};
-use crate::warm::{WarmStart, WARM_NO_IMPROVE_BUDGET};
+use crate::result::AcoResult;
+use crate::warm::WarmStart;
 use gpu_sim::CpuSpec;
-use list_sched::{Heuristic, ListScheduler, RegionAnalysis};
-use machine_model::{OccupancyLut, OccupancyModel};
+use list_sched::Heuristic;
+use machine_model::OccupancyModel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use reg_pressure::RegUniverse;
-use sched_ir::{Cycle, Ddg, InstrId, Schedule};
+use sched_ir::{Cycle, Ddg};
 
 /// Abstract operations per pheromone-table entry touched during
 /// evaporation + deposit.
 const OPS_PER_PHEROMONE_ENTRY: u64 = 1;
-
-/// Pass-2 target cost, relaxed to the configured kernel occupancy cap:
-/// pressure below the cap's APRP band buys nothing kernel-wide.
-///
-/// Public so an external verifier can recompute the two-pass invariant
-/// (final pressure cost ≤ this target) without reaching into scheduler
-/// internals.
-pub fn pass2_target(cfg: &AcoConfig, occ: &OccupancyModel, pass1_cost: u64) -> u64 {
-    match cfg.occupancy_cap {
-        None => pass1_cost,
-        Some(cap) => {
-            let prp = [
-                occ.max_prp_for_occupancy(sched_ir::RegClass::Vgpr, cap)
-                    .unwrap_or(0),
-                occ.max_prp_for_occupancy(sched_ir::RegClass::Sgpr, cap)
-                    .unwrap_or(0),
-            ];
-            pass1_cost.max(occ.rp_cost(prp))
-        }
-    }
-}
 
 /// Derives a per-ant RNG seed from the base seed, pass, iteration and ant
 /// index (splitmix64 finalizer).
@@ -100,7 +79,7 @@ impl SequentialScheduler {
     /// With `warm = None` this is exactly [`SequentialScheduler::schedule`]
     /// — bit for bit. An applicable hint replaces the cold uniform table
     /// with a trail saturated along the hinted order and cuts the
-    /// no-improvement budget to [`WARM_NO_IMPROVE_BUDGET`]; a hint whose
+    /// no-improvement budget to [`crate::WARM_NO_IMPROVE_BUDGET`]; a hint whose
     /// size does not match the region is ignored.
     pub fn schedule_with(
         &mut self,
@@ -108,237 +87,110 @@ impl SequentialScheduler {
         occ: &OccupancyModel,
         warm: Option<&WarmStart>,
     ) -> AcoResult {
-        let warm = warm.filter(|w| w.applies_to(ddg));
-        let analysis = RegionAnalysis::new(ddg);
-        let universe = RegUniverse::new(ddg);
-        // Pressure cost of the hinted order, evaluated against *this*
-        // region. The hint enters both passes as a candidate incumbent, so
-        // a warm result is never lexicographically worse than its seed.
-        let warm_cost =
-            warm.map(|w| occ.rp_cost(reg_pressure::prp_of_order_in(&universe, w.order())));
-        let lut = OccupancyLut::new(occ);
-        let ctx = AntContext {
-            ddg,
-            analysis: &analysis,
-            universe: &universe,
-            lut: &lut,
-            cfg: &self.cfg,
+        colony::with_context(&self.cfg, ddg, occ, |ctx| {
+            colony::run(ctx, occ, warm, &mut CpuExecutor::new(ctx))
+        })
+    }
+}
+
+/// One ant after another on the modeled CPU, counting abstract operations.
+struct CpuExecutor<'a> {
+    /// Ops of the passes closed so far plus the initial schedule's.
+    total_ops: u64,
+    /// Pheromone-update ops of the pass in flight.
+    pass_ops: u64,
+    // One reusable ant per pass: its ops accumulate across resets and are
+    // charged once, when the pass ends.
+    ant1: Option<Pass1Ant<'a>>,
+    ant2: Option<Pass2Ant<'a>>,
+    /// Pass-lifetime stream the pass-2 ants draw their heuristics from.
+    heuristic_rng: SmallRng,
+}
+
+impl<'a> CpuExecutor<'a> {
+    fn new(ctx: &AntContext<'a>) -> CpuExecutor<'a> {
+        CpuExecutor {
+            // The initial heuristic schedule.
+            total_ops: (ctx.ddg.len() as u64 + ctx.ddg.edge_count() as u64) * 4,
+            pass_ops: 0,
+            ant1: None,
+            ant2: None,
+            heuristic_rng: SmallRng::seed_from_u64(ant_seed(ctx.cfg.seed, 2, 0, 0)),
+        }
+    }
+}
+
+impl<'a> Executor<'a> for CpuExecutor<'a> {
+    const GREEDY_SEEDS: bool = false;
+
+    fn pass1_iteration(
+        &mut self,
+        ctx: &AntContext<'a>,
+        pheromone: &PheromoneTable,
+        iteration: u32,
+        winner: &mut Candidate,
+    ) -> u64 {
+        let cfg = ctx.cfg;
+        let ant = self
+            .ant1
+            .get_or_insert_with(|| Pass1Ant::new(ctx, cfg.heuristic, 0));
+        let mut winner_cost: Option<u64> = None;
+        for a in 0..cfg.sequential_ants {
+            ant.reset(ctx, ant_seed(cfg.seed, 1, iteration, a));
+            ant.construct(ctx, pheromone);
+            let cost = ant.cost(ctx);
+            // Losing ants are never materialized.
+            if winner_cost.is_none_or(|c| cost < c) {
+                winner_cost = Some(cost);
+                winner.set(ant.order(), &[]);
+            }
+        }
+        self.pass_ops += pheromone.entries() as u64 * OPS_PER_PHEROMONE_ENTRY;
+        winner_cost.expect("at least one ant per iteration")
+    }
+
+    fn pass2_iteration(
+        &mut self,
+        ctx: &AntContext<'a>,
+        pheromone: &PheromoneTable,
+        iteration: u32,
+        target_cost: u64,
+        winner: &mut Candidate,
+    ) -> Option<Cycle> {
+        let cfg = ctx.cfg;
+        let ant = self
+            .ant2
+            .get_or_insert_with(|| Pass2Ant::new(ctx, cfg.heuristic, 0, target_cost, true));
+        let mut winner_len: Option<Cycle> = None;
+        for a in 0..cfg.sequential_ants {
+            // The guiding heuristic is varied across ants the same way the
+            // parallel algorithm varies it across wavefronts.
+            let h = Heuristic::ALL[self.heuristic_rng.gen_range(0..Heuristic::ALL.len())];
+            ant.reset_with(ctx, h, ant_seed(cfg.seed, 2, iteration, a), true);
+            if ant.construct(ctx, pheromone, None) && winner_len.is_none_or(|l| ant.length() < l) {
+                winner_len = Some(ant.length());
+                winner.set(ant.order(), ant.cycles());
+            }
+        }
+        self.pass_ops += pheromone.entries() as u64 * OPS_PER_PHEROMONE_ENTRY;
+        winner_len
+    }
+
+    fn end_pass(&mut self, _ctx: &AntContext<'a>, pass: Pass) -> f64 {
+        let ant_ops = match pass {
+            Pass::Pressure => self.ant1.as_ref().map_or(0, Pass1Ant::ops),
+            Pass::Length => self.ant2.as_ref().map_or(0, Pass2Ant::ops),
         };
-        let mut total_ops: u64 = 0;
+        let ops = std::mem::take(&mut self.pass_ops) + ant_ops;
+        self.total_ops += ops;
+        CpuSpec::default().op_time_us(ops)
+    }
 
-        // Initial schedule from the production heuristic.
-        let initial = ListScheduler::new(Heuristic::AmdMaxOccupancy)
-            .schedule_in(ddg, &lut, &analysis, &universe);
-        total_ops += (ddg.len() as u64 + ddg.edge_count() as u64) * 4;
-
-        if ddg.len() <= 1 {
-            return AcoResult::trivial(ddg, occ, initial, CpuSpec::default().op_time_us(total_ops));
-        }
-
-        // ---- Pass 1: minimize the APRP register-pressure cost. ----
-        let rp_lb = occ.rp_cost_lb(ddg.rp_lower_bound());
-        let mut best_order = initial.order.clone();
-        let mut best_cost = occ.rp_cost(initial.prp);
-        if let (Some(w), Some(wc)) = (warm, warm_cost) {
-            if wc < best_cost {
-                best_cost = wc;
-                best_order.clear();
-                best_order.extend_from_slice(w.order());
-            }
-        }
-        let mut pheromone = match warm {
-            Some(w) => PheromoneTable::warm_started(
-                ddg.len(),
-                self.cfg.initial_pheromone,
-                w.order(),
-                self.cfg.tau_max,
-            ),
-            None => PheromoneTable::new(ddg.len(), self.cfg.initial_pheromone),
-        };
-        let budget = match warm {
-            Some(_) => WARM_NO_IMPROVE_BUDGET,
-            None => self.cfg.termination.budget(ddg.len()),
-        };
-        let mut pass1 = PassStats::default();
-        let ops_before_p1 = total_ops;
-        if best_cost > rp_lb {
-            let mut no_improve = 0u32;
-            let mut ant = Pass1Ant::new(&ctx, self.cfg.heuristic, 0);
-            // Reusable winner buffer: losing ants are never materialized,
-            // and the iteration winner is copied, not reallocated.
-            let mut winner_order: Vec<InstrId> = Vec::with_capacity(ddg.len());
-            while pass1.iterations < self.cfg.termination.max_iterations {
-                pass1.iterations += 1;
-                let mut winner_cost: Option<u64> = None;
-                for a in 0..self.cfg.sequential_ants {
-                    ant.reset(&ctx, ant_seed(self.cfg.seed, 1, pass1.iterations, a));
-                    while !ant.finished(&ctx) {
-                        ant.step(&ctx, &pheromone, None);
-                    }
-                    let cost = ant.cost(&ctx);
-                    if winner_cost.is_none_or(|c| cost < c) {
-                        winner_cost = Some(cost);
-                        winner_order.clear();
-                        winner_order.extend_from_slice(ant.order());
-                    }
-                }
-                let wcost = winner_cost.expect("at least one ant per iteration");
-                pheromone.evaporate(self.cfg.decay, self.cfg.tau_min);
-                pheromone.deposit_order(&winner_order, self.cfg.deposit, self.cfg.tau_max);
-                total_ops += pheromone.entries() as u64 * OPS_PER_PHEROMONE_ENTRY;
-                if wcost < best_cost {
-                    best_cost = wcost;
-                    best_order.clone_from(&winner_order);
-                    pass1.improved = true;
-                    no_improve = 0;
-                } else {
-                    no_improve += 1;
-                }
-                if best_cost <= rp_lb {
-                    pass1.hit_lb = true;
-                    break;
-                }
-                if no_improve >= budget {
-                    break;
-                }
-            }
-            total_ops += ant.ops();
-        } else {
-            pass1.hit_lb = true;
-        }
-        pass1.best_cost = best_cost;
-        pass1.time_us = CpuSpec::default().op_time_us(total_ops - ops_before_p1);
-
-        // ---- Between passes: stalls are added to the best-RP order. ----
-        let mut best_schedule = Schedule::from_order(ddg, &best_order);
-        let mut best_length = best_schedule.length();
-        let mut best_final_order = best_order.clone();
-        let target_cost = pass2_target(&self.cfg, occ, best_cost);
-        // Hint-as-candidate, length side: if the hinted order is feasible
-        // under the pass-2 cost target and packs shorter than the pass-1
-        // winner, start pass 2 from it.
-        if let (Some(w), Some(wc)) = (warm, warm_cost) {
-            if wc <= target_cost {
-                let sched = Schedule::from_order(ddg, w.order());
-                if sched.length() < best_length {
-                    best_length = sched.length();
-                    best_final_order.clear();
-                    best_final_order.extend_from_slice(w.order());
-                    best_schedule = sched;
-                }
-            }
-        }
-
-        // ---- Pass 2: minimize length under the pass-1 cost constraint. ----
-        let len_lb: Cycle = ddg.schedule_length_lb();
-        let mut pass2 = PassStats::default();
-        let ops_before_p2 = total_ops;
-        let gate = self.cfg.pass2_gate_cycles.max(1) as Cycle;
-        if best_length >= len_lb + gate {
-            match warm {
-                Some(w) => pheromone.seed_order(w.order(), self.cfg.tau_max),
-                None => pheromone.reset(),
-            }
-            let mut no_improve = 0u32;
-            let mut rng = SmallRng::seed_from_u64(ant_seed(self.cfg.seed, 2, 0, 0));
-            // One reusable ant for the whole pass (its ops accumulate
-            // across resets and are charged once after the loop), plus
-            // winner buffers so losing ants never materialize their
-            // order or schedule.
-            let mut ant = Pass2Ant::new(&ctx, self.cfg.heuristic, 0, target_cost, true);
-            let mut winner_order: Vec<InstrId> = Vec::with_capacity(ddg.len());
-            let mut winner_cycles: Vec<Cycle> = Vec::with_capacity(ddg.len());
-            // Best-so-far cycles live in a plain buffer during the search;
-            // the `Schedule` is materialized exactly once after the loop
-            // (by moving the buffer), so the allocation count per launch
-            // is independent of how many iterations improve.
-            let mut best_cycles: Vec<Cycle> = Vec::with_capacity(ddg.len());
-            best_cycles.extend_from_slice(best_schedule.cycles());
-            while pass2.iterations < self.cfg.termination.max_iterations {
-                pass2.iterations += 1;
-                let mut winner_len: Option<Cycle> = None;
-                for a in 0..self.cfg.sequential_ants {
-                    // In the sequential algorithm the guiding heuristic is
-                    // varied across ants the same way the parallel one
-                    // varies it across wavefronts.
-                    let h = Heuristic::ALL[rng.gen_range(0..Heuristic::ALL.len())];
-                    ant.reset_with(
-                        &ctx,
-                        h,
-                        ant_seed(self.cfg.seed, 2, pass2.iterations, a),
-                        true,
-                    );
-                    let finished = loop {
-                        match ant.step(&ctx, &pheromone, None) {
-                            Pass2Step::Died => break false,
-                            Pass2Step::Finished => break true,
-                            Pass2Step::Issued { .. } | Pass2Step::Stalled { .. } => {}
-                        }
-                    };
-                    if finished {
-                        let len = ant.length();
-                        if winner_len.is_none_or(|l| len < l) {
-                            winner_len = Some(len);
-                            winner_order.clear();
-                            winner_order.extend_from_slice(ant.order());
-                            winner_cycles.clear();
-                            winner_cycles.extend_from_slice(ant.cycles());
-                        }
-                    }
-                }
-                pheromone.evaporate(self.cfg.decay, self.cfg.tau_min);
-                total_ops += pheromone.entries() as u64 * OPS_PER_PHEROMONE_ENTRY;
-                let improved = match winner_len {
-                    Some(wlen) => {
-                        pheromone.deposit_order(&winner_order, self.cfg.deposit, self.cfg.tau_max);
-                        if wlen < best_length {
-                            best_length = wlen;
-                            best_cycles.clone_from(&winner_cycles);
-                            best_final_order.clone_from(&winner_order);
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    None => false,
-                };
-                if improved {
-                    pass2.improved = true;
-                    no_improve = 0;
-                } else {
-                    no_improve += 1;
-                }
-                if best_length <= len_lb {
-                    pass2.hit_lb = true;
-                    break;
-                }
-                if no_improve >= budget {
-                    break;
-                }
-            }
-            total_ops += ant.ops();
-            best_schedule = Schedule::from_cycles(best_cycles);
-        } else if best_length <= len_lb {
-            pass2.hit_lb = true;
-        } else {
-            pass2.gated = true;
-        }
-        pass2.best_cost = best_length as u64;
-        pass2.time_us = CpuSpec::default().op_time_us(total_ops - ops_before_p2);
-
-        let prp = reg_pressure::prp_of_order_in(&universe, &best_final_order);
-        AcoResult {
-            occupancy: occ.occupancy(prp),
-            prp,
-            length: best_length,
-            order: best_final_order,
-            schedule: best_schedule,
-            initial,
-            pass1,
-            pass2,
-            ops: total_ops,
-            time_us: CpuSpec::default().op_time_us(total_ops),
-        }
+    fn totals(&self) -> (u64, f64) {
+        (
+            self.total_ops,
+            CpuSpec::default().op_time_us(self.total_ops),
+        )
     }
 }
 
@@ -494,42 +346,6 @@ mod tests {
 mod cap_tests {
     use super::*;
     use crate::config::AcoConfig;
-
-    #[test]
-    fn pass2_target_relaxes_to_the_cap_band() {
-        let occ = OccupancyModel::vega_like();
-        let cfg = AcoConfig::small(0);
-        // Tight pass-1 cost (occupancy 10 band) stays when no cap is set...
-        let tight = occ.rp_cost([20, 0]);
-        assert_eq!(pass2_target(&cfg, &occ, tight), tight);
-        // ...and relaxes to the cap's band maximum when one is.
-        let capped_cfg = AcoConfig {
-            occupancy_cap: Some(5),
-            ..cfg
-        };
-        let relaxed = pass2_target(&capped_cfg, &occ, tight);
-        assert!(relaxed > tight);
-        assert_eq!(
-            occ.occupancy([
-                occ.max_prp_for_occupancy(sched_ir::RegClass::Vgpr, 5)
-                    .unwrap(),
-                0
-            ]),
-            5
-        );
-    }
-
-    #[test]
-    fn cap_never_tightens_the_target() {
-        let occ = OccupancyModel::vega_like();
-        // A pass-1 cost already looser than the cap band is kept.
-        let cfg = AcoConfig {
-            occupancy_cap: Some(9),
-            ..AcoConfig::small(0)
-        };
-        let loose = occ.rp_cost([200, 0]); // occupancy 1 band
-        assert_eq!(pass2_target(&cfg, &occ, loose), loose);
-    }
 
     #[test]
     fn capped_scheduler_recovers_length() {

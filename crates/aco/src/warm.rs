@@ -5,7 +5,7 @@
 //! instance — matched by `sched_ir::ddg_structure_fingerprint`). Both
 //! schedulers accept one through their `schedule_with` entry points: the
 //! pheromone table is seeded saturated along the hinted order instead of
-//! uniform ([`crate::PheromoneTable::warm_started`]), so the first
+//! uniform ([`crate::PheromoneTable::seed_order`]), so the first
 //! exploitation-driven iteration reproduces the hint, and the
 //! no-improvement budget is cut to [`WARM_NO_IMPROVE_BUDGET`] because a
 //! stabilized warm trail converges immediately or not at all.

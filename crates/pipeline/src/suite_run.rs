@@ -13,6 +13,7 @@ use crate::SchedulerKind;
 use aco_tune::TuneStore;
 use machine_model::OccupancyModel;
 use sched_ir::{Cycle, Ddg, Fnv64};
+use std::time::Instant;
 use workloads::Suite;
 
 /// Per-region record of a suite compilation.
@@ -194,10 +195,30 @@ pub fn compile_suite_with_stores<F>(
 where
     F: FnMut(usize, usize, &Ddg, &PipelineConfig, &RegionCompilation),
 {
+    drive(suite, occ, cfg, cache, tune, observe).0
+}
+
+/// The one drive body under every suite compiler: plan → frozen tune clone
+/// → streaming merge → finish, with the host wall-clock breakdown. The
+/// clock is read only at phase and consume boundaries (as the job loop
+/// already does around every job), never inside the schedulers.
+fn drive<F>(
+    suite: &Suite,
+    occ: &OccupancyModel,
+    cfg: &PipelineConfig,
+    cache: Option<&ScheduleCache>,
+    tune: Option<&TuneStore>,
+    observe: F,
+) -> (SuiteRun, SuiteWallclock)
+where
+    F: FnMut(usize, usize, &Ddg, &PipelineConfig, &RegionCompilation),
+{
+    let start = Instant::now();
     // Snapshot before the job phase: the run's counters must cover the job
     // phase's lookups, not just the merge's capped re-schedules.
     let stats_start = cache.map(ScheduleCache::stats).unwrap_or_default();
     let jobs = plan_jobs(suite, cfg);
+    let plan_s = start.elapsed().as_secs_f64();
     // Jobs must read a tuning state *frozen* at phase start — under the
     // barrier shape that held for free (all reads preceded all merge
     // writes); with the merge streaming alongside the jobs, a clone makes
@@ -205,7 +226,8 @@ where
     // store, in canonical order, on this thread.
     let job_store = tune.cloned();
     let mut merger = SuiteMerger::new(suite, occ, cfg, &jobs, cache, tune, observe);
-    run_jobs_streaming(
+    let (mut merge_s, mut merge_overlap_s) = (0.0, 0.0);
+    let timing = run_jobs_streaming(
         suite,
         occ,
         cfg,
@@ -213,9 +235,19 @@ where
         cfg.host_threads,
         cache,
         job_store.as_ref(),
-        |i, outcomes, _| merger.consume(i, outcomes),
+        |i, outcomes, in_flight| {
+            let t = Instant::now();
+            merger.consume(i, outcomes);
+            let d = t.elapsed().as_secs_f64();
+            merge_s += d;
+            if in_flight > 0 {
+                merge_overlap_s += d;
+            }
+        },
     );
+    let t_finish = Instant::now();
     let mut run = merger.finish();
+    merge_s += t_finish.elapsed().as_secs_f64();
     // The job phase's arm choices and warm hits landed on the frozen
     // clone; fold its counters back so the caller's store reports them.
     if let (Some(store), Some(job_store)) = (tune, job_store.as_ref()) {
@@ -224,7 +256,18 @@ where
     run.cache = cache
         .map(|c| c.stats().since(stats_start))
         .unwrap_or_default();
-    run
+    let wall = SuiteWallclock {
+        plan_s,
+        jobs_s: if timing.pooled {
+            timing.jobs_span_s
+        } else {
+            timing.jobs_busy_s
+        },
+        merge_s,
+        merge_overlap_s,
+        total_s: start.elapsed().as_secs_f64(),
+    };
+    (run, wall)
 }
 
 /// Host wall-clock breakdown of one [`compile_suite_timed`] call, seconds.
@@ -265,60 +308,21 @@ impl SuiteWallclock {
 }
 
 /// [`compile_suite`] with a measured host wall-clock breakdown. The
-/// returned [`SuiteRun`] is exactly what [`compile_suite`] returns —
-/// timing instrumentation reads the clock only at phase and consume
-/// boundaries, never inside the schedulers.
+/// returned [`SuiteRun`] is exactly what [`compile_suite`] returns.
 pub fn compile_suite_timed(
     suite: &Suite,
     occ: &OccupancyModel,
     cfg: &PipelineConfig,
 ) -> (SuiteRun, SuiteWallclock) {
-    use std::time::Instant;
-    let start = Instant::now();
     let cache = cfg.cache.enabled.then(ScheduleCache::new);
-    let cache = cache.as_ref();
     let tune = cfg.tune.enabled.then(TuneStore::new);
-    let tune = tune.as_ref();
-    let jobs = plan_jobs(suite, cfg);
-    let plan_s = start.elapsed().as_secs_f64();
-    let job_store = tune.cloned();
-    let mut merger = SuiteMerger::new(suite, occ, cfg, &jobs, cache, tune, |_, _, _, _, _| {});
-    let (mut merge_s, mut merge_overlap_s) = (0.0, 0.0);
-    let timing = run_jobs_streaming(
+    drive(
         suite,
         occ,
         cfg,
-        &jobs,
-        cfg.host_threads,
-        cache,
-        job_store.as_ref(),
-        |i, outcomes, in_flight| {
-            let t = Instant::now();
-            merger.consume(i, outcomes);
-            let d = t.elapsed().as_secs_f64();
-            merge_s += d;
-            if in_flight > 0 {
-                merge_overlap_s += d;
-            }
-        },
-    );
-    let t_finish = Instant::now();
-    let mut run = merger.finish();
-    merge_s += t_finish.elapsed().as_secs_f64();
-    run.cache = cache.map(ScheduleCache::stats).unwrap_or_default();
-    (
-        run,
-        SuiteWallclock {
-            plan_s,
-            jobs_s: if timing.pooled {
-                timing.jobs_span_s
-            } else {
-                timing.jobs_busy_s
-            },
-            merge_s,
-            merge_overlap_s,
-            total_s: start.elapsed().as_secs_f64(),
-        },
+        cache.as_ref(),
+        tune.as_ref(),
+        |_, _, _, _, _| {},
     )
 }
 
@@ -880,6 +884,22 @@ mod tests {
             assert_eq!(off.compile_time_s, other.compile_time_s);
         }
         assert!(on.cache.lookups() > 0, "cached run must use the cache");
+        // The timed compiler is the same drive body: same run, same cache
+        // delta, same counters left on the caller's store.
+        let (s4, cache4) = (store.clone(), ScheduleCache::new());
+        let (timed, wall) = drive(
+            &suite,
+            &occ,
+            &c,
+            Some(&cache4),
+            Some(&s4),
+            |_, _, _, _, _| {},
+        );
+        assert_eq!(
+            (timed.fingerprint, timed.cache, s4.stats()),
+            (on.fingerprint, on.cache, s2.stats())
+        );
+        assert!(wall.total_s >= wall.plan_s + wall.merge_s && wall.merge_s > 0.0);
     }
 
     /// `cfg.tune` defaults off, and an explicitly disabled tuner is the

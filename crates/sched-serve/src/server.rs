@@ -442,6 +442,12 @@ fn suite_merger_thread(engine: &Engine, state: &SuiteState) {
     let t = Instant::now();
     let run = merger.finish();
     merge_us += t.elapsed().as_micros() as u64;
+    // The jobs' arm choices and warm hits landed on the frozen snapshot;
+    // fold its counters back so `stats` reports them, as the pipeline's
+    // own suite driver does.
+    if let (Some(store), Some(snapshot)) = (&engine.tune, &state.tune) {
+        store.absorb_counters(&snapshot.stats());
+    }
     ServeStats::bump(&engine.stats.suite_merge_us, merge_us);
     ServeStats::bump(&engine.stats.suite_overlap_us, overlap_us);
     ServeStats::bump(&engine.stats.suites, 1);

@@ -3,7 +3,9 @@
 //! calls, typed overload/expiry behavior, and correct persistence.
 
 use machine_model::OccupancyModel;
-use pipeline::{compile_suite, PipelineConfig, ScheduleCache, SchedulerKind};
+use pipeline::{
+    compile_suite, compile_suite_with_stores, PipelineConfig, ScheduleCache, SchedulerKind,
+};
 use sched_serve::proto::{read_response, Response};
 use sched_serve::{handle_connection, render, ServeConfig, Server};
 use std::io::{BufReader, Write};
@@ -287,6 +289,48 @@ fn tuned_suite_is_deterministic_across_worker_counts() {
         };
         assert_eq!(payload, want, "tuned suite drifted at {workers} workers");
     }
+}
+
+#[test]
+fn tuned_suite_counters_match_the_pipeline_driver() {
+    // A served suite runs its jobs against a frozen snapshot of the store;
+    // the snapshot's choices and warm hits must land back on the daemon's
+    // store, exactly as `compile_suite_with_stores` leaves them on a
+    // caller-owned one.
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        tune: true,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let script = "req s suite seed=5 scale=0.004\n";
+    handle_connection(
+        server.engine(),
+        script.as_bytes(),
+        Box::new(SharedBuf::default()),
+    );
+    server.wait_idle();
+    let served = server.engine().tune.as_ref().unwrap().stats();
+    server.shutdown().unwrap();
+
+    let suite = workloads::Suite::generate(&workloads::SuiteConfig::scaled(5, 0.004));
+    let mut cfg = PipelineConfig::paper(SchedulerKind::ParallelAco, 0);
+    cfg.aco.blocks = 4;
+    cfg.aco.pass2_gate_cycles = 1;
+    let store = aco_tune::TuneStore::new();
+    compile_suite_with_stores(
+        &suite,
+        &OccupancyModel::vega_like(),
+        &cfg,
+        Some(&ScheduleCache::new()),
+        Some(&store),
+        |_, _, _, _, _| {},
+    );
+    assert!(
+        store.stats().choices > 0,
+        "the suite must exercise the tuner"
+    );
+    assert_eq!(served, store.stats());
 }
 
 #[test]

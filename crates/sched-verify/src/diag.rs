@@ -114,12 +114,6 @@ pub mod codes {
     /// working; anything matching the literal string must use `"S001"`.
     pub const REDUNDANT_EDGE: &str = "S001";
 
-    /// Deprecated alias for [`REDUNDANT_EDGE`] under its pre-migration
-    /// name, kept so diagnostics-consuming code written against the L001
-    /// lint still compiles.
-    #[deprecated(note = "the heuristic L001 lint became the exact S001 pass; \
-                         use REDUNDANT_EDGE")]
-    pub const L001_REDUNDANT_EDGE: &str = REDUNDANT_EDGE;
     /// Two instructions define the same register (SSA violation).
     pub const DUPLICATE_DEF: &str = "L002";
     /// An instruction with no edges, defs, or uses.

@@ -5,9 +5,10 @@
 //! change wall-clock time and the [`pipeline::SuiteRun::cache`] counters
 //! (which the fingerprint deliberately excludes).
 //!
-//! The golden constants are the same ones `golden_bitwise.rs` pins for the
-//! cache-off (seed) path; equality against them is therefore simultaneously
-//! a no-regression check and a transparency proof.
+//! The golden constants are the same ones the umbrella package's
+//! `tests/golden_bitwise.rs` pins for the cache-off (seed) path; equality
+//! against them is therefore simultaneously a no-regression check and a
+//! transparency proof.
 
 use machine_model::OccupancyModel;
 use pipeline::{compile_suite, PipelineConfig, SchedulerKind};

@@ -1,5 +1,5 @@
 //! Regenerates the golden fingerprints pinned by
-//! `crates/sched-verify/tests/golden_bitwise.rs`.
+//! `tests/golden_bitwise.rs`.
 //!
 //! The golden test freezes the *search results* of every scheduler on a set
 //! of fixed regions and seeds: any refactor of the ant construction loop,

@@ -10,7 +10,8 @@
 # binaries compiling, a CLI verify smoke run on generated regions, and
 # the static-analysis deny-gate (`gpu-aco-cli analyze --json`), the
 # wall-clock smoke perf gate, and the `benchmark/` package's unit tests and
-# self-checking `suite-unique --smoke` run.
+# self-checking `suite-unique --smoke` run (which must leave `benchmark/`
+# and BENCHMARK.json untouched).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -245,6 +246,11 @@ EOF
     cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
     cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload suite-unique --smoke | tail -n 1
+    # The benchmark's files are frozen between benchmark PRs: a product
+    # dependency edit that made cargo rewrite benchmark/Cargo.lock just now
+    # (or any other drift under those paths) must fail here, not leave the
+    # tree dirty.
+    git diff --exit-code -- benchmark BENCHMARK.json
 fi
 
 echo "==> cargo test --workspace -q"
