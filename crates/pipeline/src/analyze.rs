@@ -342,7 +342,7 @@ mod tests {
         assert!(
             findings.is_empty(),
             "cache key lost a scheduling-relevant field:\n{}",
-            sched_analyze::render_text(&findings)
+            sched_analyze::render_text("analyze", &findings)
         );
     }
 

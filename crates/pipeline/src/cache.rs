@@ -29,13 +29,14 @@
 //!
 //! # Concurrency
 //!
-//! The cache is shared read-mostly across the work-stealing host pool, and
-//! the vendored `parking_lot` offers no `RwLock`, so the store is sharded
-//! copy-on-write: each shard publishes an immutable `HashMap` snapshot
-//! through an `AtomicPtr` (reads are a single atomic load — lock-free),
-//! while inserts clone-and-swap the snapshot under a per-shard mutex.
-//! Retired snapshots are parked until the cache drops, so a reader holding
-//! yesterday's pointer is always reading live memory.
+//! The cache is shared read-mostly across the work-stealing host pool, so
+//! the store is 16 shards of `std::sync::RwLock<HashMap>` picked by the
+//! key's high bits: a lookup takes one shard's read lock just long enough
+//! to clone the entry's `Arc` (equality and re-certification run after the
+//! guard drops), and an insert takes that shard's write lock for one
+//! `HashMap::insert` plus any evictions. Every update leaves the map valid
+//! at each step, so a lock poisoned by a panicking worker is recovered,
+//! not propagated.
 //!
 //! # Persistence
 //!
@@ -93,13 +94,12 @@ use aco::{batch_block_split, AcoConfig, AcoResult, PassStats};
 use gpu_sim::MemLayout;
 use list_sched::{Heuristic, ScheduleResult};
 use machine_model::OccupancyModel;
-use parking_lot::Mutex;
 use sched_ir::{ddg_content_fingerprint, textir, Cycle, Ddg, Fnv64, InstrId, Schedule};
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use workloads::Kernel;
 
 /// Hit/miss/insert/bypass counters of one suite compilation (or one cache
@@ -192,28 +192,19 @@ struct CacheEntry {
 
 type Map = HashMap<u64, Arc<CacheEntry>>;
 
-/// One copy-on-write shard: `live` is the published snapshot (readers do
-/// one atomic load and walk an immutable map), `retired` parks superseded
-/// snapshots until the cache drops (a reader may still hold them).
+/// One lock-guarded shard of the store.
+#[derive(Default)]
 struct Shard {
-    live: AtomicPtr<Map>,
-    retired: Mutex<Vec<*mut Map>>,
+    map: RwLock<Map>,
 }
 
 impl Shard {
-    fn new() -> Shard {
-        Shard {
-            live: AtomicPtr::new(Box::into_raw(Box::default())),
-            retired: Mutex::new(Vec::new()),
-        }
+    fn read(&self) -> RwLockReadGuard<'_, Map> {
+        self.map.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn get(&self, key: u64) -> Option<Arc<CacheEntry>> {
-        // SAFETY: `live` always points to a map published by `insert` (or
-        // `new`) and never freed before the shard drops; shared references
-        // to it are read-only.
-        let map = unsafe { &*self.live.load(Ordering::Acquire) };
-        map.get(&key).cloned()
+        self.read().get(&key).cloned()
     }
 
     /// Uncapped insert — tests poke entries past the capacity discipline.
@@ -226,15 +217,11 @@ impl Shard {
     /// by key) until the shard holds at most `cap` entries; the entry just
     /// inserted is never the victim. Returns the number evicted.
     fn insert_capped(&self, key: u64, entry: Arc<CacheEntry>, cap: usize) -> u64 {
-        let mut retired = self.retired.lock();
-        let old = self.live.load(Ordering::Relaxed);
-        // SAFETY: as in `get`; the mutex serializes writers, so `old` is
-        // the current snapshot and no other writer frees or replaces it.
-        let mut next: Map = unsafe { &*old }.clone();
-        next.insert(key, entry);
+        let mut map = self.map.write().unwrap_or_else(PoisonError::into_inner);
+        map.insert(key, entry);
         let mut evicted = 0u64;
-        while next.len() > cap.max(1) {
-            let victim = next
+        while map.len() > cap.max(1) {
+            let victim = map
                 .iter()
                 .filter(|&(&k, _)| k != key)
                 .map(|(&k, e)| (e.stamp.load(Ordering::Relaxed), k))
@@ -242,48 +229,19 @@ impl Shard {
                 .map(|(_, k)| k);
             match victim {
                 Some(k) => {
-                    next.remove(&k);
+                    map.remove(&k);
                     evicted += 1;
                 }
                 None => break,
             }
         }
-        self.live
-            .store(Box::into_raw(Box::new(next)), Ordering::Release);
-        // The old snapshot may still be referenced by concurrent readers;
-        // park it until the whole cache drops.
-        retired.push(old);
         evicted
     }
 
     fn len(&self) -> usize {
-        // SAFETY: as in `get`.
-        unsafe { &*self.live.load(Ordering::Acquire) }.len()
+        self.read().len()
     }
 }
-
-impl Drop for Shard {
-    fn drop(&mut self) {
-        // SAFETY: `&mut self` proves no reader or writer is active, so the
-        // live snapshot and every retired one can be reclaimed exactly once.
-        unsafe {
-            drop(Box::from_raw(self.live.load(Ordering::Relaxed)));
-            // The vendored parking_lot has no `get_mut`; locking in drop is
-            // uncontended by the `&mut self` guarantee.
-            for ptr in self.retired.lock().drain(..) {
-                drop(Box::from_raw(ptr));
-            }
-        }
-    }
-}
-
-// SAFETY: the raw pointers are only ever created from `Box::into_raw`,
-// dereferenced read-only while published, and freed exclusively in `Drop`
-// (which holds `&mut self`). All shared mutation goes through the atomic
-// pointer and the mutex, so moving or sharing a `Shard` across threads
-// cannot produce a data race.
-unsafe impl Send for Shard {}
-unsafe impl Sync for Shard {}
 
 const SHARD_COUNT: usize = 16;
 
@@ -323,7 +281,7 @@ impl ScheduleCache {
     /// least-recently-touched entries — see the module docs.
     pub fn with_capacity(capacity: usize) -> ScheduleCache {
         ScheduleCache {
-            shards: (0..SHARD_COUNT).map(|_| Shard::new()).collect(),
+            shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
             shard_cap: (capacity / SHARD_COUNT).max(1),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -415,37 +373,31 @@ impl ScheduleCache {
     ) -> RegionCompilation {
         let warm_fp = warm.map(aco::WarmStart::fingerprint);
         let key = solo_key_warm(ddg, occ, cfg, warm_fp);
-        match self.shard(key).get(key) {
-            Some(entry) => {
-                if let Payload::Solo {
-                    ddg: cached_ddg,
-                    comp,
-                } = &entry.payload
+        if let Some(entry) = self.shard(key).get(key) {
+            if let Payload::Solo {
+                ddg: cached_ddg,
+                comp,
+            } = &entry.payload
+            {
+                if same_inputs(&entry, cfg, occ)
+                    && entry.warm_fp == warm_fp
+                    && cached_ddg.content_eq(ddg)
+                    && certify_hit(ddg, occ, comp)
                 {
-                    if same_inputs(&entry, cfg, occ)
-                        && entry.warm_fp == warm_fp
-                        && cached_ddg.content_eq(ddg)
-                        && certify_hit(ddg, occ, comp)
-                    {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        entry.stamp.store(self.tick(), Ordering::Relaxed);
-                        return comp.clone();
-                    }
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    entry.stamp.store(self.tick(), Ordering::Relaxed);
+                    return comp.clone();
                 }
-                // Collision, config mismatch under a colliding key, or a
-                // tampered entry: never adopt — recompute and self-heal.
-                self.bypasses.fetch_add(1, Ordering::Relaxed);
-                let comp = compile_region_warm(ddg, occ, cfg, warm);
-                self.store(key, solo_entry_warm(ddg, occ, cfg, &comp, warm_fp));
-                comp
             }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let comp = compile_region_warm(ddg, occ, cfg, warm);
-                self.store(key, solo_entry_warm(ddg, occ, cfg, &comp, warm_fp));
-                comp
-            }
+            // Collision, config mismatch under a colliding key, or a
+            // tampered entry: never adopt — recompute and self-heal.
+            self.bypasses.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
+        let comp = compile_region_warm(ddg, occ, cfg, warm);
+        self.store(key, solo_entry_warm(ddg, occ, cfg, &comp, warm_fp));
+        comp
     }
 
     /// Compiles one cooperative batch group through the cache. The key
@@ -512,9 +464,7 @@ impl ScheduleCache {
     pub fn save_to_writer(&self, out: &mut impl Write) -> io::Result<()> {
         let mut entries: Vec<(u64, Arc<CacheEntry>)> = Vec::new();
         for shard in &self.shards {
-            // SAFETY: as in `Shard::get`.
-            let map = unsafe { &*shard.live.load(Ordering::Acquire) };
-            for (&k, e) in map {
+            for (&k, e) in shard.read().iter() {
                 // Warm-started entries are skipped along with group ones:
                 // their hints come from a tuning store, not the cache file,
                 // and the `schedcache v1` format stays hint-free.
@@ -1404,7 +1354,7 @@ mod tests {
     fn eviction_prefers_stale_stamps() {
         let occ = machine_model::OccupancyModel::vega_like();
         let c = cfg(SchedulerKind::BaseAmd);
-        let shard = Shard::new();
+        let shard = Shard::default();
         for (key, stamp) in [(1u64, 10u64), (2, 5), (3, 20)] {
             let ddg = sample_ddg(key);
             let entry = solo_entry(&ddg, &occ, &c, &compile_region(&ddg, &occ, &c));
@@ -1751,43 +1701,57 @@ mod tests {
         assert_eq!(loaded.stats().bypasses, 1);
     }
 
-    /// Concurrent readers and writers on the sharded store: no torn reads,
-    /// every thread sees its own inserts, and the cache survives drop with
-    /// retired snapshots outstanding.
+    /// Concurrent readers and writers on the sharded store, unbounded and
+    /// under eviction pressure (4 threads inserting 4x the capacity): every
+    /// returned compilation is the uncached one, the store never exceeds
+    /// its capacity, and the counters add up.
     #[test]
     fn sharded_store_is_safe_under_concurrency() {
         let occ = machine_model::OccupancyModel::vega_like();
         let c = cfg(SchedulerKind::BaseAmd);
-        let ddgs: Vec<Ddg> = (0..16).map(|i| sample_ddg(100 + i)).collect();
-        let expected: Vec<RegionCompilation> =
-            ddgs.iter().map(|d| compile_region(d, &occ, &c)).collect();
-        let cache = ScheduleCache::new();
-        crossbeam::scope(|s| {
-            for t in 0..4 {
-                let (cache, ddgs, expected, c) = (&cache, &ddgs, &expected, &c);
-                let occ = &occ;
-                s.spawn(move |_| {
-                    for round in 0..3 {
-                        for (i, d) in ddgs.iter().enumerate() {
-                            // Stagger the order per thread so lookups and
-                            // inserts interleave differently.
-                            let i = (i + t * 5 + round) % ddgs.len();
-                            let got = cache.compile_solo(&ddgs[i], occ, c);
-                            assert!(comps_eq(&expected[i], &got));
-                            let _ = d;
+        for (cache, regions) in [
+            (ScheduleCache::new(), 16),
+            (ScheduleCache::with_capacity(SHARD_COUNT), 4 * SHARD_COUNT),
+        ] {
+            // Seeds may generate content-identical regions (that is the
+            // point of the cache), so collect distinct fingerprints.
+            let mut unique = std::collections::HashSet::new();
+            let ddgs: Vec<Ddg> = (100..)
+                .map(sample_ddg)
+                .filter(|d| unique.insert(ddg_content_fingerprint(d)))
+                .take(regions)
+                .collect();
+            let expected: Vec<RegionCompilation> =
+                ddgs.iter().map(|d| compile_region(d, &occ, &c)).collect();
+            let start = std::sync::Barrier::new(4);
+            crossbeam::scope(|s| {
+                for t in 0..4 {
+                    let (cache, ddgs, expected, c) = (&cache, &ddgs, &expected, &c);
+                    let (occ, start) = (&occ, &start);
+                    s.spawn(move |_| {
+                        start.wait();
+                        for round in 0..3 {
+                            for i in 0..ddgs.len() {
+                                // Stagger the order per thread so lookups,
+                                // inserts and evictions interleave.
+                                let i = (i + t * 5 + round) % ddgs.len();
+                                let got = cache.compile_solo(&ddgs[i], occ, c);
+                                assert!(comps_eq(&expected[i], &got));
+                            }
                         }
-                    }
-                });
+                    });
+                }
+            })
+            .unwrap();
+            let s = cache.stats();
+            assert_eq!(s.bypasses, 0);
+            assert_eq!(s.hits + s.misses, 4 * 3 * regions as u64);
+            if regions <= cache.capacity() {
+                assert_eq!((cache.len(), s.evictions), (regions, 0));
+            } else {
+                assert!(cache.len() <= cache.capacity());
+                assert!(s.evictions > 0, "overfilling must evict");
             }
-        })
-        .unwrap();
-        // Seeds may generate content-identical regions (that is the point
-        // of the cache), so count distinct fingerprints, not seeds.
-        let unique: std::collections::HashSet<u64> =
-            ddgs.iter().map(ddg_content_fingerprint).collect();
-        assert_eq!(cache.len(), unique.len());
-        let s = cache.stats();
-        assert_eq!(s.bypasses, 0);
-        assert_eq!(s.hits + s.misses, 4 * 3 * 16);
+        }
     }
 }

@@ -39,6 +39,8 @@
 //!   parallel job phase, observations only on the canonical merge, so
 //!   tuned runs stay thread-count deterministic.
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod batch;
 pub mod cache;

@@ -73,7 +73,7 @@ pub struct SuiteRun {
     /// Schedule-cache activity of this run (all zeros when the cache was
     /// disabled). Counters depend on execution interleaving at
     /// `host_threads > 1`, so they are deliberately **excluded** from the
-    /// suite fingerprint sched-verify computes over a run.
+    /// suite fingerprint.
     pub cache: CacheStats,
     /// In-pipeline static-analysis report: `Some` iff
     /// [`PipelineConfig::analyze`] was enabled. Analysis is read-only, so
@@ -81,10 +81,10 @@ pub struct SuiteRun {
     pub analysis: Option<AnalysisReport>,
     /// FNV-1a fingerprint of the run, folded *incrementally* as results
     /// stream through the merge (region records as each kernel closes;
-    /// the small per-kernel/per-benchmark aggregates at the end). Equals
-    /// `sched_verify::suite_fingerprint` on the finished run — pinned by
-    /// the golden tests — without a second pass over `regions`. Excludes
-    /// `cache` (interleaving-dependent) and `analysis` (read-only).
+    /// the small per-kernel/per-benchmark aggregates at the end) — the
+    /// same word stream [`SuiteRun::recompute_fingerprint`] walks from
+    /// scratch, without a second pass over `regions`. Excludes `cache`
+    /// (interleaving-dependent) and `analysis` (read-only).
     pub fingerprint: u64,
 }
 
@@ -114,6 +114,20 @@ impl SuiteRun {
     /// aggregate schedule-length metric of Table 2).
     pub fn total_length(&self) -> u64 {
         self.regions.iter().map(|r| r.length as u64).sum()
+    }
+
+    /// The suite fingerprint recomputed from scratch over the finished
+    /// run: the one word stream (`fold_record` per region, then
+    /// `fold_aggregates`) the merge folds incrementally into
+    /// [`SuiteRun::fingerprint`]. Never reads that field, so comparing the
+    /// two checks the incremental fold against the records themselves.
+    pub fn recompute_fingerprint(&self) -> u64 {
+        let mut fp = Fnv64::new();
+        for r in &self.regions {
+            fold_record(&mut fp, r);
+        }
+        fold_aggregates(&mut fp, self);
+        fp.finish()
     }
 }
 
@@ -366,8 +380,8 @@ where
     merger.finish()
 }
 
-/// Folds one region record into the incremental suite fingerprint — the
-/// exact word stream `sched_verify::suite_fingerprint` hashes per record.
+/// Folds one region record into a suite fingerprint: the per-record half
+/// of the canonical word stream.
 fn fold_record(fp: &mut Fnv64, r: &RegionRecord) {
     fp.word(r.kernel as u64);
     fp.word(r.region as u64);
@@ -385,6 +399,25 @@ fn fold_record(fp: &mut Fnv64, r: &RegionRecord) {
     fp.word(r.sched_time_us.to_bits());
     fp.word(r.reverted as u64);
     fp.word(r.kept_aco as u64);
+}
+
+/// Folds the tail of the canonical word stream — the per-kernel and
+/// per-benchmark aggregates and the modeled compile time — which follows
+/// the region records.
+fn fold_aggregates(fp: &mut Fnv64, run: &SuiteRun) {
+    for &o in &run.kernel_occupancy {
+        fp.word(o as u64);
+    }
+    for &t in &run.kernel_time_us {
+        fp.word(t.to_bits());
+    }
+    for &t in &run.benchmark_time_us {
+        fp.word(t.to_bits());
+    }
+    for &t in &run.benchmark_throughput {
+        fp.word(t.to_bits());
+    }
+    fp.word(run.compile_time_s.to_bits());
 }
 
 /// The **streaming deterministic merge**: consumes per-job results one at
@@ -691,40 +724,28 @@ where
             benchmark_time_us.push(self.bench_times.iter().sum());
             throughput.push(benchmark_throughput(bytes, &self.bench_times));
         }
-        let compile_time_s = self.compile_us / 1e6;
-        // Fingerprint tail: the per-kernel and per-benchmark aggregates
-        // follow the region records in the canonical word stream. The
-        // expensive part — one word-fold pass over every region record —
-        // already happened incrementally as kernels closed.
+        // The expensive part of the fingerprint — one word-fold pass over
+        // every region record — already happened incrementally as kernels
+        // closed; only the aggregate tail is left.
         let mut fp = self.fp;
-        for &o in &self.kernel_occupancy {
-            fp.word(o as u64);
-        }
-        for &t in &self.kernel_times {
-            fp.word(t.to_bits());
-        }
-        for &t in &benchmark_time_us {
-            fp.word(t.to_bits());
-        }
-        for &t in &throughput {
-            fp.word(t.to_bits());
-        }
-        fp.word(compile_time_s.to_bits());
-        SuiteRun {
+        let mut run = SuiteRun {
             scheduler: self.cfg.scheduler,
             regions: self.records,
             kernel_occupancy: self.kernel_occupancy,
             kernel_time_us: self.kernel_times,
             benchmark_time_us,
             benchmark_throughput: throughput,
-            compile_time_s,
+            compile_time_s: self.compile_us / 1e6,
             // Callers overwrite with the delta over their whole
             // compilation (job phase + merge); the merge alone cannot see
             // the job phase's start.
             cache: CacheStats::default(),
             analysis: self.analysis,
-            fingerprint: fp.finish(),
-        }
+            fingerprint: 0,
+        };
+        fold_aggregates(&mut fp, &run);
+        run.fingerprint = fp.finish();
+        run
     }
 }
 

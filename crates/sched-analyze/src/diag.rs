@@ -1,10 +1,11 @@
-//! The clippy-style diagnostics engine of the analyzer.
+//! The workspace's one clippy-style diagnostics model.
 //!
-//! Every pass reports [`Finding`]s: a stable `S`-code, a [`Level`]
-//! (deny/warn/pedantic — the clippy severity model, distinct from the
-//! verifier's error/warning/note), an [`Anchor`] naming the graph object
-//! the finding is about, and — when the region came from a text-IR file —
-//! a real source position ([`SrcPos`]) so renderers can emit
+//! The analyzer's passes and `sched-verify`'s certificates, lints and
+//! determinism checks all report [`Finding`]s: a stable code (`S` here;
+//! `C`/`L`/`A`/`P`/`D` in `sched_verify::codes`, which owns those
+//! checks), a [`Level`] (deny/warn/pedantic), an [`Anchor`] naming the
+//! object the finding is about, and — when the region came from a text-IR
+//! file — a real source position ([`SrcPos`]) so renderers can emit
 //! `file:line:col` spans.
 //!
 //! Two renderers ship with the engine: [`render_text`] (rustc-style, for
@@ -14,6 +15,7 @@
 //! pedantic results on legitimate inputs never break CI.
 
 use sched_ir::textir::SrcPos;
+use sched_ir::Reg;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -118,6 +120,15 @@ pub enum Anchor {
     Claim(&'static str),
     /// A named configuration field.
     ConfigField(&'static str),
+    /// One register.
+    Reg(Reg),
+    /// One pheromone-table entry (row `n` is the virtual start row).
+    PheromoneEntry {
+        /// Table row (the previously issued instruction).
+        row: usize,
+        /// Table column (the candidate instruction).
+        col: usize,
+    },
 }
 
 impl fmt::Display for Anchor {
@@ -138,6 +149,8 @@ impl fmt::Display for Anchor {
             }
             Anchor::Claim(name) => write!(f, "claim `{name}`"),
             Anchor::ConfigField(name) => write!(f, "config field `{name}`"),
+            Anchor::Reg(r) => write!(f, "reg {r}"),
+            Anchor::PheromoneEntry { row, col } => write!(f, "pheromone entry ({row}, {col})"),
         }
     }
 }
@@ -278,8 +291,8 @@ impl LevelCounts {
 }
 
 /// Renders findings rustc-style, one paragraph each, with a trailing
-/// per-level summary line.
-pub fn render_text(findings: &[Finding]) -> String {
+/// per-level summary line prefixed by the reporting `tool`'s name.
+pub fn render_text(tool: &str, findings: &[Finding]) -> String {
     let mut out = String::new();
     for f in findings {
         out.push_str(&f.to_string());
@@ -287,7 +300,7 @@ pub fn render_text(findings: &[Finding]) -> String {
     }
     let c = LevelCounts::of(findings);
     out.push_str(&format!(
-        "analyze: {} deny, {} warn, {} pedantic\n",
+        "{tool}: {} deny, {} warn, {} pedantic\n",
         c.deny, c.warn, c.pedantic
     ));
     out
@@ -482,7 +495,7 @@ mod tests {
         let s = sample().to_string();
         assert!(s.starts_with("pedantic[S001]:"), "{s}");
         assert!(s.contains("--> r.txt:12:1: edge 3 -> 7"), "{s}");
-        let summary = render_text(&[sample()]);
+        let summary = render_text("analyze", &[sample()]);
         assert!(summary.contains("analyze: 0 deny, 0 warn, 1 pedantic"));
     }
 

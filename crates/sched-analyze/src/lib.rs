@@ -21,7 +21,9 @@
 //! * [`passes`] — the S-code passes (S001 exact transitive reduction,
 //!   S002 cycles, S003 orphans, S004 machine-model latency, S005/S006
 //!   infeasible PRP/length claims, S007 config-fingerprint drift);
-//! * [`diag`] — findings, severities, renderers, and baselines;
+//! * [`diag`] — findings, severities, renderers, and baselines: the one
+//!   diagnostics model of the workspace (`sched-verify` reports through
+//!   it too);
 //! * [`json_check`] — an independent JSON well-formedness checker for the
 //!   hand-rolled renderer (the vendored `serde` stub cannot serialize).
 //!
@@ -49,6 +51,5 @@ pub mod passes;
 pub use diag::{codes, render_json, render_text, Anchor, Baseline, Finding, Level, LevelCounts};
 pub use graph::{RegionEdge, RegionGraph};
 pub use passes::{
-    analyze_graph, check_claims, check_config_coverage, op_kind_of_name, redundant_edges,
-    ConfigProbe, RedundantEdge, ScheduleClaim,
+    analyze_graph, check_claims, check_config_coverage, op_kind_of_name, ConfigProbe, ScheduleClaim,
 };

@@ -43,24 +43,19 @@ pub fn op_kind_of_name(name: &str) -> Option<OpKind> {
     })
 }
 
-/// One transitively redundant edge, with the implied-path evidence
-/// (exported for the sched-verify lint migration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RedundantEdge {
-    /// Producer node index.
-    pub from: u32,
-    /// Consumer node index.
-    pub to: u32,
-    /// The redundant edge's latency.
-    pub latency: u16,
+/// One transitively redundant edge, with the implied-path evidence.
+struct RedundantEdge {
+    from: u32,
+    to: u32,
+    latency: u16,
     /// Effective latency of the longest implying path (>= 2 edges).
-    pub implied: u64,
+    implied: u64,
 }
 
 /// Exact transitive reduction: every edge implied by a multi-edge path of
 /// at least the same effective latency. Requires an acyclic graph
 /// (`order` from [`topo_or_cycle`]).
-pub fn redundant_edges(g: &RegionGraph, order: &[u32]) -> Vec<RedundantEdge> {
+fn redundant_edges(g: &RegionGraph, order: &[u32]) -> Vec<RedundantEdge> {
     let mut out = Vec::new();
     for src in 0..g.len() as u32 {
         // A multi-edge path src -> .. -> b needs a second out-edge.

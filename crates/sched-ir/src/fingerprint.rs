@@ -17,9 +17,9 @@
 //! instantiation produces regions identical up to mnemonic suffixes;
 //! keying on names would needlessly miss those.
 //!
-//! The hash is 64-bit FNV-1a with the same constants as the golden suite
-//! fingerprints in `sched-verify` (which depends on this crate, so the
-//! accumulator is duplicated here rather than imported).
+//! The hash is 64-bit FNV-1a; [`Fnv64`] is the workspace's one
+//! accumulator, shared by the cache keys, the tuner, and the golden ACO
+//! and suite fingerprints.
 
 use crate::ddg::Ddg;
 

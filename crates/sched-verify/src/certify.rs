@@ -12,11 +12,12 @@
 //! crate, so a bug in the production pressure tracker cannot certify its
 //! own wrong answer.
 
-use crate::diag::{codes, Diagnostic, Span};
+use crate::diag::codes;
 use aco::{pass2_target, AcoConfig, AcoResult};
 use exact_sched::ExactResult;
 use list_sched::ScheduleResult;
 use machine_model::{OccupancyModel, Waves};
+use sched_analyze::{Anchor, Finding, Level};
 use sched_ir::{Cycle, Ddg, InstrId, Reg, RegClass, Schedule, REG_CLASS_COUNT};
 use std::collections::HashMap;
 
@@ -130,12 +131,13 @@ pub fn certify_schedule(
     occ: &OccupancyModel,
     schedule: &Schedule,
     claim: &Claim<'_>,
-) -> Vec<Diagnostic> {
+) -> Vec<Finding> {
     let mut diags = Vec::new();
     if schedule.len() != ddg.len() {
-        diags.push(Diagnostic::error(
+        diags.push(Finding::new(
             codes::WRONG_LENGTH,
-            Span::Region,
+            Level::Deny,
+            Anchor::Region,
             format!(
                 "schedule assigns cycles to {} instructions, DDG has {}",
                 schedule.len(),
@@ -157,9 +159,10 @@ pub fn certify_schedule(
         for &r in ddg.instr(id).uses() {
             if let Some(&def) = def_of.get(&r) {
                 if def != id && schedule.cycle(id) <= schedule.cycle(def) {
-                    diags.push(Diagnostic::error(
+                    diags.push(Finding::new(
                         codes::DEPENDENCE,
-                        Span::Reg(r),
+                        Level::Deny,
+                        Anchor::Reg(r),
                         format!(
                             "{id} reads {r} at cycle {} but its definition by {def} \
                              issues at cycle {}",
@@ -177,9 +180,13 @@ pub fn certify_schedule(
         for &(succ, lat) in ddg.succs(id) {
             let required = schedule.cycle(id) + lat as Cycle;
             if schedule.cycle(succ) < required {
-                diags.push(Diagnostic::error(
+                diags.push(Finding::new(
                     codes::LATENCY,
-                    Span::Edge { from: id, to: succ },
+                    Level::Deny,
+                    Anchor::Edge {
+                        from: id.0,
+                        to: succ.0,
+                    },
                     format!(
                         "{succ} must issue at cycle {required} or later \
                          (producer {id} + latency {lat}), but issues at {}",
@@ -194,9 +201,10 @@ pub fn certify_schedule(
     let derived_order = schedule.order();
     for pair in derived_order.windows(2) {
         if schedule.cycle(pair[0]) == schedule.cycle(pair[1]) {
-            diags.push(Diagnostic::error(
+            diags.push(Finding::new(
                 codes::ISSUE_CONFLICT,
-                Span::Instr(pair[1]),
+                Level::Deny,
+                Anchor::Node(pair[1].0),
                 format!(
                     "{} and {} both issue at cycle {}",
                     pair[0],
@@ -223,9 +231,10 @@ pub fn certify_schedule(
         if perm && increasing {
             prp_order = order;
         } else {
-            diags.push(Diagnostic::error(
+            diags.push(Finding::new(
                 codes::ORDER_MISMATCH,
-                Span::Region,
+                Level::Deny,
+                Anchor::Region,
                 if perm {
                     "claimed order is not issued in strictly increasing cycles".to_string()
                 } else {
@@ -244,9 +253,10 @@ pub fn certify_schedule(
             } else {
                 RegClass::Sgpr
             };
-            diags.push(Diagnostic::error(
+            diags.push(Finding::new(
                 codes::PRP_MISMATCH,
-                Span::Region,
+                Level::Deny,
+                Anchor::Region,
                 format!(
                     "claimed {class:?} peak pressure {claimed} but recomputed live \
                      ranges give {got}"
@@ -259,9 +269,10 @@ pub fn certify_schedule(
     if let Some(claimed_occ) = claim.occupancy {
         let actual = occ.occupancy(recomputed);
         if actual != claimed_occ {
-            diags.push(Diagnostic::error(
+            diags.push(Finding::new(
                 codes::OCCUPANCY_MISMATCH,
-                Span::Region,
+                Level::Deny,
+                Anchor::Region,
                 format!(
                     "claimed occupancy {claimed_occ} waves but PRP {recomputed:?} \
                      implies {actual}"
@@ -272,9 +283,10 @@ pub fn certify_schedule(
 
     // C007 — claimed length against the schedule's actual length.
     if schedule.length() != claim.length {
-        diags.push(Diagnostic::error(
+        diags.push(Finding::new(
             codes::LENGTH_MISMATCH,
-            Span::Region,
+            Level::Deny,
+            Anchor::Region,
             format!(
                 "claimed length {} but the schedule spans {} cycles",
                 claim.length,
@@ -290,9 +302,10 @@ pub fn certify_schedule(
     if structurally_valid {
         let length_lb = ddg.schedule_length_lb();
         if schedule.length() < length_lb {
-            diags.push(Diagnostic::error(
+            diags.push(Finding::new(
                 codes::LENGTH_BELOW_LB,
-                Span::Region,
+                Level::Deny,
+                Anchor::Region,
                 format!(
                     "schedule length {} is below the DDG lower bound {length_lb}",
                     schedule.length()
@@ -302,9 +315,10 @@ pub fn certify_schedule(
         let rp_lb = ddg.rp_lower_bound();
         for c in 0..REG_CLASS_COUNT {
             if (recomputed[c] as usize) < rp_lb[c] {
-                diags.push(Diagnostic::error(
+                diags.push(Finding::new(
                     codes::PRP_BELOW_LB,
-                    Span::Region,
+                    Level::Deny,
+                    Anchor::Region,
                     format!(
                         "recomputed peak pressure {} (class {c}) is below the \
                          register-pressure lower bound {}",
@@ -318,7 +332,7 @@ pub fn certify_schedule(
 }
 
 /// Certifies a list scheduler's [`ScheduleResult`].
-pub fn certify_list(ddg: &Ddg, occ: &OccupancyModel, r: &ScheduleResult) -> Vec<Diagnostic> {
+pub fn certify_list(ddg: &Ddg, occ: &OccupancyModel, r: &ScheduleResult) -> Vec<Finding> {
     certify_schedule(
         ddg,
         occ,
@@ -342,7 +356,7 @@ pub fn certify_aco(
     occ: &OccupancyModel,
     cfg: &AcoConfig,
     r: &AcoResult,
-) -> Vec<Diagnostic> {
+) -> Vec<Finding> {
     let mut diags = certify_schedule(
         ddg,
         occ,
@@ -364,9 +378,10 @@ pub fn certify_aco(
         let target = pass2_target(cfg, occ, r.pass1.best_cost);
         let final_cost = occ.rp_cost(recompute_prp(ddg, &r.order));
         if final_cost > target {
-            diags.push(Diagnostic::error(
+            diags.push(Finding::new(
                 codes::TWO_PASS_INVARIANT,
-                Span::Region,
+                Level::Deny,
+                Anchor::Region,
                 format!(
                     "final pressure cost {final_cost} exceeds the pass-2 target \
                      {target} (pass-1 best cost {})",
@@ -378,9 +393,10 @@ pub fn certify_aco(
         // cost can only be at or below the initial cost.
         let initial_cost = occ.rp_cost(r.initial.prp);
         if r.pass1.best_cost > initial_cost {
-            diags.push(Diagnostic::error(
+            diags.push(Finding::new(
                 codes::TWO_PASS_INVARIANT,
-                Span::Region,
+                Level::Deny,
+                Anchor::Region,
                 format!(
                     "pass-1 best cost {} is above the initial heuristic cost \
                      {initial_cost} it started from",
@@ -393,7 +409,7 @@ pub fn certify_aco(
 }
 
 /// Certifies an exact (branch-and-bound) result.
-pub fn certify_exact(ddg: &Ddg, occ: &OccupancyModel, r: &ExactResult) -> Vec<Diagnostic> {
+pub fn certify_exact(ddg: &Ddg, occ: &OccupancyModel, r: &ExactResult) -> Vec<Finding> {
     let mut diags = certify_schedule(
         ddg,
         occ,
@@ -408,9 +424,10 @@ pub fn certify_exact(ddg: &Ddg, occ: &OccupancyModel, r: &ExactResult) -> Vec<Di
     // C012 — the claimed scalar cost must follow from the claimed PRP.
     let implied = occ.rp_cost(r.prp);
     if r.rp_cost != implied {
-        diags.push(Diagnostic::error(
+        diags.push(Finding::new(
             codes::EXACT_INCONSISTENT,
-            Span::Region,
+            Level::Deny,
+            Anchor::Region,
             format!(
                 "claimed rp_cost {} but claimed PRP {:?} implies {implied}",
                 r.rp_cost, r.prp

@@ -8,11 +8,12 @@
 //! the simulated-GPU scheduler run repeatedly) must produce bitwise
 //! identical results.
 
-use crate::diag::{codes, Diagnostic, Span};
+use crate::diag::codes;
 use crate::fingerprint::suite_fingerprint;
 use aco::{AcoConfig, AcoResult, HostParallelScheduler, ParallelScheduler};
 use machine_model::OccupancyModel;
 use pipeline::{compile_suite, PipelineConfig};
+use sched_analyze::{Anchor, Finding, Level};
 use sched_ir::{Ddg, REG_CLASS_COUNT};
 use workloads::Suite;
 
@@ -47,7 +48,7 @@ pub fn check_host_determinism(
     occ: &OccupancyModel,
     cfg: &AcoConfig,
     threads: &[usize],
-) -> Vec<Diagnostic> {
+) -> Vec<Finding> {
     let mut diags = Vec::new();
     let Some((&first, rest)) = threads.split_first() else {
         return diags;
@@ -57,9 +58,10 @@ pub fn check_host_determinism(
     for &t in rest {
         let r = HostParallelScheduler::new(*cfg, t).schedule(ddg, occ);
         if fingerprint(&r) != ref_fp {
-            diags.push(Diagnostic::error(
+            diags.push(Finding::new(
                 codes::THREAD_NONDETERMINISM,
-                Span::Region,
+                Level::Deny,
+                Anchor::Region,
                 format!(
                     "host-parallel result differs between {first} and {t} \
                      threads: [{}] vs [{}]",
@@ -85,7 +87,7 @@ pub fn check_suite_thread_determinism(
     occ: &OccupancyModel,
     cfg: &PipelineConfig,
     threads: &[usize],
-) -> Vec<Diagnostic> {
+) -> Vec<Finding> {
     let mut diags = Vec::new();
     let Some((&first, rest)) = threads.split_first() else {
         return diags;
@@ -96,9 +98,10 @@ pub fn check_suite_thread_determinism(
         let run = compile_suite(suite, occ, &cfg.with_host_threads(t));
         let fp = suite_fingerprint(&run);
         if fp != ref_fp {
-            diags.push(Diagnostic::error(
+            diags.push(Finding::new(
                 codes::SUITE_THREAD_NONDETERMINISM,
-                Span::Region,
+                Level::Deny,
+                Anchor::Region,
                 format!(
                     "suite compilation ({:?}) differs between {first} and {t} \
                      host threads: fingerprint {ref_fp:#018x} vs {fp:#018x} \
@@ -132,7 +135,7 @@ pub fn check_cache_transparency(
     occ: &OccupancyModel,
     cfg: &PipelineConfig,
     threads: &[usize],
-) -> Vec<Diagnostic> {
+) -> Vec<Finding> {
     let mut diags = Vec::new();
     for &t in threads {
         let tcfg = cfg.with_host_threads(t);
@@ -140,9 +143,10 @@ pub fn check_cache_transparency(
         let on = compile_suite(suite, occ, &tcfg.with_cache(true));
         let (off_fp, on_fp) = (suite_fingerprint(&off), suite_fingerprint(&on));
         if on_fp != off_fp {
-            diags.push(Diagnostic::error(
+            diags.push(Finding::new(
                 codes::CACHE_NONTRANSPARENT,
-                Span::Region,
+                Level::Deny,
+                Anchor::Region,
                 format!(
                     "suite compilation ({:?}, {t} host threads) differs with \
                      the schedule cache on: fingerprint {on_fp:#018x} vs \
@@ -172,7 +176,7 @@ pub fn check_parallel_repeatability(
     occ: &OccupancyModel,
     cfg: &AcoConfig,
     runs: usize,
-) -> Vec<Diagnostic> {
+) -> Vec<Finding> {
     let mut diags = Vec::new();
     if runs < 2 {
         return diags;
@@ -182,9 +186,10 @@ pub fn check_parallel_repeatability(
     for run in 1..runs {
         let r = ParallelScheduler::new(*cfg).schedule(ddg, occ).result;
         if fingerprint(&r) != ref_fp {
-            diags.push(Diagnostic::error(
+            diags.push(Finding::new(
                 codes::RUN_NONDETERMINISM,
-                Span::Region,
+                Level::Deny,
+                Anchor::Region,
                 format!(
                     "simulated-GPU run {run} differs from run 0 with an \
                      identical configuration: [{}] vs [{}]",

@@ -1,78 +1,23 @@
-//! The diagnostics framework shared by the certificate checker, the lint
-//! pass, and the determinism checker.
+//! The verifier's stable codes, reported through the workspace's one
+//! diagnostics model ([`sched_analyze::diag`]).
 //!
-//! Every problem the verifier finds is reported as a structured
-//! [`Diagnostic`] carrying a severity, a stable code (`C0xx` certificate,
-//! `L0xx` DDG lint, `A0xx` config lint, `P0xx` pheromone, `D0xx`
-//! determinism), a [`Span`] pinpointing where in the input the problem
-//! lives, and a human-readable message. Rendering mimics `rustc`:
+//! Every problem the verifier finds is a [`Finding`]: a stable code (`C0xx`
+//! certificate, `L0xx` DDG lint, `A0xx` config lint, `P0xx` pheromone,
+//! `D0xx` determinism — the checks here own those code spaces; `S0xx`
+//! belongs to `sched-analyze`), a [`sched_analyze::Level`], and a
+//! [`sched_analyze::Anchor`] pinpointing where in the input the problem
+//! lives. A violated invariant is `deny` — the only level that invalidates
+//! a certificate or fails `gpu-aco-cli verify` — and the one merely
+//! notable condition (`L003`, an isolated node) is `pedantic`:
 //!
 //! ```text
-//! error[C003]: i5 must issue at cycle 7 or later (producer i3 + latency 4), but issues at 6
-//!   --> kernel 2, region 0, edge i3 -> i5
+//! deny[C003]: i5 must issue at cycle 7 or later (producer i3 + latency 4), but issues at 6
+//!   --> kernel 2, region 0, edge 3 -> 5
 //! ```
 
-use sched_ir::{InstrId, Reg};
-use std::fmt;
+use sched_analyze::{render_text, Finding, LevelCounts};
 
-/// How bad a finding is.
-///
-/// Only [`Severity::Error`] findings invalidate a schedule certificate;
-/// warnings and notes are advisory (the CLI `verify` subcommand exits
-/// nonzero only on errors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Informational: something worth knowing, nothing wrong.
-    Note,
-    /// Suspicious but not provably incorrect (e.g. a redundant edge).
-    Warning,
-    /// A violated invariant: the claim being checked is false.
-    Error,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Note => write!(f, "note"),
-            Severity::Warning => write!(f, "warning"),
-            Severity::Error => write!(f, "error"),
-        }
-    }
-}
-
-/// Where in the verified input a diagnostic points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Span {
-    /// The region (or claim) as a whole.
-    Region,
-    /// One instruction.
-    Instr(InstrId),
-    /// One DDG edge.
-    Edge { from: InstrId, to: InstrId },
-    /// One register.
-    Reg(Reg),
-    /// A named configuration field.
-    ConfigField(&'static str),
-    /// One pheromone-table entry (row `n` is the virtual start row).
-    PheromoneEntry { row: usize, col: usize },
-}
-
-impl fmt::Display for Span {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Span::Region => write!(f, "region"),
-            Span::Instr(id) => write!(f, "instr {id}"),
-            Span::Edge { from, to } => write!(f, "edge {from} -> {to}"),
-            Span::Reg(r) => write!(f, "reg {r}"),
-            Span::ConfigField(name) => write!(f, "config field `{name}`"),
-            Span::PheromoneEntry { row, col } => {
-                write!(f, "pheromone entry ({row}, {col})")
-            }
-        }
-    }
-}
-
-/// Stable diagnostic codes.
+/// Stable verifier codes.
 ///
 /// Certificate checks (`C`): emitted when a scheduler's *claim* about a
 /// schedule disagrees with an independent recomputation. Lints (`L`, `A`):
@@ -106,20 +51,10 @@ pub mod codes {
     /// `rp_cost` does not match its own PRP).
     pub const EXACT_INCONSISTENT: &str = "C012";
 
-    /// A DDG edge implied by a longer (or equal) transitive path.
-    ///
-    /// Historically the heuristic lint `L001`; now the *exact*
-    /// effective-latency transitive reduction of `sched-analyze`, reported
-    /// under its stable S-code. Consumers matching on this constant keep
-    /// working; anything matching the literal string must use `"S001"`.
-    pub const REDUNDANT_EDGE: &str = "S001";
-
     /// Two instructions define the same register (SSA violation).
     pub const DUPLICATE_DEF: &str = "L002";
     /// An instruction with no edges, defs, or uses.
     pub const ISOLATED_NODE: &str = "L003";
-    /// The dependence graph contains a cycle.
-    pub const GRAPH_CYCLE: &str = "L004";
 
     /// `tau_min >= tau_max`: the pheromone band is empty.
     pub const TAU_BOUNDS: &str = "A001";
@@ -154,135 +89,12 @@ pub mod codes {
     pub const CACHE_NONTRANSPARENT: &str = "D004";
 }
 
-/// One verifier finding.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Diagnostic {
-    /// How bad it is.
-    pub severity: Severity,
-    /// Stable code (see [`codes`]).
-    pub code: &'static str,
-    /// Where it points.
-    pub span: Span,
-    /// Human-readable description.
-    pub message: String,
-    /// Kernel index within a suite, when verifying a suite.
-    pub kernel: Option<usize>,
-    /// Region index within the kernel, when verifying a suite.
-    pub region: Option<usize>,
+/// Whether any finding in the slice is deny-level.
+pub fn has_errors(findings: &[Finding]) -> bool {
+    LevelCounts::of(findings).deny > 0
 }
 
-impl Diagnostic {
-    /// An error-severity diagnostic.
-    pub fn error(code: &'static str, span: Span, message: impl Into<String>) -> Diagnostic {
-        Diagnostic {
-            severity: Severity::Error,
-            code,
-            span,
-            message: message.into(),
-            kernel: None,
-            region: None,
-        }
-    }
-
-    /// A warning-severity diagnostic.
-    pub fn warning(code: &'static str, span: Span, message: impl Into<String>) -> Diagnostic {
-        Diagnostic {
-            severity: Severity::Warning,
-            ..Diagnostic::error(code, span, message)
-        }
-    }
-
-    /// A note-severity diagnostic.
-    pub fn note(code: &'static str, span: Span, message: impl Into<String>) -> Diagnostic {
-        Diagnostic {
-            severity: Severity::Note,
-            ..Diagnostic::error(code, span, message)
-        }
-    }
-
-    /// Tags the diagnostic with its suite location.
-    pub fn in_region(mut self, kernel: usize, region: usize) -> Diagnostic {
-        self.kernel = Some(kernel);
-        self.region = Some(region);
-        self
-    }
-}
-
-impl fmt::Display for Diagnostic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{}[{}]: {}", self.severity, self.code, self.message)?;
-        write!(f, "  --> ")?;
-        if let (Some(k), Some(r)) = (self.kernel, self.region) {
-            write!(f, "kernel {k}, region {r}, ")?;
-        }
-        write!(f, "{}", self.span)
-    }
-}
-
-/// Whether any diagnostic in the slice is an error.
-pub fn has_errors(diags: &[Diagnostic]) -> bool {
-    diags.iter().any(|d| d.severity == Severity::Error)
-}
-
-/// Renders a batch of diagnostics, one per paragraph, `rustc`-style.
-pub fn render(diags: &[Diagnostic]) -> String {
-    let mut out = String::new();
-    for d in diags {
-        out.push_str(&d.to_string());
-        out.push('\n');
-    }
-    let errors = diags
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count();
-    let warnings = diags
-        .iter()
-        .filter(|d| d.severity == Severity::Warning)
-        .count();
-    if errors > 0 || warnings > 0 {
-        out.push_str(&format!(
-            "verify: {errors} error(s), {warnings} warning(s)\n"
-        ));
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rendering_is_rustc_like() {
-        let d = Diagnostic::error(
-            codes::LATENCY,
-            Span::Edge {
-                from: InstrId(3),
-                to: InstrId(5),
-            },
-            "i5 issues too early",
-        )
-        .in_region(2, 0);
-        let s = d.to_string();
-        assert!(s.starts_with("error[C003]: i5 issues too early"));
-        assert!(s.contains("--> kernel 2, region 0, edge i3 -> i5"));
-    }
-
-    #[test]
-    fn has_errors_ignores_warnings() {
-        let w = Diagnostic::warning(codes::REDUNDANT_EDGE, Span::Region, "meh");
-        assert!(!has_errors(std::slice::from_ref(&w)));
-        let e = Diagnostic::error(codes::WRONG_LENGTH, Span::Region, "bad");
-        assert!(has_errors(&[w, e]));
-    }
-
-    #[test]
-    fn render_counts_severities() {
-        let diags = vec![
-            Diagnostic::error(codes::WRONG_LENGTH, Span::Region, "bad"),
-            Diagnostic::warning(codes::REDUNDANT_EDGE, Span::Region, "meh"),
-            Diagnostic::note(codes::ISOLATED_NODE, Span::Instr(InstrId(0)), "fyi"),
-        ];
-        let out = render(&diags);
-        assert!(out.contains("verify: 1 error(s), 1 warning(s)"));
-    }
+/// Renders a batch of findings, one per paragraph, `rustc`-style.
+pub fn render(findings: &[Finding]) -> String {
+    render_text("verify", findings)
 }

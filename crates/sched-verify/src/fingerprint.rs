@@ -9,45 +9,14 @@
 
 use aco::AcoResult;
 use pipeline::SuiteRun;
-
-/// FNV-1a accumulator over a stream of `u64` words.
-///
-/// FNV is not cryptographic; it is chosen because it is dependency-free,
-/// byte-order stable, and trivially reimplementable when regenerating
-/// goldens outside this crate.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv(u64);
-
-impl Fnv {
-    pub fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds one word into the hash, little-endian byte by byte.
-    pub fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv {
-    fn default() -> Fnv {
-        Fnv::new()
-    }
-}
+use sched_ir::Fnv64;
 
 /// Fingerprint of everything the ACO search decides: issue order, cycles,
 /// peak pressure, occupancy, length, and both passes' iteration counts and
 /// best costs. Excludes op counts and modeled times, which depend on the
 /// launch geometry rather than the search.
 pub fn aco_fingerprint(r: &AcoResult) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv64::new();
     for id in &r.order {
         h.word(id.0 as u64);
     }
@@ -66,72 +35,28 @@ pub fn aco_fingerprint(r: &AcoResult) -> u64 {
     h.finish()
 }
 
-/// Fingerprint of a whole suite run: every region record (including the
-/// modeled times, as f64 bits), kernel occupancies and times, benchmark
-/// aggregates, and the modeled compile time. Two runs fingerprint equal
-/// only if the `SuiteRun`s are byte-identical.
+/// Fingerprint of a whole suite run, **recomputed from scratch** over the
+/// finished run through the pipeline's own word stream
+/// ([`SuiteRun::recompute_fingerprint`]): every region record (including
+/// the modeled times, as f64 bits), kernel occupancies and times,
+/// benchmark aggregates, and the modeled compile time. Two runs
+/// fingerprint equal only if the `SuiteRun`s are byte-identical.
 ///
-/// `run.cache` (the schedule-cache hit/miss counters) is deliberately
-/// **not** hashed: at `host_threads > 1` two workers can race to
-/// first-compile the same content, making the counters
-/// interleaving-dependent, while everything the compilation *decides*
-/// stays bitwise identical — which is exactly what the D004
-/// cache-transparency check asserts with this fingerprint.
+/// Never reads `run.fingerprint` — the merge's incremental fold of the
+/// same stream — so comparing the two (the goldens and the benchmark do)
+/// checks the fold against the records it claims to cover. `run.cache`
+/// (the schedule-cache counters) is deliberately **not** hashed: at
+/// `host_threads > 1` two workers can race to first-compile the same
+/// content, making the counters interleaving-dependent, while everything
+/// the compilation *decides* stays bitwise identical — which is exactly
+/// what the D004 cache-transparency check asserts with this fingerprint.
 pub fn suite_fingerprint(run: &SuiteRun) -> u64 {
-    let mut h = Fnv::new();
-    for r in &run.regions {
-        h.word(r.kernel as u64);
-        h.word(r.region as u64);
-        h.word(r.size as u64);
-        h.word(r.occupancy as u64);
-        h.word(r.length as u64);
-        h.word(r.heuristic_occupancy as u64);
-        h.word(r.heuristic_length as u64);
-        h.word(r.pass1_processed as u64);
-        h.word(r.pass2_processed as u64);
-        h.word(r.pass1_iterations as u64);
-        h.word(r.pass2_iterations as u64);
-        h.word(r.pass1_time_us.to_bits());
-        h.word(r.pass2_time_us.to_bits());
-        h.word(r.sched_time_us.to_bits());
-        h.word(r.reverted as u64);
-        h.word(r.kept_aco as u64);
-    }
-    for &o in &run.kernel_occupancy {
-        h.word(o as u64);
-    }
-    for &t in &run.kernel_time_us {
-        h.word(t.to_bits());
-    }
-    for &t in &run.benchmark_time_us {
-        h.word(t.to_bits());
-    }
-    for &t in &run.benchmark_throughput {
-        h.word(t.to_bits());
-    }
-    h.word(run.compile_time_s.to_bits());
-    h.finish()
+    run.recompute_fingerprint()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_input_hashes_to_offset_basis() {
-        assert_eq!(Fnv::new().finish(), 0xcbf2_9ce4_8422_2325);
-    }
-
-    #[test]
-    fn word_order_matters() {
-        let mut a = Fnv::new();
-        a.word(1);
-        a.word(2);
-        let mut b = Fnv::new();
-        b.word(2);
-        b.word(1);
-        assert_ne!(a.finish(), b.finish());
-    }
 
     #[test]
     fn aco_fingerprint_is_stable_and_sensitive() {

@@ -6,7 +6,8 @@
 //! exact branch-and-bound) all *claim* things about their output: an issue
 //! order, a peak register pressure, an occupancy, a length. This crate
 //! re-derives every one of those claims from first principles and reports
-//! disagreements as structured [`Diagnostic`]s:
+//! disagreements as [`sched_analyze::Finding`]s — the workspace's one
+//! diagnostics model, under this crate's own [`codes`]:
 //!
 //! * [`certify`] — the certificate checker: topological/def-use ordering,
 //!   latency satisfaction, single-issue conflicts, from-scratch live-range
@@ -14,9 +15,10 @@
 //!   occupancy/cost recomputation, lower-bound consistency, and the
 //!   two-pass invariant (final pressure cost ≤ the pass-2 target derived
 //!   from the pass-1 best cost).
-//! * [`lint`] — lints over DDGs (redundant transitive edges, duplicate
-//!   defs, isolated nodes, cycles), ACO configurations (degenerate
-//!   parameters), and pheromone tables (clamp-band escape, NaN).
+//! * [`lint`] — lints over DDGs (duplicate defs, isolated nodes, and on
+//!   request the analyzer's redundant transitive edges), ACO
+//!   configurations (degenerate parameters), and pheromone tables
+//!   (clamp-band escape, NaN).
 //! * [`determinism`] — the determinism checker: identical results across
 //!   host thread counts and repeated simulated-GPU runs.
 //!
@@ -39,12 +41,13 @@ pub use determinism::{
     check_cache_transparency, check_host_determinism, check_parallel_repeatability,
     check_suite_thread_determinism,
 };
-pub use diag::{codes, has_errors, render, Diagnostic, Severity, Span};
-pub use fingerprint::{aco_fingerprint, suite_fingerprint, Fnv};
+pub use diag::{codes, has_errors, render};
+pub use fingerprint::{aco_fingerprint, suite_fingerprint};
 pub use lint::{lint_config, lint_ddg, lint_ddg_pedantic, lint_pheromone};
 
 use machine_model::OccupancyModel;
 use pipeline::{compile_suite_observed, PipelineConfig, RegionCompilation, SuiteRun};
+use sched_analyze::Finding;
 use sched_ir::Ddg;
 use workloads::Suite;
 
@@ -56,7 +59,7 @@ pub fn verify_region_compilation(
     occ: &OccupancyModel,
     cfg: &PipelineConfig,
     c: &RegionCompilation,
-) -> Vec<Diagnostic> {
+) -> Vec<Finding> {
     let mut diags = lint::lint_ddg(ddg);
     diags.extend(certify::certify_list(ddg, occ, &c.heuristic));
     if let Some(aco) = &c.aco {
@@ -68,8 +71,8 @@ pub fn verify_region_compilation(
 /// The outcome of verifying a whole suite compilation.
 #[derive(Debug)]
 pub struct SuiteVerification {
-    /// Every diagnostic, tagged with its kernel/region.
-    pub diagnostics: Vec<Diagnostic>,
+    /// Every finding, tagged with its kernel/region.
+    pub findings: Vec<Finding>,
     /// Region compilations observed (including capped re-schedules).
     pub compilations: usize,
     /// Schedules certified (heuristic + ACO per compilation).
@@ -79,9 +82,9 @@ pub struct SuiteVerification {
 }
 
 impl SuiteVerification {
-    /// Whether any error-severity diagnostic was found.
+    /// Whether any deny-level finding was found.
     pub fn has_errors(&self) -> bool {
-        diag::has_errors(&self.diagnostics)
+        diag::has_errors(&self.findings)
     }
 }
 
@@ -97,20 +100,20 @@ pub fn verify_suite(
     occ: &OccupancyModel,
     cfg: &PipelineConfig,
 ) -> SuiteVerification {
-    let mut diagnostics = lint::lint_config(&cfg.aco);
+    let mut findings = lint::lint_config(&cfg.aco);
     let mut compilations = 0usize;
     let mut schedules = 0usize;
     let run = compile_suite_observed(suite, occ, cfg, |k, r, ddg, region_cfg, c| {
         compilations += 1;
         schedules += 1 + c.aco.is_some() as usize;
-        diagnostics.extend(
+        findings.extend(
             verify_region_compilation(ddg, occ, region_cfg, c)
                 .into_iter()
                 .map(|d| d.in_region(k, r)),
         );
     });
     SuiteVerification {
-        diagnostics,
+        findings,
         compilations,
         schedules,
         run,
@@ -133,6 +136,6 @@ mod tests {
         let v = verify_suite(&suite, &occ, &cfg);
         assert!(v.compilations >= suite.region_count());
         assert!(v.schedules > v.compilations, "some regions must run ACO");
-        assert!(v.diagnostics.is_empty(), "{}", diag::render(&v.diagnostics));
+        assert!(v.findings.is_empty(), "{}", diag::render(&v.findings));
     }
 }

@@ -6,20 +6,23 @@
 //! configurations that would send the ACO search into degenerate behavior
 //! (empty pheromone bands, NaN-producing decay, zero colonies).
 
-use crate::diag::{codes, Diagnostic, Span};
+use crate::diag::codes;
 use aco::{AcoConfig, PheromoneTable};
+use sched_analyze::{Anchor, Finding, Level};
 use sched_ir::{Ddg, InstrId, Reg};
 use std::collections::HashMap;
 
-/// Lints a dependence graph. Structural errors (duplicate defs, cycles)
-/// are `error` severity; isolated nodes are notes.
+/// Lints a dependence graph: duplicate defs are `deny`, isolated nodes
+/// `pedantic`. Cycles are not checked — [`sched_ir::DdgBuilder::build`] is
+/// the only constructor of a [`Ddg`] and rejects them (raw, pre-validation
+/// regions get `S002` with a witness from `sched-analyze`).
 ///
 /// Redundant transitive edges (`S001`) are *not* reported here: the check
 /// is exact, but DDGs built from def-use chains routinely carry edges a
 /// longer path already implies, and that is normal, not suspicious. Use
 /// [`lint_ddg_pedantic`] to include them.
-pub fn lint_ddg(ddg: &Ddg) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
+pub fn lint_ddg(ddg: &Ddg) -> Vec<Finding> {
+    let mut findings = Vec::new();
 
     // L002 — duplicate definitions break the SSA assumption every pressure
     // computation in the stack relies on.
@@ -27,9 +30,10 @@ pub fn lint_ddg(ddg: &Ddg) -> Vec<Diagnostic> {
     for id in ddg.ids() {
         for &r in ddg.instr(id).defs() {
             if let Some(&first) = def_of.get(&r) {
-                diags.push(Diagnostic::error(
+                findings.push(Finding::new(
                     codes::DUPLICATE_DEF,
-                    Span::Reg(r),
+                    Level::Deny,
+                    Anchor::Reg(r),
                     format!("{r} is defined by both {first} and {id} (SSA violation)"),
                 ));
             } else {
@@ -47,101 +51,43 @@ pub fn lint_ddg(ddg: &Ddg) -> Vec<Diagnostic> {
             && instr.defs().is_empty()
             && instr.uses().is_empty()
         {
-            diags.push(Diagnostic::note(
+            findings.push(Finding::new(
                 codes::ISOLATED_NODE,
-                Span::Instr(id),
+                Level::Pedantic,
+                Anchor::Node(id.0),
                 format!("{id} has no dependences, defines nothing, and uses nothing"),
             ));
         }
     }
-
-    // L004 — cycle detection. `Ddg` construction already topo-sorts, so
-    // this is a defensive re-check (e.g. against hand-built cycle lists);
-    // everything after it assumes acyclicity.
-    if let Some(id) = find_cycle_member(ddg) {
-        diags.push(Diagnostic::error(
-            codes::GRAPH_CYCLE,
-            Span::Instr(id),
-            format!("{id} sits on a dependence cycle; the region is unschedulable"),
-        ));
-        return diags;
-    }
-
-    diags
+    findings
 }
 
-/// [`lint_ddg`] plus the pedantic redundant-edge pass (`S001`).
-///
-/// Redundancy is *exact*, delegated to `sched-analyze`'s transitive
-/// reduction: an edge `a -> b` is redundant iff a path of two or more
-/// edges already enforces at least the same **effective** latency
-/// (`max(lat, 1)` per edge — on a single-issue machine even a
-/// zero-latency edge costs a cycle, which the old raw-latency heuristic
-/// failed to credit).
-pub fn lint_ddg_pedantic(ddg: &Ddg) -> Vec<Diagnostic> {
-    let mut diags = lint_ddg(ddg);
-    if diags.iter().any(|d| d.code == codes::GRAPH_CYCLE) {
-        return diags;
-    }
+/// [`lint_ddg`] plus `sched-analyze`'s exact transitive-reduction pass
+/// (`S001`, at the analyzer's own `pedantic` level): an edge `a -> b` is
+/// redundant iff a path of two or more edges already enforces at least the
+/// same **effective** latency (`max(lat, 1)` per edge — on a single-issue
+/// machine even a zero-latency edge costs a cycle).
+pub fn lint_ddg_pedantic(ddg: &Ddg) -> Vec<Finding> {
+    let mut findings = lint_ddg(ddg);
     let g = sched_analyze::RegionGraph::from_ddg(ddg);
-    let order: Vec<u32> = ddg.topo_order().iter().map(|id| id.0).collect();
-    for r in sched_analyze::redundant_edges(&g, &order) {
-        let (a, b) = (InstrId(r.from), InstrId(r.to));
-        diags.push(Diagnostic::warning(
-            codes::REDUNDANT_EDGE,
-            Span::Edge { from: a, to: b },
-            format!(
-                "edge {a} -> {b} (latency {}) is implied by a transitive \
-                 path of effective latency {}",
-                r.latency, r.implied
-            ),
-        ));
-    }
-    diags
-}
-
-/// Returns a member of a dependence cycle, if any (iterative DFS with
-/// colors so deep graphs cannot blow the stack).
-fn find_cycle_member(ddg: &Ddg) -> Option<InstrId> {
-    const WHITE: u8 = 0;
-    const GRAY: u8 = 1;
-    const BLACK: u8 = 2;
-    let mut color = vec![WHITE; ddg.len()];
-    for root in ddg.ids() {
-        if color[root.index()] != WHITE {
-            continue;
-        }
-        let mut stack = vec![(root, 0usize)];
-        color[root.index()] = GRAY;
-        while let Some(&mut (id, ref mut next)) = stack.last_mut() {
-            if let Some(&(succ, _)) = ddg.succs(id).get(*next) {
-                *next += 1;
-                match color[succ.index()] {
-                    WHITE => {
-                        color[succ.index()] = GRAY;
-                        stack.push((succ, 0));
-                    }
-                    GRAY => return Some(succ),
-                    _ => {}
-                }
-            } else {
-                color[id.index()] = BLACK;
-                stack.pop();
-            }
-        }
-    }
-    None
+    findings.extend(
+        sched_analyze::analyze_graph(&g)
+            .into_iter()
+            .filter(|f| f.code == sched_analyze::codes::TRANSITIVE_REDUNDANT),
+    );
+    findings
 }
 
 /// Lints an ACO configuration for degenerate parameter settings.
-pub fn lint_config(cfg: &AcoConfig) -> Vec<Diagnostic> {
+pub fn lint_config(cfg: &AcoConfig) -> Vec<Finding> {
     let mut diags = Vec::new();
-    let field = Span::ConfigField;
+    let field = Anchor::ConfigField;
 
     // A001 — an inverted or empty pheromone band pins every entry.
     if cfg.tau_min >= cfg.tau_max {
-        diags.push(Diagnostic::error(
+        diags.push(Finding::new(
             codes::TAU_BOUNDS,
+            Level::Deny,
             field("tau_min"),
             format!(
                 "tau_min {} >= tau_max {}: the pheromone band is empty and the \
@@ -153,15 +99,17 @@ pub fn lint_config(cfg: &AcoConfig) -> Vec<Diagnostic> {
 
     // A002 — a zero colony never constructs a schedule.
     if cfg.sequential_ants == 0 {
-        diags.push(Diagnostic::error(
+        diags.push(Finding::new(
             codes::ZERO_ANTS,
+            Level::Deny,
             field("sequential_ants"),
             "sequential colony has zero ants",
         ));
     }
     if cfg.blocks == 0 || cfg.threads_per_block == 0 {
-        diags.push(Diagnostic::error(
+        diags.push(Finding::new(
             codes::ZERO_ANTS,
+            Level::Deny,
             field("blocks"),
             format!(
                 "parallel colony is empty ({} blocks x {} threads)",
@@ -173,8 +121,9 @@ pub fn lint_config(cfg: &AcoConfig) -> Vec<Diagnostic> {
     // A003 — decay outside (0, 1] either freezes the table or explodes it;
     // non-finite decay poisons every entry with NaN on the first update.
     if !cfg.decay.is_finite() || cfg.decay <= 0.0 || cfg.decay > 1.0 {
-        diags.push(Diagnostic::error(
+        diags.push(Finding::new(
             codes::BAD_DECAY,
+            Level::Deny,
             field("decay"),
             format!(
                 "decay {} is outside (0, 1]; evaporation would corrupt the table",
@@ -185,8 +134,9 @@ pub fn lint_config(cfg: &AcoConfig) -> Vec<Diagnostic> {
 
     // A004 — q0 is a probability.
     if !cfg.q0.is_finite() || !(0.0..=1.0).contains(&cfg.q0) {
-        diags.push(Diagnostic::error(
+        diags.push(Finding::new(
             codes::BAD_Q0,
+            Level::Deny,
             field("q0"),
             format!("exploitation probability q0 {} is outside [0, 1]", cfg.q0),
         ));
@@ -202,8 +152,9 @@ pub fn lint_config(cfg: &AcoConfig) -> Vec<Diagnostic> {
         ("tau_max", cfg.tau_max),
     ] {
         if !value.is_finite() || value < 0.0 {
-            diags.push(Diagnostic::error(
+            diags.push(Finding::new(
                 codes::BAD_PHEROMONE_PARAM,
+                Level::Deny,
                 field(name),
                 format!("{name} = {value} must be finite and non-negative"),
             ));
@@ -212,8 +163,9 @@ pub fn lint_config(cfg: &AcoConfig) -> Vec<Diagnostic> {
 
     // A006 — a zero iteration cap means no pass ever runs.
     if cfg.termination.max_iterations == 0 {
-        diags.push(Diagnostic::error(
+        diags.push(Finding::new(
             codes::ZERO_ITERATIONS,
+            Level::Deny,
             field("termination.max_iterations"),
             "max_iterations is 0: neither pass can execute an iteration",
         ));
@@ -228,8 +180,9 @@ pub fn lint_config(cfg: &AcoConfig) -> Vec<Diagnostic> {
         ("optional_stall_budget", cfg.optional_stall_budget),
     ] {
         if !value.is_finite() || !(0.0..=1.0).contains(&value) {
-            diags.push(Diagnostic::error(
+            diags.push(Finding::new(
                 codes::BAD_STALL_FRACTION,
+                Level::Deny,
                 field(name),
                 format!("{name} = {value} is outside [0, 1]"),
             ));
@@ -240,15 +193,16 @@ pub fn lint_config(cfg: &AcoConfig) -> Vec<Diagnostic> {
 
 /// Checks a pheromone table's numeric invariants against the
 /// configuration's clamp band via the table's debug hook.
-pub fn lint_pheromone(table: &PheromoneTable, cfg: &AcoConfig) -> Vec<Diagnostic> {
+pub fn lint_pheromone(table: &PheromoneTable, cfg: &AcoConfig) -> Vec<Finding> {
     match table.check_invariants(cfg.tau_min, cfg.tau_max) {
         Ok(()) => Vec::new(),
         Err((row, col, value)) => {
-            let span = Span::PheromoneEntry { row, col };
+            let anchor = Anchor::PheromoneEntry { row, col };
             if value.is_finite() {
-                vec![Diagnostic::error(
+                vec![Finding::new(
                     codes::PHEROMONE_OUT_OF_BOUNDS,
-                    span,
+                    Level::Deny,
+                    anchor,
                     format!(
                         "entry ({row}, {col}) = {value} escaped the clamp band \
                          [{}, {}]",
@@ -257,9 +211,10 @@ pub fn lint_pheromone(table: &PheromoneTable, cfg: &AcoConfig) -> Vec<Diagnostic
                     ),
                 )]
             } else {
-                vec![Diagnostic::error(
+                vec![Finding::new(
                     codes::PHEROMONE_NONFINITE,
-                    span,
+                    Level::Deny,
+                    anchor,
                     format!("entry ({row}, {col}) = {value} is not finite"),
                 )]
             }
@@ -280,61 +235,32 @@ mod tests {
     }
 
     #[test]
-    fn redundant_transitive_edge_is_flagged() {
-        // a -> b -> c with latency 2+2, plus a direct a -> c of latency 3:
-        // the path already forces c four cycles after a.
-        let mut b = DdgBuilder::new();
-        let a = b.instr("a", [sched_ir::Reg::vgpr(0)], []);
-        let m = b.instr("b", [sched_ir::Reg::vgpr(1)], []);
-        let c = b.instr("c", [], []);
-        b.edge(a, m, 2).unwrap();
-        b.edge(m, c, 2).unwrap();
-        b.edge(a, c, 3).unwrap();
-        let ddg = b.build().unwrap();
-        let diags = lint_ddg_pedantic(&ddg);
-        assert!(diags
-            .iter()
-            .any(|d| d.code == codes::REDUNDANT_EDGE && d.span == Span::Edge { from: a, to: c }));
-        assert!(
-            !lint_ddg(&ddg)
-                .iter()
-                .any(|d| d.code == codes::REDUNDANT_EDGE),
-            "default lint excludes S001"
-        );
-        assert_eq!(codes::REDUNDANT_EDGE, "S001", "migrated off heuristic L001");
-    }
-
-    #[test]
-    fn zero_latency_chains_are_now_caught_exactly() {
-        // The retired heuristic summed raw latencies (0 + 0 = 0 < 1) and
-        // missed this; effective latencies make the path cost 2 cycles.
-        let mut b = DdgBuilder::new();
-        let a = b.instr("a", [sched_ir::Reg::vgpr(0)], []);
-        let m = b.instr("b", [sched_ir::Reg::vgpr(1)], []);
-        let c = b.instr("c", [], []);
-        b.edge(a, m, 0).unwrap();
-        b.edge(m, c, 0).unwrap();
-        b.edge(a, c, 1).unwrap();
-        let ddg = b.build().unwrap();
-        assert!(lint_ddg_pedantic(&ddg)
-            .iter()
-            .any(|d| d.code == codes::REDUNDANT_EDGE && d.span == Span::Edge { from: a, to: c }));
-    }
-
-    #[test]
-    fn necessary_long_latency_edge_is_not_flagged() {
-        // Direct edge longer than the transitive path: it adds information.
-        let mut b = DdgBuilder::new();
-        let a = b.instr("a", [sched_ir::Reg::vgpr(0)], []);
-        let m = b.instr("b", [sched_ir::Reg::vgpr(1)], []);
-        let c = b.instr("c", [], []);
-        b.edge(a, m, 1).unwrap();
-        b.edge(m, c, 1).unwrap();
-        b.edge(a, c, 5).unwrap();
-        let ddg = b.build().unwrap();
-        assert!(!lint_ddg_pedantic(&ddg)
-            .iter()
-            .any(|d| d.code == codes::REDUNDANT_EDGE));
+    fn s001_is_exact_and_pedantic_only() {
+        // a -> b -> c plus a direct a -> c, as (a->b, b->c, a->c) latencies.
+        for (lat, redundant) in [
+            ((2, 2, 3), true),  // the path already forces c 4 cycles after a
+            ((0, 0, 1), true),  // effective latencies: the path costs 2 cycles
+            ((1, 1, 5), false), // longer than the path: it adds information
+        ] {
+            let mut b = DdgBuilder::new();
+            let a = b.instr("a", [sched_ir::Reg::vgpr(0)], []);
+            let m = b.instr("b", [sched_ir::Reg::vgpr(1)], []);
+            let c = b.instr("c", [], []);
+            b.edge(a, m, lat.0).unwrap();
+            b.edge(m, c, lat.1).unwrap();
+            b.edge(a, c, lat.2).unwrap();
+            let ddg = b.build().unwrap();
+            let s001: Vec<Finding> = lint_ddg_pedantic(&ddg)
+                .into_iter()
+                .filter(|f| f.code == "S001")
+                .collect();
+            assert_eq!(s001.len(), redundant as usize, "{lat:?}");
+            for f in &s001 {
+                assert_eq!(f.anchor, Anchor::Edge { from: a.0, to: c.0 });
+                assert_eq!(f.level, Level::Pedantic);
+            }
+            assert!(lint_ddg(&ddg).is_empty(), "default lint excludes S001");
+        }
     }
 
     #[test]
@@ -350,7 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn isolated_node_is_a_note() {
+    fn isolated_node_is_pedantic() {
         let mut b = DdgBuilder::new();
         b.instr("nop", [], []);
         b.instr("real", [sched_ir::Reg::vgpr(0)], []);

@@ -102,6 +102,6 @@ fn verify_suite_certifies_cache_hits_clean() {
         v.run.cache
     );
     assert!(v.compilations >= suite.region_count());
-    assert!(!v.has_errors(), "{}", render(&v.diagnostics));
-    assert!(v.diagnostics.is_empty(), "{}", render(&v.diagnostics));
+    assert!(!v.has_errors(), "{}", render(&v.findings));
+    assert!(v.findings.is_empty(), "{}", render(&v.findings));
 }

@@ -9,7 +9,8 @@
 use list_sched::{Heuristic, ListScheduler};
 use machine_model::OccupancyModel;
 use proptest::prelude::*;
-use sched_verify::{certify_list, certify_schedule, codes, has_errors, render, Claim, Diagnostic};
+use sched_analyze::Finding;
+use sched_verify::{certify_list, certify_schedule, codes, has_errors, render, Claim};
 
 fn scheduled(
     size: usize,
@@ -21,7 +22,7 @@ fn scheduled(
     (ddg, occ, r)
 }
 
-fn codes_of(diags: &[Diagnostic]) -> Vec<&'static str> {
+fn codes_of(diags: &[Finding]) -> Vec<&'static str> {
     diags.iter().map(|d| d.code).collect()
 }
 

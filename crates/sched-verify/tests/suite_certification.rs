@@ -31,7 +31,7 @@ fn pipeline_cfg(kind: SchedulerKind) -> PipelineConfig {
 fn list_sched_suite_certifies_clean() {
     let occ = OccupancyModel::vega_like();
     let v = verify_suite(&suite(), &occ, &pipeline_cfg(SchedulerKind::BaseAmd));
-    assert!(v.diagnostics.is_empty(), "{}", render(&v.diagnostics));
+    assert!(v.findings.is_empty(), "{}", render(&v.findings));
     assert!(!v.has_errors());
     assert!(v.schedules >= v.compilations);
 }
@@ -40,14 +40,14 @@ fn list_sched_suite_certifies_clean() {
 fn critical_path_suite_certifies_clean() {
     let occ = OccupancyModel::vega_like();
     let v = verify_suite(&suite(), &occ, &pipeline_cfg(SchedulerKind::CriticalPath));
-    assert!(v.diagnostics.is_empty(), "{}", render(&v.diagnostics));
+    assert!(v.findings.is_empty(), "{}", render(&v.findings));
 }
 
 #[test]
 fn sequential_aco_suite_certifies_clean() {
     let occ = OccupancyModel::vega_like();
     let v = verify_suite(&suite(), &occ, &pipeline_cfg(SchedulerKind::SequentialAco));
-    assert!(v.diagnostics.is_empty(), "{}", render(&v.diagnostics));
+    assert!(v.findings.is_empty(), "{}", render(&v.findings));
     assert!(v.schedules > v.compilations, "ACO must have run somewhere");
 }
 
@@ -55,7 +55,7 @@ fn sequential_aco_suite_certifies_clean() {
 fn parallel_aco_suite_certifies_clean() {
     let occ = OccupancyModel::vega_like();
     let v = verify_suite(&suite(), &occ, &pipeline_cfg(SchedulerKind::ParallelAco));
-    assert!(v.diagnostics.is_empty(), "{}", render(&v.diagnostics));
+    assert!(v.findings.is_empty(), "{}", render(&v.findings));
     assert!(v.schedules > v.compilations, "ACO must have run somewhere");
 }
 
@@ -70,7 +70,7 @@ fn batched_parallel_aco_suite_certifies_clean() {
         &occ,
         &pipeline_cfg(SchedulerKind::BatchedParallelAco),
     );
-    assert!(v.diagnostics.is_empty(), "{}", render(&v.diagnostics));
+    assert!(v.findings.is_empty(), "{}", render(&v.findings));
     assert!(!v.has_errors());
     assert!(v.schedules > v.compilations, "ACO must have run somewhere");
 }

@@ -17,7 +17,8 @@ use gpu_aco::machine::OccupancyModel;
 use gpu_aco::scheduler::{
     AcoConfig, HostParallelScheduler, ParallelScheduler, SequentialScheduler,
 };
-use gpu_aco::verify::{aco_fingerprint, suite_fingerprint, Fnv};
+use gpu_aco::verify::{aco_fingerprint, suite_fingerprint};
+use sched_ir::Fnv64;
 use workloads::{Suite, SuiteConfig};
 
 fn main() {
@@ -74,7 +75,7 @@ fn main() {
         cfg.blocks = 10;
         cfg.pass2_gate_cycles = 1;
         let batch = ParallelScheduler::new(cfg).schedule_batch(&refs, &occ);
-        let mut h = Fnv::new();
+        let mut h = Fnv64::new();
         for o in &batch.outcomes {
             h.word(aco_fingerprint(&o.result));
         }

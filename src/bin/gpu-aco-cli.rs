@@ -47,7 +47,8 @@
 //! lints the region and the ACO configuration, schedules the region with
 //! the selected scheduler(s), re-derives every claim each scheduler makes
 //! (order, pressure, occupancy, length, bounds, two-pass invariant), and
-//! exits nonzero if any error-severity diagnostic is found.
+//! exits nonzero if any deny-level finding is reported (the same
+//! `Finding` model and text renderer `analyze` uses).
 //!
 //! `analyze` runs the exact static dataflow passes (`sched-analyze`):
 //! S001 transitive-redundant edges, S002 cycles with a minimal witness,
@@ -551,6 +552,7 @@ fn schedule_batched(args: &[String]) -> Result<(), String> {
 }
 
 fn verify(args: &[String]) -> Result<(), String> {
+    use gpu_aco::analyze::{render_text, LevelCounts};
     use gpu_aco::verify as sv;
 
     let path = args.first().ok_or("verify needs a region file")?;
@@ -582,11 +584,11 @@ fn verify(args: &[String]) -> Result<(), String> {
     };
     diags.extend(sv::lint_config(&cfg));
 
-    // Structural lint errors (non-SSA regions, cycles) make the region
-    // unschedulable — report them instead of handing the schedulers an
-    // input they are allowed to reject violently.
-    if sv::has_errors(&diags) {
-        print!("{}", sv::render(&diags));
+    // Deny-level lints (a non-SSA region, a degenerate configuration) make
+    // the input unschedulable — report them instead of handing the
+    // schedulers an input they are allowed to reject violently.
+    if LevelCounts::of(&diags).deny > 0 {
+        print!("{}", render_text("verify", &diags));
         return Err("verification failed: the region or configuration is invalid".into());
     }
 
@@ -651,15 +653,13 @@ fn verify(args: &[String]) -> Result<(), String> {
         }
     }
 
-    print!("{}", sv::render(&diags));
-    if sv::has_errors(&diags) {
-        let errors = diags
-            .iter()
-            .filter(|d| d.severity == sv::Severity::Error)
-            .count();
-        return Err(format!(
-            "verification failed: {errors} error-severity diagnostic(s)"
-        ));
+    // A clean run prints only the per-scheduler `ok` lines above.
+    if !diags.is_empty() {
+        print!("{}", render_text("verify", &diags));
+    }
+    let deny = LevelCounts::of(&diags).deny;
+    if deny > 0 {
+        return Err(format!("verification failed: {deny} deny-level finding(s)"));
     }
     println!(
         "verify: {certified} scheduler(s) certified clean on {} instructions",
@@ -731,7 +731,7 @@ fn analyze(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--json") {
         println!("{}", sa::render_json(&findings, suppressed));
     } else {
-        print!("{}", sa::render_text(&findings));
+        print!("{}", sa::render_text("analyze", &findings));
         if suppressed > 0 {
             println!("analyze: {suppressed} finding(s) suppressed by baseline");
         }

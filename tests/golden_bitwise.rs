@@ -12,7 +12,8 @@
 
 use machine_model::OccupancyModel;
 use pipeline::{compile_suite, PipelineConfig, SchedulerKind};
-use sched_verify::{aco_fingerprint, suite_fingerprint, Fnv};
+use sched_ir::Fnv64;
+use sched_verify::{aco_fingerprint, suite_fingerprint};
 use workloads::{Suite, SuiteConfig};
 
 use aco::{AcoConfig, HostParallelScheduler, ParallelScheduler, SequentialScheduler};
@@ -113,7 +114,7 @@ fn batched_launch_matches_seed_golden() {
     cfg.blocks = 10;
     cfg.pass2_gate_cycles = 1;
     let batch = ParallelScheduler::new(cfg).schedule_batch(&refs, &occ);
-    let mut h = Fnv::new();
+    let mut h = Fnv64::new();
     for o in &batch.outcomes {
         h.word(aco_fingerprint(&o.result));
     }

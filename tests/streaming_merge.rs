@@ -92,6 +92,22 @@ fn streaming_merge_is_byte_equal_to_barrier_reference() {
     }
 }
 
+/// `suite_fingerprint` is a from-scratch recomputation over the records,
+/// never a read of the merge's incremental `run.fingerprint`: tampering
+/// with a finished run moves the former and not the latter.
+#[test]
+fn suite_fingerprint_recomputes_and_never_reads_the_incremental_fold() {
+    let occ = OccupancyModel::vega_like();
+    let suite = Suite::generate(&SuiteConfig::scaled(9, 0.006));
+    let cfg = cfg_for(SchedulerKind::BaseAmd, 1, false);
+    let mut run = compile_suite_with_cache(&suite, &occ, &cfg, None, |_, _, _, _, _| {});
+    let folded = run.fingerprint;
+    assert_eq!(suite_fingerprint(&run), folded);
+    run.regions[0].length += 1;
+    assert_ne!(suite_fingerprint(&run), folded);
+    assert_eq!(run.fingerprint, folded);
+}
+
 /// With tuning on, the streaming job phase reads a snapshot of the store
 /// while the merge writes observations into the caller's copy — which
 /// must leave both the run *and* the learned store byte-identical to the
