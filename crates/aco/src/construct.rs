@@ -15,7 +15,7 @@
 
 use crate::config::AcoConfig;
 use crate::pheromone::PheromoneTable;
-use list_sched::{Heuristic, HeuristicEval, RegionAnalysis};
+use list_sched::{EtaTerms, Heuristic, HeuristicEval, RegionAnalysis};
 use machine_model::OccupancyLut;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -128,6 +128,10 @@ pub(crate) struct Scores {
     total: Option<f64>,
     /// Argmax, found by the first exploiting pick.
     best: Option<usize>,
+    /// η^β of [`Heuristic::CriticalPath`], per instruction: that η is a
+    /// property of the instruction alone, so its power is taken once per
+    /// region and a candidate costs one multiply by τ.
+    critical_path_eta_pow: Vec<f64>,
 }
 
 /// One ant's resolved selection.
@@ -144,12 +148,15 @@ pub(crate) struct Pick {
 }
 
 impl Scores {
-    pub(crate) fn with_capacity(n: usize) -> Scores {
+    /// Scratch for selections on `ctx`'s region, reserved at its size.
+    pub(crate) fn new(ctx: &AntContext<'_>) -> Scores {
+        let eta_pow = |terms: &EtaTerms| pow_beta(terms.critical_path, ctx.cfg.beta);
         Scores {
             candidates: 0,
-            weights: Vec::with_capacity(n),
+            weights: Vec::with_capacity(ctx.ddg.len()),
             total: None,
             best: None,
+            critical_path_eta_pow: ctx.analysis.eta_terms.iter().map(eta_pow).collect(),
         }
     }
 
@@ -158,15 +165,16 @@ impl Scores {
         self.candidates = 0;
     }
 
-    /// Scores `candidates` unless this selection already is.
+    /// Scores `candidates` for an ant guided by `heuristic`, coming from
+    /// `last` under `pressure`, unless this selection already is scored.
     fn ensure(
         &mut self,
+        ctx: &AntContext<'_>,
         pheromone: &PheromoneTable,
+        heuristic: Heuristic,
         last: Option<InstrId>,
         candidates: &[InstrId],
-        eval: &HeuristicEval<'_>,
         pressure: &PressureTracker<'_>,
-        beta: f64,
     ) {
         debug_assert!(!candidates.is_empty());
         if self.candidates != 0 {
@@ -178,9 +186,17 @@ impl Scores {
         self.total = None;
         self.best = None;
         if candidates.len() > 1 {
-            let score =
-                |id: InstrId| pheromone.get(last, id) * pow_beta(eval.eta(id, pressure), beta);
-            self.weights.extend(candidates.iter().map(|&c| score(c)));
+            let tau = pheromone.row(last);
+            if heuristic == Heuristic::CriticalPath {
+                let eta_pow = &self.critical_path_eta_pow;
+                let score = |c: &InstrId| tau[c.index()] * eta_pow[c.index()];
+                self.weights.extend(candidates.iter().map(score));
+            } else {
+                let eval = HeuristicEval::new(heuristic, ctx.analysis, ctx.lut, pressure);
+                let beta = ctx.cfg.beta;
+                let score = |c: &InstrId| tau[c.index()] * pow_beta(eval.eta(*c), beta);
+                self.weights.extend(candidates.iter().map(score));
+            }
         }
     }
 
@@ -255,8 +271,7 @@ fn choose(
     explore: Option<bool>,
 ) -> Pick {
     let explored = explore.unwrap_or_else(|| rng.gen::<f64>() > ctx.cfg.q0);
-    let eval = HeuristicEval::new(heuristic, ctx.analysis, ctx.lut);
-    scores.ensure(pheromone, last, candidates, &eval, pressure, ctx.cfg.beta);
+    scores.ensure(ctx, pheromone, heuristic, last, candidates, pressure);
     Pick {
         drew: explore.is_none() || scores.draws(explored),
         pos: scores.pick(rng, explored),
@@ -399,7 +414,7 @@ impl<'a> Pass1Ant<'a> {
         Pass1Ant {
             rng: SmallRng::seed_from_u64(seed),
             state: Pass1State::new(ctx, heuristic),
-            scores: Scores::with_capacity(ctx.ddg.len()),
+            scores: Scores::new(ctx),
             ops: 0,
         }
     }
@@ -557,11 +572,12 @@ pub(crate) struct Pass2Scratch {
 }
 
 impl Pass2Scratch {
-    pub(crate) fn with_capacity(n: usize) -> Pass2Scratch {
+    /// Scratch for steps on `ctx`'s region, reserved at its size.
+    pub(crate) fn new(ctx: &AntContext<'_>) -> Pass2Scratch {
         Pass2Scratch {
-            issuable: Vec::with_capacity(n),
-            issuable_pos: Vec::with_capacity(n),
-            scores: Scores::with_capacity(n),
+            issuable: Vec::with_capacity(ctx.ddg.len()),
+            issuable_pos: Vec::with_capacity(ctx.ddg.len()),
+            scores: Scores::new(ctx),
         }
     }
 }
@@ -709,9 +725,18 @@ impl<'a> Pass2State<'a> {
         scratch.issuable_pos.clear();
         let mut next_arrival: Option<Cycle> = None;
         let mut has_violating = false;
+        let within = |peak| ctx.lut.rp_cost(peak) <= self.target_cost;
+        // The answer for every candidate that leaves the peak where it is.
+        let peak_within = within(self.pressure.peak());
         for (i, &(id, rc)) in self.ready.iter().enumerate() {
             if rc <= self.now {
-                if ctx.lut.rp_cost(self.pressure.peak_after(id)) <= self.target_cost {
+                let delta = self.pressure.net_change(id);
+                let keeps = if self.pressure.raises_peak(delta) {
+                    within(self.pressure.peak_after_delta(delta))
+                } else {
+                    peak_within
+                };
+                if keeps {
                     scratch.issuable.push(id);
                     scratch.issuable_pos.push(i as u32);
                 } else {
@@ -891,7 +916,7 @@ impl<'a> Pass2Ant<'a> {
         Pass2Ant {
             rng: SmallRng::seed_from_u64(seed),
             state: Pass2State::new(ctx, heuristic, target_cost, allow_optional_stalls),
-            scratch: Pass2Scratch::with_capacity(ctx.ddg.len()),
+            scratch: Pass2Scratch::new(ctx),
             ops: 0,
         }
     }

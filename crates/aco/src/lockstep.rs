@@ -204,7 +204,7 @@ impl<'a> Pass1Wavefront<'a> {
                 .map(|_| Pass1State::new(ctx, ctx.cfg.heuristic))
                 .collect(),
             rngs: vec![SmallRng::seed_from_u64(0); lanes],
-            scores: Scores::with_capacity(n),
+            scores: Scores::new(ctx),
             keys: vec![0; lanes],
             lane_steps: 0,
             class_steps: 0,
@@ -359,7 +359,7 @@ impl<'a> Pass2Wavefront<'a> {
                 .map(|_| Pass2State::new(ctx, ctx.cfg.heuristic, target_cost, true))
                 .collect(),
             rngs: vec![SmallRng::seed_from_u64(0); lanes],
-            scratch: Pass2Scratch::with_capacity(n),
+            scratch: Pass2Scratch::new(ctx),
             keys: vec![0; lanes],
             lane_steps: 0,
             class_steps: 0,

@@ -56,18 +56,25 @@ impl PheromoneTable {
         self.deposit_order(order, tau_max, tau_max);
     }
 
+    /// Index of `from`'s first entry (`from = None` is the virtual start,
+    /// stored as row `n`).
     #[inline]
-    fn row(&self, from: Option<InstrId>) -> usize {
-        match from {
-            Some(i) => i.index(),
-            None => self.n, // virtual start row
-        }
+    fn row_start(&self, from: Option<InstrId>) -> usize {
+        from.map_or(self.n, InstrId::index) * self.n
+    }
+
+    /// τ on every link leaving `from`, indexed by successor: a selection
+    /// slices its row once and reads one entry per candidate.
+    #[inline]
+    pub fn row(&self, from: Option<InstrId>) -> &[f64] {
+        let start = self.row_start(from);
+        &self.tau[start..start + self.n]
     }
 
     /// τ on the link `from -> to` (`from = None` is the virtual start).
     #[inline]
     pub fn get(&self, from: Option<InstrId>, to: InstrId) -> f64 {
-        self.tau[self.row(from) * self.n + to.index()]
+        self.tau[self.row_start(from) + to.index()]
     }
 
     /// Multiplies every entry by `decay` (pheromone dissipation), clamping
@@ -83,7 +90,7 @@ impl PheromoneTable {
     pub fn deposit_order(&mut self, order: &[InstrId], amount: f64, tau_max: f64) {
         let mut from: Option<InstrId> = None;
         for &to in order {
-            let idx = self.row(from) * self.n + to.index();
+            let idx = self.row_start(from) + to.index();
             self.tau[idx] = (self.tau[idx] + amount).min(tau_max);
             from = Some(to);
         }

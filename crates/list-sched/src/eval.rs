@@ -20,6 +20,23 @@ pub struct RegionAnalysis {
     pub succ_count: Vec<u32>,
     /// Critical-path length of the region (max of `dist_to_leaf`).
     pub critical_path: Cycle,
+    /// The terms of η that depend on the instruction alone, per
+    /// instruction.
+    pub eta_terms: Vec<EtaTerms>,
+}
+
+/// The static terms of [`HeuristicEval`]'s η for one instruction, each the
+/// very subexpression η used to evaluate per candidate, so reading it
+/// instead yields the same `f64` bits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EtaTerms {
+    /// `1 + dist`: the whole [`Heuristic::CriticalPath`] η.
+    pub critical_path: f64,
+    /// `dist / (n + 1)`: [`Heuristic::LastUseCount`]'s tie-break.
+    pub luc_tiebreak: f64,
+    /// `dist / (critical_path + 1)`: [`Heuristic::AmdMaxOccupancy`]'s
+    /// tie-break.
+    pub amd_tiebreak: f64,
 }
 
 impl RegionAnalysis {
@@ -27,12 +44,25 @@ impl RegionAnalysis {
     pub fn new(ddg: &Ddg) -> RegionAnalysis {
         let dist_to_leaf = ddg.distance_to_leaf();
         let critical_path = dist_to_leaf.iter().copied().max().unwrap_or(0);
+        let n = dist_to_leaf.len() as f64;
+        let eta_terms = dist_to_leaf
+            .iter()
+            .map(|&dist| {
+                let dist = dist as f64;
+                EtaTerms {
+                    critical_path: 1.0 + dist,
+                    luc_tiebreak: dist / (n + 1.0),
+                    amd_tiebreak: dist / (critical_path as f64 + 1.0),
+                }
+            })
+            .collect();
         RegionAnalysis {
             dist_to_leaf,
             earliest_start: ddg.earliest_starts(),
             ready_list_ub: ddg.transitive_closure().ready_list_ub(),
             succ_count: ddg.ids().map(|i| ddg.succs(i).len() as u32).collect(),
             critical_path,
+            eta_terms,
         }
     }
 }
@@ -62,29 +92,48 @@ impl Heuristic {
     ];
 }
 
-/// Evaluates candidates for one heuristic over one region.
+/// Evaluates the candidates of one selection: one heuristic, one region,
+/// one pressure state. Whatever that state fixes for every candidate is
+/// computed here, once.
 #[derive(Debug, Clone, Copy)]
 pub struct HeuristicEval<'a> {
     heuristic: Heuristic,
-    analysis: &'a RegionAnalysis,
+    terms: &'a [EtaTerms],
     occupancy: &'a OccupancyLut,
+    pressure: &'a PressureTracker<'a>,
+    /// `n + 1`, the scale separating η's priority tiers.
+    n1: f64,
+    /// Weight of `AmdMaxOccupancy`'s occupancy tier, above every rank.
+    span: f64,
+    /// Occupancy of the peak so far (read by `AmdMaxOccupancy` only).
+    occ_now: u32,
 }
 
 impl<'a> HeuristicEval<'a> {
-    /// Creates an evaluator for `heuristic` over the analyzed region.
+    /// Creates an evaluator for `heuristic` over the analyzed region at the
+    /// pressure state `pressure`.
     ///
     /// Takes the region's [`OccupancyLut`] rather than the model itself:
-    /// η is evaluated per ready candidate per step, and the table lookup
-    /// avoids the model's division-heavy occupancy banding on that path.
+    /// the table lookup avoids the model's division-heavy occupancy
+    /// banding.
     pub fn new(
         heuristic: Heuristic,
         analysis: &'a RegionAnalysis,
         occupancy: &'a OccupancyLut,
+        pressure: &'a PressureTracker<'a>,
     ) -> HeuristicEval<'a> {
+        let n = analysis.dist_to_leaf.len() as f64;
         HeuristicEval {
             heuristic,
-            analysis,
+            terms: &analysis.eta_terms,
             occupancy,
+            pressure,
+            n1: n + 1.0,
+            span: (n + 1.0) * 40.0,
+            occ_now: match heuristic {
+                Heuristic::AmdMaxOccupancy => occupancy.occupancy(pressure.peak()),
+                Heuristic::CriticalPath | Heuristic::LastUseCount => 0,
+            },
         }
     }
 
@@ -98,15 +147,15 @@ impl<'a> HeuristicEval<'a> {
     ///
     /// η is consumed two ways: the greedy list scheduler picks the argmax;
     /// ACO raises it to the power β and multiplies by pheromone.
-    pub fn eta(&self, id: InstrId, pressure: &PressureTracker<'_>) -> f64 {
-        let dist = self.analysis.dist_to_leaf[id.index()] as f64;
+    #[inline]
+    pub fn eta(&self, id: InstrId) -> f64 {
+        let terms = &self.terms[id.index()];
         match self.heuristic {
-            Heuristic::CriticalPath => 1.0 + dist,
+            Heuristic::CriticalPath => terms.critical_path,
             Heuristic::LastUseCount => {
                 // Kills dominate; CP distance breaks ties smoothly.
-                let kills = pressure.kills(id) as f64;
-                let n = self.analysis.dist_to_leaf.len() as f64;
-                1.0 + kills * (n + 1.0) + dist / (n + 1.0)
+                let kills = self.pressure.kills(id) as f64;
+                1.0 + kills * self.n1 + terms.luc_tiebreak
             }
             Heuristic::AmdMaxOccupancy => {
                 // Mirrors GCNMaxOccupancySchedStrategy's greedy priorities:
@@ -114,19 +163,21 @@ impl<'a> HeuristicEval<'a> {
                 // pressure, and only then look at the critical path. The
                 // pressure-first myopia is what makes the production
                 // scheduler beatable on latency (the paper's Figure 4).
-                let delta = pressure.net_change(id);
-                let occ_now = self.occupancy.occupancy(pressure.peak());
-                let occ_after = self.occupancy.occupancy(pressure.peak_after_delta(delta));
-                let tier = if occ_after >= occ_now { 1.0 } else { 0.0 };
-                let n = self.analysis.dist_to_leaf.len() as f64;
-                let span = (n + 1.0) * 40.0;
+                let delta = self.pressure.net_change(id);
+                // An issue that leaves the peak where it is leaves the
+                // occupancy where it is.
+                let keeps_occupancy = !self.pressure.raises_peak(delta)
+                    || self
+                        .occupancy
+                        .occupancy(self.pressure.peak_after_delta(delta))
+                        >= self.occ_now;
+                let tier = if keeps_occupancy { 1.0 } else { 0.0 };
                 // Per class, net change == opens - kills, so the sum over
                 // classes reproduces `opens(id) - kills(id)` exactly (integer
                 // arithmetic; no rounding concerns).
                 let net = delta.iter().sum::<i32>() as f64;
                 let pressure_rank = (16.0 - net).clamp(0.0, 32.0);
-                let cp_tiebreak = dist / (self.analysis.critical_path as f64 + 1.0);
-                1.0 + tier * span + pressure_rank * (n + 1.0) + cp_tiebreak
+                1.0 + tier * self.span + pressure_rank * self.n1 + terms.amd_tiebreak
             }
         }
     }
@@ -155,10 +206,10 @@ mod tests {
         let occ = OccupancyLut::new(&OccupancyModel::vega_like());
         let universe = RegUniverse::new(&ddg);
         let t = PressureTracker::new(&universe);
-        let eval = HeuristicEval::new(Heuristic::CriticalPath, &analysis, &occ);
+        let eval = HeuristicEval::new(Heuristic::CriticalPath, &analysis, &occ, &t);
         // A heads the longest chain (lat 4 to E), so beats B/C/D.
         for other in [ids.b, ids.c, ids.d] {
-            assert!(eval.eta(ids.a, &t) > eval.eta(other, &t));
+            assert!(eval.eta(ids.a) > eval.eta(other));
         }
     }
 
@@ -172,9 +223,9 @@ mod tests {
         for id in [ids.c, ids.d] {
             t.issue(id);
         }
-        let eval = HeuristicEval::new(Heuristic::LastUseCount, &analysis, &occ);
+        let eval = HeuristicEval::new(Heuristic::LastUseCount, &analysis, &occ, &t);
         // F kills r3 and r4; A kills nothing.
-        assert!(eval.eta(ids.f, &t) > eval.eta(ids.a, &t));
+        assert!(eval.eta(ids.f) > eval.eta(ids.a));
     }
 
     #[test]
@@ -185,9 +236,9 @@ mod tests {
         let universe = RegUniverse::new(&ddg);
         let t = PressureTracker::new(&universe);
         for h in Heuristic::ALL {
-            let eval = HeuristicEval::new(h, &analysis, &occ);
+            let eval = HeuristicEval::new(h, &analysis, &occ, &t);
             for id in ddg.ids() {
-                assert!(eval.eta(id, &t) > 0.0, "{h:?} eta({id}) must be positive");
+                assert!(eval.eta(id) > 0.0, "{h:?} eta({id}) must be positive");
             }
         }
     }

@@ -96,12 +96,15 @@ impl ListScheduler {
         analysis: &RegionAnalysis,
         universe: &RegUniverse,
     ) -> Vec<InstrId> {
-        let eval = HeuristicEval::new(self.heuristic, analysis, lut);
         let mut pressure = PressureTracker::new(universe);
         let mut pending_preds: Vec<u32> = ddg.pred_counts().to_vec();
         let mut ready: Vec<InstrId> = ddg.roots().collect();
         let mut order = Vec::with_capacity(ddg.len());
-        while let Some(pos) = argmax_by(&ready, |&id| eval.eta(id, &pressure)) {
+        loop {
+            let eval = HeuristicEval::new(self.heuristic, analysis, lut, &pressure);
+            let Some(pos) = argmax_by(&ready, |&id| eval.eta(id)) else {
+                break;
+            };
             let id = ready.swap_remove(pos);
             pressure.issue(id);
             order.push(id);
@@ -145,7 +148,6 @@ impl ListScheduler {
         analysis: &RegionAnalysis,
         universe: &RegUniverse,
     ) -> ScheduleResult {
-        let eval = HeuristicEval::new(self.heuristic, analysis, lut);
         let mut pressure = PressureTracker::new(universe);
         let n = ddg.len();
         let mut pending_preds: Vec<u32> = ddg.pred_counts().to_vec();
@@ -156,9 +158,10 @@ impl ListScheduler {
         let mut now: Cycle = 0;
         while !ready.is_empty() {
             let mut best: Option<(usize, f64)> = None;
+            let eval = HeuristicEval::new(self.heuristic, analysis, lut, &pressure);
             for (i, &(id, rc)) in ready.iter().enumerate() {
                 if rc <= now {
-                    let v = eval.eta(id, &pressure);
+                    let v = eval.eta(id);
                     if best.is_none_or(|(_, b)| v > b) {
                         best = Some((i, v));
                     }

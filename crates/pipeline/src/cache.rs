@@ -94,6 +94,7 @@ use aco::{batch_block_split, AcoConfig, AcoResult, PassStats};
 use gpu_sim::MemLayout;
 use list_sched::{Heuristic, ScheduleResult};
 use machine_model::OccupancyModel;
+use reg_pressure::RegUniverse;
 use sched_ir::{ddg_content_fingerprint, textir, Cycle, Ddg, Fnv64, InstrId, Schedule};
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
@@ -711,10 +712,12 @@ fn certify_hit(ddg: &Ddg, occ: &OccupancyModel, comp: &RegionCompilation) -> boo
     if comp.size != ddg.len() {
         return false;
     }
+    // One interning serves both replays.
+    let universe = RegUniverse::new(ddg);
     let claims_hold = |sched: &Schedule, order: &[InstrId], prp, occupancy, length| {
         is_permutation(order, ddg.len())
             && sched.validate(ddg).is_ok()
-            && reg_pressure::prp_of_order(ddg, order) == prp
+            && reg_pressure::prp_of_order_in(&universe, order) == prp
             && occ.occupancy(prp) == occupancy
             && sched.length() == length
     };

@@ -133,3 +133,49 @@ fn pedantic_flag_reveals_redundant_edges() {
     let stdout = String::from_utf8_lossy(&loud.stdout);
     assert!(stdout.contains("pedantic[S001]"), "{stdout}");
 }
+
+/// A region that defines `v0` twice parses, so every profile must answer
+/// it the same way: `schedule` schedules it (first def wins; the debug
+/// profile used to panic on an interning assertion the release profile
+/// compiled out), and naming the SSA violation stays `verify`'s job.
+#[test]
+fn twice_defined_register_schedules_and_verify_denies() {
+    let dir = tmp_dir("non-ssa");
+    let path = dir.join("non_ssa.txt");
+    std::fs::write(
+        &path,
+        "instr a defs v0 uses s0\ninstr b defs v0 uses s0\ninstr c defs v1 uses v0\n\
+         instr d uses v1,v0\nedge 0 2 4\nedge 1 3 4\nedge 2 3 1\n",
+    )
+    .unwrap();
+    let region = path.to_string_lossy().into_owned();
+    for scheduler in ["amd", "luc", "seq", "par", "host"] {
+        let out = cli(&["schedule", &region, "--scheduler", scheduler], &dir);
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert!(out.status.success(), "{scheduler}: {stdout}\n{stderr}");
+        // `schedule: a b _ _ c d`: one slot per cycle, `_` a stall.
+        let slots: Vec<&str> = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("schedule: "))
+            .unwrap_or_else(|| panic!("{scheduler}: no schedule line in {stdout}"))
+            .split_whitespace()
+            .collect();
+        let cycle = |name: &str| {
+            let at: Vec<usize> = (0..slots.len()).filter(|&i| slots[i] == name).collect();
+            assert_eq!(at.len(), 1, "{scheduler}: `{name}` in {slots:?}");
+            at[0]
+        };
+        let (a, b, c, d) = (cycle("a"), cycle("b"), cycle("c"), cycle("d"));
+        assert!(
+            c >= a + 4 && d >= b + 4 && d > c,
+            "{scheduler}: latencies violated in {slots:?}"
+        );
+    }
+    let out = cli(&["verify", &region], &dir);
+    assert!(!out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("deny[L002]"), "{stdout}");
+}
