@@ -8,6 +8,13 @@
 //! bitwise identical with [`crate::config::AnalyzeConfig`] on or off. The
 //! only output is [`AnalysisReport`] on [`crate::SuiteRun::analysis`].
 //!
+//! A region is analyzed where it is compiled: [`crate::host_pool::run_job`]
+//! returns each region's findings on its
+//! [`crate::host_pool::RegionOutcome`], and the merge only attributes them
+//! to their suite position and absorbs them in canonical order — so the
+//! report is identical at every `host_threads` value and the per-region
+//! cost parallelizes with the jobs.
+//!
 //! Two kinds of checks run:
 //!
 //! * **per region** ([`analyze_region`]) — the structural passes
@@ -29,7 +36,7 @@ use gpu_sim::MemLayout;
 use list_sched::Heuristic;
 use machine_model::OccupancyModel;
 use sched_analyze::{
-    analyze_graph, check_claims, check_config_coverage, ConfigProbe, Finding, Level, RegionGraph,
+    analyze_with_claims, check_config_coverage, ConfigProbe, Finding, Level, RegionGraph,
     ScheduleClaim,
 };
 use sched_ir::{Ddg, Fnv64};
@@ -40,7 +47,7 @@ use sched_ir::{Ddg, Fnv64};
 pub const MAX_REPORTED_DENY: usize = 32;
 
 /// Aggregated outcome of in-pipeline analysis over one suite compilation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AnalysisReport {
     /// Region compilations analyzed (capped re-schedules count again:
     /// every observed compilation is analyzed).
@@ -62,7 +69,7 @@ impl AnalysisReport {
     }
 
     /// Folds one batch of findings into the report.
-    pub fn absorb(&mut self, findings: Vec<Finding>) {
+    pub fn absorb(&mut self, findings: impl IntoIterator<Item = Finding>) {
         for f in findings {
             match f.level {
                 Level::Deny => {
@@ -298,30 +305,22 @@ pub fn check_config_drift(cfg: &PipelineConfig, occ: &OccupancyModel) -> Vec<Fin
 }
 
 /// Runs the structural passes (S001–S004) on one compiled region's DDG and
-/// the claim passes (S005/S006) on every schedule the compilation carries.
+/// the claim passes (S005/S006) on every schedule the compilation carries,
+/// over one set of per-region facts.
 pub fn analyze_region(ddg: &Ddg, comp: &RegionCompilation) -> Vec<Finding> {
-    let g = RegionGraph::from_ddg(ddg);
-    let mut findings = analyze_graph(&g);
     let h = &comp.heuristic;
-    findings.extend(check_claims(
-        &g,
-        &ScheduleClaim {
-            length: h.length as u64,
-            prp: h.prp,
-            source: "heuristic",
-        },
-    ));
-    if let Some(a) = &comp.aco {
-        findings.extend(check_claims(
-            &g,
-            &ScheduleClaim {
-                length: a.length as u64,
-                prp: a.prp,
-                source: "aco",
-            },
-        ));
-    }
-    findings
+    let heuristic = ScheduleClaim {
+        length: h.length as u64,
+        prp: h.prp,
+        source: "heuristic",
+    };
+    let aco = comp.aco.as_ref().map(|a| ScheduleClaim {
+        length: a.length as u64,
+        prp: a.prp,
+        source: "aco",
+    });
+    let claims: Vec<ScheduleClaim> = std::iter::once(heuristic).chain(aco).collect();
+    analyze_with_claims(&RegionGraph::from_ddg(ddg), &claims)
 }
 
 #[cfg(test)]
@@ -396,9 +395,10 @@ mod tests {
     fn report_counts_and_caps() {
         let mut rep = AnalysisReport::default();
         assert!(rep.is_clean());
-        let g = RegionGraph::from_ddg(&workloads::patterns::sized(30, 3));
+        let ddg = workloads::patterns::sized(30, 3);
+        let g = RegionGraph::from_ddg(&ddg);
         for _ in 0..MAX_REPORTED_DENY + 5 {
-            rep.absorb(check_claims(
+            rep.absorb(sched_analyze::check_claims(
                 &g,
                 &ScheduleClaim {
                     length: 0,

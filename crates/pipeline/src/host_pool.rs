@@ -36,6 +36,7 @@
 //! merge the identical stream; streaming only moves the merge work into
 //! the shadow of still-running jobs.
 
+use crate::analyze::analyze_region;
 use crate::batch::{compile_batch_group, plan_batches};
 use crate::cache::ScheduleCache;
 use crate::config::{PipelineConfig, SchedulerKind};
@@ -45,6 +46,7 @@ use aco_tune::TuneStore;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use machine_model::OccupancyModel;
 use parking_lot::Mutex;
+use sched_analyze::Finding;
 use sched_ir::Ddg;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex as StdMutex, PoisonError};
@@ -93,6 +95,10 @@ pub struct RegionOutcome {
     /// was a batch group, or the scheduler kind is not ACO). The merge
     /// uses this to feed the outcome back into the tuning store.
     pub tune: Option<TuneTag>,
+    /// In-pipeline analysis of this compilation ([`analyze_region`]), not
+    /// yet attributed to a suite position. Empty when
+    /// [`PipelineConfig::analyze`] is off.
+    pub findings: Vec<Finding>,
 }
 
 /// Plans the suite's job list in canonical (sequential-replay) order.
@@ -146,6 +152,10 @@ pub fn plan_jobs(suite: &Suite, cfg: &PipelineConfig) -> Vec<RegionJob> {
 /// are pure in (state, args) and the state is frozen for the whole job
 /// phase — so jobs stay pure and thread-count independent. Batch groups
 /// and non-ACO kinds ignore the store.
+///
+/// With [`PipelineConfig::analyze`] enabled, every region the job compiled
+/// (cache hit or miss) is analyzed here, so analysis parallelizes with the
+/// jobs and the merge only absorbs findings.
 pub fn run_job(
     job: &RegionJob,
     suite: &Suite,
@@ -154,6 +164,13 @@ pub fn run_job(
     cache: Option<&ScheduleCache>,
     tune: Option<&TuneStore>,
 ) -> Vec<RegionOutcome> {
+    let analyze = |ddg: &Ddg, comp: &RegionCompilation| {
+        if cfg.analyze.enabled {
+            analyze_region(ddg, comp)
+        } else {
+            Vec::new()
+        }
+    };
     match job {
         RegionJob::Solo { kernel, region } => {
             let ddg = &suite.kernels[*kernel].regions[*region];
@@ -175,6 +192,7 @@ pub fn run_job(
             vec![RegionOutcome {
                 region: *region,
                 cfg: region_cfg,
+                findings: analyze(ddg, &comp),
                 comp,
                 tune: tag,
             }]
@@ -190,6 +208,7 @@ pub fn run_job(
                 .map(|(ri, rcfg, comp)| RegionOutcome {
                     region: ri,
                     cfg: rcfg,
+                    findings: analyze(&kernel.regions[ri], &comp),
                     comp,
                     tune: None,
                 })

@@ -12,6 +12,7 @@ use crate::tune::observe_outcome;
 use crate::SchedulerKind;
 use aco_tune::TuneStore;
 use machine_model::OccupancyModel;
+use sched_analyze::Finding;
 use sched_ir::{Cycle, Ddg, Fnv64};
 use std::time::Instant;
 use workloads::Suite;
@@ -423,9 +424,9 @@ fn fold_aggregates(fp: &mut Fnv64, run: &SuiteRun) {
 /// The **streaming deterministic merge**: consumes per-job results one at
 /// a time, strictly in canonical job order, and performs the entire
 /// sequential half of suite compilation incrementally — observer replay,
-/// in-pipeline analysis, tuner feedback, the kernel-level post filter the
-/// moment a kernel's last job lands, modeled-time accounting, and the
-/// suite fingerprint as a running FNV-1a fold.
+/// absorbing the jobs' analysis findings, tuner feedback, the kernel-level
+/// post filter the moment a kernel's last job lands, modeled-time
+/// accounting, and the suite fingerprint as a running FNV-1a fold.
 ///
 /// Determinism is by construction: [`consume`](SuiteMerger::consume)
 /// *requires* canonical order (asserted), runs on one thread, and every
@@ -436,9 +437,9 @@ fn fold_aggregates(fp: &mut Fnv64, run: &SuiteRun) {
 ///
 /// Merge-side buffers are pre-sized from the planned job list at
 /// construction: in steady state (no occupancy-capped re-schedules, no
-/// analysis) the merge loop performs **zero** allocator events — the
-/// counting-allocator test extends the PR 3/7 allocation-free invariant
-/// from `run_job` to this whole path.
+/// deny findings to keep) the merge loop performs **zero** allocator
+/// events, analysis on or off — the counting-allocator test extends the
+/// PR 3/7 allocation-free invariant from `run_job` to this whole path.
 pub struct SuiteMerger<'a, F> {
     suite: &'a Suite,
     occ: &'a OccupancyModel,
@@ -489,10 +490,10 @@ where
         let max_regions = suite.kernels.iter().map(|k| k.regions.len()).max();
         let max_regions = max_regions.unwrap_or(0);
         let max_bench = suite.benchmarks.iter().map(|b| b.kernels.len()).max();
-        // In-pipeline static analysis rides the observer path: it sees
-        // exactly the compilations the observer sees (including capped
-        // re-schedules) and never mutates one, so it cannot perturb the
-        // run.
+        // In-pipeline static analysis covers exactly the compilations the
+        // observer sees (including capped re-schedules) and never mutates
+        // one, so it cannot perturb the run. The per-region passes ran in
+        // the jobs; only the once-per-suite S007 check runs here.
         let analysis = cfg.analyze.enabled.then(|| {
             let mut rep = AnalysisReport::default();
             rep.absorb(check_config_drift(cfg, occ));
@@ -530,15 +531,13 @@ where
         }
     }
 
-    fn analyze_comp(&mut self, k: usize, ri: usize, ddg: &Ddg, comp: &RegionCompilation) {
+    /// Attributes one compilation's findings to its suite position and
+    /// folds them into the report. Called in canonical order, so counts
+    /// and the first kept deny findings are thread-count independent.
+    fn absorb_findings(&mut self, k: usize, ri: usize, findings: Vec<Finding>) {
         if let Some(rep) = self.analysis.as_mut() {
             rep.regions_analyzed += 1;
-            rep.absorb(
-                analyze_region(ddg, comp)
-                    .into_iter()
-                    .map(|f| f.in_region(k, ri))
-                    .collect(),
-            );
+            rep.absorb(findings.into_iter().map(|f| f.in_region(k, ri)));
         }
     }
 
@@ -563,11 +562,12 @@ where
             cfg: region_cfg,
             comp,
             tune: tag,
+            findings,
         } in outcomes
         {
             let ddg = &suite.kernels[k].regions[region];
             (self.observe)(k, region, ddg, &region_cfg, &comp);
-            self.analyze_comp(k, region, ddg, &comp);
+            self.absorb_findings(k, region, findings);
             if let (Some(store), Some(tag)) = (self.tune, tag) {
                 observe_outcome(store, &tag, &comp);
             }
@@ -631,7 +631,10 @@ where
                 None => compile_region(ddg, self.occ, &capped_cfg),
             };
             (self.observe)(k, ri, ddg, &capped_cfg, &capped);
-            self.analyze_comp(k, ri, ddg, &capped);
+            // Compiled here, so analyzed here (jobs analyze their own).
+            if self.analysis.is_some() {
+                self.absorb_findings(k, ri, analyze_region(ddg, &capped));
+            }
             self.compile_us += capped.sched_time_us;
             c.sched_time_us += capped.sched_time_us;
             if let Some(a) = capped.aco {

@@ -6,13 +6,14 @@
 //! incremental fingerprint) is pre-sized from `plan_jobs` counts at
 //! construction.
 //!
-//! The measured configuration is the steady state: no in-pipeline
-//! analysis, no tuning, no cache (inserts allocate), and a heuristic-only
-//! scheduler so the kernel post filter never triggers an
-//! occupancy-capped re-schedule (those legitimately run a fresh
-//! compilation). Everything else — observer replay, slot drain, the
-//! post-filter scan, record assembly, FNV folding, modeled kernel time —
-//! runs in full.
+//! The measured configuration is the steady state: no tuning, no cache
+//! (inserts allocate), and a heuristic-only scheduler so the kernel post
+//! filter never triggers an occupancy-capped re-schedule (those
+//! legitimately run a fresh compilation). Everything else — observer
+//! replay, slot drain, the post-filter scan, record assembly, FNV folding,
+//! modeled kernel time — runs in full, with in-pipeline analysis off and
+//! on: the jobs analyze, so on a clean suite the merge only counts the
+//! findings they hand over.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -63,9 +64,23 @@ fn count_events<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 #[test]
 fn merge_loop_performs_zero_allocations() {
+    merge_loop_is_allocation_free(false);
+}
+
+#[test]
+fn merge_loop_performs_zero_allocations_with_analysis_on() {
+    let run = merge_loop_is_allocation_free(true);
+    let report = run.analysis.expect("analysis enabled");
+    assert_eq!(report.regions_analyzed, run.regions.len());
+    assert!(report.is_clean(), "{:?}", report.deny_findings);
+}
+
+fn merge_loop_is_allocation_free(analyze: bool) -> pipeline::SuiteRun {
     let suite = Suite::generate(&SuiteConfig::scaled(5, 0.008));
     let occ = OccupancyModel::vega_like();
-    let cfg = PipelineConfig::paper(SchedulerKind::BaseAmd, 0).with_cache(false);
+    let cfg = PipelineConfig::paper(SchedulerKind::BaseAmd, 0)
+        .with_cache(false)
+        .with_analyze(analyze);
     let jobs = plan_jobs(&suite, &cfg);
     assert!(
         jobs.len() > 10 && suite.kernels.len() >= 2,
@@ -93,4 +108,5 @@ fn merge_loop_performs_zero_allocations() {
     assert_eq!(run.regions.len(), suite.region_count());
     assert_eq!(run.kernel_occupancy.len(), suite.kernels.len());
     assert!(run.fingerprint != 0);
+    run
 }

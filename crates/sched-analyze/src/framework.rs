@@ -2,12 +2,17 @@
 //!
 //! Everything here recomputes its answer from first principles over the raw
 //! [`RegionGraph`] — topological order via Kahn's algorithm (returning a
-//! minimal witness cycle instead of an order when the graph is cyclic), a
-//! bitmatrix reachability closure, level (earliest-start) and immediate-
-//! dominator computation, exact multi-edge longest paths (the engine behind
-//! exact transitive reduction), and the schedule-length and
-//! register-pressure lower bounds the claim-checking passes compare
-//! against.
+//! minimal witness cycle instead of an order when the graph is cyclic),
+//! the descendant and ancestor reachability closures as bit matrices,
+//! levels (earliest starts), the exact transitive reduction behind S001,
+//! and the schedule-length and register-pressure lower bounds the
+//! claim-checking passes compare against.
+//!
+//! One region costs O(n + e) plus a few word-parallel bitset sweeps: the
+//! closures are row ORs, the pressure bound combines closure rows whole
+//! words at a time, and the reduction only sweeps the topological window a
+//! producer's direct successors span. The quadratic routines these
+//! replaced survive as test oracles (`crate::oracle`).
 //!
 //! # Effective latency
 //!
@@ -19,8 +24,8 @@
 //! a latency-2 separation, which raw-latency summing fails to credit.
 
 use crate::graph::RegionGraph;
-use sched_ir::{BitMatrix, Reg, REG_CLASS_COUNT};
-use std::collections::HashMap;
+use sched_ir::bitmatrix::count_set_bits_into;
+use sched_ir::{BitMatrix, RegTable, REG_CLASS_COUNT};
 use std::collections::VecDeque;
 
 /// Effective latency of an edge on a single-issue machine (see the module
@@ -112,8 +117,9 @@ pub fn topo_or_cycle(g: &RegionGraph) -> Topo {
 }
 
 /// Reachability closure over an acyclic [`RegionGraph`]: bit `(a, b)` means
-/// a directed path `a -> ... -> b` exists. Same reverse-topological row-OR
-/// construction as [`sched_ir::Ddg::transitive_closure`].
+/// a directed path `a -> ... -> b` exists, so row `a` is the set of `a`'s
+/// strict descendants. Same reverse-topological row-OR construction as
+/// [`sched_ir::Ddg::transitive_closure`].
 pub fn closure(g: &RegionGraph, order: &[u32]) -> BitMatrix {
     let mut reach = BitMatrix::new(g.len());
     for &v in order.iter().rev() {
@@ -123,6 +129,19 @@ pub fn closure(g: &RegionGraph, order: &[u32]) -> BitMatrix {
         }
     }
     reach
+}
+
+/// The transpose of [`closure`], built the same way in forward order: row
+/// `b` is the set of `b`'s strict ancestors.
+pub fn ancestors(g: &RegionGraph, order: &[u32]) -> BitMatrix {
+    let mut anc = BitMatrix::new(g.len());
+    for &v in order {
+        for e in g.pred_edges(v) {
+            anc.set(v as usize, e.from as usize);
+            anc.or_row_into(e.from as usize, v as usize);
+        }
+    }
+    anc
 }
 
 /// Level of every node: the earliest cycle it can issue at, i.e. the
@@ -140,87 +159,91 @@ pub fn levels(g: &RegionGraph, order: &[u32]) -> Vec<u64> {
     level
 }
 
-/// Immediate dominators over the acyclic region, with a virtual root above
-/// all real roots. `None` means the virtual root (i.e. the node is a root,
-/// or its predecessors only meet there).
-///
-/// Cooper–Harvey–Kennedy iteration degenerates to a single pass on a DAG
-/// processed in topological order: every predecessor's dominator is final
-/// before its successors are visited.
-pub fn idoms(g: &RegionGraph, order: &[u32]) -> Vec<Option<u32>> {
-    let n = g.len();
-    let mut pos = vec![0usize; n]; // topological position, for intersection
-    for (i, &v) in order.iter().enumerate() {
-        pos[v as usize] = i;
-    }
-    let mut idom: Vec<Option<u32>> = vec![None; n];
-    let intersect = |idom: &[Option<u32>], mut a: u32, mut b: u32| -> Option<u32> {
-        loop {
-            if a == b {
-                return Some(a);
-            }
-            // Climb the deeper node; reaching the virtual root ends it.
-            if pos[a as usize] > pos[b as usize] {
-                a = idom[a as usize]?;
-            } else {
-                b = idom[b as usize]?;
-            }
-        }
-    };
-    for &v in order {
-        let mut preds = g.pred_edges(v).map(|e| e.from);
-        let Some(first) = preds.next() else {
-            continue; // a root: dominated by the virtual root only
-        };
-        let mut dom = Some(first);
-        for p in preds {
-            dom = match dom {
-                Some(d) => intersect(&idom, d, p),
-                None => None,
-            };
-        }
-        idom[v as usize] = dom;
-    }
-    idom
+/// One transitively redundant edge, with the implied-path evidence.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RedundantEdge {
+    /// Producer node index.
+    pub from: u32,
+    /// Consumer node index.
+    pub to: u32,
+    /// The edge's own latency.
+    pub latency: u16,
+    /// Effective latency of the longest implying path (>= 2 edges).
+    pub implied: u64,
 }
 
-/// Longest effective-latency distances from `src` over paths of **two or
-/// more edges** (`None` = no such path). The exactness kernel of S001: the
-/// direct edge `src -> b` is transitively redundant iff
-/// `multi[b] >= eff(latency(src, b))`.
+/// Exact transitive reduction: every edge `src -> b` implied by a path of
+/// **two or more edges** of at least the same effective latency
+/// (`multi[b] >= eff(latency)`), producers in index order and each
+/// producer's edges in input order. Requires an acyclic graph (`order`
+/// from [`topo_or_cycle`]).
 ///
-/// Also returns the any-length distances (`>= 1` edge) as the second
-/// vector, which the redundancy message uses.
-pub fn multi_edge_longest_from(
-    g: &RegionGraph,
-    order: &[u32],
-    src: u32,
-) -> (Vec<Option<u64>>, Vec<Option<u64>>) {
+/// Per producer this is a longest-path sweep, but only over a window of
+/// the topological order: every interior node of a path `src -> .. -> b`
+/// sits strictly between `src` and `b`, so nothing past the last direct
+/// successor can contribute, and edges leaving the window are skipped.
+/// The two distance vectors (0 = no path; effective latencies are >= 1)
+/// are shared by all producers and reset through a touched list.
+pub fn redundant_edges(g: &RegionGraph, order: &[u32]) -> Vec<RedundantEdge> {
     let n = g.len();
-    let mut any: Vec<Option<u64>> = vec![None; n]; // >= 1 edge
-    let mut multi: Vec<Option<u64>> = vec![None; n]; // >= 2 edges
-    for &u in order {
-        if u == src {
-            for e in g.succ_edges(u) {
-                let cand = eff(e.latency);
-                if any[e.to as usize].is_none_or(|d| cand > d) {
-                    any[e.to as usize] = Some(cand);
-                }
+    let mut pos = vec![0u32; n];
+    for (p, &v) in order.iter().enumerate() {
+        pos[v as usize] = p as u32;
+    }
+    let mut any = vec![0u64; n]; // longest path of >= 1 edge from src
+    let mut multi = vec![0u64; n]; // longest path of >= 2 edges from src
+    let mut touched: Vec<u32> = Vec::new();
+    let mut out = Vec::new();
+    for src in 0..n as u32 {
+        // A multi-edge path src -> .. -> b needs a second out-edge.
+        if g.out_degree(src) < 2 {
+            continue;
+        }
+        let mut last = 0;
+        for e in g.succ_edges(src) {
+            let d = &mut any[e.to as usize];
+            if *d == 0 {
+                touched.push(e.to);
             }
-        } else if let Some(du) = any[u as usize] {
+            *d = (*d).max(eff(e.latency));
+            last = last.max(pos[e.to as usize]);
+        }
+        for &u in &order[pos[src as usize] as usize + 1..last as usize] {
+            let du = any[u as usize];
+            if du == 0 {
+                continue;
+            }
             // Any path through a non-source reachable node has >= 2 edges.
             for e in g.succ_edges(u) {
+                if pos[e.to as usize] > last {
+                    continue;
+                }
                 let cand = du + eff(e.latency);
-                if any[e.to as usize].is_none_or(|d| cand > d) {
-                    any[e.to as usize] = Some(cand);
+                let t = e.to as usize;
+                if any[t] == 0 {
+                    touched.push(e.to);
                 }
-                if multi[e.to as usize].is_none_or(|d| cand > d) {
-                    multi[e.to as usize] = Some(cand);
-                }
+                any[t] = any[t].max(cand);
+                multi[t] = multi[t].max(cand);
             }
         }
+        for e in g.succ_edges(src) {
+            let m = multi[e.to as usize];
+            if m != 0 && m >= eff(e.latency) {
+                out.push(RedundantEdge {
+                    from: e.from,
+                    to: e.to,
+                    latency: e.latency,
+                    implied: m,
+                });
+            }
+        }
+        for t in touched.drain(..) {
+            any[t as usize] = 0;
+            multi[t as usize] = 0;
+        }
     }
-    (multi, any)
+    out
 }
 
 /// Lower bound on the length (in cycles) of any single-issue schedule of
@@ -231,6 +254,18 @@ pub fn length_lower_bound(g: &RegionGraph, order: &[u32]) -> u64 {
     }
     let cp = levels(g, order).into_iter().max().unwrap_or(0) + 1;
     (g.len() as u64).max(cp)
+}
+
+/// Where one register is defined and used, for [`pressure_lower_bound`].
+#[derive(Debug, Clone, Copy, Default)]
+struct RegSites {
+    /// Def mentions (an operand listed twice in one def list counts twice).
+    defs: u32,
+    /// The defining node, meaningful when `defs == 1`.
+    def: u32,
+    /// One past the index of the register's latest use mention (0 = never
+    /// used); each mention links to the one before it.
+    last_use: u32,
 }
 
 /// Exact static per-class lower bound on the peak register pressure of any
@@ -248,51 +283,81 @@ pub fn length_lower_bound(g: &RegionGraph, order: &[u32]) -> u64 {
 ///   register survives through `x`'s cycle);
 /// * or it is live-in (no def) with a use in `D(x)`.
 ///
+/// Read per register instead of per node, that is a set identity: the
+/// nodes a register with def `d` and uses `U` is forced live at are
+/// `({d} ∪ D(d)) ∩ ⋃ A(u)` over `u ∈ U` (the second factor is every node
+/// when `U` is empty, the first when there is no def) — `n / 64` words per
+/// register out of the two closures (`desc` from [`closure`], `anc` from
+/// [`ancestors`]), and the cut at `x` is the number of sets containing
+/// `x`.
+///
 /// The final bound also covers the region's last cycle, where every
 /// live-out register is live simultaneously whatever the order.
 /// Registers with multiple defs are skipped entirely — their lifetime
 /// under the tracker is order-dependent, and skipping only weakens the
 /// bound (keeps it sound).
-pub fn pressure_lower_bound(g: &RegionGraph, reach: &BitMatrix) -> [u32; REG_CLASS_COUNT] {
-    let n = g.len() as u32;
-    // Reg -> (def nodes, use nodes).
-    let mut regs: HashMap<Reg, (Vec<u32>, Vec<u32>)> = HashMap::new();
-    for i in 0..n {
+pub fn pressure_lower_bound(
+    g: &RegionGraph,
+    desc: &BitMatrix,
+    anc: &BitMatrix,
+) -> [u32; REG_CLASS_COUNT] {
+    let n = g.len();
+    // Group mentions by register: one dense slot per register, use
+    // mentions chained newest-first as `(node, previous mention + 1)`.
+    let mut sites: RegTable<RegSites> = RegTable::new();
+    let mut use_mentions: Vec<(u32, u32)> = Vec::new();
+    for i in 0..n as u32 {
         for &r in g.defs(i) {
-            regs.entry(r).or_default().0.push(i);
+            let s = sites.slot(r);
+            s.defs += 1;
+            s.def = i;
         }
         for &r in g.uses(i) {
-            regs.entry(r).or_default().1.push(i);
+            let s = sites.slot(r);
+            use_mentions.push((i, s.last_use));
+            s.last_use = use_mentions.len() as u32;
         }
     }
-    // Live-out cut: defined-never-used registers all overlap at the end.
-    let mut live_out = [0u32; REG_CLASS_COUNT];
-    for (r, (defs, uses)) in &regs {
-        if defs.len() == 1 && uses.is_empty() {
-            live_out[r.class.index()] += 1;
-        }
-    }
-    let mut bound = live_out;
-    // Per-node cuts.
-    for x in 0..n {
-        let mut cut = [0u32; REG_CLASS_COUNT];
-        for (r, (defs, uses)) in &regs {
-            let live = match defs.as_slice() {
-                [] => uses.iter().any(|&u| reach.get(x as usize, u as usize)),
-                &[d] => {
-                    (d == x || reach.get(d as usize, x as usize))
-                        && (uses.is_empty()
-                            || uses.iter().any(|&u| reach.get(x as usize, u as usize)))
+
+    let mut bound = [0u32; REG_CLASS_COUNT];
+    let mut cut = vec![0u32; n];
+    let mut forced = vec![0u64; n.div_ceil(64)];
+    for (c, bound) in bound.iter_mut().enumerate() {
+        // Live-out cut: defined-never-used registers all overlap at the end.
+        let mut live_out = 0u32;
+        cut.fill(0);
+        for s in sites.class(c) {
+            let d = s.def as usize;
+            match (s.defs, s.last_use) {
+                (1, 0) => {
+                    live_out += 1;
+                    forced.copy_from_slice(desc.row(d));
+                    forced[d / 64] |= 1 << (d % 64);
                 }
-                _ => false, // multiple defs: skipped for soundness
-            };
-            if live {
-                cut[r.class.index()] += 1;
+                (0 | 1, mut mention @ 1..) => {
+                    forced.fill(0);
+                    while mention != 0 {
+                        let (u, previous) = use_mentions[mention as usize - 1];
+                        for (f, a) in forced.iter_mut().zip(anc.row(u as usize)) {
+                            *f |= a;
+                        }
+                        mention = previous;
+                    }
+                    if s.defs == 1 {
+                        let own = forced[d / 64] & (1 << (d % 64));
+                        for (f, r) in forced.iter_mut().zip(desc.row(d)) {
+                            *f &= r;
+                        }
+                        forced[d / 64] |= own;
+                    }
+                }
+                // An id nobody mentions, or multiple defs (skipped for
+                // soundness).
+                _ => continue,
             }
+            count_set_bits_into(&forced, &mut cut);
         }
-        for c in 0..REG_CLASS_COUNT {
-            bound[c] = bound[c].max(cut[c]);
-        }
+        *bound = cut.iter().copied().max().unwrap_or(0).max(live_out);
     }
     bound
 }
@@ -300,10 +365,9 @@ pub fn pressure_lower_bound(g: &RegionGraph, reach: &BitMatrix) -> [u32; REG_CLA
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sched_ir::textir;
 
-    fn graph(text: &str) -> RegionGraph {
-        RegionGraph::from_raw(&textir::parse_raw(text).unwrap())
+    fn graph(text: &str) -> RegionGraph<'static> {
+        RegionGraph::parse_leaked(text)
     }
 
     fn order(g: &RegionGraph) -> Vec<u32> {
@@ -311,6 +375,11 @@ mod tests {
             Topo::Acyclic(o) => o,
             Topo::Cyclic(w) => panic!("unexpected cycle {w:?}"),
         }
+    }
+
+    fn prp_lb(g: &RegionGraph) -> [u32; REG_CLASS_COUNT] {
+        let o = order(g);
+        pressure_lower_bound(g, &closure(g, &o), &ancestors(g, &o))
     }
 
     #[test]
@@ -368,35 +437,40 @@ mod tests {
     }
 
     #[test]
-    fn idoms_of_a_diamond_meet_at_the_fork() {
+    fn ancestors_is_the_transpose_of_the_closure() {
         let g = graph(
-            "instr a\ninstr b\ninstr c\ninstr d\nedge 0 1 1\nedge 0 2 1\nedge 1 3 1\nedge 2 3 1",
+            "instr a\ninstr b\ninstr c\ninstr d\ninstr e\n\
+             edge 0 1 2\nedge 1 3 3\nedge 0 2 1\nedge 2 3 1\nedge 0 3 1",
         );
         let o = order(&g);
-        let d = idoms(&g, &o);
-        assert_eq!(d[0], None);
-        assert_eq!(d[1], Some(0));
-        assert_eq!(d[2], Some(0));
-        assert_eq!(d[3], Some(0)); // paths meet at the fork, not b or c
+        let (desc, anc) = (closure(&g, &o), ancestors(&g, &o));
+        for a in 0..g.len() {
+            for b in 0..g.len() {
+                assert_eq!(desc.get(a, b), anc.get(b, a), "({a}, {b})");
+            }
+        }
+        assert_eq!(anc.count_row(3), 3);
+        assert_eq!(anc.count_row(4), 0);
     }
 
     #[test]
-    fn idoms_with_two_roots_meet_at_the_virtual_root() {
-        let g = graph("instr a\ninstr b\ninstr c\nedge 0 2 1\nedge 1 2 1");
-        let o = order(&g);
-        let d = idoms(&g, &o);
-        assert_eq!(d[2], None, "joins of independent roots have no real idom");
-    }
-
-    #[test]
-    fn multi_edge_distances_exclude_the_direct_edge() {
-        // 0 -> 1 (lat 5), and 0 -> 2 -> 1 with eff 1 + 1 = 2.
+    fn reduction_excludes_the_direct_edge_from_its_own_evidence() {
+        // 0 -> 1 (lat 5), and 0 -> 2 -> 1 with eff 1 + 1 = 2: the direct
+        // edge is the longest path overall, the only multi-edge path sums
+        // to 2, so the edge is necessary.
         let g = graph("instr a\ninstr b\ninstr c\nedge 0 1 5\nedge 0 2 1\nedge 2 1 1");
-        let o = order(&g);
-        let (multi, any) = multi_edge_longest_from(&g, &o, 0);
-        assert_eq!(any[1], Some(5)); // the direct edge is the longest overall
-        assert_eq!(multi[1], Some(2)); // but the only multi-edge path sums to 2
-        assert_eq!(multi[2], None);
+        assert_eq!(redundant_edges(&g, &order(&g)), vec![]);
+        // At latency 2 the two-hop path implies it.
+        let g = graph("instr a\ninstr b\ninstr c\nedge 0 1 2\nedge 0 2 1\nedge 2 1 1");
+        assert_eq!(
+            redundant_edges(&g, &order(&g)),
+            vec![RedundantEdge {
+                from: 0,
+                to: 1,
+                latency: 2,
+                implied: 2
+            }]
+        );
     }
 
     #[test]
@@ -409,9 +483,7 @@ mod tests {
              instr c2 uses v1,v2\n\
              edge 0 1 1\nedge 0 2 1\nedge 1 2 1",
         );
-        let o = order(&g);
-        let reach = closure(&g, &o);
-        let lb = pressure_lower_bound(&g, &reach);
+        let lb = prp_lb(&g);
         // At c1's cycle: v0 dead after c1? No — kills-before-opens means v0
         // dies *at* c1, so forced-live there: v1 (use at descendant c2),
         // v2 (def at c1, used at c2). At load's cycle: v0, v1. => 2.
@@ -421,10 +493,8 @@ mod tests {
     #[test]
     fn pressure_bound_covers_live_out_overlap() {
         let g = graph("instr a defs v0\ninstr b defs v1\ninstr c defs v2");
-        let o = order(&g);
-        let reach = closure(&g, &o);
         // Three live-out regs with no deps at all still overlap at the end.
-        assert_eq!(pressure_lower_bound(&g, &reach)[0], 3);
+        assert_eq!(prp_lb(&g)[0], 3);
     }
 
     #[test]
@@ -433,9 +503,7 @@ mod tests {
         let g = graph(
             "instr a defs v0\ninstr b defs v1 uses v0\ninstr c uses v1\nedge 0 1 1\nedge 1 2 1",
         );
-        let o = order(&g);
-        let reach = closure(&g, &o);
-        let lb = pressure_lower_bound(&g, &reach);
+        let lb = prp_lb(&g);
         assert_eq!(lb[0], 1, "kills-before-opens: v0 is dead at b's cycle");
     }
 }

@@ -8,9 +8,15 @@
 //! [`RawRegion`] straight out of the text-IR parser
 //! ([`RegionGraph::from_raw`]), where cycles and self edges are
 //! representable.
+//!
+//! The view *borrows* its nodes — names, def lists and use lists stay in
+//! the `Ddg` or `RawRegion` it was built from — and holds adjacency in CSR
+//! form: one edge array in input order plus, per direction, `n + 1`
+//! offsets into a flat array of edge indices. Building a view is a handful
+//! of allocations whatever the region size, none of them per node.
 
-use sched_ir::textir::{RawRegion, SrcPos};
-use sched_ir::{Ddg, Reg};
+use sched_ir::textir::{RawInstr, RawRegion, SrcPos};
+use sched_ir::{Ddg, Instruction, Reg};
 
 /// One dependence edge of a [`RegionGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,92 +31,104 @@ pub struct RegionEdge {
     pub span: Option<SrcPos>,
 }
 
-/// A scheduling region as a plain node/edge list (see the module docs).
-#[derive(Debug, Clone, Default)]
-pub struct RegionGraph {
-    names: Vec<String>,
-    defs: Vec<Vec<Reg>>,
-    uses: Vec<Vec<Reg>>,
-    node_spans: Vec<Option<SrcPos>>,
-    edges: Vec<RegionEdge>,
-    /// Outgoing edge indices per node.
-    succs: Vec<Vec<usize>>,
-    /// Incoming edge indices per node.
-    preds: Vec<Vec<usize>>,
+/// Where a view's nodes live.
+#[derive(Debug, Clone, Copy)]
+enum Nodes<'a> {
+    Ddg(&'a [Instruction]),
+    Raw(&'a [RawInstr]),
 }
 
-impl RegionGraph {
-    fn with_nodes(n: usize) -> RegionGraph {
-        RegionGraph {
-            names: Vec::with_capacity(n),
-            defs: Vec::with_capacity(n),
-            uses: Vec::with_capacity(n),
-            node_spans: Vec::with_capacity(n),
-            edges: Vec::new(),
-            succs: vec![Vec::new(); n],
-            preds: vec![Vec::new(); n],
-        }
-    }
+/// A scheduling region as a plain node/edge list (see the module docs).
+#[derive(Debug, Clone)]
+pub struct RegionGraph<'a> {
+    nodes: Nodes<'a>,
+    /// All edges, in input order.
+    edges: Vec<RegionEdge>,
+    /// `succ_idx[succ_off[i]..succ_off[i + 1]]`: node `i`'s outgoing edge
+    /// indices, in input order.
+    succ_off: Vec<u32>,
+    succ_idx: Vec<u32>,
+    /// Likewise for incoming edges.
+    pred_off: Vec<u32>,
+    pred_idx: Vec<u32>,
+}
 
-    fn push_edge(&mut self, e: RegionEdge) {
-        let idx = self.edges.len();
-        self.succs[e.from as usize].push(idx);
-        self.preds[e.to as usize].push(idx);
-        self.edges.push(e);
+/// Groups edge indices by `key(edge)` with a stable counting sort, so each
+/// node's group keeps input order.
+fn group_by(
+    n: usize,
+    edges: &[RegionEdge],
+    key: impl Fn(&RegionEdge) -> u32,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut off = vec![0u32; n + 1];
+    for e in edges {
+        off[key(e) as usize + 1] += 1;
+    }
+    for i in 0..n {
+        off[i + 1] += off[i];
+    }
+    let mut next = off.clone();
+    let mut idx = vec![0u32; edges.len()];
+    for (i, e) in edges.iter().enumerate() {
+        let slot = &mut next[key(e) as usize];
+        idx[*slot as usize] = i as u32;
+        *slot += 1;
+    }
+    (off, idx)
+}
+
+impl<'a> RegionGraph<'a> {
+    fn new(nodes: Nodes<'a>, n: usize, edges: Vec<RegionEdge>) -> RegionGraph<'a> {
+        let (succ_off, succ_idx) = group_by(n, &edges, |e| e.from);
+        let (pred_off, pred_idx) = group_by(n, &edges, |e| e.to);
+        RegionGraph {
+            nodes,
+            edges,
+            succ_off,
+            succ_idx,
+            pred_off,
+            pred_idx,
+        }
     }
 
     /// The view of a validated [`Ddg`] (no spans; edges in stored order).
-    pub fn from_ddg(ddg: &Ddg) -> RegionGraph {
-        let mut g = RegionGraph::with_nodes(ddg.len());
+    pub fn from_ddg(ddg: &'a Ddg) -> RegionGraph<'a> {
+        let mut edges = Vec::with_capacity(ddg.edge_count());
         for id in ddg.ids() {
-            let i = ddg.instr(id);
-            g.names.push(i.name().to_string());
-            g.defs.push(i.defs().to_vec());
-            g.uses.push(i.uses().to_vec());
-            g.node_spans.push(None);
+            edges.extend(ddg.succs(id).iter().map(|&(succ, latency)| RegionEdge {
+                from: id.0,
+                to: succ.0,
+                latency,
+                span: None,
+            }));
         }
-        for id in ddg.ids() {
-            for &(succ, lat) in ddg.succs(id) {
-                g.push_edge(RegionEdge {
-                    from: id.0,
-                    to: succ.0,
-                    latency: lat,
-                    span: None,
-                });
-            }
-        }
-        g
+        RegionGraph::new(Nodes::Ddg(ddg.instrs()), ddg.len(), edges)
     }
 
     /// The view of a pre-validation [`RawRegion`], spans included. Cycles,
     /// self edges, and duplicate edges survive into the view.
-    pub fn from_raw(raw: &RawRegion) -> RegionGraph {
-        let mut g = RegionGraph::with_nodes(raw.instrs.len());
-        for ri in &raw.instrs {
-            g.names.push(ri.name.clone());
-            g.defs.push(ri.defs.clone());
-            g.uses.push(ri.uses.clone());
-            g.node_spans.push(Some(ri.pos));
-        }
-        for e in &raw.edges {
-            g.push_edge(RegionEdge {
+    pub fn from_raw(raw: &'a RawRegion) -> RegionGraph<'a> {
+        let edges = raw
+            .edges
+            .iter()
+            .map(|e| RegionEdge {
                 from: e.from,
                 to: e.to,
                 latency: e.latency,
                 span: Some(e.pos),
-            });
-        }
-        g
+            })
+            .collect();
+        RegionGraph::new(Nodes::Raw(&raw.instrs), raw.instrs.len(), edges)
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.succ_off.len() - 1
     }
 
     /// Whether the region has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.len() == 0
     }
 
     /// Number of edges (duplicates counted).
@@ -119,23 +137,35 @@ impl RegionGraph {
     }
 
     /// Name of node `i`.
-    pub fn name(&self, i: u32) -> &str {
-        &self.names[i as usize]
+    pub fn name(&self, i: u32) -> &'a str {
+        match self.nodes {
+            Nodes::Ddg(instrs) => instrs[i as usize].name(),
+            Nodes::Raw(instrs) => &instrs[i as usize].name,
+        }
     }
 
     /// Registers defined by node `i`.
-    pub fn defs(&self, i: u32) -> &[Reg] {
-        &self.defs[i as usize]
+    pub fn defs(&self, i: u32) -> &'a [Reg] {
+        match self.nodes {
+            Nodes::Ddg(instrs) => instrs[i as usize].defs(),
+            Nodes::Raw(instrs) => &instrs[i as usize].defs,
+        }
     }
 
     /// Registers used by node `i`.
-    pub fn uses(&self, i: u32) -> &[Reg] {
-        &self.uses[i as usize]
+    pub fn uses(&self, i: u32) -> &'a [Reg] {
+        match self.nodes {
+            Nodes::Ddg(instrs) => instrs[i as usize].uses(),
+            Nodes::Raw(instrs) => &instrs[i as usize].uses,
+        }
     }
 
     /// Source position of node `i`'s `instr` line, when known.
     pub fn node_span(&self, i: u32) -> Option<SrcPos> {
-        self.node_spans[i as usize]
+        match self.nodes {
+            Nodes::Ddg(_) => None,
+            Nodes::Raw(instrs) => Some(instrs[i as usize].pos),
+        }
     }
 
     /// All edges, in input order.
@@ -143,24 +173,45 @@ impl RegionGraph {
         &self.edges
     }
 
-    /// Outgoing edges of node `i`.
-    pub fn succ_edges(&self, i: u32) -> impl Iterator<Item = &RegionEdge> + '_ {
-        self.succs[i as usize].iter().map(|&e| &self.edges[e])
+    fn incident<'s>(
+        &'s self,
+        off: &'s [u32],
+        idx: &'s [u32],
+        i: u32,
+    ) -> impl Iterator<Item = &'s RegionEdge> + 's {
+        idx[off[i as usize] as usize..off[i as usize + 1] as usize]
+            .iter()
+            .map(|&e| &self.edges[e as usize])
     }
 
-    /// Incoming edges of node `i`.
+    /// Outgoing edges of node `i`, in input order.
+    pub fn succ_edges(&self, i: u32) -> impl Iterator<Item = &RegionEdge> + '_ {
+        self.incident(&self.succ_off, &self.succ_idx, i)
+    }
+
+    /// Incoming edges of node `i`, in input order.
     pub fn pred_edges(&self, i: u32) -> impl Iterator<Item = &RegionEdge> + '_ {
-        self.preds[i as usize].iter().map(|&e| &self.edges[e])
+        self.incident(&self.pred_off, &self.pred_idx, i)
     }
 
     /// Out-degree of node `i`.
     pub fn out_degree(&self, i: u32) -> usize {
-        self.succs[i as usize].len()
+        (self.succ_off[i as usize + 1] - self.succ_off[i as usize]) as usize
     }
 
     /// In-degree of node `i`.
     pub fn in_degree(&self, i: u32) -> usize {
-        self.preds[i as usize].len()
+        (self.pred_off[i as usize + 1] - self.pred_off[i as usize]) as usize
+    }
+}
+
+#[cfg(test)]
+impl RegionGraph<'static> {
+    /// The raw view of a text-IR region, for tests: the view borrows its
+    /// region, so the region is leaked.
+    pub(crate) fn parse_leaked(text: &str) -> RegionGraph<'static> {
+        let raw = sched_ir::textir::parse_raw(text).expect("test region parses");
+        RegionGraph::from_raw(Box::leak(Box::new(raw)))
     }
 }
 
@@ -176,7 +227,8 @@ mod tests {
         let a = b.instr("a", [Reg::vgpr(0)], []);
         let c = b.instr("c", [], [Reg::vgpr(0)]);
         b.edge(a, c, 4).unwrap();
-        let g = RegionGraph::from_ddg(&b.build().unwrap());
+        let ddg = b.build().unwrap();
+        let g = RegionGraph::from_ddg(&ddg);
         assert_eq!(g.len(), 2);
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.name(0), "a");
@@ -196,5 +248,38 @@ mod tests {
         assert_eq!(g.edge_count(), 2);
         assert_eq!(g.edges()[1].span, Some(SrcPos { line: 4, col: 1 }));
         assert_eq!(g.node_span(0), Some(SrcPos { line: 1, col: 1 }));
+    }
+
+    #[test]
+    fn adjacency_groups_keep_input_order_with_duplicates() {
+        // Edges interleaved across producers, one duplicated, one self edge.
+        let raw = textir::parse_raw(
+            "instr a\ninstr b\ninstr c\n\
+             edge 1 2 7\nedge 0 2 3\nedge 0 1 1\nedge 0 2 3\nedge 2 2 9",
+        )
+        .unwrap();
+        let g = RegionGraph::from_raw(&raw);
+        let lat = |it: &mut dyn Iterator<Item = &RegionEdge>| -> Vec<(u32, u32, u16)> {
+            it.map(|e| (e.from, e.to, e.latency)).collect()
+        };
+        assert_eq!(lat(&mut g.succ_edges(0)), [(0, 2, 3), (0, 1, 1), (0, 2, 3)]);
+        assert_eq!(lat(&mut g.succ_edges(1)), [(1, 2, 7)]);
+        assert_eq!(
+            lat(&mut g.pred_edges(2)),
+            [(1, 2, 7), (0, 2, 3), (0, 2, 3), (2, 2, 9)]
+        );
+        assert_eq!(lat(&mut g.pred_edges(0)), []);
+        assert_eq!((g.out_degree(2), g.in_degree(2), g.in_degree(1)), (1, 4, 1));
+        // The second `edge 0 2 3` keeps its own span.
+        let spans: Vec<u32> = g.succ_edges(0).map(|e| e.span.unwrap().line).collect();
+        assert_eq!(spans, [5, 6, 7]);
+    }
+
+    #[test]
+    fn empty_region_has_an_empty_view() {
+        let raw = textir::parse_raw("").unwrap();
+        let g = RegionGraph::from_raw(&raw);
+        assert!(g.is_empty());
+        assert_eq!((g.len(), g.edge_count()), (0, 0));
     }
 }

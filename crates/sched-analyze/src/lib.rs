@@ -11,16 +11,18 @@
 //!
 //! The layers, bottom up:
 //!
-//! * [`graph`] — [`graph::RegionGraph`], a raw node/edge view built from a
-//!   validated [`sched_ir::Ddg`] *or* a pre-validation
+//! * [`graph`] — [`graph::RegionGraph`], a raw node/edge view borrowed
+//!   from a validated [`sched_ir::Ddg`] *or* a pre-validation
 //!   [`sched_ir::textir::RawRegion`], so even cyclic input is analyzable;
 //! * [`framework`] — the generic machinery: Kahn topological order with
-//!   minimal witness cycles, bitmatrix reachability closure, levels,
-//!   immediate dominators, exact multi-edge longest paths, and the
-//!   schedule-length and register-pressure lower bounds;
+//!   minimal witness cycles, the descendant and ancestor reachability
+//!   closures, levels, the windowed exact transitive reduction, and the
+//!   schedule-length and (bitset cut) register-pressure lower bounds;
 //! * [`passes`] — the S-code passes (S001 exact transitive reduction,
 //!   S002 cycles, S003 orphans, S004 machine-model latency, S005/S006
-//!   infeasible PRP/length claims, S007 config-fingerprint drift);
+//!   infeasible PRP/length claims, S007 config-fingerprint drift), with
+//!   [`analyze_with_claims`] running all of a region's over one set of
+//!   facts;
 //! * [`diag`] — findings, severities, renderers, and baselines: the one
 //!   diagnostics model of the workspace (`sched-verify` reports through
 //!   it too);
@@ -46,10 +48,13 @@ pub mod diag;
 pub mod framework;
 pub mod graph;
 pub mod json_check;
+#[cfg(test)]
+mod oracle;
 pub mod passes;
 
 pub use diag::{codes, render_json, render_text, Anchor, Baseline, Finding, Level, LevelCounts};
 pub use graph::{RegionEdge, RegionGraph};
 pub use passes::{
-    analyze_graph, check_claims, check_config_coverage, op_kind_of_name, ConfigProbe, ScheduleClaim,
+    analyze_graph, analyze_with_claims, check_claims, check_config_coverage, op_kind_of_name,
+    ConfigProbe, ScheduleClaim,
 };

@@ -14,6 +14,9 @@
 //! ([`analyze_graph`]); S005/S006 check a scheduler's [`ScheduleClaim`]
 //! against recomputed lower bounds ([`check_claims`]); S007 is a generic
 //! coverage check over any config type ([`check_config_coverage`]).
+//! [`analyze_with_claims`] runs the graph passes and any number of claim
+//! checks over one set of per-region facts — one topological order, one
+//! pair of lower bounds — and is what per-region callers use.
 //!
 //! Every pass is exact: a finding is backed by a recomputed ground truth
 //! (a witness path, cycle, model latency, or lower bound), never a
@@ -21,8 +24,8 @@
 
 use crate::diag::{codes, Anchor, Finding, Level};
 use crate::framework::{
-    closure, eff, length_lower_bound, multi_edge_longest_from, pressure_lower_bound, topo_or_cycle,
-    Topo,
+    ancestors, closure, eff, length_lower_bound, pressure_lower_bound, redundant_edges,
+    topo_or_cycle, RedundantEdge, Topo,
 };
 use crate::graph::RegionGraph;
 use machine_model::{op_latency, OpKind};
@@ -43,53 +46,8 @@ pub fn op_kind_of_name(name: &str) -> Option<OpKind> {
     })
 }
 
-/// One transitively redundant edge, with the implied-path evidence.
-struct RedundantEdge {
-    from: u32,
-    to: u32,
-    latency: u16,
-    /// Effective latency of the longest implying path (>= 2 edges).
-    implied: u64,
-}
-
-/// Exact transitive reduction: every edge implied by a multi-edge path of
-/// at least the same effective latency. Requires an acyclic graph
-/// (`order` from [`topo_or_cycle`]).
-fn redundant_edges(g: &RegionGraph, order: &[u32]) -> Vec<RedundantEdge> {
-    let mut out = Vec::new();
-    for src in 0..g.len() as u32 {
-        // A multi-edge path src -> .. -> b needs a second out-edge.
-        if g.out_degree(src) < 2 {
-            continue;
-        }
-        let (multi, _) = multi_edge_longest_from(g, order, src);
-        for e in g.succ_edges(src) {
-            if let Some(m) = multi[e.to as usize] {
-                if m >= eff(e.latency) {
-                    out.push(RedundantEdge {
-                        from: e.from,
-                        to: e.to,
-                        latency: e.latency,
-                        implied: m,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Runs the graph passes (S001–S004) over a region.
-///
-/// On a cyclic region, S002 is reported and the path-based S001 is
-/// skipped (no topological order exists); S003/S004 still run.
-pub fn analyze_graph(g: &RegionGraph) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    if g.is_empty() {
-        return findings;
-    }
-
-    // S003: orphan nodes.
+/// S003: orphan nodes.
+fn orphans(g: &RegionGraph, findings: &mut Vec<Finding>) {
     for i in 0..g.len() as u32 {
         if g.in_degree(i) == 0
             && g.out_degree(i) == 0
@@ -111,89 +69,120 @@ pub fn analyze_graph(g: &RegionGraph) -> Vec<Finding> {
             );
         }
     }
+}
 
-    // S004: edge latencies vs the machine model.
-    for e in g.edges() {
-        if let Some(kind) = op_kind_of_name(g.name(e.from)) {
-            let expected = op_latency(kind);
-            if e.latency != expected {
-                findings.push(
-                    Finding::new(
-                        codes::LATENCY_MODEL,
-                        Level::Deny,
-                        Anchor::Edge {
-                            from: e.from,
-                            to: e.to,
-                        },
-                        format!(
-                            "edge {} -> {} has latency {} but producer `{}` is a \
-                             {:?} with model latency {}",
-                            e.from,
-                            e.to,
-                            e.latency,
-                            g.name(e.from),
-                            kind,
-                            expected
-                        ),
-                    )
-                    .with_span(e.span),
-                );
+/// S004: edge latencies vs the machine model, in edge input order. A
+/// producer's name is resolved once however many edges leave it.
+fn model_latencies(g: &RegionGraph, findings: &mut Vec<Finding>) {
+    let producers: Vec<Option<(OpKind, u16)>> = (0..g.len() as u32)
+        .map(|i| {
+            if g.out_degree(i) == 0 {
+                return None;
             }
-        }
-    }
-
-    match topo_or_cycle(g) {
-        Topo::Cyclic(witness) => {
-            let span = g
-                .succ_edges(*witness.last().expect("witness is non-empty"))
-                .find(|e| e.to == witness[0])
-                .and_then(|e| e.span);
-            let msg = if witness.len() == 1 {
-                format!("node {} depends on itself (self edge)", witness[0])
-            } else {
-                format!(
-                    "the dependence relation is cyclic: no schedule can order \
-                     {} nodes that each transitively wait on the others",
-                    witness.len()
-                )
-            };
+            let kind = op_kind_of_name(g.name(i))?;
+            Some((kind, op_latency(kind)))
+        })
+        .collect();
+    for e in g.edges() {
+        let Some((kind, expected)) = producers[e.from as usize] else {
+            continue;
+        };
+        if e.latency != expected {
             findings.push(
-                Finding::new(codes::CYCLE, Level::Deny, Anchor::Cycle(witness), msg)
-                    .with_span(span),
+                Finding::new(
+                    codes::LATENCY_MODEL,
+                    Level::Deny,
+                    Anchor::Edge {
+                        from: e.from,
+                        to: e.to,
+                    },
+                    format!(
+                        "edge {} -> {} has latency {} but producer `{}` is a \
+                         {:?} with model latency {}",
+                        e.from,
+                        e.to,
+                        e.latency,
+                        g.name(e.from),
+                        kind,
+                        expected
+                    ),
+                )
+                .with_span(e.span),
             );
         }
-        Topo::Acyclic(order) => {
-            // S001: exact transitive reduction.
-            for r in redundant_edges(g, &order) {
-                let span = g
-                    .succ_edges(r.from)
-                    .find(|e| e.to == r.to && e.latency == r.latency)
-                    .and_then(|e| e.span);
-                findings.push(
-                    Finding::new(
-                        codes::TRANSITIVE_REDUNDANT,
-                        Level::Pedantic,
-                        Anchor::Edge {
-                            from: r.from,
-                            to: r.to,
-                        },
-                        format!(
-                            "edge {} -> {} (latency {}, effective {}) is implied by a \
-                             longer path of effective latency {}: removing it cannot \
-                             change any schedule",
-                            r.from,
-                            r.to,
-                            r.latency,
-                            eff(r.latency),
-                            r.implied
-                        ),
-                    )
-                    .with_span(span),
-                );
-            }
-        }
+    }
+}
+
+/// S002: the minimal witness cycle [`topo_or_cycle`] found.
+fn cycle_finding(g: &RegionGraph, witness: Vec<u32>) -> Finding {
+    let span = g
+        .succ_edges(*witness.last().expect("witness is non-empty"))
+        .find(|e| e.to == witness[0])
+        .and_then(|e| e.span);
+    let msg = if witness.len() == 1 {
+        format!("node {} depends on itself (self edge)", witness[0])
+    } else {
+        format!(
+            "the dependence relation is cyclic: no schedule can order \
+             {} nodes that each transitively wait on the others",
+            witness.len()
+        )
+    };
+    Finding::new(codes::CYCLE, Level::Deny, Anchor::Cycle(witness), msg).with_span(span)
+}
+
+/// S001: one redundant edge of the exact transitive reduction.
+fn redundant_finding(g: &RegionGraph, r: RedundantEdge) -> Finding {
+    let span = g
+        .succ_edges(r.from)
+        .find(|e| e.to == r.to && e.latency == r.latency)
+        .and_then(|e| e.span);
+    Finding::new(
+        codes::TRANSITIVE_REDUNDANT,
+        Level::Pedantic,
+        Anchor::Edge {
+            from: r.from,
+            to: r.to,
+        },
+        format!(
+            "edge {} -> {} (latency {}, effective {}) is implied by a \
+             longer path of effective latency {}: removing it cannot \
+             change any schedule",
+            r.from,
+            r.to,
+            r.latency,
+            eff(r.latency),
+            r.implied
+        ),
+    )
+    .with_span(span)
+}
+
+/// The graph passes (S001–S004) given the region's [`Topo`].
+fn graph_findings(g: &RegionGraph, topo: Topo) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    if g.is_empty() {
+        return findings;
+    }
+    orphans(g, &mut findings);
+    model_latencies(g, &mut findings);
+    match topo {
+        Topo::Cyclic(witness) => findings.push(cycle_finding(g, witness)),
+        Topo::Acyclic(order) => findings.extend(
+            redundant_edges(g, &order)
+                .into_iter()
+                .map(|r| redundant_finding(g, r)),
+        ),
     }
     findings
+}
+
+/// Runs the graph passes (S001–S004) over a region.
+///
+/// On a cyclic region, S002 is reported and the path-based S001 is
+/// skipped (no topological order exists); S003/S004 still run.
+pub fn analyze_graph(g: &RegionGraph) -> Vec<Finding> {
+    graph_findings(g, topo_or_cycle(g))
 }
 
 /// What a scheduler claims about a schedule of the region, for S005/S006.
@@ -208,45 +197,85 @@ pub struct ScheduleClaim {
 }
 
 /// Names of the claim anchors, indexed like `ScheduleClaim::prp`.
-const PRP_CLAIMS: [&str; REG_CLASS_COUNT] = ["prp_vgpr", "prp_sgpr"];
+pub(crate) const PRP_CLAIMS: [&str; REG_CLASS_COUNT] = ["prp_vgpr", "prp_sgpr"];
 
-/// Checks a schedule's claimed metrics against recomputed exact lower
-/// bounds (S005 register pressure, S006 length). A claim *below* a lower
-/// bound is infeasible: no legal schedule achieves it, so the scheduler
-/// (or the metric plumbing) is lying. Cyclic regions return no findings —
-/// S002 already denies them and no bounds exist.
-pub fn check_claims(g: &RegionGraph, claim: &ScheduleClaim) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let Topo::Acyclic(order) = topo_or_cycle(g) else {
-        return findings;
-    };
-    let length_lb = length_lower_bound(g, &order);
-    if claim.length < length_lb {
-        findings.push(Finding::new(
-            codes::LENGTH_INFEASIBLE,
-            Level::Deny,
-            Anchor::Claim("schedule_length"),
-            format!(
-                "{} claims schedule length {} but the critical-path lower bound \
-                 is {}: the claim is infeasible",
-                claim.source, claim.length, length_lb
-            ),
-        ));
+/// The exact lower bounds S005/S006 compare claims against. They depend on
+/// the region only, so every claim about one region shares one pair.
+#[derive(Debug, Clone, Copy)]
+struct LowerBounds {
+    /// Schedule-length lower bound in cycles.
+    length: u64,
+    /// Peak-register-pressure lower bound per class.
+    prp: [u32; REG_CLASS_COUNT],
+}
+
+impl LowerBounds {
+    /// Recomputes both bounds over an acyclic region (`order` from
+    /// [`topo_or_cycle`]).
+    fn of(g: &RegionGraph, order: &[u32]) -> LowerBounds {
+        LowerBounds {
+            length: length_lower_bound(g, order),
+            prp: pressure_lower_bound(g, &closure(g, order), &ancestors(g, order)),
+        }
     }
-    let reach = closure(g, &order);
-    let prp_lb = pressure_lower_bound(g, &reach);
-    for c in 0..REG_CLASS_COUNT {
-        if claim.prp[c] < prp_lb[c] {
+
+    /// S005/S006 for one claim: a claim *below* a lower bound is
+    /// infeasible — no legal schedule achieves it, so the scheduler (or
+    /// the metric plumbing) is lying.
+    fn check(&self, claim: &ScheduleClaim, findings: &mut Vec<Finding>) {
+        if claim.length < self.length {
             findings.push(Finding::new(
-                codes::PRP_INFEASIBLE,
+                codes::LENGTH_INFEASIBLE,
                 Level::Deny,
-                Anchor::Claim(PRP_CLAIMS[c]),
+                Anchor::Claim("schedule_length"),
                 format!(
-                    "{} claims peak pressure {} but the static cut bound forces \
-                     at least {} simultaneously live registers of that class",
-                    claim.source, claim.prp[c], prp_lb[c]
+                    "{} claims schedule length {} but the critical-path lower bound \
+                     is {}: the claim is infeasible",
+                    claim.source, claim.length, self.length
                 ),
             ));
+        }
+        for ((&claimed, &bound), anchor) in claim.prp.iter().zip(&self.prp).zip(PRP_CLAIMS) {
+            if claimed < bound {
+                findings.push(Finding::new(
+                    codes::PRP_INFEASIBLE,
+                    Level::Deny,
+                    Anchor::Claim(anchor),
+                    format!(
+                        "{} claims peak pressure {claimed} but the static cut bound forces \
+                         at least {bound} simultaneously live registers of that class",
+                        claim.source
+                    ),
+                ));
+            }
+        }
+    }
+}
+
+/// Checks a schedule's claimed metrics against recomputed exact lower
+/// bounds (S005 register pressure, S006 length). Cyclic regions return no
+/// findings — S002 already denies them and no bounds exist.
+pub fn check_claims(g: &RegionGraph, claim: &ScheduleClaim) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    if let Topo::Acyclic(order) = topo_or_cycle(g) {
+        LowerBounds::of(g, &order).check(claim, &mut findings);
+    }
+    findings
+}
+
+/// [`analyze_graph`] followed by [`check_claims`] for every claim, in
+/// order, with the facts computed once: one topological order under S001,
+/// S005 and S006, and one pair of lower bounds under all the claims.
+pub fn analyze_with_claims(g: &RegionGraph, claims: &[ScheduleClaim]) -> Vec<Finding> {
+    let topo = topo_or_cycle(g);
+    let bounds = match &topo {
+        Topo::Acyclic(order) if !claims.is_empty() => Some(LowerBounds::of(g, order)),
+        _ => None,
+    };
+    let mut findings = graph_findings(g, topo);
+    if let Some(bounds) = bounds {
+        for claim in claims {
+            bounds.check(claim, &mut findings);
         }
     }
     findings
@@ -298,8 +327,8 @@ mod tests {
     use super::*;
     use sched_ir::textir;
 
-    fn graph(text: &str) -> RegionGraph {
-        RegionGraph::from_raw(&textir::parse_raw(text).unwrap())
+    fn graph(text: &str) -> RegionGraph<'static> {
+        RegionGraph::parse_leaked(text)
     }
 
     fn codes_of(findings: &[Finding]) -> Vec<&'static str> {
@@ -318,8 +347,8 @@ mod tests {
 
     #[test]
     fn figure1_is_clean() {
-        let g = RegionGraph::from_ddg(&sched_ir::figure1::ddg());
-        assert!(analyze_graph(&g).is_empty());
+        let ddg = sched_ir::figure1::ddg();
+        assert!(analyze_graph(&RegionGraph::from_ddg(&ddg)).is_empty());
     }
 
     #[test]

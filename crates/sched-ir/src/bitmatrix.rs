@@ -90,14 +90,22 @@ impl BitMatrix {
         }
     }
 
-    /// Number of set bits in `row`.
-    pub fn count_row(&self, row: usize) -> usize {
+    /// The packed words of `row` (bit `c` of the row is bit `c % 64` of
+    /// word `c / 64`), for callers that combine whole rows word-parallel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of bounds.
+    #[inline]
+    pub fn row(&self, row: usize) -> &[u64] {
         assert!(row < self.n);
         let w = self.words_per_row;
-        self.bits[row * w..(row + 1) * w]
-            .iter()
-            .map(|x| x.count_ones() as usize)
-            .sum()
+        &self.bits[row * w..(row + 1) * w]
+    }
+
+    /// Number of set bits in `row`.
+    pub fn count_row(&self, row: usize) -> usize {
+        self.row(row).iter().map(|x| x.count_ones() as usize).sum()
     }
 
     /// Adds one to `counts[col]` for every set bit `(row, col)` in the
@@ -110,16 +118,8 @@ impl BitMatrix {
     /// Panics if `counts` is shorter than the side length.
     pub fn accumulate_column_counts(&self, counts: &mut [u32]) {
         assert!(counts.len() >= self.n, "counts slice shorter than matrix");
-        let w = self.words_per_row;
         for row in 0..self.n {
-            for (wi, &word) in self.bits[row * w..(row + 1) * w].iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let tz = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    counts[wi * 64 + tz] += 1;
-                }
-            }
+            count_set_bits_into(self.row(row), counts);
         }
     }
 
@@ -140,6 +140,22 @@ impl BitMatrix {
                 }
             })
         })
+    }
+}
+
+/// Adds one to `counts[b]` for every set bit `b` of a packed bitset (bit
+/// `b` is bit `b % 64` of word `b / 64`, as in [`BitMatrix::row`]).
+///
+/// # Panics
+///
+/// Panics if a set bit lies beyond `counts`.
+pub fn count_set_bits_into(words: &[u64], counts: &mut [u32]) {
+    for (wi, &word) in words.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            counts[wi * 64 + bits.trailing_zeros() as usize] += 1;
+            bits &= bits - 1;
+        }
     }
 }
 
@@ -169,6 +185,7 @@ mod tests {
         assert!(!m.get(1, 65));
         assert_eq!(m.count_row(1), 3);
         assert_eq!(m.count_row(0), 0);
+        assert_eq!(m.row(1), &[1 << 63, 1, 2]);
     }
 
     #[test]

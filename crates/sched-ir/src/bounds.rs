@@ -9,7 +9,7 @@
 //! * schedule-length and register-pressure lower bounds.
 
 use crate::ddg::Ddg;
-use crate::instr::{RegClass, REG_CLASS_COUNT};
+use crate::instr::{RegClass, RegTable, REG_CLASS_COUNT};
 use crate::schedule::Cycle;
 
 /// Effective latency of a dependence edge under single-issue semantics:
@@ -78,34 +78,26 @@ impl Ddg {
 
     /// Per-class register statistics of the region.
     ///
-    /// Uses per-class dense tables indexed by register id (generators hand
-    /// out small dense ids, so these stay compact) instead of hashing every
+    /// Uses the per-class dense [`RegTable`] instead of hashing every
     /// register mention — this analysis runs for every region compiled.
     pub fn reg_stats(&self) -> RegStats {
         const USED: u8 = 1;
         const DEFINED: u8 = 2;
-        let mut flags: [Vec<u8>; REG_CLASS_COUNT] = Default::default();
-        let mark = |table: &mut Vec<u8>, id: u32, bit: u8| {
-            let i = id as usize;
-            if table.len() <= i {
-                table.resize(i + 1, 0);
-            }
-            table[i] |= bit;
-        };
+        let mut flags: RegTable<u8> = RegTable::new();
         for id in self.ids() {
             let instr = self.instr(id);
             for &r in instr.uses() {
-                mark(&mut flags[r.class.index()], r.id, USED);
+                *flags.slot(r) |= USED;
             }
             for &r in instr.defs() {
-                mark(&mut flags[r.class.index()], r.id, DEFINED);
+                *flags.slot(r) |= DEFINED;
             }
         }
         let mut live_in = [0usize; REG_CLASS_COUNT];
         let mut live_out = [0usize; REG_CLASS_COUNT];
         let mut reg_count = [0usize; REG_CLASS_COUNT];
         for c in 0..REG_CLASS_COUNT {
-            for &f in &flags[c] {
+            for &f in flags.class(c) {
                 match f {
                     USED => live_in[c] += 1,
                     DEFINED => live_out[c] += 1,

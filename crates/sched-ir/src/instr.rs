@@ -87,6 +87,48 @@ impl fmt::Display for Reg {
     }
 }
 
+/// A per-class dense table keyed by register id: the workspace's one
+/// replacement for `HashMap<Reg, T>` on per-region paths.
+///
+/// Generators hand out small dense ids and the text-IR front door caps
+/// them ([`crate::textir::MAX_REG_ID`]), so a table stays compact. A slot
+/// nobody touched reads as `T::default()`; callers pick a `T` whose default
+/// means "register not mentioned".
+#[derive(Debug, Clone, Default)]
+pub struct RegTable<T> {
+    classes: [Vec<T>; REG_CLASS_COUNT],
+}
+
+impl<T: Clone + Default> RegTable<T> {
+    /// An empty table.
+    pub fn new() -> RegTable<T> {
+        RegTable::default()
+    }
+
+    /// The slot of `r`, growing its class's table to cover it.
+    #[inline]
+    pub fn slot(&mut self, r: Reg) -> &mut T {
+        let table = &mut self.classes[r.class.index()];
+        let i = r.id as usize;
+        if table.len() <= i {
+            table.resize(i + 1, T::default());
+        }
+        &mut table[i]
+    }
+
+    /// The slot of `r`, or `None` beyond the highest id touched so far.
+    #[inline]
+    pub fn get(&self, r: Reg) -> Option<&T> {
+        self.classes[r.class.index()].get(r.id as usize)
+    }
+
+    /// All slots of one class (by [`RegClass::index`]), indexed by
+    /// register id — untouched holes included.
+    pub fn class(&self, class: usize) -> &[T] {
+        &self.classes[class]
+    }
+}
+
 /// Index of an instruction within its [`crate::Ddg`].
 ///
 /// `InstrId`s are dense: a region with `n` instructions uses ids `0..n`.
@@ -218,6 +260,20 @@ mod tests {
     fn reg_display_uses_amd_syntax() {
         assert_eq!(Reg::vgpr(3).to_string(), "v3");
         assert_eq!(Reg::sgpr(12).to_string(), "s12");
+    }
+
+    #[test]
+    fn reg_table_is_per_class_and_defaults_untouched_slots() {
+        let mut t: RegTable<u32> = RegTable::new();
+        assert_eq!(t.get(Reg::vgpr(0)), None);
+        *t.slot(Reg::vgpr(3)) += 2;
+        *t.slot(Reg::sgpr(1)) += 5;
+        assert_eq!(t.get(Reg::vgpr(3)), Some(&2));
+        assert_eq!(t.get(Reg::vgpr(1)), Some(&0), "hole below a touched id");
+        assert_eq!(t.get(Reg::vgpr(4)), None);
+        assert_eq!(t.get(Reg::sgpr(3)), None, "classes do not share ids");
+        assert_eq!(t.class(RegClass::Vgpr.index()), &[0, 0, 0, 2]);
+        assert_eq!(t.class(RegClass::Sgpr.index()), &[0, 5]);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! edge <from-index> <to-index> <latency>
 //! ```
 //!
-//! Registers are written AMD-style: `v<N>` (VGPR) or `s<N>` (SGPR).
+//! Registers are written AMD-style: `v<N>` (VGPR) or `s<N>` (SGPR), with
+//! `N` at most [`MAX_REG_ID`]; a latency is at most 65,535 (`u16`).
 //! Instruction indices refer to `instr` lines in order of appearance.
 //! The format round-trips through [`to_text`] / [`parse`].
 //!
@@ -141,15 +142,18 @@ pub struct RawRegion {
 impl RawRegion {
     /// Builds the validated [`Ddg`], rejecting whatever [`DdgBuilder`]
     /// rejects (self edges, cycles), with the error pinned to the source
-    /// position of the offending edge where one exists.
+    /// position of the offending edge where one exists. Copies the region;
+    /// callers done with it use [`RawRegion::into_ddg`].
     pub fn build(&self) -> Result<Ddg, ParseTextError> {
+        self.clone().into_ddg()
+    }
+
+    /// [`RawRegion::build`] consuming the region: every name, def list and
+    /// use list moves into the [`Ddg`] instead of being cloned.
+    pub fn into_ddg(self) -> Result<Ddg, ParseTextError> {
         let mut b = DdgBuilder::new();
-        for ri in &self.instrs {
-            b.instr(
-                ri.name.clone(),
-                ri.defs.iter().copied(),
-                ri.uses.iter().copied(),
-            );
+        for ri in self.instrs {
+            b.instr(ri.name, ri.defs, ri.uses);
         }
         for e in &self.edges {
             b.edge(InstrId(e.from), InstrId(e.to), e.latency)
@@ -170,11 +174,23 @@ fn tokens(line: &str) -> impl Iterator<Item = (u32, &str)> {
     })
 }
 
+/// Largest register id the text format accepts. Every per-register table
+/// in the workspace is dense in the id ([`crate::RegTable`], the pressure
+/// tracker's universe), so an id read from untrusted text bounds an
+/// allocation; real regions use a few thousand ids at most.
+pub const MAX_REG_ID: u32 = (1 << 20) - 1;
+
 fn parse_reg(tok: &str, pos: SrcPos) -> Result<Reg, ParseTextError> {
     let (class, rest) = tok.split_at(1.min(tok.len()));
     let id: u32 = rest
         .parse()
         .map_err(|_| err(pos, format!("bad register `{tok}`")))?;
+    if id > MAX_REG_ID {
+        return Err(err(
+            pos,
+            format!("register id in `{tok}` exceeds the maximum {MAX_REG_ID}"),
+        ));
+    }
     match class {
         "v" => Ok(Reg::vgpr(id)),
         "s" => Ok(Reg::sgpr(id)),
@@ -265,11 +281,17 @@ pub fn parse_raw(text: &str) -> Result<RawRegion, ParseTextError> {
                 };
                 let (_, from) = num("a from-index")?;
                 let (_, to) = num("a to-index")?;
-                let (_, lat) = num("a latency")?;
+                let (lat_col, lat) = num("a latency")?;
+                let latency = u16::try_from(lat).map_err(|_| {
+                    err(
+                        at(lat_col),
+                        format!("latency {lat} exceeds the maximum {}", u16::MAX),
+                    )
+                })?;
                 region.edges.push(RawEdge {
                     from,
                     to,
-                    latency: lat as u16,
+                    latency,
                     pos: at(kw_col),
                 });
             }
@@ -299,7 +321,7 @@ pub fn parse_raw(text: &str) -> Result<RawRegion, ParseTextError> {
 /// registers/indices, out-of-range edge endpoints, or a graph the
 /// [`DdgBuilder`] rejects (self edges, cycles).
 pub fn parse(text: &str) -> Result<Ddg, ParseTextError> {
-    parse_raw(text)?.build()
+    parse_raw(text)?.into_ddg()
 }
 
 /// Renders a region in the text format (inverse of [`parse`]).
@@ -381,6 +403,47 @@ mod tests {
         // A second register in a defs list gets its own column.
         let e = parse("instr a defs v0,q1").unwrap_err();
         assert_eq!((e.line, e.col), (1, 17));
+    }
+
+    #[test]
+    fn latency_is_range_checked_at_the_u16_boundary() {
+        let ddg = parse("instr a\ninstr b\nedge 0 1 65535").unwrap();
+        assert_eq!(ddg.succs(InstrId(0)), &[(InstrId(1), u16::MAX)]);
+        // 65,536 used to truncate to latency 0 (65,537 to 1) silently.
+        let e = parse("instr a\ninstr b\nedge 0 1 65536").unwrap_err();
+        assert_eq!((e.line, e.col), (3, 10));
+        assert!(e.message.contains("65536"), "{e}");
+        let e = parse_raw("instr a\ninstr b\n  edge 0 1 65537").unwrap_err();
+        assert_eq!((e.line, e.col), (3, 12));
+    }
+
+    #[test]
+    fn register_ids_are_capped_at_the_front_door() {
+        let text = format!("instr a defs v{MAX_REG_ID}\ninstr b uses s{MAX_REG_ID}");
+        assert_eq!(parse(&text).unwrap().len(), 2);
+        // One past the cap: positioned on the register inside its list.
+        let text = format!("instr a defs v0,v{}", MAX_REG_ID + 1);
+        let e = parse_raw(&text).unwrap_err();
+        assert_eq!((e.line, e.col), (1, 17));
+        assert!(e.message.contains("v1048576"), "{e}");
+        // The id that used to make `RegUniverse::new` allocate 16 GB.
+        let e =
+            parse("instr a defs v4000000000\ninstr b uses v4000000000\nedge 0 1 1").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 14));
+    }
+
+    #[test]
+    fn consuming_build_equals_the_borrowing_build() {
+        let text = to_text(&figure1::ddg());
+        let raw = parse_raw(&text).unwrap();
+        let (kept, moved) = (raw.build().unwrap(), raw.into_ddg().unwrap());
+        assert!(kept.content_eq(&moved));
+        for id in kept.ids() {
+            assert_eq!(kept.instr(id), moved.instr(id));
+        }
+        // Errors are the same values on both paths.
+        let raw = parse_raw("instr a\ninstr b\nedge 0 1 1\nedge 1 0 1").unwrap();
+        assert_eq!(raw.build().unwrap_err(), raw.into_ddg().unwrap_err());
     }
 
     #[test]

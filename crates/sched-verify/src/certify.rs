@@ -18,8 +18,7 @@ use exact_sched::ExactResult;
 use list_sched::ScheduleResult;
 use machine_model::{OccupancyModel, Waves};
 use sched_analyze::{Anchor, Finding, Level};
-use sched_ir::{Cycle, Ddg, InstrId, Reg, RegClass, Schedule, REG_CLASS_COUNT};
-use std::collections::HashMap;
+use sched_ir::{Cycle, Ddg, InstrId, RegClass, RegTable, Schedule, REG_CLASS_COUNT};
 
 /// What a scheduler claims about a schedule.
 #[derive(Debug, Clone, Copy)]
@@ -50,9 +49,10 @@ pub struct Claim<'a> {
 /// reports the real problem separately.
 pub fn recompute_prp(ddg: &Ddg, order: &[InstrId]) -> [u32; REG_CLASS_COUNT] {
     let n = order.len();
-    let mut pos: HashMap<InstrId, usize> = HashMap::with_capacity(n);
+    // An id listed twice takes its last position, at every mention.
+    let mut pos = vec![0usize; ddg.len()];
     for (p, &id) in order.iter().enumerate() {
-        pos.insert(id, p);
+        pos[id.index()] = p;
     }
 
     #[derive(Default, Clone, Copy)]
@@ -60,19 +60,19 @@ pub fn recompute_prp(ddg: &Ddg, order: &[InstrId]) -> [u32; REG_CLASS_COUNT] {
         def: Option<usize>,
         last_use: Option<usize>,
     }
-    let mut life: HashMap<Reg, Life> = HashMap::new();
+    let mut life: RegTable<Life> = RegTable::new();
     for &id in order {
-        let p = pos[&id];
+        let p = pos[id.index()];
         let instr = ddg.instr(id);
         for &r in instr.defs() {
-            let l = life.entry(r).or_default();
+            let l = life.slot(r);
             // First def wins (SSA; duplicate defs are a lint, not a crash).
             if l.def.is_none() {
                 l.def = Some(p);
             }
         }
         for &r in instr.uses() {
-            let l = life.entry(r).or_default();
+            let l = life.slot(r);
             l.last_use = Some(l.last_use.map_or(p, |u| u.max(p)));
         }
     }
@@ -81,26 +81,29 @@ pub fn recompute_prp(ddg: &Ddg, order: &[InstrId]) -> [u32; REG_CLASS_COUNT] {
     let mut opens = vec![[0i64; REG_CLASS_COUNT]; n];
     let mut closes = vec![[0i64; REG_CLASS_COUNT]; n];
     let mut current = [0i64; REG_CLASS_COUNT];
-    for (&reg, &l) in &life {
-        let c = reg.class.index();
-        match (l.def, l.last_use) {
-            // Live-in: counted from region entry, closes at its last use.
-            (None, Some(u)) => {
-                current[c] += 1;
-                closes[u][c] -= 1;
-            }
-            // Live-out: opens at its def, never closes.
-            (Some(d), None) => opens[d][c] += 1,
-            // Interior: opens at its def, closes at its last use — unless
-            // the order is invalid (use at or before def), in which case
-            // the range is empty and contributes nothing.
-            (Some(d), Some(u)) => {
-                if u > d {
-                    opens[d][c] += 1;
+    for c in 0..REG_CLASS_COUNT {
+        for l in life.class(c) {
+            match (l.def, l.last_use) {
+                // Live-in: counted from region entry, closes at its last
+                // use.
+                (None, Some(u)) => {
+                    current[c] += 1;
                     closes[u][c] -= 1;
                 }
+                // Live-out: opens at its def, never closes.
+                (Some(d), None) => opens[d][c] += 1,
+                // Interior: opens at its def, closes at its last use —
+                // unless the order is invalid (use at or before def), in
+                // which case the range is empty and contributes nothing.
+                (Some(d), Some(u)) => {
+                    if u > d {
+                        opens[d][c] += 1;
+                        closes[u][c] -= 1;
+                    }
+                }
+                // An id below the class's highest that nothing mentions.
+                (None, None) => {}
             }
-            (None, None) => unreachable!("reg interned without def or use"),
         }
     }
 
@@ -149,15 +152,15 @@ pub fn certify_schedule(
 
     // C002 — def/use ordering straight from the register sets, independent
     // of whether the builder materialized an edge for the dependence.
-    let mut def_of: HashMap<Reg, InstrId> = HashMap::new();
+    let mut def_of: RegTable<Option<InstrId>> = RegTable::new();
     for id in ddg.ids() {
         for &r in ddg.instr(id).defs() {
-            def_of.entry(r).or_insert(id);
+            def_of.slot(r).get_or_insert(id);
         }
     }
     for id in ddg.ids() {
         for &r in ddg.instr(id).uses() {
-            if let Some(&def) = def_of.get(&r) {
+            if let Some(&Some(def)) = def_of.get(r) {
                 if def != id && schedule.cycle(id) <= schedule.cycle(def) {
                     diags.push(Finding::new(
                         codes::DEPENDENCE,

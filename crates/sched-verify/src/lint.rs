@@ -9,8 +9,7 @@
 use crate::diag::codes;
 use aco::{AcoConfig, PheromoneTable};
 use sched_analyze::{Anchor, Finding, Level};
-use sched_ir::{Ddg, InstrId, Reg};
-use std::collections::HashMap;
+use sched_ir::{Ddg, InstrId, RegTable};
 
 /// Lints a dependence graph: duplicate defs are `deny`, isolated nodes
 /// `pedantic`. Cycles are not checked — [`sched_ir::DdgBuilder::build`] is
@@ -26,18 +25,17 @@ pub fn lint_ddg(ddg: &Ddg) -> Vec<Finding> {
 
     // L002 — duplicate definitions break the SSA assumption every pressure
     // computation in the stack relies on.
-    let mut def_of: HashMap<Reg, InstrId> = HashMap::new();
+    let mut def_of: RegTable<Option<InstrId>> = RegTable::new();
     for id in ddg.ids() {
         for &r in ddg.instr(id).defs() {
-            if let Some(&first) = def_of.get(&r) {
-                findings.push(Finding::new(
+            match def_of.slot(r) {
+                Some(first) => findings.push(Finding::new(
                     codes::DUPLICATE_DEF,
                     Level::Deny,
                     Anchor::Reg(r),
                     format!("{r} is defined by both {first} and {id} (SSA violation)"),
-                ));
-            } else {
-                def_of.insert(r, id);
+                )),
+                slot => *slot = Some(id),
             }
         }
     }

@@ -10,8 +10,8 @@
 # binaries compiling, a CLI verify smoke run on generated regions, and
 # the static-analysis deny-gate (`gpu-aco-cli analyze --json`), the
 # wall-clock smoke perf gate, and the `benchmark/` package's unit tests and
-# self-checking `suite-unique --smoke` run (which must leave `benchmark/`
-# and BENCHMARK.json untouched).
+# self-checking `suite-unique --smoke` and `frontend-large --smoke` runs
+# (which must leave `benchmark/` and BENCHMARK.json untouched).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -236,16 +236,20 @@ for path in sys.argv[1:]:
           f"{rep['tuner']['warm_hits']} warm hits, no length regression")
 EOF
 
-    echo "==> benchmark/: unit tests + suite-unique smoke"
+    echo "==> benchmark/: unit tests + suite-unique and frontend-large smoke"
     # The repository's one benchmark (BENCHMARK.json, benchmark/) is its own
     # cargo workspace, so `--workspace` above never builds it. Its smoke run
     # compiles a tiny suite-unique with the full correctness gate — every
     # schedule certified, timed passes repeating the warm-up's fingerprint —
     # and exits non-zero if any output is wrong (`pipefail` carries that
-    # through the `tail`).
+    # through the `tail`). The frontend-large smoke is the only CI run that
+    # drives text-IR -> BaseAmd -> in-job analysis -> certifier end to end;
+    # its gate fails on any deny finding or uncertified schedule.
     cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
-    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-        --workload suite-unique --smoke | tail -n 1
+    for workload in suite-unique frontend-large; do
+        cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+            --workload "$workload" --smoke | tail -n 1
+    done
     # The benchmark's files are frozen between benchmark PRs: a product
     # dependency edit that made cargo rewrite benchmark/Cargo.lock just now
     # (or any other drift under those paths) must fail here, not leave the

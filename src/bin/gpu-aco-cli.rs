@@ -691,19 +691,16 @@ fn analyze(args: &[String]) -> Result<(), String> {
         let text =
             std::fs::read_to_string(path.as_str()).map_err(|e| format!("reading {path}: {e}"))?;
         let raw = textir::parse_raw(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-        let g = sa::RegionGraph::from_raw(&raw);
-        let mut file_findings = sa::analyze_graph(&g);
-        if let Ok(ddg) = raw.build() {
+        let claim = raw.build().ok().map(|ddg| {
             let r = ListScheduler::new(Heuristic::AmdMaxOccupancy).schedule(&ddg, &occ);
-            file_findings.extend(sa::check_claims(
-                &g,
-                &sa::ScheduleClaim {
-                    length: r.length as u64,
-                    prp: r.prp,
-                    source: "amd heuristic",
-                },
-            ));
-        }
+            sa::ScheduleClaim {
+                length: r.length as u64,
+                prp: r.prp,
+                source: "amd heuristic",
+            }
+        });
+        let g = sa::RegionGraph::from_raw(&raw);
+        let file_findings = sa::analyze_with_claims(&g, claim.as_slice());
         findings.extend(file_findings.into_iter().map(|f| f.in_file(path.as_str())));
     }
     findings.extend(check_config_drift(

@@ -129,6 +129,58 @@ fn stdio_session_is_byte_identical_to_one_shot_cli() {
     );
 }
 
+/// One register name used to make the pressure tracker's id-keyed table
+/// allocate 16 GB. The text-IR front door now rejects the id: the daemon
+/// answers with a typed `err` and serves the next request on the same
+/// connection.
+#[test]
+fn oversized_register_id_is_a_typed_err_and_the_connection_survives() {
+    let dir = tmp_dir("regid");
+    let bad = "instr a defs v4000000000\ninstr b uses v4000000000\nedge 0 1 1\n";
+    let good = "instr a defs v0\ninstr b uses v0\nedge 0 1 1\n";
+    let request = format!(
+        "req big schedule scheduler=amd ddg 3\n{bad}req next schedule scheduler=amd ddg 3\n{good}"
+    );
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_gpu-aco-cli"))
+        .arg("serve")
+        .current_dir(&dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning stdio daemon");
+    daemon
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(request.as_bytes())
+        .unwrap();
+    let out = daemon.wait_with_output().unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let rejected = stdout
+        .lines()
+        .find(|l| l.starts_with("resp big "))
+        .expect("the oversized request is answered");
+    assert!(
+        rejected.starts_with("resp big err parsing region: line 1, column 14: register id"),
+        "{rejected}"
+    );
+    assert!(
+        rejected.contains("exceeds the maximum 1048575"),
+        "{rejected}"
+    );
+    assert!(
+        stdout.lines().any(|l| l.starts_with("resp next ok ")),
+        "the next request on the connection must be served: {stdout}"
+    );
+    assert!(stdout.contains("2 instructions in 2 cycles"), "{stdout}");
+}
+
 #[test]
 fn concurrent_socket_clients_match_one_shot_and_cache_survives_sigterm() {
     let dir = tmp_dir("socket");
