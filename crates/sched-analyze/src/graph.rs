@@ -15,8 +15,8 @@
 //! offsets into a flat array of edge indices. Building a view is a handful
 //! of allocations whatever the region size, none of them per node.
 
-use sched_ir::textir::{RawInstr, RawRegion, SrcPos};
-use sched_ir::{Ddg, Instruction, Reg};
+use sched_ir::textir::{RawRegion, SrcPos};
+use sched_ir::{csr_rows, Ddg, InstrTable, Reg};
 
 /// One dependence edge of a [`RegionGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,17 +31,12 @@ pub struct RegionEdge {
     pub span: Option<SrcPos>,
 }
 
-/// Where a view's nodes live.
-#[derive(Debug, Clone, Copy)]
-enum Nodes<'a> {
-    Ddg(&'a [Instruction]),
-    Raw(&'a [RawInstr]),
-}
-
 /// A scheduling region as a plain node/edge list (see the module docs).
 #[derive(Debug, Clone)]
 pub struct RegionGraph<'a> {
-    nodes: Nodes<'a>,
+    nodes: &'a InstrTable,
+    /// Source position of every node's `instr` line, when parsed from text.
+    spans: Option<&'a [SrcPos]>,
     /// All edges, in input order.
     edges: Vec<RegionEdge>,
     /// `succ_idx[succ_off[i]..succ_off[i + 1]]`: node `i`'s outgoing edge
@@ -53,36 +48,14 @@ pub struct RegionGraph<'a> {
     pred_idx: Vec<u32>,
 }
 
-/// Groups edge indices by `key(edge)` with a stable counting sort, so each
-/// node's group keeps input order.
-fn group_by(
-    n: usize,
-    edges: &[RegionEdge],
-    key: impl Fn(&RegionEdge) -> u32,
-) -> (Vec<u32>, Vec<u32>) {
-    let mut off = vec![0u32; n + 1];
-    for e in edges {
-        off[key(e) as usize + 1] += 1;
-    }
-    for i in 0..n {
-        off[i + 1] += off[i];
-    }
-    let mut next = off.clone();
-    let mut idx = vec![0u32; edges.len()];
-    for (i, e) in edges.iter().enumerate() {
-        let slot = &mut next[key(e) as usize];
-        idx[*slot as usize] = i as u32;
-        *slot += 1;
-    }
-    (off, idx)
-}
-
 impl<'a> RegionGraph<'a> {
-    fn new(nodes: Nodes<'a>, n: usize, edges: Vec<RegionEdge>) -> RegionGraph<'a> {
-        let (succ_off, succ_idx) = group_by(n, &edges, |e| e.from);
-        let (pred_off, pred_idx) = group_by(n, &edges, |e| e.to);
+    /// Groups edge indices per node and direction, each group in input order.
+    fn new(nodes: &'a InstrTable, spans: Option<&'a [SrcPos]>, edges: Vec<RegionEdge>) -> Self {
+        let (succ_off, succ_idx) = csr_rows(nodes.len(), &edges, |e| e.from);
+        let (pred_off, pred_idx) = csr_rows(nodes.len(), &edges, |e| e.to);
         RegionGraph {
             nodes,
+            spans,
             edges,
             succ_off,
             succ_idx,
@@ -102,7 +75,7 @@ impl<'a> RegionGraph<'a> {
                 span: None,
             }));
         }
-        RegionGraph::new(Nodes::Ddg(ddg.instrs()), ddg.len(), edges)
+        RegionGraph::new(ddg.instrs(), None, edges)
     }
 
     /// The view of a pre-validation [`RawRegion`], spans included. Cycles,
@@ -118,7 +91,7 @@ impl<'a> RegionGraph<'a> {
                 span: Some(e.pos),
             })
             .collect();
-        RegionGraph::new(Nodes::Raw(&raw.instrs), raw.instrs.len(), edges)
+        RegionGraph::new(&raw.instrs, Some(&raw.instr_pos), edges)
     }
 
     /// Number of nodes.
@@ -138,34 +111,22 @@ impl<'a> RegionGraph<'a> {
 
     /// Name of node `i`.
     pub fn name(&self, i: u32) -> &'a str {
-        match self.nodes {
-            Nodes::Ddg(instrs) => instrs[i as usize].name(),
-            Nodes::Raw(instrs) => &instrs[i as usize].name,
-        }
+        self.nodes.get(i as usize).name()
     }
 
     /// Registers defined by node `i`.
     pub fn defs(&self, i: u32) -> &'a [Reg] {
-        match self.nodes {
-            Nodes::Ddg(instrs) => instrs[i as usize].defs(),
-            Nodes::Raw(instrs) => &instrs[i as usize].defs,
-        }
+        self.nodes.get(i as usize).defs()
     }
 
     /// Registers used by node `i`.
     pub fn uses(&self, i: u32) -> &'a [Reg] {
-        match self.nodes {
-            Nodes::Ddg(instrs) => instrs[i as usize].uses(),
-            Nodes::Raw(instrs) => &instrs[i as usize].uses,
-        }
+        self.nodes.get(i as usize).uses()
     }
 
     /// Source position of node `i`'s `instr` line, when known.
     pub fn node_span(&self, i: u32) -> Option<SrcPos> {
-        match self.nodes {
-            Nodes::Ddg(_) => None,
-            Nodes::Raw(instrs) => Some(instrs[i as usize].pos),
-        }
+        self.spans.map(|spans| spans[i as usize])
     }
 
     /// All edges, in input order.

@@ -1,8 +1,7 @@
 //! Construction and validation of [`Ddg`]s.
 
 use crate::ddg::Ddg;
-use crate::instr::{InstrId, Instruction, Reg};
-use std::collections::VecDeque;
+use crate::instr::{InstrId, InstrTable, Reg};
 use std::error::Error;
 use std::fmt;
 
@@ -46,8 +45,8 @@ impl Error for DdgError {}
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct DdgBuilder {
-    instrs: Vec<Instruction>,
-    edges: Vec<(InstrId, InstrId, u16)>,
+    pub(crate) instrs: InstrTable,
+    pub(crate) edges: Vec<(InstrId, InstrId, u16)>,
 }
 
 impl DdgBuilder {
@@ -56,22 +55,15 @@ impl DdgBuilder {
         DdgBuilder::default()
     }
 
-    /// Adds an instruction and returns its id.
+    /// Adds an instruction (its name formatted into the table) and returns its id.
     pub fn instr(
         &mut self,
-        name: impl Into<String>,
+        name: impl fmt::Display,
         defs: impl IntoIterator<Item = Reg>,
         uses: impl IntoIterator<Item = Reg>,
     ) -> InstrId {
         let id = InstrId(self.instrs.len() as u32);
-        self.instrs.push(Instruction::new(name, defs, uses));
-        id
-    }
-
-    /// Adds a pre-built instruction and returns its id.
-    pub fn push(&mut self, instruction: Instruction) -> InstrId {
-        let id = InstrId(self.instrs.len() as u32);
-        self.instrs.push(instruction);
+        self.instrs.push(name, defs, uses);
         id
     }
 
@@ -108,72 +100,73 @@ impl DdgBuilder {
         self.instrs.is_empty()
     }
 
-    /// Validates the graph and produces an immutable [`Ddg`].
+    /// Validates the graph and produces an immutable, exact-fit [`Ddg`].
     ///
-    /// Duplicate edges between the same pair are merged, keeping the largest
-    /// latency (the binding constraint).
+    /// Duplicate edges between the same pair are merged: the first keeps
+    /// its position and takes the largest latency (the binding constraint).
+    /// Successor rows list edges in insertion order, predecessor rows in
+    /// global insertion order (the *stored order* of [`Ddg`]'s docs).
     ///
     /// # Errors
     ///
     /// Returns [`DdgError::Cyclic`] if the edges admit no topological order.
     pub fn build(self) -> Result<Ddg, DdgError> {
-        let n = self.instrs.len();
-        let mut succs: Vec<Vec<(InstrId, u16)>> = vec![Vec::new(); n];
-        let mut preds: Vec<Vec<(InstrId, u16)>> = vec![Vec::new(); n];
-        for (from, to, lat) in self.edges {
-            // Merge duplicates, keeping max latency.
-            match succs[from.index()].iter_mut().find(|(t, _)| *t == to) {
-                Some((_, l)) => {
-                    if lat > *l {
-                        *l = lat;
-                        let p = preds[to.index()]
-                            .iter_mut()
-                            .find(|(f, _)| *f == from)
-                            .expect("pred mirror of existing succ edge");
-                        p.1 = lat;
+        const MERGED: InstrId = InstrId(u32::MAX);
+        let (mut instrs, mut edges) = (self.instrs, self.edges);
+        let n = instrs.len();
+        let (mut succ_off, mut by_from) = csr_rows(n, &edges, |e| e.0 .0);
+        // Per node: first the edge of the current row that first reached it
+        // (a mark counts only if this row set it), then Kahn's in-degree.
+        let mut scratch = vec![u32::MAX; n];
+        let added = edges.len();
+        for (from, row) in succ_off.windows(2).enumerate() {
+            for &e in &by_from[row[0] as usize..row[1] as usize] {
+                let (_, to, latency) = edges[e as usize];
+                match edges.get_mut(scratch[to.index()] as usize) {
+                    Some(first) if first.0.index() == from => {
+                        first.2 = first.2.max(latency);
+                        edges[e as usize].0 = MERGED;
                     }
-                }
-                None => {
-                    succs[from.index()].push((to, lat));
-                    preds[to.index()].push((from, lat));
+                    _ => scratch[to.index()] = e,
                 }
             }
         }
+        edges.retain(|e| e.0 != MERGED);
+        if edges.len() != added {
+            (succ_off, by_from) = csr_rows(n, &edges, |e| e.0 .0);
+        }
+        let (pred_off, by_to) = csr_rows(n, &edges, |e| e.1 .0);
+        let edge = |&e: &u32| edges[e as usize];
+        let succ_edges: Vec<_> = by_from.iter().map(|e| (edge(e).1, edge(e).2)).collect();
+        let pred_edges: Vec<_> = by_to.iter().map(|e| (edge(e).0, edge(e).2)).collect();
+        let pred_counts: Vec<u32> = pred_off.windows(2).map(|w| w[1] - w[0]).collect();
 
-        // Kahn's algorithm for topological sort + cycle detection. The
-        // initial zero-indegree set doubles as the cached root set (in id
-        // order, matching what the old preds scan produced).
-        let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
-        let mut queue: VecDeque<InstrId> = (0..n as u32)
-            .map(InstrId)
-            .filter(|i| indeg[i.index()] == 0)
-            .collect();
-        let roots: Vec<InstrId> = queue.iter().copied().collect();
+        // Kahn's algorithm, FIFO by id: every node enters `topo` once, so it is
+        // its own queue; the zero-indegree prefix is the root set, in id order.
+        let mut indeg = scratch;
+        indeg.copy_from_slice(&pred_counts);
         let mut topo = Vec::with_capacity(n);
-        while let Some(id) = queue.pop_front() {
-            topo.push(id);
-            for &(s, _) in &succs[id.index()] {
+        topo.extend((0..n as u32).map(InstrId).filter(|i| indeg[i.index()] == 0));
+        let roots = topo.clone();
+        let mut head = 0;
+        while let Some(&id) = topo.get(head) {
+            head += 1;
+            let row = succ_off[id.index()] as usize..succ_off[id.index() + 1] as usize;
+            for &(s, _) in &succ_edges[row] {
                 indeg[s.index()] -= 1;
                 if indeg[s.index()] == 0 {
-                    queue.push_back(s);
+                    topo.push(s);
                 }
             }
         }
         if topo.len() != n {
             return Err(DdgError::Cyclic);
         }
-
-        // Flatten the per-id lists into CSR form. This is the cold path —
-        // builds happen once per region — so the temporary `Vec<Vec<_>>`
-        // assembly above is fine; what matters is that every per-id slice
-        // keeps its stored order (first-insertion order with duplicates
-        // merged in place), which the flattening preserves exactly.
-        let (succ_off, succ_edges) = flatten_csr(&succs);
-        let (pred_off, pred_edges) = flatten_csr(&preds);
-        let pred_counts: Vec<u32> = preds.iter().map(|p| p.len() as u32).collect();
-
+        instrs.names.shrink_to_fit();
+        instrs.regs.shrink_to_fit();
+        instrs.ends.shrink_to_fit();
         Ok(Ddg {
-            instrs: self.instrs,
+            instrs,
             succ_off,
             succ_edges,
             pred_off,
@@ -185,18 +178,28 @@ impl DdgBuilder {
     }
 }
 
-/// Flattens per-id adjacency lists into `(offsets, flat edges)` CSR arrays,
-/// preserving per-list stored order.
-fn flatten_csr(lists: &[Vec<(InstrId, u16)>]) -> (Vec<u32>, Vec<(InstrId, u16)>) {
-    let total: usize = lists.iter().map(Vec::len).sum();
-    let mut off = Vec::with_capacity(lists.len() + 1);
-    let mut edges = Vec::with_capacity(total);
-    off.push(0u32);
-    for list in lists {
-        edges.extend_from_slice(list);
-        off.push(edges.len() as u32);
+/// The workspace's one edge-list-to-CSR routine: a stable counting sort of
+/// `edges` by `key` (a node index below `n`). Returns `n + 1` row offsets
+/// and the edge indices of every row back to back, each row in list order.
+pub fn csr_rows<E>(n: usize, edges: &[E], key: impl Fn(&E) -> u32) -> (Vec<u32>, Vec<u32>) {
+    let mut off = vec![0u32; n + 1];
+    for e in edges {
+        off[key(e) as usize + 1] += 1;
     }
-    (off, edges)
+    for i in 0..n {
+        off[i + 1] += off[i];
+    }
+    // Scatter with `off[k]` as row `k`'s cursor; every cursor ends on the
+    // next row's start, so one shift restores the offsets.
+    let mut order = vec![0u32; edges.len()];
+    for (i, e) in edges.iter().enumerate() {
+        let cursor = &mut off[key(e) as usize];
+        order[*cursor as usize] = i as u32;
+        *cursor += 1;
+    }
+    off.copy_within(0..n, 1);
+    off[0] = 0;
+    (off, order)
 }
 
 #[cfg(test)]
@@ -251,14 +254,48 @@ mod tests {
     }
 
     #[test]
-    fn push_prebuilt_instruction() {
+    fn names_are_written_without_an_intermediate_string() {
         let mut b = DdgBuilder::new();
-        let id = b.push(Instruction::new("nop", [], []));
-        assert_eq!(id, InstrId(0));
-        assert!(!b.is_empty());
-        assert_eq!(b.len(), 1);
+        assert!(b.is_empty());
+        assert_eq!(b.instr("nop", [], []), InstrId(0));
+        assert_eq!(b.instr(format_args!("n{}", 1), [], []), InstrId(1));
+        assert_eq!(b.len(), 2);
         let g = b.build().unwrap();
-        assert_eq!(g.instr(id).name(), "nop");
+        assert_eq!(g.instr(InstrId(0)).name(), "nop");
+        assert_eq!(g.instr(InstrId(1)).name(), "n1");
+    }
+
+    #[test]
+    fn merged_duplicates_keep_first_position_in_both_directions() {
+        let mut b = DdgBuilder::new();
+        let ids: Vec<InstrId> = (0..4)
+            .map(|i| b.instr(format_args!("i{i}"), [], []))
+            .collect();
+        // Interleaved producers; (0,3) repeats with a rising then falling
+        // latency, (1,3) repeats with a falling one.
+        for (f, t, l) in [
+            (1, 3, 7),
+            (0, 3, 2),
+            (0, 2, 1),
+            (0, 3, 9),
+            (2, 3, 4),
+            (1, 3, 5),
+            (0, 3, 3),
+            (0, 1, 6),
+        ] {
+            b.edge(ids[f], ids[t], l).unwrap();
+        }
+        let g = b.build().unwrap();
+        let row = |r: &[(InstrId, u16)]| -> Vec<(u32, u16)> {
+            r.iter().map(|&(i, l)| (i.0, l)).collect()
+        };
+        assert_eq!(row(g.succs(ids[0])), [(3, 9), (2, 1), (1, 6)]);
+        assert_eq!(row(g.succs(ids[1])), [(3, 7)]);
+        assert_eq!(row(g.preds(ids[3])), [(1, 7), (0, 9), (2, 4)]);
+        assert_eq!(g.pred_counts(), &[0, 1, 1, 3]);
+        assert_eq!(g.edge_count(), 5);
+        // FIFO Kahn: node 0 releases 2 before 1 (its stored successor order).
+        assert_eq!(g.topo_order(), &[ids[0], ids[2], ids[1], ids[3]]);
     }
 
     #[test]

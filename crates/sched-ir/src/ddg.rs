@@ -1,11 +1,11 @@
 //! The data dependence graph of a scheduling region.
 
 use crate::bitmatrix::BitMatrix;
-use crate::instr::{InstrId, Instruction};
+use crate::instr::{Instr, InstrId, InstrTable};
 
 /// A data dependence graph (DDG): the input to every scheduler.
 ///
-/// Nodes are [`Instruction`]s, edges carry latencies. A `Ddg` is immutable
+/// Nodes are [`Instr`]s, edges carry latencies. A `Ddg` is immutable
 /// and validated at construction time (see [`crate::DdgBuilder`]): it is
 /// guaranteed acyclic, and `topo_order` is a cached topological order.
 ///
@@ -13,15 +13,15 @@ use crate::instr::{InstrId, Instruction};
 /// node represents an instruction, an edge represents a dependency and an
 /// edge label represents a latency."
 ///
-/// Adjacency is stored in CSR (compressed sparse row) form: one flat edge
-/// array per direction plus `n + 1` offsets, so a region's whole edge set
-/// lives in two contiguous allocations and `succs(id)`/`preds(id)` are
-/// offset-pair slices. Per-list *stored order* is identical to what the
-/// old `Vec<Vec<_>>` layout held — `content_eq`, the content fingerprint,
-/// and ACO tie-breaking all depend on it.
+/// A region of any size is ten exact-fit buffers: the [`InstrTable`]'s
+/// three, one CSR edge array with `n + 1` offsets per direction (so
+/// `succs(id)`/`preds(id)` are offset-pair slices), and the cached
+/// predecessor counts, topological order and roots. Per-list *stored
+/// order* is fixed by [`crate::DdgBuilder::build`]: `content_eq`, the
+/// content fingerprint, and ACO tie-breaking all depend on it.
 #[derive(Debug, Clone)]
 pub struct Ddg {
-    pub(crate) instrs: Vec<Instruction>,
+    pub(crate) instrs: InstrTable,
     pub(crate) succ_off: Vec<u32>,
     pub(crate) succ_edges: Vec<(InstrId, u16)>,
     pub(crate) pred_off: Vec<u32>,
@@ -47,12 +47,12 @@ impl Ddg {
     /// # Panics
     ///
     /// Panics if `id` is out of bounds.
-    pub fn instr(&self, id: InstrId) -> &Instruction {
-        &self.instrs[id.index()]
+    pub fn instr(&self, id: InstrId) -> Instr<'_> {
+        self.instrs.get(id.index())
     }
 
     /// All instructions, indexed by [`InstrId`].
-    pub fn instrs(&self) -> &[Instruction] {
+    pub fn instrs(&self) -> &InstrTable {
         &self.instrs
     }
 
@@ -124,18 +124,14 @@ impl Ddg {
     /// lists in stored order — equality here must guarantee bitwise-equal
     /// scheduler output, not just isomorphism.
     pub fn content_eq(&self, other: &Ddg) -> bool {
-        if self.len() != other.len() {
-            return false;
-        }
-        let regs_eq = self
-            .instrs
-            .iter()
-            .zip(&other.instrs)
-            .all(|(a, b)| a.defs() == b.defs() && a.uses() == b.uses());
-        // Offsets + flat edges compare exactly what the per-id adjacency
-        // lists used to: the same targets and latencies in the same stored
-        // order, partitioned identically across instructions.
-        regs_eq && self.succ_off == other.succ_off && self.succ_edges == other.succ_edges
+        // Offsets + flat arrays compare what per-id lists would: the same
+        // registers, targets and latencies, partitioned identically.
+        let (a, b) = (&self.instrs, &other.instrs);
+        a.regs == b.regs
+            && a.len() == b.len()
+            && a.ends.iter().zip(&b.ends).all(|(x, y)| x[1..] == y[1..])
+            && self.succ_off == other.succ_off
+            && self.succ_edges == other.succ_edges
     }
 
     /// Computes the transitive closure of the dependence relation.
@@ -275,6 +271,25 @@ mod tests {
         let scanned: Vec<InstrId> = g.ids().filter(|&i| g.preds(i).is_empty()).collect();
         assert_eq!(g.roots().collect::<Vec<_>>(), scanned);
         assert_eq!(scanned, vec![InstrId(0), InstrId(1), InstrId(3)]);
+    }
+
+    #[test]
+    fn content_eq_reads_the_def_use_split_but_not_the_names() {
+        use crate::instr::Reg;
+        let build = |name: &str, defs: &[Reg], uses: &[Reg]| {
+            let mut b = DdgBuilder::new();
+            b.instr(name, defs.iter().copied(), uses.iter().copied());
+            b.instr("tail", [], []);
+            b.build().unwrap()
+        };
+        let (v0, s2) = (Reg::vgpr(0), Reg::sgpr(2));
+        let base = build("ld", &[v0], &[s2]);
+        // A longer name moves the name column of the offsets only.
+        assert!(base.content_eq(&build("a_much_longer_name", &[v0], &[s2])));
+        // The same flat register list, split elsewhere, is other content.
+        assert!(!base.content_eq(&build("ld", &[], &[v0, s2])));
+        assert!(!base.content_eq(&build("ld", &[v0, s2], &[])));
+        assert!(!base.content_eq(&build("ld", &[v0], &[])));
     }
 
     #[test]

@@ -155,82 +155,121 @@ impl From<u32> for InstrId {
     }
 }
 
-/// An instruction with its *Def* and *Use* register sets.
-///
-/// Latencies live on DDG edges, not on the instruction, matching the paper's
-/// problem definition where an edge label is the latency that must elapse
-/// between the producer and the consumer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Instruction {
-    name: String,
-    defs: Vec<Reg>,
-    uses: Vec<Reg>,
+/// One instruction of an [`InstrTable`]: its name and its *Def* / *Use*
+/// register sets, read as slices of the table's buffers. Latencies live on
+/// DDG edges, as in the paper's problem definition, not on the instruction.
+#[derive(Clone, Copy)]
+pub struct Instr<'a> {
+    table: &'a InstrTable,
+    i: usize,
 }
 
-impl Instruction {
-    /// Creates an instruction from its name and Def/Use sets.
-    pub fn new(
-        name: impl Into<String>,
-        defs: impl IntoIterator<Item = Reg>,
-        uses: impl IntoIterator<Item = Reg>,
-    ) -> Instruction {
-        Instruction {
-            name: name.into(),
-            defs: defs.into_iter().collect(),
-            uses: uses.into_iter().collect(),
-        }
+impl<'a> Instr<'a> {
+    /// End offsets of this row (`back` 0) or of the one before — this row's starts, zeros for row 0.
+    fn ends(&self, back: usize) -> [u32; 3] {
+        let row = self.i.checked_sub(back);
+        row.map_or([0; 3], |i| self.table.ends[i])
     }
 
     /// Mnemonic used for display and debugging.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'a str {
+        &self.table.names[self.ends(1)[0] as usize..self.ends(0)[0] as usize]
     }
 
     /// Registers defined (written) by this instruction.
-    pub fn defs(&self) -> &[Reg] {
-        &self.defs
+    pub fn defs(&self) -> &'a [Reg] {
+        &self.table.regs[self.ends(1)[2] as usize..self.ends(0)[1] as usize]
     }
 
     /// Registers used (read) by this instruction.
-    pub fn uses(&self) -> &[Reg] {
-        &self.uses
+    pub fn uses(&self) -> &'a [Reg] {
+        &self.table.regs[self.ends(0)[1] as usize..self.ends(0)[2] as usize]
     }
 
     /// Number of registers of `class` defined by this instruction.
     pub fn defs_of(&self, class: RegClass) -> usize {
-        self.defs.iter().filter(|r| r.class == class).count()
+        self.defs().iter().filter(|r| r.class == class).count()
     }
 
     /// Number of registers of `class` used by this instruction.
     pub fn uses_of(&self, class: RegClass) -> usize {
-        self.uses.iter().filter(|r| r.class == class).count()
+        self.uses().iter().filter(|r| r.class == class).count()
     }
 }
 
-impl fmt::Display for Instruction {
+impl fmt::Debug for Instr<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name)?;
-        if !self.defs.is_empty() {
-            write!(f, " defs[")?;
-            for (i, r) in self.defs.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ",")?;
-                }
-                write!(f, "{r}")?;
+        write!(f, "Instr({self})")
+    }
+}
+
+impl fmt::Display for Instr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.name())?;
+        for (open, regs) in [(" defs[", self.defs()), (" uses[", self.uses())] {
+            for (i, r) in regs.iter().enumerate() {
+                write!(f, "{}{r}", if i == 0 { open } else { "," })?;
             }
-            write!(f, "]")?;
-        }
-        if !self.uses.is_empty() {
-            write!(f, " uses[")?;
-            for (i, r) in self.uses.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ",")?;
-                }
-                write!(f, "{r}")?;
+            if !regs.is_empty() {
+                write!(f, "]")?;
             }
-            write!(f, "]")?;
         }
         Ok(())
+    }
+}
+
+/// The instructions of a region in structure-of-arrays form: three heap
+/// blocks whatever the count, so cloning, comparing and dropping a table
+/// never walks per-instruction allocations.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct InstrTable {
+    /// Every name, back to back.
+    pub(crate) names: String,
+    /// Every register: per instruction its defs, then its uses.
+    pub(crate) regs: Vec<Reg>,
+    /// Per instruction, where its name ends in `names` and where its defs
+    /// and its uses end in `regs`; each starts where the previous one ends.
+    pub(crate) ends: Vec<[u32; 3]>,
+}
+
+impl InstrTable {
+    /// Number of instructions.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the table holds no instruction.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Appends an instruction from its name and Def/Use sets.
+    pub fn push(
+        &mut self,
+        name: impl fmt::Display,
+        defs: impl IntoIterator<Item = Reg>,
+        uses: impl IntoIterator<Item = Reg>,
+    ) {
+        use fmt::Write;
+        write!(self.names, "{name}").expect("writing to a String cannot fail");
+        self.regs.extend(defs);
+        let defs_end = self.regs.len();
+        self.regs.extend(uses);
+        self.close_row(defs_end);
+    }
+
+    /// Ends the row whose name and registers were appended to `names` and
+    /// `regs` since the previous row; its defs stop at `regs[defs_end]`.
+    pub(crate) fn close_row(&mut self, defs_end: usize) {
+        let end = |len: usize| u32::try_from(len).expect("region IR offsets fit u32");
+        let row = [self.names.len(), defs_end, self.regs.len()];
+        self.ends.push(row.map(end));
+    }
+
+    /// The instruction at index `i`; panics if `i` is out of bounds.
+    pub fn get(&self, i: usize) -> Instr<'_> {
+        assert!(i < self.len(), "instruction {i} of {}", self.len());
+        Instr { table: self, i }
     }
 }
 
@@ -288,11 +327,13 @@ mod tests {
 
     #[test]
     fn instruction_counts_defs_and_uses_per_class() {
-        let i = Instruction::new(
+        let mut t = InstrTable::default();
+        t.push(
             "v_add",
             [Reg::vgpr(0), Reg::sgpr(1)],
             [Reg::vgpr(2), Reg::vgpr(3), Reg::sgpr(4)],
         );
+        let i = t.get(0);
         assert_eq!(i.defs_of(RegClass::Vgpr), 1);
         assert_eq!(i.defs_of(RegClass::Sgpr), 1);
         assert_eq!(i.uses_of(RegClass::Vgpr), 2);
@@ -301,11 +342,24 @@ mod tests {
 
     #[test]
     fn instruction_display_mentions_operands() {
-        let i = Instruction::new("mul", [Reg::vgpr(1)], [Reg::vgpr(0)]);
-        let s = i.to_string();
-        assert!(s.contains("mul"));
-        assert!(s.contains("v1"));
-        assert!(s.contains("v0"));
+        let mut t = InstrTable::default();
+        t.push("mul", [Reg::vgpr(1)], [Reg::vgpr(0)]);
+        assert_eq!(t.get(0).to_string(), "mul defs[v1] uses[v0]");
+    }
+
+    #[test]
+    fn table_rows_share_buffers_and_keep_their_own_slices() {
+        let mut t = InstrTable::default();
+        t.push("ld", [Reg::vgpr(0)], []);
+        t.push(format_args!("add_{}", 1), [], [Reg::vgpr(0), Reg::sgpr(2)]);
+        t.push("", [], []);
+        assert_eq!(t.len(), 3);
+        let rows: Vec<_> = (0..3)
+            .map(|i| t.get(i))
+            .map(|i| (i.name(), i.defs().len(), i.uses().len()))
+            .collect();
+        assert_eq!(rows, [("ld", 1, 0), ("add_1", 0, 2), ("", 0, 0)]);
+        assert_eq!(t.get(1).uses(), &[Reg::vgpr(0), Reg::sgpr(2)]);
     }
 
     #[test]

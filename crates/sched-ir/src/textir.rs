@@ -13,6 +13,10 @@
 //! Instruction indices refer to `instr` lines in order of appearance.
 //! The format round-trips through [`to_text`] / [`parse`].
 //!
+//! Tokens split on any Unicode whitespace, numbers may carry a leading
+//! `+`, a repeated `defs`/`uses` replaces the earlier list (DESIGN.md,
+//! "Region IR layout", has the grammar in full).
+//!
 //! Parsing is split in two layers:
 //!
 //! * [`parse_raw`] checks syntax and index ranges only and returns a
@@ -40,9 +44,9 @@
 
 use crate::builder::DdgBuilder;
 use crate::ddg::Ddg;
-use crate::instr::{InstrId, Reg};
+use crate::instr::{InstrId, InstrTable, Reg};
 use std::error::Error;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A 1-indexed line/column position in a region text file.
 ///
@@ -102,19 +106,6 @@ fn err(pos: SrcPos, message: impl Into<String>) -> ParseTextError {
     }
 }
 
-/// One `instr` line of a [`RawRegion`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawInstr {
-    /// Instruction name.
-    pub name: String,
-    /// Defined registers, in written order.
-    pub defs: Vec<Reg>,
-    /// Used registers, in written order.
-    pub uses: Vec<Reg>,
-    /// Where the `instr` keyword sits in the source.
-    pub pos: SrcPos,
-}
-
 /// One `edge` line of a [`RawRegion`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawEdge {
@@ -134,27 +125,22 @@ pub struct RawEdge {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RawRegion {
     /// Instructions in file order (edge indices refer to this order).
-    pub instrs: Vec<RawInstr>,
+    pub instrs: InstrTable,
+    /// Where each instruction's `instr` keyword sits in the source.
+    pub instr_pos: Vec<SrcPos>,
     /// Edges in file order.
     pub edges: Vec<RawEdge>,
 }
 
 impl RawRegion {
-    /// Builds the validated [`Ddg`], rejecting whatever [`DdgBuilder`]
-    /// rejects (self edges, cycles), with the error pinned to the source
-    /// position of the offending edge where one exists. Copies the region;
-    /// callers done with it use [`RawRegion::into_ddg`].
-    pub fn build(&self) -> Result<Ddg, ParseTextError> {
-        self.clone().into_ddg()
-    }
-
-    /// [`RawRegion::build`] consuming the region: every name, def list and
-    /// use list moves into the [`Ddg`] instead of being cloned.
+    /// Builds the validated [`Ddg`] (the instruction table moves into it),
+    /// rejecting whatever [`DdgBuilder`] rejects (self edges, cycles) at
+    /// the source position of the offending edge where one exists.
     pub fn into_ddg(self) -> Result<Ddg, ParseTextError> {
-        let mut b = DdgBuilder::new();
-        for ri in self.instrs {
-            b.instr(ri.name, ri.defs, ri.uses);
-        }
+        let mut b = DdgBuilder {
+            instrs: self.instrs,
+            edges: Vec::with_capacity(self.edges.len()),
+        };
         for e in &self.edges {
             b.edge(InstrId(e.from), InstrId(e.to), e.latency)
                 .map_err(|why| err(e.pos, why.to_string()))?;
@@ -164,16 +150,6 @@ impl RawRegion {
     }
 }
 
-/// Whitespace-splits a line into `(1-indexed byte column, token)` pairs.
-fn tokens(line: &str) -> impl Iterator<Item = (u32, &str)> {
-    line.split_whitespace().map(move |tok| {
-        // `split_whitespace` yields subslices of `line`, so the byte offset
-        // recovers the column exactly.
-        let off = tok.as_ptr() as usize - line.as_ptr() as usize;
-        (off as u32 + 1, tok)
-    })
-}
-
 /// Largest register id the text format accepts. Every per-register table
 /// in the workspace is dense in the id ([`crate::RegTable`], the pressure
 /// tracker's universe), so an id read from untrusted text bounds an
@@ -181,7 +157,8 @@ fn tokens(line: &str) -> impl Iterator<Item = (u32, &str)> {
 pub const MAX_REG_ID: u32 = (1 << 20) - 1;
 
 fn parse_reg(tok: &str, pos: SrcPos) -> Result<Reg, ParseTextError> {
-    let (class, rest) = tok.split_at(1.min(tok.len()));
+    // The class is the first character, whatever its width in bytes.
+    let (class, rest) = tok.split_at(tok.chars().next().map_or(0, char::len_utf8));
     let id: u32 = rest
         .parse()
         .map_err(|_| err(pos, format!("bad register `{tok}`")))?;
@@ -201,23 +178,17 @@ fn parse_reg(tok: &str, pos: SrcPos) -> Result<Reg, ParseTextError> {
     }
 }
 
-fn parse_reg_list(tok: &str, pos: SrcPos) -> Result<Vec<Reg>, ParseTextError> {
-    // Column of each register within the comma-joined list.
-    let mut col = pos.col;
-    let mut regs = Vec::new();
+/// Appends the registers of one comma-joined list; returns their count.
+fn push_regs(tok: &str, mut pos: SrcPos, regs: &mut Vec<Reg>) -> Result<usize, ParseTextError> {
+    let before = regs.len();
     for part in tok.split(',') {
         if !part.is_empty() {
-            regs.push(parse_reg(
-                part,
-                SrcPos {
-                    line: pos.line,
-                    col,
-                },
-            )?);
+            regs.push(parse_reg(part, pos)?);
         }
-        col += part.len() as u32 + 1;
+        // Column of the next register within the list.
+        pos.col += part.len() as u32 + 1;
     }
-    Ok(regs)
+    Ok(regs.len() - before)
 }
 
 /// Parses a region's *syntax*, returning a [`RawRegion`] with source
@@ -226,7 +197,7 @@ fn parse_reg_list(tok: &str, pos: SrcPos) -> Result<Vec<Reg>, ParseTextError> {
 /// Edge endpoints are range-checked against the final instruction count
 /// (forward references are fine); graph-level validity (self edges,
 /// cycles) is deliberately **not** checked here — use
-/// [`RawRegion::build`] or [`parse`] for that.
+/// [`RawRegion::into_ddg`] or [`parse`] for that.
 ///
 /// # Errors
 ///
@@ -234,40 +205,67 @@ fn parse_reg_list(tok: &str, pos: SrcPos) -> Result<Vec<Reg>, ParseTextError> {
 /// offending token: unknown directives, malformed registers, indices, or
 /// latencies, or out-of-range edge endpoints.
 pub fn parse_raw(text: &str) -> Result<RawRegion, ParseTextError> {
-    let mut region = RawRegion::default();
+    // Lines, columns and table offsets are `u32`s.
+    if u32::try_from(text.len()).is_err() {
+        return Err(err(SrcPos { line: 0, col: 0 }, "region text exceeds 4 GiB"));
+    }
+    // Upper bounds, tight on printed text: one item a line, one more register
+    // a list than commas; capped by the 7 and 3 bytes the shortest of each takes.
+    let count = |byte| text.bytes().filter(|&b| b == byte).count();
+    let lines = (count(b'\n') + 1).min(text.len() / 7 + 1);
+    let regs = (count(b',') + 2 * lines).min(text.len() / 3 + 1);
+    let mut region = RawRegion {
+        instrs: InstrTable {
+            names: String::with_capacity(text.len()),
+            regs: Vec::with_capacity(regs),
+            ends: Vec::with_capacity(lines),
+        },
+        instr_pos: Vec::with_capacity(lines),
+        edges: Vec::with_capacity(lines),
+    };
     for (i, raw) in text.lines().enumerate() {
         let line_no = i as u32 + 1;
         let at = |col: u32| SrcPos { line: line_no, col };
-        let trimmed = raw.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let mut toks = tokens(raw);
-        let (kw_col, kw) = toks.next().expect("non-blank line has a token");
+        // Tokens with their 1-indexed byte columns: `split_whitespace`
+        // yields subslices of `raw`, so pointer distance is the offset.
+        let col_of = |tok: &str| (tok.as_ptr() as usize - raw.as_ptr() as usize) as u32 + 1;
+        let mut toks = raw.split_whitespace().map(|tok| (col_of(tok), tok));
+        let Some((kw_col, kw)) = toks.next().filter(|(_, kw)| !kw.starts_with('#')) else {
+            continue; // blank or comment
+        };
         match kw {
             "instr" => {
-                let (name_col, name) = toks
+                let (_, name) = toks
                     .next()
                     .ok_or_else(|| err(at(kw_col), "instr needs a name"))?;
-                let _ = name_col;
-                let mut defs = Vec::new();
-                let mut uses = Vec::new();
+                // The row grows at the tail of `regs` as defs, then uses.
+                let regs = &mut region.instrs.regs;
+                let row = regs.len();
+                let (mut defs, mut uses) = (0, 0);
                 while let Some((col, kw)) = toks.next() {
                     let (list_col, list) = toks
                         .next()
                         .ok_or_else(|| err(at(col), format!("{kw} needs a list")))?;
                     match kw {
-                        "defs" => defs = parse_reg_list(list, at(list_col))?,
-                        "uses" => uses = parse_reg_list(list, at(list_col))?,
+                        "defs" => {
+                            // A new list lands behind the uses: drop the
+                            // defs it replaces and rotate it to the front.
+                            let new = push_regs(list, at(list_col), regs)?;
+                            regs.drain(row..row + defs);
+                            regs[row..].rotate_left(uses);
+                            defs = new;
+                        }
+                        "uses" => {
+                            let new = push_regs(list, at(list_col), regs)?;
+                            regs.drain(row + defs..row + defs + uses);
+                            uses = new;
+                        }
                         other => return Err(err(at(col), format!("unknown keyword `{other}`"))),
                     }
                 }
-                region.instrs.push(RawInstr {
-                    name: name.to_string(),
-                    defs,
-                    uses,
-                    pos: at(kw_col),
-                });
+                region.instrs.names.push_str(name);
+                region.instrs.close_row(row + defs);
+                region.instr_pos.push(at(kw_col));
             }
             "edge" => {
                 let mut num = |what: &str| -> Result<(u32, u32), ParseTextError> {
@@ -326,28 +324,29 @@ pub fn parse(text: &str) -> Result<Ddg, ParseTextError> {
 
 /// Renders a region in the text format (inverse of [`parse`]).
 pub fn to_text(ddg: &Ddg) -> String {
-    let mut out = String::new();
-    for id in ddg.ids() {
-        let instr = ddg.instr(id);
+    // Room for the longest rendering (19 bytes of keywords a line, ten
+    // digits a number): the one buffer never grows, and is cut to size.
+    let t = ddg.instrs();
+    let bound = t.names.len() + 19 * t.len() + 12 * t.regs.len() + 33 * ddg.edge_count();
+    let mut out = String::with_capacity(bound);
+    let ok = "writing to a String cannot fail";
+    for instr in ddg.ids().map(|id| ddg.instr(id)) {
         out.push_str("instr ");
         out.push_str(instr.name());
-        if !instr.defs().is_empty() {
-            let regs: Vec<String> = instr.defs().iter().map(|r| r.to_string()).collect();
-            out.push_str(" defs ");
-            out.push_str(&regs.join(","));
-        }
-        if !instr.uses().is_empty() {
-            let regs: Vec<String> = instr.uses().iter().map(|r| r.to_string()).collect();
-            out.push_str(" uses ");
-            out.push_str(&regs.join(","));
+        for (keyword, regs) in [(" defs ", instr.defs()), (" uses ", instr.uses())] {
+            for (i, r) in regs.iter().enumerate() {
+                out.push_str(if i == 0 { keyword } else { "," });
+                write!(out, "{r}").expect(ok);
+            }
         }
         out.push('\n');
     }
     for id in ddg.ids() {
         for &(s, lat) in ddg.succs(id) {
-            out.push_str(&format!("edge {} {} {}\n", id.0, s.0, lat));
+            writeln!(out, "edge {} {} {}", id.0, s.0, lat).expect(ok);
         }
     }
+    out.shrink_to_fit();
     out
 }
 
@@ -433,17 +432,39 @@ mod tests {
     }
 
     #[test]
-    fn consuming_build_equals_the_borrowing_build() {
-        let text = to_text(&figure1::ddg());
-        let raw = parse_raw(&text).unwrap();
-        let (kept, moved) = (raw.build().unwrap(), raw.into_ddg().unwrap());
-        assert!(kept.content_eq(&moved));
-        for id in kept.ids() {
-            assert_eq!(kept.instr(id), moved.instr(id));
-        }
-        // Errors are the same values on both paths.
-        let raw = parse_raw("instr a\ninstr b\nedge 0 1 1\nedge 1 0 1").unwrap();
-        assert_eq!(raw.build().unwrap_err(), raw.into_ddg().unwrap_err());
+    fn non_ascii_register_tokens_are_positioned_errors() {
+        // `split_at(1)` used to panic inside the first multi-byte character.
+        let e = parse("instr a defs é5").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 14));
+        assert!(e.message.starts_with("bad register"), "{e}");
+        let e = parse_raw("instr a defs v0,€").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 17));
+        assert_eq!(e.message, "bad register `€`");
+        // Columns stay byte columns after a multi-byte token.
+        let e = parse("instr é defs v0 uses ß").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 23));
+    }
+
+    #[test]
+    fn operand_lists_land_as_defs_then_uses_whatever_the_order_written() {
+        let table = |text: &str| parse_raw(text).unwrap().instrs;
+        let want = table("instr a defs v1,v2 uses s0\ninstr b uses v1");
+        // `uses` first, a repeated keyword (the last list wins), skipped
+        // empty entries, a leading `+`, Unicode whitespace between tokens.
+        assert_eq!(table("instr a uses s0 defs v1,v2\ninstr b uses v1"), want);
+        assert_eq!(
+            table("instr a defs v9 uses s3,s4 defs v1,v2 uses s0\ninstr b uses v1"),
+            want
+        );
+        assert_eq!(
+            table("instr a defs ,v1,,v+2, uses s0\r\n\u{a0}instr\u{2003}b\tuses v1\u{b}"),
+            want
+        );
+        let emptied = table("instr a defs v1 uses s0 defs , uses ,");
+        assert!(emptied.get(0).defs().is_empty() && emptied.get(0).uses().is_empty());
+        // An earlier list is still checked even though a later one replaces it.
+        let e = parse_raw("instr a defs q7 defs v0").unwrap_err();
+        assert_eq!((e.line, e.col), (1, 14));
     }
 
     #[test]
@@ -451,11 +472,14 @@ mod tests {
         let raw = parse_raw("instr a\ninstr b\nedge 0 1 1\nedge 1 0 1").unwrap();
         assert_eq!(raw.instrs.len(), 2);
         assert_eq!(raw.edges.len(), 2);
-        assert!(raw.build().is_err(), "strict build still rejects the cycle");
+        assert!(
+            raw.clone().into_ddg().is_err(),
+            "strict build still rejects the cycle"
+        );
         let raw = parse_raw("instr a\nedge 0 0 1").unwrap();
         assert_eq!(raw.edges[0].from, raw.edges[0].to);
         assert!(
-            raw.build().is_err(),
+            raw.clone().into_ddg().is_err(),
             "strict build still rejects self edges"
         );
         // Out-of-range endpoints stay a parse error even at the raw layer.
@@ -466,8 +490,8 @@ mod tests {
     #[test]
     fn raw_positions_point_at_directives() {
         let raw = parse_raw("# hdr\ninstr a defs v0\n\ninstr b uses v0\nedge 0 1 2\n").unwrap();
-        assert_eq!(raw.instrs[0].pos, SrcPos { line: 2, col: 1 });
-        assert_eq!(raw.instrs[1].pos, SrcPos { line: 4, col: 1 });
+        assert_eq!(raw.instr_pos[0], SrcPos { line: 2, col: 1 });
+        assert_eq!(raw.instr_pos[1], SrcPos { line: 4, col: 1 });
         assert_eq!(raw.edges[0].pos, SrcPos { line: 5, col: 1 });
     }
 

@@ -185,7 +185,10 @@ mod tests {
         let (text, (a, b)) = with_cycle_text(&ddg, 0).expect("chains have edges");
         let raw = textir::parse_raw(&text).expect("still syntactically valid");
         assert!(raw.edges.iter().any(|e| (e.from, e.to) == (b.0, a.0)));
-        assert!(raw.build().is_err(), "the cycle must defeat strict parsing");
+        assert!(
+            raw.into_ddg().is_err(),
+            "the cycle must defeat strict parsing"
+        );
     }
 
     #[test]

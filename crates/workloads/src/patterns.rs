@@ -62,7 +62,7 @@ impl GenCtx {
     fn emit(&mut self, kind: OpKind, inputs: &[Val]) -> Val {
         let reg = self.fresh_vgpr();
         let id = self.b.instr(
-            format!("{}_{}", kind.mnemonic(), self.b.len()),
+            format_args!("{}_{}", kind.mnemonic(), self.b.len()),
             [reg],
             inputs.iter().map(|v| v.reg),
         );
@@ -79,7 +79,7 @@ impl GenCtx {
     fn emit_multi(&mut self, kind: OpKind, inputs: &[Val], ndefs: usize) -> Vec<Val> {
         let regs: Vec<Reg> = (0..ndefs).map(|_| self.fresh_vgpr()).collect();
         let id = self.b.instr(
-            format!("{}_{}", kind.mnemonic(), self.b.len()),
+            format_args!("{}_{}", kind.mnemonic(), self.b.len()),
             regs.iter().copied(),
             inputs.iter().map(|v| v.reg),
         );
@@ -96,7 +96,7 @@ impl GenCtx {
     /// Emits a value-consuming instruction with no def (a store).
     fn emit_sink(&mut self, kind: OpKind, inputs: &[Val]) -> InstrId {
         let id = self.b.instr(
-            format!("{}_{}", kind.mnemonic(), self.b.len()),
+            format_args!("{}_{}", kind.mnemonic(), self.b.len()),
             [],
             inputs.iter().map(|v| v.reg),
         );

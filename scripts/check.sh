@@ -7,10 +7,12 @@
 # Mirrors what reviewers expect before a merge: rustfmt clean, clippy
 # clean at -D warnings across every target, all workspace tests green,
 # and (unless --fast) the release build the tier-1 gate uses, the bench
-# binaries compiling, a CLI verify smoke run on generated regions, and
-# the static-analysis deny-gate (`gpu-aco-cli analyze --json`), the
-# wall-clock smoke perf gate, and the `benchmark/` package's unit tests and
-# self-checking `suite-unique --smoke` and `frontend-large --smoke` runs
+# binaries compiling, the full-corpus flat-IR differential test, a CLI
+# verify smoke run on generated regions, a non-ASCII register token that
+# must be a diagnostic and not a panic, the static-analysis deny-gate
+# (`gpu-aco-cli analyze --json`), the wall-clock smoke perf gate, and the
+# `benchmark/` package's unit tests and self-checking `suite-unique
+# --smoke` and `frontend-large --smoke` runs
 # (which must leave `benchmark/` and BENCHMARK.json untouched).
 
 set -euo pipefail
@@ -29,6 +31,11 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "==> cargo bench --workspace --no-run"
     cargo bench --workspace --no-run
 
+    echo "==> flat region IR == old front door on the 9,941-region corpus"
+    # Tier-1 runs a reduced corpus of tests/region_ir_exact.rs; this is the
+    # whole frontend-large corpus plus the larger mutation sweep.
+    cargo test --release -q --test region_ir_exact -- --ignored
+
     echo "==> gpu-aco-cli verify smoke run"
     smoke_dir="$(mktemp -d)"
     trap 'rm -rf "$smoke_dir"' EXIT
@@ -37,6 +44,23 @@ if [[ "${1:-}" != "--fast" ]]; then
     ./target/release/gpu-aco-cli generate reduction 40 --seed 9 > "$smoke_dir/region2.txt"
     ./target/release/gpu-aco-cli schedule "$smoke_dir/region.txt" "$smoke_dir/region2.txt" \
         --batch --blocks 8 > /dev/null
+
+    echo "==> non-ASCII register token smoke"
+    # `instr a defs é5` used to panic the parser (`byte index 1 is not a
+    # char boundary`); every front door must answer with the positioned
+    # diagnostic instead.
+    printf 'instr a defs \xc3\xa95\n' > "$smoke_dir/utf8_reg.txt"
+    for subcommand in schedule analyze; do
+        if ./target/release/gpu-aco-cli "$subcommand" "$smoke_dir/utf8_reg.txt" \
+            > /dev/null 2> "$smoke_dir/utf8_reg.err"; then
+            echo "$subcommand must reject a non-ASCII register token"; exit 1
+        fi
+        grep -q "line 1, column 14" "$smoke_dir/utf8_reg.err" \
+            || { echo "$subcommand: no positioned diagnostic"; cat "$smoke_dir/utf8_reg.err"; exit 1; }
+        if grep -q "panicked" "$smoke_dir/utf8_reg.err"; then
+            echo "$subcommand panicked on a non-ASCII register token"; exit 1
+        fi
+    done
 
     echo "==> schedule cache on/off smoke"
     ./target/release/gpu-aco-cli schedule "$smoke_dir/region.txt" --blocks 8 \

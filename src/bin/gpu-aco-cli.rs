@@ -691,7 +691,7 @@ fn analyze(args: &[String]) -> Result<(), String> {
         let text =
             std::fs::read_to_string(path.as_str()).map_err(|e| format!("reading {path}: {e}"))?;
         let raw = textir::parse_raw(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-        let claim = raw.build().ok().map(|ddg| {
+        let claim = raw.clone().into_ddg().ok().map(|ddg| {
             let r = ListScheduler::new(Heuristic::AmdMaxOccupancy).schedule(&ddg, &occ);
             sa::ScheduleClaim {
                 length: r.length as u64,

@@ -179,3 +179,37 @@ fn twice_defined_register_schedules_and_verify_denies() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("deny[L002]"), "{stdout}");
 }
+
+/// A register token whose first character is multi-byte used to abort
+/// `schedule`, `verify` and `analyze` with a `not a char boundary` panic;
+/// it is a positioned diagnostic like any other bad register.
+#[test]
+fn non_ascii_register_token_is_a_diagnostic_not_a_panic() {
+    let dir = tmp_dir("utf8-reg");
+    for (name, text, at) in [
+        (
+            "class.txt",
+            "instr a defs é5\n",
+            "line 1, column 14: bad register",
+        ),
+        (
+            "list.txt",
+            "instr a defs v0,€\n",
+            "line 1, column 17: bad register `€`",
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let region = path.to_string_lossy().into_owned();
+        for subcommand in ["schedule", "verify", "analyze"] {
+            let out = cli(&[subcommand, &region], &dir);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{subcommand} {name}: {stderr}");
+            assert!(stderr.contains(at), "{subcommand} {name}: {stderr}");
+            assert!(
+                !stderr.contains("panicked"),
+                "{subcommand} {name}: {stderr}"
+            );
+        }
+    }
+}

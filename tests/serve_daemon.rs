@@ -129,14 +129,11 @@ fn stdio_session_is_byte_identical_to_one_shot_cli() {
     );
 }
 
-/// One register name used to make the pressure tracker's id-keyed table
-/// allocate 16 GB. The text-IR front door now rejects the id: the daemon
-/// answers with a typed `err` and serves the next request on the same
-/// connection.
-#[test]
-fn oversized_register_id_is_a_typed_err_and_the_connection_survives() {
-    let dir = tmp_dir("regid");
-    let bad = "instr a defs v4000000000\ninstr b uses v4000000000\nedge 0 1 1\n";
+/// Sends `bad` (three lines of text-IR) as request `big` and a small valid
+/// region as request `next` on one stdio connection; returns the response
+/// line of `big` once `next` has been seen served.
+fn rejected_then_served(dir_name: &str, bad: &str) -> String {
+    let dir = tmp_dir(dir_name);
     let good = "instr a defs v0\ninstr b uses v0\nedge 0 1 1\n";
     let request = format!(
         "req big schedule scheduler=amd ddg 3\n{bad}req next schedule scheduler=amd ddg 3\n{good}"
@@ -156,16 +153,32 @@ fn oversized_register_id_is_a_typed_err_and_the_connection_survives() {
         .write_all(request.as_bytes())
         .unwrap();
     let out = daemon.wait_with_output().unwrap();
-    assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     let stdout = String::from_utf8(out.stdout).unwrap();
-    let rejected = stdout
+    assert!(
+        stdout.lines().any(|l| l.starts_with("resp next ok ")),
+        "the next request on the connection must be served: {stdout}"
+    );
+    assert!(stdout.contains("2 instructions in 2 cycles"), "{stdout}");
+    stdout
         .lines()
         .find(|l| l.starts_with("resp big "))
-        .expect("the oversized request is answered");
+        .expect("the rejected request is answered")
+        .to_string()
+}
+
+/// One register name used to make the pressure tracker's id-keyed table
+/// allocate 16 GB. The text-IR front door now rejects the id: the daemon
+/// answers with a typed `err` and serves the next request on the same
+/// connection.
+#[test]
+fn oversized_register_id_is_a_typed_err_and_the_connection_survives() {
+    let rejected = rejected_then_served(
+        "regid",
+        "instr a defs v4000000000\ninstr b uses v4000000000\nedge 0 1 1\n",
+    );
     assert!(
         rejected.starts_with("resp big err parsing region: line 1, column 14: register id"),
         "{rejected}"
@@ -174,11 +187,23 @@ fn oversized_register_id_is_a_typed_err_and_the_connection_survives() {
         rejected.contains("exceeds the maximum 1048575"),
         "{rejected}"
     );
+}
+
+/// A register token whose first character is multi-byte used to panic the
+/// parser on the connection thread: that request and every later one on
+/// the connection went unanswered.
+#[test]
+fn non_ascii_register_token_is_a_typed_err_and_the_connection_survives() {
+    let rejected = rejected_then_served("regutf8", "instr a defs é5\ninstr b\nedge 0 1 1\n");
     assert!(
-        stdout.lines().any(|l| l.starts_with("resp next ok ")),
-        "the next request on the connection must be served: {stdout}"
+        rejected.starts_with("resp big err parsing region: line 1, column 14: bad register"),
+        "{rejected}"
     );
-    assert!(stdout.contains("2 instructions in 2 cycles"), "{stdout}");
+    let rejected = rejected_then_served("regutf8b", "instr a defs v0,€\ninstr b\nedge 0 1 1\n");
+    assert!(
+        rejected.starts_with("resp big err parsing region: line 1, column 17: bad register `€`"),
+        "{rejected}"
+    );
 }
 
 #[test]
