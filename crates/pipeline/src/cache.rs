@@ -193,6 +193,13 @@ struct CacheEntry {
 
 type Map = HashMap<u64, Arc<CacheEntry>>;
 
+/// Why a lookup adopted nothing: no entry under the key (a miss), or an
+/// entry that failed the equality gate or re-certification (a bypass).
+enum Unadopted {
+    Absent,
+    Rejected,
+}
+
 /// One lock-guarded shard of the store.
 #[derive(Default)]
 struct Shard {
@@ -358,6 +365,52 @@ impl ScheduleCache {
         self.compile_solo_with(ddg, occ, cfg, None)
     }
 
+    /// The hit half of [`Self::compile_solo`] alone: the memoized
+    /// compilation when an entry passes the equality gate and
+    /// re-certification (counted as a hit, stamp refreshed), `None`
+    /// otherwise — with nothing counted and nothing compiled, so a caller
+    /// that goes on to `compile_solo` still books the request as exactly
+    /// one of hit, miss or bypass. The serve daemon asks this at admission
+    /// to answer warm requests without queueing them.
+    pub fn lookup_solo(
+        &self,
+        ddg: &Ddg,
+        occ: &OccupancyModel,
+        cfg: &PipelineConfig,
+    ) -> Option<RegionCompilation> {
+        let key = solo_key_warm(ddg, occ, cfg, None);
+        self.lookup_solo_keyed(key, ddg, occ, cfg, None).ok()
+    }
+
+    /// The one hit arm of the solo paths; `Err` says why nothing was
+    /// adopted and leaves the accounting to the caller.
+    fn lookup_solo_keyed(
+        &self,
+        key: u64,
+        ddg: &Ddg,
+        occ: &OccupancyModel,
+        cfg: &PipelineConfig,
+        warm_fp: Option<u64>,
+    ) -> Result<RegionCompilation, Unadopted> {
+        let entry = self.shard(key).get(key).ok_or(Unadopted::Absent)?;
+        if let Payload::Solo {
+            ddg: cached_ddg,
+            comp,
+        } = &entry.payload
+        {
+            if same_inputs(&entry, cfg, occ)
+                && entry.warm_fp == warm_fp
+                && cached_ddg.content_eq(ddg)
+                && certify_hit(ddg, occ, comp)
+            {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                entry.stamp.store(self.tick(), Ordering::Relaxed);
+                return Ok(comp.clone());
+            }
+        }
+        Err(Unadopted::Rejected)
+    }
+
     /// [`Self::compile_solo`] with an optional warm-start hint (see
     /// [`crate::region::compile_region_warm`]). A hint changes the
     /// compiled result, so warm lookups key on the hint's fingerprint as
@@ -374,28 +427,13 @@ impl ScheduleCache {
     ) -> RegionCompilation {
         let warm_fp = warm.map(aco::WarmStart::fingerprint);
         let key = solo_key_warm(ddg, occ, cfg, warm_fp);
-        if let Some(entry) = self.shard(key).get(key) {
-            if let Payload::Solo {
-                ddg: cached_ddg,
-                comp,
-            } = &entry.payload
-            {
-                if same_inputs(&entry, cfg, occ)
-                    && entry.warm_fp == warm_fp
-                    && cached_ddg.content_eq(ddg)
-                    && certify_hit(ddg, occ, comp)
-                {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    entry.stamp.store(self.tick(), Ordering::Relaxed);
-                    return comp.clone();
-                }
-            }
+        match self.lookup_solo_keyed(key, ddg, occ, cfg, warm_fp) {
+            Ok(comp) => return comp,
             // Collision, config mismatch under a colliding key, or a
             // tampered entry: never adopt — recompute and self-heal.
-            self.bypasses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
+            Err(Unadopted::Rejected) => self.bypasses.fetch_add(1, Ordering::Relaxed),
+            Err(Unadopted::Absent) => self.misses.fetch_add(1, Ordering::Relaxed),
+        };
         let comp = compile_region_warm(ddg, occ, cfg, warm);
         self.store(key, solo_entry_warm(ddg, occ, cfg, &comp, warm_fp));
         comp
@@ -1702,6 +1740,41 @@ mod tests {
         let got = loaded.compile_solo(&ddg, &occ, &c);
         assert!(comps_eq(&fresh, &got), "edited claims must be bypassed");
         assert_eq!(loaded.stats().bypasses, 1);
+    }
+
+    /// `lookup_solo` is the hit arm alone: it counts a hit when it adopts
+    /// and nothing when it does not, so a caller that falls through to
+    /// `compile_solo` books the request exactly once.
+    #[test]
+    fn lookup_solo_counts_a_hit_or_nothing() {
+        let occ = machine_model::OccupancyModel::vega_like();
+        let c = cfg(SchedulerKind::BaseAmd);
+        let ddg = sample_ddg(29);
+        let cache = ScheduleCache::new();
+        assert!(cache.lookup_solo(&ddg, &occ, &c).is_none());
+        assert_eq!(cache.stats(), CacheStats::default(), "absent: uncounted");
+        let fresh = cache.compile_solo(&ddg, &occ, &c);
+        let hit = cache.lookup_solo(&ddg, &occ, &c).expect("now memoized");
+        assert!(comps_eq(&fresh, &hit));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+        // Another config under the same region is absent, not a bypass.
+        assert!(cache
+            .lookup_solo(&ddg, &occ, &cfg(SchedulerKind::CriticalPath))
+            .is_none());
+        // A lying entry is never adopted and not counted here: the
+        // `compile_solo` that follows counts the bypass and heals it.
+        let key = solo_key(&ddg, &occ, &c);
+        let mut lie = fresh.clone();
+        lie.occupancy += 1;
+        cache
+            .shard(key)
+            .insert(key, Arc::new(solo_entry(&ddg, &occ, &c, &lie)));
+        let before = cache.stats();
+        assert!(cache.lookup_solo(&ddg, &occ, &c).is_none());
+        assert_eq!(cache.stats(), before, "rejected: uncounted");
+        assert!(comps_eq(&fresh, &cache.compile_solo(&ddg, &occ, &c)));
+        assert_eq!(cache.stats().since(before).bypasses, 1);
+        assert!(cache.lookup_solo(&ddg, &occ, &c).is_some(), "healed");
     }
 
     /// Concurrent readers and writers on the sharded store, unbounded and

@@ -1,9 +1,8 @@
 //! Schedules: assignments of issue cycles to instructions.
 
 use crate::ddg::Ddg;
-use crate::instr::{InstrId, Reg};
+use crate::instr::{InstrId, Reg, RegTable};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -172,16 +171,17 @@ impl Schedule {
         }
         // Def/use ordering from the instructions themselves: every in-region
         // use must issue strictly after its (SSA) definition, whether or not
-        // an edge carries that dependence.
-        let mut def_of: HashMap<Reg, InstrId> = HashMap::new();
+        // an edge carries that dependence. The first definition in id
+        // order is the one a twice-defined register is held to.
+        let mut def_of: RegTable<Option<InstrId>> = RegTable::new();
         for id in ddg.ids() {
             for &r in ddg.instr(id).defs() {
-                def_of.entry(r).or_insert(id);
+                def_of.slot(r).get_or_insert(id);
             }
         }
         for id in ddg.ids() {
             for &r in ddg.instr(id).uses() {
-                if let Some(&def) = def_of.get(&r) {
+                if let Some(&Some(def)) = def_of.get(r) {
                     if def != id && self.cycle(id) <= self.cycle(def) {
                         return Err(ScheduleError::DependenceViolation {
                             def,

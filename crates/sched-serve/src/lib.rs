@@ -21,9 +21,11 @@
 //!   rejection when full, per-request deadlines with a typed `expired`
 //!   response, and smallest-first service so small regions jump the
 //!   queue (the same discipline `host_pool::plan_jobs` feeds it).
-//! * [`server`] — the engine: worker threads draining the planner
-//!   through [`pipeline::host_pool::run_job`] and the shared cache,
-//!   per-connection request parsing, graceful drain on SIGTERM/EOF, and
+//! * [`server`] — the engine: per-connection request parsing and
+//!   admission (a `schedule` request the cache already holds is answered
+//!   on the connection thread; only compiles are queued), worker threads
+//!   draining the planner through [`pipeline::host_pool::run_job`] and
+//!   the shared cache, graceful drain on SIGTERM/EOF, and
 //!   the `stats` surface exposing cache counters and the per-phase
 //!   latencies [`pipeline::SuiteRun`] tracks.
 //! * [`render`] — the one-shot CLI's report rendering, factored out so

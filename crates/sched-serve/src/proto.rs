@@ -26,18 +26,23 @@
 //! resp <id> expired <waited-ms> <deadline-ms>
 //! ```
 //!
-//! `overloaded` is the typed admission-control rejection (the bounded
-//! queue was full; the request was **not** enqueued); `expired` means the
-//! request was admitted but its `deadline-ms` elapsed before a worker
-//! started it. Option defaults mirror the one-shot CLI (`scheduler=par
-//! seed=0 blocks=32`), so a bare `schedule` request returns byte-for-byte
-//! what `gpu-aco-cli schedule <region>` prints. A `suite` request's
-//! defaults (`scale=0.008 blocks=4 gate=1`) mirror the golden-fingerprint
-//! suite configuration, so `suite seed=5` must report the pinned
-//! `SUITE_GOLDEN` fingerprint of `sched-verify`.
+//! Admission is parse → cache lookup → answer or queue: a `schedule`
+//! request whose region is already in the shared cache is answered on the
+//! connection thread and never queues, so it can be neither `overloaded`
+//! nor `expired`. `overloaded` is the typed admission-control rejection of
+//! a request that needed a compile (the bounded queue was full; it was
+//! **not** enqueued); `expired` means a request was queued but its
+//! `deadline-ms` elapsed before a worker started it. Option defaults
+//! mirror the one-shot CLI (`scheduler=par seed=0 blocks=32`), so a bare
+//! `schedule` request returns byte-for-byte what `gpu-aco-cli schedule
+//! <region>` prints. A `suite` request's defaults (`scale=0.008 blocks=4
+//! gate=1`) mirror the golden-fingerprint suite configuration, so `suite
+//! seed=5` must report the pinned `SUITE_GOLDEN` fingerprint of
+//! `sched-verify`.
 
 use pipeline::SchedulerKind;
 use std::io::{self, BufRead};
+use std::str::SplitWhitespace;
 
 /// Hard cap on a `schedule` request's text-IR payload, lines. Bounds the
 /// memory one request can pin while queued.
@@ -137,12 +142,18 @@ pub struct ParseErr {
     pub id: Option<String>,
     /// What was wrong.
     pub msg: String,
+    /// Payload lines that follow the rejected header on the wire: the
+    /// count of a `schedule` header whose `ddg <n>` frame parsed but whose
+    /// options did not, 0 otherwise. The reader must discard them, or each
+    /// would be read as a request of its own.
+    pub payload_lines: usize,
 }
 
 fn perr(id: Option<&str>, msg: impl Into<String>) -> ParseErr {
     ParseErr {
         id: id.map(str::to_string),
         msg: msg.into(),
+        payload_lines: 0,
     }
 }
 
@@ -159,42 +170,41 @@ fn scheduler_kind(name: &str, allow_batched: bool) -> Result<SchedulerKind, Stri
 
 /// Parses one request header line.
 pub fn parse_request_line(line: &str) -> Result<(String, Parsed), ParseErr> {
-    let toks: Vec<&str> = line.split_whitespace().collect();
-    if toks.first() != Some(&"req") {
+    let mut toks = line.split_whitespace();
+    if toks.next() != Some("req") {
         return Err(perr(None, "expected `req <id> <command> ...`"));
     }
-    let id = *toks
-        .get(1)
+    let id = toks
+        .next()
         .ok_or_else(|| perr(None, "missing request id"))?;
-    let cmd = *toks
-        .get(2)
+    let cmd = toks
+        .next()
         .ok_or_else(|| perr(Some(id), "missing command"))?;
-    let opts = &toks[3..];
     let parsed = match cmd {
         "stats" => {
-            if !opts.is_empty() {
+            if toks.next().is_some() {
                 return Err(perr(Some(id), "stats takes no options"));
             }
             Parsed::Stats
         }
         "flush" => {
-            if !opts.is_empty() {
+            if toks.next().is_some() {
                 return Err(perr(Some(id), "flush takes no options"));
             }
             Parsed::Flush
         }
-        "schedule" => parse_schedule(id, opts)?,
-        "suite" => Parsed::Suite(parse_suite(id, opts)?),
+        "schedule" => parse_schedule(id, toks)?,
+        "suite" => Parsed::Suite(parse_suite(id, toks)?),
         other => return Err(perr(Some(id), format!("unknown command `{other}`"))),
     };
     Ok((id.to_string(), parsed))
 }
 
-fn parse_schedule(id: &str, opts: &[&str]) -> Result<Parsed, ParseErr> {
+fn parse_schedule(id: &str, mut opts: SplitWhitespace) -> Result<Parsed, ParseErr> {
     // The trailing `ddg <nlines>` marker is mandatory: it frames the
     // payload that follows.
-    let (marker, rest) = match opts {
-        [rest @ .., m, n] if *m == "ddg" => (*n, rest),
+    let marker = match (opts.next_back(), opts.next_back()) {
+        (Some(n), Some("ddg")) => n,
         _ => {
             return Err(perr(
                 Some(id),
@@ -211,32 +221,35 @@ fn parse_schedule(id: &str, opts: &[&str]) -> Result<Parsed, ParseErr> {
             format!("ddg payload must be 1..={MAX_PAYLOAD_LINES} lines"),
         ));
     }
-    let mut o = ScheduleOpts::default();
-    for tok in rest {
-        match tok.split_once('=') {
-            Some(("scheduler", v)) => {
-                o.scheduler = scheduler_kind(v, false).map_err(|e| perr(Some(id), e))?;
-            }
-            Some(("seed", v)) => {
-                o.seed = v.parse().map_err(|_| perr(Some(id), "bad seed"))?;
-            }
-            Some(("blocks", v)) => {
-                o.blocks = parse_blocks(v).map_err(|e| perr(Some(id), e))?;
-            }
-            Some(("deadline-ms", v)) => {
-                o.deadline_ms = Some(v.parse().map_err(|_| perr(Some(id), "bad deadline-ms"))?);
-            }
-            None if *tok == "unit-aprp" => o.unit_aprp = true,
-            _ => return Err(perr(Some(id), format!("unknown schedule option `{tok}`"))),
-        }
-    }
+    // From here on the frame is known: a bad option still owns its payload.
+    let opts = parse_schedule_opts(opts).map_err(|msg| ParseErr {
+        payload_lines,
+        ..perr(Some(id), msg)
+    })?;
     Ok(Parsed::Schedule {
-        opts: o,
+        opts,
         payload_lines,
     })
 }
 
-fn parse_suite(id: &str, opts: &[&str]) -> Result<SuiteOpts, ParseErr> {
+fn parse_schedule_opts(opts: SplitWhitespace) -> Result<ScheduleOpts, String> {
+    let mut o = ScheduleOpts::default();
+    for tok in opts {
+        match tok.split_once('=') {
+            Some(("scheduler", v)) => o.scheduler = scheduler_kind(v, false)?,
+            Some(("seed", v)) => o.seed = v.parse().map_err(|_| "bad seed")?,
+            Some(("blocks", v)) => o.blocks = parse_blocks(v)?,
+            Some(("deadline-ms", v)) => {
+                o.deadline_ms = Some(v.parse().map_err(|_| "bad deadline-ms")?);
+            }
+            None if tok == "unit-aprp" => o.unit_aprp = true,
+            _ => return Err(format!("unknown schedule option `{tok}`")),
+        }
+    }
+    Ok(o)
+}
+
+fn parse_suite(id: &str, opts: SplitWhitespace) -> Result<SuiteOpts, ParseErr> {
     let mut o = SuiteOpts::default();
     for tok in opts {
         match tok.split_once('=') {
@@ -264,7 +277,7 @@ fn parse_suite(id: &str, opts: &[&str]) -> Result<SuiteOpts, ParseErr> {
             Some(("deadline-ms", v)) => {
                 o.deadline_ms = Some(v.parse().map_err(|_| perr(Some(id), "bad deadline-ms"))?);
             }
-            None if *tok == "unit-aprp" => o.unit_aprp = true,
+            None if tok == "unit-aprp" => o.unit_aprp = true,
             _ => return Err(perr(Some(id), format!("unknown suite option `{tok}`"))),
         }
     }
@@ -444,6 +457,48 @@ mod tests {
         assert!(parse_request_line("req x suite scale=0").is_err());
         assert!(parse_request_line("req x suite blocks=0").is_err());
         assert!(parse_request_line("req x stats extra").is_err());
+    }
+
+    #[test]
+    fn a_bad_option_behind_a_good_frame_still_owns_its_payload() {
+        // The frame parsed: the error carries its line count, so the reader
+        // can skip the payload instead of reading it as requests.
+        for (line, msg) in [
+            ("req c1 schedule seed=abc ddg 3", "bad seed"),
+            ("req c1 schedule blocks=0 ddg 3", "blocks must be positive"),
+            (
+                "req c1 schedule frobnicate ddg 3",
+                "unknown schedule option `frobnicate`",
+            ),
+            (
+                "req c1 schedule scheduler=batched ddg 3",
+                "unknown scheduler `batched`",
+            ),
+            ("req c1 schedule deadline-ms=-1 ddg 3", "bad deadline-ms"),
+        ] {
+            let e = parse_request_line(line).unwrap_err();
+            assert_eq!(
+                (e.id.as_deref(), e.msg.as_str(), e.payload_lines),
+                (Some("c1"), msg, 3),
+                "{line}"
+            );
+        }
+        // No frame, or a malformed one: nothing is known to follow.
+        for line in [
+            "req c1 schedule seed=abc",
+            "req c1 schedule seed=abc ddg",
+            "req c1 schedule seed=abc ddg 0",
+            "req c1 schedule seed=abc ddg many",
+            "req c1 schedule seed=abc ddg 100001",
+            "req c1 suite seed=abc",
+            "req c1 bogus ddg 3",
+        ] {
+            assert_eq!(
+                parse_request_line(line).unwrap_err().payload_lines,
+                0,
+                "{line}"
+            );
+        }
     }
 
     #[test]

@@ -2,13 +2,16 @@
 //!
 //! One [`Engine`] per daemon holds the three shared pieces — the warm
 //! [`ScheduleCache`], the [`Planner`] admission queue, and the
-//! [`ServeStats`] counters. Connection threads parse requests and submit
-//! work; a fixed pool of compile workers drains the planner in
-//! smallest-first order through the same pipeline entry points the
-//! one-shot CLI uses ([`ScheduleCache::compile_solo`],
-//! [`pipeline::host_pool::run_job`]). Suite requests additionally get a
-//! dedicated merger thread that streams the canonical merge behind job
-//! execution via the per-job [`SlotTable`] (see [`SuiteState`]).
+//! [`ServeStats`] counters. Connection threads parse requests, answer a
+//! `schedule` request whose region is already in the cache on the spot
+//! ([`ScheduleCache::lookup_solo`] — a warm hit is cheaper than the
+//! hand-off to a worker) and submit the rest; a fixed pool of compile
+//! workers drains the planner in smallest-first order through the same
+//! pipeline entry points the one-shot CLI uses
+//! ([`ScheduleCache::compile_solo`], [`pipeline::host_pool::run_job`]).
+//! Suite requests additionally get a dedicated merger thread that streams
+//! the canonical merge behind job execution via the per-job [`SlotTable`]
+//! (see [`SuiteState`]).
 //! Responses travel back through a per-connection [`ResponseWriter`] so
 //! completions can interleave across a connection's outstanding requests.
 //!
@@ -28,8 +31,8 @@ use aco_tune::TuneStore;
 use machine_model::OccupancyModel;
 use pipeline::host_pool::{plan_jobs, run_job, RegionJob, RegionOutcome, SlotTable};
 use pipeline::{
-    merge_job_results, observe_outcome, tunable, tuned_solo_inputs, PipelineConfig, ScheduleCache,
-    SchedulerKind, SuiteMerger,
+    merge_job_results, observe_outcome, tunable, tuned_solo_inputs, PipelineConfig,
+    RegionCompilation, ScheduleCache, SchedulerKind, SuiteMerger,
 };
 use sched_ir::{textir, Ddg};
 use std::io::{self, BufRead, BufReader, Write};
@@ -319,6 +322,12 @@ fn worker_loop(engine: &Engine) {
     }
 }
 
+/// The shared tuning store when `cfg`'s scheduler draws an arm and a warm
+/// hint from it, `None` when the request is a plain `compile_solo`.
+fn tuning_for<'a>(engine: &'a Engine, cfg: &PipelineConfig) -> Option<&'a TuneStore> {
+    engine.tune.as_ref().filter(|_| tunable(cfg.scheduler))
+}
+
 fn run_region(engine: &Engine, w: RegionWork, started: Instant) {
     let waited_us = started.duration_since(w.ctx.arrived).as_micros() as u64;
     if w.ctx.expired_at(started, &engine.stats) {
@@ -328,7 +337,7 @@ fn run_region(engine: &Engine, w: RegionWork, started: Instant) {
     // arm + warm hint from the shared store and feed the outcome straight
     // back (requests are served whole by one worker, so the inline
     // observation here is the single-threaded canonical point).
-    let comp = match engine.tune.as_ref().filter(|_| tunable(w.cfg.scheduler)) {
+    let comp = match tuning_for(engine, &w.cfg) {
         Some(store) => {
             let (tuned_cfg, warm, tag) = tuned_solo_inputs(&w.ddg, 0, &w.cfg, store);
             let comp = engine
@@ -339,7 +348,21 @@ fn run_region(engine: &Engine, w: RegionWork, started: Instant) {
         }
         None => engine.cache.compile_solo(&w.ddg, &w.occ, &w.cfg),
     };
-    let resp = match render::schedule_report(&w.ddg, &w.occ, w.kind, &comp) {
+    answer(engine, &w, &comp, waited_us, started);
+}
+
+/// Answers one `schedule` request with its compilation and books it — the
+/// one render → count → send sequence, run by a worker after a compile and
+/// by a connection thread on an admission hit. `started` is when service
+/// of the request began (after `waited_us` in the queue, 0 for a hit).
+fn answer(
+    engine: &Engine,
+    w: &RegionWork,
+    comp: &RegionCompilation,
+    waited_us: u64,
+    started: Instant,
+) {
+    let resp = match render::schedule_report(&w.ddg, &w.occ, w.kind, comp) {
         Ok(payload) => {
             ServeStats::bump(&engine.stats.served, 1);
             Response::Ok { payload }
@@ -460,35 +483,55 @@ fn suite_merger_thread(engine: &Engine, state: &SuiteState) {
     );
 }
 
-/// Reads one line, surviving the socket transport's short read timeouts:
-/// a timed-out `read_line` keeps whatever partial line it already
-/// appended to `buf`, so retrying continues the same line. Returns
-/// `Ok(false)` on EOF or requested shutdown.
-fn read_line_patient(reader: &mut impl BufRead, buf: &mut String) -> io::Result<bool> {
-    loop {
-        match reader.read_line(buf) {
-            Ok(0) => return Ok(false),
-            Ok(_) if buf.ends_with('\n') => return Ok(true),
-            // A mid-line timeout can return Ok(n) without a newline on
-            // some platforms; treat it like the error case and retry.
-            Ok(_) => {}
+/// Appends the next `lines` lines of the stream to `buf`, newlines
+/// included, taking them straight out of the reader's buffer. Survives the
+/// socket transport's short read timeouts — a timed-out read leaves what
+/// was already appended in `buf`, so retrying continues mid-line — and
+/// returns `Ok(false)` on EOF before the last newline or on requested
+/// shutdown.
+fn read_lines_patient(
+    reader: &mut impl BufRead,
+    mut lines: usize,
+    buf: &mut Vec<u8>,
+) -> io::Result<bool> {
+    while lines > 0 {
+        let available = match reader.fill_buf() {
+            Ok([]) => return Ok(false),
+            Ok(available) => available,
             Err(e)
                 if matches!(
                     e.kind(),
                     io::ErrorKind::WouldBlock
                         | io::ErrorKind::TimedOut
                         | io::ErrorKind::Interrupted
-                ) => {}
+                ) =>
+            {
+                if signal::shutdown_requested() {
+                    return Ok(false);
+                }
+                continue;
+            }
             Err(e) => return Err(e),
+        };
+        let mut take = available.len();
+        for (i, &b) in available.iter().enumerate() {
+            if b == b'\n' {
+                lines -= 1;
+                if lines == 0 {
+                    take = i + 1;
+                    break;
+                }
+            }
         }
-        if signal::shutdown_requested() {
-            return Ok(false);
-        }
+        buf.extend_from_slice(&available[..take]);
+        reader.consume(take);
     }
+    Ok(true)
 }
 
 /// Serves one connection until EOF, shutdown, or a fatal transport error.
-/// `stats`/`flush` are answered inline; `schedule`/`suite` go through the
+/// `stats`/`flush` are answered inline, and so is a `schedule` request the
+/// cache already holds; other `schedule`s and `suite`s go through the
 /// planner and are answered by workers, possibly after this function
 /// returns (the shared [`ResponseWriter`] outlives the read loop).
 pub fn handle_connection(
@@ -497,18 +540,23 @@ pub fn handle_connection(
     writer: Box<dyn Write + Send>,
 ) {
     let out = Arc::new(ResponseWriter::new(writer));
-    let mut line = String::new();
+    // One header and one payload buffer for the connection's lifetime.
+    let mut header = Vec::new();
+    let mut payload = Vec::new();
     loop {
-        line.clear();
-        match read_line_patient(&mut reader, &mut line) {
+        header.clear();
+        match read_lines_patient(&mut reader, 1, &mut header) {
             Ok(true) => {}
             Ok(false) | Err(_) => break,
         }
+        let Ok(line) = std::str::from_utf8(&header) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
         ServeStats::bump(&engine.stats.received, 1);
-        let (id, parsed) = match proto::parse_request_line(&line) {
+        let (id, parsed) = match proto::parse_request_line(line) {
             Ok(p) => p,
             Err(e) => {
                 ServeStats::bump(&engine.stats.errors, 1);
@@ -516,7 +564,13 @@ pub fn handle_connection(
                     e.id.as_deref().unwrap_or("-"),
                     &Response::Err { message: e.msg },
                 );
-                continue;
+                // A framed header with a bad option still owns its payload:
+                // skip it, or every line of it is read as a request.
+                payload.clear();
+                match read_lines_patient(&mut reader, e.payload_lines, &mut payload) {
+                    Ok(true) => continue,
+                    Ok(false) | Err(_) => break,
+                }
             }
         };
         match parsed {
@@ -549,39 +603,28 @@ pub fn handle_connection(
                 opts,
                 payload_lines,
             } => {
-                let payload = match read_payload(&mut reader, payload_lines) {
-                    Ok(p) => p,
-                    Err(_) => {
-                        // Truncated payload: the stream is desynchronized
-                        // beyond recovery; answer and drop the connection.
-                        ServeStats::bump(&engine.stats.errors, 1);
-                        out.send(
-                            &id,
-                            &Response::Err {
-                                message: "truncated ddg payload".into(),
-                            },
-                        );
-                        break;
-                    }
+                payload.clear();
+                let text = match read_lines_patient(&mut reader, payload_lines, &mut payload) {
+                    Ok(true) => std::str::from_utf8(&payload).ok(),
+                    Ok(false) | Err(_) => None,
                 };
-                submit_schedule(engine, &out, id, opts, &payload);
+                let Some(text) = text else {
+                    // Truncated payload: the stream is desynchronized
+                    // beyond recovery; answer and drop the connection.
+                    ServeStats::bump(&engine.stats.errors, 1);
+                    out.send(
+                        &id,
+                        &Response::Err {
+                            message: "truncated ddg payload".into(),
+                        },
+                    );
+                    break;
+                };
+                submit_schedule(engine, &out, id, opts, text);
             }
             Parsed::Suite(opts) => submit_suite(engine, &out, id, opts),
         }
     }
-}
-
-fn read_payload(reader: &mut impl BufRead, lines: usize) -> io::Result<String> {
-    let mut payload = String::new();
-    for _ in 0..lines {
-        if !read_line_patient(reader, &mut payload)? {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "truncated payload",
-            ));
-        }
-    }
-    Ok(payload)
 }
 
 fn request_ctx(id: String, out: &Arc<ResponseWriter>, deadline_ms: Option<u64>) -> RequestCtx {
@@ -622,15 +665,30 @@ fn submit_schedule(
     };
     let mut cfg = PipelineConfig::paper(opts.scheduler, opts.seed);
     cfg.aco.blocks = opts.blocks;
-    let priority = ddg.len() as u64;
-    let work = Work::Region(Box::new(RegionWork {
+    let work = RegionWork {
         ddg,
         occ,
         cfg,
         kind: opts.scheduler,
-        ctx: request_ctx(id.clone(), out, opts.deadline_ms),
-    }));
-    if let Err(over) = engine.planner.submit(vec![(priority, work)]) {
+        ctx: request_ctx(id, out, opts.deadline_ms),
+    };
+    // Queue only what has to be compiled. A region already in the cache is
+    // answered here: the hit is cheaper than the hand-off to a worker, it
+    // never waits, and so neither the queue's bound nor the request's
+    // queue-wait deadline applies to it. A tuned request draws its arm and
+    // warm hint at service time, so it always takes the queue.
+    if tuning_for(engine, &work.cfg).is_none() {
+        if let Some(comp) = engine.cache.lookup_solo(&work.ddg, &work.occ, &work.cfg) {
+            answer(engine, &work, &comp, 0, work.ctx.arrived);
+            return;
+        }
+    }
+    let priority = work.ddg.len() as u64;
+    let id = work.ctx.id.clone();
+    if let Err(over) = engine
+        .planner
+        .submit(vec![(priority, Work::Region(Box::new(work)))])
+    {
         ServeStats::bump(&engine.stats.overloaded, 1);
         out.send(
             &id,

@@ -29,13 +29,16 @@ pub struct ServeStats {
     pub expired: AtomicU64,
     /// Explicit `flush` persists performed.
     pub flushes: AtomicU64,
-    /// Region compilations executed by workers.
+    /// `schedule` requests answered with a compilation: compiled by a
+    /// worker, or found in the cache at admission.
     pub regions: AtomicU64,
     /// Suite requests completed.
     pub suites: AtomicU64,
-    /// Total queue wait across popped work items, microseconds.
+    /// Total queue wait across popped work items, microseconds. An
+    /// admission hit never queues and adds 0.
     pub queue_wait_us: AtomicU64,
-    /// Total in-worker service time across work items, microseconds.
+    /// Total service time across work items, microseconds: in a worker,
+    /// or from lookup to send for an admission hit.
     pub service_us: AtomicU64,
     /// Suite phase: planning (generate + plan_jobs), microseconds.
     pub suite_plan_us: AtomicU64,

@@ -9,10 +9,12 @@
 # and (unless --fast) the release build the tier-1 gate uses, the bench
 # binaries compiling, the full-corpus flat-IR differential test, a CLI
 # verify smoke run on generated regions, a non-ASCII register token that
-# must be a diagnostic and not a panic, the static-analysis deny-gate
-# (`gpu-aco-cli analyze --json`), the wall-clock smoke perf gate, and the
-# `benchmark/` package's unit tests and self-checking `suite-unique
-# --smoke` and `frontend-large --smoke` runs
+# must be a diagnostic and not a panic, a `schedule` header with a bad
+# option that must cost one `err` and not one per payload line, the
+# static-analysis deny-gate (`gpu-aco-cli analyze --json`), the wall-clock
+# smoke perf gate, and the `benchmark/` package's unit tests and
+# self-checking `--smoke` runs of `suite-unique`, `frontend-large`,
+# `serve-warm` and `serve-mix`
 # (which must leave `benchmark/` and BENCHMARK.json untouched).
 
 set -euo pipefail
@@ -125,6 +127,15 @@ if [[ "${1:-}" != "--fast" ]]; then
         --cache "$smoke_dir/sched.cache" --cache-stats 2>&1 > /dev/null \
         | grep -q "cache: 1 hits" \
         || { echo "persisted cache must hit after daemon drain"; exit 1; }
+
+    echo "==> serve: a bad schedule option skips its payload"
+    # The header's `ddg 3` frame parses, `seed=abc` does not: the daemon
+    # must answer one `err`, discard the three payload lines and serve the
+    # next request — not read each payload line as a request (`resp - err`).
+    printf 'req c1 schedule seed=abc ddg 3\ninstr a defs v0\ninstr b uses v0\nedge 0 1 1\nreq c2 stats\n' \
+        | ./target/release/gpu-aco-cli serve --stdio > "$smoke_dir/badopt.txt"
+    [[ "$(grep '^resp ' "$smoke_dir/badopt.txt")" == $'resp c1 err bad seed\nresp c2 ok 5' ]] \
+        || { echo "a bad schedule option must be one err, then c2 served:"; cat "$smoke_dir/badopt.txt"; exit 1; }
 
     echo "==> gpu-aco-cli analyze deny-gate"
     # The static-analysis gate: every smoke region must analyze clean of
@@ -260,7 +271,7 @@ for path in sys.argv[1:]:
           f"{rep['tuner']['warm_hits']} warm hits, no length regression")
 EOF
 
-    echo "==> benchmark/: unit tests + suite-unique and frontend-large smoke"
+    echo "==> benchmark/: unit tests + suite-unique, frontend-large, serve-warm and serve-mix smoke"
     # The repository's one benchmark (BENCHMARK.json, benchmark/) is its own
     # cargo workspace, so `--workspace` above never builds it. Its smoke run
     # compiles a tiny suite-unique with the full correctness gate — every
@@ -268,9 +279,12 @@ EOF
     # and exits non-zero if any output is wrong (`pipefail` carries that
     # through the `tail`). The frontend-large smoke is the only CI run that
     # drives text-IR -> BaseAmd -> in-job analysis -> certifier end to end;
-    # its gate fails on any deny finding or uncertified schedule.
+    # its gate fails on any deny finding or uncertified schedule. The two
+    # serve smokes drive the daemon's read loop, admission and workers over
+    # socket pairs, every reply checked byte for byte against the one-shot
+    # render: `serve-warm` is all admission hits, `serve-mix` all compiles.
     cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
-    for workload in suite-unique frontend-large; do
+    for workload in suite-unique frontend-large serve-warm serve-mix; do
         cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
             --workload "$workload" --smoke | tail -n 1
     done

@@ -9,9 +9,16 @@
 //! the burden of proof is on the change: either it intentionally alters
 //! the search (explain it in the commit and update the golden), or it is
 //! a regression.
+//!
+//! Every schedule computed here is also put through `Schedule::validate`
+//! and the `HashMap`-based body it had before (`tests/oracle/validate.rs`),
+//! which must agree by value.
+
+#[path = "oracle/validate.rs"]
+mod validate_oracle;
 
 use machine_model::OccupancyModel;
-use pipeline::{compile_suite, PipelineConfig, SchedulerKind};
+use pipeline::{compile_suite, compile_suite_observed, PipelineConfig, SchedulerKind};
 use sched_ir::Fnv64;
 use sched_verify::{aco_fingerprint, suite_fingerprint};
 use workloads::{Suite, SuiteConfig};
@@ -60,6 +67,7 @@ fn sequential_matches_seed_goldens() {
     for &(size, rseed, cseed, want) in SEQ_GOLDEN {
         let ddg = workloads::patterns::sized(size, rseed);
         let r = SequentialScheduler::new(paper_cfg(cseed)).schedule(&ddg, &occ);
+        validate_oracle::assert_same(&r.schedule, &ddg, "a sequential golden");
         assert_eq!(
             aco_fingerprint(&r),
             want,
@@ -75,6 +83,7 @@ fn host_parallel_matches_seed_goldens_at_1_2_8_threads() {
         let ddg = workloads::patterns::sized(size, rseed);
         for threads in [1usize, 2, 8] {
             let r = HostParallelScheduler::new(paper_cfg(cseed), threads).schedule(&ddg, &occ);
+            validate_oracle::assert_same(&r.schedule, &ddg, "a host-parallel golden");
             assert_eq!(
                 aco_fingerprint(&r),
                 want,
@@ -93,6 +102,7 @@ fn simulated_gpu_matches_seed_goldens() {
         cfg.blocks = 8;
         cfg.pass2_gate_cycles = 1;
         let r = ParallelScheduler::new(cfg).schedule(&ddg, &occ);
+        validate_oracle::assert_same(&r.result.schedule, &ddg, "a simulated-GPU golden");
         assert_eq!(
             aco_fingerprint(&r.result),
             want,
@@ -115,7 +125,8 @@ fn batched_launch_matches_seed_golden() {
     cfg.pass2_gate_cycles = 1;
     let batch = ParallelScheduler::new(cfg).schedule_batch(&refs, &occ);
     let mut h = Fnv64::new();
-    for o in &batch.outcomes {
+    for (o, ddg) in batch.outcomes.iter().zip(&regions) {
+        validate_oracle::assert_same(&o.result.schedule, ddg, "a batched golden");
         h.word(aco_fingerprint(&o.result));
     }
     assert_eq!(h.finish(), BATCH_GOLDEN, "batched launch drifted");
@@ -129,7 +140,12 @@ fn suite_compilations_match_seed_goldens() {
         let mut cfg = PipelineConfig::paper(kind, 0);
         cfg.aco.blocks = 4;
         cfg.aco.pass2_gate_cycles = 1;
-        let run = compile_suite(&suite, &occ, &cfg);
+        let run = compile_suite_observed(&suite, &occ, &cfg, |_, _, ddg, _, comp| {
+            validate_oracle::assert_same(&comp.heuristic.schedule, ddg, "a suite heuristic");
+            if let Some(aco) = &comp.aco {
+                validate_oracle::assert_same(&aco.schedule, ddg, "a suite ACO schedule");
+            }
+        });
         assert_eq!(
             suite_fingerprint(&run),
             want,

@@ -206,6 +206,48 @@ fn non_ascii_register_token_is_a_typed_err_and_the_connection_survives() {
     );
 }
 
+/// A `schedule` header whose `ddg <n>` frame parses but whose options do
+/// not used to leave its payload on the stream: every payload line was
+/// then read as a request and answered `resp - err`, and a closed-loop
+/// client was out of step from the first one.
+#[test]
+fn a_bad_schedule_option_is_one_err_and_its_payload_is_skipped() {
+    let dir = tmp_dir("badopt");
+    let session = "req c1 schedule seed=abc ddg 3\ninstr a defs v0\ninstr b uses v0\n\
+                   edge 0 1 1\nreq c2 stats\n";
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_gpu-aco-cli"))
+        .args(["serve", "--stdio"])
+        .current_dir(&dir)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning stdio daemon");
+    daemon
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(session.as_bytes())
+        .unwrap();
+    let out = daemon.wait_with_output().unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let replies: Vec<&str> = stdout.lines().filter(|l| l.starts_with("resp ")).collect();
+    assert_eq!(
+        replies,
+        ["resp c1 err bad seed", "resp c2 ok 5"],
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("requests: 2 received, 1 served, 1 errors"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn concurrent_socket_clients_match_one_shot_and_cache_survives_sigterm() {
     let dir = tmp_dir("socket");
