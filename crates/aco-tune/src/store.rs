@@ -4,12 +4,12 @@
 use crate::arms::{arm_table_fingerprint, ARMS, FIXED_ARM};
 use crate::class::{RegionClass, CLASS_COUNT};
 use aco::WarmStart;
-use parking_lot::Mutex;
 use sched_ir::InstrId;
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Trials every arm must accumulate in a class before the bandit commits
 /// to the class winner.
@@ -91,7 +91,7 @@ impl Clone for TuneStore {
     /// Clones the learned state; the lifetime counters restart at zero
     /// (they describe one store's service life, not the knowledge).
     fn clone(&self) -> TuneStore {
-        TuneStore::with_state(self.state.lock().clone())
+        TuneStore::with_state(self.lock().clone())
     }
 }
 
@@ -99,6 +99,10 @@ impl TuneStore {
     /// An empty store: every class chooses by exploration first.
     pub fn new() -> TuneStore {
         TuneStore::with_state(TuneState::empty())
+    }
+
+    fn lock(&self) -> MutexGuard<'_, TuneState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn with_state(state: TuneState) -> TuneStore {
@@ -157,7 +161,7 @@ impl TuneStore {
     /// index (so the identity arm wins exact ties). Pure in (state, class,
     /// salt).
     pub fn choose(&self, class: RegionClass, salt: u64) -> usize {
-        let st = self.state.lock();
+        let st = self.lock();
         let stats = &st.classes[class.index()];
         self.choices.fetch_add(1, Ordering::Relaxed);
         let under: Vec<usize> = (0..ARMS.len())
@@ -181,7 +185,7 @@ impl TuneStore {
     /// `arm` reached `length` in `iterations` total ACO iterations.
     pub fn observe(&self, class: RegionClass, arm: usize, length: u64, iterations: u64) {
         assert!(arm < ARMS.len(), "arm index out of table");
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         let s = &mut st.classes[class.index()][arm];
         s.trials += 1;
         s.total_length += length;
@@ -191,7 +195,7 @@ impl TuneStore {
 
     /// Looks up a warm-start order for a region's structure fingerprint.
     pub fn warm_hint(&self, structure_fp: u64) -> Option<WarmStart> {
-        let st = self.state.lock();
+        let st = self.lock();
         match st.warm.get(&structure_fp) {
             Some(order) => {
                 self.warm_hits.fetch_add(1, Ordering::Relaxed);
@@ -213,7 +217,7 @@ impl TuneStore {
         if WarmStart::new(order.to_vec()).is_none() {
             return;
         }
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         if st.warm.len() >= WARM_CAP && !st.warm.contains_key(&structure_fp) {
             return;
         }
@@ -226,7 +230,7 @@ impl TuneStore {
 
     /// Number of warm-start orders stored.
     pub fn warm_len(&self) -> usize {
-        self.state.lock().warm.len()
+        self.lock().warm.len()
     }
 
     // ---------------------------------------------------- persistence --
@@ -235,7 +239,7 @@ impl TuneStore {
     /// (deterministic order), terminated by the `eof` trailer
     /// [`TuneStore::load_from`] requires, and flushes explicitly.
     pub fn save_to_writer(&self, out: &mut impl Write) -> io::Result<()> {
-        let st = self.state.lock();
+        let st = self.lock();
         writeln!(out, "schedtune v1")?;
         writeln!(out, "arms {:#018x}", arm_table_fingerprint())?;
         let mut class_lines = 0u64;

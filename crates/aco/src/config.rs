@@ -2,14 +2,13 @@
 
 use gpu_sim::MemLayout;
 use list_sched::Heuristic;
-use serde::{Deserialize, Serialize};
 
 /// Iteration budget as a function of region size (the paper's *termination
 /// condition*: iterations without improvement before giving up).
 ///
 /// The paper uses size categories `[1-49]`, `[50-99]`, `>= 100` with
 /// termination conditions 1, 2, 3 (Section VI-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Termination {
     /// No-improvement budget for regions of 1–49 instructions.
     pub small: u32,
@@ -47,7 +46,7 @@ impl Termination {
 /// All of them default to *on* (the paper's final configuration); the
 /// ablation experiments (Tables 4.a, 4.b, 6) switch them off one group at a
 /// time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuTuning {
     /// Structure-of-arrays device layout (memory coalescing, Section V-A).
     pub layout: MemLayout,
@@ -122,7 +121,7 @@ impl Default for GpuTuning {
 }
 
 /// Full configuration of the ACO schedulers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AcoConfig {
     /// Base RNG seed (every ant derives its own stream from it).
     pub seed: u64,

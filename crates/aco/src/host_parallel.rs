@@ -2,7 +2,7 @@
 //!
 //! The paper parallelizes ant construction on a GPU; the same independent-ants
 //! observation applies to host threads. This executor runs each
-//! iteration's ants across OS threads (crossbeam scoped threads, one chunk
+//! iteration's ants across OS threads (scoped threads, one chunk
 //! of the colony per thread) and merges the iteration winner under a lock.
 //!
 //! It exists as a correctness cross-check of the parallelization argument
@@ -20,8 +20,8 @@ use crate::result::AcoResult;
 use crate::sequential::ant_seed;
 use list_sched::Heuristic;
 use machine_model::OccupancyModel;
-use parking_lot::Mutex;
 use sched_ir::{Cycle, Ddg, InstrId};
+use std::sync::{Mutex, PoisonError};
 
 /// The host-thread-parallel two-pass ACO scheduler.
 ///
@@ -96,10 +96,10 @@ impl HostExecutor {
         let slot = Mutex::new((None::<(u64, u32)>, winner));
         let total = cfg.sequential_ants;
         let chunk = (total as usize).div_ceil(self.threads) as u32;
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..self.threads as u32 {
                 let (slot, new_ant, construct, parts) = (&slot, &new_ant, &construct, &parts);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let lo = t * chunk;
                     let hi = (lo + chunk).min(total);
                     if lo >= hi {
@@ -110,7 +110,7 @@ impl HostExecutor {
                         let Some(objective) = construct(&mut ant, a) else {
                             continue;
                         };
-                        let mut slot = slot.lock();
+                        let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
                         if slot.0.is_none_or(|best| (objective, a) < best) {
                             slot.0 = Some((objective, a));
                             let (order, cycles) = parts(&ant);
@@ -119,9 +119,9 @@ impl HostExecutor {
                     }
                 });
             }
-        })
-        .expect("ant threads never panic");
-        slot.into_inner().0.map(|(objective, _)| objective)
+        });
+        let (best, _) = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
+        best.map(|(objective, _)| objective)
     }
 }
 

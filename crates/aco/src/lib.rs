@@ -17,9 +17,9 @@
 //!   mapped onto wavefronts of a (simulated) GPU with the memory and
 //!   divergence optimizations of Section V as individually togglable
 //!   [`GpuTuning`] knobs.
-//! * [`HostParallelScheduler`] — the colony's ants across host threads
-//!   (crossbeam), a deterministic correctness cross-check of the
-//!   independent-ants parallelization argument.
+//! * [`HostParallelScheduler`] — the colony's ants across host threads, a
+//!   deterministic correctness cross-check of the independent-ants
+//!   parallelization argument.
 //!
 //! # Quickstart
 //!

@@ -1,7 +1,5 @@
 //! The sequential-CPU cost model.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the simulated host CPU.
 ///
 /// Defaults model the paper's AMD Ryzen Threadripper 1950X at 3.4 GHz. The
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// operation (a ready-list comparison, a pheromone read, a successor-list
 /// step, ...) — the same unit of work the GPU model prices per wavefront
 /// step, so the two sides are directly comparable.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuSpec {
     /// Core clock in GHz.
     pub clock_ghz: f64,

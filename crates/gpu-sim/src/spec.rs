@@ -1,12 +1,10 @@
 //! GPU hardware parameters and launch-level cost aggregation.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the simulated GPU.
 ///
 /// Defaults ([`GpuSpec::radeon_vii`]) model the paper's target: a Radeon VII
 /// (Vega 20) with 60 CUs of 4 SIMD units each, 64-lane wavefronts, 1.8 GHz.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Number of compute units.
     pub cus: u32,
@@ -153,7 +151,7 @@ impl Default for GpuSpec {
 }
 
 /// Time breakdown of one GPU-accelerated scheduling invocation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LaunchProfile {
     /// Allocation time (host + device), microseconds.
     pub alloc_us: f64,

@@ -1,7 +1,6 @@
 //! Per-wavefront cost accounting.
 
 use crate::spec::GpuSpec;
-use serde::{Deserialize, Serialize};
 
 /// Memory layout of a per-thread data structure on the device.
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// per-object members with *arrays of members indexed by thread*
 /// (structure-of-arrays), so that lanes of a wavefront touch consecutive
 /// addresses and their accesses coalesce into one transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemLayout {
     /// Structure-of-arrays: one array per member, element per thread.
     /// Wavefront accesses coalesce.

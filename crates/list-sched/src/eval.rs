@@ -73,7 +73,7 @@ impl RegionAnalysis {
 /// implementation assigns *different heuristics to different wavefront
 /// groups* (Section V-B) by storing one of these per wavefront, which must
 /// be a `Copy` value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Heuristic {
     /// Longest latency-weighted path to a leaf first.
     CriticalPath,

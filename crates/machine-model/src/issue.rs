@@ -1,7 +1,5 @@
 //! Issue models.
 
-use serde::{Deserialize, Serialize};
-
 /// How many instructions the target may issue per cycle.
 ///
 /// The paper's implementation "supports a general machine model", but all
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// can issue one instruction of any type in each cycle" (Section II-A). We
 /// mirror that: schedulers accept any width, benchmarks use
 /// [`IssueModel::SingleIssue`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum IssueModel {
     /// One instruction of any type per cycle (the paper's evaluation model).
     #[default]

@@ -6,10 +6,8 @@
 //! workload generators use them to produce realistically latency-shaped
 //! regions.
 
-use serde::{Deserialize, Serialize};
-
 /// Coarse operation classes of an AMD GCN-like ISA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Vector ALU operation (`v_add_f32`, ...).
     ValuAlu,

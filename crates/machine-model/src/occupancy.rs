@@ -1,13 +1,12 @@
 //! Occupancy tables and the APRP cost function.
 
 use sched_ir::{RegClass, REG_CLASS_COUNT};
-use serde::{Deserialize, Serialize};
 
 /// Number of wavefronts resident per SIMD unit (the paper's *occupancy*).
 pub type Waves = u32;
 
 /// Per-class register-file parameters determining occupancy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ClassFile {
     /// Registers available per SIMD unit for this class.
     budget: u32,
@@ -57,7 +56,7 @@ impl ClassFile {
 /// assert_eq!(m.aprp(RegClass::Vgpr, 1), 24);
 /// assert_eq!(m.aprp(RegClass::Vgpr, 25), 28);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OccupancyModel {
     files: [ClassFile; REG_CLASS_COUNT],
     max_waves: Waves,

@@ -42,11 +42,10 @@
 //!
 //! [`ScheduleCache::save_to`]/[`ScheduleCache::load_from`] persist solo
 //! entries as a hand-rolled line format (the workspace deliberately
-//! vendors no serializer — the `serde` stub's derives are no-ops). Loaded
-//! entries pass through the same equality + re-certification gates as
-//! in-memory ones, so a corrupted or hand-edited cache file can cost
-//! misses, never wrong schedules. Group entries are launch-geometry
-//! specific and are not persisted.
+//! vendors no serializer). Loaded entries pass through the same equality +
+//! re-certification gates as in-memory ones, so a corrupted or hand-edited
+//! cache file can cost misses, never wrong schedules. Group entries are
+//! launch-geometry specific and are not persisted.
 //!
 //! Persistence is **durable** — a long-running server leans on it across
 //! restarts (see `sched-serve`):
@@ -1800,11 +1799,11 @@ mod tests {
             let expected: Vec<RegionCompilation> =
                 ddgs.iter().map(|d| compile_region(d, &occ, &c)).collect();
             let start = std::sync::Barrier::new(4);
-            crossbeam::scope(|s| {
+            std::thread::scope(|s| {
                 for t in 0..4 {
                     let (cache, ddgs, expected, c) = (&cache, &ddgs, &expected, &c);
                     let (occ, start) = (&occ, &start);
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         start.wait();
                         for round in 0..3 {
                             for i in 0..ddgs.len() {
@@ -1817,8 +1816,7 @@ mod tests {
                         }
                     });
                 }
-            })
-            .unwrap();
+            });
             let s = cache.stats();
             assert_eq!(s.bypasses, 0);
             assert_eq!(s.hits + s.misses, 4 * 3 * regions as u64);

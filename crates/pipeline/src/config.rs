@@ -1,10 +1,9 @@
 //! Pipeline configuration.
 
 use aco::AcoConfig;
-use serde::{Deserialize, Serialize};
 
 /// Which scheduler drives the pre-allocation scheduling pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// The production AMD heuristic alone (the paper's "Base AMD").
     BaseAmd,
@@ -45,7 +44,7 @@ impl SchedulerKind {
 
 /// Grouping policy of the batched pipeline mode
 /// ([`SchedulerKind::BatchedParallelAco`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchingConfig {
     /// Hard cap on regions per cooperative launch group.
     pub max_group: u32,
@@ -89,7 +88,7 @@ impl Default for BatchingConfig {
 /// and suite golden fingerprints are identical on and off at any thread
 /// count — so it defaults to **on**. The knob exists for A/B timing
 /// (`BENCH_cache.json`) and for the D004 transparency check itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Consult and populate the schedule cache during suite compilation.
     pub enabled: bool,
@@ -112,7 +111,7 @@ impl Default for CacheConfig {
 /// identical on and off. Defaults to **off** because the closure-based
 /// passes cost real time on large suites; the CI gate and
 /// `gpu-aco-cli analyze` switch it on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalyzeConfig {
     /// Run the S-code passes during suite compilation.
     pub enabled: bool,
@@ -138,7 +137,7 @@ impl Default for AnalyzeConfig {
 /// thread-determinism hold with tuning on. Defaults to **off**: the
 /// untuned paper configuration stays the golden-fingerprint baseline, and
 /// tuning changes which schedules are produced (never their validity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuneConfig {
     /// Consult the tuning store for arm choices and warm-start hints.
     pub enabled: bool,
@@ -154,7 +153,7 @@ impl Default for TuneConfig {
 }
 
 /// Configuration of the per-region compilation flow and its filters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Scheduler selection.
     pub scheduler: SchedulerKind,

@@ -1,4 +1,4 @@
-//! Work-stealing host-parallel execution of suite compilation jobs.
+//! Host-parallel execution of suite compilation jobs.
 //!
 //! The suite compiler's unit of parallelism is the **region job**: one solo
 //! region compilation, or one cooperative batch group (batched mode). Jobs
@@ -19,22 +19,26 @@
 //! float accumulation are byte-identical at any `host_threads` value; the
 //! pool only changes host wall-clock time.
 //!
-//! The pool itself is a classic injector + per-worker deque arrangement
-//! (`crossbeam::deque`): all job indices start in a shared [`Injector`],
-//! workers pull batches into their local queue and steal from siblings when
-//! both run dry. Jobs never spawn jobs, so a worker that finds the injector
-//! and every sibling empty can retire.
+//! The pool is one index cursor: the job list is fixed before the first
+//! worker starts and jobs never spawn jobs, so each scoped worker claims the
+//! next canonical index with one `fetch_add` and retires when the cursor
+//! passes the end. Handing indices out in strict order is also what the
+//! in-order consumer wants — the slot it waits on is always among the
+//! oldest claimed, never parked behind later work in some worker's queue.
+//! Workers publish finished results into a pre-sized [`SlotTable`] (one
+//! write-once slot per canonical job index — no channel, no unbounded
+//! buffering) and the *calling thread* consumes slot `i` the moment it
+//! lands, in index order. A job that panics cancels the table on its way
+//! out, so the consumer stops and the call re-raises the panic instead of
+//! waiting on a slot nobody will fill.
 //!
-//! Two execution shapes are offered over the same pool. [`run_jobs`] is the
-//! barrier shape: every job completes, then the caller merges — retained as
-//! the reference implementation the equivalence tests compare against.
-//! [`run_jobs_streaming`] is the pipelined shape: workers publish finished
-//! results into a pre-sized [`SlotTable`] (one write-once slot per
-//! canonical job index — no channel, no unbounded buffering) and the
-//! *calling thread* consumes slot `i` the moment it lands, in index order.
-//! Because consumption order is canonical either way, both shapes feed the
-//! merge the identical stream; streaming only moves the merge work into
-//! the shadow of still-running jobs.
+//! Two execution shapes are offered over that one body. [`run_jobs`] is the
+//! barrier shape: the consumer only collects, then the caller merges —
+//! retained as the reference implementation the equivalence tests compare
+//! against. [`run_jobs_streaming`] is the pipelined shape: the consumer is
+//! the merge itself. Because consumption order is canonical either way,
+//! both shapes feed the merge the identical stream; streaming only moves
+//! the merge work into the shadow of still-running jobs.
 
 use crate::analyze::analyze_region;
 use crate::batch::{compile_batch_group, plan_batches};
@@ -43,13 +47,13 @@ use crate::config::{PipelineConfig, SchedulerKind};
 use crate::region::{compile_region_warm, RegionCompilation};
 use crate::tune::{tunable, tuned_solo_inputs, TuneTag};
 use aco_tune::TuneStore;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use machine_model::OccupancyModel;
-use parking_lot::Mutex;
 use sched_analyze::Finding;
 use sched_ir::Ddg;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex as StdMutex, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
+use std::thread;
 use std::time::Instant;
 use workloads::Suite;
 
@@ -217,10 +221,10 @@ pub fn run_job(
     }
 }
 
-/// Executes every job, returning results indexed by job. `threads <= 1`
-/// (or a single job) runs inline on the calling thread; otherwise a
-/// work-stealing pool of `threads` scoped workers drains the job list.
-/// Either way the result vector is identical: jobs are pure and indexed.
+/// Executes every job, returning results indexed by job: the barrier shape
+/// of the pool, whose consumer only collects. `threads <= 1` (or a single
+/// job) runs inline on the calling thread. Either way the result vector is
+/// identical: jobs are pure and indexed.
 pub fn run_jobs(
     suite: &Suite,
     occ: &OccupancyModel,
@@ -230,38 +234,14 @@ pub fn run_jobs(
     cache: Option<&ScheduleCache>,
     tune: Option<&TuneStore>,
 ) -> Vec<Vec<RegionOutcome>> {
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs
-            .iter()
-            .map(|j| run_job(j, suite, occ, cfg, cache, tune))
-            .collect();
-    }
-    let injector = Injector::new();
-    for i in 0..jobs.len() {
-        injector.push(i);
-    }
-    let slots: Vec<Mutex<Option<Vec<RegionOutcome>>>> =
-        (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-    // No point spawning more workers than jobs.
-    let workers: Vec<Worker<usize>> = (0..threads.min(jobs.len()))
-        .map(|_| Worker::new_fifo())
-        .collect();
-    let stealers: Vec<Stealer<usize>> = workers.iter().map(Worker::stealer).collect();
-    crossbeam::scope(|s| {
-        for (me, worker) in workers.iter().enumerate() {
-            let (injector, stealers, slots) = (&injector, &stealers, &slots);
-            s.spawn(move |_| {
-                while let Some(i) = find_task(worker, me, injector, stealers) {
-                    *slots[i].lock() = Some(run_job(&jobs[i], suite, occ, cfg, cache, tune));
-                }
-            });
-        }
-    })
-    .expect("suite compilation worker panicked");
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every job ran"))
-        .collect()
+    let mut results = Vec::with_capacity(jobs.len());
+    run_indexed(
+        jobs.len(),
+        threads,
+        |i| run_job(&jobs[i], suite, occ, cfg, cache, tune),
+        |_, outcomes, _| results.push(outcomes),
+    );
+    results
 }
 
 /// A pre-sized table of write-once result slots, one per canonical job
@@ -272,10 +252,11 @@ pub fn run_jobs(
 ///
 /// [`cancel`](SlotTable::cancel) aborts the rendezvous: pending and future
 /// [`wait_take`](SlotTable::wait_take) calls return `None`, and late
-/// publishes are dropped. The `sched-serve` daemon uses it to unblock a
-/// suite's merge consumer when the request expires in the queue.
+/// publishes are dropped. The pool uses it to release its consumer when a
+/// job panics, the `sched-serve` daemon to unblock a suite's merge consumer
+/// when the request expires in the queue.
 pub struct SlotTable<T> {
-    state: StdMutex<SlotState<T>>,
+    state: Mutex<SlotState<T>>,
     ready: Condvar,
 }
 
@@ -288,7 +269,7 @@ impl<T> SlotTable<T> {
     /// A table of `n` empty slots.
     pub fn new(n: usize) -> SlotTable<T> {
         SlotTable {
-            state: StdMutex::new(SlotState {
+            state: Mutex::new(SlotState {
                 slots: (0..n).map(|_| None).collect(),
                 cancelled: false,
             }),
@@ -375,6 +356,9 @@ pub struct StreamTiming {
 /// the calling thread: run job `i`, consume job `i`. Since jobs are pure
 /// and consumption order is canonical either way, the consumer sees a
 /// stream byte-identical to the pooled one at any thread count.
+///
+/// A job that panics fails the call with that panic, after the consumer
+/// has seen some prefix of the stream.
 #[allow(clippy::too_many_arguments)]
 pub fn run_jobs_streaming<C>(
     suite: &Suite,
@@ -384,18 +368,40 @@ pub fn run_jobs_streaming<C>(
     threads: usize,
     cache: Option<&ScheduleCache>,
     tune: Option<&TuneStore>,
-    mut consume: C,
+    consume: C,
 ) -> StreamTiming
 where
     C: FnMut(usize, Vec<RegionOutcome>, usize),
 {
-    if threads <= 1 || jobs.len() <= 1 {
+    run_indexed(
+        jobs.len(),
+        threads,
+        |i| run_job(&jobs[i], suite, occ, cfg, cache, tune),
+        consume,
+    )
+}
+
+/// The pool body both shapes share: evaluates `job(i)` for every `i` in
+/// `0..n` and hands each value to `consume(i, value, in_flight)` in index
+/// order on the calling thread.
+///
+/// Pooled, `threads.min(n)` scoped workers claim indices from one cursor
+/// and publish into a [`SlotTable`]. A worker that unwinds cancels the
+/// table and exhausts the cursor, so the consumer and its siblings stop
+/// and the call re-raises that worker's panic.
+fn run_indexed<T, J, C>(n: usize, threads: usize, job: J, mut consume: C) -> StreamTiming
+where
+    T: Send,
+    J: Fn(usize) -> T + Sync,
+    C: FnMut(usize, T, usize),
+{
+    if threads <= 1 || n <= 1 {
         let mut busy = 0.0;
-        for (i, job) in jobs.iter().enumerate() {
+        for i in 0..n {
             let t = Instant::now();
-            let outcomes = run_job(job, suite, occ, cfg, cache, tune);
+            let value = job(i);
             busy += t.elapsed().as_secs_f64();
-            consume(i, outcomes, 0);
+            consume(i, value, 0);
         }
         return StreamTiming {
             jobs_busy_s: busy,
@@ -404,91 +410,70 @@ where
         };
     }
     let start = Instant::now();
-    let table = SlotTable::new(jobs.len());
-    let remaining = AtomicUsize::new(jobs.len());
+    let table = SlotTable::new(n);
+    let cursor = AtomicUsize::new(0);
+    let remaining = AtomicUsize::new(n);
+    // Statistics only: read after the scope has joined every writer.
     let busy_ns = AtomicU64::new(0);
-    let jobs_done_at: StdMutex<Option<Instant>> = StdMutex::new(None);
-    let injector = Injector::new();
-    for i in 0..jobs.len() {
-        injector.push(i);
-    }
-    let workers: Vec<Worker<usize>> = (0..threads.min(jobs.len()))
-        .map(|_| Worker::new_fifo())
-        .collect();
-    let stealers: Vec<Stealer<usize>> = workers.iter().map(Worker::stealer).collect();
-    crossbeam::scope(|s| {
-        for (me, worker) in workers.iter().enumerate() {
-            let (injector, stealers) = (&injector, &stealers);
-            let (table, remaining, busy_ns, jobs_done_at) =
-                (&table, &remaining, &busy_ns, &jobs_done_at);
-            s.spawn(move |_| {
-                while let Some(i) = find_task(worker, me, injector, stealers) {
-                    let t = Instant::now();
-                    let outcomes = run_job(&jobs[i], suite, occ, cfg, cache, tune);
-                    busy_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    table.publish(i, outcomes);
-                    if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                        *jobs_done_at.lock().unwrap_or_else(PoisonError::into_inner) =
-                            Some(Instant::now());
-                    }
+    let span_ns = AtomicU64::new(0);
+    thread::scope(|s| {
+        let worker = || {
+            let _stop = StopOnUnwind {
+                table: &table,
+                cursor: &cursor,
+                end: n,
+            };
+            loop {
+                let i = cursor.fetch_add(1, Ordering::SeqCst);
+                if i >= n {
+                    break;
                 }
-            });
+                let t = Instant::now();
+                let value = job(i);
+                busy_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                // Counted before it is published, so the hand-off of the
+                // last slot always reads 0 in flight.
+                if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+                    span_ns.store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                }
+                table.publish(i, value);
+            }
+        };
+        let workers: Vec<_> = (0..threads.min(n)).map(|_| s.spawn(worker)).collect();
+        // The in-order consumer, on the calling thread: take slot `i` the
+        // moment it lands, while workers keep compiling ahead.
+        for i in 0..n {
+            let Some(value) = table.wait_take(i) else {
+                break;
+            };
+            consume(i, value, remaining.load(Ordering::SeqCst));
         }
-        // The in-order consumer, on the calling thread: merge job `i` the
-        // moment slot `i` lands, while workers keep compiling ahead.
-        for i in 0..jobs.len() {
-            let outcomes = table
-                .wait_take(i)
-                .expect("suite job table is never cancelled");
-            consume(i, outcomes, remaining.load(Ordering::SeqCst));
+        for w in workers {
+            if let Err(panic) = w.join() {
+                resume_unwind(panic);
+            }
         }
-    })
-    .expect("suite compilation worker panicked");
-    let done_at = jobs_done_at
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .expect("last job records its completion");
+    });
     StreamTiming {
         jobs_busy_s: busy_ns.load(Ordering::Relaxed) as f64 / 1e9,
-        jobs_span_s: done_at.duration_since(start).as_secs_f64(),
+        jobs_span_s: span_ns.load(Ordering::Relaxed) as f64 / 1e9,
         pooled: true,
     }
 }
 
-/// The work-stealing discipline: local queue first, then a batch from the
-/// global injector, then a steal from any sibling. `None` means the system
-/// is drained — jobs never spawn jobs, so no new work can appear once the
-/// injector and every sibling queue are empty.
-fn find_task(
-    local: &Worker<usize>,
-    me: usize,
-    injector: &Injector<usize>,
-    stealers: &[Stealer<usize>],
-) -> Option<usize> {
-    if let Some(i) = local.pop() {
-        return Some(i);
-    }
-    loop {
-        match injector.steal_batch_and_pop(local) {
-            Steal::Success(i) => return Some(i),
-            Steal::Retry => continue,
-            Steal::Empty => break,
-        }
-    }
-    loop {
-        let mut retry = false;
-        for (other, stealer) in stealers.iter().enumerate() {
-            if other == me {
-                continue;
-            }
-            match stealer.steal() {
-                Steal::Success(i) => return Some(i),
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-        }
-        if !retry {
-            return None;
+/// Held by a pool worker for its whole life: if the worker unwinds, no
+/// further index is handed out and the consumer is released.
+struct StopOnUnwind<'a, T> {
+    table: &'a SlotTable<T>,
+    cursor: &'a AtomicUsize,
+    end: usize,
+}
+
+impl<T> Drop for StopOnUnwind<'_, T> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.cursor.store(self.end, Ordering::SeqCst);
+            self.table.cancel();
         }
     }
 }
@@ -496,7 +481,72 @@ fn find_task(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
     use workloads::SuiteConfig;
+
+    /// The pool body on plain closures: every index is claimed exactly once,
+    /// consumed in index order, and nothing is in flight at the last
+    /// hand-off (nor ever, inline).
+    #[test]
+    fn every_index_is_claimed_once_and_consumed_in_order() {
+        for n in [0usize, 1, 2, 7, 1000] {
+            for threads in [1, 2, 8, n + 3] {
+                let claims: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let mut seen = Vec::with_capacity(n);
+                let timing = run_indexed(
+                    n,
+                    threads,
+                    |i| {
+                        claims[i].fetch_add(1, Ordering::SeqCst);
+                        i * 3
+                    },
+                    |i, value, in_flight| {
+                        assert_eq!(value, i * 3);
+                        // Slots `0..=i` are in, so at most the rest are
+                        // running: 0 at the last hand-off.
+                        assert!(in_flight <= n - 1 - i, "n={n} threads={threads} i={i}");
+                        seen.push((i, in_flight));
+                    },
+                );
+                let pooled = threads > 1 && n > 1;
+                assert_eq!(timing.pooled, pooled, "n={n} threads={threads}");
+                assert!(claims.iter().all(|c| c.load(Ordering::SeqCst) == 1));
+                assert!(seen.iter().map(|&(i, _)| i).eq(0..n));
+                if !pooled {
+                    assert!(seen.iter().all(|&(_, f)| f == 0));
+                }
+            }
+        }
+    }
+
+    /// A closure that panics at one index fails the call with that panic —
+    /// it used to leave the consumer waiting on the slot forever.
+    #[test]
+    fn a_panicking_closure_fails_the_call() {
+        for threads in [2, 8] {
+            let (tx, rx) = mpsc::channel();
+            thread::spawn(move || {
+                let mut consumed = 0;
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_indexed(
+                        64,
+                        threads,
+                        |i| assert_ne!(i, 5, "job five is broken"),
+                        |_, (), _| consumed += 1,
+                    )
+                }));
+                let _ = tx.send((result.map(|_| ()), consumed));
+            });
+            let (result, consumed) = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a panicking job must fail the call, not hang it");
+            let panic = result.expect_err("the worker's panic is re-raised");
+            let message = panic.downcast_ref::<String>().expect("assert message");
+            assert!(message.contains("job five is broken"), "{message}");
+            assert!(consumed <= 5, "slot 5 was never published");
+        }
+    }
 
     /// Satellite 3 (determinism): with a *frozen* tuning store, tuned job
     /// results are bit-identical across thread counts — choices and warm

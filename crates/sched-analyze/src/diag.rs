@@ -10,9 +10,9 @@
 //!
 //! Two renderers ship with the engine: [`render_text`] (rustc-style, for
 //! humans) and [`render_json`] (a hand-rolled machine-readable document —
-//! the workspace vendors no serializer; the `serde` stub's derives are
-//! no-ops). A [`Baseline`] file suppresses known findings by stable key so
-//! pedantic results on legitimate inputs never break CI.
+//! the workspace vendors no serializer). A [`Baseline`] file suppresses
+//! known findings by stable key so pedantic results on legitimate inputs
+//! never break CI.
 
 use sched_ir::textir::SrcPos;
 use sched_ir::Reg;

@@ -1,8 +1,8 @@
 //! A minimal JSON well-formedness checker.
 //!
-//! The workspace vendors a no-op `serde` stub, so the [`crate::diag`]
-//! renderer writes JSON by hand — and anything hand-written needs an
-//! independent validator. This is a strict RFC 8259 recognizer (no DOM, no
+//! The workspace vendors no serializer, so the [`crate::diag`] renderer
+//! writes JSON by hand — and anything hand-written needs an independent
+//! validator. This is a strict RFC 8259 recognizer (no DOM, no
 //! numbers-to-float conversion): [`validate`] accepts exactly the
 //! well-formed documents, which is all the tests and the CI gate need.
 

@@ -27,7 +27,7 @@
 //!   diagnostics model of the workspace (`sched-verify` reports through
 //!   it too);
 //! * [`json_check`] — an independent JSON well-formedness checker for the
-//!   hand-rolled renderer (the vendored `serde` stub cannot serialize).
+//!   hand-rolled renderer (the workspace vendors no serializer).
 //!
 //! # Example
 //!

@@ -1,6 +1,5 @@
 //! Instructions and virtual registers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of register classes modelled ([`RegClass::Vgpr`] and
@@ -12,7 +11,7 @@ pub const REG_CLASS_COUNT: usize = 2;
 /// Vector registers (VGPRs) are per-lane and are the occupancy-limiting
 /// resource on the paper's Radeon VII target; scalar registers (SGPRs) are
 /// shared per wavefront.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RegClass {
     /// Vector general-purpose register (per thread).
     Vgpr,
@@ -44,7 +43,7 @@ impl fmt::Display for RegClass {
 }
 
 /// A virtual register: a class plus an id unique within the region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg {
     /// Register class.
     pub class: RegClass,
@@ -132,7 +131,7 @@ impl<T: Clone + Default> RegTable<T> {
 /// Index of an instruction within its [`crate::Ddg`].
 ///
 /// `InstrId`s are dense: a region with `n` instructions uses ids `0..n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct InstrId(pub u32);
 
 impl InstrId {

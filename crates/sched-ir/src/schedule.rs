@@ -2,7 +2,6 @@
 
 use crate::ddg::Ddg;
 use crate::instr::{InstrId, Reg, RegTable};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -76,7 +75,7 @@ impl Error for ScheduleError {}
 /// A schedule is more than an order — on a latency-constrained target some
 /// cycles hold no instruction (stalls). This matches the paper's output
 /// definition: "an assignment of a machine cycle to each instruction".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     cycles: Vec<Cycle>,
 }

@@ -6,9 +6,9 @@
 //! `D0xx` determinism — the checks here own those code spaces; `S0xx`
 //! belongs to `sched-analyze`), a [`sched_analyze::Level`], and a
 //! [`sched_analyze::Anchor`] pinpointing where in the input the problem
-//! lives. A violated invariant is `deny` — the only level that invalidates
-//! a certificate or fails `gpu-aco-cli verify` — and the one merely
-//! notable condition (`L003`, an isolated node) is `pedantic`:
+//! lives. Every verifier code is a violated invariant and therefore `deny`
+//! — the only level that invalidates a certificate or fails
+//! `gpu-aco-cli verify`:
 //!
 //! ```text
 //! deny[C003]: i5 must issue at cycle 7 or later (producer i3 + latency 4), but issues at 6
@@ -53,8 +53,6 @@ pub mod codes {
 
     /// Two instructions define the same register (SSA violation).
     pub const DUPLICATE_DEF: &str = "L002";
-    /// An instruction with no edges, defs, or uses.
-    pub const ISOLATED_NODE: &str = "L003";
 
     /// `tau_min >= tau_max`: the pheromone band is empty.
     pub const TAU_BOUNDS: &str = "A001";

@@ -15,7 +15,7 @@
 //!   occupancy/cost recomputation, lower-bound consistency, and the
 //!   two-pass invariant (final pressure cost ≤ the pass-2 target derived
 //!   from the pass-1 best cost).
-//! * [`lint`] — lints over DDGs (duplicate defs, isolated nodes, and on
+//! * [`lint`] — lints over DDGs (duplicate defs, and on
 //!   request the analyzer's redundant transitive edges), ACO
 //!   configurations (degenerate parameters), and pheromone tables
 //!   (clamp-band escape, NaN).

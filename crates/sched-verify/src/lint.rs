@@ -11,10 +11,11 @@ use aco::{AcoConfig, PheromoneTable};
 use sched_analyze::{Anchor, Finding, Level};
 use sched_ir::{Ddg, InstrId, RegTable};
 
-/// Lints a dependence graph: duplicate defs are `deny`, isolated nodes
-/// `pedantic`. Cycles are not checked — [`sched_ir::DdgBuilder::build`] is
-/// the only constructor of a [`Ddg`] and rejects them (raw, pre-validation
-/// regions get `S002` with a witness from `sched-analyze`).
+/// Lints a dependence graph: duplicate defs are `deny`. Orphan nodes are
+/// `sched-analyze`'s `S003`, and cycles are not checked —
+/// [`sched_ir::DdgBuilder::build`] is the only constructor of a [`Ddg`] and
+/// rejects them (raw, pre-validation regions get `S002` with a witness from
+/// `sched-analyze`).
 ///
 /// Redundant transitive edges (`S001`) are *not* reported here: the check
 /// is exact, but DDGs built from def-use chains routinely carry edges a
@@ -37,24 +38,6 @@ pub fn lint_ddg(ddg: &Ddg) -> Vec<Finding> {
                 )),
                 slot => *slot = Some(id),
             }
-        }
-    }
-
-    // L003 — a node with no edges, no defs, and no uses constrains nothing
-    // and computes nothing; almost certainly a generator bug.
-    for id in ddg.ids() {
-        let instr = ddg.instr(id);
-        if ddg.succs(id).is_empty()
-            && ddg.preds(id).is_empty()
-            && instr.defs().is_empty()
-            && instr.uses().is_empty()
-        {
-            findings.push(Finding::new(
-                codes::ISOLATED_NODE,
-                Level::Pedantic,
-                Anchor::Node(id.0),
-                format!("{id} has no dependences, defines nothing, and uses nothing"),
-            ));
         }
     }
     findings
@@ -253,6 +236,7 @@ mod tests {
                 .filter(|f| f.code == "S001")
                 .collect();
             assert_eq!(s001.len(), redundant as usize, "{lat:?}");
+            assert!(!has_errors(&s001), "pedantic findings never gate");
             for f in &s001 {
                 assert_eq!(f.anchor, Anchor::Edge { from: a.0, to: c.0 });
                 assert_eq!(f.level, Level::Pedantic);
@@ -271,17 +255,6 @@ mod tests {
         let diags = lint_ddg(&ddg);
         assert!(diags.iter().any(|d| d.code == codes::DUPLICATE_DEF));
         assert!(has_errors(&diags));
-    }
-
-    #[test]
-    fn isolated_node_is_pedantic() {
-        let mut b = DdgBuilder::new();
-        b.instr("nop", [], []);
-        b.instr("real", [sched_ir::Reg::vgpr(0)], []);
-        let ddg = b.build().unwrap();
-        let diags = lint_ddg(&ddg);
-        assert!(diags.iter().any(|d| d.code == codes::ISOLATED_NODE));
-        assert!(!has_errors(&diags));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The verifier reports through `sched-analyze`'s one diagnostics model.
 //!
 //! One table pins the level of every verifier code the mutation, lint and
-//! certificate tests provoke (violated invariants are `deny`, the merely
-//! notable isolated node is `pedantic`), and the two anchors only the
-//! verifier uses (`Reg`, `PheromoneEntry`) render and key distinctly.
+//! certificate tests provoke (violated invariants, all `deny`), and the
+//! two anchors only the verifier uses (`Reg`, `PheromoneEntry`) render and
+//! key distinctly.
 
 use aco::{AcoConfig, PheromoneTable};
 use list_sched::{Heuristic, ListScheduler};
@@ -63,11 +63,10 @@ fn provoked() -> Vec<Finding> {
     exact.rp_cost += 1;
     out.extend(certify_exact(&small, &occ, &exact));
 
-    // L002 (duplicate def) and L003 (isolated node).
+    // L002 (duplicate def).
     let mut b = DdgBuilder::new();
     b.instr("a", [Reg::vgpr(0)], []);
     b.instr("b", [Reg::vgpr(0)], []);
-    b.instr("nop", [], []);
     out.extend(lint_ddg(&b.build().unwrap()));
 
     // A001–A007: one degenerate field each.
@@ -109,7 +108,6 @@ fn provoked_codes_carry_their_mapped_level() {
         (codes::ORDER_MISMATCH, Level::Deny),
         (codes::EXACT_INCONSISTENT, Level::Deny),
         (codes::DUPLICATE_DEF, Level::Deny),
-        (codes::ISOLATED_NODE, Level::Pedantic),
         (codes::TAU_BOUNDS, Level::Deny),
         (codes::ZERO_ANTS, Level::Deny),
         (codes::BAD_DECAY, Level::Deny),
@@ -126,13 +124,7 @@ fn provoked_codes_carry_their_mapped_level() {
             assert_eq!(f.level, level, "{f}");
         }
     }
-    // Only deny-level findings fail a certificate.
-    let pedantic: Vec<Finding> = findings
-        .iter()
-        .filter(|f| f.level == Level::Pedantic)
-        .cloned()
-        .collect();
-    assert!(!has_errors(&pedantic) && has_errors(&findings));
+    assert!(has_errors(&findings));
 }
 
 #[test]

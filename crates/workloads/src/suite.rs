@@ -4,7 +4,6 @@ use crate::patterns;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sched_ir::Ddg;
-use serde::{Deserialize, Serialize};
 
 /// A GPU kernel: a set of scheduling regions plus the execution-model
 /// parameters the pipeline needs to turn schedules into throughput.
@@ -26,7 +25,7 @@ pub struct Kernel {
 ///
 /// Mirrors the paper's structure where "some kernels are invoked by
 /// multiple benchmarks".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Benchmark {
     /// Benchmark name, e.g. `device_reduce_i32`.
     pub name: String,
@@ -35,7 +34,7 @@ pub struct Benchmark {
 }
 
 /// Configuration of suite generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SuiteConfig {
     /// RNG seed; equal seeds give identical suites.
     pub seed: u64,
