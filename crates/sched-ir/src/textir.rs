@@ -17,6 +17,13 @@
 //! `+`, a repeated `defs`/`uses` replaces the earlier list (DESIGN.md,
 //! "Region IR layout", has the grammar in full).
 //!
+//! [`parse_raw`] is one forward scanner over the text's bytes: after a
+//! single counting pass that reserves the table's buffers, it classifies
+//! ASCII inline, accumulates numbers in place, and writes names and
+//! registers straight into the [`InstrTable`]. A byte ≥ 0x80 is decoded
+//! as one `char` in a cold helper, so Unicode whitespace still separates
+//! tokens and a wide register class is still an error, not a panic.
+//!
 //! Parsing is split in two layers:
 //!
 //! * [`parse_raw`] checks syntax and index ranges only and returns a
@@ -44,9 +51,9 @@
 
 use crate::builder::DdgBuilder;
 use crate::ddg::Ddg;
-use crate::instr::{InstrId, InstrTable, Reg};
+use crate::instr::{InstrId, InstrTable, Reg, RegClass};
 use std::error::Error;
-use std::fmt::{self, Write};
+use std::fmt;
 
 /// A 1-indexed line/column position in a region text file.
 ///
@@ -156,39 +163,182 @@ impl RawRegion {
 /// allocation; real regions use a few thousand ids at most.
 pub const MAX_REG_ID: u32 = (1 << 20) - 1;
 
-fn parse_reg(tok: &str, pos: SrcPos) -> Result<Reg, ParseTextError> {
-    // The class is the first character, whatever its width in bytes.
-    let (class, rest) = tok.split_at(tok.chars().next().map_or(0, char::len_utf8));
-    let id: u32 = rest
-        .parse()
-        .map_err(|_| err(pos, format!("bad register `{tok}`")))?;
-    if id > MAX_REG_ID {
-        return Err(err(
-            pos,
-            format!("register id in `{tok}` exceeds the maximum {MAX_REG_ID}"),
-        ));
-    }
-    match class {
-        "v" => Ok(Reg::vgpr(id)),
-        "s" => Ok(Reg::sgpr(id)),
-        _ => Err(err(
-            pos,
-            format!("bad register class in `{tok}` (expected v<N> or s<N>)"),
-        )),
-    }
+/// Whether an ASCII byte is `White_Space`: space, `\t`, `\n`, VT, FF, `\r`.
+#[inline]
+fn ascii_space(b: u8) -> bool {
+    b == b' ' || (9..=13).contains(&b)
 }
 
-/// Appends the registers of one comma-joined list; returns their count.
-fn push_regs(tok: &str, mut pos: SrcPos, regs: &mut Vec<Reg>) -> Result<usize, ParseTextError> {
-    let before = regs.len();
-    for part in tok.split(',') {
-        if !part.is_empty() {
-            regs.push(parse_reg(part, pos)?);
+/// The character that starts at byte `at` of `text`: the scanner's one look
+/// past a byte ≥ 0x80, for the whitespace test and a register class.
+#[cold]
+#[inline(never)]
+fn wide_char(text: &str, at: usize) -> char {
+    text[at..]
+        .chars()
+        .next()
+        .expect("the cursor sits on a character")
+}
+
+/// A forward cursor over a region's text. It stays on a character
+/// boundary: ASCII bytes are taken one at a time, anything wider a whole
+/// character at a time through [`wide_char`].
+struct Scanner<'a> {
+    text: &'a str,
+    at: usize,
+    line: u32,
+    line_start: usize,
+}
+
+impl<'a> Scanner<'a> {
+    /// Where the cursor is.
+    fn pos(&self) -> SrcPos {
+        let col = (self.at - self.line_start + 1) as u32;
+        SrcPos {
+            line: self.line,
+            col,
         }
-        // Column of the next register within the list.
-        pos.col += part.len() as u32 + 1;
     }
-    Ok(regs.len() - before)
+
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.at).copied()
+    }
+
+    /// The character at the cursor: its width in bytes and whether it is
+    /// white space (`\n` is); `None` at the end of the text.
+    #[inline]
+    fn peek(&self) -> Option<(usize, bool)> {
+        match self.byte()? {
+            b if b < 0x80 => Some((1, ascii_space(b))),
+            _ => {
+                let c = wide_char(self.text, self.at);
+                Some((c.len_utf8(), c.is_whitespace()))
+            }
+        }
+    }
+
+    /// Whether a token ends at the cursor: white space or the end of the text.
+    fn at_token_end(&self) -> bool {
+        !matches!(self.peek(), Some((_, false)))
+    }
+
+    /// Skips white space up to the next token of the line; false at the
+    /// line's end.
+    fn skip_to_token(&mut self) -> bool {
+        while !matches!(self.byte(), None | Some(b'\n')) {
+            match self.peek() {
+                Some((w, true)) => self.at += w,
+                _ => return true,
+            }
+        }
+        false
+    }
+
+    /// The next token of the line and where it starts.
+    // `token`, `number` and `reg_list` run a few times a line: left as
+    // calls they cost about a quarter of a parse.
+    #[inline(always)]
+    fn token(&mut self) -> Option<(SrcPos, &'a str)> {
+        if !self.skip_to_token() {
+            return None;
+        }
+        let (pos, start) = (self.pos(), self.at);
+        while let Some((w, false)) = self.peek() {
+            self.at += w;
+        }
+        Some((pos, &self.text[start..self.at]))
+    }
+
+    /// Moves to the start of the next line; false at the end of the text.
+    fn next_line(&mut self) -> bool {
+        let rest = &self.text.as_bytes()[self.at..];
+        match rest.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                self.at += i + 1;
+                self.line += 1;
+                self.line_start = self.at;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Reads a Rust `u32` decimal as the standard library reads one — at
+    /// most one leading `+`, then ASCII digits, leading zeros allowed — up
+    /// to the first byte that cannot continue it. `None` if no digit was
+    /// read or the value passed `u32::MAX`; the caller checks that the
+    /// token (or list entry) ends there.
+    fn digits(&mut self) -> Option<u32> {
+        self.at += usize::from(self.byte() == Some(b'+'));
+        let first = self.at;
+        let mut n = Some(0u32);
+        while let Some(d @ b'0'..=b'9') = self.byte() {
+            n = n.and_then(|n| n.checked_mul(10)?.checked_add(u32::from(d - b'0')));
+            self.at += 1;
+        }
+        n.filter(|_| self.at > first)
+    }
+
+    /// A number token of an `edge` line: `edge needs <what>` at the keyword
+    /// when the line has no token left, `bad <what>` at a token that is not
+    /// a `u32`.
+    #[inline(always)]
+    fn number(&mut self, kw: SrcPos, what: &str) -> Result<(SrcPos, u32), ParseTextError> {
+        if !self.skip_to_token() {
+            return Err(err(kw, format!("edge needs {what}")));
+        }
+        let pos = self.pos();
+        let n = self.digits().filter(|_| self.at_token_end());
+        n.map(|n| (pos, n))
+            .ok_or_else(|| err(pos, format!("bad {what}")))
+    }
+
+    /// Appends the registers of the comma-joined list at the cursor and
+    /// returns their count; empty entries are skipped. An entry is a class
+    /// character (the first, whatever its width) and a `u32` id.
+    #[inline(always)]
+    fn reg_list(&mut self, regs: &mut Vec<Reg>) -> Result<usize, ParseTextError> {
+        let before = regs.len();
+        loop {
+            if self.byte() == Some(b',') {
+                self.at += 1;
+                continue;
+            }
+            let (pos, start) = (self.pos(), self.at);
+            // A wide class character keeps its lead byte: neither `v` nor `s`.
+            let class = match (self.byte(), self.peek()) {
+                (Some(b), Some((w, false))) => {
+                    self.at += w;
+                    b
+                }
+                _ => return Ok(regs.len() - before),
+            };
+            let id = self.digits();
+            let id = id.filter(|_| self.byte() == Some(b',') || self.at_token_end());
+            let text = self.text;
+            let entry = || {
+                let rest = &text[start..];
+                let end = rest.find(|c: char| c == ',' || c.is_whitespace());
+                end.map_or(rest, |end| &rest[..end])
+            };
+            let reg = match (id, class) {
+                (None, _) => return Err(err(pos, format!("bad register `{}`", entry()))),
+                (Some(id), _) if id > MAX_REG_ID => {
+                    let tok = entry();
+                    let why = format!("register id in `{tok}` exceeds the maximum {MAX_REG_ID}");
+                    return Err(err(pos, why));
+                }
+                (Some(id), b'v') => Reg::vgpr(id),
+                (Some(id), b's') => Reg::sgpr(id),
+                _ => {
+                    let tok = entry();
+                    let why = format!("bad register class in `{tok}` (expected v<N> or s<N>)");
+                    return Err(err(pos, why));
+                }
+            };
+            regs.push(reg);
+        }
+    }
 }
 
 /// Parses a region's *syntax*, returning a [`RawRegion`] with source
@@ -211,9 +361,19 @@ pub fn parse_raw(text: &str) -> Result<RawRegion, ParseTextError> {
     }
     // Upper bounds, tight on printed text: one item a line, one more register
     // a list than commas; capped by the 7 and 3 bytes the shortest of each takes.
-    let count = |byte| text.bytes().filter(|&b| b == byte).count();
-    let lines = (count(b'\n') + 1).min(text.len() / 7 + 1);
-    let regs = (count(b',') + 2 * lines).min(text.len() / 3 + 1);
+    // One pass counts both, in byte-wide counters a chunk at a time so that it
+    // vectorises.
+    let (mut newlines, mut commas) = (0, 0);
+    for chunk in text.as_bytes().chunks(u8::MAX.into()) {
+        let (mut nl, mut cm) = (0u8, 0u8);
+        for &b in chunk {
+            nl += u8::from(b == b'\n');
+            cm += u8::from(b == b',');
+        }
+        (newlines, commas) = (newlines + usize::from(nl), commas + usize::from(cm));
+    }
+    let lines = (newlines + 1).min(text.len() / 7 + 1);
+    let regs = (commas + 2 * lines).min(text.len() / 3 + 1);
     let mut region = RawRegion {
         instrs: InstrTable {
             names: String::with_capacity(text.len()),
@@ -223,66 +383,62 @@ pub fn parse_raw(text: &str) -> Result<RawRegion, ParseTextError> {
         instr_pos: Vec::with_capacity(lines),
         edges: Vec::with_capacity(lines),
     };
-    for (i, raw) in text.lines().enumerate() {
-        let line_no = i as u32 + 1;
-        let at = |col: u32| SrcPos { line: line_no, col };
-        // Tokens with their 1-indexed byte columns: `split_whitespace`
-        // yields subslices of `raw`, so pointer distance is the offset.
-        let col_of = |tok: &str| (tok.as_ptr() as usize - raw.as_ptr() as usize) as u32 + 1;
-        let mut toks = raw.split_whitespace().map(|tok| (col_of(tok), tok));
-        let Some((kw_col, kw)) = toks.next().filter(|(_, kw)| !kw.starts_with('#')) else {
-            continue; // blank or comment
-        };
-        match kw {
-            "instr" => {
-                let (_, name) = toks
-                    .next()
-                    .ok_or_else(|| err(at(kw_col), "instr needs a name"))?;
+    let mut s = Scanner {
+        text,
+        at: 0,
+        line: 1,
+        line_start: 0,
+    };
+    loop {
+        match s.token() {
+            // A blank line has no token; a comment's first token starts with `#`.
+            None => {}
+            Some((_, kw)) if kw.starts_with('#') => {}
+            Some((kw_pos, "instr")) => {
+                let (_, name) = s.token().ok_or_else(|| err(kw_pos, "instr needs a name"))?;
                 // The row grows at the tail of `regs` as defs, then uses.
                 let regs = &mut region.instrs.regs;
                 let row = regs.len();
                 let (mut defs, mut uses) = (0, 0);
-                while let Some((col, kw)) = toks.next() {
-                    let (list_col, list) = toks
-                        .next()
-                        .ok_or_else(|| err(at(col), format!("{kw} needs a list")))?;
+                while let Some((pos, kw)) = s.token() {
+                    if !s.skip_to_token() {
+                        return Err(err(pos, format!("{kw} needs a list")));
+                    }
                     match kw {
                         "defs" => {
                             // A new list lands behind the uses: drop the
                             // defs it replaces and rotate it to the front.
-                            let new = push_regs(list, at(list_col), regs)?;
-                            regs.drain(row..row + defs);
-                            regs[row..].rotate_left(uses);
+                            // The guards keep the usual line, one list of
+                            // each, off `drain` and `rotate_left` (a fifth
+                            // of a parse when called with nothing to move).
+                            let new = s.reg_list(regs)?;
+                            if defs + uses > 0 {
+                                regs.drain(row..row + defs);
+                                regs[row..].rotate_left(uses);
+                            }
                             defs = new;
                         }
                         "uses" => {
-                            let new = push_regs(list, at(list_col), regs)?;
-                            regs.drain(row + defs..row + defs + uses);
+                            let new = s.reg_list(regs)?;
+                            if uses > 0 {
+                                regs.drain(row + defs..row + defs + uses);
+                            }
                             uses = new;
                         }
-                        other => return Err(err(at(col), format!("unknown keyword `{other}`"))),
+                        other => return Err(err(pos, format!("unknown keyword `{other}`"))),
                     }
                 }
                 region.instrs.names.push_str(name);
                 region.instrs.close_row(row + defs);
-                region.instr_pos.push(at(kw_col));
+                region.instr_pos.push(kw_pos);
             }
-            "edge" => {
-                let mut num = |what: &str| -> Result<(u32, u32), ParseTextError> {
-                    let (col, tok) = toks
-                        .next()
-                        .ok_or_else(|| err(at(kw_col), format!("edge needs {what}")))?;
-                    let n = tok
-                        .parse()
-                        .map_err(|_| err(at(col), format!("bad {what}")))?;
-                    Ok((col, n))
-                };
-                let (_, from) = num("a from-index")?;
-                let (_, to) = num("a to-index")?;
-                let (lat_col, lat) = num("a latency")?;
+            Some((kw_pos, "edge")) => {
+                let (_, from) = s.number(kw_pos, "a from-index")?;
+                let (_, to) = s.number(kw_pos, "a to-index")?;
+                let (lat_pos, lat) = s.number(kw_pos, "a latency")?;
                 let latency = u16::try_from(lat).map_err(|_| {
                     err(
-                        at(lat_col),
+                        lat_pos,
                         format!("latency {lat} exceeds the maximum {}", u16::MAX),
                     )
                 })?;
@@ -290,10 +446,16 @@ pub fn parse_raw(text: &str) -> Result<RawRegion, ParseTextError> {
                     from,
                     to,
                     latency,
-                    pos: at(kw_col),
+                    pos: kw_pos,
                 });
             }
-            other => return Err(err(at(kw_col), format!("unknown directive `{other}`"))),
+            Some((kw_pos, other)) => {
+                return Err(err(kw_pos, format!("unknown directive `{other}`")))
+            }
+        }
+        // Whatever the line has left (a comment, tokens after a latency).
+        if !s.next_line() {
+            break;
         }
     }
     let n = region.instrs.len() as u32;
@@ -329,25 +491,47 @@ pub fn to_text(ddg: &Ddg) -> String {
     let t = ddg.instrs();
     let bound = t.names.len() + 19 * t.len() + 12 * t.regs.len() + 33 * ddg.edge_count();
     let mut out = String::with_capacity(bound);
-    let ok = "writing to a String cannot fail";
     for instr in ddg.ids().map(|id| ddg.instr(id)) {
         out.push_str("instr ");
         out.push_str(instr.name());
         for (keyword, regs) in [(" defs ", instr.defs()), (" uses ", instr.uses())] {
             for (i, r) in regs.iter().enumerate() {
                 out.push_str(if i == 0 { keyword } else { "," });
-                write!(out, "{r}").expect(ok);
+                out.push(match r.class {
+                    RegClass::Vgpr => 'v',
+                    RegClass::Sgpr => 's',
+                });
+                push_decimal(&mut out, r.id);
             }
         }
         out.push('\n');
     }
     for id in ddg.ids() {
         for &(s, lat) in ddg.succs(id) {
-            writeln!(out, "edge {} {} {}", id.0, s.0, lat).expect(ok);
+            for (sep, n) in [("edge ", id.0), (" ", s.0), (" ", lat.into())] {
+                out.push_str(sep);
+                push_decimal(&mut out, n);
+            }
+            out.push('\n');
         }
     }
     out.shrink_to_fit();
     out
+}
+
+/// Appends `n` in decimal, as `{n}` would print it.
+fn push_decimal(out: &mut String, mut n: u32) {
+    let mut digits = [0u8; 10];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[i..].iter().map(|&d| char::from(d)));
 }
 
 #[cfg(test)]

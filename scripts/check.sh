@@ -8,7 +8,8 @@
 # clean at -D warnings across every target, no Rust source naming a
 # vendored stand-in crate, all workspace tests green,
 # and (unless --fast) the release build the tier-1 gate uses, the bench
-# binaries compiling, the full-corpus flat-IR differential test, a CLI
+# binaries compiling, the full-corpus flat-IR differential test, the long
+# text-IR parser fuzz run, a CLI
 # verify smoke run on generated regions, a non-ASCII register token that
 # must be a diagnostic and not a panic, a `schedule` header with a bad
 # option that must cost one `err` and not one per payload line, the
@@ -47,6 +48,10 @@ if [[ "${1:-}" != "--fast" ]]; then
     # Tier-1 runs a reduced corpus of tests/region_ir_exact.rs; this is the
     # whole frontend-large corpus plus the larger mutation sweep.
     cargo test --release -q --test region_ir_exact -- --ignored
+
+    echo "==> text-IR parser == old front door on 392k token-soup texts"
+    # Tier-1 runs 8,000 cases of tests/textir_fuzz.rs; this is the long run.
+    cargo test --release -q --test textir_fuzz -- --ignored
 
     echo "==> gpu-aco-cli verify smoke run"
     smoke_dir="$(mktemp -d)"
