@@ -3,9 +3,9 @@
 //! Pass 1 minimises the APRP pressure cost, pass 2 minimises schedule
 //! length under the pass-1 cost as a hard constraint, and both iterate
 //! *construct ants → pick the iteration winner → evaporate/deposit → stop
-//! on the lower bound or the no-improvement budget*. The sequential,
-//! simulated-GPU and host-parallel schedulers differ only in how one
-//! iteration's ants are constructed and what that costs; each is an
+//! on the lower bound or the no-improvement budget*. The sequential and
+//! simulated-GPU schedulers differ only in how one iteration's ants are
+//! constructed and what that costs; each is an
 //! [`Executor`] under [`run`], which owns everything else: the warm hint,
 //! the initial schedule, incumbents, the pheromone table, termination, the
 //! between-pass hand-off and the result.
@@ -60,7 +60,7 @@ pub(crate) struct Candidate {
 }
 
 impl Candidate {
-    fn with_capacity(n: usize) -> Candidate {
+    pub(crate) fn with_capacity(n: usize) -> Candidate {
         Candidate {
             order: Vec::with_capacity(n),
             cycles: Vec::with_capacity(n),
@@ -79,14 +79,13 @@ impl Candidate {
 /// How one iteration's ants are constructed, and what that costs.
 ///
 /// An iteration reads the pheromone table it is given, reduces its ants to
-/// the *first strictly better* one in ant / wavefront / colony-index order,
+/// the *first strictly better* one in ant / wavefront order,
 /// writes that winner into `winner` and returns its objective. Per-pass
 /// state (ants, wavefronts) is built on the pass's first iteration.
 pub(crate) trait Executor<'a> {
     /// Whether pass 2 starts from the exploit-only greedy constructions
-    /// (one per [`Heuristic::ALL`]). The simulated-GPU and host-parallel
-    /// colonies run them; the sequential one never did, and its op count
-    /// is pinned.
+    /// (one per [`Heuristic::ALL`]). The simulated-GPU colony runs them;
+    /// the sequential one never did, and its op count is pinned.
     const GREEDY_SEEDS: bool;
 
     /// Runs pass-1 iteration `iteration` (1-based); returns the winner's

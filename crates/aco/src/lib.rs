@@ -8,7 +8,7 @@
 //! pass-1 cost as a hard constraint.
 //!
 //! The two-pass colony exists once (the crate-private `colony` module);
-//! three schedulers run it, differing only in how one iteration's ants
+//! two schedulers run it, differing only in how one iteration's ants
 //! ([`construct`]) are constructed and what that costs:
 //!
 //! * [`SequentialScheduler`] — the CPU algorithm of Shobaki et al. 2022,
@@ -16,10 +16,9 @@
 //! * [`ParallelScheduler`] — the paper's contribution: the ACO kernel
 //!   mapped onto wavefronts of a (simulated) GPU with the memory and
 //!   divergence optimizations of Section V as individually togglable
-//!   [`GpuTuning`] knobs.
-//! * [`HostParallelScheduler`] — the colony's ants across host threads, a
-//!   deterministic correctness cross-check of the independent-ants
-//!   parallelization argument.
+//!   [`GpuTuning`] knobs. Idle host cores entered through an
+//!   [`IdleCores`] ledger ([`lend`]) run some of each iteration's
+//!   wavefronts, bit-identically.
 //!
 //! # Quickstart
 //!
@@ -42,7 +41,7 @@
 mod colony;
 pub mod config;
 pub mod construct;
-pub mod host_parallel;
+pub mod lend;
 pub mod lockstep;
 pub mod parallel;
 pub mod pheromone;
@@ -53,8 +52,10 @@ pub mod warm;
 pub use colony::pass2_target;
 pub use config::{AcoConfig, GpuTuning, Termination};
 pub use construct::{AntContext, Pass1Ant, Pass1Result, Pass2Ant, Pass2Result, Pass2Step};
-pub use host_parallel::HostParallelScheduler;
-pub use parallel::{batch_block_split, BatchOutcome, GpuStats, ParallelOutcome, ParallelScheduler};
+pub use lend::IdleCores;
+pub use parallel::{
+    batch_block_split, BatchOutcome, GpuStats, ParallelOutcome, ParallelScheduler, LEND_MIN_INSTRS,
+};
 pub use pheromone::PheromoneTable;
 pub use result::{AcoResult, PassStats};
 pub use sequential::SequentialScheduler;

@@ -25,10 +25,15 @@
 //! * divergence: wavefront-level explore/exploit choice, restricting
 //!   optional stalls to a fraction of wavefronts, early wavefront
 //!   termination, per-wavefront guiding heuristics (Section V-B).
+//!
+//! An iteration's wavefronts are independent, so idle host cores lent
+//! through [`crate::lend`] run some of them; the owner folds their costs and
+//! winners in wavefront order, so every result is bit-identical.
 
 use crate::colony::{self, Candidate, Executor, Pass};
 use crate::config::AcoConfig;
 use crate::construct::AntContext;
+use crate::lend::Loan;
 use crate::lockstep::{Pass1Wavefront, Pass2Wavefront};
 use crate::pheromone::PheromoneTable;
 use crate::result::AcoResult;
@@ -40,6 +45,12 @@ use machine_model::OccupancyModel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sched_ir::{Cycle, Ddg};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::thread;
+
+/// Regions below this many instructions never borrow an idle core: their
+/// iterations are too short to repay spawning and joining a helper thread.
+pub const LEND_MIN_INSTRS: usize = 100;
 
 /// SIMT steps charged per candidate in a selection scan.
 const STEPS_PER_CANDIDATE: u64 = 4;
@@ -143,8 +154,8 @@ impl ParallelScheduler {
                 gpu: GpuStats::default(),
                 kernel_cycles: 0,
                 iter_wf_cycles: Vec::with_capacity(self.cfg.blocks as usize),
-                ants1: None,
-                ants2: None,
+                crew1: Vec::new(),
+                crew2: Vec::new(),
             };
             let result = colony::run(ctx, occ, warm, &mut exec);
             ParallelOutcome {
@@ -247,6 +258,232 @@ impl ParallelScheduler {
         }
     }
 }
+
+/// The best `(objective, w)` a participant has seen in an iteration; a
+/// candidate replaces it only if strictly less in that order.
+type Best = Option<(u64, u32)>;
+
+/// What every wavefront of one iteration reads: the scheduler, the
+/// region, the pheromone table and the iteration number.
+#[derive(Clone, Copy)]
+struct Iteration<'i, 'a>(
+    &'i ParallelScheduler,
+    &'i AntContext<'a>,
+    &'i PheromoneTable,
+    u32,
+);
+
+impl<'a> Iteration<'_, 'a> {
+    /// Stream of wavefront `w`'s explore/exploit choices.
+    fn wavefront_rng(&self, pass: u32, w: u32) -> SmallRng {
+        let seed = self.0.cfg.seed ^ 0x5A5A_F00D;
+        SmallRng::seed_from_u64(ant_seed(seed, pass, self.3, w))
+    }
+
+    /// Runs pass-1 wavefront `w` on `ants` and returns its cost, reduction
+    /// and update stages included. If its first minimum-cost lane beats
+    /// `best`, that lane's order is copied into `winner`.
+    fn pass1_wavefront(
+        &self,
+        w: u32,
+        ants: &mut Pass1Wavefront<'a>,
+        best: &mut Best,
+        winner: &mut Candidate,
+    ) -> WavefrontCost {
+        let Iteration(sched, ctx, pheromone, iteration) = *self;
+        let (cfg, lanes) = (ctx.cfg, ctx.cfg.threads_per_block);
+        let layout = cfg.tuning.layout;
+        let mut wf = WavefrontCost::new(&sched.spec);
+        let mut wf_rng = self.wavefront_rng(1, w);
+        ants.launch(ctx, sched.wavefront_heuristic(w), |l| {
+            ant_seed(cfg.seed, 1, iteration, w * lanes + l)
+        });
+        for _step in 0..ctx.ddg.len() {
+            let (explored, mixed) = if cfg.tuning.wavefront_level_choice {
+                (Some(wf_rng.gen::<f64>() > cfg.q0), false)
+            } else {
+                (None, true)
+            };
+            let round = ants.round(ctx, pheromone, explored);
+            let select_steps = round.scan_max * STEPS_PER_CANDIDATE + STEPS_PER_ROUND;
+            if mixed && round.any_explore && round.any_exploit {
+                // Thread-level choice: both selection formulas are
+                // traversed serially by the wavefront.
+                wf.diverge(&[select_steps, select_steps]);
+            } else {
+                wf.uniform(select_steps);
+            }
+            wf.uniform(round.succ_max * 2);
+            sched.state_accesses(&mut wf, round.scan_max + round.succ_max, lanes, layout);
+        }
+        let (cost, class) = ants.best(ctx);
+        if best.is_none_or(|b| (cost, w) < b) {
+            *best = Some((cost, w));
+            winner.set(ants.order(class), &[]);
+        }
+        sched.update_stage_cost(ctx, &mut wf);
+        wf
+    }
+
+    /// Runs pass-2 wavefront `w` (see [`Iteration::pass1_wavefront`]); the
+    /// objective is its first shortest finisher's length, if any finished.
+    fn pass2_wavefront(
+        &self,
+        w: u32,
+        ants: &mut Pass2Wavefront<'a>,
+        best: &mut Best,
+        winner: &mut Candidate,
+    ) -> WavefrontCost {
+        let Iteration(sched, ctx, pheromone, iteration) = *self;
+        let (cfg, lanes) = (ctx.cfg, ctx.cfg.threads_per_block);
+        let layout = cfg.tuning.layout;
+        let round_cap = 4 * ctx.ddg.len() as u64 + 64;
+        let mut wf = WavefrontCost::new(&sched.spec);
+        let mut wf_rng = self.wavefront_rng(2, w);
+        // Heuristic and stall permission rotate per wavefront; the target
+        // cost is fixed for the whole launch.
+        ants.launch(
+            ctx,
+            sched.wavefront_heuristic(w),
+            sched.wavefront_may_stall(w),
+            |l| ant_seed(cfg.seed, 2, iteration, w * lanes + l),
+        );
+        let mut rounds = 0u64;
+        while ants.any_running() && rounds < round_cap {
+            rounds += 1;
+            let explored = cfg
+                .tuning
+                .wavefront_level_choice
+                .then(|| wf_rng.gen::<f64>() > cfg.q0);
+            let round = ants.round(ctx, pheromone, explored);
+            // Divergent paths of this round: the two selection formulas
+            // and the cheap stall path serialize. Pass-2 selection also
+            // runs the pressure-constraint check per candidate; the stall
+            // path rescans the ready list for issuability and arrival
+            // times.
+            let select_steps = round.scan_max * (STEPS_PER_CANDIDATE + 2) + STEPS_PER_ROUND;
+            let stall_steps = round.scan_max * (STALL_STEPS_PER_CANDIDATE + 1) + 4;
+            let mut paths = [2u64; 3];
+            let mut np = 0;
+            for (taken, steps) in [
+                (round.issued_exploit, select_steps),
+                (round.issued_explore, select_steps),
+                (round.stalled, stall_steps),
+            ] {
+                if taken {
+                    paths[np] = steps;
+                    np += 1;
+                }
+            }
+            wf.diverge(&paths[..np.max(1)]);
+            wf.uniform(round.succ_max * 2);
+            // Pass-2 lanes sit at different cycles of different-length
+            // schedules, so their state accesses spread over several times
+            // the address range of the aligned pass-1 case and coalesce far
+            // worse.
+            sched.state_accesses(
+                &mut wf,
+                4 * (round.scan_max + round.succ_max),
+                lanes,
+                layout,
+            );
+
+            if round.finished_now && cfg.tuning.early_wavefront_termination {
+                // The first finisher has the fewest cycles; later finishers
+                // cannot win the iteration (Section V-B).
+                ants.kill_running();
+                break;
+            }
+        }
+        if let Some((len, class)) = ants.best() {
+            if best.is_none_or(|b| (u64::from(len), w) < b) {
+                *best = Some((u64::from(len), w));
+                winner.set(ants.order(class), ants.cycles(class));
+            }
+        }
+        sched.update_stage_cost(ctx, &mut wf);
+        wf
+    }
+}
+
+/// One participant's scratch in a launch: its wavefront, its best
+/// `(objective, w)` this iteration with that winner's order and cycles, and
+/// the `(w, cost)` of each wavefront it ran. A crew is the owner's member
+/// and one per core borrowed at once so far, all reserved by the owner.
+struct Member<W> {
+    ants: W,
+    best: Best,
+    winner: Candidate,
+    records: Vec<(u32, WavefrontCost)>,
+}
+
+/// Runs one iteration's wavefronts on `crew[0]` (the owner) and a helper
+/// thread per borrowed core, and folds them as the owner alone would have:
+/// costs into `gpu` and `wf_cycles` in `w` order, the minimum `(objective,
+/// w)` returned with its order and cycles in `winner`.
+fn iterate<W: Send>(
+    crew: &mut Vec<Member<W>>,
+    ctx: &AntContext<'_>,
+    gpu: &mut GpuStats,
+    wf_cycles: &mut Vec<u64>,
+    winner: &mut Candidate,
+    new_ants: impl Fn() -> W,
+    wavefront: impl Fn(u32, &mut W, &mut Best, &mut Candidate) -> WavefrontCost + Sync,
+) -> Best {
+    let blocks = ctx.cfg.blocks;
+    let loan = (ctx.ddg.len() >= LEND_MIN_INSTRS)
+        .then(|| Loan::take(blocks.saturating_sub(1) as usize))
+        .flatten();
+    let members = 1 + loan.as_ref().map_or(0, |loan| loan.cores);
+    if crew.len() < members {
+        crew.resize_with(members, || Member {
+            ants: new_ants(),
+            best: None,
+            winner: Candidate::with_capacity(ctx.ddg.len()),
+            records: Vec::with_capacity(blocks as usize),
+        });
+    }
+    let cursor = AtomicU32::new(0);
+    let run = |m: &mut Member<W>| {
+        m.best = None;
+        m.records.clear();
+        while let Some(w) = Some(cursor.fetch_add(1, Ordering::Relaxed)).filter(|&w| w < blocks) {
+            let wf = wavefront(w, &mut m.ants, &mut m.best, &mut m.winner);
+            m.records.push((w, wf));
+        }
+    };
+    match &mut crew[..members] {
+        [owner] => run(owner),
+        [owner, helpers @ ..] => {
+            // A helper's panic makes the scope panic once all have joined;
+            // the loan goes back as this frame unwinds.
+            let run = &run;
+            thread::scope(|s| {
+                for h in helpers {
+                    s.spawn(move || run(h));
+                }
+                run(owner);
+            });
+        }
+        [] => unreachable!("the owner is always a member"),
+    }
+    wf_cycles.clear();
+    wf_cycles.resize(blocks as usize, 0);
+    let mut best = None;
+    for m in &crew[..members] {
+        for &(w, wf) in &m.records {
+            gpu.divergent_steps += wf.divergent_steps();
+            gpu.mem_transactions += wf.mem_transactions();
+            wf_cycles[w as usize] = wf.cycles();
+        }
+        if let Some(key) = m.best.filter(|&key| best.is_none_or(|b| key < b)) {
+            best = Some(key);
+            winner.set(&m.winner.order, &m.winner.cycles);
+        }
+    }
+    best
+}
+
 /// The colony's iterations as kernel launches on the simulated GPU: every
 /// wavefront of an iteration is stepped in lockstep and priced on the cost
 /// model.
@@ -258,28 +495,10 @@ struct GpuExecutor<'s, 'a> {
     /// Per-iteration wavefront cycles; cleared and refilled every iteration
     /// so the loop stays allocation-free.
     iter_wf_cycles: Vec<u64>,
-    // One persistent wavefront of lane classes per launch, relaunched per
-    // wavefront: the simulated kernel allocates its per-thread state once
-    // per launch, not once per wavefront per iteration.
-    ants1: Option<Pass1Wavefront<'a>>,
-    ants2: Option<Pass2Wavefront<'a>>,
-}
-
-impl GpuExecutor<'_, '_> {
-    /// Stream of wavefront `w`'s explore/exploit choices.
-    fn wavefront_rng(&self, pass: u32, iteration: u32, w: u32) -> SmallRng {
-        let seed = self.sched.cfg.seed ^ 0x5A5A_F00D;
-        SmallRng::seed_from_u64(ant_seed(seed, pass, iteration, w))
-    }
-
-    /// Closes wavefront `w` of an iteration: the reduction and update
-    /// stages, then its observations.
-    fn end_wavefront(&mut self, ctx: &AntContext<'_>, mut wf: WavefrontCost) {
-        self.sched.update_stage_cost(ctx, &mut wf);
-        self.gpu.divergent_steps += wf.divergent_steps();
-        self.gpu.mem_transactions += wf.mem_transactions();
-        self.iter_wf_cycles.push(wf.cycles());
-    }
+    /// Each pass's crew, built on its first iteration and dropped when it
+    /// ends, so a region's peak is one pass's scratch.
+    crew1: Vec<Member<Pass1Wavefront<'a>>>,
+    crew2: Vec<Member<Pass2Wavefront<'a>>>,
 }
 
 impl<'a> Executor<'a> for GpuExecutor<'_, 'a> {
@@ -292,53 +511,18 @@ impl<'a> Executor<'a> for GpuExecutor<'_, 'a> {
         iteration: u32,
         winner: &mut Candidate,
     ) -> u64 {
-        let (sched, cfg) = (self.sched, ctx.cfg);
-        let n = ctx.ddg.len();
-        let lanes = cfg.threads_per_block;
-        let layout = cfg.tuning.layout;
-        let mut ants = self
-            .ants1
-            .take()
-            .unwrap_or_else(|| Pass1Wavefront::new(ctx, lanes));
-        let mut winner_cost: Option<u64> = None;
-        self.iter_wf_cycles.clear();
-        for w in 0..cfg.blocks {
-            let mut wf = WavefrontCost::new(&sched.spec);
-            let mut wf_rng = self.wavefront_rng(1, iteration, w);
-            ants.launch(ctx, sched.wavefront_heuristic(w), |l| {
-                ant_seed(cfg.seed, 1, iteration, w * lanes + l)
-            });
-            for _step in 0..n {
-                let (explored, mixed) = if cfg.tuning.wavefront_level_choice {
-                    (Some(wf_rng.gen::<f64>() > cfg.q0), false)
-                } else {
-                    (None, true)
-                };
-                let round = ants.round(ctx, pheromone, explored);
-                let select_steps = round.scan_max * STEPS_PER_CANDIDATE + STEPS_PER_ROUND;
-                if mixed && round.any_explore && round.any_exploit {
-                    // Thread-level choice: both selection formulas are
-                    // traversed serially by the wavefront.
-                    wf.diverge(&[select_steps, select_steps]);
-                } else {
-                    wf.uniform(select_steps);
-                }
-                wf.uniform(round.succ_max * 2);
-                sched.state_accesses(&mut wf, round.scan_max + round.succ_max, lanes, layout);
-            }
-            // The wavefront's first minimum-cost lane; materialize its
-            // order only if it beats the running winner — losing lanes
-            // clone nothing.
-            let (cost, class) = ants.best(ctx);
-            if winner_cost.is_none_or(|c| cost < c) {
-                winner_cost = Some(cost);
-                winner.set(ants.order(class), &[]);
-            }
-            self.end_wavefront(ctx, wf);
-        }
-        self.ants1 = Some(ants);
-        self.kernel_cycles += sched.spec.kernel_cycles(&self.iter_wf_cycles);
-        winner_cost.expect("at least one ant")
+        let it = Iteration(self.sched, ctx, pheromone, iteration);
+        let best = iterate(
+            &mut self.crew1,
+            ctx,
+            &mut self.gpu,
+            &mut self.iter_wf_cycles,
+            winner,
+            || Pass1Wavefront::new(ctx, ctx.cfg.threads_per_block),
+            |w, ants, best, winner| it.pass1_wavefront(w, ants, best, winner),
+        );
+        self.kernel_cycles += self.sched.spec.kernel_cycles(&self.iter_wf_cycles);
+        best.expect("at least one ant").0
     }
 
     fn pass2_iteration(
@@ -349,93 +533,18 @@ impl<'a> Executor<'a> for GpuExecutor<'_, 'a> {
         target_cost: u64,
         winner: &mut Candidate,
     ) -> Option<Cycle> {
-        let (sched, cfg) = (self.sched, ctx.cfg);
-        let lanes = cfg.threads_per_block;
-        let layout = cfg.tuning.layout;
-        let round_cap = 4 * ctx.ddg.len() as u64 + 64;
-        // Heuristic and stall permission rotate per wavefront; the target
-        // cost is fixed for the whole launch.
-        let mut ants = self
-            .ants2
-            .take()
-            .unwrap_or_else(|| Pass2Wavefront::new(ctx, lanes, target_cost));
-        let mut winner_len: Option<Cycle> = None;
-        self.iter_wf_cycles.clear();
-        for w in 0..cfg.blocks {
-            let mut wf = WavefrontCost::new(&sched.spec);
-            let mut wf_rng = self.wavefront_rng(2, iteration, w);
-            ants.launch(
-                ctx,
-                sched.wavefront_heuristic(w),
-                sched.wavefront_may_stall(w),
-                |l| ant_seed(cfg.seed, 2, iteration, w * lanes + l),
-            );
-            let mut rounds = 0u64;
-            while ants.any_running() && rounds < round_cap {
-                rounds += 1;
-                let explored = cfg
-                    .tuning
-                    .wavefront_level_choice
-                    .then(|| wf_rng.gen::<f64>() > cfg.q0);
-                let round = ants.round(ctx, pheromone, explored);
-                // Divergent paths of this round: the two selection
-                // formulas and the cheap stall path serialize.
-                // Pass-2 selection also runs the pressure-constraint
-                // check per candidate; the stall path rescans the ready
-                // list for issuability and arrival times.
-                let select_steps = round.scan_max * (STEPS_PER_CANDIDATE + 2) + STEPS_PER_ROUND;
-                let stall_steps = round.scan_max * (STALL_STEPS_PER_CANDIDATE + 1) + 4;
-                let mut paths = [0u64; 3];
-                let mut np = 0;
-                if round.issued_exploit {
-                    paths[np] = select_steps;
-                    np += 1;
-                }
-                if round.issued_explore {
-                    paths[np] = select_steps;
-                    np += 1;
-                }
-                if round.stalled {
-                    paths[np] = stall_steps;
-                    np += 1;
-                }
-                if np == 0 {
-                    paths[0] = 2;
-                    np = 1;
-                }
-                wf.diverge(&paths[..np]);
-                wf.uniform(round.succ_max * 2);
-                // Pass-2 lanes sit at different cycles of different-
-                // length schedules, so their state accesses spread over
-                // several times the address range of the aligned pass-1
-                // case and coalesce far worse.
-                sched.state_accesses(
-                    &mut wf,
-                    4 * (round.scan_max + round.succ_max),
-                    lanes,
-                    layout,
-                );
-
-                if round.finished_now && cfg.tuning.early_wavefront_termination {
-                    // The first finisher has the fewest cycles; later
-                    // finishers cannot win the iteration (Section V-B).
-                    ants.kill_running();
-                    break;
-                }
-            }
-            // First minimum-length finisher of the wavefront, then
-            // materialize only on global improvement.
-            if let Some((len, class)) = ants.best() {
-                if winner_len.is_none_or(|wl| len < wl) {
-                    winner_len = Some(len);
-                    winner.set(ants.order(class), ants.cycles(class));
-                }
-            }
-            self.end_wavefront(ctx, wf);
-        }
-        self.ants2 = Some(ants);
-        self.kernel_cycles += sched.spec.kernel_cycles(&self.iter_wf_cycles);
-        winner_len
+        let it = Iteration(self.sched, ctx, pheromone, iteration);
+        let best = iterate(
+            &mut self.crew2,
+            ctx,
+            &mut self.gpu,
+            &mut self.iter_wf_cycles,
+            winner,
+            || Pass2Wavefront::new(ctx, ctx.cfg.threads_per_block, target_cost),
+            |w, ants, best, winner| it.pass2_wavefront(w, ants, best, winner),
+        );
+        self.kernel_cycles += self.sched.spec.kernel_cycles(&self.iter_wf_cycles);
+        best.map(|(len, _)| len as Cycle)
     }
 
     /// Prices the launch: setup is charged only for a pass that ran.
@@ -448,6 +557,9 @@ impl<'a> Executor<'a> for GpuExecutor<'_, 'a> {
             Pass::Pressure => self.gpu.pass1_profile = profile,
             Pass::Length => self.gpu.pass2_profile = profile,
         }
+        // The ended pass's crew goes with it; the other one is empty.
+        self.crew1.clear();
+        self.crew2.clear();
         profile.total_us()
     }
 

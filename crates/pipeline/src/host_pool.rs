@@ -39,6 +39,9 @@
 //! the merge itself. Because consumption order is canonical either way,
 //! both shapes feed the merge the identical stream; streaming only moves
 //! the merge work into the shadow of still-running jobs.
+//!
+//! A worker that runs out of jobs lends its core to the wavefronts of a
+//! large region still in flight ([`aco::lend`]); results do not change.
 
 use crate::analyze::analyze_region;
 use crate::batch::{compile_batch_group, plan_batches};
@@ -46,6 +49,7 @@ use crate::cache::ScheduleCache;
 use crate::config::{PipelineConfig, SchedulerKind};
 use crate::region::{compile_region_warm, RegionCompilation};
 use crate::tune::{tunable, tuned_solo_inputs, TuneTag};
+use aco::IdleCores;
 use aco_tune::TuneStore;
 use machine_model::OccupancyModel;
 use sched_analyze::Finding;
@@ -389,20 +393,29 @@ where
 /// and publish into a [`SlotTable`]. A worker that unwinds cancels the
 /// table and exhausts the cursor, so the consumer and its siblings stop
 /// and the call re-raises that worker's panic.
+///
+/// The call's [`IdleCores`] ledger, entered on every worker and the calling
+/// thread, starts with the cores no worker was spawned for. A worker whose
+/// claim passes the end offers its core there, except the last, whose core
+/// the consumer (and its capped re-schedules) takes over.
 fn run_indexed<T, J, C>(n: usize, threads: usize, job: J, mut consume: C) -> StreamTiming
 where
     T: Send,
     J: Fn(usize) -> T + Sync,
     C: FnMut(usize, T, usize),
 {
+    let workers = threads.min(n);
+    let idle = IdleCores::new(threads - workers);
     if threads <= 1 || n <= 1 {
         let mut busy = 0.0;
-        for i in 0..n {
-            let t = Instant::now();
-            let value = job(i);
-            busy += t.elapsed().as_secs_f64();
-            consume(i, value, 0);
-        }
+        idle.enter(|| {
+            for i in 0..n {
+                let t = Instant::now();
+                let value = job(i);
+                busy += t.elapsed().as_secs_f64();
+                consume(i, value, 0);
+            }
+        });
         return StreamTiming {
             jobs_busy_s: busy,
             jobs_span_s: busy,
@@ -413,6 +426,7 @@ where
     let table = SlotTable::new(n);
     let cursor = AtomicUsize::new(0);
     let remaining = AtomicUsize::new(n);
+    let working = AtomicUsize::new(workers);
     // Statistics only: read after the scope has joined every writer.
     let busy_ns = AtomicU64::new(0);
     let span_ns = AtomicU64::new(0);
@@ -423,9 +437,12 @@ where
                 cursor: &cursor,
                 end: n,
             };
-            loop {
+            idle.enter(|| loop {
                 let i = cursor.fetch_add(1, Ordering::SeqCst);
                 if i >= n {
+                    if working.fetch_sub(1, Ordering::SeqCst) > 1 {
+                        idle.offer();
+                    }
                     break;
                 }
                 let t = Instant::now();
@@ -437,17 +454,19 @@ where
                     span_ns.store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 }
                 table.publish(i, value);
-            }
+            })
         };
-        let workers: Vec<_> = (0..threads.min(n)).map(|_| s.spawn(worker)).collect();
+        let workers: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
         // The in-order consumer, on the calling thread: take slot `i` the
         // moment it lands, while workers keep compiling ahead.
-        for i in 0..n {
-            let Some(value) = table.wait_take(i) else {
-                break;
-            };
-            consume(i, value, remaining.load(Ordering::SeqCst));
-        }
+        idle.enter(|| {
+            for i in 0..n {
+                let Some(value) = table.wait_take(i) else {
+                    break;
+                };
+                consume(i, value, remaining.load(Ordering::SeqCst));
+            }
+        });
         for w in workers {
             if let Err(panic) = w.join() {
                 resume_unwind(panic);

@@ -19,10 +19,12 @@
 //!   mode: a kernel's ACO-eligible regions grouped into cooperative
 //!   multi-region launches under the colony's block budget, sharing the
 //!   launch/allocation/transfer overheads that dominate small regions,
-//! * **host-parallel suite compilation** ([`host_pool`]) — a work-stealing
-//!   pool of host threads compiling the suite's region jobs concurrently
-//!   ([`PipelineConfig::host_threads`]), with a deterministic sequential
-//!   merge that keeps every result byte-identical at any thread count,
+//! * **host-parallel suite compilation** ([`host_pool`]) — a pool of host
+//!   threads compiling the suite's region jobs concurrently
+//!   ([`PipelineConfig::host_threads`]), lending the cores of workers that
+//!   ran out of jobs to the wavefronts of a large region still in flight,
+//!   with a deterministic sequential merge that keeps every result
+//!   byte-identical at any thread count,
 //! * **content-addressed schedule memoization** ([`cache`]) — duplicate
 //!   regions (template-instantiated library kernels) compile once; every
 //!   cache hit is equality-checked and re-certified against the new

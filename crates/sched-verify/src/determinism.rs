@@ -1,16 +1,16 @@
 //! Determinism checks for the parallel schedulers.
 //!
-//! The host-parallel scheduler's whole argument rests on the claim that
-//! splitting the colony across threads changes *nothing* about the result
-//! — ants are independent within an iteration and the winner reduction is
-//! associative over a deterministic total order. This module tests that
-//! claim directly: the same region scheduled at several thread counts (and
-//! the simulated-GPU scheduler run repeatedly) must produce bitwise
-//! identical results.
+//! Lending idle host cores to an ACO iteration rests on the claim that
+//! splitting its wavefronts across threads changes *nothing* about the
+//! result — wavefronts are independent within an iteration and the winner
+//! reduction is a minimum over a deterministic total order. This module
+//! tests that claim directly: the same region scheduled with several
+//! numbers of lent cores (and the simulated-GPU scheduler run repeatedly)
+//! must produce bitwise identical results.
 
 use crate::diag::codes;
 use crate::fingerprint::suite_fingerprint;
-use aco::{AcoConfig, AcoResult, HostParallelScheduler, ParallelScheduler};
+use aco::{AcoConfig, AcoResult, IdleCores, ParallelScheduler};
 use machine_model::OccupancyModel;
 use pipeline::{compile_suite, PipelineConfig};
 use sched_analyze::{Anchor, Finding, Level};
@@ -40,33 +40,38 @@ fn describe(r: &AcoResult) -> String {
     )
 }
 
-/// Schedules `ddg` with [`HostParallelScheduler`] at every thread count in
-/// `threads` and reports a `D001` error for each count whose result
-/// deviates from the first.
-pub fn check_host_determinism(
+/// Schedules `ddg` with [`ParallelScheduler`] with every number of idle
+/// cores in `lent` lent to it (an [`IdleCores`] ledger entered around the
+/// call) and reports a `D001` error for each count whose result or GPU
+/// statistics deviate from the first.
+pub fn check_lending_determinism(
     ddg: &Ddg,
     occ: &OccupancyModel,
     cfg: &AcoConfig,
-    threads: &[usize],
+    lent: &[usize],
 ) -> Vec<Finding> {
     let mut diags = Vec::new();
-    let Some((&first, rest)) = threads.split_first() else {
+    let Some((&first, rest)) = lent.split_first() else {
         return diags;
     };
-    let reference = HostParallelScheduler::new(*cfg, first).schedule(ddg, occ);
-    let ref_fp = fingerprint(&reference);
-    for &t in rest {
-        let r = HostParallelScheduler::new(*cfg, t).schedule(ddg, occ);
-        if fingerprint(&r) != ref_fp {
+    let run =
+        |cores| IdleCores::new(cores).enter(|| ParallelScheduler::new(*cfg).schedule(ddg, occ));
+    let reference = run(first);
+    let ref_fp = fingerprint(&reference.result);
+    for &cores in rest {
+        let out = run(cores);
+        if fingerprint(&out.result) != ref_fp || out.gpu != reference.gpu {
             diags.push(Finding::new(
                 codes::THREAD_NONDETERMINISM,
                 Level::Deny,
                 Anchor::Region,
                 format!(
-                    "host-parallel result differs between {first} and {t} \
-                     threads: [{}] vs [{}]",
-                    describe(&reference),
-                    describe(&r)
+                    "simulated-GPU result differs between {first} and {cores} \
+                     lent cores: [{}, {:.3} us] vs [{}, {:.3} us]",
+                    describe(&reference.result),
+                    reference.gpu.total_us(),
+                    describe(&out.result),
+                    out.gpu.total_us()
                 ),
             ));
         }
@@ -78,7 +83,7 @@ pub fn check_host_determinism(
 /// a `D003` error for each value whose [`pipeline::SuiteRun`] fingerprint
 /// deviates from the first.
 ///
-/// This is the suite-level analogue of [`check_host_determinism`]: the
+/// This is the suite-level analogue of [`check_lending_determinism`]: the
 /// pipeline's host worker pool must be a pure wall-clock knob, so the full
 /// run — every region record, kernel occupancy, modeled time and
 /// throughput — is hashed, not just the schedules.
@@ -214,10 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn figure1_is_thread_count_invariant() {
-        let ddg = figure1::ddg();
+    fn a_lent_region_is_lent_core_count_invariant() {
+        let ddg = workloads::patterns::sized(aco::LEND_MIN_INSTRS + 20, 13);
         let occ = OccupancyModel::vega_like();
-        let diags = check_host_determinism(&ddg, &occ, &small_cfg(), &[1, 2, 4]);
+        let diags = check_lending_determinism(&ddg, &occ, &small_cfg(), &[0, 1, 3]);
         assert!(diags.is_empty(), "{}", crate::diag::render(&diags));
     }
 

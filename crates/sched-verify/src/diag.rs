@@ -74,8 +74,8 @@ pub mod codes {
     /// A pheromone entry escaped the `[tau_min, tau_max]` clamp band.
     pub const PHEROMONE_OUT_OF_BOUNDS: &str = "P002";
 
-    /// Host-parallel scheduling produced different results at different
-    /// thread counts.
+    /// Simulated-GPU scheduling produced different results with different
+    /// numbers of idle host cores lent to it.
     pub const THREAD_NONDETERMINISM: &str = "D001";
     /// Repeated runs with one configuration disagree.
     pub const RUN_NONDETERMINISM: &str = "D002";

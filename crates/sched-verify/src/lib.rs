@@ -2,8 +2,8 @@
 //! stack.
 //!
 //! The schedulers in this workspace (list scheduling, sequential ACO, the
-//! simulated-GPU parallel ACO, the host-parallel cross-check, and the
-//! exact branch-and-bound) all *claim* things about their output: an issue
+//! simulated-GPU parallel ACO, and the exact branch-and-bound) all *claim*
+//! things about their output: an issue
 //! order, a peak register pressure, an occupancy, a length. This crate
 //! re-derives every one of those claims from first principles and reports
 //! disagreements as [`sched_analyze::Finding`]s — the workspace's one
@@ -20,7 +20,7 @@
 //!   configurations (degenerate parameters), and pheromone tables
 //!   (clamp-band escape, NaN).
 //! * [`determinism`] — the determinism checker: identical results across
-//!   host thread counts and repeated simulated-GPU runs.
+//!   lent host cores, host thread counts and repeated simulated-GPU runs.
 //!
 //! [`verify_suite`] wires the checker into the compilation pipeline via
 //! [`pipeline::compile_suite_observed`], certifying every schedule the
@@ -38,7 +38,7 @@ pub use certify::{
     certify_aco, certify_exact, certify_list, certify_schedule, recompute_prp, Claim,
 };
 pub use determinism::{
-    check_cache_transparency, check_host_determinism, check_parallel_repeatability,
+    check_cache_transparency, check_lending_determinism, check_parallel_repeatability,
     check_suite_thread_determinism,
 };
 pub use diag::{codes, has_errors, render};

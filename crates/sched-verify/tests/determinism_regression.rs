@@ -1,25 +1,26 @@
-//! Determinism regression: the host-parallel scheduler must return
-//! identical results no matter how many threads split the colony, and the
-//! suite compiler must return identical runs no matter how many host
-//! threads its work-stealing pool uses.
+//! Determinism regression: the simulated-GPU scheduler must return
+//! identical results no matter how many idle host cores run its wavefronts,
+//! and the suite compiler must return identical runs no matter how many
+//! host threads its pool uses.
 //!
-//! Covers the Figure-1 region and three generated workloads at 1, 2, and
-//! 8 threads, plus whole-suite compilations at 1, 2, and 8 `host_threads`.
-//! This is the regression guard for the independent-ants parallelization
-//! argument (`D001`) and the pure-jobs + deterministic-merge suite
-//! compiler argument (`D003`) — any thread-count-dependent reduction
-//! order, RNG stream split, or merge-order slip shows up here.
+//! Covers the Figure-1 region and three generated workloads with 0, 1 and
+//! 7 lent cores, plus whole-suite compilations at 1, 2, and 8
+//! `host_threads`. This is the regression guard for the
+//! independent-wavefronts argument (`D001`) and the pure-jobs +
+//! deterministic-merge suite compiler argument (`D003`) — any
+//! thread-count-dependent reduction order, RNG stream split, or merge-order
+//! slip shows up here.
 
-use aco::{batch_block_split, AcoConfig, HostParallelScheduler, ParallelScheduler};
+use aco::{batch_block_split, AcoConfig, IdleCores, ParallelScheduler, LEND_MIN_INSTRS};
 use machine_model::OccupancyModel;
 use pipeline::{compile_suite_observed, PipelineConfig, SchedulerKind};
 use sched_ir::{figure1, Ddg};
 use sched_verify::{
-    check_host_determinism, check_parallel_repeatability, check_suite_thread_determinism, render,
+    check_lending_determinism, check_parallel_repeatability, check_suite_thread_determinism, render,
 };
 use workloads::{Suite, SuiteConfig};
 
-const THREADS: &[usize] = &[1, 2, 8];
+const LENT: &[usize] = &[0, 1, 7];
 
 fn cfg(seed: u64) -> AcoConfig {
     let mut c = AcoConfig::small(seed);
@@ -38,58 +39,49 @@ fn workload_regions() -> Vec<(&'static str, Ddg)> {
 }
 
 #[test]
-fn host_parallel_is_thread_count_invariant() {
+fn simulated_gpu_is_lent_core_count_invariant() {
     let occ = OccupancyModel::vega_like();
     for (name, ddg) in workload_regions() {
-        let diags = check_host_determinism(&ddg, &occ, &cfg(3), THREADS);
+        let diags = check_lending_determinism(&ddg, &occ, &cfg(3), LENT);
         assert!(diags.is_empty(), "{name}:\n{}", render(&diags));
     }
 }
 
 #[test]
-fn host_parallel_pass_stats_are_thread_count_invariant() {
+fn simulated_gpu_pass_stats_are_lent_core_count_invariant() {
     // Beyond the schedule itself, the search trajectory (iteration counts,
-    // improvement flags) must not depend on the thread count either.
+    // improvement flags, modeled pass times) must not depend on the lent
+    // cores either.
     let occ = OccupancyModel::vega_like();
+    let mut shared_any = false;
     for (name, ddg) in workload_regions() {
-        let results: Vec<_> = THREADS
+        let results: Vec<_> = LENT
             .iter()
-            .map(|&t| HostParallelScheduler::new(cfg(3), t).schedule(&ddg, &occ))
+            .map(|&cores| {
+                let idle = IdleCores::new(cores);
+                let r = idle.enter(|| ParallelScheduler::new(cfg(3)).schedule(&ddg, &occ));
+                let shared = idle.shared_iterations() > 0;
+                assert!(
+                    !shared || (cores > 0 && ddg.len() >= LEND_MIN_INSTRS),
+                    "{name}: {cores} lent cores must not be borrowed"
+                );
+                shared_any |= shared;
+                r.result
+            })
             .collect();
-        for (r, &t) in results.iter().zip(THREADS).skip(1) {
+        for (r, &cores) in results.iter().zip(LENT).skip(1) {
             let a = &results[0];
-            assert_eq!(
-                (
-                    r.pass1.iterations,
-                    r.pass1.improved,
-                    r.pass1.hit_lb,
-                    r.pass1.best_cost
-                ),
-                (
-                    a.pass1.iterations,
-                    a.pass1.improved,
-                    a.pass1.hit_lb,
-                    a.pass1.best_cost
-                ),
-                "{name}: pass-1 trajectory differs at {t} threads"
-            );
-            assert_eq!(
-                (
-                    r.pass2.iterations,
-                    r.pass2.improved,
-                    r.pass2.hit_lb,
-                    r.pass2.best_cost
-                ),
-                (
-                    a.pass2.iterations,
-                    a.pass2.improved,
-                    a.pass2.hit_lb,
-                    a.pass2.best_cost
-                ),
-                "{name}: pass-2 trajectory differs at {t} threads"
-            );
+            for (x, y, pass) in [(&r.pass1, &a.pass1, 1), (&r.pass2, &a.pass2, 2)] {
+                assert_eq!(
+                    (x.iterations, x.improved, x.hit_lb, x.best_cost),
+                    (y.iterations, y.improved, y.hit_lb, y.best_cost),
+                    "{name}: pass-{pass} trajectory differs with {cores} lent cores"
+                );
+                assert_eq!(x.time_us.to_bits(), y.time_us.to_bits());
+            }
         }
     }
+    assert!(shared_any, "some region must have borrowed a core");
 }
 
 #[test]

@@ -4,11 +4,11 @@
 //!
 //! This is the acceptance gate for the verification layer: list
 //! scheduling, sequential ACO, GPU-parallel ACO (through the pipeline,
-//! including its occupancy-capped re-schedules), host-parallel ACO, and
-//! the exact branch-and-bound all have their claims re-derived from first
-//! principles.
+//! including its occupancy-capped re-schedules, and with idle cores lent to
+//! it), and the exact branch-and-bound all have their claims re-derived
+//! from first principles.
 
-use aco::{AcoConfig, HostParallelScheduler};
+use aco::{AcoConfig, IdleCores, ParallelScheduler, LEND_MIN_INSTRS};
 use exact_sched::{two_pass_optimum, BnbConfig};
 use list_sched::{Heuristic, ListScheduler};
 use machine_model::OccupancyModel;
@@ -76,16 +76,22 @@ fn batched_parallel_aco_suite_certifies_clean() {
 }
 
 #[test]
-fn host_parallel_schedules_certify_clean() {
+fn schedules_built_on_lent_cores_certify_clean() {
     let occ = OccupancyModel::vega_like();
     let mut cfg = AcoConfig::small(2);
     cfg.blocks = 4;
     cfg.pass2_gate_cycles = 1;
-    for (k, _, ddg) in suite().regions().take(12) {
-        let r = HostParallelScheduler::new(cfg, 4).schedule(ddg, &occ);
-        let diags = certify_aco(ddg, &occ, &cfg, &r);
+    let idle = IdleCores::new(3);
+    let suite = suite();
+    let large = suite
+        .regions()
+        .filter(|(_, _, ddg)| ddg.len() >= LEND_MIN_INSTRS);
+    for (k, _, ddg) in large.take(4) {
+        let r = idle.enter(|| ParallelScheduler::new(cfg).schedule(ddg, &occ));
+        let diags = certify_aco(ddg, &occ, &cfg, &r.result);
         assert!(diags.is_empty(), "kernel {k}:\n{}", render(&diags));
     }
+    assert!(idle.shared_iterations() > 0, "no core was ever lent");
 }
 
 #[test]

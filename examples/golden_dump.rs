@@ -14,9 +14,7 @@
 
 use gpu_aco::compile::{compile_suite, PipelineConfig, SchedulerKind};
 use gpu_aco::machine::OccupancyModel;
-use gpu_aco::scheduler::{
-    AcoConfig, HostParallelScheduler, ParallelScheduler, SequentialScheduler,
-};
+use gpu_aco::scheduler::{AcoConfig, ParallelScheduler, SequentialScheduler};
 use gpu_aco::verify::{aco_fingerprint, suite_fingerprint};
 use sched_ir::Fnv64;
 use workloads::{Suite, SuiteConfig};
@@ -33,19 +31,6 @@ fn main() {
         let r = SequentialScheduler::new(cfg).schedule(&ddg, &occ);
         println!(
             "(\"seq-{size}-{rseed}-{cseed}\", {:#018x}),",
-            aco_fingerprint(&r)
-        );
-    }
-
-    println!("// host-parallel (thread-count invariant): fingerprints at 1 thread");
-    for (size, rseed, cseed) in [(40usize, 7u64, 3u64), (90, 5, 3), (120, 13, 5)] {
-        let ddg = workloads::patterns::sized(size, rseed);
-        let mut cfg = AcoConfig::paper(cseed);
-        cfg.blocks = 8;
-        cfg.pass2_gate_cycles = 1;
-        let r = HostParallelScheduler::new(cfg, 1).schedule(&ddg, &occ);
-        println!(
-            "(\"host-{size}-{rseed}-{cseed}\", {:#018x}),",
             aco_fingerprint(&r)
         );
     }

@@ -9,14 +9,15 @@
 # vendored stand-in crate, all workspace tests green,
 # and (unless --fast) the release build the tier-1 gate uses, the bench
 # binaries compiling, the full-corpus flat-IR differential test, the long
-# text-IR parser fuzz run, a CLI
-# verify smoke run on generated regions, a non-ASCII register token that
+# text-IR parser fuzz run, the full lent-core equality matrix, a CLI
+# verify smoke run on generated regions, a `schedule --threads 1` vs
+# `--threads 2` byte comparison, a non-ASCII register token that
 # must be a diagnostic and not a panic, a `schedule` header with a bad
 # option that must cost one `err` and not one per payload line, the
 # static-analysis deny-gate (`gpu-aco-cli analyze --json`), the wall-clock
 # smoke perf gate, and the `benchmark/` package's unit tests and
-# self-checking `--smoke` runs of `suite-unique`, `frontend-large`,
-# `serve-warm` and `serve-mix`
+# self-checking `--smoke` runs of `suite-unique`, `suite-dup`,
+# `frontend-large`, `serve-warm` and `serve-mix`
 # (which must leave `benchmark/` and BENCHMARK.json untouched).
 
 set -euo pipefail
@@ -53,6 +54,11 @@ if [[ "${1:-}" != "--fast" ]]; then
     # Tier-1 runs 8,000 cases of tests/textir_fuzz.rs; this is the long run.
     cargo test --release -q --test textir_fuzz -- --ignored
 
+    echo "==> lent idle cores never change a bit: the full matrix"
+    # Tier-1 runs tests/lending_exact.rs on short searches; this is the
+    # cross product of region sizes, colony shapes and tuning toggles.
+    cargo test --release -q --test lending_exact -- --ignored
+
     echo "==> gpu-aco-cli verify smoke run"
     smoke_dir="$(mktemp -d)"
     trap 'rm -rf "$smoke_dir"' EXIT
@@ -61,6 +67,16 @@ if [[ "${1:-}" != "--fast" ]]; then
     ./target/release/gpu-aco-cli generate reduction 40 --seed 9 > "$smoke_dir/region2.txt"
     ./target/release/gpu-aco-cli schedule "$smoke_dir/region.txt" "$smoke_dir/region2.txt" \
         --batch --blocks 8 > /dev/null
+
+    echo "==> schedule: lent cores leave the output alone"
+    # --threads 2 lends one idle core to the wavefronts of each ACO
+    # iteration of a large region; the bytes must not move.
+    ./target/release/gpu-aco-cli generate mixed 200 --seed 3 > "$smoke_dir/region200.txt"
+    ./target/release/gpu-aco-cli schedule "$smoke_dir/region200.txt" --threads 1 \
+        > "$smoke_dir/threads1.txt"
+    ./target/release/gpu-aco-cli schedule "$smoke_dir/region200.txt" --threads 2 \
+        > "$smoke_dir/threads2.txt"
+    cmp "$smoke_dir/threads1.txt" "$smoke_dir/threads2.txt"
 
     echo "==> non-ASCII register token smoke"
     # `instr a defs é5` used to panic the parser (`byte index 1 is not a
@@ -286,7 +302,7 @@ for path in sys.argv[1:]:
           f"{rep['tuner']['warm_hits']} warm hits, no length regression")
 EOF
 
-    echo "==> benchmark/: unit tests + suite-unique, frontend-large, serve-warm and serve-mix smoke"
+    echo "==> benchmark/: unit tests + suite-unique, suite-dup, frontend-large, serve-warm and serve-mix smoke"
     # The repository's one benchmark (BENCHMARK.json, benchmark/) is its own
     # cargo workspace, so `--workspace` above never builds it. Its smoke run
     # compiles a tiny suite-unique with the full correctness gate — every
@@ -294,12 +310,14 @@ EOF
     # and exits non-zero if any output is wrong (`pipefail` carries that
     # through the `tail`). The frontend-large smoke is the only CI run that
     # drives text-IR -> BaseAmd -> in-job analysis -> certifier end to end;
-    # its gate fails on any deny finding or uncertified schedule. The two
-    # serve smokes drive the daemon's read loop, admission and workers over
-    # socket pairs, every reply checked byte for byte against the one-shot
-    # render: `serve-warm` is all admission hits, `serve-mix` all compiles.
+    # its gate fails on any deny finding or uncertified schedule. The
+    # suite-dup smoke is the workload whose pool lends idle cores to the
+    # region in flight. The two serve smokes drive the daemon's read loop,
+    # admission and workers over socket pairs, every reply checked byte for
+    # byte against the one-shot render: `serve-warm` is all admission hits,
+    # `serve-mix` all compiles.
     cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
-    for workload in suite-unique frontend-large serve-warm serve-mix; do
+    for workload in suite-unique suite-dup frontend-large serve-warm serve-mix; do
         cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
             --workload "$workload" --smoke | tail -n 1
     done

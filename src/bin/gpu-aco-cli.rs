@@ -2,7 +2,7 @@
 //! the workspace's schedulers.
 //!
 //! ```text
-//! gpu-aco-cli schedule <region.txt> [--scheduler amd|cp|luc|seq|par|host|exact]
+//! gpu-aco-cli schedule <region.txt> [--scheduler amd|cp|luc|seq|par|exact]
 //!                      [--seed N] [--blocks N] [--threads N] [--unit-aprp]
 //!                      [--dot <out.dot>]
 //! gpu-aco-cli schedule <region.txt> --cache <cache.txt> [--cache-stats] [--no-cache]
@@ -65,9 +65,7 @@
 
 use gpu_aco::heuristics::{Heuristic, ListScheduler};
 use gpu_aco::machine::OccupancyModel;
-use gpu_aco::scheduler::{
-    AcoConfig, HostParallelScheduler, ParallelScheduler, SequentialScheduler,
-};
+use gpu_aco::scheduler::{AcoConfig, IdleCores, ParallelScheduler, SequentialScheduler};
 use sched_ir::{textir, Ddg, Schedule};
 use std::process::ExitCode;
 
@@ -85,7 +83,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  gpu-aco-cli schedule <region.txt> [--scheduler amd|cp|luc|seq|par|host|exact]
+  gpu-aco-cli schedule <region.txt> [--scheduler amd|cp|luc|seq|par|exact]
                        [--seed N] [--blocks N] [--threads N] [--unit-aprp]
                        [--dot <out.dot>]
   gpu-aco-cli schedule <region.txt> --cache <cache.txt> [--cache-stats] [--no-cache]
@@ -94,7 +92,7 @@ const USAGE: &str = "usage:
   gpu-aco-cli generate <pattern> <size> [--seed N]
       patterns: reduction scan transform vector stencil sort gather random mixed
   gpu-aco-cli inspect <region.txt>
-  gpu-aco-cli verify <region.txt> [--scheduler amd|cp|luc|seq|par|host|exact|all]
+  gpu-aco-cli verify <region.txt> [--scheduler amd|cp|luc|seq|par|exact|all]
                      [--seed N] [--blocks N] [--threads N] [--unit-aprp] [--pedantic]
   gpu-aco-cli analyze <region.txt>... [--json] [--pedantic]
                       [--baseline <file>] [--write-baseline <file>]
@@ -112,9 +110,10 @@ const USAGE: &str = "usage:
   --pedantic    include pedantic-level findings (S001) in the report
   --baseline F  suppress the findings recorded in baseline file F
   --write-baseline F  write a baseline accepting every current finding to F
-  --threads N   host worker threads for the host-parallel scheduler
-                (default: all available cores; results are identical at
-                any value)
+  --threads N   host cores to use (default: all available); with
+                --scheduler par, N-1 idle cores run some of the wavefronts
+                of each ACO iteration of a large region; results are
+                identical at any value
   --cache F     compile via the pipeline's certified schedule cache,
                 persisted at F across invocations (schedulers amd|cp|seq|par);
                 hits skip the ACO search and are re-certified before adoption
@@ -182,10 +181,10 @@ fn positional_args<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a Stri
     out
 }
 
-/// `--threads`: host worker threads for the host-parallel scheduler.
-/// Defaults to every available core; schedules are identical at any value
-/// (the host colony's merge is deterministic), so this is purely a
-/// wall-clock knob.
+/// `--threads`: host cores the command may use; `schedule` and `verify`
+/// lend all but one to the wavefronts of the region's ACO iterations.
+/// Defaults to every available core; schedules are identical at any value,
+/// so this is purely a wall-clock knob.
 fn host_threads(args: &[String]) -> Result<usize, String> {
     match flag_value(args, "--threads") {
         Some(s) => s
@@ -193,6 +192,42 @@ fn host_threads(args: &[String]) -> Result<usize, String> {
             .map(|n| n.max(1))
             .map_err(|_| "--threads must be an integer".into()),
         None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
+    }
+}
+
+/// `--seed`: the ACO RNG seed (default 0).
+fn aco_seed(args: &[String]) -> Result<u64, String> {
+    flag_value(args, "--seed").map_or(Ok(0), |s| {
+        s.parse().map_err(|_| "--seed must be an integer".into())
+    })
+}
+
+/// `--unit-aprp` selects the identity-APRP model; Vega-like otherwise.
+fn occupancy_model(args: &[String]) -> OccupancyModel {
+    if args.iter().any(|a| a == "--unit-aprp") {
+        OccupancyModel::unit()
+    } else {
+        OccupancyModel::vega_like()
+    }
+}
+
+/// The list scheduler `--scheduler amd|cp|luc` names.
+fn list_heuristic(name: &str) -> Heuristic {
+    match name {
+        "amd" => Heuristic::AmdMaxOccupancy,
+        "cp" => Heuristic::CriticalPath,
+        _ => Heuristic::LastUseCount,
+    }
+}
+
+/// `--blocks`: the colony's wavefront count (default 32), validated once
+/// for every subcommand that takes it, with the daemon's message.
+fn colony_blocks(args: &[String]) -> Result<u32, String> {
+    match flag_value(args, "--blocks").map(|s| s.parse::<u32>()) {
+        None => Ok(32),
+        Some(Ok(0)) => Err("blocks must be positive".into()),
+        Some(Ok(blocks)) => Ok(blocks),
+        Some(Err(_)) => Err("--blocks must be an integer".into()),
     }
 }
 
@@ -229,21 +264,9 @@ fn schedule(args: &[String]) -> Result<(), String> {
     }
     let path = args.first().ok_or("schedule needs a region file")?;
     let ddg = load_region(path)?;
-    let occ = if args.iter().any(|a| a == "--unit-aprp") {
-        OccupancyModel::unit()
-    } else {
-        OccupancyModel::vega_like()
-    };
-    let seed: u64 = flag_value(args, "--seed")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|_| "--seed must be an integer")?
-        .unwrap_or(0);
-    let blocks: u32 = flag_value(args, "--blocks")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|_| "--blocks must be an integer")?
-        .unwrap_or(32);
+    let occ = occupancy_model(args);
+    let seed = aco_seed(args)?;
+    let blocks = colony_blocks(args)?;
     let which = flag_value(args, "--scheduler").unwrap_or_else(|| "par".into());
     // Validate --threads up front so a bad value errors even when the
     // selected scheduler never reads it.
@@ -255,11 +278,7 @@ fn schedule(args: &[String]) -> Result<(), String> {
 
     let (name, sched, prp, extra) = match which.as_str() {
         "amd" | "cp" | "luc" => {
-            let h = match which.as_str() {
-                "amd" => Heuristic::AmdMaxOccupancy,
-                "cp" => Heuristic::CriticalPath,
-                _ => Heuristic::LastUseCount,
-            };
+            let h = list_heuristic(&which);
             let r = ListScheduler::new(h).schedule(&ddg, &occ);
             (
                 format!("{h:?} list scheduler"),
@@ -277,7 +296,8 @@ fn schedule(args: &[String]) -> Result<(), String> {
             ("sequential ACO".into(), r.schedule, r.prp, extra)
         }
         "par" => {
-            let out = ParallelScheduler::new(cfg).schedule(&ddg, &occ);
+            let out = IdleCores::new(threads - 1)
+                .enter(|| ParallelScheduler::new(cfg).schedule(&ddg, &occ));
             let extra = format!(
                 ", modeled GPU time {:.1} us ({} + {} iterations)",
                 out.gpu.total_us(),
@@ -289,15 +309,6 @@ fn schedule(args: &[String]) -> Result<(), String> {
                 out.result.schedule,
                 out.result.prp,
                 extra,
-            )
-        }
-        "host" => {
-            let r = HostParallelScheduler::new(cfg, threads).schedule(&ddg, &occ);
-            (
-                format!("host-parallel ACO ({threads} threads)"),
-                r.schedule,
-                r.prp,
-                String::new(),
             )
         }
         "exact" => {
@@ -375,21 +386,10 @@ fn schedule_cached(args: &[String]) -> Result<(), String> {
     );
     let path = paths.first().ok_or("schedule needs a region file")?;
     let ddg = load_region(path)?;
-    let occ = if args.iter().any(|a| a == "--unit-aprp") {
-        OccupancyModel::unit()
-    } else {
-        OccupancyModel::vega_like()
-    };
-    let seed: u64 = flag_value(args, "--seed")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|_| "--seed must be an integer")?
-        .unwrap_or(0);
-    let blocks: u32 = flag_value(args, "--blocks")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|_| "--blocks must be an integer")?
-        .unwrap_or(32);
+    let occ = occupancy_model(args);
+    let seed = aco_seed(args)?;
+    let blocks = colony_blocks(args)?;
+    let threads = host_threads(args)?;
     let which = flag_value(args, "--scheduler").unwrap_or_else(|| "par".into());
     let kind = match which.as_str() {
         "amd" => SchedulerKind::BaseAmd,
@@ -426,21 +426,22 @@ fn schedule_cached(args: &[String]) -> Result<(), String> {
         Some(_) => Some(TuneStore::new()),
         None => None,
     };
-    let comp = match tune.as_ref().filter(|_| tunable(kind)) {
-        Some(store) => {
-            let (tuned_cfg, warm, tag) = tuned_solo_inputs(&ddg, 0, &cfg, store);
-            let comp = match &cache {
-                Some(c) => c.compile_solo_with(&ddg, &occ, &tuned_cfg, warm.as_ref()),
-                None => compile_region_warm(&ddg, &occ, &tuned_cfg, warm.as_ref()),
-            };
-            observe_outcome(store, &tag, &comp);
-            comp
-        }
-        None => match &cache {
-            Some(c) => c.compile_solo(&ddg, &occ, &cfg),
-            None => compile_region(&ddg, &occ, &cfg),
-        },
-    };
+    let comp =
+        IdleCores::new(threads - 1).enter(|| match tune.as_ref().filter(|_| tunable(kind)) {
+            Some(store) => {
+                let (tuned_cfg, warm, tag) = tuned_solo_inputs(&ddg, 0, &cfg, store);
+                let comp = match &cache {
+                    Some(c) => c.compile_solo_with(&ddg, &occ, &tuned_cfg, warm.as_ref()),
+                    None => compile_region_warm(&ddg, &occ, &tuned_cfg, warm.as_ref()),
+                };
+                observe_outcome(store, &tag, &comp);
+                comp
+            }
+            None => match &cache {
+                Some(c) => c.compile_solo(&ddg, &occ, &cfg),
+                None => compile_region(&ddg, &occ, &cfg),
+            },
+        });
     // The daemon (`serve`) renders through the same function, which is
     // what keeps its responses byte-identical to this command's output.
     let report = gpu_aco::serve::render::schedule_report(&ddg, &occ, kind, &comp)?;
@@ -483,21 +484,9 @@ fn schedule_batched(args: &[String]) -> Result<(), String> {
     // --threads is accepted (and validated) for uniformity, but the batch
     // path always runs the simulated-GPU scheduler, which never reads it.
     host_threads(args)?;
-    let occ = if args.iter().any(|a| a == "--unit-aprp") {
-        OccupancyModel::unit()
-    } else {
-        OccupancyModel::vega_like()
-    };
-    let seed: u64 = flag_value(args, "--seed")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|_| "--seed must be an integer")?
-        .unwrap_or(0);
-    let blocks: u32 = flag_value(args, "--blocks")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|_| "--blocks must be an integer")?
-        .unwrap_or(32);
+    let occ = occupancy_model(args);
+    let seed = aco_seed(args)?;
+    let blocks = colony_blocks(args)?;
     if paths.len() as u32 > blocks {
         return Err(format!(
             "a batch of {} regions oversubscribes the {blocks}-block colony; \
@@ -557,21 +546,9 @@ fn verify(args: &[String]) -> Result<(), String> {
 
     let path = args.first().ok_or("verify needs a region file")?;
     let ddg = load_region(path)?;
-    let occ = if args.iter().any(|a| a == "--unit-aprp") {
-        OccupancyModel::unit()
-    } else {
-        OccupancyModel::vega_like()
-    };
-    let seed: u64 = flag_value(args, "--seed")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|_| "--seed must be an integer")?
-        .unwrap_or(0);
-    let blocks: u32 = flag_value(args, "--blocks")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|_| "--blocks must be an integer")?
-        .unwrap_or(32);
+    let occ = occupancy_model(args);
+    let seed = aco_seed(args)?;
+    let blocks = colony_blocks(args)?;
     let cfg = AcoConfig {
         blocks,
         ..AcoConfig::paper(seed)
@@ -594,11 +571,11 @@ fn verify(args: &[String]) -> Result<(), String> {
 
     let which = flag_value(args, "--scheduler").unwrap_or_else(|| "all".into());
     // Validate --threads up front so a bad value errors even when the
-    // host scheduler is not among the certified set.
+    // parallel scheduler is not among the certified set.
     let threads = host_threads(args)?;
     let schedulers: Vec<&str> = match which.as_str() {
-        "all" => vec!["amd", "cp", "luc", "seq", "par", "host", "exact"],
-        s @ ("amd" | "cp" | "luc" | "seq" | "par" | "host" | "exact") => vec![s],
+        "all" => vec!["amd", "cp", "luc", "seq", "par", "exact"],
+        s @ ("amd" | "cp" | "luc" | "seq" | "par" | "exact") => vec![s],
         other => return Err(format!("unknown scheduler `{other}`")),
     };
     let mut certified = 0usize;
@@ -606,12 +583,7 @@ fn verify(args: &[String]) -> Result<(), String> {
         let before = diags.len();
         match s {
             "amd" | "cp" | "luc" => {
-                let h = match s {
-                    "amd" => Heuristic::AmdMaxOccupancy,
-                    "cp" => Heuristic::CriticalPath,
-                    _ => Heuristic::LastUseCount,
-                };
-                let r = ListScheduler::new(h).schedule(&ddg, &occ);
+                let r = ListScheduler::new(list_heuristic(s)).schedule(&ddg, &occ);
                 diags.extend(sv::certify_list(&ddg, &occ, &r));
             }
             "seq" => {
@@ -619,18 +591,11 @@ fn verify(args: &[String]) -> Result<(), String> {
                 diags.extend(sv::certify_aco(&ddg, &occ, &cfg, &r));
             }
             "par" => {
-                let out = ParallelScheduler::new(cfg).schedule(&ddg, &occ);
+                let out = IdleCores::new(threads - 1)
+                    .enter(|| ParallelScheduler::new(cfg).schedule(&ddg, &occ));
                 diags.extend(sv::certify_aco(&ddg, &occ, &cfg, &out.result));
-            }
-            "host" => {
-                let r = HostParallelScheduler::new(cfg, threads).schedule(&ddg, &occ);
-                diags.extend(sv::certify_aco(&ddg, &occ, &cfg, &r));
-                diags.extend(sv::check_host_determinism(
-                    &ddg,
-                    &occ,
-                    &cfg,
-                    &[1, 2, threads],
-                ));
+                let lent = [0, 1, threads - 1];
+                diags.extend(sv::check_lending_determinism(&ddg, &occ, &cfg, &lent));
             }
             "exact" => {
                 if ddg.len() > exact_sched::MAX_EXACT_SIZE {
@@ -753,11 +718,7 @@ fn generate(args: &[String]) -> Result<(), String> {
         .ok_or("generate needs a size")?
         .parse()
         .map_err(|_| "size must be an integer")?;
-    let seed: u64 = flag_value(args, "--seed")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|_| "--seed must be an integer")?
-        .unwrap_or(0);
+    let seed = aco_seed(args)?;
     let ddg = match pattern.as_str() {
         "reduction" => workloads::patterns::reduction(size.max(1), seed),
         "scan" => workloads::patterns::scan(size.max(1), seed),

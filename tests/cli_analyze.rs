@@ -149,7 +149,7 @@ fn twice_defined_register_schedules_and_verify_denies() {
     )
     .unwrap();
     let region = path.to_string_lossy().into_owned();
-    for scheduler in ["amd", "luc", "seq", "par", "host"] {
+    for scheduler in ["amd", "luc", "seq", "par"] {
         let out = cli(&["schedule", &region, "--scheduler", scheduler], &dir);
         let (stdout, stderr) = (
             String::from_utf8_lossy(&out.stdout),
