@@ -4,6 +4,7 @@
 use crate::arms::{arm_table_fingerprint, ARMS, FIXED_ARM};
 use crate::class::{RegionClass, CLASS_COUNT};
 use aco::WarmStart;
+use sched_ir::record::{self, Records};
 use sched_ir::InstrId;
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
@@ -272,112 +273,63 @@ impl TuneStore {
         out.flush()
     }
 
-    /// Persists the store at `path` atomically (temp file + fsync +
-    /// rename), mirroring the schedule cache's durability contract.
+    /// Persists the store at `path` through [`record::atomic_save`].
     pub fn save_to(&self, path: &Path) -> io::Result<()> {
-        let file_name = path
-            .file_name()
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "schedtune: save path has no file name",
-                )
-            })?
-            .to_string_lossy();
-        static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
-        let tmp = path.with_file_name(format!(
-            ".{file_name}.tmp.{}.{}",
-            std::process::id(),
-            SAVE_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let result = (|| {
-            let mut out = io::BufWriter::new(std::fs::File::create(&tmp)?);
-            self.save_to_writer(&mut out)?;
-            let file = out.into_inner().map_err(io::IntoInnerError::into_error)?;
-            file.sync_all()?;
-            std::fs::rename(&tmp, path)
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result
+        record::atomic_save(path, "schedtune", |out| self.save_to_writer(out))
     }
 
-    /// Loads a store persisted by [`TuneStore::save_to`]. Malformed,
-    /// truncated, or tampered files — wrong arm table, out-of-range class,
+    /// Loads a store persisted by [`TuneStore::save_to`]. A malformed,
+    /// truncated or tampered file (wrong arm table, out-of-range class,
     /// inconsistent statistics, non-permutation warm orders, a missing or
-    /// lying `eof` trailer — are rejected with `InvalidData`; a rejected
-    /// file can cost learned state, never a wrong schedule (hints are
-    /// re-validated against every concrete region anyway).
+    /// lying `eof` trailer) is an `InvalidData` error naming its line; it
+    /// can cost learned state, never a wrong schedule.
     pub fn load_from(path: &Path) -> io::Result<TuneStore> {
         Self::load_from_reader(io::BufReader::new(std::fs::File::open(path)?))
     }
 
     /// [`TuneStore::load_from`] over any buffered reader.
     pub fn load_from_reader(reader: impl BufRead) -> io::Result<TuneStore> {
-        let mut lines = reader.lines();
-        let mut next = |what: &str| -> io::Result<String> {
-            loop {
-                match lines.next().transpose()? {
-                    None => return Err(bad_data(&format!("truncated file: missing {what}"))),
-                    Some(l) if l.trim().is_empty() => continue,
-                    Some(l) => return Ok(l),
-                }
-            }
-        };
-        if next("header")?.trim() != "schedtune v1" {
-            return Err(bad_data("not a schedtune v1 file"));
+        let mut r = Records::new(reader, "schedtune");
+        let header = r.expect_record("header")?;
+        if header.text.trim() != "schedtune v1" {
+            return Err(header.at.err("not a schedtune v1 file"));
         }
-        let arms_line = next("arm-table fingerprint")?;
-        let fp_text = arms_line
-            .trim()
-            .strip_prefix("arms ")
-            .ok_or_else(|| bad_data("expected `arms <fingerprint>`"))?;
-        let fp = u64::from_str_radix(fp_text.trim().trim_start_matches("0x"), 16)
-            .map_err(|_| bad_data("bad arm-table fingerprint"))?;
-        if fp != arm_table_fingerprint() {
-            return Err(bad_data(
-                "tuning state was recorded under a different arm table",
-            ));
+        let line = r.expect_record("arm-table fingerprint")?;
+        let (at, fp) = (line.at, line.after("arms ")?.trim());
+        if at.hex_u64(fp, "arm-table fingerprint")? != arm_table_fingerprint() {
+            return Err(at.err("tuning state was recorded under a different arm table"));
         }
         let mut state = TuneState::empty();
         let mut class_lines = 0u64;
         let mut seen_class = [false; CLASS_COUNT];
-        let (claimed_classes, claimed_warm): (u64, u64) = loop {
-            let line = next("`eof` trailer")?;
-            let trimmed = line.trim();
+        loop {
+            let line = r.expect_record("`eof` trailer")?;
+            let (at, trimmed) = (line.at, line.text.trim());
             if let Some(counts) = trimmed.strip_prefix("eof ") {
-                let parts: Vec<&str> = counts.split_whitespace().collect();
-                if parts.len() != 2 {
-                    return Err(bad_data("`eof` trailer expects two counts"));
+                let parts = at.fields(counts, 2, "`eof` trailer")?;
+                let classes = at.num::<u64>(parts[0], "`eof` count")?;
+                let warm = at.num::<u64>(parts[1], "`eof` count")?;
+                if classes != class_lines || warm != state.warm.len() as u64 {
+                    return Err(at.err("`eof` trailer disagrees with file contents"));
                 }
-                let c = parts[0].parse().map_err(|_| bad_data("bad `eof` count"))?;
-                let w = parts[1].parse().map_err(|_| bad_data("bad `eof` count"))?;
-                break (c, w);
+                break;
             } else if let Some(body) = trimmed.strip_prefix("class ") {
-                let toks: Vec<&str> = body.split_whitespace().collect();
-                if toks.len() != 1 + 3 * ARMS.len() {
-                    return Err(bad_data("class line has wrong field count"));
+                let toks = at.fields(body, 1 + 3 * ARMS.len(), "class")?;
+                let idx = at.num::<usize>(toks[0], "class index")?;
+                match seen_class.get_mut(idx) {
+                    None => return Err(at.err("class index out of range")),
+                    Some(true) => return Err(at.err("duplicate class line")),
+                    Some(seen) => *seen = true,
                 }
-                let idx: usize = toks[0].parse().map_err(|_| bad_data("bad class index"))?;
-                if idx >= CLASS_COUNT {
-                    return Err(bad_data("class index out of range"));
-                }
-                if seen_class[idx] {
-                    return Err(bad_data("duplicate class line"));
-                }
-                seen_class[idx] = true;
                 for (a, chunk) in toks[1..].chunks(3).enumerate() {
-                    let int = |s: &str| -> io::Result<u64> {
-                        s.parse().map_err(|_| bad_data("bad class statistic"))
-                    };
+                    let int = |s: &str| at.num::<u64>(s, "class statistic");
                     let s = ArmStats {
                         trials: int(chunk[0])?,
                         total_length: int(chunk[1])?,
                         total_iterations: int(chunk[2])?,
                     };
                     if s.trials == 0 && (s.total_length != 0 || s.total_iterations != 0) {
-                        return Err(bad_data("class statistics are inconsistent"));
+                        return Err(at.err("class statistics are inconsistent"));
                     }
                     state.classes[idx][a] = s;
                 }
@@ -385,40 +337,28 @@ impl TuneStore {
             } else if let Some(body) = trimmed.strip_prefix("warm ") {
                 let (head, ids) = body
                     .split_once(':')
-                    .ok_or_else(|| bad_data("warm line missing id list"))?;
-                let head: Vec<&str> = head.split_whitespace().collect();
-                if head.len() != 2 {
-                    return Err(bad_data("warm line expects fingerprint and length"));
-                }
-                let wfp = u64::from_str_radix(head[0].trim_start_matches("0x"), 16)
-                    .map_err(|_| bad_data("bad warm fingerprint"))?;
-                let n: usize = head[1].parse().map_err(|_| bad_data("bad warm length"))?;
+                    .ok_or_else(|| at.err("warm line missing id list"))?;
+                let head = at.fields(head, 2, "warm fingerprint and length")?;
+                let wfp = at.hex_u64(head[0], "warm fingerprint")?;
+                let n = at.num::<usize>(head[1], "warm length")?;
                 let order: Vec<InstrId> = ids
                     .split_whitespace()
-                    .map(|t| t.parse::<u32>().map(InstrId))
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| bad_data("bad warm instruction id"))?;
+                    .map(|t| at.num(t, "warm instruction id").map(InstrId))
+                    .collect::<io::Result<_>>()?;
                 if order.len() != n {
-                    return Err(bad_data("warm order length mismatch"));
+                    return Err(at.err("warm order length mismatch"));
                 }
                 if WarmStart::new(order.clone()).is_none() {
-                    return Err(bad_data("warm order is not a permutation"));
+                    return Err(at.err("warm order is not a permutation"));
                 }
                 if state.warm.insert(wfp, order).is_some() {
-                    return Err(bad_data("duplicate warm fingerprint"));
+                    return Err(at.err("duplicate warm fingerprint"));
                 }
             } else {
-                return Err(bad_data(&format!("unrecognized line `{trimmed}`")));
-            }
-        };
-        if claimed_classes != class_lines || claimed_warm != state.warm.len() as u64 {
-            return Err(bad_data("`eof` trailer disagrees with file contents"));
-        }
-        for line in lines {
-            if !line?.trim().is_empty() {
-                return Err(bad_data("content after `eof` trailer"));
+                return Err(at.err(format_args!("unrecognized line `{trimmed}`")));
             }
         }
+        r.finish()?;
         Ok(TuneStore::with_state(state))
     }
 }
@@ -436,10 +376,6 @@ fn beats(a: &ArmStats, b: &ArmStats) -> bool {
     }
     (a.total_iterations as u128 * b.trials as u128)
         < (b.total_iterations as u128 * a.trials as u128)
-}
-
-fn bad_data(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("schedtune: {msg}"))
 }
 
 #[cfg(test)]
@@ -608,45 +544,51 @@ mod tests {
                 io::ErrorKind::InvalidData,
                 "cut at {cut}: {err}"
             );
+            assert!(err.to_string().starts_with("schedtune: line "), "{err}");
         }
     }
 
     #[test]
     fn tampered_files_are_rejected() {
+        // Every rejection names its line: `why` is the expected message.
         let reject = |text: &str, why: &str| {
             let err =
                 TuneStore::load_from_reader(io::BufReader::new(text.as_bytes())).expect_err(why);
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{why}");
+            assert_eq!(err.to_string(), format!("schedtune: {why}"));
         };
-        reject("not a tune file\n", "wrong header");
+        reject("not a tune file\n", "line 1: not a schedtune v1 file");
         // Wrong arm table.
         reject(
-            "schedtune v1\narms 0x0000000000000001\neof 0 0\n",
-            "foreign arm table",
+            "\nschedtune v1\narms 0x0000000000000001\neof 0 0\n",
+            "line 3: tuning state was recorded under a different arm table",
         );
         let fp = arm_table_fingerprint();
         let head = format!("schedtune v1\narms {fp:#018x}\n");
         // Out-of-range class.
         reject(
             &format!("{head}class 99 1 1 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\neof 1 0\n"),
-            "class out of range",
+            "line 3: class index out of range",
         );
         // Inconsistent statistics: zero trials with nonzero totals.
         reject(
             &format!("{head}class 0 0 5 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0\neof 1 0\n"),
-            "inconsistent stats",
+            "line 3: class statistics are inconsistent",
         );
         // Non-permutation warm order.
         reject(
             &format!("{head}warm 0x2 2 : 0 0\neof 0 1\n"),
-            "warm non-permutation",
+            "line 3: warm order is not a permutation",
         );
         // Lying trailer.
-        reject(&format!("{head}eof 3 0\n"), "trailer count lie");
+        reject(
+            &format!("{head}eof 3 0\n"),
+            "line 3: `eof` trailer disagrees with file contents",
+        );
         // Content after the trailer.
         reject(
             &format!("{head}eof 0 0\nwarm 0x1 1 : 0\n"),
-            "post-eof content",
+            "line 4: content after `eof` trailer",
         );
         // The empty store itself round-trips.
         let ok =

@@ -41,25 +41,29 @@
 //! # Persistence
 //!
 //! [`ScheduleCache::save_to`]/[`ScheduleCache::load_from`] persist solo
-//! entries as a hand-rolled line format (the workspace deliberately
+//! entries in the `schedcache v1` line format (the workspace deliberately
 //! vendors no serializer). Loaded entries pass through the same equality +
 //! re-certification gates as in-memory ones, so a corrupted or hand-edited
 //! cache file can cost misses, never wrong schedules. Group entries are
 //! launch-geometry specific and are not persisted.
 //!
 //! Persistence is **durable** — a long-running server leans on it across
-//! restarts (see `sched-serve`):
+//! restarts (see `sched-serve`) — and goes through `sched_ir::record`, the
+//! codec the tuning store and the serve protocol share:
 //!
-//! * `save_to` writes a sibling temporary file, flushes and syncs it, and
-//!   atomically renames it over the target. A crash mid-save (even
-//!   `kill -9`) leaves either the old file or the new one, never a
-//!   truncated hybrid. Flush/sync errors surface as `Err` instead of
-//!   being swallowed by a buffered writer's drop.
+//! * `save_to` is [`sched_ir::record::atomic_save`]: a sibling temporary
+//!   file, flushed, synced and renamed over the target. A crash mid-save
+//!   (even `kill -9`) leaves either the old file or the new one, never a
+//!   truncated hybrid, and flush/sync errors surface as `Err`.
 //! * The file ends with an `eof <count>` trailer, so `load_from` detects
 //!   truncation by *any* means — a prefix cut at every line boundary (or
-//!   mid-line) is rejected with `InvalidData`, never half-loaded.
-//! * `load_from` streams one line at a time; boot-time loading never
-//!   buffers the whole file in memory alongside the parsed entries.
+//!   mid-line) is rejected, never half-loaded. Every rejection is an
+//!   `InvalidData` error naming its line (`schedcache: line 17: …`, or
+//!   `line L, column C: …` inside a region's `ddg` block); a field that
+//!   does not fit its width and a repeated key are rejections too.
+//! * `load_from` streams the file through one reused line buffer and parses
+//!   each `ddg` block where it lies in that buffer; boot-time loading never
+//!   holds the whole file in memory alongside the parsed entries.
 //!
 //! # Bounded memory
 //!
@@ -94,8 +98,9 @@ use gpu_sim::MemLayout;
 use list_sched::{Heuristic, ScheduleResult};
 use machine_model::OccupancyModel;
 use reg_pressure::RegUniverse;
+use sched_ir::record::{self, flag, Line, Records};
 use sched_ir::{ddg_content_fingerprint, textir, Cycle, Ddg, Fnv64, InstrId, Schedule};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -172,13 +177,22 @@ enum Payload {
     },
 }
 
+/// Everything a [`RegionCompilation`] depends on besides its region: the
+/// scheduler kind, the ACO configuration, the revert knobs and the machine
+/// model. Host-thread count, base compile costs, batching policy (group
+/// membership is already in the key) and the cache knob itself are
+/// deliberately left out.
+type Inputs = (SchedulerKind, AcoConfig, (u32, u32), OccupancyModel);
+
+fn inputs(cfg: &PipelineConfig, occ: &OccupancyModel) -> Inputs {
+    let revert = (cfg.revert_occupancy_gain, cfg.revert_length_penalty);
+    (cfg.scheduler, cfg.aco, revert, *occ)
+}
+
 /// One memoized compilation plus everything the equality gate compares.
 #[derive(Debug)]
 struct CacheEntry {
-    scheduler: SchedulerKind,
-    aco: AcoConfig,
-    revert: (u32, u32),
-    occ: OccupancyModel,
+    inputs: Inputs,
     /// Fingerprint of the warm-start hint the compilation ran under
     /// (`None` = cold). Part of the equality gate: a warm result must
     /// never answer a cold lookup (or one under a different hint), even
@@ -212,12 +226,6 @@ impl Shard {
 
     fn get(&self, key: u64) -> Option<Arc<CacheEntry>> {
         self.read().get(&key).cloned()
-    }
-
-    /// Uncapped insert — tests poke entries past the capacity discipline.
-    #[cfg(test)]
-    fn insert(&self, key: u64, entry: Arc<CacheEntry>) {
-        self.insert_capped(key, entry, usize::MAX);
     }
 
     /// Inserts and then evicts stalest-first (smallest stamp, ties broken
@@ -397,7 +405,7 @@ impl ScheduleCache {
             comp,
         } = &entry.payload
         {
-            if same_inputs(&entry, cfg, occ)
+            if entry.inputs == inputs(cfg, occ)
                 && entry.warm_fp == warm_fp
                 && cached_ddg.content_eq(ddg)
                 && certify_hit(ddg, occ, comp)
@@ -453,7 +461,7 @@ impl ScheduleCache {
         let key = group_key(&members, occ, cfg);
         if let Some(entry) = self.shard(key).get(key) {
             if let Payload::Group { ddgs, comps } = &entry.payload {
-                let ok = same_inputs(&entry, cfg, occ)
+                let ok = entry.inputs == inputs(cfg, occ)
                     && ddgs.len() == members.len()
                     && ddgs
                         .iter()
@@ -477,10 +485,7 @@ impl ScheduleCache {
         self.store(
             key,
             CacheEntry {
-                scheduler: cfg.scheduler,
-                aco: cfg.aco,
-                revert: (cfg.revert_occupancy_gain, cfg.revert_length_penalty),
-                occ: *occ,
+                inputs: inputs(cfg, occ),
                 warm_fp: None,
                 stamp: AtomicU64::new(0),
                 payload: Payload::Group {
@@ -492,13 +497,9 @@ impl ScheduleCache {
         outcomes
     }
 
-    /// Writes every solo entry to `out` in the hand-rolled line format
-    /// (deterministic order: sorted by key), terminated by the
-    /// `eof <count>` trailer [`Self::load_from`] requires, and **flushes
-    /// explicitly** — a write or flush error (ENOSPC, EIO, a broken pipe)
-    /// surfaces as `Err` here rather than being swallowed by a buffered
-    /// writer's drop. Group entries are skipped (launch-geometry
-    /// specific).
+    /// Writes every cold solo entry to `out` in the `schedcache v1` format,
+    /// sorted by key, and flushes: a write or flush error surfaces as
+    /// `Err`, not in a buffered writer's drop.
     pub fn save_to_writer(&self, out: &mut impl Write) -> io::Result<()> {
         let mut entries: Vec<(u64, Arc<CacheEntry>)> = Vec::new();
         for shard in &self.shards {
@@ -530,52 +531,15 @@ impl ScheduleCache {
         out.flush()
     }
 
-    /// Persists the cache at `path` **atomically**: the entries are
-    /// written to a sibling temporary file (flushed and fsynced), which is
-    /// then renamed over the target. A crash mid-save — even `kill -9` —
-    /// leaves either the previous file or the complete new one, never a
-    /// truncated hybrid; and the `eof` trailer lets [`Self::load_from`]
-    /// reject a file truncated by any other means. On error the temporary
-    /// file is removed and the target is untouched.
+    /// Persists the cache at `path` through [`record::atomic_save`].
     pub fn save_to(&self, path: &Path) -> io::Result<()> {
-        let file_name = path
-            .file_name()
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "schedcache: save path has no file name",
-                )
-            })?
-            .to_string_lossy();
-        // Unique per process *and* per call, so concurrent saves to the
-        // same target never clobber each other's temp file — last rename
-        // wins, and each rename installs a complete file.
-        static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
-        let tmp = path.with_file_name(format!(
-            ".{file_name}.tmp.{}.{}",
-            std::process::id(),
-            SAVE_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let result = (|| {
-            let mut out = io::BufWriter::new(std::fs::File::create(&tmp)?);
-            self.save_to_writer(&mut out)?;
-            let file = out.into_inner().map_err(io::IntoInnerError::into_error)?;
-            file.sync_all()?;
-            std::fs::rename(&tmp, path)
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result
+        record::atomic_save(path, "schedcache", |out| self.save_to_writer(out))
     }
 
-    /// Loads a cache persisted by [`Self::save_to`], streaming one line at
-    /// a time (a multi-gigabyte persisted cache is never double-buffered
-    /// in memory at boot). Malformed or truncated files — the `eof
-    /// <count>` trailer must be present and agree with the entry count —
-    /// are rejected with `InvalidData`; entries that are structurally
-    /// sound but wrong (hand-edited schedules, stale claims) survive
-    /// loading and are rejected at hit time by re-certification.
+    /// Loads a cache persisted by [`Self::save_to`], streaming it (see the
+    /// module docs): a malformed or truncated file is an `InvalidData`
+    /// error naming its line; an entry that is well formed but wrong
+    /// survives loading and is rejected at hit time by re-certification.
     pub fn load_from(path: &Path) -> io::Result<ScheduleCache> {
         Self::load_from_reader(io::BufReader::new(std::fs::File::open(path)?))
     }
@@ -583,96 +547,49 @@ impl ScheduleCache {
     /// [`Self::load_from`] over any buffered reader (the daemon's tests
     /// and tooling feed in-memory buffers through the same parser).
     pub fn load_from_reader(reader: impl BufRead) -> io::Result<ScheduleCache> {
-        let mut lines = LineStream::new(reader);
-        let header = lines.expect_line("header")?;
-        if header.trim() != "schedcache v1" {
-            return Err(bad_data("not a schedcache v1 file"));
+        let mut r = Records::new(reader, "schedcache");
+        let header = r.expect_line("header")?;
+        if header.text.trim() != "schedcache v1" {
+            return Err(header.at.err("not a schedcache v1 file"));
         }
         let cache = ScheduleCache::new();
-        let mut entries = 0u64;
-        let claimed: u64 = loop {
-            let Some(line) = lines.next_line()? else {
-                return Err(bad_data("truncated file: missing `eof` trailer"));
-            };
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
+        let mut keys = HashSet::new();
+        loop {
+            let line = r.expect_record("`eof` trailer")?;
+            let at = line.at;
+            if let Some(count) = line.text.trim().strip_prefix("eof ") {
+                let (claimed, held) = (at.num::<usize>(count.trim(), "`eof` count")?, keys.len());
+                if claimed != held {
+                    let msg = format!("`eof` trailer claims {claimed} entries, file holds {held}");
+                    return Err(at.err(msg));
+                }
+                break;
             }
-            if let Some(count) = trimmed.strip_prefix("eof ") {
-                break count
-                    .trim()
-                    .parse()
-                    .map_err(|_| bad_data("bad `eof` entry count"))?;
+            let key = at.hex_u64(line.after("key ")?, "key")?;
+            if !keys.insert(key) {
+                return Err(at.err(format_args!("repeated key {key:#018x}")));
             }
-            let key = parse_prefixed(&line, "key ")?;
-            let key = u64::from_str_radix(key.trim_start_matches("0x"), 16)
-                .map_err(|_| bad_data("bad key"))?;
-            let cfg_line = lines.expect_line("cfg")?;
-            let (scheduler, aco, revert, occ) = parse_cfg_line(&cfg_line)?;
-            let ddg_header = lines.expect_line("ddg")?;
-            let n_lines: usize = parse_prefixed(&ddg_header, "ddg ")?
-                .parse()
-                .map_err(|_| bad_data("bad ddg line count"))?;
-            let mut text = String::new();
-            for _ in 0..n_lines {
-                let l = lines.expect_line("ddg line")?;
-                text.push_str(&l);
-                text.push('\n');
-            }
-            let ddg = textir::parse(&text).map_err(|e| bad_data(&e.to_string()))?;
-            let comp = read_comp(&mut lines, ddg.len())?;
-            if lines.expect_line("entry terminator")?.trim() != "end" {
-                return Err(bad_data("missing entry terminator"));
+            let inputs = parse_cfg_line(r.expect_line("cfg")?)?;
+            let ddg_line = r.expect_line("ddg")?;
+            let lines = ddg_line.at.num(ddg_line.after("ddg ")?, "ddg line count")?;
+            let ddg = r.ddg_block(lines)?;
+            let comp = read_comp(&mut r, ddg.len())?;
+            let end = r.expect_line("entry terminator")?;
+            if end.text.trim() != "end" {
+                return Err(end.at.err("missing entry terminator"));
             }
             cache.admit(
                 key,
                 CacheEntry {
-                    scheduler,
-                    aco,
-                    revert,
-                    occ,
+                    inputs,
                     warm_fp: None,
                     stamp: AtomicU64::new(0),
                     payload: Payload::Solo { ddg, comp },
                 },
             );
-            entries += 1;
-        };
-        if claimed != entries {
-            return Err(bad_data(&format!(
-                "`eof` trailer claims {claimed} entries, file holds {entries}"
-            )));
         }
-        while let Some(l) = lines.next_line()? {
-            if !l.trim().is_empty() {
-                return Err(bad_data("content after `eof` trailer"));
-            }
-        }
+        r.finish()?;
         Ok(cache)
-    }
-}
-
-/// Streaming line source over a `BufRead`: one line in memory at a time.
-struct LineStream<R: BufRead> {
-    lines: io::Lines<R>,
-}
-
-impl<R: BufRead> LineStream<R> {
-    fn new(reader: R) -> LineStream<R> {
-        LineStream {
-            lines: reader.lines(),
-        }
-    }
-
-    /// Next line, `None` at end of file; I/O errors propagate.
-    fn next_line(&mut self) -> io::Result<Option<String>> {
-        self.lines.next().transpose()
-    }
-
-    /// Next line, or `InvalidData` when the file ends early.
-    fn expect_line(&mut self, what: &str) -> io::Result<String> {
-        self.next_line()?
-            .ok_or_else(|| bad_data(&format!("truncated file: missing {what}")))
     }
 }
 
@@ -696,27 +613,6 @@ fn attach_group_cfgs(
         .collect()
 }
 
-/// The scheduling-relevant config equality gate: everything a
-/// [`RegionCompilation`] can depend on. Host-thread count, base compile
-/// costs, batching policy (group membership is already in the key) and the
-/// cache knob itself are deliberately excluded.
-fn same_inputs(entry: &CacheEntry, cfg: &PipelineConfig, occ: &OccupancyModel) -> bool {
-    entry.scheduler == cfg.scheduler
-        && entry.aco == cfg.aco
-        && entry.revert == (cfg.revert_occupancy_gain, cfg.revert_length_penalty)
-        && entry.occ == *occ
-}
-
-#[cfg(test)]
-fn solo_entry(
-    ddg: &Ddg,
-    occ: &OccupancyModel,
-    cfg: &PipelineConfig,
-    comp: &RegionCompilation,
-) -> CacheEntry {
-    solo_entry_warm(ddg, occ, cfg, comp, None)
-}
-
 fn solo_entry_warm(
     ddg: &Ddg,
     occ: &OccupancyModel,
@@ -725,10 +621,7 @@ fn solo_entry_warm(
     warm_fp: Option<u64>,
 ) -> CacheEntry {
     CacheEntry {
-        scheduler: cfg.scheduler,
-        aco: cfg.aco,
-        revert: (cfg.revert_occupancy_gain, cfg.revert_length_penalty),
-        occ: *occ,
+        inputs: inputs(cfg, occ),
         warm_fp,
         stamp: AtomicU64::new(0),
         payload: Payload::Solo {
@@ -791,55 +684,74 @@ fn is_permutation(order: &[InstrId], n: usize) -> bool {
 
 // ---------------------------------------------------------------- keys --
 
-/// Folds the scheduling-relevant configuration into a hasher: scheduler
-/// kind, every `AcoConfig` field, the revert knobs, and the machine
-/// model's full parameter signature.
+/// Folds the scheduling-relevant configuration ([`config_words`]) into a
+/// hasher.
 ///
 /// `pub(crate)` so the S007 drift check ([`crate::analyze`]) can probe
 /// that every field the passes read really moves this hash.
 pub(crate) fn hash_config(h: &mut Fnv64, cfg: &PipelineConfig, occ: &OccupancyModel) {
+    for w in config_words(&inputs(cfg, occ)) {
+        h.word(w);
+    }
+}
+
+/// Positions of the `f64` fields (as bits) in [`config_words`]; the
+/// `schedcache` `cfg` line writes them in hexadecimal.
+const FLOAT_WORDS: [usize; 9] = [7, 8, 9, 10, 11, 12, 13, 19, 25];
+/// Position of the occupancy cap (`u64::MAX` for none, `-1` in a file).
+const CAP_WORD: usize = 29;
+
+/// The scheduling-relevant configuration as one word list, in the order
+/// both the cache key and the `cfg` line of `schedcache v1` use: scheduler
+/// kind, the revert knobs, every `AcoConfig` field, and the machine model's
+/// full parameter signature.
+fn config_words((scheduler, a, revert, occ): &Inputs) -> [u64; 37] {
     let kind = SchedulerKind::ALL
         .iter()
-        .position(|k| *k == cfg.scheduler)
+        .position(|k| k == scheduler)
         .expect("every kind is in ALL") as u64;
-    h.word(kind);
-    h.word(cfg.revert_occupancy_gain as u64);
-    h.word(cfg.revert_length_penalty as u64);
-    let a = &cfg.aco;
-    h.word(a.seed);
-    h.word(a.sequential_ants as u64);
-    h.word(a.blocks as u64);
-    h.word(a.threads_per_block as u64);
-    h.word(a.decay.to_bits());
-    h.word(a.q0.to_bits());
-    h.word(a.beta.to_bits());
-    h.word(a.initial_pheromone.to_bits());
-    h.word(a.deposit.to_bits());
-    h.word(a.tau_min.to_bits());
-    h.word(a.tau_max.to_bits());
-    h.word(a.termination.small as u64);
-    h.word(a.termination.medium as u64);
-    h.word(a.termination.large as u64);
-    h.word(a.termination.max_iterations as u64);
-    h.word(heuristic_index(a.heuristic));
-    h.word(a.optional_stall_budget.to_bits());
-    let t = &a.tuning;
-    h.word(match t.layout {
+    let (t, term) = (&a.tuning, &a.termination);
+    let layout = match t.layout {
         MemLayout::Soa => 0,
         MemLayout::Aos => 1,
-    });
-    h.word(t.preallocate as u64);
-    h.word(t.batched_transfer as u64);
-    h.word(t.tight_ready_ub as u64);
-    h.word(t.wavefront_level_choice as u64);
-    h.word(t.stall_wavefront_fraction.to_bits());
-    h.word(t.early_wavefront_termination as u64);
-    h.word(t.per_wavefront_heuristics as u64);
-    h.word(a.pass2_gate_cycles as u64);
-    h.word(a.occupancy_cap.map_or(u64::MAX, |c| c as u64));
-    for w in occ.signature() {
-        h.word(w as u64);
-    }
+    };
+    let head = [
+        kind,
+        revert.0.into(),
+        revert.1.into(),
+        a.seed,
+        a.sequential_ants.into(),
+        a.blocks.into(),
+        a.threads_per_block.into(),
+        a.decay.to_bits(),
+        a.q0.to_bits(),
+        a.beta.to_bits(),
+        a.initial_pheromone.to_bits(),
+        a.deposit.to_bits(),
+        a.tau_min.to_bits(),
+        a.tau_max.to_bits(),
+        term.small.into(),
+        term.medium.into(),
+        term.large.into(),
+        term.max_iterations.into(),
+        heuristic_index(a.heuristic),
+        a.optional_stall_budget.to_bits(),
+        layout,
+        t.preallocate.into(),
+        t.batched_transfer.into(),
+        t.tight_ready_ub.into(),
+        t.wavefront_level_choice.into(),
+        t.stall_wavefront_fraction.to_bits(),
+        t.early_wavefront_termination.into(),
+        t.per_wavefront_heuristics.into(),
+        a.pass2_gate_cycles.into(),
+        a.occupancy_cap.map_or(u64::MAX, u64::from),
+    ];
+    let mut words = [0; 37];
+    let sig = occ.signature().map(u64::from);
+    words[..30].copy_from_slice(&head);
+    words[30..].copy_from_slice(&sig);
+    words
 }
 
 fn heuristic_index(heur: Heuristic) -> u64 {
@@ -847,11 +759,6 @@ fn heuristic_index(heur: Heuristic) -> u64 {
         .iter()
         .position(|h| *h == heur)
         .expect("every heuristic is in ALL") as u64
-}
-
-#[cfg(test)]
-fn solo_key(ddg: &Ddg, occ: &OccupancyModel, cfg: &PipelineConfig) -> u64 {
-    solo_key_warm(ddg, occ, cfg, None)
 }
 
 /// Solo key with the warm-start hint folded in **only when present**:
@@ -890,174 +797,132 @@ fn group_key(members: &[&Ddg], occ: &OccupancyModel, cfg: &PipelineConfig) -> u6
 
 // -------------------------------------------------------- persistence --
 
-fn bad_data(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("schedcache: {msg}"))
-}
-
-fn parse_prefixed<'a>(line: &'a str, prefix: &str) -> io::Result<&'a str> {
-    line.trim()
-        .strip_prefix(prefix)
-        .ok_or_else(|| bad_data(&format!("expected `{prefix}...`, got `{line}`")))
-}
-
 fn write_cfg_line(out: &mut impl Write, e: &CacheEntry) -> io::Result<()> {
-    let kind = SchedulerKind::ALL
-        .iter()
-        .position(|k| *k == e.scheduler)
-        .expect("every kind is in ALL");
-    let a = &e.aco;
-    let t = &a.tuning;
-    write!(
-        out,
-        "cfg {kind} {} {} {} {} {} {} {:x} {:x} {:x} {:x} {:x} {:x} {:x} \
-         {} {} {} {} {} {:x}",
-        e.revert.0,
-        e.revert.1,
-        a.seed,
-        a.sequential_ants,
-        a.blocks,
-        a.threads_per_block,
-        a.decay.to_bits(),
-        a.q0.to_bits(),
-        a.beta.to_bits(),
-        a.initial_pheromone.to_bits(),
-        a.deposit.to_bits(),
-        a.tau_min.to_bits(),
-        a.tau_max.to_bits(),
-        a.termination.small,
-        a.termination.medium,
-        a.termination.large,
-        a.termination.max_iterations,
-        heuristic_index(a.heuristic),
-        a.optional_stall_budget.to_bits(),
-    )?;
-    write!(
-        out,
-        " {} {} {} {} {} {:x} {} {} {} {}",
-        match t.layout {
-            MemLayout::Soa => 0,
-            MemLayout::Aos => 1,
-        },
-        t.preallocate as u8,
-        t.batched_transfer as u8,
-        t.tight_ready_ub as u8,
-        t.wavefront_level_choice as u8,
-        t.stall_wavefront_fraction.to_bits(),
-        t.early_wavefront_termination as u8,
-        t.per_wavefront_heuristics as u8,
-        a.pass2_gate_cycles,
-        a.occupancy_cap.map_or(-1i64, |c| c as i64),
-    )?;
-    for w in e.occ.signature() {
-        write!(out, " {w}")?;
+    write!(out, "cfg")?;
+    let words = config_words(&e.inputs);
+    for (i, w) in words.into_iter().enumerate() {
+        match i {
+            _ if FLOAT_WORDS.contains(&i) => write!(out, " {w:x}")?,
+            CAP_WORD if w == u64::MAX => write!(out, " -1")?,
+            _ => write!(out, " {w}")?,
+        }
     }
     writeln!(out)
 }
 
-fn parse_cfg_line(
-    line: &str,
-) -> io::Result<(SchedulerKind, AcoConfig, (u32, u32), OccupancyModel)> {
-    let body = parse_prefixed(line, "cfg ")?;
-    let toks: Vec<&str> = body.split_whitespace().collect();
-    if toks.len() != 30 + 7 {
-        return Err(bad_data(&format!(
-            "cfg expects 37 fields, got {}",
-            toks.len()
-        )));
+/// Parses a `cfg` line back into [`config_words`] and the configuration
+/// they came from, each field at its declared width.
+fn parse_cfg_line(line: Line) -> io::Result<Inputs> {
+    let at = line.at;
+    let toks = at.fields(line.after("cfg ")?, 37, "cfg")?;
+    let mut w = [0u64; 37];
+    for (i, (w, tok)) in w.iter_mut().zip(&toks).enumerate() {
+        *w = match i {
+            _ if FLOAT_WORDS.contains(&i) => at.f64_bits(tok, "cfg float")?.to_bits(),
+            CAP_WORD => match at.num::<i64>(tok, "occupancy cap")? {
+                -1 => u64::MAX,
+                c => {
+                    u64::try_from(c).map_err(|_| at.err(format_args!("bad occupancy cap `{c}`")))?
+                }
+            },
+            _ => at.num(tok, "cfg integer")?,
+        };
     }
-    let int =
-        |i: usize| -> io::Result<u64> { toks[i].parse().map_err(|_| bad_data("bad cfg integer")) };
-    let sint =
-        |i: usize| -> io::Result<i64> { toks[i].parse().map_err(|_| bad_data("bad cfg integer")) };
-    let float = |i: usize| -> io::Result<f64> {
-        u64::from_str_radix(toks[i], 16)
-            .map(f64::from_bits)
-            .map_err(|_| bad_data("bad cfg float"))
+    let int = |i: usize| {
+        u32::try_from(w[i]).map_err(|e| at.err(format_args!("bad cfg integer `{}`: {e}", toks[i])))
     };
+    let float = |i: usize| f64::from_bits(w[i]);
     let scheduler = *SchedulerKind::ALL
-        .get(int(0)? as usize)
-        .ok_or_else(|| bad_data("bad scheduler index"))?;
-    let revert = (int(1)? as u32, int(2)? as u32);
+        .get(w[0] as usize)
+        .ok_or_else(|| at.err("bad scheduler index"))?;
     let heuristic = *Heuristic::ALL
-        .get(int(18)? as usize)
-        .ok_or_else(|| bad_data("bad heuristic index"))?;
+        .get(w[18] as usize)
+        .ok_or_else(|| at.err("bad heuristic index"))?;
     let aco = AcoConfig {
-        seed: int(3)?,
-        sequential_ants: int(4)? as u32,
-        blocks: int(5)? as u32,
-        threads_per_block: int(6)? as u32,
-        decay: float(7)?,
-        q0: float(8)?,
-        beta: float(9)?,
-        initial_pheromone: float(10)?,
-        deposit: float(11)?,
-        tau_min: float(12)?,
-        tau_max: float(13)?,
+        seed: w[3],
+        sequential_ants: int(4)?,
+        blocks: int(5)?,
+        threads_per_block: int(6)?,
+        decay: float(7),
+        q0: float(8),
+        beta: float(9),
+        initial_pheromone: float(10),
+        deposit: float(11),
+        tau_min: float(12),
+        tau_max: float(13),
         termination: aco::Termination {
-            small: int(14)? as u32,
-            medium: int(15)? as u32,
-            large: int(16)? as u32,
-            max_iterations: int(17)? as u32,
+            small: int(14)?,
+            medium: int(15)?,
+            large: int(16)?,
+            max_iterations: int(17)?,
         },
         heuristic,
-        optional_stall_budget: float(19)?,
+        optional_stall_budget: float(19),
         tuning: aco::GpuTuning {
-            layout: match int(20)? {
+            layout: match w[20] {
                 0 => MemLayout::Soa,
                 1 => MemLayout::Aos,
-                _ => return Err(bad_data("bad layout index")),
+                _ => return Err(at.err("bad layout index")),
             },
-            preallocate: int(21)? != 0,
-            batched_transfer: int(22)? != 0,
-            tight_ready_ub: int(23)? != 0,
-            wavefront_level_choice: int(24)? != 0,
-            stall_wavefront_fraction: float(25)?,
-            early_wavefront_termination: int(26)? != 0,
-            per_wavefront_heuristics: int(27)? != 0,
+            preallocate: w[21] != 0,
+            batched_transfer: w[22] != 0,
+            tight_ready_ub: w[23] != 0,
+            wavefront_level_choice: w[24] != 0,
+            stall_wavefront_fraction: float(25),
+            early_wavefront_termination: w[26] != 0,
+            per_wavefront_heuristics: w[27] != 0,
         },
-        pass2_gate_cycles: int(28)? as u32,
-        occupancy_cap: match sint(29)? {
-            -1 => None,
-            c if c >= 0 => Some(c as u32),
-            _ => return Err(bad_data("bad occupancy cap")),
+        pass2_gate_cycles: int(28)?,
+        occupancy_cap: match w[CAP_WORD] {
+            u64::MAX => None,
+            _ => Some(int(CAP_WORD)?),
         },
     };
     let mut sig = [0u32; 7];
     for (i, s) in sig.iter_mut().enumerate() {
-        *s = int(30 + i)? as u32;
+        *s = int(30 + i)?;
     }
-    let occ = OccupancyModel::from_signature(sig);
-    Ok((scheduler, aco, revert, occ))
+    Ok((
+        scheduler,
+        aco,
+        (int(1)?, int(2)?),
+        OccupancyModel::from_signature(sig),
+    ))
 }
 
-fn write_sres(out: &mut impl Write, tag: &str, r: &ScheduleResult) -> io::Result<()> {
-    write!(
-        out,
-        "{tag} {} {} {} {} :",
-        r.occupancy, r.length, r.prp[0], r.prp[1]
-    )?;
-    for id in 0..r.schedule.len() {
-        write!(out, " {}", r.schedule.cycle(InstrId(id as u32)))?;
+/// Writes a schedule-result line: its claims, then every instruction's
+/// cycle.
+fn write_sres(
+    out: &mut impl Write,
+    tag: &str,
+    occ: u32,
+    len: u32,
+    prp: [u32; 2],
+    s: &Schedule,
+) -> io::Result<()> {
+    write!(out, "{tag} {occ} {len} {} {} :", prp[0], prp[1])?;
+    for cycle in s.cycles() {
+        write!(out, " {cycle}")?;
     }
     writeln!(out)
 }
 
-fn read_sres(line: &str, tag: &str, n: usize) -> io::Result<ScheduleResult> {
-    let body = parse_prefixed(line, &format!("{tag} "))?;
-    let (head, cycles) = body
+/// Parses a schedule-result line `<tag> <occ> <len> <prp> <prp> : <cycles>`;
+/// `tag` carries its separating space.
+fn read_sres(line: Line, tag: &str, n: usize) -> io::Result<ScheduleResult> {
+    let at = line.at;
+    let (head, cycles) = line
+        .after(tag)?
         .split_once(':')
-        .ok_or_else(|| bad_data("missing cycle list"))?;
-    let head: Vec<&str> = head.split_whitespace().collect();
-    if head.len() != 4 {
-        return Err(bad_data("schedule result expects 4 claim fields"));
-    }
-    let int = |s: &str| -> io::Result<u32> { s.parse().map_err(|_| bad_data("bad integer")) };
+        .ok_or_else(|| at.err("missing cycle list"))?;
+    let head = at.fields(head, 4, "schedule claims")?;
+    let int = |s: &str| at.num::<u32>(s, "integer");
     let cycles: Vec<Cycle> = cycles
         .split_whitespace()
         .map(int)
         .collect::<io::Result<_>>()?;
     if cycles.len() != n {
-        return Err(bad_data("cycle list length mismatch"));
+        return Err(at.err("cycle list length mismatch"));
     }
     // Single-issue schedules have unique cycles, so the issue order is the
     // ids sorted by cycle (ties broken by id for stability; real entries
@@ -1086,20 +951,16 @@ fn write_pass(out: &mut impl Write, p: &PassStats) -> io::Result<()> {
     )
 }
 
-fn read_pass(line: &str) -> io::Result<PassStats> {
-    let toks: Vec<&str> = parse_prefixed(line, "pass ")?.split_whitespace().collect();
-    if toks.len() != 6 {
-        return Err(bad_data("pass stats expect 6 fields"));
-    }
+fn read_pass(line: Line) -> io::Result<PassStats> {
+    let at = line.at;
+    let toks = at.fields(line.after("pass ")?, 6, "pass")?;
     Ok(PassStats {
-        iterations: toks[0].parse().map_err(|_| bad_data("bad iterations"))?,
-        improved: toks[1] != "0",
-        hit_lb: toks[2] != "0",
-        best_cost: toks[3].parse().map_err(|_| bad_data("bad best cost"))?,
-        time_us: u64::from_str_radix(toks[4], 16)
-            .map(f64::from_bits)
-            .map_err(|_| bad_data("bad pass time"))?,
-        gated: toks[5] != "0",
+        iterations: at.num(toks[0], "iterations")?,
+        improved: flag(toks[1]),
+        hit_lb: flag(toks[2]),
+        best_cost: at.num(toks[3], "best cost")?,
+        time_us: at.f64_bits(toks[4], "pass time")?,
+        gated: flag(toks[5]),
     })
 }
 
@@ -1116,104 +977,72 @@ fn write_comp(out: &mut impl Write, c: &RegionCompilation) -> io::Result<()> {
         c.reverted as u8,
         c.sched_time_us.to_bits()
     )?;
-    write_sres(out, "heur", &c.heuristic)?;
-    match &c.aco {
-        None => writeln!(out, "aco none"),
-        Some(a) => {
-            writeln!(
-                out,
-                "aco some {} {} {} {} {} {:x}",
-                a.prp[0],
-                a.prp[1],
-                a.occupancy,
-                a.length,
-                a.ops,
-                a.time_us.to_bits()
-            )?;
-            write_sres(out, "asched", &sres_of_aco(a))?;
-            write_sres(out, "initial", &a.initial)?;
-            write_pass(out, &a.pass1)?;
-            write_pass(out, &a.pass2)
-        }
-    }
+    let h = &c.heuristic;
+    write_sres(out, "heur", h.occupancy, h.length, h.prp, &h.schedule)?;
+    let Some(a) = &c.aco else {
+        return writeln!(out, "aco none");
+    };
+    let (p, ops, t) = (a.prp, a.ops, a.time_us.to_bits());
+    let (occ, len) = (a.occupancy, a.length);
+    writeln!(out, "aco some {} {} {occ} {len} {ops} {t:x}", p[0], p[1])?;
+    // The schedule line repeats the `aco some` claims (ignored on read).
+    write_sres(out, "asched", occ, len, p, &a.schedule)?;
+    let i = &a.initial;
+    write_sres(out, "initial", i.occupancy, i.length, i.prp, &i.schedule)?;
+    write_pass(out, &a.pass1)?;
+    write_pass(out, &a.pass2)
 }
 
-/// Views an ACO result's schedule as a `ScheduleResult` for the shared
-/// writer (claims travel on the `aco some` line; these are ignored on
-/// read).
-fn sres_of_aco(a: &AcoResult) -> ScheduleResult {
-    ScheduleResult {
-        schedule: a.schedule.clone(),
-        order: a.order.clone(),
-        prp: a.prp,
-        occupancy: a.occupancy,
-        length: a.length,
-    }
-}
-
-fn read_comp(it: &mut LineStream<impl BufRead>, n: usize) -> io::Result<RegionCompilation> {
-    let comp_line = it.expect_line("comp")?;
-    let toks: Vec<&str> = parse_prefixed(&comp_line, "comp ")?
-        .split_whitespace()
-        .collect();
-    if toks.len() != 8 {
-        return Err(bad_data("comp expects 8 fields"));
-    }
-    let heur_line = it.expect_line("heuristic")?;
-    let heuristic = read_sres(&heur_line, "heur", n)?;
-    let aco_line = it.expect_line("aco")?;
-    let aco_body = parse_prefixed(&aco_line, "aco ")?;
-    let aco = if aco_body.trim() == "none" {
+/// Reads an entry's `comp` line and the result lines under it. Each line's
+/// fields are parsed before the next line is read.
+fn read_comp(r: &mut Records<impl BufRead>, n: usize) -> io::Result<RegionCompilation> {
+    let line = r.expect_line("comp")?;
+    let at = line.at;
+    let toks = at.fields(line.after("comp ")?, 8, "comp")?;
+    let size = at.num(toks[0], "size")?;
+    let choice = [FinalChoice::Heuristic, FinalChoice::Aco][usize::from(flag(toks[1]))];
+    let occupancy = at.num(toks[2], "occupancy")?;
+    let length = at.num(toks[3], "length")?;
+    let sched_time_us = at.f64_bits(toks[7], "sched time")?;
+    let (pass1_processed, pass2_processed, reverted) =
+        (flag(toks[4]), flag(toks[5]), flag(toks[6]));
+    let heuristic = read_sres(r.expect_line("heuristic")?, "heur ", n)?;
+    let line = r.expect_line("aco")?;
+    let aco = if line.after("aco ")?.trim() == "none" {
         None
     } else {
-        let atoks: Vec<&str> = aco_body
-            .strip_prefix("some ")
-            .ok_or_else(|| bad_data("bad aco line"))?
-            .split_whitespace()
-            .collect();
-        if atoks.len() != 6 {
-            return Err(bad_data("aco line expects 6 fields"));
-        }
-        let asched_line = it.expect_line("aco schedule")?;
-        let asched = read_sres(&asched_line, "asched", n)?;
-        let initial_line = it.expect_line("initial")?;
-        let initial = read_sres(&initial_line, "initial", n)?;
-        let p1_line = it.expect_line("pass1")?;
-        let p2_line = it.expect_line("pass2")?;
-        let int = |s: &str| -> io::Result<u32> { s.parse().map_err(|_| bad_data("bad integer")) };
+        let at = line.at;
+        let toks = at.fields(line.after("aco some ")?, 6, "aco")?;
+        let int = |s: &str| at.num::<u32>(s, "integer");
+        let (prp, occupancy, length) =
+            ([int(toks[0])?, int(toks[1])?], int(toks[2])?, int(toks[3])?);
+        let ops = at.num(toks[4], "ops")?;
+        let time_us = at.f64_bits(toks[5], "aco time")?;
+        let asched = read_sres(r.expect_line("aco schedule")?, "asched ", n)?;
         Some(AcoResult {
             schedule: asched.schedule,
             order: asched.order,
-            prp: [int(atoks[0])?, int(atoks[1])?],
-            occupancy: int(atoks[2])?,
-            length: int(atoks[3])?,
-            initial,
-            pass1: read_pass(&p1_line)?,
-            pass2: read_pass(&p2_line)?,
-            ops: atoks[4].parse().map_err(|_| bad_data("bad ops"))?,
-            time_us: u64::from_str_radix(atoks[5], 16)
-                .map(f64::from_bits)
-                .map_err(|_| bad_data("bad aco time"))?,
+            prp,
+            occupancy,
+            length,
+            initial: read_sres(r.expect_line("initial")?, "initial ", n)?,
+            pass1: read_pass(r.expect_line("pass1")?)?,
+            pass2: read_pass(r.expect_line("pass2")?)?,
+            ops,
+            time_us,
         })
     };
-    let int = |s: &str| -> io::Result<u64> { s.parse().map_err(|_| bad_data("bad integer")) };
     Ok(RegionCompilation {
-        size: int(toks[0])? as usize,
+        size,
         heuristic,
         aco,
-        choice: if toks[1] == "0" {
-            FinalChoice::Heuristic
-        } else {
-            FinalChoice::Aco
-        },
-        occupancy: int(toks[2])? as u32,
-        length: int(toks[3])? as u32,
-        pass1_processed: toks[4] != "0",
-        pass2_processed: toks[5] != "0",
-        sched_time_us: f64::from_bits(
-            u64::from_str_radix(toks[7], 16).map_err(|_| bad_data("bad sched time"))?,
-        ),
-        reverted: toks[6] != "0",
+        choice,
+        occupancy,
+        length,
+        pass1_processed,
+        pass2_processed,
+        sched_time_us,
+        reverted,
     })
 }
 
@@ -1222,6 +1051,26 @@ mod tests {
     use super::*;
     use crate::region::compile_region;
     use workloads::{Suite, SuiteConfig};
+
+    impl Shard {
+        /// Uncapped insert: tests poke entries past the capacity discipline.
+        fn insert(&self, key: u64, entry: Arc<CacheEntry>) {
+            self.insert_capped(key, entry, usize::MAX);
+        }
+    }
+
+    fn solo_entry(
+        ddg: &Ddg,
+        occ: &OccupancyModel,
+        cfg: &PipelineConfig,
+        comp: &RegionCompilation,
+    ) -> CacheEntry {
+        solo_entry_warm(ddg, occ, cfg, comp, None)
+    }
+
+    fn solo_key(ddg: &Ddg, occ: &OccupancyModel, cfg: &PipelineConfig) -> u64 {
+        solo_key_warm(ddg, occ, cfg, None)
+    }
 
     fn cfg(kind: SchedulerKind) -> PipelineConfig {
         let mut c = PipelineConfig::paper(kind, 0);
@@ -1540,31 +1389,170 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.bypasses), (5, 0, 0));
     }
 
+    /// Every rejection is `InvalidData` naming the line it is about.
     #[test]
     fn load_rejects_malformed_files() {
-        let dir = std::env::temp_dir().join("schedcache_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("malformed_{}.txt", std::process::id()));
-        std::fs::write(&path, "not a cache\n").unwrap();
-        assert!(ScheduleCache::load_from(&path).is_err());
-        std::fs::write(&path, "schedcache v1\nkey 0x12\ngarbage\n").unwrap();
-        assert!(ScheduleCache::load_from(&path).is_err());
-        // An empty file is missing even the header.
-        std::fs::write(&path, "").unwrap();
-        assert!(ScheduleCache::load_from(&path).is_err());
-        // A well-formed body without the `eof` trailer is a truncation.
-        std::fs::write(&path, "schedcache v1\n").unwrap();
-        assert!(ScheduleCache::load_from(&path).is_err());
-        // Trailer entry-count mismatches are rejected.
-        std::fs::write(&path, "schedcache v1\neof 3\n").unwrap();
-        assert!(ScheduleCache::load_from(&path).is_err());
-        // Content after the trailer is rejected.
-        std::fs::write(&path, "schedcache v1\neof 0\nkey 0x1\n").unwrap();
-        assert!(ScheduleCache::load_from(&path).is_err());
-        // The empty cache itself round-trips.
-        std::fs::write(&path, "schedcache v1\neof 0\n").unwrap();
-        assert_eq!(ScheduleCache::load_from(&path).unwrap().len(), 0);
-        std::fs::remove_file(&path).ok();
+        for (text, want) in [
+            ("not a cache\n", "line 1: not a schedcache v1 file"),
+            (
+                "schedcache v1\nkey 0x12\ngarbage\n",
+                "line 3: expected `cfg ...`, got `garbage`",
+            ),
+            (
+                "schedcache v1\nkey 0xg\n",
+                "line 2: bad key `0xg`: invalid digit found in string",
+            ),
+            // An empty file is missing even the header.
+            ("", "line 1: truncated file: missing header"),
+            // A well-formed body without the `eof` trailer is a truncation.
+            (
+                "schedcache v1\n\n",
+                "line 3: truncated file: missing `eof` trailer",
+            ),
+            (
+                "schedcache v1\neof 3\n",
+                "line 2: `eof` trailer claims 3 entries, file holds 0",
+            ),
+            (
+                "schedcache v1\neof 0\n\nkey 0x1\n",
+                "line 4: content after `eof` trailer",
+            ),
+        ] {
+            let err = ScheduleCache::load_from_reader(text.as_bytes())
+                .err()
+                .unwrap_or_else(|| panic!("{text:?} loaded"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text:?}");
+            assert_eq!(err.to_string(), format!("schedcache: {want}"), "{text:?}");
+        }
+        let err = ScheduleCache::load_from_reader(&b"schedcache v1\neof 0\n\xff\n"[..]).err();
+        assert_eq!(err.unwrap().to_string(), "schedcache: line 3: not UTF-8");
+        // The empty cache itself round-trips, CRLF, blank lines and all.
+        for text in ["schedcache v1\neof 0\n", "schedcache v1\r\n\r\neof 0\r\n\n"] {
+            assert_eq!(
+                ScheduleCache::load_from_reader(text.as_bytes())
+                    .unwrap()
+                    .len(),
+                0
+            );
+        }
+    }
+
+    /// A saved file of two BaseAmd entries and its lines.
+    fn saved_lines() -> Vec<String> {
+        let occ = machine_model::OccupancyModel::vega_like();
+        let c = cfg(SchedulerKind::BaseAmd);
+        let cache = ScheduleCache::new();
+        cache.compile_solo(&sample_ddg(5), &occ, &c);
+        cache.compile_solo(&sample_ddg(6), &occ, &c);
+        let mut bytes = Vec::new();
+        cache.save_to_writer(&mut bytes).unwrap();
+        String::from_utf8(bytes)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    fn load_lines(lines: &[String]) -> io::Result<ScheduleCache> {
+        ScheduleCache::load_from_reader((lines.join("\n") + "\n").as_bytes())
+    }
+
+    /// A value that does not fit its field is rejected where it stands: it
+    /// used to be parsed as a `u64` and cast, so `blocks` 4294967301 loaded
+    /// as 5 and an occupancy claim of 4294967297 as 1.
+    #[test]
+    fn a_value_past_its_field_width_is_a_positioned_error() {
+        let lines = saved_lines();
+        assert!(load_lines(&lines).is_ok());
+        let cfg_at = lines.iter().position(|l| l.starts_with("cfg ")).unwrap();
+        let comp_at = lines.iter().position(|l| l.starts_with("comp ")).unwrap();
+        for (at, field, value, what) in [
+            (cfg_at, 6, "4294967301", "cfg integer"),
+            (cfg_at, 2, "4294967296", "cfg integer"),
+            (cfg_at, 37, "4294967297", "cfg integer"),
+            (cfg_at, 30, "4294967297", "cfg integer"),
+            (comp_at, 3, "4294967297", "occupancy"),
+            (comp_at, 4, "4294967296", "length"),
+        ] {
+            let mut edited = lines.clone();
+            let mut toks: Vec<&str> = lines[at].split(' ').collect();
+            toks[field] = value;
+            edited[at] = toks.join(" ");
+            let err = load_lines(&edited)
+                .err()
+                .expect("a wide value must not load");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            let want = format!("schedcache: line {}: bad {what} `{value}`", at + 1);
+            assert!(msg.starts_with(&want), "{msg} vs {want}");
+        }
+        // The cap's own range check names its line too.
+        let mut edited = lines.clone();
+        let mut toks: Vec<&str> = lines[cfg_at].split(' ').collect();
+        toks[30] = "-2";
+        edited[cfg_at] = toks.join(" ");
+        let err = load_lines(&edited).err().unwrap();
+        assert_eq!(
+            err.to_string(),
+            format!("schedcache: line {}: bad occupancy cap `-2`", cfg_at + 1)
+        );
+    }
+
+    /// A repeated key used to replace the earlier entry while the `eof`
+    /// count counted both, so the file loaded and saved back one entry
+    /// short. It is now an error at the second key.
+    #[test]
+    fn a_repeated_key_is_a_positioned_error() {
+        let lines = saved_lines();
+        let second = lines.iter().rposition(|l| l.starts_with("key ")).unwrap();
+        let eof = lines.len() - 1;
+        let mut edited = lines[..second].to_vec();
+        edited.extend_from_slice(&lines[..second][1..]);
+        edited.push("eof 2".into());
+        assert_eq!(lines[eof], "eof 2");
+        let err = load_lines(&edited)
+            .err()
+            .expect("a repeated key must not load");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "schedcache: line {}: repeated key {}",
+                second + 1,
+                &lines[1][4..]
+            )
+        );
+    }
+
+    /// An error inside a `ddg` block keeps the text IR's column and gets
+    /// the file's line; a region-wide error (a cycle) names the `ddg` line.
+    #[test]
+    fn a_ddg_block_error_names_the_file_line_and_column() {
+        let lines = saved_lines();
+        let ddg_at = lines.iter().position(|l| l.starts_with("ddg ")).unwrap();
+        let mut edited = lines.clone();
+        edited[ddg_at + 2] = "instr a defs q1".into();
+        let err = load_lines(&edited).err().unwrap();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "schedcache: line {}, column 14: bad register class in `q1` (expected v<N> or s<N>)",
+                ddg_at + 3
+            )
+        );
+        let n: usize = lines[ddg_at][4..].parse().unwrap();
+        let mut edited = lines.clone();
+        edited[ddg_at] = format!("ddg {}", n + 2);
+        edited.splice(
+            ddg_at + 1 + n..ddg_at + 1 + n,
+            ["edge 0 1 1".into(), "edge 1 0 1".into()],
+        );
+        let err = load_lines(&edited).err().unwrap();
+        let msg = err.to_string();
+        assert!(
+            msg.starts_with(&format!("schedcache: line {}: ", ddg_at + 1)),
+            "{msg}"
+        );
     }
 
     /// A writer that accepts a bounded number of bytes and then fails, and
@@ -1705,6 +1693,7 @@ mod tests {
                 io::ErrorKind::InvalidData,
                 "truncation at byte {cut} must be InvalidData, got {err}"
             );
+            assert!(err.to_string().starts_with("schedcache: line "), "{err}");
         }
     }
 

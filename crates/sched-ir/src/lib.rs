@@ -37,6 +37,7 @@ pub mod dot;
 pub mod figure1;
 pub mod fingerprint;
 pub mod instr;
+pub mod record;
 pub mod schedule;
 pub mod textir;
 

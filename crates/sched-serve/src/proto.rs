@@ -41,6 +41,7 @@
 //! `sched-verify`.
 
 use pipeline::SchedulerKind;
+use sched_ir::record::read_lines;
 use std::io::{self, BufRead};
 use std::str::SplitWhitespace;
 
@@ -345,54 +346,56 @@ pub fn render_response(id: &str, resp: &Response) -> String {
 }
 
 /// Reads one response (header plus counted payload) from `reader` — the
-/// client side of the protocol. Returns the echoed request id and the
-/// parsed response; `Ok(None)` on a clean end of stream.
+/// client side of the protocol, through the daemon's own counted-line
+/// primitive. Returns the echoed request id and the parsed response, an
+/// `err` message exactly as rendered; `Ok(None)` on a clean end of stream.
 pub fn read_response(reader: &mut impl BufRead) -> io::Result<Option<(String, Response)>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, format!("serve: {msg}"));
+    let mut header = Vec::new();
+    if !read_lines(reader, 1, &mut header, || false)? && header.is_empty() {
         return Ok(None);
     }
-    let toks: Vec<&str> = line.split_whitespace().collect();
-    let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, format!("serve: {msg}"));
-    if toks.first() != Some(&"resp") || toks.len() < 3 {
+    let line = std::str::from_utf8(&header).map_err(|_| bad("response line is not UTF-8"))?;
+    let line = line.strip_suffix('\n').unwrap_or(line);
+    // `resp <id> <kind> <rest>`: the rest of an `err` line is its message.
+    let mut parts = line.splitn(4, ' ');
+    let (Some("resp"), Some(id), Some(kind)) = (parts.next(), parts.next(), parts.next()) else {
         return Err(bad(&format!("malformed response line `{}`", line.trim())));
-    }
-    let id = toks[1].to_string();
-    let resp = match toks[2] {
+    };
+    let rest = parts.next().unwrap_or("");
+    let resp = match kind {
         "ok" => {
-            let n: usize = toks
-                .get(3)
-                .ok_or_else(|| bad("ok response missing line count"))?
-                .parse()
-                .map_err(|_| bad("bad ok line count"))?;
-            let mut payload = String::new();
-            for _ in 0..n {
-                let mut l = String::new();
-                if reader.read_line(&mut l)? == 0 {
-                    return Err(bad("truncated ok payload"));
-                }
-                payload.push_str(&l);
+            let n: usize = rest.trim().parse().map_err(|_| bad("bad ok line count"))?;
+            let mut payload = Vec::new();
+            if !read_lines(reader, n, &mut payload, || false)? {
+                return Err(bad("truncated ok payload"));
             }
+            let payload = String::from_utf8(payload).map_err(|_| bad("ok payload is not UTF-8"))?;
             Response::Ok { payload }
         }
         "err" => Response::Err {
-            message: toks[3..].join(" "),
+            message: rest.to_string(),
         },
-        "overloaded" => Response::Overloaded {
-            queued: parse_field(&toks, 3).ok_or_else(|| bad("bad overloaded response"))?,
-            capacity: parse_field(&toks, 4).ok_or_else(|| bad("bad overloaded response"))?,
-        },
-        "expired" => Response::Expired {
-            waited_ms: parse_field(&toks, 3).ok_or_else(|| bad("bad expired response"))?,
-            deadline_ms: parse_field(&toks, 4).ok_or_else(|| bad("bad expired response"))?,
-        },
+        "overloaded" => {
+            let (queued, capacity) = two(rest).ok_or_else(|| bad("bad overloaded response"))?;
+            Response::Overloaded { queued, capacity }
+        }
+        "expired" => {
+            let (waited_ms, deadline_ms) = two(rest).ok_or_else(|| bad("bad expired response"))?;
+            Response::Expired {
+                waited_ms,
+                deadline_ms,
+            }
+        }
         other => return Err(bad(&format!("unknown response kind `{other}`"))),
     };
-    Ok(Some((id, resp)))
+    Ok(Some((id.to_string(), resp)))
 }
 
-fn parse_field<T: std::str::FromStr>(toks: &[&str], i: usize) -> Option<T> {
-    toks.get(i).and_then(|t| t.parse().ok())
+/// The first two numbers of an `overloaded` or `expired` line.
+fn two<T: std::str::FromStr>(rest: &str) -> Option<(T, T)> {
+    let mut fields = rest.split_whitespace().map(|t| t.parse().ok());
+    Some((fields.next()??, fields.next()??))
 }
 
 #[cfg(test)]

@@ -34,6 +34,7 @@ use pipeline::{
     merge_job_results, observe_outcome, tunable, tuned_solo_inputs, PipelineConfig,
     RegionCompilation, ScheduleCache, SchedulerKind, SuiteMerger,
 };
+use sched_ir::record::read_lines;
 use sched_ir::{textir, Ddg};
 use std::io::{self, BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
@@ -483,52 +484,6 @@ fn suite_merger_thread(engine: &Engine, state: &SuiteState) {
     );
 }
 
-/// Appends the next `lines` lines of the stream to `buf`, newlines
-/// included, taking them straight out of the reader's buffer. Survives the
-/// socket transport's short read timeouts — a timed-out read leaves what
-/// was already appended in `buf`, so retrying continues mid-line — and
-/// returns `Ok(false)` on EOF before the last newline or on requested
-/// shutdown.
-fn read_lines_patient(
-    reader: &mut impl BufRead,
-    mut lines: usize,
-    buf: &mut Vec<u8>,
-) -> io::Result<bool> {
-    while lines > 0 {
-        let available = match reader.fill_buf() {
-            Ok([]) => return Ok(false),
-            Ok(available) => available,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                if signal::shutdown_requested() {
-                    return Ok(false);
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        let mut take = available.len();
-        for (i, &b) in available.iter().enumerate() {
-            if b == b'\n' {
-                lines -= 1;
-                if lines == 0 {
-                    take = i + 1;
-                    break;
-                }
-            }
-        }
-        buf.extend_from_slice(&available[..take]);
-        reader.consume(take);
-    }
-    Ok(true)
-}
-
 /// Serves one connection until EOF, shutdown, or a fatal transport error.
 /// `stats`/`flush` are answered inline, and so is a `schedule` request the
 /// cache already holds; other `schedule`s and `suite`s go through the
@@ -540,14 +495,18 @@ pub fn handle_connection(
     writer: Box<dyn Write + Send>,
 ) {
     let out = Arc::new(ResponseWriter::new(writer));
-    // One header and one payload buffer for the connection's lifetime.
-    let mut header = Vec::new();
-    let mut payload = Vec::new();
+    // One header and one payload buffer for the connection's lifetime, each
+    // refilled through the counted-line primitive: `false` at the end of the
+    // stream, on shutdown or on a transport error.
+    let (mut header, mut payload) = (Vec::new(), Vec::new());
+    let mut read = |lines: usize, buf: &mut Vec<u8>| {
+        buf.clear();
+        let stop = signal::shutdown_requested;
+        matches!(read_lines(&mut reader, lines, buf, stop), Ok(true))
+    };
     loop {
-        header.clear();
-        match read_lines_patient(&mut reader, 1, &mut header) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => break,
+        if !read(1, &mut header) {
+            break;
         }
         let Ok(line) = std::str::from_utf8(&header) else {
             break;
@@ -566,10 +525,9 @@ pub fn handle_connection(
                 );
                 // A framed header with a bad option still owns its payload:
                 // skip it, or every line of it is read as a request.
-                payload.clear();
-                match read_lines_patient(&mut reader, e.payload_lines, &mut payload) {
-                    Ok(true) => continue,
-                    Ok(false) | Err(_) => break,
+                match read(e.payload_lines, &mut payload) {
+                    true => continue,
+                    false => break,
                 }
             }
         };
@@ -603,10 +561,9 @@ pub fn handle_connection(
                 opts,
                 payload_lines,
             } => {
-                payload.clear();
-                let text = match read_lines_patient(&mut reader, payload_lines, &mut payload) {
-                    Ok(true) => std::str::from_utf8(&payload).ok(),
-                    Ok(false) | Err(_) => None,
+                let text = match read(payload_lines, &mut payload) {
+                    true => std::str::from_utf8(&payload).ok(),
+                    false => None,
                 };
                 let Some(text) = text else {
                     // Truncated payload: the stream is desynchronized

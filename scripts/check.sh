@@ -9,7 +9,8 @@
 # vendored stand-in crate, all workspace tests green,
 # and (unless --fast) the release build the tier-1 gate uses, the bench
 # binaries compiling, the full-corpus flat-IR differential test, the long
-# text-IR parser fuzz run, the full lent-core equality matrix, a CLI
+# text-IR parser and record-format fuzz runs, the full lent-core equality
+# matrix, a truncated cache file that must be a positioned error, a CLI
 # verify smoke run on generated regions, a `schedule --threads 1` vs
 # `--threads 2` byte comparison, a non-ASCII register token that
 # must be a diagnostic and not a panic, a `schedule` header with a bad
@@ -53,6 +54,11 @@ if [[ "${1:-}" != "--fast" ]]; then
     echo "==> text-IR parser == old front door on 392k token-soup texts"
     # Tier-1 runs 8,000 cases of tests/textir_fuzz.rs; this is the long run.
     cargo test --release -q --test textir_fuzz -- --ignored
+
+    echo "==> record codec == old loaders and writers on 315k token-soup files"
+    # Tier-1 runs a few thousand cases of tests/record_fuzz.rs (schedcache,
+    # schedtune, serve framing); this is the long run.
+    cargo test --release -q --test record_fuzz -- --ignored
 
     echo "==> lent idle cores never change a bit: the full matrix"
     # Tier-1 runs tests/lending_exact.rs on short searches; this is the
@@ -105,6 +111,21 @@ if [[ "${1:-}" != "--fast" ]]; then
         --no-cache > "$smoke_dir/cache_off.txt"
     cmp "$smoke_dir/cache_on.txt" "$smoke_dir/cache_off.txt"
     cmp "$smoke_dir/cache_on.txt" "$smoke_dir/cache_on2.txt"
+
+    echo "==> a cache file cut mid-entry is a positioned error"
+    # Loading must fail with exit 1 and name the line, never half-load or
+    # panic.
+    head -c "$(( $(wc -c < "$smoke_dir/sched.cache") / 2 ))" "$smoke_dir/sched.cache" \
+        > "$smoke_dir/cut.cache"
+    if ./target/release/gpu-aco-cli schedule "$smoke_dir/region.txt" --cache "$smoke_dir/cut.cache" \
+        > /dev/null 2> "$smoke_dir/cut.err"; then
+        echo "a truncated cache file must not load"; exit 1
+    fi
+    grep -q "schedcache: line " "$smoke_dir/cut.err" \
+        || { echo "no positioned load error:"; head -n 1 "$smoke_dir/cut.err"; exit 1; }
+    if grep -q "panicked" "$smoke_dir/cut.err"; then
+        echo "a truncated cache file panicked the CLI"; exit 1
+    fi
 
     echo "==> schedule --tune smoke"
     # Tuning composes with the cache without polluting it: a tuned run
