@@ -221,11 +221,12 @@ pub(crate) fn run<'a, E: Executor<'a>>(
         (w.order(), occ.rp_cost(prp))
     });
 
-    // Initial schedule from the production heuristic.
+    // Initial schedule from the production heuristic: the one heuristic
+    // run of an ACO region, which the pipeline keeps as its baseline.
     let initial = ListScheduler::new(Heuristic::AmdMaxOccupancy).schedule_in(
         ddg,
         ctx.lut,
-        ctx.analysis,
+        &ctx.analysis.eta_terms,
         ctx.universe,
     );
     if n <= 1 {

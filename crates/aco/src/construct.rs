@@ -37,7 +37,7 @@ pub const OPS_PER_STEP: u64 = 2;
 pub struct AntContext<'a> {
     /// The region being scheduled.
     pub ddg: &'a Ddg,
-    /// Precomputed analyses (CP distances, ready-list UB, ...).
+    /// The region facts the ants read (η terms, ready-list UB).
     pub analysis: &'a RegionAnalysis,
     /// Interned registers.
     pub universe: &'a RegUniverse,
@@ -192,7 +192,8 @@ impl Scores {
                 let score = |c: &InstrId| tau[c.index()] * eta_pow[c.index()];
                 self.weights.extend(candidates.iter().map(score));
             } else {
-                let eval = HeuristicEval::new(heuristic, ctx.analysis, ctx.lut, pressure);
+                let eval =
+                    HeuristicEval::new(heuristic, &ctx.analysis.eta_terms, ctx.lut, pressure);
                 let beta = ctx.cfg.beta;
                 let score = |c: &InstrId| tau[c.index()] * pow_beta(eval.eta(*c), beta);
                 self.weights.extend(candidates.iter().map(score));

@@ -2,27 +2,20 @@
 
 use machine_model::OccupancyLut;
 use reg_pressure::PressureTracker;
-use sched_ir::{Cycle, Ddg, InstrId};
+use sched_ir::{Ddg, InstrId};
 
-/// Precomputed per-region analyses consumed by every heuristic.
+/// The per-region facts the ACO colony's ants read.
 ///
-/// Build once per region; cheap to share across ants/schedulers.
+/// Built once per colony run (`aco::colony::with_context`); the list
+/// scheduler reads only the η terms and builds them with [`eta_terms`].
 #[derive(Debug, Clone)]
 pub struct RegionAnalysis {
-    /// Latency-weighted distance to a leaf, per instruction
-    /// (the CP priority).
-    pub dist_to_leaf: Vec<Cycle>,
-    /// Earliest latency-feasible issue cycle, per instruction.
-    pub earliest_start: Vec<Cycle>,
-    /// Tight ready-list size upper bound (Section V-A).
-    pub ready_list_ub: usize,
-    /// Number of successors, per instruction.
-    pub succ_count: Vec<u32>,
-    /// Critical-path length of the region (max of `dist_to_leaf`).
-    pub critical_path: Cycle,
     /// The terms of η that depend on the instruction alone, per
-    /// instruction.
+    /// instruction ([`eta_terms`]).
     pub eta_terms: Vec<EtaTerms>,
+    /// Tight ready-list size upper bound (Section V-A), read by the
+    /// simulated GPU's launch-setup cost model.
+    pub ready_list_ub: usize,
 }
 
 /// The static terms of [`HeuristicEval`]'s η for one instruction, each the
@@ -39,30 +32,31 @@ pub struct EtaTerms {
     pub amd_tiebreak: f64,
 }
 
+/// The η terms of every instruction of `ddg`, from its latency-weighted
+/// distances to a leaf.
+pub fn eta_terms(ddg: &Ddg) -> Vec<EtaTerms> {
+    let dist_to_leaf = ddg.distance_to_leaf();
+    let critical_path = dist_to_leaf.iter().copied().max().unwrap_or(0) as f64;
+    let n = dist_to_leaf.len() as f64;
+    dist_to_leaf
+        .iter()
+        .map(|&dist| {
+            let dist = dist as f64;
+            EtaTerms {
+                critical_path: 1.0 + dist,
+                luc_tiebreak: dist / (n + 1.0),
+                amd_tiebreak: dist / (critical_path + 1.0),
+            }
+        })
+        .collect()
+}
+
 impl RegionAnalysis {
-    /// Runs all analyses on a region.
+    /// Runs both analyses on a region.
     pub fn new(ddg: &Ddg) -> RegionAnalysis {
-        let dist_to_leaf = ddg.distance_to_leaf();
-        let critical_path = dist_to_leaf.iter().copied().max().unwrap_or(0);
-        let n = dist_to_leaf.len() as f64;
-        let eta_terms = dist_to_leaf
-            .iter()
-            .map(|&dist| {
-                let dist = dist as f64;
-                EtaTerms {
-                    critical_path: 1.0 + dist,
-                    luc_tiebreak: dist / (n + 1.0),
-                    amd_tiebreak: dist / (critical_path as f64 + 1.0),
-                }
-            })
-            .collect();
         RegionAnalysis {
-            dist_to_leaf,
-            earliest_start: ddg.earliest_starts(),
+            eta_terms: eta_terms(ddg),
             ready_list_ub: ddg.transitive_closure().ready_list_ub(),
-            succ_count: ddg.ids().map(|i| ddg.succs(i).len() as u32).collect(),
-            critical_path,
-            eta_terms,
         }
     }
 }
@@ -110,22 +104,22 @@ pub struct HeuristicEval<'a> {
 }
 
 impl<'a> HeuristicEval<'a> {
-    /// Creates an evaluator for `heuristic` over the analyzed region at the
-    /// pressure state `pressure`.
+    /// Creates an evaluator for `heuristic` over a region's per-instruction
+    /// η terms ([`eta_terms`]) at the pressure state `pressure`.
     ///
     /// Takes the region's [`OccupancyLut`] rather than the model itself:
     /// the table lookup avoids the model's division-heavy occupancy
     /// banding.
     pub fn new(
         heuristic: Heuristic,
-        analysis: &'a RegionAnalysis,
+        terms: &'a [EtaTerms],
         occupancy: &'a OccupancyLut,
         pressure: &'a PressureTracker<'a>,
     ) -> HeuristicEval<'a> {
-        let n = analysis.dist_to_leaf.len() as f64;
+        let n = terms.len() as f64;
         HeuristicEval {
             heuristic,
-            terms: &analysis.eta_terms,
+            terms,
             occupancy,
             pressure,
             n1: n + 1.0,
@@ -195,18 +189,16 @@ mod tests {
         let ddg = figure1::ddg();
         let a = RegionAnalysis::new(&ddg);
         assert_eq!(a.ready_list_ub, 5);
-        assert_eq!(a.dist_to_leaf.len(), 7);
-        assert_eq!(a.succ_count.iter().sum::<u32>(), ddg.edge_count() as u32);
     }
 
     #[test]
     fn critical_path_prefers_long_chains() {
         let (ddg, ids) = figure1::ddg_with_ids();
-        let analysis = RegionAnalysis::new(&ddg);
+        let terms = eta_terms(&ddg);
         let occ = OccupancyLut::new(&OccupancyModel::vega_like());
         let universe = RegUniverse::new(&ddg);
         let t = PressureTracker::new(&universe);
-        let eval = HeuristicEval::new(Heuristic::CriticalPath, &analysis, &occ, &t);
+        let eval = HeuristicEval::new(Heuristic::CriticalPath, &terms, &occ, &t);
         // A heads the longest chain (lat 4 to E), so beats B/C/D.
         for other in [ids.b, ids.c, ids.d] {
             assert!(eval.eta(ids.a) > eval.eta(other));
@@ -216,14 +208,14 @@ mod tests {
     #[test]
     fn last_use_count_prefers_killers() {
         let (ddg, ids) = figure1::ddg_with_ids();
-        let analysis = RegionAnalysis::new(&ddg);
+        let terms = eta_terms(&ddg);
         let occ = OccupancyLut::new(&OccupancyModel::vega_like());
         let universe = RegUniverse::new(&ddg);
         let mut t = PressureTracker::new(&universe);
         for id in [ids.c, ids.d] {
             t.issue(id);
         }
-        let eval = HeuristicEval::new(Heuristic::LastUseCount, &analysis, &occ, &t);
+        let eval = HeuristicEval::new(Heuristic::LastUseCount, &terms, &occ, &t);
         // F kills r3 and r4; A kills nothing.
         assert!(eval.eta(ids.f) > eval.eta(ids.a));
     }
@@ -231,12 +223,12 @@ mod tests {
     #[test]
     fn eta_is_strictly_positive_for_all_heuristics() {
         let ddg = figure1::ddg();
-        let analysis = RegionAnalysis::new(&ddg);
+        let terms = eta_terms(&ddg);
         let occ = OccupancyLut::new(&OccupancyModel::vega_like());
         let universe = RegUniverse::new(&ddg);
         let t = PressureTracker::new(&universe);
         for h in Heuristic::ALL {
-            let eval = HeuristicEval::new(h, &analysis, &occ, &t);
+            let eval = HeuristicEval::new(h, &terms, &occ, &t);
             for id in ddg.ids() {
                 assert!(eval.eta(id) > 0.0, "{h:?} eta({id}) must be positive");
             }

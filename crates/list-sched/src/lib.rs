@@ -19,5 +19,5 @@
 pub mod eval;
 pub mod scheduler;
 
-pub use eval::{EtaTerms, Heuristic, HeuristicEval, RegionAnalysis};
+pub use eval::{eta_terms, EtaTerms, Heuristic, HeuristicEval, RegionAnalysis};
 pub use scheduler::{evaluate_order, ListScheduler, ScheduleResult};

@@ -1,6 +1,6 @@
 //! The greedy list scheduler.
 
-use crate::eval::{Heuristic, HeuristicEval, RegionAnalysis};
+use crate::eval::{eta_terms, EtaTerms, Heuristic, HeuristicEval};
 use machine_model::{OccupancyLut, OccupancyModel};
 use reg_pressure::{PressureTracker, RegUniverse};
 use sched_ir::{Cycle, Ddg, InstrId, Schedule, REG_CLASS_COUNT};
@@ -36,8 +36,11 @@ pub fn evaluate_order(ddg: &Ddg, order: &[InstrId], occ: &OccupancyModel) -> Sch
 
 /// A greedy list scheduler driven by one [`Heuristic`].
 ///
-/// Produces the *initial schedule* for ACO and, with
-/// [`Heuristic::AmdMaxOccupancy`], the paper's production baseline.
+/// Reads only the region's per-instruction η terms ([`eta_terms`]), not the
+/// colony's [`RegionAnalysis`](crate::RegionAnalysis). With
+/// [`Heuristic::AmdMaxOccupancy`] it is the paper's production baseline and
+/// the ACO colony's initial schedule, which the pipeline keeps as an ACO
+/// region's baseline.
 ///
 /// # Example
 ///
@@ -70,30 +73,17 @@ impl ListScheduler {
     /// Builds a latency-free instruction *order* greedily (pass-1 style:
     /// the machine is treated as stall-free, only precedence matters).
     pub fn order(&self, ddg: &Ddg, occ: &OccupancyModel) -> Vec<InstrId> {
-        let analysis = RegionAnalysis::new(ddg);
-        self.order_with(ddg, occ, &analysis)
-    }
-
-    /// Like [`Self::order`] but reusing a precomputed analysis.
-    pub fn order_with(
-        &self,
-        ddg: &Ddg,
-        occ: &OccupancyModel,
-        analysis: &RegionAnalysis,
-    ) -> Vec<InstrId> {
         let universe = RegUniverse::new(ddg);
-        let lut = OccupancyLut::new(occ);
-        self.order_in(ddg, &lut, analysis, &universe)
+        self.order_in(ddg, &OccupancyLut::new(occ), &eta_terms(ddg), &universe)
     }
 
-    /// Like [`Self::order_with`] but also reusing a prebuilt register
-    /// universe and occupancy table — the form schedulers that already
-    /// interned the region call.
+    /// Like [`Self::order`] but reusing the region's η terms
+    /// ([`eta_terms`]), register universe and occupancy table.
     pub fn order_in(
         &self,
         ddg: &Ddg,
         lut: &OccupancyLut,
-        analysis: &RegionAnalysis,
+        terms: &[EtaTerms],
         universe: &RegUniverse,
     ) -> Vec<InstrId> {
         let mut pressure = PressureTracker::new(universe);
@@ -101,7 +91,7 @@ impl ListScheduler {
         let mut ready: Vec<InstrId> = ddg.roots().collect();
         let mut order = Vec::with_capacity(ddg.len());
         loop {
-            let eval = HeuristicEval::new(self.heuristic, analysis, lut, &pressure);
+            let eval = HeuristicEval::new(self.heuristic, terms, lut, &pressure);
             let Some(pos) = argmax_by(&ready, |&id| eval.eta(id)) else {
                 break;
             };
@@ -123,29 +113,18 @@ impl ListScheduler {
     /// the best *issuable* candidate; if none is issuable, stall to the next
     /// ready cycle.
     pub fn schedule(&self, ddg: &Ddg, occ: &OccupancyModel) -> ScheduleResult {
-        let analysis = RegionAnalysis::new(ddg);
-        self.schedule_with(ddg, occ, &analysis)
-    }
-
-    /// Like [`Self::schedule`] but reusing a precomputed analysis.
-    pub fn schedule_with(
-        &self,
-        ddg: &Ddg,
-        occ: &OccupancyModel,
-        analysis: &RegionAnalysis,
-    ) -> ScheduleResult {
         let universe = RegUniverse::new(ddg);
-        let lut = OccupancyLut::new(occ);
-        self.schedule_in(ddg, &lut, analysis, &universe)
+        self.schedule_in(ddg, &OccupancyLut::new(occ), &eta_terms(ddg), &universe)
     }
 
-    /// Like [`Self::schedule_with`] but also reusing a prebuilt register
-    /// universe and occupancy table.
+    /// Like [`Self::schedule`] but reusing the region's η terms
+    /// ([`eta_terms`]), register universe and occupancy table — the form
+    /// schedulers that already built them call.
     pub fn schedule_in(
         &self,
         ddg: &Ddg,
         lut: &OccupancyLut,
-        analysis: &RegionAnalysis,
+        terms: &[EtaTerms],
         universe: &RegUniverse,
     ) -> ScheduleResult {
         let mut pressure = PressureTracker::new(universe);
@@ -158,7 +137,7 @@ impl ListScheduler {
         let mut now: Cycle = 0;
         while !ready.is_empty() {
             let mut best: Option<(usize, f64)> = None;
-            let eval = HeuristicEval::new(self.heuristic, analysis, lut, &pressure);
+            let eval = HeuristicEval::new(self.heuristic, terms, lut, &pressure);
             for (i, &(id, rc)) in ready.iter().enumerate() {
                 if rc <= now {
                     let v = eval.eta(id);

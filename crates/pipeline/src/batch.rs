@@ -14,9 +14,8 @@
 //! only the launch cost model changes.
 
 use crate::config::{BatchingConfig, PipelineConfig};
-use crate::region::{assemble_compilation, heuristic_model_time_us, RegionCompilation};
+use crate::region::{aco_compilation, RegionCompilation};
 use aco::{batch_block_split, ParallelScheduler};
-use list_sched::{Heuristic, ListScheduler};
 use machine_model::OccupancyModel;
 use sched_ir::Ddg;
 use workloads::Kernel;
@@ -91,14 +90,7 @@ pub(crate) fn compile_batch_group(
             result.pass1.time_us = p1_shares[pos];
             result.pass2.time_us = p2_shares[pos];
             result.time_us = p1_shares[pos] + p2_shares[pos];
-            let heuristic = ListScheduler::new(Heuristic::AmdMaxOccupancy).schedule(ddg, occ);
-            let c = assemble_compilation(
-                ddg,
-                heuristic,
-                heuristic_model_time_us(ddg),
-                Some(result),
-                cfg,
-            );
+            let c = aco_compilation(ddg, result, cfg);
             let mut region_cfg = *cfg;
             region_cfg.aco.blocks = split[pos];
             (ri, region_cfg, c)
@@ -110,6 +102,7 @@ pub(crate) fn compile_batch_group(
 mod tests {
     use super::*;
     use crate::config::SchedulerKind;
+    use crate::region::heuristic_model_time_us;
 
     #[test]
     fn planner_skips_trivial_and_caps_groups() {

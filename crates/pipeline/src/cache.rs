@@ -29,7 +29,7 @@
 //!
 //! # Concurrency
 //!
-//! The cache is shared read-mostly across the work-stealing host pool, so
+//! The cache is shared read-mostly across the host job pool, so
 //! the store is 16 shards of `std::sync::RwLock<HashMap>` picked by the
 //! key's high bits: a lookup takes one shard's read lock just long enough
 //! to clone the entry's `Arc` (equality and re-certification run after the

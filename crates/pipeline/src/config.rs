@@ -175,7 +175,7 @@ pub struct PipelineConfig {
     /// microseconds.
     pub base_cost_per_instr_us: f64,
     /// Host worker threads compiling the suite's regions concurrently
-    /// (work-stealing pool; see `host_pool`). This is purely a host
+    /// (one index-cursor job pool; see `host_pool`). This is purely a host
     /// wall-clock knob: every schedule, record, observer callback and
     /// modeled time is byte-identical at any value. Values ≤ 1 compile
     /// inline on the calling thread.

@@ -56,6 +56,10 @@ pub fn compile_region(ddg: &Ddg, occ: &OccupancyModel, cfg: &PipelineConfig) -> 
 /// ACO schedulers (see [`aco::warm`]). With `warm = None` this is exactly
 /// `compile_region`, bit for bit; non-ACO scheduler kinds ignore the hint.
 ///
+/// The heuristic runs once per region: `BaseAmd` and `CriticalPath` run the
+/// list scheduler here, and an ACO kind keeps the colony's initial schedule
+/// ([`AcoResult::initial`]) as its baseline.
+///
 /// A warm-started compilation is a *different* pure function of its inputs
 /// than a cold one, so callers memoizing results must key on the hint too
 /// ([`crate::ScheduleCache::compile_solo_with`] does).
@@ -65,99 +69,87 @@ pub fn compile_region_warm(
     cfg: &PipelineConfig,
     warm: Option<&WarmStart>,
 ) -> RegionCompilation {
-    // The heuristic cost is charged to every scheduler kind: the ACO flow
-    // always runs the heuristic first (Section VI-A).
-    let heuristic_kind = match cfg.scheduler {
-        SchedulerKind::CriticalPath => Heuristic::CriticalPath,
-        _ => Heuristic::AmdMaxOccupancy,
-    };
-    let heuristic = ListScheduler::new(heuristic_kind).schedule(ddg, occ);
-    let heuristic_time_us = heuristic_model_time_us(ddg);
-
     // A batched-mode solo compilation (trivial regions the planner leaves
     // out, and the kernel post filter's occupancy-capped re-schedules) runs
     // the full-colony parallel scheduler, exactly like `ParallelAco`.
-    let aco_result = match cfg.scheduler {
-        SchedulerKind::BaseAmd | SchedulerKind::CriticalPath => None,
+    let list_heuristic = match cfg.scheduler {
+        SchedulerKind::BaseAmd => Heuristic::AmdMaxOccupancy,
+        SchedulerKind::CriticalPath => Heuristic::CriticalPath,
         SchedulerKind::SequentialAco => {
-            Some(SequentialScheduler::new(cfg.aco).schedule_with(ddg, occ, warm))
+            let aco = SequentialScheduler::new(cfg.aco).schedule_with(ddg, occ, warm);
+            return aco_compilation(ddg, aco, cfg);
         }
-        SchedulerKind::ParallelAco | SchedulerKind::BatchedParallelAco => Some(
-            ParallelScheduler::new(cfg.aco)
-                .schedule_with(ddg, occ, warm)
-                .result,
-        ),
+        SchedulerKind::ParallelAco | SchedulerKind::BatchedParallelAco => {
+            let aco = ParallelScheduler::new(cfg.aco).schedule_with(ddg, occ, warm);
+            return aco_compilation(ddg, aco.result, cfg);
+        }
     };
-
-    assemble_compilation(ddg, heuristic, heuristic_time_us, aco_result, cfg)
+    let heuristic = ListScheduler::new(list_heuristic).schedule(ddg, occ);
+    RegionCompilation {
+        size: ddg.len(),
+        occupancy: heuristic.occupancy,
+        length: heuristic.length,
+        pass1_processed: false,
+        pass2_processed: false,
+        sched_time_us: heuristic_model_time_us(ddg),
+        reverted: false,
+        choice: FinalChoice::Heuristic,
+        aco: None,
+        heuristic,
+    }
 }
 
-/// Assembles a [`RegionCompilation`] from a heuristic baseline and an
-/// optional ACO result: the Section VI-D post-scheduling filter, the
-/// processing flags, and the time accounting. Shared by the per-region
-/// flow above and the batched kernel flow ([`crate::batch`]), which obtains
-/// its ACO results from cooperative multi-region launches.
-pub(crate) fn assemble_compilation(
+/// Assembles the [`RegionCompilation`] of an ACO run, whose initial
+/// schedule is the region's heuristic baseline: the Section VI-D
+/// post-scheduling filter, the processing flags, and the time accounting.
+/// Shared by the per-region flow above and the batched kernel flow
+/// ([`crate::batch`]), which obtains its ACO results from cooperative
+/// multi-region launches.
+pub(crate) fn aco_compilation(
     ddg: &Ddg,
-    heuristic: ScheduleResult,
-    heuristic_time_us: f64,
-    aco_result: Option<AcoResult>,
+    aco: AcoResult,
     cfg: &PipelineConfig,
 ) -> RegionCompilation {
-    match aco_result {
-        None => RegionCompilation {
-            size: ddg.len(),
-            occupancy: heuristic.occupancy,
-            length: heuristic.length,
-            pass1_processed: false,
-            pass2_processed: false,
-            sched_time_us: heuristic_time_us,
-            reverted: false,
-            choice: FinalChoice::Heuristic,
-            aco: None,
-            heuristic,
-        },
-        Some(aco) => {
-            let pass1_processed = aco.pass1.iterations > 0;
-            let pass2_processed = aco.pass2.iterations > 0;
-            // Post-scheduling filter (Section VI-D): keep ACO unless it
-            // bought little occupancy at a large length cost.
-            let occ_gain = aco.occupancy as i64 - heuristic.occupancy as i64;
-            let len_delta = aco.length as i64 - heuristic.length as i64;
-            let keep_aco = if occ_gain < 0 {
-                false
-            } else if occ_gain == 0 {
-                len_delta < 0
-            } else if occ_gain <= cfg.revert_occupancy_gain as i64 {
-                len_delta <= cfg.revert_length_penalty as i64
-            } else {
-                true
-            };
-            let aco_differs =
-                aco.occupancy != heuristic.occupancy || aco.length != heuristic.length;
-            let reverted = !keep_aco && aco_differs && (pass1_processed || pass2_processed);
-            let (choice, occupancy, length) = if keep_aco {
-                (FinalChoice::Aco, aco.occupancy, aco.length)
-            } else {
-                (
-                    FinalChoice::Heuristic,
-                    heuristic.occupancy,
-                    heuristic.length,
-                )
-            };
-            RegionCompilation {
-                size: ddg.len(),
-                occupancy,
-                length,
-                pass1_processed,
-                pass2_processed,
-                sched_time_us: heuristic_time_us + aco.time_us,
-                reverted,
-                choice,
-                aco: Some(aco),
-                heuristic,
-            }
-        }
+    let heuristic = aco.initial.clone();
+    let pass1_processed = aco.pass1.iterations > 0;
+    let pass2_processed = aco.pass2.iterations > 0;
+    // Post-scheduling filter (Section VI-D): keep ACO unless it bought
+    // little occupancy at a large length cost.
+    let occ_gain = aco.occupancy as i64 - heuristic.occupancy as i64;
+    let len_delta = aco.length as i64 - heuristic.length as i64;
+    let keep_aco = if occ_gain < 0 {
+        false
+    } else if occ_gain == 0 {
+        len_delta < 0
+    } else if occ_gain <= cfg.revert_occupancy_gain as i64 {
+        len_delta <= cfg.revert_length_penalty as i64
+    } else {
+        true
+    };
+    let aco_differs = aco.occupancy != heuristic.occupancy || aco.length != heuristic.length;
+    let reverted = !keep_aco && aco_differs && (pass1_processed || pass2_processed);
+    let (choice, occupancy, length) = if keep_aco {
+        (FinalChoice::Aco, aco.occupancy, aco.length)
+    } else {
+        (
+            FinalChoice::Heuristic,
+            heuristic.occupancy,
+            heuristic.length,
+        )
+    };
+    // The colony ran the heuristic first (Section VI-A); its modeled cost
+    // is charged as for a list-scheduled region.
+    RegionCompilation {
+        size: ddg.len(),
+        occupancy,
+        length,
+        pass1_processed,
+        pass2_processed,
+        sched_time_us: heuristic_model_time_us(ddg) + aco.time_us,
+        reverted,
+        choice,
+        aco: Some(aco),
+        heuristic,
     }
 }
 

@@ -136,10 +136,11 @@ impl SuiteRun {
 /// performance and total compile time.
 ///
 /// Host parallelism: with `cfg.host_threads > 1` the per-region (or, in
-/// batched mode, per-group) compilations run on a work-stealing pool of
-/// host threads (see [`crate::host_pool`]); results are merged on the
-/// calling thread in canonical order, so the returned [`SuiteRun`] is
-/// byte-identical at any thread count — only wall-clock time changes.
+/// batched mode, per-group) compilations run on a pool of host threads
+/// that claim jobs from one shared index cursor (see [`crate::host_pool`]);
+/// results are merged on the calling thread in canonical order, so the
+/// returned [`SuiteRun`] is byte-identical at any thread count — only
+/// wall-clock time changes.
 pub fn compile_suite(suite: &Suite, occ: &OccupancyModel, cfg: &PipelineConfig) -> SuiteRun {
     compile_suite_observed(suite, occ, cfg, |_, _, _, _, _| {})
 }
@@ -432,8 +433,8 @@ fn fold_aggregates(fp: &mut Fnv64, run: &SuiteRun) {
 /// *requires* canonical order (asserted), runs on one thread, and every
 /// float accumulation happens at a fixed point in that order — so the
 /// finished [`SuiteRun`] is byte-identical whether results were produced
-/// inline, by a work-stealing pool at any thread count, or by a daemon's
-/// priority queue in any service order.
+/// inline, by the index-cursor job pool at any thread count, or by a
+/// daemon's priority queue in any service order.
 ///
 /// Merge-side buffers are pre-sized from the planned job list at
 /// construction: in steady state (no occupancy-capped re-schedules, no

@@ -36,7 +36,9 @@ use pipeline::{
 };
 use sched_ir::record::read_lines;
 use sched_ir::{textir, Ddg};
+use std::any::Any;
 use std::io::{self, BufRead, BufReader, Write};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -315,12 +317,41 @@ fn join_mergers(engine: &Engine) {
 fn worker_loop(engine: &Engine) {
     while let Some(work) = engine.planner.pop() {
         let started = Instant::now();
-        match work {
-            Work::Region(w) => run_region(engine, *w, started),
-            Work::SuiteJob { state, index } => run_suite_job(engine, &state, index, started),
+        let served = panic::catch_unwind(AssertUnwindSafe(|| match &work {
+            Work::Region(w) => run_region(engine, w, started),
+            Work::SuiteJob { state, index } => run_suite_job(engine, state, *index, started),
+        }));
+        if let Err(payload) = served {
+            fail(engine, &work, &*payload);
         }
         engine.planner.task_done();
     }
+}
+
+/// Answers the request of a work item whose compile panicked with one
+/// `err`, so the worker lives on and nobody waits for an answer that never
+/// comes. A suite takes the expiry path: its first failed job answers and
+/// cancels the slot table (the merger exits without responding), and the
+/// suite's remaining jobs drain without compiling.
+fn fail(engine: &Engine, work: &Work, panic: &(dyn Any + Send)) {
+    let ctx = match work {
+        Work::Region(w) => &w.ctx,
+        Work::SuiteJob { state, .. } => {
+            if state.expired.swap(true, Ordering::SeqCst) {
+                return; // already answered
+            }
+            state.slots.cancel();
+            &state.ctx
+        }
+    };
+    let text = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
+        (Some(text), _) => text,
+        (_, Some(text)) => text.as_str(),
+        _ => "no message",
+    };
+    ServeStats::bump(&engine.stats.errors, 1);
+    let message = format!("internal error: {text}");
+    ctx.out.send(&ctx.id, &Response::Err { message });
 }
 
 /// The shared tuning store when `cfg`'s scheduler draws an arm and a warm
@@ -329,7 +360,7 @@ fn tuning_for<'a>(engine: &'a Engine, cfg: &PipelineConfig) -> Option<&'a TuneSt
     engine.tune.as_ref().filter(|_| tunable(cfg.scheduler))
 }
 
-fn run_region(engine: &Engine, w: RegionWork, started: Instant) {
+fn run_region(engine: &Engine, w: &RegionWork, started: Instant) {
     let waited_us = started.duration_since(w.ctx.arrived).as_micros() as u64;
     if w.ctx.expired_at(started, &engine.stats) {
         return;
@@ -349,7 +380,7 @@ fn run_region(engine: &Engine, w: RegionWork, started: Instant) {
         }
         None => engine.cache.compile_solo(&w.ddg, &w.occ, &w.cfg),
     };
-    answer(engine, &w, &comp, waited_us, started);
+    answer(engine, w, &comp, waited_us, started);
 }
 
 /// Answers one `schedule` request with its compilation and books it — the
@@ -676,7 +707,7 @@ fn submit_suite(engine: &Arc<Engine>, out: &Arc<ResponseWriter>, id: String, opt
         &engine.stats.suite_plan_us,
         t_plan.elapsed().as_micros() as u64,
     );
-    let ctx = request_ctx(id.clone(), out, opts.deadline_ms);
+    let ctx = request_ctx(id, out, opts.deadline_ms);
     if jobs.is_empty() {
         // Degenerate scale: nothing to queue; merge the empty job list
         // inline for a well-formed (if trivial) report.
@@ -700,7 +731,7 @@ fn submit_suite(engine: &Arc<Engine>, out: &Arc<ResponseWriter>, id: String, opt
         );
         return;
     }
-    let priorities: Vec<u64> = jobs
+    let priorities = jobs
         .iter()
         .map(|job| match job {
             RegionJob::Solo { kernel, region } => {
@@ -713,7 +744,7 @@ fn submit_suite(engine: &Arc<Engine>, out: &Arc<ResponseWriter>, id: String, opt
         })
         .collect();
     let n_jobs = jobs.len();
-    let state = Arc::new(SuiteState {
+    let state = SuiteState {
         suite,
         occ,
         cfg,
@@ -723,7 +754,14 @@ fn submit_suite(engine: &Arc<Engine>, out: &Arc<ResponseWriter>, id: String, opt
         expired: AtomicBool::new(false),
         tune: engine.tune.clone(),
         ctx,
-    });
+    };
+    admit_suite(engine, priorities, state);
+}
+
+/// Queues the jobs of a planned suite request at their `priorities` and
+/// starts its streaming merge, or answers `overloaded`.
+fn admit_suite(engine: &Arc<Engine>, priorities: Vec<u64>, state: SuiteState) {
+    let state = Arc::new(state);
     let batch: Vec<(u64, Work)> = priorities
         .into_iter()
         .enumerate()
@@ -740,7 +778,7 @@ fn submit_suite(engine: &Arc<Engine>, out: &Arc<ResponseWriter>, id: String, opt
     if let Err(over) = engine.planner.submit(batch) {
         ServeStats::bump(&engine.stats.overloaded, 1);
         state.ctx.out.send(
-            &id,
+            &state.ctx.id,
             &Response::Overloaded {
                 queued: over.queued,
                 capacity: over.capacity,
@@ -822,4 +860,88 @@ pub fn serve_unix(socket_path: &Path, config: ServeConfig) -> io::Result<()> {
     let result = server.shutdown();
     let _ = std::fs::remove_file(socket_path);
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// A client connection's byte stream, readable by the test.
+    #[derive(Clone, Default)]
+    struct Sink(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_panicking_suite_job_is_one_err_and_the_worker_serves_on() {
+        let sink = Sink::default();
+        let client = sink.clone();
+        let (tx, rx) = mpsc::channel();
+        let daemon = std::thread::spawn(move || {
+            let config = ServeConfig {
+                workers: 1,
+                queue_capacity: 1 << 16,
+                ..ServeConfig::default()
+            };
+            let server = Server::start(config).unwrap();
+            let engine = Arc::clone(server.engine());
+            let out = Arc::new(ResponseWriter::new(Box::new(client.clone())));
+            let suite = workloads::Suite::generate(&workloads::SuiteConfig::scaled(7, 0.008));
+            let cfg = PipelineConfig::paper(SchedulerKind::BaseAmd, 0);
+            let mut jobs = plan_jobs(&suite, &cfg);
+            // A region index no kernel has: `run_job` panics on the lookup.
+            jobs[1] = RegionJob::Solo {
+                kernel: 0,
+                region: 1 << 30,
+            };
+            let n_jobs = jobs.len();
+            let state = SuiteState {
+                suite,
+                occ: OccupancyModel::vega_like(),
+                cfg,
+                jobs,
+                slots: SlotTable::new(n_jobs),
+                remaining: AtomicUsize::new(n_jobs),
+                expired: AtomicBool::new(false),
+                tune: None,
+                ctx: request_ctx("s1".into(), &out, None),
+            };
+            admit_suite(&engine, vec![0; n_jobs], state);
+            server.wait_idle();
+            tx.send("wait_idle").unwrap();
+            let text = textir::to_text(&workloads::patterns::sized(20, 3));
+            let request = format!("req r1 schedule ddg {}\n{text}", text.lines().count());
+            handle_connection(&engine, request.as_bytes(), Box::new(client));
+            server.wait_idle();
+            let errors = engine.stats.errors.load(Ordering::SeqCst);
+            drop(engine);
+            server.shutdown().unwrap();
+            tx.send("shutdown").unwrap();
+            errors
+        });
+        for step in ["wait_idle", "shutdown"] {
+            let got = rx.recv_timeout(Duration::from_secs(30));
+            assert_eq!(got, Ok(step), "the daemon hung before `{step}` returned");
+        }
+        assert_eq!(daemon.join().unwrap(), 1, "the panic is one counted error");
+        let bytes = sink.0.lock().unwrap().clone();
+        let text = String::from_utf8(bytes).unwrap();
+        let suite: Vec<&str> = text.lines().filter(|l| l.starts_with("resp s1 ")).collect();
+        assert_eq!(suite.len(), 1, "one answer for the suite:\n{text}");
+        assert!(
+            suite[0].starts_with("resp s1 err internal error: "),
+            "{text}"
+        );
+        assert!(text.contains("resp r1 ok "), "the worker survived:\n{text}");
+    }
 }

@@ -6,14 +6,17 @@
 //! scheduling, sequential ACO, GPU-parallel ACO (through the pipeline,
 //! including its occupancy-capped re-schedules, and with idle cores lent to
 //! it), and the exact branch-and-bound all have their claims re-derived
-//! from first principles.
+//! from first principles. An ACO region's baseline is the colony's own
+//! initial schedule, the list scheduler's on the same region.
 
-use aco::{AcoConfig, IdleCores, ParallelScheduler, LEND_MIN_INSTRS};
+use aco::{AcoConfig, IdleCores, ParallelScheduler, SequentialScheduler, LEND_MIN_INSTRS};
 use exact_sched::{two_pass_optimum, BnbConfig};
-use list_sched::{Heuristic, ListScheduler};
+use list_sched::{Heuristic, ListScheduler, ScheduleResult};
 use machine_model::OccupancyModel;
-use pipeline::{PipelineConfig, SchedulerKind};
+use pipeline::{compile_suite_observed, plan_batches, PipelineConfig, SchedulerKind};
+use sched_ir::Ddg;
 use sched_verify::{certify_aco, certify_exact, certify_list, render, verify_suite};
+use std::collections::HashMap;
 use workloads::{Suite, SuiteConfig};
 
 fn suite() -> Suite {
@@ -113,5 +116,67 @@ fn exact_schedules_certify_clean_and_dominate_heuristics() {
                 "seed {seed}: exact pass-1 optimum beaten by the heuristic"
             );
         }
+    }
+}
+
+fn assert_same(a: &ScheduleResult, b: &ScheduleResult, what: &str) {
+    assert_eq!(a.order, b.order, "{what}: order");
+    assert_eq!(a.schedule, b.schedule, "{what}: schedule");
+    assert_eq!(a.prp, b.prp, "{what}: prp");
+    assert_eq!(a.occupancy, b.occupancy, "{what}: occupancy");
+    assert_eq!(a.length, b.length, "{what}: length");
+}
+
+#[test]
+fn aco_baselines_are_the_list_schedulers_amd_schedule() {
+    let occ = OccupancyModel::vega_like();
+    let suite = Suite::generate(&SuiteConfig::scaled(5, 0.008));
+    // The η-only list scheduler is every colony's initial schedule, which
+    // is fixed before the first iteration.
+    let mut aco = pipeline_cfg(SchedulerKind::BatchedParallelAco);
+    aco.aco.termination.max_iterations = 1;
+    for (k, kernel) in suite.kernels.iter().enumerate() {
+        let amd: Vec<ScheduleResult> = kernel
+            .regions
+            .iter()
+            .map(|ddg| ListScheduler::new(Heuristic::AmdMaxOccupancy).schedule(ddg, &occ))
+            .collect();
+        for (r, ddg) in kernel.regions.iter().enumerate() {
+            let what = format!("kernel {k} region {r}");
+            let seq = SequentialScheduler::new(aco.aco).schedule(ddg, &occ);
+            assert_same(&amd[r], &seq.initial, &format!("{what}, sequential"));
+            let par = ParallelScheduler::new(aco.aco).schedule(ddg, &occ);
+            assert_same(&amd[r], &par.result.initial, &format!("{what}, parallel"));
+        }
+        let sizes: Vec<usize> = kernel.regions.iter().map(Ddg::len).collect();
+        for group in plan_batches(&sizes, aco.aco.blocks, &aco.batching) {
+            let refs: Vec<&Ddg> = group.iter().map(|&r| &kernel.regions[r]).collect();
+            let batch = ParallelScheduler::new(aco.aco).schedule_batch(&refs, &occ);
+            for (&r, outcome) in group.iter().zip(&batch.outcomes) {
+                let what = format!("kernel {k} region {r}, batched");
+                assert_same(&amd[r], &outcome.result.initial, &what);
+            }
+        }
+    }
+    // Every ACO-kind compilation the pipeline reports, capped re-schedules
+    // included, carries the BaseAmd compilation's heuristic as its own.
+    let mut base = HashMap::new();
+    let base_cfg = pipeline_cfg(SchedulerKind::BaseAmd);
+    compile_suite_observed(&suite, &occ, &base_cfg, |k, r, _, _, c| {
+        base.insert((k, r), c.heuristic.clone());
+    });
+    assert_eq!(base.len(), suite.region_count());
+    for kind in [
+        SchedulerKind::SequentialAco,
+        SchedulerKind::ParallelAco,
+        SchedulerKind::BatchedParallelAco,
+    ] {
+        let mut aco_runs = 0;
+        compile_suite_observed(&suite, &occ, &pipeline_cfg(kind), |k, r, _, _, c| {
+            let what = format!("{kind:?} kernel {k} region {r}");
+            assert_same(&base[&(k, r)], &c.heuristic, &what);
+            aco_runs += usize::from(c.aco.is_some());
+        });
+        assert!(aco_runs > 0, "{kind:?}: ACO must have run somewhere");
     }
 }

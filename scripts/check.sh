@@ -18,7 +18,7 @@
 # static-analysis deny-gate (`gpu-aco-cli analyze --json`), the wall-clock
 # smoke perf gate, and the `benchmark/` package's unit tests and
 # self-checking `--smoke` runs of `suite-unique`, `suite-dup`,
-# `frontend-large`, `serve-warm` and `serve-mix`
+# `suite-variants`, `frontend-large`, `serve-warm` and `serve-mix`
 # (which must leave `benchmark/` and BENCHMARK.json untouched).
 
 set -euo pipefail
@@ -323,7 +323,7 @@ for path in sys.argv[1:]:
           f"{rep['tuner']['warm_hits']} warm hits, no length regression")
 EOF
 
-    echo "==> benchmark/: unit tests + suite-unique, suite-dup, frontend-large, serve-warm and serve-mix smoke"
+    echo "==> benchmark/: unit tests + suite-unique, suite-dup, suite-variants, frontend-large, serve-warm and serve-mix smoke"
     # The repository's one benchmark (BENCHMARK.json, benchmark/) is its own
     # cargo workspace, so `--workspace` above never builds it. Its smoke run
     # compiles a tiny suite-unique with the full correctness gate — every
@@ -333,12 +333,13 @@ EOF
     # drives text-IR -> BaseAmd -> in-job analysis -> certifier end to end;
     # its gate fails on any deny finding or uncertified schedule. The
     # suite-dup smoke is the workload whose pool lends idle cores to the
-    # region in flight. The two serve smokes drive the daemon's read loop,
-    # admission and workers over socket pairs, every reply checked byte for
-    # byte against the one-shot render: `serve-warm` is all admission hits,
-    # `serve-mix` all compiles.
+    # region in flight. The suite-variants smoke is the only one that drives
+    # SequentialAco and BatchedParallelAco. The two serve smokes drive the
+    # daemon's read loop, admission and workers over socket pairs, every
+    # reply checked byte for byte against the one-shot render: `serve-warm`
+    # is all admission hits, `serve-mix` all compiles.
     cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
-    for workload in suite-unique suite-dup frontend-large serve-warm serve-mix; do
+    for workload in suite-unique suite-dup suite-variants frontend-large serve-warm serve-mix; do
         cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
             --workload "$workload" --smoke | tail -n 1
     done
