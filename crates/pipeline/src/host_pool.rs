@@ -19,16 +19,19 @@
 //! float accumulation are byte-identical at any `host_threads` value; the
 //! pool only changes host wall-clock time.
 //!
-//! The pool is one index cursor: the job list is fixed before the first
-//! worker starts and jobs never spawn jobs, so each scoped worker claims the
-//! next canonical index with one `fetch_add` and retires when the cursor
-//! passes the end. Handing indices out in strict order is also what the
-//! in-order consumer wants — the slot it waits on is always among the
-//! oldest claimed, never parked behind later work in some worker's queue.
-//! Workers publish finished results into a pre-sized [`SlotTable`] (one
-//! write-once slot per canonical job index — no channel, no unbounded
-//! buffering) and the *calling thread* consumes slot `i` the moment it
-//! lands, in index order. A job that panics cancels the table on its way
+//! The pool is one index cursor and exactly `host_threads` threads, the
+//! calling thread among them: the job list is fixed before the first
+//! worker starts and jobs never spawn jobs, so each thread claims the next
+//! canonical index with one `fetch_add`, and a scoped worker retires when
+//! the cursor passes the end. Handing indices out in strict order is also
+//! what the in-order consumer wants — the slot it waits on is always among
+//! the oldest claimed, never parked behind later work in some worker's
+//! queue. Every thread publishes finished results into a pre-sized
+//! [`SlotTable`] (one write-once slot per canonical job index — no
+//! channel, no unbounded buffering). The *calling thread* is also the
+//! consumer: it takes slot `i` as soon as it has landed, in index order,
+//! runs a job from the cursor while it has not, and blocks on it only once
+//! the cursor is spent. A job that panics cancels the table on its way
 //! out, so the consumer stops and the call re-raises the panic instead of
 //! waiting on a slot nobody will fill.
 //!
@@ -40,8 +43,8 @@
 //! both shapes feed the merge the identical stream; streaming only moves
 //! the merge work into the shadow of still-running jobs.
 //!
-//! A worker that runs out of jobs lends its core to the wavefronts of a
-//! large region still in flight ([`aco::lend`]); results do not change.
+//! A thread with no job left lends its core to the wavefronts of a large
+//! region still in flight ([`aco::lend`]); results do not change.
 
 use crate::analyze::analyze_region;
 use crate::batch::{compile_batch_group, plan_batches};
@@ -254,6 +257,10 @@ pub fn run_jobs(
 /// by construction) and delivers them in *slot* order, not completion
 /// order, which is exactly what the deterministic merge needs.
 ///
+/// A table has one consumer. While it blocks in
+/// [`wait_take`](SlotTable::wait_take) the table records the slot it waits
+/// on, and a publish wakes it only when it fills that slot.
+///
 /// [`cancel`](SlotTable::cancel) aborts the rendezvous: pending and future
 /// [`wait_take`](SlotTable::wait_take) calls return `None`, and late
 /// publishes are dropped. The pool uses it to release its consumer when a
@@ -267,6 +274,8 @@ pub struct SlotTable<T> {
 struct SlotState<T> {
     slots: Vec<Option<T>>,
     cancelled: bool,
+    /// The slot the consumer is blocked on, if it is blocked.
+    awaited: Option<usize>,
 }
 
 impl<T> SlotTable<T> {
@@ -276,6 +285,7 @@ impl<T> SlotTable<T> {
             state: Mutex::new(SlotState {
                 slots: (0..n).map(|_| None).collect(),
                 cancelled: false,
+                awaited: None,
             }),
             ready: Condvar::new(),
         }
@@ -295,9 +305,10 @@ impl<T> SlotTable<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Fills slot `i` and wakes the consumer. Each slot is write-once:
-    /// publishing an occupied slot panics (two jobs claimed the same
-    /// index). Publishes after [`cancel`](SlotTable::cancel) are dropped.
+    /// Fills slot `i`, waking the consumer if it is blocked on that slot.
+    /// Each slot is write-once: publishing an occupied slot panics (two jobs
+    /// claimed the same index). Publishes after
+    /// [`cancel`](SlotTable::cancel) are dropped.
     pub fn publish(&self, i: usize, value: T) {
         let mut s = self.lock();
         if s.cancelled {
@@ -305,7 +316,9 @@ impl<T> SlotTable<T> {
         }
         assert!(s.slots[i].is_none(), "job slot {i} published twice");
         s.slots[i] = Some(value);
-        self.ready.notify_all();
+        if s.awaited == Some(i) {
+            self.ready.notify_one();
+        }
     }
 
     /// Aborts the rendezvous: every pending and future `wait_take` returns
@@ -315,20 +328,28 @@ impl<T> SlotTable<T> {
         self.ready.notify_all();
     }
 
+    /// Takes slot `i` if it has been published, without blocking.
+    pub(crate) fn try_take(&self, i: usize) -> Option<T> {
+        self.lock().slots[i].take()
+    }
+
     /// Blocks until slot `i` is published (returning the value) or the
     /// table is cancelled (returning `None`). A value already published
     /// before cancellation is still delivered.
     pub fn wait_take(&self, i: usize) -> Option<T> {
         let mut s = self.lock();
-        loop {
+        let taken = loop {
             if let Some(v) = s.slots[i].take() {
-                return Some(v);
+                break Some(v);
             }
             if s.cancelled {
-                return None;
+                break None;
             }
+            s.awaited = Some(i);
             s = self.ready.wait(s).unwrap_or_else(PoisonError::into_inner);
-        }
+        };
+        s.awaited = None;
+        taken
     }
 }
 
@@ -336,7 +357,8 @@ impl<T> SlotTable<T> {
 /// instrumentation (the merge side is timed by the caller's consumer).
 #[derive(Debug, Clone, Copy)]
 pub struct StreamTiming {
-    /// Cumulative wall time spent inside [`run_job`], summed over workers.
+    /// Cumulative wall time spent inside [`run_job`], summed over every
+    /// thread that ran jobs, the calling thread included.
     pub jobs_busy_s: f64,
     /// Wall span from the start of the job phase to the completion of the
     /// last job. Inline mode: equals `jobs_busy_s` (jobs alternate with
@@ -354,7 +376,8 @@ pub struct StreamTiming {
 /// (always 0 in inline mode). This is the streaming half of the
 /// deterministic merge: the consumer is the single-threaded in-order
 /// merge, and it runs on the *calling* thread (so non-`Send` observers
-/// work), overlapped with the workers still compiling later jobs.
+/// work), overlapped with the workers still compiling later jobs. Between
+/// hand-offs the calling thread compiles jobs too.
 ///
 /// `threads <= 1` (or a single job) degenerates to strict alternation on
 /// the calling thread: run job `i`, consume job `i`. Since jobs are pure
@@ -389,24 +412,28 @@ where
 /// `0..n` and hands each value to `consume(i, value, in_flight)` in index
 /// order on the calling thread.
 ///
-/// Pooled, `threads.min(n)` scoped workers claim indices from one cursor
-/// and publish into a [`SlotTable`]. A worker that unwinds cancels the
-/// table and exhausts the cursor, so the consumer and its siblings stop
-/// and the call re-raises that worker's panic.
+/// Pooled, `threads.min(n)` threads claim indices from one cursor and
+/// publish into a [`SlotTable`]: `threads.min(n) − 1` scoped workers and
+/// the calling thread. The calling thread takes slot `next` if it has
+/// landed, else runs the next job from the cursor, and blocks on slot
+/// `next` only once the cursor is spent. A thread that unwinds cancels the
+/// table and exhausts the cursor, so the others stop and the call re-raises
+/// that thread's panic.
 ///
-/// The call's [`IdleCores`] ledger, entered on every worker and the calling
-/// thread, starts with the cores no worker was spawned for. A worker whose
-/// claim passes the end offers its core there, except the last, whose core
-/// the consumer (and its capped re-schedules) takes over.
+/// The call's [`IdleCores`] ledger, entered on every thread of the call,
+/// starts with the cores no thread runs on. A worker whose claim passes the
+/// end offers its core there. The calling thread offers its core while it
+/// blocks and reclaims it when its slot lands, even if an iteration still
+/// holds it: that loan ends with the iteration.
 fn run_indexed<T, J, C>(n: usize, threads: usize, job: J, mut consume: C) -> StreamTiming
 where
     T: Send,
     J: Fn(usize) -> T + Sync,
     C: FnMut(usize, T, usize),
 {
-    let workers = threads.min(n);
-    let idle = IdleCores::new(threads - workers);
-    if threads <= 1 || n <= 1 {
+    let pool = threads.min(n);
+    let idle = IdleCores::new(threads - pool);
+    if pool <= 1 {
         let mut busy = 0.0;
         idle.enter(|| {
             for i in 0..n {
@@ -426,45 +453,59 @@ where
     let table = SlotTable::new(n);
     let cursor = AtomicUsize::new(0);
     let remaining = AtomicUsize::new(n);
-    let working = AtomicUsize::new(workers);
     // Statistics only: read after the scope has joined every writer.
     let busy_ns = AtomicU64::new(0);
     let span_ns = AtomicU64::new(0);
+    // Claims the next index, runs it and publishes it; `false` once the
+    // cursor is spent.
+    let run_next = || {
+        let i = cursor.fetch_add(1, Ordering::SeqCst);
+        if i >= n {
+            return false;
+        }
+        let t = Instant::now();
+        let value = job(i);
+        busy_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        // Counted before it is published, so the hand-off of the last slot
+        // always reads 0 in flight.
+        if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+            span_ns.store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        }
+        table.publish(i, value);
+        true
+    };
+    let stop_on_unwind = || StopOnUnwind {
+        table: &table,
+        cursor: &cursor,
+        end: n,
+    };
     thread::scope(|s| {
         let worker = || {
-            let _stop = StopOnUnwind {
-                table: &table,
-                cursor: &cursor,
-                end: n,
-            };
-            idle.enter(|| loop {
-                let i = cursor.fetch_add(1, Ordering::SeqCst);
-                if i >= n {
-                    if working.fetch_sub(1, Ordering::SeqCst) > 1 {
-                        idle.offer();
-                    }
-                    break;
-                }
-                let t = Instant::now();
-                let value = job(i);
-                busy_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                // Counted before it is published, so the hand-off of the
-                // last slot always reads 0 in flight.
-                if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    span_ns.store(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
-                table.publish(i, value);
-            })
+            let _stop = stop_on_unwind();
+            idle.enter(|| while run_next() {});
+            idle.offer();
         };
-        let workers: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
-        // The in-order consumer, on the calling thread: take slot `i` the
-        // moment it lands, while workers keep compiling ahead.
+        let workers: Vec<_> = (1..pool).map(|_| s.spawn(worker)).collect();
+        // The in-order consumer, on the calling thread: take slot `next` once
+        // it has landed, and compile ahead while it has not.
+        let _stop = stop_on_unwind();
         idle.enter(|| {
-            for i in 0..n {
-                let Some(value) = table.wait_take(i) else {
+            for next in 0..n {
+                let value = loop {
+                    if let Some(value) = table.try_take(next) {
+                        break Some(value);
+                    }
+                    if !run_next() {
+                        idle.offer();
+                        let value = table.wait_take(next);
+                        idle.reclaim();
+                        break value;
+                    }
+                };
+                let Some(value) = value else {
                     break;
                 };
-                consume(i, value, remaining.load(Ordering::SeqCst));
+                consume(next, value, remaining.load(Ordering::SeqCst));
             }
         });
         for w in workers {
@@ -480,8 +521,9 @@ where
     }
 }
 
-/// Held by a pool worker for its whole life: if the worker unwinds, no
-/// further index is handed out and the consumer is released.
+/// Held by every thread of a pool for its whole part in the call: if the
+/// thread unwinds, no further index is handed out and the consumer is
+/// released.
 struct StopOnUnwind<'a, T> {
     table: &'a SlotTable<T>,
     cursor: &'a AtomicUsize,
@@ -500,6 +542,7 @@ impl<T> Drop for StopOnUnwind<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::mpsc;
     use std::time::Duration;
     use workloads::SuiteConfig;
@@ -565,6 +608,163 @@ mod tests {
             assert!(message.contains("job five is broken"), "{message}");
             assert!(consumed <= 5, "slot 5 was never published");
         }
+    }
+
+    /// A panic on the calling thread, in a job it runs or in the merge, stops
+    /// the call as promptly as a job that panics on a worker: the calling
+    /// thread holds the same guard, so the cursor is exhausted and the worker
+    /// finishes only the job in hand — draining it would take about ten
+    /// seconds here.
+    #[test]
+    fn a_panic_on_the_calling_thread_fails_the_call_promptly() {
+        for in_merge in [false, true] {
+            let (tx, rx) = mpsc::channel();
+            thread::spawn(move || {
+                let caller = thread::current().id();
+                let mut consumed = Vec::new();
+                let t = Instant::now();
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_indexed(
+                        2_000,
+                        2,
+                        |i| {
+                            let on_caller = thread::current().id() == caller;
+                            assert!(in_merge || !on_caller, "job {i} broke the caller");
+                            thread::sleep(Duration::from_millis(5));
+                        },
+                        |i, (), _| {
+                            assert!(!in_merge || i < 3, "slot {i}: the merge broke the caller");
+                            consumed.push(i);
+                        },
+                    )
+                }));
+                let _ = tx.send((result.map(|_| ()), consumed, t.elapsed()));
+            });
+            let (result, consumed, took) = rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a panic on the calling thread must fail the call");
+            let panic = result.expect_err("the calling thread's panic is re-raised");
+            let message = panic.downcast_ref::<String>().expect("assert message");
+            assert!(message.contains("broke the caller"), "{message}");
+            assert!(
+                took < Duration::from_secs(2),
+                "in_merge={in_merge}: {took:?}"
+            );
+            let prefix = if in_merge { 3 } else { consumed.len() };
+            assert!(consumed.iter().copied().eq(0..prefix), "{consumed:?}");
+        }
+    }
+
+    /// The pool is `threads` threads, the calling thread among them. Jobs on
+    /// the workers hold off until the calling thread has run one, which it
+    /// does because no slot can land before then.
+    #[test]
+    fn the_calling_thread_runs_jobs_and_the_pool_is_threads_threads() {
+        for threads in [2, 8] {
+            let caller = thread::current().id();
+            let caller_ran = AtomicBool::new(false);
+            // A caller that runs no job fails the test instead of hanging it.
+            let give_up = Instant::now() + Duration::from_secs(10);
+            let ran = Mutex::new(std::collections::HashSet::new());
+            run_indexed(
+                64,
+                threads,
+                |_| {
+                    let on = thread::current().id();
+                    ran.lock().unwrap().insert(on);
+                    if on == caller {
+                        caller_ran.store(true, Ordering::SeqCst);
+                    }
+                    while !caller_ran.load(Ordering::SeqCst) && Instant::now() < give_up {
+                        thread::yield_now();
+                    }
+                },
+                |_, (), _| {},
+            );
+            let ran = ran.into_inner().unwrap();
+            assert!(
+                ran.contains(&caller),
+                "threads={threads}: the caller ran no job"
+            );
+            assert!(
+                ran.len() <= threads,
+                "threads={threads}: {} threads",
+                ran.len()
+            );
+        }
+    }
+
+    /// One `run_indexed` call with seeded job and consume durations
+    /// (0–200 µs, spinning or yielding) on a helper thread: it must return
+    /// within `limit`, having consumed every index once and in order. A lost
+    /// wake-up shows as a time-out.
+    fn stress_once(n: usize, threads: usize, seed: u64, limit: Duration) {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let mut seen = Vec::with_capacity(n);
+            run_indexed(
+                n,
+                threads,
+                |i| {
+                    pause(seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                    i
+                },
+                |i, value, _| {
+                    assert_eq!(i, value);
+                    pause(seed.rotate_left(17) ^ i as u64);
+                    seen.push(i);
+                },
+            );
+            let _ = tx.send(seen);
+        });
+        let seen = rx.recv_timeout(limit).unwrap_or_else(|_| {
+            panic!("n={n} threads={threads} seed={seed}: the call hung past {limit:?}")
+        });
+        assert!(
+            seen.iter().copied().eq(0..n),
+            "n={n} threads={threads} seed={seed}"
+        );
+    }
+
+    /// Waits 0–200 µs drawn from `key` (splitmix64), half the time spinning
+    /// and half yielding.
+    fn pause(key: u64) {
+        let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        let wait = Duration::from_micros(z % 201);
+        let t = Instant::now();
+        while t.elapsed() < wait {
+            if z & (1 << 40) == 0 {
+                std::hint::spin_loop();
+            } else {
+                thread::yield_now();
+            }
+        }
+    }
+
+    fn stress(seeds: u64) {
+        for n in [2, 3, 64, 2_000] {
+            let rounds = if n == 2_000 { seeds } else { seeds * 20 };
+            for threads in [2, 3, 8] {
+                for seed in 0..rounds {
+                    stress_once(n, threads, seed, Duration::from_secs(20));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_wake_up_is_lost() {
+        stress(1);
+    }
+
+    /// The long run of [`no_wake_up_is_lost`] (`scripts/check.sh`).
+    #[test]
+    #[ignore]
+    fn no_wake_up_is_lost_long() {
+        stress(12);
     }
 
     /// Satellite 3 (determinism): with a *frozen* tuning store, tuned job

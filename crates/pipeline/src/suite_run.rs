@@ -294,10 +294,11 @@ where
 pub struct SuiteWallclock {
     /// Planning the job list.
     pub plan_s: f64,
-    /// The job phase (what `host_threads` parallelizes). On a worker pool
-    /// this is the wall span from phase start to the last job's
-    /// completion; inline (`host_threads <= 1`) it is the cumulative time
-    /// inside the jobs, excluding the interleaved merge work.
+    /// The job phase (what `host_threads` parallelizes). On a pool this is
+    /// the wall span from phase start to the last job's completion, which
+    /// covers the jobs the calling thread runs between merges; inline
+    /// (`host_threads <= 1`) it is the cumulative time inside the jobs,
+    /// excluding the interleaved merge work.
     pub jobs_s: f64,
     /// The deterministic merge's *busy* time: observer replay, kernel post
     /// filter, modeled time and throughput aggregation. With the streaming

@@ -10,7 +10,7 @@
 # and (unless --fast) the release build the tier-1 gate uses, the bench
 # binaries compiling, the full-corpus flat-IR differential test, the long
 # text-IR parser and record-format fuzz runs, the full lent-core equality
-# matrix, a truncated cache file that must be a positioned error, a CLI
+# matrix, the long host-pool lost-wake-up stress, a truncated cache file that must be a positioned error, a CLI
 # verify smoke run on generated regions, a `schedule --threads 1` vs
 # `--threads 2` byte comparison, a non-ASCII register token that
 # must be a diagnostic and not a panic, a `schedule` header with a bad
@@ -64,6 +64,11 @@ if [[ "${1:-}" != "--fast" ]]; then
     # Tier-1 runs tests/lending_exact.rs on short searches; this is the
     # cross product of region sizes, colony shapes and tuning toggles.
     cargo test --release -q --test lending_exact -- --ignored
+
+    echo "==> the host pool loses no wake-up: the long stress"
+    # Tier-1 runs host_pool's no_wake_up_is_lost once per shape; this is
+    # the same seeded job and merge durations over twelve times the seeds.
+    cargo test --release -q -p pipeline --lib no_wake_up_is_lost_long -- --ignored
 
     echo "==> gpu-aco-cli verify smoke run"
     smoke_dir="$(mktemp -d)"
