@@ -9,10 +9,12 @@
 //! exactly those inputs ([`sched_ir::ddg_content_fingerprint`] plus the
 //! scheduling-relevant configuration) and guards every hit twice:
 //!
-//! 1. **Full structural equality** — the entry stores its DDG and config;
-//!    a hit requires [`Ddg::content_eq`] and exact config/machine-model
-//!    equality, so a 64-bit collision can never smuggle in a wrong
-//!    schedule.
+//! 1. **Full structural equality** — the entry stores its config and its
+//!    region as a [`PackedDdg`]: one allocation holding what
+//!    [`Ddg::content_eq`] compares, plus the names a saved file prints. A
+//!    hit requires [`PackedDdg::matches`], which answers what `content_eq`
+//!    answers, and exact config/machine-model equality, so a 64-bit
+//!    collision can never smuggle in a wrong schedule.
 //! 2. **Re-certification** — the reused schedules are validated against
 //!    the *new* region instance (precedence/latency/single-issue via
 //!    [`sched_ir::Schedule::validate`], PRP recomputed from scratch,
@@ -99,7 +101,7 @@ use list_sched::{Heuristic, ScheduleResult};
 use machine_model::OccupancyModel;
 use reg_pressure::RegUniverse;
 use sched_ir::record::{self, flag, Line, Records};
-use sched_ir::{ddg_content_fingerprint, textir, Cycle, Ddg, Fnv64, InstrId, Schedule};
+use sched_ir::{ddg_content_fingerprint, textir, Cycle, Ddg, Fnv64, InstrId, PackedDdg, Schedule};
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, Write};
 use std::path::Path;
@@ -168,11 +170,14 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 enum Payload {
     /// One solo region compilation.
-    Solo { ddg: Ddg, comp: RegionCompilation },
+    Solo {
+        ddg: PackedDdg,
+        comp: RegionCompilation,
+    },
     /// One cooperative batch group: per-member compilations in group
-    /// order (member DDGs stored for the equality check).
+    /// order (member regions stored for the equality check).
     Group {
-        ddgs: Vec<Ddg>,
+        ddgs: Vec<PackedDdg>,
         comps: Vec<RegionCompilation>,
     },
 }
@@ -281,7 +286,10 @@ impl Default for ScheduleCache {
 }
 
 impl ScheduleCache {
-    /// Default entry capacity of [`ScheduleCache::new`].
+    /// Default entry capacity of [`ScheduleCache::new`]. A `BaseAmd` entry
+    /// for a 44-instruction region (the `frontend-large` mean) is about
+    /// 1.7 KB, of which about 840 bytes is its [`PackedDdg`], so a full
+    /// cache of such entries holds about 28 MB.
     pub const DEFAULT_CAPACITY: usize = 16 * 1024;
 
     /// An empty cache holding at most [`Self::DEFAULT_CAPACITY`] entries.
@@ -407,7 +415,7 @@ impl ScheduleCache {
         {
             if entry.inputs == inputs(cfg, occ)
                 && entry.warm_fp == warm_fp
-                && cached_ddg.content_eq(ddg)
+                && cached_ddg.matches(ddg)
                 && certify_hit(ddg, occ, comp)
             {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -466,7 +474,7 @@ impl ScheduleCache {
                     && ddgs
                         .iter()
                         .zip(&members)
-                        .all(|(cached, new)| cached.content_eq(new))
+                        .all(|(cached, new)| cached.matches(new))
                     && comps
                         .iter()
                         .zip(&members)
@@ -489,7 +497,7 @@ impl ScheduleCache {
                 warm_fp: None,
                 stamp: AtomicU64::new(0),
                 payload: Payload::Group {
-                    ddgs: members.into_iter().cloned().collect(),
+                    ddgs: members.into_iter().map(PackedDdg::new).collect(),
                     comps: outcomes.iter().map(|(_, _, c)| c.clone()).collect(),
                 },
             },
@@ -521,7 +529,7 @@ impl ScheduleCache {
             };
             writeln!(out, "key {key:#018x}")?;
             write_cfg_line(out, &entry)?;
-            let text = textir::to_text(ddg);
+            let text = textir::to_text(&ddg.unpack());
             writeln!(out, "ddg {}", text.lines().count())?;
             out.write_all(text.as_bytes())?;
             write_comp(out, comp)?;
@@ -584,7 +592,10 @@ impl ScheduleCache {
                     inputs,
                     warm_fp: None,
                     stamp: AtomicU64::new(0),
-                    payload: Payload::Solo { ddg, comp },
+                    payload: Payload::Solo {
+                        ddg: PackedDdg::new(&ddg),
+                        comp,
+                    },
                 },
             );
         }
@@ -625,7 +636,7 @@ fn solo_entry_warm(
         warm_fp,
         stamp: AtomicU64::new(0),
         payload: Payload::Solo {
-            ddg: ddg.clone(),
+            ddg: PackedDdg::new(ddg),
             comp: comp.clone(),
         },
     }
@@ -1763,6 +1774,68 @@ mod tests {
         assert!(comps_eq(&fresh, &cache.compile_solo(&ddg, &occ, &c)));
         assert_eq!(cache.stats().since(before).bypasses, 1);
         assert!(cache.lookup_solo(&ddg, &occ, &c).is_some(), "healed");
+    }
+
+    /// A panic while a shard's write guard is held poisons that lock. Here
+    /// it strikes mid-insert: an entry is in the map, the eviction that
+    /// would restore the cap has not run. The cache keeps serving the
+    /// shard: the entry inserted before the panic still hits, an insert
+    /// evicts back down to the cap, and `len` and saving read through the
+    /// poison.
+    #[test]
+    fn a_shard_poisoned_mid_insert_keeps_serving() {
+        let occ = machine_model::OccupancyModel::vega_like();
+        let c = cfg(SchedulerKind::BaseAmd);
+        let cache = ScheduleCache::with_capacity(SHARD_COUNT); // one per shard
+        let before = sample_ddg(41);
+        let fresh = cache.compile_solo(&before, &occ, &c);
+        let key = solo_key(&before, &occ, &c);
+        let shard = cache.shard(key);
+        let stray = sample_ddg(42);
+        let stray_entry = solo_entry(&stray, &occ, &c, &compile_region(&stray, &occ, &c));
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut map = shard.map.write().unwrap();
+                // Same high bits, so the same shard: the cap is now exceeded.
+                map.insert(key ^ 1, Arc::new(stray_entry));
+                panic!("injected panic mid-insert");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && shard.map.is_poisoned());
+        assert_eq!(cache.len(), 2, "the half-done insert is visible");
+
+        let hit = cache
+            .lookup_solo(&before, &occ, &c)
+            .expect("stored before the panic");
+        assert!(comps_eq(&fresh, &hit));
+        assert!(comps_eq(&fresh, &cache.compile_solo(&before, &occ, &c)));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (2, 1));
+
+        // A region of the poisoned shard: its insert evicts both stalest.
+        let other = (100..)
+            .map(sample_ddg)
+            .find(|d| {
+                let k = solo_key(d, &occ, &c);
+                k != key && std::ptr::eq(cache.shard(k), shard)
+            })
+            .expect("some region keys into the shard");
+        let compiled = cache.compile_solo(&other, &occ, &c);
+        assert!(comps_eq(&compile_region(&other, &occ, &c), &compiled));
+        assert_eq!((cache.stats().inserts, cache.stats().evictions), (2, 2));
+        assert_eq!(cache.len(), 1);
+        assert!(cache.lookup_solo(&other, &occ, &c).is_some());
+
+        let mut saved = Vec::new();
+        cache
+            .save_to_writer(&mut saved)
+            .expect("saving reads through the poison");
+        let loaded = ScheduleCache::load_from_reader(&saved[..]).expect("a saved cache loads");
+        assert_eq!(loaded.len(), 1);
+        assert!(comps_eq(
+            &compiled,
+            &loaded.lookup_solo(&other, &occ, &c).unwrap()
+        ));
     }
 
     /// Concurrent readers and writers on the sharded store, unbounded and

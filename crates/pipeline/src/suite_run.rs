@@ -243,6 +243,12 @@ where
     let job_store = tune.cloned();
     let mut merger = SuiteMerger::new(suite, occ, cfg, &jobs, cache, tune, observe);
     let (mut merge_s, mut merge_overlap_s) = (0.0, 0.0);
+    // The last consume call handed off while jobs were in flight, as
+    // seconds since `phase`: the one call that can outlast the job phase.
+    // The pool's span clock starts a moment after `phase`, which can only
+    // shave that moment off the overlap, never add to it.
+    let mut last_overlapped = (0.0, 0.0);
+    let phase = Instant::now();
     let timing = run_jobs_streaming(
         suite,
         occ,
@@ -258,9 +264,12 @@ where
             merge_s += d;
             if in_flight > 0 {
                 merge_overlap_s += d;
+                let at = t.duration_since(phase).as_secs_f64();
+                last_overlapped = (at, at + d);
             }
         },
     );
+    let merge_overlap_s = overlap_within_jobs(merge_overlap_s, last_overlapped, timing.jobs_span_s);
     let t_finish = Instant::now();
     let mut run = merger.finish();
     merge_s += t_finish.elapsed().as_secs_f64();
@@ -286,6 +295,16 @@ where
     (run, wall)
 }
 
+/// The merge time that ran while jobs were in flight: `overlapped_s`, the
+/// full length of every consume call handed off before the last job
+/// finished, less the part of the last such call (`last`, start and end)
+/// that ran after the job phase ended at `jobs_end`. Consume calls run one
+/// after another on one thread, so only that call can straddle the end.
+/// All times are seconds on one clock.
+fn overlap_within_jobs(overlapped_s: f64, last: (f64, f64), jobs_end: f64) -> f64 {
+    overlapped_s - (last.1 - last.0.max(jobs_end)).max(0.0)
+}
+
 /// Host wall-clock breakdown of one [`compile_suite_timed`] call, seconds.
 /// These are *measured host* times — unrelated to the modeled GPU
 /// microseconds inside [`SuiteRun`] (see DESIGN.md on the two time
@@ -306,7 +325,9 @@ pub struct SuiteWallclock {
     /// `merge_overlap_s`.
     pub merge_s: f64,
     /// The portion of `merge_s` that ran while jobs were still in flight
-    /// on the pool — merge work hidden inside the job phase. Zero when
+    /// on the pool — merge work hidden inside the job phase. A consume
+    /// call that outlasts the last job counts only up to the job span's
+    /// end; the rest of it is tail. Zero when
     /// `host_threads <= 1` (nothing runs concurrently inline). The serial
     /// merge tail is `merge_s - merge_overlap_s`, and
     /// `total_s < jobs_s + merge_s` exactly when overlap is non-zero.
@@ -989,5 +1010,28 @@ mod tests {
             adoptions > 0,
             "no capped re-schedule was adopted; the accounting fix is untested"
         );
+    }
+
+    /// A synthetic timeline: the last job ends at 10 s. Consume calls at
+    /// [1, 2] and [3, 4] run beside jobs; [9, 12] straddles the end, so
+    /// only its first second is hidden; [12, 13] is handed off after the
+    /// end and counted as tail by the caller.
+    #[test]
+    fn a_consume_call_that_outlasts_the_jobs_counts_only_its_overlapped_part() {
+        let calls = [(1.0, 2.0, true), (3.0, 4.0, true), (9.0, 12.0, true)];
+        let tail = (12.0, 13.0, false);
+        let (mut overlapped, mut last) = (0.0, (0.0, 0.0));
+        for (start, end, in_flight) in calls.into_iter().chain([tail]) {
+            if in_flight {
+                overlapped += end - start;
+                last = (start, end);
+            }
+        }
+        assert_eq!(overlapped, 5.0, "the old count: every call in full");
+        assert_eq!(overlap_within_jobs(overlapped, last, 10.0), 3.0);
+        // A last call that ends before the jobs do keeps all of itself; so
+        // does a run with no overlapped call at all.
+        assert_eq!(overlap_within_jobs(5.0, (9.0, 12.0), 12.5), 5.0);
+        assert_eq!(overlap_within_jobs(0.0, (0.0, 0.0), 10.0), 0.0);
     }
 }

@@ -9,7 +9,7 @@
 # vendored stand-in crate, all workspace tests green,
 # and (unless --fast) the release build the tier-1 gate uses, the bench
 # binaries compiling, the full-corpus flat-IR differential test, the long
-# text-IR parser and record-format fuzz runs, the full lent-core equality
+# text-IR parser, record-format and packed-region fuzz runs, the full lent-core equality
 # matrix, the long host-pool lost-wake-up stress, a truncated cache file that must be a positioned error, a CLI
 # verify smoke run on generated regions, a `schedule --threads 1` vs
 # `--threads 2` byte comparison, a non-ASCII register token that
@@ -59,6 +59,11 @@ if [[ "${1:-}" != "--fast" ]]; then
     # Tier-1 runs a few thousand cases of tests/record_fuzz.rs (schedcache,
     # schedtune, serve framing); this is the long run.
     cargo test --release -q --test record_fuzz -- --ignored
+
+    echo "==> a packed cached region answers as content_eq does: 60k cases"
+    # Tier-1 runs 300 cases of tests/packed_ddg_fuzz.rs (random regions,
+    # mutants, name/latency/edge-order near misses); this is the long run.
+    cargo test --release -q --test packed_ddg_fuzz -- --ignored
 
     echo "==> lent idle cores never change a bit: the full matrix"
     # Tier-1 runs tests/lending_exact.rs on short searches; this is the

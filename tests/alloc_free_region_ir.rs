@@ -7,6 +7,9 @@
 //! `alloc_free_tracker.rs`: there the hot loop sees zero events, here the
 //! front door sees a constant.
 //!
+//! The schedule cache's `PackedDdg` is held to one block per region and
+//! none per comparison.
+//!
 //! Also here because it is about what the flat layout must not move: a
 //! `schedcache v1` file written by the commit before the flat IR still
 //! loads, saves back byte for byte, and answers every region it holds.
@@ -18,7 +21,7 @@ use std::process::Command;
 
 use gpu_aco::bench_workloads::{mutate, patterns};
 use gpu_aco::compile::ScheduleCache;
-use gpu_aco::ir::{textir, Ddg};
+use gpu_aco::ir::{textir, Ddg, PackedDdg};
 
 /// What one thread asked of the allocator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -170,6 +173,23 @@ fn a_region_is_a_constant_number_of_allocations_at_any_size() {
         DDG_BUFFERS,
         "only the region survives: {small:?}"
     );
+}
+
+/// The schedule cache's copy of a region is one allocation at any size,
+/// and its equality gate allocates nothing, on a match or a mismatch.
+#[test]
+fn a_packed_region_is_one_allocation_and_matching_it_allocates_nothing() {
+    for target in [20, 400] {
+        let ddg = patterns::sized(target, 5);
+        let other = mutate::with_orphan_node(&ddg).0;
+        let (packed, pack) = measure(|| PackedDdg::new(&ddg));
+        assert_eq!(events(pack), [1, 0, 0], "{target}: one block");
+        let (answers, matching) = measure(|| (packed.matches(&ddg), packed.matches(&other)));
+        assert_eq!(answers, (true, false));
+        assert_eq!(events(matching), [0, 0, 0], "{target}: matching allocates");
+        let ((), dropped) = measure(move || drop(packed));
+        assert_eq!(events(dropped), [0, 0, 1]);
+    }
 }
 
 #[test]
