@@ -258,15 +258,31 @@ pub struct OccupancyLut {
 }
 
 impl OccupancyLut {
-    /// Tabulates the model. O(per-wave file sizes); build once per region.
+    /// Tabulates the model. O(per-wave file sizes) with one division per
+    /// allocation granule and one band inversion per occupancy value.
     pub fn new(model: &OccupancyModel) -> OccupancyLut {
         let table = |c: RegClass| {
-            let len = model.files[c.index()].per_wave_max as usize + 1;
-            let mut occ = Vec::with_capacity(len);
+            let file = &model.files[c.index()];
+            let len = file.per_wave_max as usize + 1;
+            let mut occ: Vec<Waves> = Vec::with_capacity(len);
             let mut aprp = Vec::with_capacity(len);
+            // (occupancy, its band maximum) of the previous PRP.
+            let mut band: Option<(Waves, Option<u32>)> = None;
             for prp in 0..len as u32 {
-                occ.push(model.class_occupancy(c, prp));
-                aprp.push(model.aprp(c, prp));
+                // Occupancy is a function of the allocation, which only
+                // changes on the first PRP of a granule (`1`, `1 + g`, ...).
+                let o = match occ.last() {
+                    Some(&o) if prp > 1 && (prp - 1) % file.granule != 0 => o,
+                    _ => file.occupancy(prp, model.max_waves),
+                };
+                // `aprp` is `max_prp_for_occupancy` of the occupancy.
+                let max = match band {
+                    Some((b, max)) if b == o => max,
+                    _ => model.max_prp_for_occupancy(c, o),
+                };
+                band = Some((o, max));
+                occ.push(o);
+                aprp.push(max.unwrap_or(prp));
             }
             (occ, aprp)
         };
@@ -433,6 +449,57 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Holds every query of `OccupancyLut::new(m)` to `m`, a few PRPs past
+    /// each per-wave maximum.
+    fn assert_lut_matches(m: &OccupancyModel) {
+        let lut = OccupancyLut::new(m);
+        let past = |c: RegClass| m.files[c.index()].per_wave_max + 3;
+        for c in RegClass::ALL {
+            for prp in 0..=past(c) {
+                assert_eq!(
+                    (lut.class_occupancy(c, prp), lut.aprp(c, prp)),
+                    (m.class_occupancy(c, prp), m.aprp(c, prp)),
+                    "{m:?}: {c} at {prp}"
+                );
+            }
+        }
+        let steps = |c: RegClass| (past(c) / 12).max(1) as usize;
+        for p0 in (0..=past(RegClass::Vgpr)).step_by(steps(RegClass::Vgpr)) {
+            for p1 in (0..=past(RegClass::Sgpr)).step_by(steps(RegClass::Sgpr)) {
+                assert_eq!(lut.occupancy([p0, p1]), m.occupancy([p0, p1]), "{m:?}");
+                assert_eq!(lut.rp_cost([p0, p1]), m.rp_cost([p0, p1]), "{m:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "long: run with --release -- --ignored (scripts/check.sh does)"]
+    fn lut_matches_model_on_a_parameter_grid() {
+        let mut models = 0;
+        for granule in 1..=16u32 {
+            // Budgets below, at and past the granule; per-wave maxima on
+            // and off a multiple of it.
+            let budgets = [0, granule - 1, granule, 3 * granule + 1, 64, 257, 800];
+            let maxima = [1, granule, granule + 1, 5 * granule + 3, 102, 256];
+            for budget in budgets {
+                for per_wave_max in maxima {
+                    for max_waves in 1..=20 {
+                        // The SGPR file takes other parameters, so the two
+                        // tables differ.
+                        assert_lut_matches(&OccupancyModel::custom(
+                            [budget, budget / 2 + 7],
+                            [granule, 17 - granule],
+                            [per_wave_max, per_wave_max / 3 + 1],
+                            max_waves,
+                        ));
+                        models += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(models, 16 * 7 * 6 * 20);
     }
 
     #[test]

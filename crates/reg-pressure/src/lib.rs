@@ -246,14 +246,14 @@ impl RegUniverse {
                           remaining: &mut Vec<u32>,
                           live: &mut Vec<bool>|
          -> RegIdx {
-            let table = &mut lookup[r.class.index()];
-            let i = r.id as usize;
+            let table = &mut lookup[r.class().index()];
+            let i = r.id() as usize;
             if table.len() <= i {
                 table.resize(i + 1, u32::MAX);
             }
             if table[i] == u32::MAX {
                 table[i] = class.len() as u32;
-                class.push(r.class);
+                class.push(r.class());
                 remaining.push(0);
                 live.push(true);
             }
@@ -623,6 +623,27 @@ mod tests {
         // C, D, F closes r3/r4 at the third step (paper's Ant-2 order).
         let order = [ids.c, ids.d, ids.f, ids.a, ids.b, ids.e, ids.g];
         assert_eq!(prp_of_order(&ddg, &order)[V], 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the maximum 1048575")]
+    fn an_api_built_region_cannot_name_an_id_past_the_limit() {
+        // The id that used to make `RegUniverse::new` ask for 2^32 table
+        // entries: the register itself is refused, before any table exists.
+        let mut b = DdgBuilder::new();
+        b.instr("def", [Reg::vgpr(u32::MAX)], []);
+        RegUniverse::new(&b.build().unwrap());
+    }
+
+    #[test]
+    fn the_largest_id_interns_like_any_other() {
+        let mut b = DdgBuilder::new();
+        let d = b.instr("def", [Reg::vgpr(sched_ir::MAX_REG_ID)], []);
+        let u = b.instr("use", [], [Reg::vgpr(sched_ir::MAX_REG_ID), Reg::sgpr(0)]);
+        b.edge(d, u, 1).unwrap();
+        let universe = RegUniverse::new(&b.build().unwrap());
+        assert_eq!(universe.reg_count(), 2);
+        assert_eq!(universe.live_in(), [0, 1]);
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub(crate) fn pressure_lower_bound(g: &RegionGraph, reach: &BitMatrix) -> [u32; 
     let mut live_out = [0u32; REG_CLASS_COUNT];
     for (r, (defs, uses)) in &regs {
         if defs.len() == 1 && uses.is_empty() {
-            live_out[r.class.index()] += 1;
+            live_out[r.class().index()] += 1;
         }
     }
     let mut bound = live_out;
@@ -90,7 +90,7 @@ pub(crate) fn pressure_lower_bound(g: &RegionGraph, reach: &BitMatrix) -> [u32; 
                 _ => false, // multiple defs: skipped for soundness
             };
             if live {
-                cut[r.class.index()] += 1;
+                cut[r.class().index()] += 1;
             }
         }
         for c in 0..REG_CLASS_COUNT {

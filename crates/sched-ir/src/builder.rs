@@ -1,7 +1,7 @@
 //! Construction and validation of [`Ddg`]s.
 
 use crate::ddg::Ddg;
-use crate::instr::{InstrId, InstrTable, Reg};
+use crate::instr::{InstrId, InstrTable, Reg, TableBuilder};
 use std::error::Error;
 use std::fmt;
 
@@ -45,7 +45,7 @@ impl Error for DdgError {}
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct DdgBuilder {
-    pub(crate) instrs: InstrTable,
+    pub(crate) instrs: TableBuilder,
     pub(crate) edges: Vec<(InstrId, InstrId, u16)>,
 }
 
@@ -77,15 +77,7 @@ impl DdgBuilder {
     /// Returns [`DdgError::UnknownInstr`] if either endpoint has not been
     /// added, or [`DdgError::SelfEdge`] for an `x -> x` edge.
     pub fn edge(&mut self, from: InstrId, to: InstrId, latency: u16) -> Result<(), DdgError> {
-        let n = self.instrs.len() as u32;
-        for &id in &[from, to] {
-            if id.0 >= n {
-                return Err(DdgError::UnknownInstr(id));
-            }
-        }
-        if from == to {
-            return Err(DdgError::SelfEdge(from));
-        }
+        check_edge(self.instrs.len(), from, to)?;
         self.edges.push((from, to, latency));
         Ok(())
     }
@@ -97,7 +89,7 @@ impl DdgBuilder {
 
     /// Whether no instruction has been added yet.
     pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
+        self.instrs.len() == 0
     }
 
     /// Validates the graph and produces an immutable, exact-fit [`Ddg`].
@@ -111,71 +103,98 @@ impl DdgBuilder {
     ///
     /// Returns [`DdgError::Cyclic`] if the edges admit no topological order.
     pub fn build(self) -> Result<Ddg, DdgError> {
-        const MERGED: InstrId = InstrId(u32::MAX);
-        let (mut instrs, mut edges) = (self.instrs, self.edges);
-        let n = instrs.len();
-        let (mut succ_off, mut by_from) = csr_rows(n, &edges, |e| e.0 .0);
-        // Per node: first the edge of the current row that first reached it
-        // (a mark counts only if this row set it), then Kahn's in-degree.
-        let mut scratch = vec![u32::MAX; n];
-        let added = edges.len();
-        for (from, row) in succ_off.windows(2).enumerate() {
-            for &e in &by_from[row[0] as usize..row[1] as usize] {
-                let (_, to, latency) = edges[e as usize];
-                match edges.get_mut(scratch[to.index()] as usize) {
-                    Some(first) if first.0.index() == from => {
-                        first.2 = first.2.max(latency);
-                        edges[e as usize].0 = MERGED;
-                    }
-                    _ => scratch[to.index()] = e,
-                }
-            }
-        }
-        edges.retain(|e| e.0 != MERGED);
-        if edges.len() != added {
-            (succ_off, by_from) = csr_rows(n, &edges, |e| e.0 .0);
-        }
-        let (pred_off, by_to) = csr_rows(n, &edges, |e| e.1 .0);
-        let edge = |&e: &u32| edges[e as usize];
-        let succ_edges: Vec<_> = by_from.iter().map(|e| (edge(e).1, edge(e).2)).collect();
-        let pred_edges: Vec<_> = by_to.iter().map(|e| (edge(e).0, edge(e).2)).collect();
-        let pred_counts: Vec<u32> = pred_off.windows(2).map(|w| w[1] - w[0]).collect();
-
-        // Kahn's algorithm, FIFO by id: every node enters `topo` once, so it is
-        // its own queue; the zero-indegree prefix is the root set, in id order.
-        let mut indeg = scratch;
-        indeg.copy_from_slice(&pred_counts);
-        let mut topo = Vec::with_capacity(n);
-        topo.extend((0..n as u32).map(InstrId).filter(|i| indeg[i.index()] == 0));
-        let roots = topo.clone();
-        let mut head = 0;
-        while let Some(&id) = topo.get(head) {
-            head += 1;
-            let row = succ_off[id.index()] as usize..succ_off[id.index() + 1] as usize;
-            for &(s, _) in &succ_edges[row] {
-                indeg[s.index()] -= 1;
-                if indeg[s.index()] == 0 {
-                    topo.push(s);
-                }
-            }
-        }
-        if topo.len() != n {
-            return Err(DdgError::Cyclic);
-        }
-        instrs.names.shrink_to_fit();
-        instrs.regs.shrink_to_fit();
-        instrs.ends.shrink_to_fit();
-        Ok(Ddg {
-            instrs,
-            succ_off,
-            succ_edges,
-            pred_off,
-            pred_edges,
-            pred_counts,
-            topo,
-            roots,
-        })
+        build(self.instrs.finish(), self.edges)
     }
+}
+
+/// Whether [`DdgBuilder::edge`] takes the edge `from -> to` in a region of
+/// `n` instructions.
+pub(crate) fn check_edge(n: usize, from: InstrId, to: InstrId) -> Result<(), DdgError> {
+    if let Some(&id) = [from, to].iter().find(|id| id.index() >= n) {
+        return Err(DdgError::UnknownInstr(id));
+    }
+    if from == to {
+        return Err(DdgError::SelfEdge(from));
+    }
+    Ok(())
+}
+
+/// [`DdgBuilder::build`] over a finished table and edges that passed
+/// [`check_edge`]. Writes each of the [`Ddg`]'s own three blocks once, at
+/// its exact size.
+pub(crate) fn build(
+    instrs: InstrTable,
+    mut edges: Vec<(InstrId, InstrId, u16)>,
+) -> Result<Ddg, DdgError> {
+    const MERGED: InstrId = InstrId(u32::MAX);
+    let n = instrs.len();
+    let (mut succ_off, mut by_from) = csr_rows(n, &edges, |e| e.0 .0);
+    // Per node: first the edge of the current row that first reached it
+    // (a mark counts only if this row set it), then Kahn's in-degree.
+    let mut scratch = vec![u32::MAX; n];
+    let added = edges.len();
+    for (from, row) in succ_off.windows(2).enumerate() {
+        for &e in &by_from[row[0] as usize..row[1] as usize] {
+            let (_, to, latency) = edges[e as usize];
+            match edges.get_mut(scratch[to.index()] as usize) {
+                Some(first) if first.0.index() == from => {
+                    first.2 = first.2.max(latency);
+                    edges[e as usize].0 = MERGED;
+                }
+                _ => scratch[to.index()] = e,
+            }
+        }
+    }
+    edges.retain(|e| e.0 != MERGED);
+    if edges.len() != added {
+        (succ_off, by_from) = csr_rows(n, &edges, |e| e.0 .0);
+    }
+    let (pred_off, by_to) = csr_rows(n, &edges, |e| e.1 .0);
+    // Predecessor rows follow the successor rows in the one edge block.
+    assert!(
+        2 * edges.len() <= u32::MAX as usize,
+        "region IR offsets fit u32"
+    );
+    let bias = edges.len() as u32;
+    let mut offsets = Vec::with_capacity(3 * n + 2);
+    offsets.extend_from_slice(&succ_off);
+    offsets.extend(pred_off.iter().map(|&o| o + bias));
+    offsets.extend(pred_off.windows(2).map(|w| w[1] - w[0]));
+    let edge = |&e: &u32| edges[e as usize];
+    let mut flat = Vec::with_capacity(2 * edges.len());
+    flat.extend(by_from.iter().map(|e| (edge(e).1, edge(e).2)));
+    flat.extend(by_to.iter().map(|e| (edge(e).0, edge(e).2)));
+    let pred_counts = &offsets[2 * n + 2..];
+
+    // Kahn's algorithm, FIFO by id: every node enters the order once, so it
+    // is its own queue; the zero-indegree prefix is the root set, in id
+    // order, copied behind the order once it is complete.
+    let mut indeg = scratch;
+    indeg.copy_from_slice(pred_counts);
+    let roots = pred_counts.iter().filter(|&&c| c == 0).count();
+    let mut order = Vec::with_capacity(n + roots);
+    order.extend((0..n as u32).map(InstrId).filter(|i| indeg[i.index()] == 0));
+    let mut head = 0;
+    while let Some(&id) = order.get(head) {
+        head += 1;
+        let row = succ_off[id.index()] as usize..succ_off[id.index() + 1] as usize;
+        for &(s, _) in &flat[row] {
+            indeg[s.index()] -= 1;
+            if indeg[s.index()] == 0 {
+                order.push(s);
+            }
+        }
+    }
+    if order.len() != n {
+        return Err(DdgError::Cyclic);
+    }
+    order.extend_from_within(..roots);
+    Ok(Ddg {
+        instrs,
+        offsets: offsets.into_boxed_slice(),
+        order: order.into_boxed_slice(),
+        edges: flat.into_boxed_slice(),
+    })
 }
 
 /// The workspace's one edge-list-to-CSR routine: a stable counting sort of

@@ -13,26 +13,28 @@ use crate::instr::{Instr, InstrId, InstrTable};
 /// node represents an instruction, an edge represents a dependency and an
 /// edge label represents a latency."
 ///
-/// A region of any size is ten exact-fit buffers: the [`InstrTable`]'s
-/// three, one CSR edge array with `n + 1` offsets per direction (so
-/// `succs(id)`/`preds(id)` are offset-pair slices), and the cached
-/// predecessor counts, topological order and roots. Per-list *stored
-/// order* is fixed by [`crate::DdgBuilder::build`]: `content_eq`, the
-/// content fingerprint, and ACO tie-breaking all depend on it.
+/// A region of any size is six exact-fit heap blocks: the
+/// [`InstrTable`]'s three, then one each for the offsets, the orders and
+/// the edges. `offsets` holds `n + 1` successor offsets into `edges`, then
+/// `n + 1` predecessor offsets (biased by the edge count, so they index
+/// `edges` too), then the `n` predecessor counts; `order` holds the
+/// topological order, then the roots; `edges` holds every successor row,
+/// then every predecessor row, as `(instruction, latency)` pairs. So
+/// `succs(id)`/`preds(id)` are offset-pair slices and every accessor is a
+/// slice of one block. Per-list *stored order* is fixed by
+/// [`crate::DdgBuilder::build`]: `content_eq`, the content fingerprint,
+/// and ACO tie-breaking all depend on it.
 #[derive(Debug, Clone)]
 pub struct Ddg {
     pub(crate) instrs: InstrTable,
-    pub(crate) succ_off: Vec<u32>,
-    pub(crate) succ_edges: Vec<(InstrId, u16)>,
-    pub(crate) pred_off: Vec<u32>,
-    pub(crate) pred_edges: Vec<(InstrId, u16)>,
-    pub(crate) pred_counts: Vec<u32>,
-    pub(crate) topo: Vec<InstrId>,
-    pub(crate) roots: Vec<InstrId>,
+    pub(crate) offsets: Box<[u32]>,
+    pub(crate) order: Box<[InstrId]>,
+    pub(crate) edges: Box<[(InstrId, u16)]>,
 }
 
 impl Ddg {
     /// Number of instructions in the region.
+    #[inline]
     pub fn len(&self) -> usize {
         self.instrs.len()
     }
@@ -59,22 +61,32 @@ impl Ddg {
     /// Successor edges of `id` as `(successor, latency)` pairs.
     #[inline]
     pub fn succs(&self, id: InstrId) -> &[(InstrId, u16)] {
-        let i = id.index();
-        &self.succ_edges[self.succ_off[i] as usize..self.succ_off[i + 1] as usize]
+        let (o, i) = (&self.offsets, id.index());
+        &self.edges[o[i] as usize..o[i + 1] as usize]
     }
 
     /// Predecessor edges of `id` as `(predecessor, latency)` pairs.
     #[inline]
     pub fn preds(&self, id: InstrId) -> &[(InstrId, u16)] {
-        let i = id.index();
-        &self.pred_edges[self.pred_off[i] as usize..self.pred_off[i + 1] as usize]
+        let (o, i) = (&self.offsets, self.len() + 1 + id.index());
+        &self.edges[o[i] as usize..o[i + 1] as usize]
     }
 
-    /// Number of dependence edges. Cached at build time (it is the length
-    /// of the flat CSR edge array), so calling this in a loop is free.
+    /// Number of dependence edges: half the edge block, so calling this
+    /// in a loop is free.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.succ_edges.len()
+        self.edges.len() / 2
+    }
+
+    /// The `n + 1` successor offsets into the edge block.
+    fn succ_off(&self) -> &[u32] {
+        &self.offsets[..=self.len()]
+    }
+
+    /// Every successor row, back to back.
+    fn succ_edges(&self) -> &[(InstrId, u16)] {
+        &self.edges[..self.edge_count()]
     }
 
     /// Predecessor count of every instruction, indexed by [`InstrId`].
@@ -84,7 +96,7 @@ impl Ddg {
     /// instead of a per-id `preds(id).len()` loop.
     #[inline]
     pub fn pred_counts(&self) -> &[u32] {
-        &self.pred_counts
+        &self.offsets[2 * self.len() + 2..]
     }
 
     /// Instructions with no predecessors (ready at cycle 0), in id order.
@@ -93,18 +105,19 @@ impl Ddg {
     /// from the roots, so deriving them would otherwise put a full preds
     /// scan on the colony's hottest path.
     pub fn roots(&self) -> impl Iterator<Item = InstrId> + '_ {
-        self.roots.iter().copied()
+        self.order[self.len()..].iter().copied()
     }
 
     /// Instructions with no successors.
     pub fn leaves(&self) -> impl Iterator<Item = InstrId> + '_ {
-        (0..self.len())
-            .filter_map(|i| (self.succ_off[i] == self.succ_off[i + 1]).then_some(InstrId(i as u32)))
+        let off = self.succ_off();
+        (0..self.len()).filter_map(|i| (off[i] == off[i + 1]).then_some(InstrId(i as u32)))
     }
 
     /// A topological order of the instructions (cached at build time).
+    #[inline]
     pub fn topo_order(&self) -> &[InstrId] {
-        &self.topo
+        &self.order[..self.len()]
     }
 
     /// Iterates over all instruction ids in index order.
@@ -130,8 +143,8 @@ impl Ddg {
         a.regs == b.regs
             && a.len() == b.len()
             && a.ends.iter().zip(&b.ends).all(|(x, y)| x[1..] == y[1..])
-            && self.succ_off == other.succ_off
-            && self.succ_edges == other.succ_edges
+            && self.succ_off() == other.succ_off()
+            && self.succ_edges() == other.succ_edges()
     }
 
     /// Computes the transitive closure of the dependence relation.
@@ -145,7 +158,7 @@ impl Ddg {
         let mut reach = BitMatrix::new(n);
         // Process in reverse topological order so each node's row already
         // contains its successors' full reachability when merged.
-        for &id in self.topo.iter().rev() {
+        for &id in self.topo_order().iter().rev() {
             for &(succ, _) in self.succs(id) {
                 reach.set(id.index(), succ.index());
                 reach.or_row_into(succ.index(), id.index());

@@ -24,7 +24,7 @@
 
 use crate::builder::DdgBuilder;
 use crate::ddg::Ddg;
-use crate::instr::{InstrId, Reg, RegClass};
+use crate::instr::{InstrId, Reg};
 
 /// 64-bit FNV-1a accumulator (offset basis / prime per the reference
 /// parameters). Words are folded in little-endian byte order.
@@ -80,13 +80,13 @@ pub fn ddg_content_fingerprint(ddg: &Ddg) -> u64 {
         h.word(id.0 as u64);
         h.word(i.defs().len() as u64);
         for r in i.defs() {
-            h.word(r.class.index() as u64);
-            h.word(r.id as u64);
+            h.word(r.class().index() as u64);
+            h.word(r.id() as u64);
         }
         h.word(i.uses().len() as u64);
         for r in i.uses() {
-            h.word(r.class.index() as u64);
-            h.word(r.id as u64);
+            h.word(r.class().index() as u64);
+            h.word(r.id() as u64);
         }
         let succs = ddg.succs(id);
         h.word(succs.len() as u64);
@@ -146,7 +146,7 @@ pub fn ddg_structure_fingerprint(ddg: &Ddg) -> u64 {
 /// (target, latency) in stored order. The instruction names follow, each
 /// as a length and its bytes, because a saved cache file prints them. At
 /// the `frontend-large` mean of 44 instructions that is about 19 bytes an
-/// instruction, where a `Ddg` clone is ten buffers and about 82.
+/// instruction, where a `Ddg` clone is six blocks and about 70.
 ///
 /// [`PackedDdg::matches`] answers what `content_eq` answers without
 /// allocating, and [`PackedDdg::unpack`] rebuilds a region that prints the
@@ -239,14 +239,14 @@ fn content_words(ddg: &Ddg, mut word: impl FnMut(u64) -> bool) -> bool {
         return false;
     }
     let mut start = 0;
-    for (i, ends) in t.ends.iter().enumerate() {
+    for (id, ends) in ddg.ids().zip(&t.ends) {
         let (defs_end, uses_end) = (ends[1] as usize, ends[2] as usize);
-        let succs = &ddg.succ_edges[ddg.succ_off[i] as usize..ddg.succ_off[i + 1] as usize];
+        let succs = ddg.succs(id);
         let row = word((defs_end - start) as u64)
             && word((uses_end - defs_end) as u64)
             && t.regs[start..uses_end]
                 .iter()
-                .all(|r| word(u64::from(r.id) << 1 | r.class.index() as u64))
+                .all(|r| word(u64::from(r.id()) << 1 | r.class().index() as u64))
             && word(succs.len() as u64)
             && succs
                 .iter()
@@ -260,9 +260,11 @@ fn content_words(ddg: &Ddg, mut word: impl FnMut(u64) -> bool) -> bool {
 }
 
 fn reg(w: u64) -> Reg {
-    Reg {
-        class: RegClass::ALL[(w & 1) as usize],
-        id: (w >> 1) as u32,
+    let id = (w >> 1) as u32;
+    if w & 1 == 0 {
+        Reg::vgpr(id)
+    } else {
+        Reg::sgpr(id)
     }
 }
 
@@ -452,7 +454,7 @@ mod tests {
         let renamed = chain(["load_dword", "v_add", "é"], 4);
         let slower = chain(["ld", "add", "st"], 5);
         let mut b = DdgBuilder::new();
-        let x = b.instr("", [Reg::sgpr(u32::MAX)], []);
+        let x = b.instr("", [Reg::sgpr(crate::MAX_REG_ID)], []);
         let y = b.instr("b", [Reg::vgpr(1)], [Reg::vgpr(0), Reg::sgpr(300)]);
         let z = b.instr("c", [], [Reg::vgpr(1)]);
         b.edge(x, z, u16::MAX).unwrap();

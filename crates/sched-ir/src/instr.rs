@@ -42,46 +42,94 @@ impl fmt::Display for RegClass {
     }
 }
 
-/// A virtual register: a class plus an id unique within the region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Reg {
-    /// Register class.
-    pub class: RegClass,
-    /// Id unique within the scheduling region (per class ids may overlap
-    /// across classes).
-    pub id: u32,
-}
+/// Largest register id a [`Reg`] holds. Every per-register table in the
+/// workspace is dense in the id ([`RegTable`], the pressure tracker's
+/// universe), so the id bounds an allocation; real regions use a few
+/// thousand ids at most.
+pub const MAX_REG_ID: u32 = (1 << 20) - 1;
+
+/// The bit of a [`Reg`] that marks an SGPR. Above every id, so the derived
+/// order is (class, id).
+const SGPR_BIT: u32 = 1 << 31;
+
+/// A virtual register: a class plus an id unique within the region
+/// (ids may overlap across classes), packed in one `u32` — the class in
+/// bit 31, the id (at most [`MAX_REG_ID`]) in the low bits. Ordered by
+/// class, then id.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Reg(u32);
+
+const _: () = assert!(std::mem::size_of::<Reg>() == 4);
 
 impl Reg {
     /// A vector register with the given id.
     ///
     /// ```
     /// use sched_ir::{Reg, RegClass};
-    /// assert_eq!(Reg::vgpr(3).class, RegClass::Vgpr);
+    /// assert_eq!(Reg::vgpr(3).class(), RegClass::Vgpr);
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` exceeds [`MAX_REG_ID`].
     #[inline]
+    #[track_caller]
     pub fn vgpr(id: u32) -> Reg {
-        Reg {
-            class: RegClass::Vgpr,
-            id,
-        }
+        Reg(checked_id(id))
     }
 
     /// A scalar register with the given id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` exceeds [`MAX_REG_ID`].
     #[inline]
+    #[track_caller]
     pub fn sgpr(id: u32) -> Reg {
-        Reg {
-            class: RegClass::Sgpr,
-            id,
+        Reg(SGPR_BIT | checked_id(id))
+    }
+
+    /// Register class.
+    #[inline]
+    pub fn class(self) -> RegClass {
+        if self.0 & SGPR_BIT == 0 {
+            RegClass::Vgpr
+        } else {
+            RegClass::Sgpr
         }
+    }
+
+    /// Id within the region and class.
+    #[inline]
+    pub fn id(self) -> u32 {
+        self.0 & !SGPR_BIT
+    }
+}
+
+#[inline]
+#[track_caller]
+fn checked_id(id: u32) -> u32 {
+    assert!(
+        id <= MAX_REG_ID,
+        "register id {id} exceeds the maximum {MAX_REG_ID}"
+    );
+    id
+}
+
+impl fmt::Debug for Reg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Reg")
+            .field("class", &self.class())
+            .field("id", &self.id())
+            .finish()
     }
 }
 
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.class {
-            RegClass::Vgpr => write!(f, "v{}", self.id),
-            RegClass::Sgpr => write!(f, "s{}", self.id),
+        match self.class() {
+            RegClass::Vgpr => write!(f, "v{}", self.id()),
+            RegClass::Sgpr => write!(f, "s{}", self.id()),
         }
     }
 }
@@ -89,8 +137,8 @@ impl fmt::Display for Reg {
 /// A per-class dense table keyed by register id: the workspace's one
 /// replacement for `HashMap<Reg, T>` on per-region paths.
 ///
-/// Generators hand out small dense ids and the text-IR front door caps
-/// them ([`crate::textir::MAX_REG_ID`]), so a table stays compact. A slot
+/// Generators hand out small dense ids and [`Reg`] caps them at
+/// [`MAX_REG_ID`], so a table stays compact. A slot
 /// nobody touched reads as `T::default()`; callers pick a `T` whose default
 /// means "register not mentioned".
 #[derive(Debug, Clone, Default)]
@@ -107,8 +155,8 @@ impl<T: Clone + Default> RegTable<T> {
     /// The slot of `r`, growing its class's table to cover it.
     #[inline]
     pub fn slot(&mut self, r: Reg) -> &mut T {
-        let table = &mut self.classes[r.class.index()];
-        let i = r.id as usize;
+        let table = &mut self.classes[r.class().index()];
+        let i = r.id() as usize;
         if table.len() <= i {
             table.resize(i + 1, T::default());
         }
@@ -118,7 +166,7 @@ impl<T: Clone + Default> RegTable<T> {
     /// The slot of `r`, or `None` beyond the highest id touched so far.
     #[inline]
     pub fn get(&self, r: Reg) -> Option<&T> {
-        self.classes[r.class.index()].get(r.id as usize)
+        self.classes[r.class().index()].get(r.id() as usize)
     }
 
     /// All slots of one class (by [`RegClass::index`]), indexed by
@@ -187,12 +235,12 @@ impl<'a> Instr<'a> {
 
     /// Number of registers of `class` defined by this instruction.
     pub fn defs_of(&self, class: RegClass) -> usize {
-        self.defs().iter().filter(|r| r.class == class).count()
+        self.defs().iter().filter(|r| r.class() == class).count()
     }
 
     /// Number of registers of `class` used by this instruction.
     pub fn uses_of(&self, class: RegClass) -> usize {
-        self.uses().iter().filter(|r| r.class == class).count()
+        self.uses().iter().filter(|r| r.class() == class).count()
     }
 }
 
@@ -217,18 +265,20 @@ impl fmt::Display for Instr<'_> {
     }
 }
 
-/// The instructions of a region in structure-of-arrays form: three heap
-/// blocks whatever the count, so cloning, comparing and dropping a table
-/// never walks per-instruction allocations.
+/// The instructions of a region in structure-of-arrays form: three
+/// exact-fit heap blocks whatever the count, so cloning, comparing and
+/// dropping a table never walks per-instruction allocations. Immutable:
+/// [`crate::DdgBuilder`] and the text front door fill growable buffers and
+/// freeze them into a table once the last instruction is in.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InstrTable {
     /// Every name, back to back.
-    pub(crate) names: String,
+    pub(crate) names: Box<str>,
     /// Every register: per instruction its defs, then its uses.
-    pub(crate) regs: Vec<Reg>,
+    pub(crate) regs: Box<[Reg]>,
     /// Per instruction, where its name ends in `names` and where its defs
     /// and its uses end in `regs`; each starts where the previous one ends.
-    pub(crate) ends: Vec<[u32; 3]>,
+    pub(crate) ends: Box<[[u32; 3]]>,
 }
 
 impl InstrTable {
@@ -242,8 +292,29 @@ impl InstrTable {
         self.ends.is_empty()
     }
 
+    /// The instruction at index `i`; panics if `i` is out of bounds.
+    pub fn get(&self, i: usize) -> Instr<'_> {
+        assert!(i < self.len(), "instruction {i} of {}", self.len());
+        Instr { table: self, i }
+    }
+}
+
+/// An [`InstrTable`] being filled: the same three buffers, growable.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TableBuilder {
+    pub(crate) names: String,
+    pub(crate) regs: Vec<Reg>,
+    pub(crate) ends: Vec<[u32; 3]>,
+}
+
+impl TableBuilder {
+    /// Number of instructions.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
     /// Appends an instruction from its name and Def/Use sets.
-    pub fn push(
+    pub(crate) fn push(
         &mut self,
         name: impl fmt::Display,
         defs: impl IntoIterator<Item = Reg>,
@@ -265,10 +336,13 @@ impl InstrTable {
         self.ends.push(row.map(end));
     }
 
-    /// The instruction at index `i`; panics if `i` is out of bounds.
-    pub fn get(&self, i: usize) -> Instr<'_> {
-        assert!(i < self.len(), "instruction {i} of {}", self.len());
-        Instr { table: self, i }
+    /// The exact-fit table.
+    pub(crate) fn finish(self) -> InstrTable {
+        InstrTable {
+            names: self.names.into_boxed_str(),
+            regs: self.regs.into_boxed_slice(),
+            ends: self.ends.into_boxed_slice(),
+        }
     }
 }
 
@@ -279,19 +353,42 @@ mod tests {
     #[test]
     fn reg_constructors_set_class() {
         assert_eq!(
-            Reg::vgpr(7),
-            Reg {
-                class: RegClass::Vgpr,
-                id: 7
-            }
+            (Reg::vgpr(7).class(), Reg::vgpr(7).id()),
+            (RegClass::Vgpr, 7)
         );
         assert_eq!(
-            Reg::sgpr(7),
-            Reg {
-                class: RegClass::Sgpr,
-                id: 7
-            }
+            (Reg::sgpr(7).class(), Reg::sgpr(7).id()),
+            (RegClass::Sgpr, 7)
         );
+        let top = Reg::sgpr(MAX_REG_ID);
+        assert_eq!((top.class(), top.id()), (RegClass::Sgpr, MAX_REG_ID));
+    }
+
+    #[test]
+    fn reg_order_is_class_then_id_and_debug_names_both() {
+        let mut regs = [
+            Reg::sgpr(0),
+            Reg::vgpr(MAX_REG_ID),
+            Reg::sgpr(2),
+            Reg::vgpr(1),
+        ];
+        regs.sort();
+        assert_eq!(
+            regs,
+            [
+                Reg::vgpr(1),
+                Reg::vgpr(MAX_REG_ID),
+                Reg::sgpr(0),
+                Reg::sgpr(2)
+            ]
+        );
+        assert_eq!(format!("{:?}", Reg::sgpr(5)), "Reg { class: Sgpr, id: 5 }");
+    }
+
+    #[test]
+    #[should_panic(expected = "register id 1048576 exceeds the maximum 1048575")]
+    fn a_vgpr_id_past_the_limit_panics() {
+        Reg::vgpr(MAX_REG_ID + 1);
     }
 
     #[test]
@@ -326,12 +423,13 @@ mod tests {
 
     #[test]
     fn instruction_counts_defs_and_uses_per_class() {
-        let mut t = InstrTable::default();
+        let mut t = TableBuilder::default();
         t.push(
             "v_add",
             [Reg::vgpr(0), Reg::sgpr(1)],
             [Reg::vgpr(2), Reg::vgpr(3), Reg::sgpr(4)],
         );
+        let t = t.finish();
         let i = t.get(0);
         assert_eq!(i.defs_of(RegClass::Vgpr), 1);
         assert_eq!(i.defs_of(RegClass::Sgpr), 1);
@@ -341,17 +439,18 @@ mod tests {
 
     #[test]
     fn instruction_display_mentions_operands() {
-        let mut t = InstrTable::default();
+        let mut t = TableBuilder::default();
         t.push("mul", [Reg::vgpr(1)], [Reg::vgpr(0)]);
-        assert_eq!(t.get(0).to_string(), "mul defs[v1] uses[v0]");
+        assert_eq!(t.finish().get(0).to_string(), "mul defs[v1] uses[v0]");
     }
 
     #[test]
     fn table_rows_share_buffers_and_keep_their_own_slices() {
-        let mut t = InstrTable::default();
+        let mut t = TableBuilder::default();
         t.push("ld", [Reg::vgpr(0)], []);
         t.push(format_args!("add_{}", 1), [], [Reg::vgpr(0), Reg::sgpr(2)]);
         t.push("", [], []);
+        let t = t.finish();
         assert_eq!(t.len(), 3);
         let rows: Vec<_> = (0..3)
             .map(|i| t.get(i))

@@ -20,7 +20,8 @@
 //! [`parse_raw`] is one forward scanner over the text's bytes: after a
 //! single counting pass that reserves the table's buffers, it classifies
 //! ASCII inline, accumulates numbers in place, and writes names and
-//! registers straight into the [`InstrTable`]. A byte ≥ 0x80 is decoded
+//! registers straight into those buffers, which become the
+//! [`InstrTable`]'s blocks when the text ends. A byte ≥ 0x80 is decoded
 //! as one `char` in a cold helper, so Unicode whitespace still separates
 //! tokens and a wide register class is still an error, not a panic.
 //!
@@ -34,7 +35,7 @@
 //!   parse error.
 //! * [`parse`] (the strict entry everything else uses) runs [`parse_raw`]
 //!   and then builds a validated [`Ddg`], rejecting whatever the
-//!   [`DdgBuilder`] rejects.
+//!   [`DdgBuilder`](crate::DdgBuilder) rejects.
 //!
 //! # Example
 //!
@@ -49,9 +50,10 @@
 //! assert_eq!(sched_ir::textir::parse(&sched_ir::textir::to_text(&ddg)).unwrap().len(), 2);
 //! ```
 
-use crate::builder::DdgBuilder;
+use crate::builder;
 use crate::ddg::Ddg;
-use crate::instr::{InstrId, InstrTable, Reg, RegClass};
+pub use crate::instr::MAX_REG_ID;
+use crate::instr::{InstrId, InstrTable, Reg, RegClass, TableBuilder};
 use std::error::Error;
 use std::fmt;
 
@@ -141,27 +143,20 @@ pub struct RawRegion {
 
 impl RawRegion {
     /// Builds the validated [`Ddg`] (the instruction table moves into it),
-    /// rejecting whatever [`DdgBuilder`] rejects (self edges, cycles) at
+    /// rejecting whatever [`DdgBuilder`](crate::DdgBuilder) rejects (self edges, cycles) at
     /// the source position of the offending edge where one exists.
     pub fn into_ddg(self) -> Result<Ddg, ParseTextError> {
-        let mut b = DdgBuilder {
-            instrs: self.instrs,
-            edges: Vec::with_capacity(self.edges.len()),
-        };
+        let mut edges = Vec::with_capacity(self.edges.len());
         for e in &self.edges {
-            b.edge(InstrId(e.from), InstrId(e.to), e.latency)
+            let (from, to) = (InstrId(e.from), InstrId(e.to));
+            builder::check_edge(self.instrs.len(), from, to)
                 .map_err(|why| err(e.pos, why.to_string()))?;
+            edges.push((from, to, e.latency));
         }
-        b.build()
+        builder::build(self.instrs, edges)
             .map_err(|e| err(SrcPos { line: 0, col: 0 }, e.to_string()))
     }
 }
-
-/// Largest register id the text format accepts. Every per-register table
-/// in the workspace is dense in the id ([`crate::RegTable`], the pressure
-/// tracker's universe), so an id read from untrusted text bounds an
-/// allocation; real regions use a few thousand ids at most.
-pub const MAX_REG_ID: u32 = (1 << 20) - 1;
 
 /// Whether an ASCII byte is `White_Space`: space, `\t`, `\n`, VT, FF, `\r`.
 #[inline]
@@ -374,15 +369,13 @@ pub fn parse_raw(text: &str) -> Result<RawRegion, ParseTextError> {
     }
     let lines = (newlines + 1).min(text.len() / 7 + 1);
     let regs = (commas + 2 * lines).min(text.len() / 3 + 1);
-    let mut region = RawRegion {
-        instrs: InstrTable {
-            names: String::with_capacity(text.len()),
-            regs: Vec::with_capacity(regs),
-            ends: Vec::with_capacity(lines),
-        },
-        instr_pos: Vec::with_capacity(lines),
-        edges: Vec::with_capacity(lines),
+    let mut table = TableBuilder {
+        names: String::with_capacity(text.len()),
+        regs: Vec::with_capacity(regs),
+        ends: Vec::with_capacity(lines),
     };
+    let mut instr_pos = Vec::with_capacity(lines);
+    let mut edges = Vec::with_capacity(lines);
     let mut s = Scanner {
         text,
         at: 0,
@@ -397,7 +390,7 @@ pub fn parse_raw(text: &str) -> Result<RawRegion, ParseTextError> {
             Some((kw_pos, "instr")) => {
                 let (_, name) = s.token().ok_or_else(|| err(kw_pos, "instr needs a name"))?;
                 // The row grows at the tail of `regs` as defs, then uses.
-                let regs = &mut region.instrs.regs;
+                let regs = &mut table.regs;
                 let row = regs.len();
                 let (mut defs, mut uses) = (0, 0);
                 while let Some((pos, kw)) = s.token() {
@@ -428,9 +421,9 @@ pub fn parse_raw(text: &str) -> Result<RawRegion, ParseTextError> {
                         other => return Err(err(pos, format!("unknown keyword `{other}`"))),
                     }
                 }
-                region.instrs.names.push_str(name);
-                region.instrs.close_row(row + defs);
-                region.instr_pos.push(kw_pos);
+                table.names.push_str(name);
+                table.close_row(row + defs);
+                instr_pos.push(kw_pos);
             }
             Some((kw_pos, "edge")) => {
                 let (_, from) = s.number(kw_pos, "a from-index")?;
@@ -442,7 +435,7 @@ pub fn parse_raw(text: &str) -> Result<RawRegion, ParseTextError> {
                         format!("latency {lat} exceeds the maximum {}", u16::MAX),
                     )
                 })?;
-                region.edges.push(RawEdge {
+                edges.push(RawEdge {
                     from,
                     to,
                     latency,
@@ -458,8 +451,8 @@ pub fn parse_raw(text: &str) -> Result<RawRegion, ParseTextError> {
             break;
         }
     }
-    let n = region.instrs.len() as u32;
-    for e in &region.edges {
+    let n = table.len() as u32;
+    for e in &edges {
         for endpoint in [e.from, e.to] {
             if endpoint >= n {
                 return Err(err(
@@ -469,7 +462,11 @@ pub fn parse_raw(text: &str) -> Result<RawRegion, ParseTextError> {
             }
         }
     }
-    Ok(region)
+    Ok(RawRegion {
+        instrs: table.finish(),
+        instr_pos,
+        edges,
+    })
 }
 
 /// Parses a region from the text format.
@@ -479,7 +476,7 @@ pub fn parse_raw(text: &str) -> Result<RawRegion, ParseTextError> {
 /// Returns a [`ParseTextError`] naming the first offending line (and,
 /// where known, column): unknown directives, malformed
 /// registers/indices, out-of-range edge endpoints, or a graph the
-/// [`DdgBuilder`] rejects (self edges, cycles).
+/// [`DdgBuilder`](crate::DdgBuilder) rejects (self edges, cycles).
 pub fn parse(text: &str) -> Result<Ddg, ParseTextError> {
     parse_raw(text)?.into_ddg()
 }
@@ -497,11 +494,11 @@ pub fn to_text(ddg: &Ddg) -> String {
         for (keyword, regs) in [(" defs ", instr.defs()), (" uses ", instr.uses())] {
             for (i, r) in regs.iter().enumerate() {
                 out.push_str(if i == 0 { keyword } else { "," });
-                out.push(match r.class {
+                out.push(match r.class() {
                     RegClass::Vgpr => 'v',
                     RegClass::Sgpr => 's',
                 });
-                push_decimal(&mut out, r.id);
+                push_decimal(&mut out, r.id());
             }
         }
         out.push('\n');

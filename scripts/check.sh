@@ -10,7 +10,8 @@
 # and (unless --fast) the release build the tier-1 gate uses, the bench
 # binaries compiling, the full-corpus flat-IR differential test, the long
 # text-IR parser, record-format and packed-region fuzz runs, the full lent-core equality
-# matrix, the long host-pool lost-wake-up stress, a truncated cache file that must be a positioned error, a CLI
+# matrix, the long host-pool lost-wake-up stress, the occupancy LUT over a
+# grid of models, a truncated cache file that must be a positioned error, a CLI
 # verify smoke run on generated regions, a `schedule --threads 1` vs
 # `--threads 2` byte comparison, a non-ASCII register token that
 # must be a diagnostic and not a panic, a `schedule` header with a bad
@@ -74,6 +75,12 @@ if [[ "${1:-}" != "--fast" ]]; then
     # Tier-1 runs host_pool's no_wake_up_is_lost once per shape; this is
     # the same seeded job and merge durations over twelve times the seeds.
     cargo test --release -q -p pipeline --lib no_wake_up_is_lost_long -- --ignored
+
+    echo "==> the occupancy LUT equals its model over a parameter grid"
+    # Tier-1 holds the LUT to four models; this is 13,440 custom ones
+    # (granule 1-16, budgets below the granule, per-wave maxima off a
+    # multiple of it, 1-20 waves).
+    cargo test --release -q -p machine-model --lib lut_matches_model_on_a_parameter_grid -- --ignored
 
     echo "==> gpu-aco-cli verify smoke run"
     smoke_dir="$(mktemp -d)"

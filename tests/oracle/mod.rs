@@ -436,13 +436,13 @@ pub fn ddg_content_fingerprint(ddg: &Ddg) -> u64 {
         h.word(id.0 as u64);
         h.word(i.defs().len() as u64);
         for r in i.defs() {
-            h.word(r.class.index() as u64);
-            h.word(r.id as u64);
+            h.word(r.class().index() as u64);
+            h.word(r.id() as u64);
         }
         h.word(i.uses().len() as u64);
         for r in i.uses() {
-            h.word(r.class.index() as u64);
-            h.word(r.id as u64);
+            h.word(r.class().index() as u64);
+            h.word(r.id() as u64);
         }
         let succs = ddg.succs(id);
         h.word(succs.len() as u64);

@@ -12,7 +12,7 @@
 
 use gpu_aco::bench_workloads::{mutate, patterns};
 use gpu_aco::ir::textir::to_text;
-use gpu_aco::ir::{Ddg, DdgBuilder, InstrId, PackedDdg, Reg};
+use gpu_aco::ir::{Ddg, DdgBuilder, InstrId, PackedDdg, Reg, MAX_REG_ID};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -42,10 +42,11 @@ impl Recipe {
     fn random(rng: &mut SmallRng) -> Recipe {
         let n = rng.gen_range(0..40usize);
         let reg = |rng: &mut SmallRng| {
-            // Mostly small ids, sometimes ids that take several varint bytes.
+            // Mostly small ids, sometimes ids that take several varint
+            // bytes, up to the largest a register holds.
             let id = match rng.gen_range(0..10) {
-                0 => rng.gen::<u32>(),
-                1 => u32::MAX,
+                0 => rng.gen_range(0..=MAX_REG_ID),
+                1 => MAX_REG_ID,
                 _ => rng.gen_range(0..200),
             };
             if rng.gen_bool(0.5) {
@@ -134,10 +135,10 @@ fn regions(case: u64) -> Vec<Ddg> {
     });
     variant(&mut |r, rng| {
         if let Some(reg) = pick(&mut r.rows, rng).and_then(|row| row.2.first_mut()) {
-            *reg = if *reg == Reg::vgpr(reg.id) {
-                Reg::sgpr(reg.id)
+            *reg = if *reg == Reg::vgpr(reg.id()) {
+                Reg::sgpr(reg.id())
             } else {
-                Reg::vgpr(reg.id)
+                Reg::vgpr(reg.id())
             };
         }
     });
