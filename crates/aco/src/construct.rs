@@ -126,8 +126,9 @@ pub(crate) struct Scores {
     weights: Vec<f64>,
     /// Roulette total, summed by the first exploring pick.
     total: Option<f64>,
-    /// Argmax, found by the first exploiting pick.
-    best: Option<usize>,
+    /// Argmax of `weights` (the first of equal maxima), kept while they
+    /// are written.
+    best: usize,
     /// η^β of [`Heuristic::CriticalPath`], per instruction: that η is a
     /// property of the instruction alone, so its power is taken once per
     /// region and a candidate costs one multiply by τ.
@@ -155,7 +156,7 @@ impl Scores {
             candidates: 0,
             weights: Vec::with_capacity(ctx.ddg.len()),
             total: None,
-            best: None,
+            best: 0,
             critical_path_eta_pow: ctx.analysis.eta_terms.iter().map(eta_pow).collect(),
         }
     }
@@ -167,6 +168,9 @@ impl Scores {
 
     /// Scores `candidates` for an ant guided by `heuristic`, coming from
     /// `last` under `pressure`, unless this selection already is scored.
+    /// `net_changes`, when given, holds each candidate's
+    /// [`PressureTracker::net_change`], already computed by the caller.
+    #[allow(clippy::too_many_arguments)]
     fn ensure(
         &mut self,
         ctx: &AntContext<'_>,
@@ -174,6 +178,7 @@ impl Scores {
         heuristic: Heuristic,
         last: Option<InstrId>,
         candidates: &[InstrId],
+        net_changes: Option<&[[i32; REG_CLASS_COUNT]]>,
         pressure: &PressureTracker<'_>,
     ) {
         debug_assert!(!candidates.is_empty());
@@ -184,20 +189,28 @@ impl Scores {
         self.candidates = candidates.len();
         self.weights.clear();
         self.total = None;
-        self.best = None;
+        self.best = 0;
         if candidates.len() > 1 {
             let tau = pheromone.row(last);
-            if heuristic == Heuristic::CriticalPath {
+            let weights = &mut self.weights;
+            self.best = if heuristic == Heuristic::CriticalPath {
                 let eta_pow = &self.critical_path_eta_pow;
-                let score = |c: &InstrId| tau[c.index()] * eta_pow[c.index()];
-                self.weights.extend(candidates.iter().map(score));
+                score_into(weights, candidates, |_, c| {
+                    tau[c.index()] * eta_pow[c.index()]
+                })
             } else {
                 let eval =
                     HeuristicEval::new(heuristic, &ctx.analysis.eta_terms, ctx.lut, pressure);
                 let beta = ctx.cfg.beta;
-                let score = |c: &InstrId| tau[c.index()] * pow_beta(eval.eta(*c), beta);
-                self.weights.extend(candidates.iter().map(score));
-            }
+                match net_changes {
+                    Some(deltas) => score_into(weights, candidates, |i, c| {
+                        tau[c.index()] * pow_beta(eval.eta_given_net_change(c, deltas[i]), beta)
+                    }),
+                    None => score_into(weights, candidates, |_, c| {
+                        tau[c.index()] * pow_beta(eval.eta(c), beta)
+                    }),
+                }
+            };
         }
     }
 
@@ -229,19 +242,30 @@ impl Scores {
             }
             weights.len() - 1
         } else {
-            *self.best.get_or_insert_with(|| {
-                let mut best = 0;
-                let mut best_score = f64::NEG_INFINITY;
-                for (i, &w) in weights.iter().enumerate() {
-                    if w > best_score {
-                        best_score = w;
-                        best = i;
-                    }
-                }
-                best
-            })
+            self.best
         }
     }
+}
+
+/// Writes `score(i, candidate)` of every candidate into `weights`, in
+/// candidate order, and returns the argmax: the first weight strictly
+/// greater than every earlier one (0 when none is, e.g. all NaN).
+#[inline]
+fn score_into(
+    weights: &mut Vec<f64>,
+    candidates: &[InstrId],
+    score: impl Fn(usize, InstrId) -> f64,
+) -> usize {
+    let (mut best, mut best_score) = (0, f64::NEG_INFINITY);
+    for (i, &c) in candidates.iter().enumerate() {
+        let w = score(i, c);
+        if w > best_score {
+            best_score = w;
+            best = i;
+        }
+        weights.push(w);
+    }
+    best
 }
 
 /// η^β with fast paths for the common exponents.
@@ -266,13 +290,22 @@ fn choose(
     heuristic: Heuristic,
     last: Option<InstrId>,
     candidates: &[InstrId],
+    net_changes: Option<&[[i32; REG_CLASS_COUNT]]>,
     pressure: &PressureTracker<'_>,
     scores: &mut Scores,
     rng: &mut SmallRng,
     explore: Option<bool>,
 ) -> Pick {
     let explored = explore.unwrap_or_else(|| rng.gen::<f64>() > ctx.cfg.q0);
-    scores.ensure(ctx, pheromone, heuristic, last, candidates, pressure);
+    scores.ensure(
+        ctx,
+        pheromone,
+        heuristic,
+        last,
+        candidates,
+        net_changes,
+        pressure,
+    );
     Pick {
         drew: explore.is_none() || scores.draws(explored),
         pos: scores.pick(rng, explored),
@@ -369,6 +402,7 @@ impl<'a> Pass1State<'a> {
             self.heuristic,
             self.last,
             &self.ready,
+            None,
             &self.pressure,
             scores,
             rng,
@@ -569,6 +603,9 @@ pub(crate) struct Pass2Scratch {
     /// partition scan so the winner's removal is O(1) instead of a linear
     /// re-search of the ready list.
     issuable_pos: Vec<u32>,
+    /// [`PressureTracker::net_change`] of each entry in `issuable`, as the
+    /// scan computed it, so scoring does not look it up again.
+    issuable_delta: Vec<[i32; REG_CLASS_COUNT]>,
     scores: Scores,
 }
 
@@ -578,6 +615,7 @@ impl Pass2Scratch {
         Pass2Scratch {
             issuable: Vec::with_capacity(ctx.ddg.len()),
             issuable_pos: Vec::with_capacity(ctx.ddg.len()),
+            issuable_delta: Vec::with_capacity(ctx.ddg.len()),
             scores: Scores::new(ctx),
         }
     }
@@ -724,6 +762,7 @@ impl<'a> Pass2State<'a> {
         scratch.scores.clear();
         scratch.issuable.clear();
         scratch.issuable_pos.clear();
+        scratch.issuable_delta.clear();
         let mut next_arrival: Option<Cycle> = None;
         let mut has_violating = false;
         let within = |peak| ctx.lut.rp_cost(peak) <= self.target_cost;
@@ -740,6 +779,7 @@ impl<'a> Pass2State<'a> {
                 if keeps {
                     scratch.issuable.push(id);
                     scratch.issuable_pos.push(i as u32);
+                    scratch.issuable_delta.push(delta);
                 } else {
                     has_violating = true;
                 }
@@ -786,9 +826,9 @@ impl<'a> Pass2State<'a> {
                     .filter(|&&(_, rc)| rc > self.now)
                     .any(|&(id, _)| net_total(&self.pressure, id) < 0);
                 let issuable_min = scratch
-                    .issuable
+                    .issuable_delta
                     .iter()
-                    .map(|&id| net_total(&self.pressure, id))
+                    .map(|delta| delta.iter().sum::<i32>())
                     .min()
                     .unwrap_or(0);
                 if semi_would_help && issuable_min >= 0 {
@@ -825,6 +865,7 @@ impl<'a> Pass2State<'a> {
             self.heuristic,
             self.last,
             &scratch.issuable,
+            Some(&scratch.issuable_delta),
             &self.pressure,
             &mut scratch.scores,
             rng,

@@ -17,6 +17,11 @@
 //! on the duplicate-heavy suite must reach 30%, and the cache-on run must
 //! not lose to cache-off by more than 10% (wall-clock noise allowance).
 //! Any violation exits non-zero, failing `scripts/check.sh`.
+//!
+//! `--scheduler` takes a kind that runs a colony (`seq`, `par`, `batched`,
+//! or a `Debug` name such as `ParallelAco`). `amd` and `cp` are a usage
+//! error (exit 2): suite jobs that run no colony compile directly and never
+//! touch the cache, so both runs would be the same run.
 
 use bench_harness::cache_bench::{measure, validate_schema, CacheReport};
 use pipeline::SchedulerKind;
@@ -62,15 +67,40 @@ fn parse_args() -> Args {
             "--scale" => args.scale = value("--scale").parse().expect("--scale takes a float"),
             "--scheduler" => {
                 let name = value("--scheduler");
-                args.scheduler = SchedulerKind::ALL
-                    .into_iter()
-                    .find(|k| format!("{k:?}").eq_ignore_ascii_case(&name))
-                    .unwrap_or_else(|| panic!("unknown scheduler {name}"));
+                args.scheduler = scheduler_kind(&name);
+                if !args.scheduler.runs_colony() {
+                    eprintln!(
+                        "cache_bench: usage error: --scheduler {name} runs no colony, and \
+                         suite jobs that run no colony never use the schedule cache, so \
+                         cache on and off would time the same run; use seq, par or batched"
+                    );
+                    std::process::exit(2);
+                }
             }
             other => panic!("unknown argument {other}"),
         }
     }
     args
+}
+
+/// A scheduler kind by its short name (`amd`, `cp`, `seq`, `par`,
+/// `batched`) or its `Debug` name in any case (`ParallelAco`).
+fn scheduler_kind(name: &str) -> SchedulerKind {
+    let short = match name {
+        "amd" => Some(SchedulerKind::BaseAmd),
+        "cp" => Some(SchedulerKind::CriticalPath),
+        "seq" => Some(SchedulerKind::SequentialAco),
+        "par" => Some(SchedulerKind::ParallelAco),
+        "batched" => Some(SchedulerKind::BatchedParallelAco),
+        _ => None,
+    };
+    short
+        .or_else(|| {
+            SchedulerKind::ALL
+                .into_iter()
+                .find(|k| format!("{k:?}").eq_ignore_ascii_case(name))
+        })
+        .unwrap_or_else(|| panic!("unknown scheduler {name}"))
 }
 
 fn smoke_gate(report: &CacheReport, json: &str) {

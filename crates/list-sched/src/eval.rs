@@ -2,7 +2,7 @@
 
 use machine_model::OccupancyLut;
 use reg_pressure::PressureTracker;
-use sched_ir::{Ddg, InstrId};
+use sched_ir::{Ddg, InstrId, REG_CLASS_COUNT};
 
 /// The per-region facts the ACO colony's ants read.
 ///
@@ -143,6 +143,19 @@ impl<'a> HeuristicEval<'a> {
     /// ACO raises it to the power β and multiplies by pheromone.
     #[inline]
     pub fn eta(&self, id: InstrId) -> f64 {
+        self.eta_with(id, || self.pressure.net_change(id))
+    }
+
+    /// [`HeuristicEval::eta`] for a caller that already holds `id`'s net
+    /// pressure change at this state ([`PressureTracker::net_change`]),
+    /// so it is not looked up twice. Bitwise the same value.
+    #[inline]
+    pub fn eta_given_net_change(&self, id: InstrId, delta: [i32; REG_CLASS_COUNT]) -> f64 {
+        self.eta_with(id, || delta)
+    }
+
+    #[inline]
+    fn eta_with(&self, id: InstrId, net_change: impl FnOnce() -> [i32; REG_CLASS_COUNT]) -> f64 {
         let terms = &self.terms[id.index()];
         match self.heuristic {
             Heuristic::CriticalPath => terms.critical_path,
@@ -157,7 +170,7 @@ impl<'a> HeuristicEval<'a> {
                 // pressure, and only then look at the critical path. The
                 // pressure-first myopia is what makes the production
                 // scheduler beatable on latency (the paper's Figure 4).
-                let delta = self.pressure.net_change(id);
+                let delta = net_change();
                 // An issue that leaves the peak where it is leaves the
                 // occupancy where it is.
                 let keeps_occupancy = !self.pressure.raises_peak(delta)

@@ -29,6 +29,20 @@
 //! race to first-compile the same content, so counters are reported in
 //! [`crate::SuiteRun::cache`] but excluded from the suite fingerprint.
 //!
+//! # What is memoized
+//!
+//! A suite memoizes only compilations that run a colony
+//! ([`SchedulerKind::runs_colony`]): solo ACO jobs, batch groups and the
+//! kernel post filter's capped re-schedules. A list-scheduled suite job
+//! (`BaseAmd`, `CriticalPath`) compiles directly in
+//! [`crate::host_pool::run_job`]: on `frontend-large` a certified hit
+//! (key fingerprint, equality gate, re-certification) costs about 12 µs and
+//! the compile it replaces 11–14 µs, so the cache bought no time there and
+//! held 3,230 entries. The single-region callers
+//! ([`ScheduleCache::compile_solo`] from the daemon's `schedule` admission
+//! and the CLI's `--cache`) memoize every kind: there a hit skips a queue
+//! or survives a restart.
+//!
 //! # Concurrency
 //!
 //! The cache is shared read-mostly across the host job pool, so
@@ -289,7 +303,10 @@ impl ScheduleCache {
     /// Default entry capacity of [`ScheduleCache::new`]. A `BaseAmd` entry
     /// for a 44-instruction region (the `frontend-large` mean) is about
     /// 1.7 KB, of which about 840 bytes is its [`PackedDdg`], so a full
-    /// cache of such entries holds about 28 MB.
+    /// cache of such entries would hold about 28 MB. Only the single-region
+    /// paths store such entries; a suite stores ACO entries only (see
+    /// "What is memoized" above), each a larger compilation beside the
+    /// same packed region.
     pub const DEFAULT_CAPACITY: usize = 16 * 1024;
 
     /// An empty cache holding at most [`Self::DEFAULT_CAPACITY`] entries.

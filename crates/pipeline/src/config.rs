@@ -40,6 +40,14 @@ impl SchedulerKind {
             SchedulerKind::BatchedParallelAco => "Batched Parallel ACO",
         }
     }
+
+    /// Whether a region compiled under this kind runs an ant colony after
+    /// the heuristic. Only such a compilation is worth memoizing in a suite
+    /// job or tuning: a list-scheduled region compiles in about the time a
+    /// certified cache hit takes (see [`crate::cache`]).
+    pub fn runs_colony(self) -> bool {
+        !matches!(self, SchedulerKind::BaseAmd | SchedulerKind::CriticalPath)
+    }
 }
 
 /// Grouping policy of the batched pipeline mode
@@ -284,6 +292,15 @@ mod tests {
         let names: std::collections::HashSet<_> =
             SchedulerKind::ALL.iter().map(|s| s.name()).collect();
         assert_eq!(names.len(), SchedulerKind::ALL.len());
+    }
+
+    #[test]
+    fn only_aco_kinds_run_a_colony() {
+        assert!(SchedulerKind::SequentialAco.runs_colony());
+        assert!(SchedulerKind::ParallelAco.runs_colony());
+        assert!(SchedulerKind::BatchedParallelAco.runs_colony());
+        assert!(!SchedulerKind::BaseAmd.runs_colony());
+        assert!(!SchedulerKind::CriticalPath.runs_colony());
     }
 
     #[test]

@@ -51,7 +51,7 @@ use crate::batch::{compile_batch_group, plan_batches};
 use crate::cache::ScheduleCache;
 use crate::config::{PipelineConfig, SchedulerKind};
 use crate::region::{compile_region_warm, RegionCompilation};
-use crate::tune::{tunable, tuned_solo_inputs, TuneTag};
+use crate::tune::{tuned_solo_inputs, TuneTag};
 use aco::IdleCores;
 use aco_tune::TuneStore;
 use machine_model::OccupancyModel;
@@ -153,9 +153,14 @@ pub fn plan_jobs(suite: &Suite, cfg: &PipelineConfig) -> Vec<RegionJob> {
 
 /// Runs one job to completion. Pure: reads only the shared inputs, returns
 /// outcomes in the order the sequential compiler would observe them. When a
-/// [`ScheduleCache`] is supplied the per-region flow is consulted through
-/// it — transparently, since every hit is equality-checked and re-certified
-/// (see [`crate::cache`]), so the outcomes are byte-identical either way.
+/// [`ScheduleCache`] is supplied, a job that runs a colony (an ACO solo
+/// region or a batch group) is consulted through it — transparently, since
+/// every hit is equality-checked and re-certified (see [`crate::cache`]),
+/// so the outcomes are byte-identical either way. A solo region of a kind
+/// that runs no colony ([`SchedulerKind::runs_colony`]) is compiled
+/// directly and never touches the cache: on `frontend-large` a
+/// list-scheduled compile takes 11–14 µs and a certified hit about 12 µs,
+/// so storing the region would buy no time and hold memory.
 ///
 /// When a [`TuneStore`] is supplied, solo ACO compilations consult it for
 /// an arm-adjusted configuration and a pheromone warm-start hint (see
@@ -185,7 +190,8 @@ pub fn run_job(
     match job {
         RegionJob::Solo { kernel, region } => {
             let ddg = &suite.kernels[*kernel].regions[*region];
-            let (region_cfg, warm, tag) = match tune.filter(|_| tunable(cfg.scheduler)) {
+            let colony = cfg.scheduler.runs_colony();
+            let (region_cfg, warm, tag) = match tune.filter(|_| colony) {
                 Some(store) => {
                     // The salt is the region's stable suite position, so a
                     // single run spreads exploration across a class's
@@ -196,7 +202,7 @@ pub fn run_job(
                 }
                 None => (*cfg, None, None),
             };
-            let comp = match cache {
+            let comp = match cache.filter(|_| colony) {
                 Some(cache) => cache.compile_solo_with(ddg, occ, &region_cfg, warm.as_ref()),
                 None => compile_region_warm(ddg, occ, &region_cfg, warm.as_ref()),
             };

@@ -68,7 +68,7 @@ pub use host_pool::{
 pub use region::{compile_region, compile_region_warm, FinalChoice, RegionCompilation};
 pub use suite_run::{
     compile_suite, compile_suite_observed, compile_suite_timed, compile_suite_with_cache,
-    compile_suite_with_stores, merge_job_results, RegionRecord, SuiteMerger, SuiteRun,
-    SuiteWallclock,
+    compile_suite_with_stores, merge_job_results, MergeOverlap, RegionRecord, SuiteMerger,
+    SuiteRun, SuiteWallclock,
 };
-pub use tune::{observe_outcome, tunable, tuned_solo_inputs, TuneTag};
+pub use tune::{observe_outcome, tuned_solo_inputs, TuneTag};

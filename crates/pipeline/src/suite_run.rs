@@ -242,12 +242,10 @@ where
     // store, in canonical order, on this thread.
     let job_store = tune.cloned();
     let mut merger = SuiteMerger::new(suite, occ, cfg, &jobs, cache, tune, observe);
-    let (mut merge_s, mut merge_overlap_s) = (0.0, 0.0);
-    // The last consume call handed off while jobs were in flight, as
-    // seconds since `phase`: the one call that can outlast the job phase.
-    // The pool's span clock starts a moment after `phase`, which can only
-    // shave that moment off the overlap, never add to it.
-    let mut last_overlapped = (0.0, 0.0);
+    // Consume calls in seconds since `phase`. The pool's span clock starts
+    // a moment after `phase`, which can only shave that moment off the
+    // overlap, never add to it.
+    let mut overlap = MergeOverlap::default();
     let phase = Instant::now();
     let timing = run_jobs_streaming(
         suite,
@@ -258,21 +256,15 @@ where
         cache,
         job_store.as_ref(),
         |i, outcomes, in_flight| {
-            let t = Instant::now();
+            let start = phase.elapsed().as_secs_f64();
             merger.consume(i, outcomes);
-            let d = t.elapsed().as_secs_f64();
-            merge_s += d;
-            if in_flight > 0 {
-                merge_overlap_s += d;
-                let at = t.duration_since(phase).as_secs_f64();
-                last_overlapped = (at, at + d);
-            }
+            overlap.record(start, phase.elapsed().as_secs_f64(), in_flight > 0);
         },
     );
-    let merge_overlap_s = overlap_within_jobs(merge_overlap_s, last_overlapped, timing.jobs_span_s);
+    let merge_overlap_s = overlap.within_jobs(timing.jobs_span_s);
     let t_finish = Instant::now();
     let mut run = merger.finish();
-    merge_s += t_finish.elapsed().as_secs_f64();
+    let merge_s = overlap.busy + t_finish.elapsed().as_secs_f64();
     // The job phase's arm choices and warm hits landed on the frozen
     // clone; fold its counters back so the caller's store reports them.
     if let (Some(store), Some(job_store)) = (tune, job_store.as_ref()) {
@@ -295,14 +287,38 @@ where
     (run, wall)
 }
 
-/// The merge time that ran while jobs were in flight: `overlapped_s`, the
-/// full length of every consume call handed off before the last job
-/// finished, less the part of the last such call (`last`, start and end)
-/// that ran after the job phase ended at `jobs_end`. Consume calls run one
-/// after another on one thread, so only that call can straddle the end.
-/// All times are seconds on one clock.
-fn overlap_within_jobs(overlapped_s: f64, last: (f64, f64), jobs_end: f64) -> f64 {
-    overlapped_s - (last.1 - last.0.max(jobs_end)).max(0.0)
+/// A streaming merge's consume time and the part of it that ran while jobs
+/// were in flight, fed one consume call at a time: the one account the
+/// suite compiler (`drive`) and the `sched-serve` daemon's suite merger
+/// both keep. All times are on one clock, in one unit.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MergeOverlap {
+    /// Total time inside the recorded consume calls.
+    pub busy: f64,
+    /// Full length of every call handed off while jobs were in flight.
+    overlapped: f64,
+    /// Start and end of the last such call.
+    last: (f64, f64),
+}
+
+impl MergeOverlap {
+    /// Records one consume call from `start` to `end`; `in_flight` is
+    /// whether jobs were still unfinished when it was handed off.
+    pub fn record(&mut self, start: f64, end: f64, in_flight: bool) {
+        self.busy += end - start;
+        if in_flight {
+            self.overlapped += end - start;
+            self.last = (start, end);
+        }
+    }
+
+    /// The merge time that ran while jobs were in flight, the job phase
+    /// having ended at `jobs_end`: every call handed off in flight, less
+    /// the part of the last one after `jobs_end`. Consume calls run one
+    /// after another on one thread, so only that call can straddle the end.
+    pub fn within_jobs(&self, jobs_end: f64) -> f64 {
+        self.overlapped - (self.last.1 - self.last.0.max(jobs_end)).max(0.0)
+    }
 }
 
 /// Host wall-clock breakdown of one [`compile_suite_timed`] call, seconds.
@@ -1018,20 +1034,21 @@ mod tests {
     /// end and counted as tail by the caller.
     #[test]
     fn a_consume_call_that_outlasts_the_jobs_counts_only_its_overlapped_part() {
-        let calls = [(1.0, 2.0, true), (3.0, 4.0, true), (9.0, 12.0, true)];
-        let tail = (12.0, 13.0, false);
-        let (mut overlapped, mut last) = (0.0, (0.0, 0.0));
-        for (start, end, in_flight) in calls.into_iter().chain([tail]) {
-            if in_flight {
-                overlapped += end - start;
-                last = (start, end);
-            }
+        let mut overlap = MergeOverlap::default();
+        for (start, end, in_flight) in [
+            (1.0, 2.0, true),
+            (3.0, 4.0, true),
+            (9.0, 12.0, true),
+            (12.0, 13.0, false),
+        ] {
+            overlap.record(start, end, in_flight);
         }
-        assert_eq!(overlapped, 5.0, "the old count: every call in full");
-        assert_eq!(overlap_within_jobs(overlapped, last, 10.0), 3.0);
+        assert_eq!(overlap.busy, 6.0);
+        assert_eq!(overlap.within_jobs(f64::INFINITY), 5.0, "the old count");
+        assert_eq!(overlap.within_jobs(10.0), 3.0);
         // A last call that ends before the jobs do keeps all of itself; so
         // does a run with no overlapped call at all.
-        assert_eq!(overlap_within_jobs(5.0, (9.0, 12.0), 12.5), 5.0);
-        assert_eq!(overlap_within_jobs(0.0, (0.0, 0.0), 10.0), 0.0);
+        assert_eq!(overlap.within_jobs(12.5), 5.0);
+        assert_eq!(MergeOverlap::default().within_jobs(10.0), 0.0);
     }
 }

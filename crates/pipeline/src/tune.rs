@@ -22,11 +22,11 @@
 //!   `host_threads`.
 //!
 //! Only **solo ACO** jobs are tuned. Batch groups share one cooperative
-//! launch whose block split is part of the batching contract, and the
-//! non-ACO scheduler kinds have nothing to tune; both run exactly as
-//! before even when tuning is enabled.
+//! launch whose block split is part of the batching contract, and a kind
+//! that runs no colony ([`crate::SchedulerKind::runs_colony`]) has nothing to
+//! tune; both run exactly as before even when tuning is enabled.
 
-use crate::config::{PipelineConfig, SchedulerKind};
+use crate::config::PipelineConfig;
 use crate::region::{FinalChoice, RegionCompilation};
 use aco::WarmStart;
 use aco_tune::{RegionClass, TuneStore, ARMS};
@@ -45,16 +45,6 @@ pub struct TuneTag {
     pub structure_fp: u64,
     /// Whether a warm-start hint was applied.
     pub warm_started: bool,
-}
-
-/// Whether tuning applies to a solo region under this scheduler kind.
-pub fn tunable(kind: SchedulerKind) -> bool {
-    matches!(
-        kind,
-        SchedulerKind::SequentialAco
-            | SchedulerKind::ParallelAco
-            | SchedulerKind::BatchedParallelAco
-    )
 }
 
 /// The tuned inputs for one solo region compilation: the arm-adjusted
@@ -106,6 +96,7 @@ pub fn observe_outcome(store: &TuneStore, tag: &TuneTag, comp: &RegionCompilatio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SchedulerKind;
     use aco_tune::FIXED_ARM;
     use machine_model::OccupancyModel;
 
@@ -163,14 +154,5 @@ mod tests {
             "different salts must explore different arms on a fresh store"
         );
         assert!(arms.contains(&FIXED_ARM) || arms.len() == ARMS.len());
-    }
-
-    #[test]
-    fn only_aco_kinds_are_tunable() {
-        assert!(tunable(SchedulerKind::SequentialAco));
-        assert!(tunable(SchedulerKind::ParallelAco));
-        assert!(tunable(SchedulerKind::BatchedParallelAco));
-        assert!(!tunable(SchedulerKind::BaseAmd));
-        assert!(!tunable(SchedulerKind::CriticalPath));
     }
 }

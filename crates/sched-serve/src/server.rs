@@ -31,7 +31,7 @@ use aco_tune::TuneStore;
 use machine_model::OccupancyModel;
 use pipeline::host_pool::{plan_jobs, run_job, RegionJob, RegionOutcome, SlotTable};
 use pipeline::{
-    merge_job_results, observe_outcome, tunable, tuned_solo_inputs, PipelineConfig,
+    merge_job_results, observe_outcome, tuned_solo_inputs, MergeOverlap, PipelineConfig,
     RegionCompilation, ScheduleCache, SchedulerKind, SuiteMerger,
 };
 use sched_ir::record::read_lines;
@@ -41,7 +41,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How the daemon is configured at boot.
@@ -157,6 +157,9 @@ struct SuiteState {
     /// Jobs not yet published — sampled by the merger to classify merge
     /// time as overlapped (hidden under running jobs) or tail.
     remaining: AtomicUsize,
+    /// When the job that took `remaining` to zero finished: the end of the
+    /// job phase, past which no merge time counts as overlapped.
+    jobs_done: OnceLock<Instant>,
     expired: AtomicBool,
     /// Snapshot of the engine's tuning store taken at submission, so every
     /// job of this suite draws arm choices and warm hints from one frozen
@@ -164,6 +167,16 @@ struct SuiteState {
     /// engine's *shared* store during the canonical merge.
     tune: Option<TuneStore>,
     ctx: RequestCtx,
+}
+
+impl SuiteState {
+    /// Counts one job out of `remaining`, stamping the end of the job
+    /// phase when it was the last.
+    fn job_done(&self) {
+        if self.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+            let _ = self.jobs_done.set(Instant::now());
+        }
+    }
 }
 
 enum Work {
@@ -357,7 +370,7 @@ fn fail(engine: &Engine, work: &Work, panic: &(dyn Any + Send)) {
 /// The shared tuning store when `cfg`'s scheduler draws an arm and a warm
 /// hint from it, `None` when the request is a plain `compile_solo`.
 fn tuning_for<'a>(engine: &'a Engine, cfg: &PipelineConfig) -> Option<&'a TuneStore> {
-    engine.tune.as_ref().filter(|_| tunable(cfg.scheduler))
+    engine.tune.as_ref().filter(|_| cfg.scheduler.runs_colony())
 }
 
 fn run_region(engine: &Engine, w: &RegionWork, started: Instant) {
@@ -449,10 +462,10 @@ fn run_suite_job(engine: &Engine, state: &SuiteState, index: usize, started: Ins
         // publishing: the merger never sees a published slot while the
         // counter still includes it, keeping the overlap classification
         // conservative.
-        state.remaining.fetch_sub(1, Ordering::SeqCst);
+        state.job_done();
         state.slots.publish(index, outcomes);
     } else {
-        state.remaining.fetch_sub(1, Ordering::SeqCst);
+        state.job_done();
     }
     ServeStats::bump(
         &engine.stats.suite_jobs_us,
@@ -467,8 +480,9 @@ fn run_suite_job(engine: &Engine, state: &SuiteState, index: usize, started: Ins
 /// The streaming suite merge, one dedicated thread per admitted request:
 /// consumes the slot table in canonical job order the moment each slot
 /// lands, classifying merge time as overlapped while jobs are still in
-/// flight. Exits silently (no response) when the request expired — the
-/// expiring worker already answered and cancelled the table.
+/// flight ([`MergeOverlap`], the suite compiler's own account). Exits
+/// silently (no response) when the request expired — the expiring worker
+/// already answered and cancelled the table.
 fn suite_merger_thread(engine: &Engine, state: &SuiteState) {
     let mut merger = SuiteMerger::new(
         &state.suite,
@@ -479,32 +493,34 @@ fn suite_merger_thread(engine: &Engine, state: &SuiteState) {
         engine.tune.as_ref(),
         |_, _, _, _, _| {},
     );
-    let mut merge_us = 0u64;
-    let mut overlap_us = 0u64;
+    // Consume calls in seconds since `t0`.
+    let t0 = Instant::now();
+    let mut overlap = MergeOverlap::default();
     for index in 0..state.jobs.len() {
         let Some(outcomes) = state.slots.wait_take(index) else {
             return; // expired: cancelled mid-stream, response already sent
         };
         let in_flight = state.remaining.load(Ordering::SeqCst);
-        let t = Instant::now();
+        let start = t0.elapsed().as_secs_f64();
         merger.consume(index, outcomes);
-        let d = t.elapsed().as_micros() as u64;
-        merge_us += d;
-        if in_flight > 0 {
-            overlap_us += d;
-        }
+        overlap.record(start, t0.elapsed().as_secs_f64(), in_flight > 0);
     }
     let t = Instant::now();
     let run = merger.finish();
-    merge_us += t.elapsed().as_micros() as u64;
+    let merge_s = overlap.busy + t.elapsed().as_secs_f64();
+    // Every slot was taken, so every job has finished and stamped the end.
+    let jobs_end = state.jobs_done.get().map_or(f64::INFINITY, |end| {
+        end.saturating_duration_since(t0).as_secs_f64()
+    });
+    let overlap_s = overlap.within_jobs(jobs_end);
     // The jobs' arm choices and warm hits landed on the frozen snapshot;
     // fold its counters back so `stats` reports them, as the pipeline's
     // own suite driver does.
     if let (Some(store), Some(snapshot)) = (&engine.tune, &state.tune) {
         store.absorb_counters(&snapshot.stats());
     }
-    ServeStats::bump(&engine.stats.suite_merge_us, merge_us);
-    ServeStats::bump(&engine.stats.suite_overlap_us, overlap_us);
+    ServeStats::bump(&engine.stats.suite_merge_us, (merge_s * 1e6) as u64);
+    ServeStats::bump(&engine.stats.suite_overlap_us, (overlap_s * 1e6) as u64);
     ServeStats::bump(&engine.stats.suites, 1);
     ServeStats::bump(&engine.stats.served, 1);
     state.ctx.out.send(
@@ -751,6 +767,7 @@ fn submit_suite(engine: &Arc<Engine>, out: &Arc<ResponseWriter>, id: String, opt
         jobs,
         slots: SlotTable::new(n_jobs),
         remaining: AtomicUsize::new(n_jobs),
+        jobs_done: OnceLock::new(),
         expired: AtomicBool::new(false),
         tune: engine.tune.clone(),
         ctx,
@@ -912,6 +929,7 @@ mod tests {
                 jobs,
                 slots: SlotTable::new(n_jobs),
                 remaining: AtomicUsize::new(n_jobs),
+                jobs_done: OnceLock::new(),
                 expired: AtomicBool::new(false),
                 tune: None,
                 ctx: request_ctx("s1".into(), &out, None),
@@ -943,5 +961,32 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("resp r1 ok "), "the worker survived:\n{text}");
+    }
+
+    /// Overlapped merge time is a part of the merge time: a consume call
+    /// that outlasts the last job counts only up to that job's end.
+    #[test]
+    fn suite_overlap_never_exceeds_the_merge() {
+        let config = ServeConfig {
+            workers: 2,
+            queue_capacity: 1 << 16,
+            ..ServeConfig::default()
+        };
+        let server = Server::start(config).unwrap();
+        let engine = Arc::clone(server.engine());
+        let sink = Sink::default();
+        let requests = "req s1 suite seed=3\nreq s2 suite seed=4 scheduler=amd\n";
+        handle_connection(&engine, requests.as_bytes(), Box::new(sink.clone()));
+        server.wait_idle();
+        let stats = &engine.stats;
+        let (merge, overlap) = (
+            stats.suite_merge_us.load(Ordering::SeqCst),
+            stats.suite_overlap_us.load(Ordering::SeqCst),
+        );
+        assert_eq!(stats.suites.load(Ordering::SeqCst), 2);
+        assert!(merge > 0, "two suites merged in no time");
+        assert!(overlap <= merge, "overlap {overlap} us > merge {merge} us");
+        drop(engine);
+        server.shutdown().unwrap();
     }
 }

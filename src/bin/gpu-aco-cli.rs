@@ -367,8 +367,8 @@ fn schedule(args: &[String]) -> Result<(), String> {
 /// separately, so the composition never pollutes untuned lookups.
 fn schedule_cached(args: &[String]) -> Result<(), String> {
     use gpu_aco::compile::{
-        compile_region, compile_region_warm, observe_outcome, tunable, tuned_solo_inputs,
-        PipelineConfig, ScheduleCache, SchedulerKind,
+        compile_region, compile_region_warm, observe_outcome, tuned_solo_inputs, PipelineConfig,
+        ScheduleCache, SchedulerKind,
     };
     use gpu_aco::tuning::TuneStore;
     use std::path::Path;
@@ -427,7 +427,7 @@ fn schedule_cached(args: &[String]) -> Result<(), String> {
         None => None,
     };
     let comp =
-        IdleCores::new(threads - 1).enter(|| match tune.as_ref().filter(|_| tunable(kind)) {
+        IdleCores::new(threads - 1).enter(|| match tune.as_ref().filter(|_| kind.runs_colony()) {
             Some(store) => {
                 let (tuned_cfg, warm, tag) = tuned_solo_inputs(&ddg, 0, &cfg, store);
                 let comp = match &cache {

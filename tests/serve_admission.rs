@@ -411,7 +411,7 @@ fn a_tuned_aco_request_keeps_the_queue_and_an_untunable_one_does_not() {
         assert_eq!(before(&stats, " choices"), i as u64 + 1, "{stats}");
         assert_eq!(before(&stats, " observations"), i as u64 + 1, "{stats}");
     }
-    // `tunable()` rejects BaseAmd: a plain `compile_solo`, so admission
+    // BaseAmd runs no colony: a plain `compile_solo`, so admission
     // answers its second request.
     let want = one_shot(&ddg, SchedulerKind::BaseAmd);
     expect_ok(
