@@ -281,7 +281,7 @@ pub fn measure(
         let mut length = 0;
         for _ in 0..reps {
             let t = Instant::now();
-            let run =
+            let (run, _) =
                 compile_suite_with_stores(&suite, &occ, &cfg, None, store, |_, _, _, _, _| {});
             let wall = t.elapsed().as_secs_f64();
             iterations = total_iterations(&run);

@@ -27,7 +27,7 @@
 //! what the in-order consumer wants — the slot it waits on is always among
 //! the oldest claimed, never parked behind later work in some worker's
 //! queue. Every thread publishes finished results into a pre-sized
-//! [`SlotTable`] (one write-once slot per canonical job index — no
+//! `SlotTable` (one write-once slot per canonical job index — no
 //! channel, no unbounded buffering). The *calling thread* is also the
 //! consumer: it takes slot `i` as soon as it has landed, in index order,
 //! runs a job from the cursor while it has not, and blocks on it only once
@@ -270,9 +270,8 @@ pub fn run_jobs(
 /// [`cancel`](SlotTable::cancel) aborts the rendezvous: pending and future
 /// [`wait_take`](SlotTable::wait_take) calls return `None`, and late
 /// publishes are dropped. The pool uses it to release its consumer when a
-/// job panics, the `sched-serve` daemon to unblock a suite's merge consumer
-/// when the request expires in the queue.
-pub struct SlotTable<T> {
+/// job panics.
+struct SlotTable<T> {
     state: Mutex<SlotState<T>>,
     ready: Condvar,
 }
@@ -286,7 +285,7 @@ struct SlotState<T> {
 
 impl<T> SlotTable<T> {
     /// A table of `n` empty slots.
-    pub fn new(n: usize) -> SlotTable<T> {
+    fn new(n: usize) -> SlotTable<T> {
         SlotTable {
             state: Mutex::new(SlotState {
                 slots: (0..n).map(|_| None).collect(),
@@ -297,16 +296,6 @@ impl<T> SlotTable<T> {
         }
     }
 
-    /// Number of slots (not the number currently filled).
-    pub fn len(&self) -> usize {
-        self.lock().slots.len()
-    }
-
-    /// Whether the table has zero slots.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, SlotState<T>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -315,7 +304,7 @@ impl<T> SlotTable<T> {
     /// Each slot is write-once: publishing an occupied slot panics (two jobs
     /// claimed the same index). Publishes after
     /// [`cancel`](SlotTable::cancel) are dropped.
-    pub fn publish(&self, i: usize, value: T) {
+    fn publish(&self, i: usize, value: T) {
         let mut s = self.lock();
         if s.cancelled {
             return;
@@ -329,20 +318,20 @@ impl<T> SlotTable<T> {
 
     /// Aborts the rendezvous: every pending and future `wait_take` returns
     /// `None`, and late publishes are dropped.
-    pub fn cancel(&self) {
+    fn cancel(&self) {
         self.lock().cancelled = true;
         self.ready.notify_all();
     }
 
     /// Takes slot `i` if it has been published, without blocking.
-    pub(crate) fn try_take(&self, i: usize) -> Option<T> {
+    fn try_take(&self, i: usize) -> Option<T> {
         self.lock().slots[i].take()
     }
 
     /// Blocks until slot `i` is published (returning the value) or the
     /// table is cancelled (returning `None`). A value already published
     /// before cancellation is still delivered.
-    pub fn wait_take(&self, i: usize) -> Option<T> {
+    fn wait_take(&self, i: usize) -> Option<T> {
         let mut s = self.lock();
         let taken = loop {
             if let Some(v) = s.slots[i].take() {

@@ -62,13 +62,12 @@ pub use config::{
 };
 pub use exec_model::{benchmark_throughput, kernel_time_us, ExecModel};
 pub use host_pool::{
-    plan_jobs as plan_suite_jobs, run_jobs_streaming, RegionJob, RegionOutcome, SlotTable,
-    StreamTiming,
+    plan_jobs as plan_suite_jobs, run_jobs_streaming, RegionJob, RegionOutcome, StreamTiming,
 };
 pub use region::{compile_region, compile_region_warm, FinalChoice, RegionCompilation};
 pub use suite_run::{
     compile_suite, compile_suite_observed, compile_suite_timed, compile_suite_with_cache,
-    compile_suite_with_stores, merge_job_results, MergeOverlap, RegionRecord, SuiteMerger,
-    SuiteRun, SuiteWallclock,
+    compile_suite_with_stores, merge_job_results, RegionRecord, SuiteMerger, SuiteRun,
+    SuiteWallclock,
 };
 pub use tune::{observe_outcome, tuned_solo_inputs, TuneTag};

@@ -189,36 +189,25 @@ where
     F: FnMut(usize, usize, &Ddg, &PipelineConfig, &RegionCompilation),
 {
     let tune = cfg.tune.enabled.then(TuneStore::new);
-    compile_suite_with_stores(suite, occ, cfg, cache, tune.as_ref(), observe)
+    compile_suite_with_stores(suite, occ, cfg, cache, tune.as_ref(), observe).0
 }
 
 /// [`compile_suite_with_cache`] compiling through caller-owned stores: a
 /// schedule cache and a tuning store (either may be `None`, overriding
-/// `cfg.cache` / `cfg.tune`). Sharing one [`TuneStore`] across repeated
-/// compilations is how the self-tuner learns: each run's job phase only
-/// *reads* the store (arm choices and warm hints are pure functions of the
-/// frozen state), and each run's canonical merge feeds outcomes back in a
-/// single-threaded fixed order — so the learned state after any run is
-/// byte-identical at every `host_threads` value.
+/// `cfg.cache` / `cfg.tune`), with the host wall-clock breakdown. Sharing
+/// one [`TuneStore`] across repeated compilations is how the self-tuner
+/// learns: each run's job phase only *reads* the store (arm choices and
+/// warm hints are pure functions of the frozen state), and each run's
+/// canonical merge feeds outcomes back in a single-threaded fixed order —
+/// so the learned state after any run is byte-identical at every
+/// `host_threads` value.
+///
+/// This is the one drive body under every suite compiler, the
+/// `sched-serve` daemon's `suite` requests included: plan → frozen tune
+/// clone → streaming merge → finish. The clock is read only at phase and
+/// consume boundaries (as the job loop already does around every job),
+/// never inside the schedulers.
 pub fn compile_suite_with_stores<F>(
-    suite: &Suite,
-    occ: &OccupancyModel,
-    cfg: &PipelineConfig,
-    cache: Option<&ScheduleCache>,
-    tune: Option<&TuneStore>,
-    observe: F,
-) -> SuiteRun
-where
-    F: FnMut(usize, usize, &Ddg, &PipelineConfig, &RegionCompilation),
-{
-    drive(suite, occ, cfg, cache, tune, observe).0
-}
-
-/// The one drive body under every suite compiler: plan → frozen tune clone
-/// → streaming merge → finish, with the host wall-clock breakdown. The
-/// clock is read only at phase and consume boundaries (as the job loop
-/// already does around every job), never inside the schedulers.
-fn drive<F>(
     suite: &Suite,
     occ: &OccupancyModel,
     cfg: &PipelineConfig,
@@ -288,13 +277,12 @@ where
 }
 
 /// A streaming merge's consume time and the part of it that ran while jobs
-/// were in flight, fed one consume call at a time: the one account the
-/// suite compiler (`drive`) and the `sched-serve` daemon's suite merger
-/// both keep. All times are on one clock, in one unit.
+/// were in flight, fed one consume call at a time. All times are on one
+/// clock, in one unit.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MergeOverlap {
+struct MergeOverlap {
     /// Total time inside the recorded consume calls.
-    pub busy: f64,
+    busy: f64,
     /// Full length of every call handed off while jobs were in flight.
     overlapped: f64,
     /// Start and end of the last such call.
@@ -304,7 +292,7 @@ pub struct MergeOverlap {
 impl MergeOverlap {
     /// Records one consume call from `start` to `end`; `in_flight` is
     /// whether jobs were still unfinished when it was handed off.
-    pub fn record(&mut self, start: f64, end: f64, in_flight: bool) {
+    fn record(&mut self, start: f64, end: f64, in_flight: bool) {
         self.busy += end - start;
         if in_flight {
             self.overlapped += end - start;
@@ -316,12 +304,13 @@ impl MergeOverlap {
     /// having ended at `jobs_end`: every call handed off in flight, less
     /// the part of the last one after `jobs_end`. Consume calls run one
     /// after another on one thread, so only that call can straddle the end.
-    pub fn within_jobs(&self, jobs_end: f64) -> f64 {
+    fn within_jobs(&self, jobs_end: f64) -> f64 {
         self.overlapped - (self.last.1 - self.last.0.max(jobs_end)).max(0.0)
     }
 }
 
-/// Host wall-clock breakdown of one [`compile_suite_timed`] call, seconds.
+/// Host wall-clock breakdown of one [`compile_suite_with_stores`] call,
+/// seconds.
 /// These are *measured host* times — unrelated to the modeled GPU
 /// microseconds inside [`SuiteRun`] (see DESIGN.md on the two time
 /// domains).
@@ -370,7 +359,7 @@ pub fn compile_suite_timed(
 ) -> (SuiteRun, SuiteWallclock) {
     let cache = cfg.cache.enabled.then(ScheduleCache::new);
     let tune = cfg.tune.enabled.then(TuneStore::new);
-    drive(
+    compile_suite_with_stores(
         suite,
         occ,
         cfg,
@@ -380,20 +369,16 @@ pub fn compile_suite_timed(
     )
 }
 
-/// The barrier-shape merge, retained as the **reference implementation**:
-/// every job already ran, `results` is indexed by canonical job, and the
-/// whole merge executes here as one serial pass. The streaming compilers
-/// above produce byte-identical output (both feed the same
-/// [`SuiteMerger`] the same canonical stream) — the equivalence property
-/// tests pin that against this entry point.
-///
-/// Public so out-of-crate executors — the `sched-serve` daemon runs suite
-/// jobs through its own admission-controlled priority queue — can run
-/// [`crate::host_pool::run_job`] in *any* order and still produce the
-/// byte-identical [`SuiteRun`] this crate's own compilers return: `jobs`
-/// must be [`plan_jobs`]'s canonical list and `results` its per-job
-/// outcomes indexed the same way. [`SuiteRun::cache`] is left zeroed
-/// (callers sharing a long-lived cache report deltas themselves).
+/// The barrier-shape merge, retained as the **reference implementation**
+/// the equivalence tests compare the streaming compilers against: every
+/// job already ran ([`crate::host_pool::run_jobs`]), `results` is indexed
+/// by canonical job, and the whole merge executes here as one serial pass.
+/// Both shapes feed the same [`SuiteMerger`] the same canonical stream, so
+/// their output is byte-identical. No executor outside this crate merges
+/// through it: the `sched-serve` daemon runs a `suite` request through
+/// [`compile_suite_with_stores`]. `jobs` must be [`plan_jobs`]'s canonical
+/// list and `results` its per-job outcomes indexed the same way.
+/// [`SuiteRun::cache`] is left zeroed.
 ///
 /// When a [`TuneStore`] is supplied, every tuned outcome is fed back into
 /// it here — and *only* here, single-threaded in canonical order, so the
@@ -927,18 +912,12 @@ mod tests {
         // Clones carry the knowledge; each run below starts from the same
         // frozen state.
         let (s1, s2, s3) = (store.clone(), store.clone(), store.clone());
-        let cache = ScheduleCache::new();
-        let off = compile_suite_with_stores(&suite, &occ, &c, None, Some(&s1), |_, _, _, _, _| {});
-        let on = compile_suite_with_stores(
-            &suite,
-            &occ,
-            &c,
-            Some(&cache),
-            Some(&s2),
-            |_, _, _, _, _| {},
-        );
-        let again =
-            compile_suite_with_stores(&suite, &occ, &c, None, Some(&s3), |_, _, _, _, _| {});
+        let run = |cache: Option<&ScheduleCache>, store: &TuneStore| {
+            compile_suite_with_stores(&suite, &occ, &c, cache, Some(store), |_, _, _, _, _| {})
+        };
+        let (off, _) = run(None, &s1);
+        let (on, wall) = run(Some(&ScheduleCache::new()), &s2);
+        let (again, _) = run(None, &s3);
         for other in [&on, &again] {
             assert_eq!(off.total_length(), other.total_length());
             assert_eq!(off.total_occupancy(), other.total_occupancy());
@@ -947,22 +926,15 @@ mod tests {
             assert_eq!(off.compile_time_s, other.compile_time_s);
         }
         assert!(on.cache.lookups() > 0, "cached run must use the cache");
-        // The timed compiler is the same drive body: same run, same cache
-        // delta, same counters left on the caller's store.
-        let (s4, cache4) = (store.clone(), ScheduleCache::new());
-        let (timed, wall) = drive(
-            &suite,
-            &occ,
-            &c,
-            Some(&cache4),
-            Some(&s4),
-            |_, _, _, _, _| {},
-        );
+        assert!(wall.total_s >= wall.plan_s + wall.merge_s && wall.merge_s > 0.0);
+        // A second cached run from the same frozen state: same run, same
+        // cache delta, same counters left on the caller's store.
+        let s4 = store.clone();
+        let (twin, _) = run(Some(&ScheduleCache::new()), &s4);
         assert_eq!(
-            (timed.fingerprint, timed.cache, s4.stats()),
+            (twin.fingerprint, twin.cache, s4.stats()),
             (on.fingerprint, on.cache, s2.stats())
         );
-        assert!(wall.total_s >= wall.plan_s + wall.merge_s && wall.merge_s > 0.0);
     }
 
     /// `cfg.tune` defaults off, and an explicitly disabled tuner is the

@@ -15,7 +15,7 @@
 //!   in (state, args) and the store is never mutated during the job
 //!   phase, so jobs stay pure and thread-count independent.
 //! * **Observation** — [`observe_outcome`] runs only on the merge thread,
-//!   in canonical job order ([`crate::suite_run::merge_job_results`]):
+//!   in canonical job order ([`crate::SuiteMerger::consume`]):
 //!   it records the arm's achieved (length, iterations) and the adopted
 //!   order as a future warm hint. Single-threaded, fixed order — the
 //!   store's learned state after a run is byte-identical at any

@@ -17,17 +17,18 @@
 //!   `suite` response pins the run with the same suite fingerprint the
 //!   golden tests use.
 //! * [`planner`] — admission control and backpressure: a bounded
-//!   priority queue with atomic batch admission, a typed `overloaded`
+//!   priority queue of one item per request, a typed `overloaded`
 //!   rejection when full, per-request deadlines with a typed `expired`
-//!   response, and smallest-first service so small regions jump the
-//!   queue (the same discipline `host_pool::plan_jobs` feeds it).
+//!   response, and smallest-first service by instruction count so small
+//!   regions jump the queue.
 //! * [`server`] — the engine: per-connection request parsing and
 //!   admission (a `schedule` request the cache already holds is answered
 //!   on the connection thread; only compiles are queued), worker threads
-//!   draining the planner through [`pipeline::host_pool::run_job`] and
-//!   the shared cache, graceful drain on SIGTERM/EOF, and
-//!   the `stats` surface exposing cache counters and the per-phase
-//!   latencies [`pipeline::SuiteRun`] tracks.
+//!   draining the planner through the shared cache — a `suite` through
+//!   the pipeline's own driver, [`pipeline::compile_suite_with_stores`] —
+//!   graceful drain on SIGTERM/EOF, and the `stats` surface exposing cache
+//!   counters and the per-phase latencies [`pipeline::SuiteWallclock`]
+//!   measures.
 //! * [`render`] — the one-shot CLI's report rendering, factored out so
 //!   daemon and CLI cannot drift apart byte-wise.
 //! * [`signal`] — a dependency-free SIGTERM/SIGINT flag for the drain.

@@ -3,17 +3,15 @@
 //! The planner is a bounded priority queue between connection threads
 //! (producers) and compile workers (consumers). Three properties matter:
 //!
-//! * **Bounded, with a typed rejection.** A full queue rejects the whole
-//!   submission atomically with [`Overloaded`] — the daemon never queues
-//!   unbounded work, and a client sees an explicit retryable condition
-//!   instead of a stalled connection. A multi-item batch (the jobs of a
-//!   `suite` request) is admitted all-or-nothing, so a rejected suite
-//!   leaves no orphan jobs behind.
+//! * **Bounded, with a typed rejection.** A full queue rejects a
+//!   submission with [`Overloaded`] — the daemon never queues unbounded
+//!   work, and a client sees an explicit retryable condition instead of a
+//!   stalled connection. Every request is one item, a `suite` included.
 //! * **Smallest first.** Items carry a numeric priority (the serve engine
-//!   uses region size, the same cost signal `host_pool::plan_jobs`
-//!   orders by); lower values are served first, so small regions jump the
-//!   queue instead of convoying behind a large suite. Ties are FIFO via a
-//!   monotone sequence number, which keeps service order deterministic.
+//!   uses the instruction count: a region's, or a whole suite's); lower
+//!   values are served first, so small regions jump the queue instead of
+//!   convoying behind a large suite. Ties are FIFO via a monotone
+//!   sequence number, which keeps service order deterministic.
 //! * **Drainable.** [`Planner::drain`] stops admission and lets workers
 //!   exit once the queue is empty; [`Planner::wait_idle`] additionally
 //!   waits for in-flight items, which is what the daemon's graceful
@@ -23,8 +21,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex, PoisonError};
 
-/// Typed admission-control rejection: the queue had too little room for
-/// the submitted batch, and **nothing** from the batch was enqueued.
+/// Typed admission-control rejection: the queue was full (or draining) and
+/// the submitted item was **not** enqueued.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Overloaded {
     /// Items queued at rejection time.
@@ -64,7 +62,7 @@ struct State<T> {
     draining: bool,
 }
 
-/// A bounded smallest-first work queue with atomic batch admission.
+/// A bounded smallest-first work queue.
 pub struct Planner<T> {
     state: Mutex<State<T>>,
     cond: Condvar,
@@ -92,28 +90,25 @@ impl<T> Planner<T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Submits a batch of `(priority, work)` items atomically: either the
-    /// queue has room for all of them, or none is enqueued and
-    /// [`Overloaded`] reports the observed occupancy. Lower priority
-    /// values are served first; equal priorities are FIFO. A draining
-    /// planner rejects everything as overloaded.
-    pub fn submit(&self, batch: Vec<(u64, T)>) -> Result<(), Overloaded> {
+    /// Submits one item: queued when the queue has room, else
+    /// [`Overloaded`] reports the observed occupancy. Lower priority values
+    /// are served first; equal priorities are FIFO. A draining planner
+    /// rejects everything as overloaded.
+    pub fn submit(&self, priority: u64, work: T) -> Result<(), Overloaded> {
         let mut st = self.lock();
-        if st.draining || st.queue.len() + batch.len() > self.capacity {
+        if st.draining || st.queue.len() >= self.capacity {
             return Err(Overloaded {
                 queued: st.queue.len(),
                 capacity: self.capacity,
             });
         }
-        for (priority, work) in batch {
-            let seq = st.seq;
-            st.seq += 1;
-            st.queue.push(Reverse(Item {
-                priority,
-                seq,
-                work,
-            }));
-        }
+        let seq = st.seq;
+        st.seq += 1;
+        st.queue.push(Reverse(Item {
+            priority,
+            seq,
+            work,
+        }));
         drop(st);
         self.cond.notify_all();
         Ok(())
@@ -177,8 +172,9 @@ mod tests {
     #[test]
     fn serves_smallest_priority_first_fifo_within_ties() {
         let p = Planner::new(16);
-        p.submit(vec![(30, "big"), (5, "small-a")]).unwrap();
-        p.submit(vec![(5, "small-b"), (1, "tiny")]).unwrap();
+        for (priority, work) in [(30, "big"), (5, "small-a"), (5, "small-b"), (1, "tiny")] {
+            p.submit(priority, work).unwrap();
+        }
         p.drain();
         let mut order = Vec::new();
         while let Some(w) = p.pop() {
@@ -189,29 +185,25 @@ mod tests {
     }
 
     #[test]
-    fn batch_admission_is_all_or_nothing() {
-        let p = Planner::new(3);
-        p.submit(vec![(1, 'a'), (2, 'b')]).unwrap();
-        // Two more items would overflow capacity 3: the whole batch must
-        // bounce and leave the queue untouched.
-        let err = p.submit(vec![(0, 'c'), (0, 'd')]).unwrap_err();
+    fn a_full_queue_rejects_and_keeps_what_it_holds() {
+        let p = Planner::new(2);
+        p.submit(1, 'a').unwrap();
+        p.submit(2, 'b').unwrap();
+        let err = p.submit(0, 'c').unwrap_err();
         assert_eq!(
             err,
             Overloaded {
                 queued: 2,
-                capacity: 3
+                capacity: 2
             }
         );
         assert_eq!(p.queued(), 2);
-        // A single item still fits.
-        p.submit(vec![(0, 'e')]).unwrap();
-        assert_eq!(p.queued(), 3);
     }
 
     #[test]
     fn zero_capacity_rejects_everything() {
         let p = Planner::new(0);
-        let err = p.submit(vec![(1, ())]).unwrap_err();
+        let err = p.submit(1, ()).unwrap_err();
         assert_eq!(
             err,
             Overloaded {
@@ -224,9 +216,9 @@ mod tests {
     #[test]
     fn draining_rejects_new_work_and_releases_workers() {
         let p: Arc<Planner<u32>> = Arc::new(Planner::new(8));
-        p.submit(vec![(1, 7)]).unwrap();
+        p.submit(1, 7).unwrap();
         p.drain();
-        assert!(p.submit(vec![(1, 8)]).is_err());
+        assert!(p.submit(1, 8).is_err());
         assert_eq!(p.pop(), Some(7));
         p.task_done();
         assert_eq!(p.pop(), None);
@@ -245,7 +237,8 @@ mod tests {
     #[test]
     fn wait_idle_blocks_until_in_flight_work_finishes() {
         let p: Arc<Planner<u32>> = Arc::new(Planner::new(8));
-        p.submit(vec![(1, 1), (2, 2)]).unwrap();
+        p.submit(1, 1).unwrap();
+        p.submit(2, 2).unwrap();
         let worker = {
             let p = Arc::clone(&p);
             std::thread::spawn(move || {
@@ -269,7 +262,7 @@ mod tests {
                 let p = Arc::clone(&p);
                 std::thread::spawn(move || {
                     for i in 0..50 {
-                        p.submit(vec![(i % 7, t * 100 + i)]).unwrap();
+                        p.submit(i % 7, t * 100 + i).unwrap();
                     }
                 })
             })

@@ -8,10 +8,9 @@
 //! hand-off to a worker) and submit the rest; a fixed pool of compile
 //! workers drains the planner in smallest-first order through the same
 //! pipeline entry points the one-shot CLI uses
-//! ([`ScheduleCache::compile_solo`], [`pipeline::host_pool::run_job`]).
-//! Suite requests additionally get a dedicated merger thread that streams
-//! the canonical merge behind job execution via the per-job [`SlotTable`]
-//! (see [`SuiteState`]).
+//! ([`ScheduleCache::compile_solo`], [`compile_suite_with_stores`]). A
+//! `suite` request is one queued item: the worker that pops it runs the
+//! pipeline's own suite driver on a host pool as wide as `--workers`.
 //! Responses travel back through a per-connection [`ResponseWriter`] so
 //! completions can interleave across a connection's outstanding requests.
 //!
@@ -29,10 +28,9 @@ use crate::signal;
 use crate::stats::ServeStats;
 use aco_tune::TuneStore;
 use machine_model::OccupancyModel;
-use pipeline::host_pool::{plan_jobs, run_job, RegionJob, RegionOutcome, SlotTable};
 use pipeline::{
-    merge_job_results, observe_outcome, tuned_solo_inputs, MergeOverlap, PipelineConfig,
-    RegionCompilation, ScheduleCache, SchedulerKind, SuiteMerger,
+    compile_suite_with_stores, observe_outcome, tuned_solo_inputs, PipelineConfig,
+    RegionCompilation, ScheduleCache, SchedulerKind,
 };
 use sched_ir::record::read_lines;
 use sched_ir::{textir, Ddg};
@@ -40,8 +38,7 @@ use std::any::Any;
 use std::io::{self, BufRead, BufReader, Write};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How the daemon is configured at boot.
@@ -140,51 +137,26 @@ struct RegionWork {
     ctx: RequestCtx,
 }
 
-/// Shared state of one `suite` request, split into per-job work items.
-/// Workers publish finished job outcomes into the per-job [`SlotTable`];
-/// a dedicated merger thread (spawned at admission) consumes slots in
-/// canonical job order through [`SuiteMerger`], so the merge streams
-/// behind execution instead of waiting for the last finisher — and the
-/// response stays byte-independent of service order by construction.
-struct SuiteState {
+/// One `suite` request, ready to compile.
+struct SuiteWork {
     suite: workloads::Suite,
     occ: OccupancyModel,
     cfg: PipelineConfig,
-    jobs: Vec<RegionJob>,
-    /// One slot per canonical job; `cancel()`ed on expiry so the merger
-    /// thread unblocks and exits without responding.
-    slots: SlotTable<Vec<RegionOutcome>>,
-    /// Jobs not yet published — sampled by the merger to classify merge
-    /// time as overlapped (hidden under running jobs) or tail.
-    remaining: AtomicUsize,
-    /// When the job that took `remaining` to zero finished: the end of the
-    /// job phase, past which no merge time counts as overlapped.
-    jobs_done: OnceLock<Instant>,
-    expired: AtomicBool,
-    /// Snapshot of the engine's tuning store taken at submission, so every
-    /// job of this suite draws arm choices and warm hints from one frozen
-    /// state no matter how requests interleave. Observations go to the
-    /// engine's *shared* store during the canonical merge.
-    tune: Option<TuneStore>,
     ctx: RequestCtx,
-}
-
-impl SuiteState {
-    /// Counts one job out of `remaining`, stamping the end of the job
-    /// phase when it was the last.
-    fn job_done(&self) {
-        if self.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _ = self.jobs_done.set(Instant::now());
-        }
-    }
 }
 
 enum Work {
     Region(Box<RegionWork>),
-    SuiteJob {
-        state: Arc<SuiteState>,
-        index: usize,
-    },
+    Suite(Box<SuiteWork>),
+}
+
+impl Work {
+    fn ctx(&self) -> &RequestCtx {
+        match self {
+            Work::Region(w) => &w.ctx,
+            Work::Suite(w) => &w.ctx,
+        }
+    }
 }
 
 /// The daemon's shared core: one warm cache, one admission queue, one set
@@ -201,10 +173,8 @@ pub struct Engine {
     stats: ServeStats,
     cache_path: Option<PathBuf>,
     tune_path: Option<PathBuf>,
-    /// One merger thread per admitted suite request (finished handles are
-    /// reaped at the next admission, all joined on shutdown so every
-    /// response flushes before the process exits).
-    mergers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Compile worker threads, and the host pool width of a `suite`.
+    workers: usize,
 }
 
 impl Engine {
@@ -270,9 +240,9 @@ impl Server {
             stats: ServeStats::default(),
             cache_path: config.cache_path,
             tune_path: config.tune_path,
-            mergers: Mutex::new(Vec::new()),
+            workers: config.workers.max(1),
         });
-        let workers = (0..config.workers.max(1))
+        let workers = (0..engine.workers)
             .map(|_| {
                 let engine = Arc::clone(&engine);
                 std::thread::spawn(move || worker_loop(&engine))
@@ -287,14 +257,12 @@ impl Server {
     }
 
     /// Graceful drain: stop admission, finish and answer everything
-    /// queued or in flight, join the workers and suite merger threads
-    /// (so every streaming merge responds), persist the cache.
+    /// queued or in flight, join the workers, persist the cache.
     pub fn shutdown(self) -> io::Result<()> {
         self.engine.planner.drain();
         for w in self.workers {
             let _ = w.join();
         }
-        join_mergers(&self.engine);
         if self.engine.cache_path.is_some() || self.engine.tune_path.is_some() {
             self.engine
                 .flush()
@@ -303,27 +271,9 @@ impl Server {
         Ok(())
     }
 
-    /// Blocks until nothing is queued or in flight and every suite
-    /// merger thread has responded (test aid).
+    /// Blocks until nothing is queued or in flight (test aid).
     pub fn wait_idle(&self) {
         self.engine.planner.wait_idle();
-        join_mergers(&self.engine);
-    }
-}
-
-/// Takes and joins every outstanding suite merger thread. Once the
-/// planner is idle all slots are published (or cancelled), so each join
-/// returns as soon as that merger's tail work finishes.
-fn join_mergers(engine: &Engine) {
-    let handles: Vec<_> = {
-        let mut mergers = engine
-            .mergers
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        mergers.drain(..).collect()
-    };
-    for h in handles {
-        let _ = h.join();
     }
 }
 
@@ -332,7 +282,7 @@ fn worker_loop(engine: &Engine) {
         let started = Instant::now();
         let served = panic::catch_unwind(AssertUnwindSafe(|| match &work {
             Work::Region(w) => run_region(engine, w, started),
-            Work::SuiteJob { state, index } => run_suite_job(engine, state, *index, started),
+            Work::Suite(w) => run_suite(engine, w, started),
         }));
         if let Err(payload) = served {
             fail(engine, &work, &*payload);
@@ -343,20 +293,10 @@ fn worker_loop(engine: &Engine) {
 
 /// Answers the request of a work item whose compile panicked with one
 /// `err`, so the worker lives on and nobody waits for an answer that never
-/// comes. A suite takes the expiry path: its first failed job answers and
-/// cancels the slot table (the merger exits without responding), and the
-/// suite's remaining jobs drain without compiling.
+/// comes. A suite's pool re-raises a job's panic on this worker, so a
+/// suite fails here too.
 fn fail(engine: &Engine, work: &Work, panic: &(dyn Any + Send)) {
-    let ctx = match work {
-        Work::Region(w) => &w.ctx,
-        Work::SuiteJob { state, .. } => {
-            if state.expired.swap(true, Ordering::SeqCst) {
-                return; // already answered
-            }
-            state.slots.cancel();
-            &state.ctx
-        }
-    };
+    let ctx = work.ctx();
     let text = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
         (Some(text), _) => text,
         (_, Some(text)) => text.as_str(),
@@ -426,109 +366,35 @@ fn answer(
     );
 }
 
-fn run_suite_job(engine: &Engine, state: &SuiteState, index: usize, started: Instant) {
-    let waited_us = started.duration_since(state.ctx.arrived).as_micros() as u64;
-    ServeStats::bump(&engine.stats.queue_wait_us, waited_us);
-    // First worker past the deadline answers `expired` for the whole
-    // request; the swap guarantees exactly one response. Remaining jobs
-    // still drain through here (cheaply) to keep the accounting simple.
-    if !state.expired.load(Ordering::SeqCst) {
-        if let Some(d) = state.ctx.deadline {
-            if started >= d && !state.expired.swap(true, Ordering::SeqCst) {
-                let waited = started.duration_since(state.ctx.arrived).as_millis() as u64;
-                state.ctx.out.send(
-                    &state.ctx.id,
-                    &Response::Expired {
-                        waited_ms: waited,
-                        deadline_ms: state.ctx.deadline_ms,
-                    },
-                );
-                ServeStats::bump(&engine.stats.expired, 1);
-                // Unblock the merger thread; it exits without responding.
-                state.slots.cancel();
-            }
-        }
+/// Runs one `suite` request through the pipeline's suite driver, on a
+/// host pool as wide as the worker pool, and books its phases.
+fn run_suite(engine: &Engine, w: &SuiteWork, started: Instant) {
+    let waited_us = started.duration_since(w.ctx.arrived).as_micros() as u64;
+    if w.ctx.expired_at(started, &engine.stats) {
+        return;
     }
-    if !state.expired.load(Ordering::SeqCst) {
-        let outcomes = run_job(
-            &state.jobs[index],
-            &state.suite,
-            &state.occ,
-            &state.cfg,
-            Some(&engine.cache),
-            state.tune.as_ref(),
-        );
-        // `remaining` counts unpublished jobs, so decrement *before*
-        // publishing: the merger never sees a published slot while the
-        // counter still includes it, keeping the overlap classification
-        // conservative.
-        state.job_done();
-        state.slots.publish(index, outcomes);
-    } else {
-        state.job_done();
-    }
-    ServeStats::bump(
-        &engine.stats.suite_jobs_us,
-        started.elapsed().as_micros() as u64,
-    );
-    ServeStats::bump(
-        &engine.stats.service_us,
-        started.elapsed().as_micros() as u64,
-    );
-}
-
-/// The streaming suite merge, one dedicated thread per admitted request:
-/// consumes the slot table in canonical job order the moment each slot
-/// lands, classifying merge time as overlapped while jobs are still in
-/// flight ([`MergeOverlap`], the suite compiler's own account). Exits
-/// silently (no response) when the request expired — the expiring worker
-/// already answered and cancelled the table.
-fn suite_merger_thread(engine: &Engine, state: &SuiteState) {
-    let mut merger = SuiteMerger::new(
-        &state.suite,
-        &state.occ,
-        &state.cfg,
-        &state.jobs,
+    let (run, wall) = compile_suite_with_stores(
+        &w.suite,
+        &w.occ,
+        &w.cfg.with_host_threads(engine.workers),
         Some(&engine.cache),
         engine.tune.as_ref(),
         |_, _, _, _, _| {},
     );
-    // Consume calls in seconds since `t0`.
-    let t0 = Instant::now();
-    let mut overlap = MergeOverlap::default();
-    for index in 0..state.jobs.len() {
-        let Some(outcomes) = state.slots.wait_take(index) else {
-            return; // expired: cancelled mid-stream, response already sent
-        };
-        let in_flight = state.remaining.load(Ordering::SeqCst);
-        let start = t0.elapsed().as_secs_f64();
-        merger.consume(index, outcomes);
-        overlap.record(start, t0.elapsed().as_secs_f64(), in_flight > 0);
-    }
-    let t = Instant::now();
-    let run = merger.finish();
-    let merge_s = overlap.busy + t.elapsed().as_secs_f64();
-    // Every slot was taken, so every job has finished and stamped the end.
-    let jobs_end = state.jobs_done.get().map_or(f64::INFINITY, |end| {
-        end.saturating_duration_since(t0).as_secs_f64()
-    });
-    let overlap_s = overlap.within_jobs(jobs_end);
-    // The jobs' arm choices and warm hits landed on the frozen snapshot;
-    // fold its counters back so `stats` reports them, as the pipeline's
-    // own suite driver does.
-    if let (Some(store), Some(snapshot)) = (&engine.tune, &state.tune) {
-        store.absorb_counters(&snapshot.stats());
-    }
-    ServeStats::bump(&engine.stats.suite_merge_us, (merge_s * 1e6) as u64);
-    ServeStats::bump(&engine.stats.suite_overlap_us, (overlap_s * 1e6) as u64);
-    ServeStats::bump(&engine.stats.suites, 1);
-    ServeStats::bump(&engine.stats.served, 1);
-    state.ctx.out.send(
-        &state.ctx.id,
-        &Response::Ok {
-            payload: render::suite_report(&run),
-        },
-    );
+    let payload = render::suite_report(&run);
+    // Measured before the send, so it never exceeds what the client sees.
+    let service_us = started.elapsed().as_micros() as u64;
+    w.ctx.out.send(&w.ctx.id, &Response::Ok { payload });
+    let stats = &engine.stats;
+    let us = |s: f64| (s * 1e6) as u64;
+    ServeStats::bump(&stats.suite_plan_us, us(wall.plan_s));
+    ServeStats::bump(&stats.suite_jobs_us, us(wall.jobs_s));
+    ServeStats::bump(&stats.suite_merge_us, us(wall.merge_s));
+    ServeStats::bump(&stats.suite_overlap_us, us(wall.merge_overlap_s));
+    ServeStats::bump(&stats.suites, 1);
+    ServeStats::bump(&stats.served, 1);
+    ServeStats::bump(&stats.queue_wait_us, waited_us);
+    ServeStats::bump(&stats.service_us, service_us);
 }
 
 /// Serves one connection until EOF, shutdown, or a fatal transport error.
@@ -643,7 +509,7 @@ fn request_ctx(id: String, out: &Arc<ResponseWriter>, deadline_ms: Option<u64>) 
 }
 
 fn submit_schedule(
-    engine: &Arc<Engine>,
+    engine: &Engine,
     out: &Arc<ResponseWriter>,
     id: String,
     opts: ScheduleOpts,
@@ -688,25 +554,18 @@ fn submit_schedule(
         }
     }
     let priority = work.ddg.len() as u64;
-    let id = work.ctx.id.clone();
-    if let Err(over) = engine
-        .planner
-        .submit(vec![(priority, Work::Region(Box::new(work)))])
-    {
-        ServeStats::bump(&engine.stats.overloaded, 1);
-        out.send(
-            &id,
-            &Response::Overloaded {
-                queued: over.queued,
-                capacity: over.capacity,
-            },
-        );
-    }
+    enqueue(engine, priority, Work::Region(Box::new(work)));
 }
 
-fn submit_suite(engine: &Arc<Engine>, out: &Arc<ResponseWriter>, id: String, opts: SuiteOpts) {
+fn submit_suite(engine: &Engine, out: &Arc<ResponseWriter>, id: String, opts: SuiteOpts) {
+    // Generation is booked as planning here; the driver's job planning is
+    // booked with the suite's other phases by the worker that runs it.
     let t_plan = Instant::now();
     let suite = workloads::Suite::generate(&workloads::SuiteConfig::scaled(opts.seed, opts.scale));
+    ServeStats::bump(
+        &engine.stats.suite_plan_us,
+        t_plan.elapsed().as_micros() as u64,
+    );
     // The pipeline seed stays 0 — the golden-fingerprint configuration;
     // the request's `seed` parameterizes workload generation, so
     // `suite seed=5` reproduces the pinned SUITE_GOLDEN fingerprints.
@@ -718,105 +577,30 @@ fn submit_suite(engine: &Arc<Engine>, out: &Arc<ResponseWriter>, id: String, opt
     } else {
         OccupancyModel::vega_like()
     };
-    let jobs = plan_jobs(&suite, &cfg);
-    ServeStats::bump(
-        &engine.stats.suite_plan_us,
-        t_plan.elapsed().as_micros() as u64,
-    );
-    let ctx = request_ctx(id, out, opts.deadline_ms);
-    if jobs.is_empty() {
-        // Degenerate scale: nothing to queue; merge the empty job list
-        // inline for a well-formed (if trivial) report.
-        let run = merge_job_results(
-            &suite,
-            &occ,
-            &cfg,
-            &jobs,
-            Vec::new(),
-            Some(&engine.cache),
-            engine.tune.as_ref(),
-            |_, _, _, _, _| {},
-        );
-        ServeStats::bump(&engine.stats.suites, 1);
-        ServeStats::bump(&engine.stats.served, 1);
-        ctx.out.send(
-            &ctx.id,
-            &Response::Ok {
-                payload: render::suite_report(&run),
-            },
-        );
-        return;
-    }
-    let priorities = jobs
-        .iter()
-        .map(|job| match job {
-            RegionJob::Solo { kernel, region } => {
-                suite.kernels[*kernel].regions[*region].len() as u64
-            }
-            RegionJob::Group { kernel, members } => members
-                .iter()
-                .map(|&ri| suite.kernels[*kernel].regions[ri].len() as u64)
-                .sum(),
-        })
-        .collect();
-    let n_jobs = jobs.len();
-    let state = SuiteState {
+    let priority = suite.regions().map(|(_, _, ddg)| ddg.len() as u64).sum();
+    let work = SuiteWork {
         suite,
         occ,
         cfg,
-        jobs,
-        slots: SlotTable::new(n_jobs),
-        remaining: AtomicUsize::new(n_jobs),
-        jobs_done: OnceLock::new(),
-        expired: AtomicBool::new(false),
-        tune: engine.tune.clone(),
-        ctx,
+        ctx: request_ctx(id, out, opts.deadline_ms),
     };
-    admit_suite(engine, priorities, state);
+    enqueue(engine, priority, Work::Suite(Box::new(work)));
 }
 
-/// Queues the jobs of a planned suite request at their `priorities` and
-/// starts its streaming merge, or answers `overloaded`.
-fn admit_suite(engine: &Arc<Engine>, priorities: Vec<u64>, state: SuiteState) {
-    let state = Arc::new(state);
-    let batch: Vec<(u64, Work)> = priorities
-        .into_iter()
-        .enumerate()
-        .map(|(index, p)| {
-            (
-                p,
-                Work::SuiteJob {
-                    state: Arc::clone(&state),
-                    index,
-                },
-            )
-        })
-        .collect();
-    if let Err(over) = engine.planner.submit(batch) {
+/// Queues `work` at `priority`, or answers its request `overloaded`.
+fn enqueue(engine: &Engine, priority: u64, work: Work) {
+    let ctx = work.ctx();
+    let (id, out) = (ctx.id.clone(), Arc::clone(&ctx.out));
+    if let Err(over) = engine.planner.submit(priority, work) {
         ServeStats::bump(&engine.stats.overloaded, 1);
-        state.ctx.out.send(
-            &state.ctx.id,
+        out.send(
+            &id,
             &Response::Overloaded {
                 queued: over.queued,
                 capacity: over.capacity,
             },
         );
-        return;
     }
-    // Admitted: start this request's streaming merge consumer. Reap
-    // handles of already-finished mergers so a long-lived daemon's list
-    // stays bounded by its in-flight suite count.
-    let merger = {
-        let engine = Arc::clone(engine);
-        let state = Arc::clone(&state);
-        std::thread::spawn(move || suite_merger_thread(&engine, &state))
-    };
-    let mut mergers = engine
-        .mergers
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    mergers.retain(|h| !h.is_finished());
-    mergers.push(merger);
 }
 
 /// Serves the stdio transport: requests on stdin, responses on stdout.
@@ -882,15 +666,29 @@ pub fn serve_unix(socket_path: &Path, config: ServeConfig) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
     use std::sync::mpsc;
 
-    /// A client connection's byte stream, readable by the test.
+    /// A client connection's byte stream, readable by the test, and when
+    /// its last reply landed.
     #[derive(Clone, Default)]
-    struct Sink(Arc<Mutex<Vec<u8>>>);
+    struct Sink(Arc<Mutex<(Vec<u8>, Option<Instant>)>>);
+
+    impl Sink {
+        fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().0.clone()).unwrap()
+        }
+
+        fn last_write(&self) -> Instant {
+            self.0.lock().unwrap().1.expect("no reply was written")
+        }
+    }
 
     impl Write for Sink {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
+            let mut sink = self.0.lock().unwrap();
+            sink.0.extend_from_slice(buf);
+            sink.1 = Some(Instant::now());
             Ok(buf.len())
         }
 
@@ -899,42 +697,56 @@ mod tests {
         }
     }
 
+    /// Serves `script` on one connection of a fresh daemon with `workers`
+    /// workers. Returns the replies, the time from the start of the script
+    /// to the last reply, and the `stats` payload once the daemon is idle.
+    fn serve(workers: usize, script: &str) -> (String, Duration, String) {
+        let server = Server::start(ServeConfig {
+            workers,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let sink = Sink::default();
+        let t0 = Instant::now();
+        handle_connection(server.engine(), script.as_bytes(), Box::new(sink.clone()));
+        server.wait_idle();
+        let stats = server.engine().stats_report();
+        server.shutdown().unwrap();
+        (sink.text(), sink.last_write() - t0, stats)
+    }
+
+    /// The numbers of a `stats` line, in order.
+    fn numbers(stats: &str, prefix: &str) -> Vec<u64> {
+        let line = stats.lines().find(|l| l.starts_with(prefix)).unwrap();
+        let words = line.split(|c: char| !c.is_ascii_digit());
+        words.filter_map(|w| w.parse().ok()).collect()
+    }
+
     #[test]
-    fn a_panicking_suite_job_is_one_err_and_the_worker_serves_on() {
+    fn a_panicking_suite_is_one_err_and_the_worker_serves_on() {
         let sink = Sink::default();
         let client = sink.clone();
         let (tx, rx) = mpsc::channel();
         let daemon = std::thread::spawn(move || {
             let config = ServeConfig {
-                workers: 1,
+                workers: 2,
                 queue_capacity: 1 << 16,
                 ..ServeConfig::default()
             };
             let server = Server::start(config).unwrap();
             let engine = Arc::clone(server.engine());
             let out = Arc::new(ResponseWriter::new(Box::new(client.clone())));
-            let suite = workloads::Suite::generate(&workloads::SuiteConfig::scaled(7, 0.008));
-            let cfg = PipelineConfig::paper(SchedulerKind::BaseAmd, 0);
-            let mut jobs = plan_jobs(&suite, &cfg);
-            // A region index no kernel has: `run_job` panics on the lookup.
-            jobs[1] = RegionJob::Solo {
-                kernel: 0,
-                region: 1 << 30,
-            };
-            let n_jobs = jobs.len();
-            let state = SuiteState {
+            let mut suite = workloads::Suite::generate(&workloads::SuiteConfig::scaled(7, 0.008));
+            // A kernel the suite lacks: the merge panics totalling the
+            // benchmark's modeled time.
+            suite.benchmarks[0].kernels.push(suite.kernels.len());
+            let work = SuiteWork {
                 suite,
                 occ: OccupancyModel::vega_like(),
-                cfg,
-                jobs,
-                slots: SlotTable::new(n_jobs),
-                remaining: AtomicUsize::new(n_jobs),
-                jobs_done: OnceLock::new(),
-                expired: AtomicBool::new(false),
-                tune: None,
+                cfg: PipelineConfig::paper(SchedulerKind::BaseAmd, 0),
                 ctx: request_ctx("s1".into(), &out, None),
             };
-            admit_suite(&engine, vec![0; n_jobs], state);
+            enqueue(&engine, 0, Work::Suite(Box::new(work)));
             server.wait_idle();
             tx.send("wait_idle").unwrap();
             let text = textir::to_text(&workloads::patterns::sized(20, 3));
@@ -952,8 +764,7 @@ mod tests {
             assert_eq!(got, Ok(step), "the daemon hung before `{step}` returned");
         }
         assert_eq!(daemon.join().unwrap(), 1, "the panic is one counted error");
-        let bytes = sink.0.lock().unwrap().clone();
-        let text = String::from_utf8(bytes).unwrap();
+        let text = sink.text();
         let suite: Vec<&str> = text.lines().filter(|l| l.starts_with("resp s1 ")).collect();
         assert_eq!(suite.len(), 1, "one answer for the suite:\n{text}");
         assert!(
@@ -988,5 +799,52 @@ mod tests {
         assert!(overlap <= merge, "overlap {overlap} us > merge {merge} us");
         drop(engine);
         server.shutdown().unwrap();
+    }
+
+    /// A suite is one work item: one queue wait and one service time, and
+    /// both together fit inside the reply time the client saw.
+    #[test]
+    fn a_served_suite_adds_one_wait_and_one_service_time() {
+        let (replies, reply, stats) = serve(2, "req s suite seed=5 scheduler=amd\n");
+        assert!(replies.starts_with("resp s ok "), "{replies}");
+        let latency = numbers(&stats, "latency_us:");
+        let [wait, wait_avg, service, service_avg] = latency[..] else {
+            panic!("{stats}");
+        };
+        assert_eq!((wait, service), (wait_avg, service_avg), "{stats}");
+        let reply_us = reply.as_micros() as u64;
+        assert!(
+            wait + service <= reply_us,
+            "wait {wait} us + service {service} us > reply {reply_us} us"
+        );
+    }
+
+    #[test]
+    fn a_suite_past_its_deadline_expires_once() {
+        let (replies, _, stats) = serve(2, "req s suite deadline-ms=0\n");
+        let lines: Vec<&str> = replies.lines().collect();
+        assert_eq!(lines.len(), 1, "{replies}");
+        assert!(lines[0].starts_with("resp s expired "), "{replies}");
+        assert!(stats.contains(", 1 expired,"), "{stats}");
+        assert!(stats.contains(", 0 suites"), "{stats}");
+    }
+
+    /// A suite in service holds one worker; a small `schedule` sent after
+    /// it on the same connection is served by the other and answered
+    /// first.
+    #[test]
+    fn a_small_schedule_overtakes_a_suite_in_service() {
+        let text = textir::to_text(&workloads::patterns::sized(20, 3));
+        let script = format!(
+            "req s suite scale=0.02 scheduler=par\nreq r schedule ddg {}\n{text}",
+            text.lines().count()
+        );
+        let (replies, _, _) = serve(2, &script);
+        let ids: Vec<&str> = replies
+            .lines()
+            .filter_map(|l| l.strip_prefix("resp "))
+            .map(|l| l.split(' ').next().unwrap())
+            .collect();
+        assert_eq!(ids, ["r", "s"], "{replies}");
     }
 }

@@ -4,10 +4,10 @@
 //! the counters are diagnostics, not synchronization — and rendered into
 //! the `stats` payload together with the shared cache's own
 //! hit/miss/insert/bypass counters and the planner's live queue depth.
-//! Suite requests additionally account wall-clock per phase using the
-//! same plan/jobs/merge(+overlap) split [`pipeline::SuiteWallclock`]
-//! reports for one-shot suite runs; `suite_overlap_us` is the slice of
-//! merge time the streaming consumer hid under still-running jobs.
+//! Suite requests additionally account wall-clock per phase: the
+//! plan/jobs/merge(+overlap) split [`pipeline::SuiteWallclock`] measures
+//! for the run; `suite_overlap_us` is the slice of merge time the
+//! streaming consumer hid under still-running jobs.
 
 use aco_tune::TunerStats;
 use pipeline::CacheStats;
@@ -34,15 +34,16 @@ pub struct ServeStats {
     pub regions: AtomicU64,
     /// Suite requests completed.
     pub suites: AtomicU64,
-    /// Total queue wait across popped work items, microseconds. An
-    /// admission hit never queues and adds 0.
+    /// Total queue wait across answered requests, microseconds: one wait
+    /// per `schedule` or `suite`. An admission hit never queues and adds 0.
     pub queue_wait_us: AtomicU64,
-    /// Total service time across work items, microseconds: in a worker,
-    /// or from lookup to send for an admission hit.
+    /// Total service time across answered requests, microseconds: in a
+    /// worker, or from lookup to send for an admission hit.
     pub service_us: AtomicU64,
     /// Suite phase: planning (generate + plan_jobs), microseconds.
     pub suite_plan_us: AtomicU64,
-    /// Suite phase: summed per-job compile time, microseconds.
+    /// Suite phase: the job phase's wall span ([`pipeline::SuiteWallclock`]'s
+    /// `jobs_s`), microseconds — not the summed time of the jobs.
     pub suite_jobs_us: AtomicU64,
     /// Suite phase: canonical merge, microseconds.
     pub suite_merge_us: AtomicU64,

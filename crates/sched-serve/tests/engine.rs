@@ -172,29 +172,42 @@ fn suite_response_reports_the_golden_fingerprint() {
     // `suite seed=5` under the default options is exactly the golden
     // suite configuration: scaled(5, 0.008), pipeline seed 0, 4 blocks,
     // pass-2 gate 1. The served fingerprint must equal a direct
-    // `compile_suite` run's.
-    let responses = run_session(ServeConfig::default(), "req s suite seed=5\n");
-    assert_eq!(responses.len(), 1);
-    let Response::Ok { payload } = &responses[0].1 else {
-        panic!("expected ok, got {:?}", responses[0].1);
-    };
+    // `compile_suite` run's, and the whole report must be the shared
+    // renderer's over that run, at any worker count and for every suite
+    // scheduler the daemon's pool runs differently.
     let suite = workloads::Suite::generate(&workloads::SuiteConfig::scaled(5, 0.008));
     let occ = OccupancyModel::vega_like();
-    let mut cfg = PipelineConfig::paper(SchedulerKind::ParallelAco, 0);
-    cfg.aco.blocks = 4;
-    cfg.aco.pass2_gate_cycles = 1;
-    let run = compile_suite(&suite, &occ, &cfg);
-    let want = format!(
-        "fingerprint {:#018x}",
-        sched_verify::suite_fingerprint(&run)
-    );
-    assert!(
-        payload.lines().any(|l| l == want),
-        "payload {payload:?} lacks {want:?}"
-    );
-    // And the full report matches the shared renderer against the direct
-    // run (modeled compile time and all).
-    assert_eq!(payload, &render::suite_report(&run));
+    for (name, kind) in [
+        ("par", SchedulerKind::ParallelAco),
+        ("amd", SchedulerKind::BaseAmd),
+        ("batched", SchedulerKind::BatchedParallelAco),
+    ] {
+        let mut cfg = PipelineConfig::paper(kind, 0);
+        cfg.aco.blocks = 4;
+        cfg.aco.pass2_gate_cycles = 1;
+        let run = compile_suite(&suite, &occ, &cfg);
+        let want = render::suite_report(&run);
+        let fingerprint = format!(
+            "fingerprint {:#018x}",
+            sched_verify::suite_fingerprint(&run)
+        );
+        assert!(want.lines().any(|l| l == fingerprint), "{want}");
+        for workers in [1, 2, 8] {
+            let script = format!("req s suite seed=5 scheduler={name}\n");
+            let responses = run_session(
+                ServeConfig {
+                    workers,
+                    ..ServeConfig::default()
+                },
+                &script,
+            );
+            assert_eq!(responses.len(), 1);
+            let Response::Ok { payload } = &responses[0].1 else {
+                panic!("expected ok, got {:?}", responses[0].1);
+            };
+            assert_eq!(payload, &want, "{name} at {workers} workers");
+        }
+    }
 }
 
 #[test]

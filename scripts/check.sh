@@ -164,10 +164,11 @@ if [[ "${1:-}" != "--fast" ]]; then
 
     echo "==> serve daemon smoke"
     # Boot the daemon on a Unix socket, preloading the cache the smoke
-    # above persisted; serve two concurrent clients plus a stats request;
-    # SIGTERM-drain it; then verify the persisted cache still answers the
-    # one-shot CLI with a hit. Responses must be byte-identical to the
-    # one-shot `schedule` output for the same inputs.
+    # above persisted; serve three concurrent clients (two schedules and a
+    # suite) plus a stats request; SIGTERM-drain it; then verify the
+    # persisted cache still answers the one-shot CLI with a hit. Schedule
+    # responses must be byte-identical to the one-shot `schedule` output
+    # for the same inputs, and the suite must report its fingerprint.
     ./target/release/gpu-aco-cli serve --socket "$smoke_dir/daemon.sock" \
         --cache "$smoke_dir/sched.cache" &
     serve_pid=$!
@@ -182,7 +183,14 @@ if [[ "${1:-}" != "--fast" ]]; then
     ./target/release/gpu-aco-cli request --socket "$smoke_dir/daemon.sock" \
         schedule "$smoke_dir/region2.txt" --scheduler amd > "$smoke_dir/serve2.txt" &
     req2=$!
-    wait "$req1" "$req2"
+    ./target/release/gpu-aco-cli request --socket "$smoke_dir/daemon.sock" \
+        suite --seed 5 --scale 0.004 > "$smoke_dir/serve_suite.txt" &
+    req3=$!
+    wait "$req1"
+    wait "$req2"
+    wait "$req3" || { echo "daemon suite request failed"; exit 1; }
+    grep -q "^fingerprint 0x" "$smoke_dir/serve_suite.txt" \
+        || { echo "daemon suite reply lacks its fingerprint:"; cat "$smoke_dir/serve_suite.txt"; exit 1; }
     cmp "$smoke_dir/serve1.txt" "$smoke_dir/cache_on.txt"
     ./target/release/gpu-aco-cli schedule "$smoke_dir/region2.txt" --no-cache \
         --scheduler amd > "$smoke_dir/oneshot2.txt"

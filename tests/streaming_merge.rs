@@ -127,7 +127,7 @@ fn streaming_merge_preserves_tuned_runs_and_learned_state() {
 
         let stream_store = pipeline::TuneStore::new();
         let stream_cache = ScheduleCache::new();
-        let streamed = compile_suite_with_stores(
+        let (streamed, _) = compile_suite_with_stores(
             &suite,
             &occ,
             &cfg,
@@ -164,7 +164,7 @@ fn streaming_merge_preserves_tuned_runs_and_learned_state() {
         );
 
         // And the learned state must steer a follow-up run identically.
-        let next_ref = compile_suite_with_stores(
+        let (next_ref, _) = compile_suite_with_stores(
             &suite,
             &occ,
             &cfg,
@@ -172,7 +172,7 @@ fn streaming_merge_preserves_tuned_runs_and_learned_state() {
             Some(&ref_store),
             |_, _, _, _, _| {},
         );
-        let next_stream = compile_suite_with_stores(
+        let (next_stream, _) = compile_suite_with_stores(
             &suite,
             &occ,
             &cfg,
