@@ -1,43 +1,9 @@
-//! Self-tuning search: a deterministic per-class bandit over `AcoConfig`
-//! arms, plus a pheromone warm-start store keyed by region *structure*.
+//! An empty package, kept only so that `benchmark/Cargo.lock`, which lists
+//! `aco-tune` as a dependency of `pipeline` and `sched-serve`, stays valid.
 //!
-//! The paper's ACO configuration (colony size, evaporation, heuristic
-//! weight, iteration budget) is one fixed point in a space where the best
-//! setting varies by region shape: a wide low-pressure region converges
-//! with a leaner colony than a deep high-pressure one. This crate learns a
-//! per-shape choice at runtime without ever sacrificing determinism:
-//!
-//! * [`RegionClass`] buckets a region by size band × edge-density band ×
-//!   pressure band (27 classes), from the same cheap DDG features the
-//!   fingerprints already walk.
-//! * [`Arm`] is one candidate configuration delta; the fixed paper config
-//!   is always arm 0, so the tuner can never do worse than "no tuning" on
-//!   a class it has explored.
-//! * [`TuneStore`] is the shared state: per-class arm statistics driving a
-//!   deterministic explore-then-commit bandit ([`TuneStore::choose`]), and
-//!   a warm-start order store keyed by
-//!   [`sched_ir::ddg_structure_fingerprint`] — a *near-miss* complement to
-//!   the exact-content schedule cache: same template class, different
-//!   instance, seed the trail instead of recomputing from scratch
-//!   ([`aco::WarmStart`]).
-//!
-//! Determinism contract: [`TuneStore::choose`] and
-//! [`TuneStore::warm_hint`] are pure functions of the store state and
-//! their arguments. The pipeline freezes the state while a suite's region
-//! jobs run in parallel and applies [`TuneStore::observe`] /
-//! [`TuneStore::record_warm`] only during its single-threaded canonical
-//! merge, so results are byte-identical at any host-thread count.
-//!
-//! The store persists as a `schedtune v1` text section
-//! ([`TuneStore::save_to`]) with the same durability contract as the
-//! schedule cache: atomic rename on save, an `eof` trailer against
-//! truncation, and load-time validation that rejects tampered entries with
-//! `InvalidData` instead of adopting them.
-
-pub mod arms;
-pub mod class;
-pub mod store;
-
-pub use arms::{arm_table_fingerprint, Arm, ARMS, FIXED_ARM};
-pub use class::{RegionClass, CLASS_COUNT};
-pub use store::{ArmStats, TuneStore, TunerStats};
+//! The self-tuning store that lived here (a per-class bandit over ACO
+//! configurations plus a pheromone warm-start store) was removed: with the
+//! schedule cache on, a cold store was slower than the paper's fixed
+//! configuration. Every region now compiles under that one configuration.
+//! No code may depend on this crate; the package goes with the next change
+//! to the benchmark.

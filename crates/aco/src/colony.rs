@@ -6,15 +6,14 @@
 //! on the lower bound or the no-improvement budget*. The sequential and
 //! simulated-GPU schedulers differ only in how one iteration's ants are
 //! constructed and what that costs; each is an
-//! [`Executor`] under [`run`], which owns everything else: the warm hint,
-//! the initial schedule, incumbents, the pheromone table, termination, the
+//! [`Executor`] under [`run`], which owns everything else: the initial
+//! schedule, incumbents, the pheromone table, termination, the
 //! between-pass hand-off and the result.
 
 use crate::config::AcoConfig;
 use crate::construct::{AntContext, Pass2Ant};
 use crate::pheromone::PheromoneTable;
 use crate::result::{AcoResult, PassStats};
-use crate::warm::{WarmStart, WARM_NO_IMPROVE_BUDGET};
 use list_sched::{Heuristic, ListScheduler, RegionAnalysis};
 use machine_model::{OccupancyLut, OccupancyModel};
 use reg_pressure::RegUniverse;
@@ -200,26 +199,13 @@ impl Colony<'_> {
 
 /// Schedules `ctx.ddg` with the two-pass colony, constructing each
 /// iteration's ants on `exec`.
-///
-/// An applicable `warm` hint saturates the trail along its order before
-/// each pass, cuts the no-improvement budget to
-/// [`WARM_NO_IMPROVE_BUDGET`], and enters both passes as a candidate
-/// incumbent, so a warm result is never lexicographically worse in
-/// (pressure cost, length) than its seed; a hint that does not apply to
-/// the region is ignored.
 pub(crate) fn run<'a, E: Executor<'a>>(
     ctx: &AntContext<'a>,
     occ: &OccupancyModel,
-    warm: Option<&WarmStart>,
     exec: &mut E,
 ) -> AcoResult {
     let (ddg, cfg) = (ctx.ddg, ctx.cfg);
     let n = ddg.len();
-    // The hinted order with its pressure cost against *this* region.
-    let hint = warm.filter(|w| w.applies_to(ddg)).map(|w| {
-        let prp = reg_pressure::prp_of_order_in(ctx.universe, w.order());
-        (w.order(), occ.rp_cost(prp))
-    });
 
     // Initial schedule from the production heuristic: the one heuristic
     // run of an ACO region, which the pipeline keeps as its baseline.
@@ -235,10 +221,7 @@ pub(crate) fn run<'a, E: Executor<'a>>(
 
     let mut colony = Colony {
         cfg,
-        budget: match hint {
-            Some(_) => WARM_NO_IMPROVE_BUDGET,
-            None => cfg.termination.budget(n),
-        },
+        budget: cfg.termination.budget(n),
         pheromone: PheromoneTable::new(n, cfg.initial_pheromone),
         winner: Candidate::with_capacity(n),
     };
@@ -250,17 +233,8 @@ pub(crate) fn run<'a, E: Executor<'a>>(
         cycles: Vec::new(),
     };
     let mut best_cost = occ.rp_cost(initial.prp);
-    if let Some((order, cost)) = hint {
-        if cost < best_cost {
-            best_cost = cost;
-            best.set(order, &[]);
-        }
-    }
     let mut pass1 = PassStats::default();
     if best_cost > rp_lb {
-        if let Some((order, _)) = hint {
-            colony.pheromone.seed_order(order, cfg.tau_max);
-        }
         pass1 = colony.search(rp_lb, &mut best_cost, &mut best, |pheromone, i, winner| {
             Some(exec.pass1_iteration(ctx, pheromone, i, winner))
         });
@@ -274,29 +248,13 @@ pub(crate) fn run<'a, E: Executor<'a>>(
     let mut best_schedule = Schedule::from_order(ddg, &best.order);
     let mut best_length = best_schedule.length();
     let target_cost = pass2_target(cfg, occ, best_cost);
-    // Hint-as-candidate, length side: if the hinted order is feasible
-    // under the pass-2 cost target and packs shorter than the pass-1
-    // winner, start pass 2 from it.
-    if let Some((order, cost)) = hint {
-        if cost <= target_cost {
-            let sched = Schedule::from_order(ddg, order);
-            if sched.length() < best_length {
-                best_length = sched.length();
-                best.set(order, &[]);
-                best_schedule = sched;
-            }
-        }
-    }
 
     // ---- Pass 2: minimise length under the pass-1 cost constraint. ----
     let len_lb = ddg.schedule_length_lb();
     let gate = cfg.pass2_gate_cycles.max(1) as Cycle;
     let mut pass2 = PassStats::default();
     if best_length >= len_lb + gate {
-        match hint {
-            Some((order, _)) => colony.pheromone.seed_order(order, cfg.tau_max),
-            None => colony.pheromone.reset(),
-        }
+        colony.pheromone.reset();
         // The incumbent's cycles live in a plain buffer during the search
         // and become a `Schedule` exactly once, by move, after it.
         best.cycles.extend_from_slice(best_schedule.cycles());
@@ -356,7 +314,6 @@ pub(crate) fn run<'a, E: Executor<'a>>(
 mod tests {
     use super::*;
     use crate::config::Termination;
-    use crate::sequential::SequentialScheduler;
 
     /// A generated region under the identity-APRP model whose initial
     /// schedule is above both lower bounds, so both passes have work.
@@ -389,15 +346,8 @@ mod tests {
     }
 
     impl Region {
-        fn cost(&self, order: &[InstrId]) -> u64 {
-            self.occ
-                .rp_cost(reg_pressure::prp_of_order(&self.ddg, order))
-        }
-
-        fn run(&self, cfg: &AcoConfig, warm: Option<&WarmStart>, exec: &mut Scripted) -> AcoResult {
-            with_context(cfg, &self.ddg, &self.occ, |ctx| {
-                run(ctx, &self.occ, warm, exec)
-            })
+        fn run(&self, cfg: &AcoConfig, exec: &mut Scripted) -> AcoResult {
+            with_context(cfg, &self.ddg, &self.occ, |ctx| run(ctx, &self.occ, exec))
         }
     }
 
@@ -477,7 +427,7 @@ mod tests {
     fn a_pass_stops_on_the_no_improvement_budget() {
         let r = region(34, 9);
         let mut exec = stale(&r, 3);
-        let out = r.run(&cfg(3), None, &mut exec);
+        let out = r.run(&cfg(3), &mut exec);
         for (pass, best) in [
             (out.pass1, r.initial_cost),
             (out.pass2, u64::from(r.initial_length)),
@@ -496,7 +446,7 @@ mod tests {
         let mut exec = stale(&r, 2);
         exec.costs[1] = r.rp_lb;
         exec.lengths[1] = Some(r.len_lb);
-        let out = r.run(&cfg(3), None, &mut exec);
+        let out = r.run(&cfg(3), &mut exec);
         for (pass, bound) in [(out.pass1, r.rp_lb), (out.pass2, u64::from(r.len_lb))] {
             assert_eq!(pass.iterations, 2);
             assert!(pass.improved && pass.hit_lb);
@@ -513,7 +463,7 @@ mod tests {
         // runs out; pass 2's is simply larger than the cap.
         let mut exec = stale(&r, 4);
         exec.costs = (1..=4).map(|i| r.initial_cost - i).collect();
-        let out = r.run(&cfg, None, &mut exec);
+        let out = r.run(&cfg, &mut exec);
         assert_eq!((out.pass1.iterations, out.pass2.iterations), (4, 4));
         assert!(out.pass1.improved && !out.pass1.hit_lb && !out.pass2.improved);
         assert_eq!(out.pass1.best_cost, r.initial_cost - 4);
@@ -526,7 +476,7 @@ mod tests {
         let ddg = workloads::patterns::transform_chain(1, 5, 0);
         let occ = OccupancyModel::vega_like();
         let mut exec = Scripted::default();
-        let out = with_context(&cfg(3), &ddg, &occ, |ctx| run(ctx, &occ, None, &mut exec));
+        let out = with_context(&cfg(3), &ddg, &occ, |ctx| run(ctx, &occ, &mut exec));
         assert!(out.pass1.hit_lb && out.pass2.hit_lb && !out.pass2.gated);
         assert_eq!(out.pass1.iterations + out.pass2.iterations, 0);
         assert!(exec.ended.is_empty());
@@ -538,7 +488,7 @@ mod tests {
         let mut cfg = cfg(1);
         cfg.pass2_gate_cycles = 1000;
         let mut exec = stale(&r, 1);
-        let out = r.run(&cfg, None, &mut exec);
+        let out = r.run(&cfg, &mut exec);
         assert!(out.pass2.gated && !out.pass2.hit_lb);
         assert_eq!(out.pass2.iterations, 0);
         assert_eq!(out.pass2.best_cost, u64::from(r.initial_length));
@@ -552,7 +502,7 @@ mod tests {
         let mut exec = stale(&r, 3);
         exec.lengths[1] = None;
         exec.lengths[2] = None;
-        let out = r.run(&cfg, None, &mut exec);
+        let out = r.run(&cfg, &mut exec);
         // Three non-improving iterations, two of them without a finisher.
         assert_eq!(out.pass2.iterations, 3);
         assert!(!out.pass2.improved);
@@ -563,64 +513,6 @@ mod tests {
         let deposited = (fresh * cfg.decay + cfg.deposit).min(cfg.tau_max);
         let evaporated = (deposited * cfg.decay).max(cfg.tau_min);
         assert_eq!(exec.seen_tau, [fresh, deposited, evaporated]);
-    }
-
-    #[test]
-    fn an_applicable_hint_is_the_pass1_incumbent() {
-        let r = region(30, 7);
-        // A pressure-improving order, found by a cold search.
-        let cold = SequentialScheduler::new(cfg(1)).schedule(&r.ddg, &r.occ);
-        let hint = WarmStart::new(cold.order).unwrap();
-        let hint_cost = r.cost(hint.order());
-        assert!(r.rp_lb < hint_cost && hint_cost < r.initial_cost);
-
-        let mut cfg = cfg(5);
-        cfg.pass2_gate_cycles = 1000;
-        let out = r.run(&cfg, Some(&hint), &mut stale(&r, 1));
-        // The warm budget (one stale iteration), not the cold one.
-        assert_eq!(out.pass1.iterations, WARM_NO_IMPROVE_BUDGET);
-        assert!(!out.pass1.improved);
-        assert_eq!(out.pass1.best_cost, hint_cost);
-        assert_eq!(out.order, hint.order());
-    }
-
-    #[test]
-    fn a_hint_starts_pass2_only_within_the_target() {
-        let mut cfg = cfg(1);
-        cfg.pass2_gate_cycles = 1000;
-        // The critical-path order packs shorter than the initial schedule.
-        let critical_path = |r: &Region| {
-            let order = ListScheduler::new(Heuristic::CriticalPath)
-                .schedule(&r.ddg, &r.occ)
-                .order;
-            let length = Schedule::from_order(&r.ddg, &order).length();
-            assert!(length < r.initial_length);
-            (WarmStart::new(order).unwrap(), length)
-        };
-
-        // At the pass-1 cost (so not the pass-1 incumbent): pass 2 starts
-        // from the hint.
-        let r = region(30, 7);
-        let (hint, length) = critical_path(&r);
-        assert_eq!(r.cost(hint.order()), r.initial_cost);
-        let out = r.run(&cfg, Some(&hint), &mut stale(&r, 1));
-        assert_eq!((&out.order[..], out.length), (hint.order(), length));
-
-        // Above the target: the pass-1 winner stays.
-        let r = region(34, 9);
-        let (hint, _) = critical_path(&r);
-        assert!(r.cost(hint.order()) > r.initial_cost);
-        let out = r.run(&cfg, Some(&hint), &mut stale(&r, 1));
-        assert_eq!((out.order, out.length), (r.initial, r.initial_length));
-    }
-
-    #[test]
-    fn a_size_mismatched_hint_is_ignored() {
-        let r = region(34, 9);
-        let hint = WarmStart::new((0..10).map(InstrId).collect()).unwrap();
-        let out = r.run(&cfg(3), Some(&hint), &mut stale(&r, 3));
-        // The cold budget: the hint did not cut it to the warm one.
-        assert_eq!((out.pass1.iterations, out.pass2.iterations), (3, 3));
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod parallel;
 pub mod pheromone;
 pub mod result;
 pub mod sequential;
-pub mod warm;
 
 pub use colony::pass2_target;
 pub use config::{AcoConfig, GpuTuning, Termination};
@@ -59,4 +58,3 @@ pub use parallel::{
 pub use pheromone::PheromoneTable;
 pub use result::{AcoResult, PassStats};
 pub use sequential::SequentialScheduler;
-pub use warm::{WarmStart, WARM_NO_IMPROVE_BUDGET};

@@ -38,7 +38,6 @@ use crate::lockstep::{Pass1Wavefront, Pass2Wavefront};
 use crate::pheromone::PheromoneTable;
 use crate::result::AcoResult;
 use crate::sequential::ant_seed;
-use crate::warm::WarmStart;
 use gpu_sim::{GpuSpec, LaunchProfile, MemLayout, WavefrontCost};
 use list_sched::Heuristic;
 use machine_model::OccupancyModel;
@@ -132,22 +131,6 @@ impl ParallelScheduler {
 
     /// Schedules a region on the simulated GPU.
     pub fn schedule(&mut self, ddg: &Ddg, occ: &OccupancyModel) -> ParallelOutcome {
-        self.schedule_with(ddg, occ, None)
-    }
-
-    /// Schedules a region, optionally seeding both launches' pheromone
-    /// tables from a [`WarmStart`] hint (see [`crate::warm`]).
-    ///
-    /// With `warm = None` this is exactly [`ParallelScheduler::schedule`] —
-    /// bit for bit. An applicable hint saturates the trail along the hinted
-    /// order before each launch and cuts the no-improvement budget to
-    /// [`crate::WARM_NO_IMPROVE_BUDGET`]; a size-mismatched hint is ignored.
-    pub fn schedule_with(
-        &mut self,
-        ddg: &Ddg,
-        occ: &OccupancyModel,
-        warm: Option<&WarmStart>,
-    ) -> ParallelOutcome {
         colony::with_context(&self.cfg, ddg, occ, |ctx| {
             let mut exec = GpuExecutor {
                 sched: self,
@@ -157,7 +140,7 @@ impl ParallelScheduler {
                 crew1: Vec::new(),
                 crew2: Vec::new(),
             };
-            let result = colony::run(ctx, occ, warm, &mut exec);
+            let result = colony::run(ctx, occ, &mut exec);
             ParallelOutcome {
                 result,
                 gpu: exec.gpu,
@@ -613,56 +596,6 @@ mod tests {
                 "seed {seed}: pressure cost regressed"
             );
         }
-    }
-
-    #[test]
-    fn schedule_with_none_is_bitwise_schedule() {
-        let ddg = workloads::patterns::sized(60, 12);
-        let occ = OccupancyModel::vega_like();
-        let cold = ParallelScheduler::new(small_cfg(6)).schedule(&ddg, &occ);
-        let explicit = ParallelScheduler::new(small_cfg(6)).schedule_with(&ddg, &occ, None);
-        assert_eq!(cold.result.order, explicit.result.order);
-        assert_eq!(cold.result.schedule, explicit.result.schedule);
-        assert_eq!(cold.gpu, explicit.gpu);
-    }
-
-    #[test]
-    fn warm_start_never_degrades_and_saves_iterations() {
-        use crate::warm::WarmStart;
-        let occ = OccupancyModel::vega_like();
-        let mut saved_any = false;
-        for seed in 0..5u64 {
-            let ddg = workloads::patterns::sized(60 + 15 * (seed as usize % 3), 50 + seed);
-            let mut cfg = small_cfg(seed);
-            cfg.pass2_gate_cycles = 1;
-            let cold = ParallelScheduler::new(cfg).schedule(&ddg, &occ).result;
-            let hint = WarmStart::new(cold.order.clone()).unwrap();
-            let warm = ParallelScheduler::new(cfg)
-                .schedule_with(&ddg, &occ, Some(&hint))
-                .result;
-            warm.schedule.validate(&ddg).unwrap();
-            assert!(
-                occ.rp_cost(warm.prp) <= occ.rp_cost(cold.prp),
-                "seed {seed}: warm start degraded pressure cost"
-            );
-            if occ.rp_cost(warm.prp) == occ.rp_cost(cold.prp) {
-                assert!(
-                    warm.length <= cold.length,
-                    "seed {seed}: warm start degraded length at equal cost"
-                );
-            }
-            let cold_iters = cold.pass1.iterations + cold.pass2.iterations;
-            let warm_iters = warm.pass1.iterations + warm.pass2.iterations;
-            assert!(
-                warm_iters <= cold_iters,
-                "seed {seed}: warm start cost iterations ({warm_iters} vs {cold_iters})"
-            );
-            saved_any |= warm_iters < cold_iters;
-        }
-        assert!(
-            saved_any,
-            "warm starts must save iterations on at least one region"
-        );
     }
 
     #[test]

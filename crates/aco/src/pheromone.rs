@@ -40,22 +40,6 @@ impl PheromoneTable {
         self.tau.fill(self.initial);
     }
 
-    /// **Warm-starts** the table: every entry back at the initial level,
-    /// except the consecutive links of `order` (including the virtual start
-    /// link), which are saturated at `tau_max`.
-    ///
-    /// This is the pheromone image a long converged run on `order` leaves
-    /// behind: under exploitation the first iteration reproduces `order`
-    /// exactly (see the `deposited_order_dominates_exploitation` test), so
-    /// a search seeded this way starts from a known-good schedule instead
-    /// of a cold uniform trail.
-    pub fn seed_order(&mut self, order: &[InstrId], tau_max: f64) {
-        self.reset();
-        // Depositing `tau_max` clamps every seeded link exactly at the
-        // ceiling regardless of the initial level.
-        self.deposit_order(order, tau_max, tau_max);
-    }
-
     /// Index of `from`'s first entry (`from = None` is the virtual start,
     /// stored as row `n`).
     #[inline]
@@ -196,35 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_saturates_only_the_seeded_links() {
-        let order = [InstrId(1), InstrId(2), InstrId(0)];
-        let mut t = PheromoneTable::new(3, 1.0);
-        t.seed_order(&order, 8.0);
-        assert_eq!(t.get(None, InstrId(1)), 8.0);
-        assert_eq!(t.get(Some(InstrId(1)), InstrId(2)), 8.0);
-        assert_eq!(t.get(Some(InstrId(2)), InstrId(0)), 8.0);
-        // Everything off the seeded path stays at the initial level.
-        assert_eq!(t.get(None, InstrId(0)), 1.0);
-        assert_eq!(t.get(Some(InstrId(0)), InstrId(1)), 1.0);
-        assert_eq!(t.get(Some(InstrId(2)), InstrId(1)), 1.0);
-        t.check_invariants(0.01, 8.0).unwrap();
-        // seed_order on a dirty table matches the constructor bit for bit.
-        let mut dirty = PheromoneTable::new(3, 1.0);
-        dirty.deposit_order(&[InstrId(0), InstrId(1), InstrId(2)], 2.0, 8.0);
-        dirty.evaporate(0.5, 0.01);
-        dirty.seed_order(&order, 8.0);
-        for to in 0..3u32 {
-            assert_eq!(dirty.get(None, InstrId(to)), t.get(None, InstrId(to)));
-            for from in 0..3u32 {
-                assert_eq!(
-                    dirty.get(Some(InstrId(from)), InstrId(to)),
-                    t.get(Some(InstrId(from)), InstrId(to))
-                );
-            }
-        }
-    }
-
-    #[test]
     fn reset_restores_initial() {
         let mut t = PheromoneTable::new(2, 2.0);
         t.deposit_order(&[InstrId(0), InstrId(1)], 1.0, 10.0);
@@ -283,38 +238,5 @@ mod convergence_tests {
             r.order, target,
             "exploitation must follow saturated pheromone"
         );
-    }
-
-    /// A warm-started table is already in the converged state the test
-    /// above hammers into a cold one: the very first exploit-only ant
-    /// reproduces the seeded order — the foundation of pheromone
-    /// warm-starting from cached schedules.
-    #[test]
-    fn warm_started_table_reproduces_seed_in_one_construction() {
-        use sched_ir::{DdgBuilder, InstrId};
-        let mut b = DdgBuilder::new();
-        for i in 0..10 {
-            b.instr(format!("nop{i}"), [], []);
-        }
-        let ddg = b.build().unwrap();
-        let occ = OccupancyLut::new(&OccupancyModel::vega_like());
-        let analysis = RegionAnalysis::new(&ddg);
-        let universe = RegUniverse::new(&ddg);
-        let cfg = AcoConfig::small(0);
-        let ctx = AntContext {
-            ddg: &ddg,
-            analysis: &analysis,
-            universe: &universe,
-            lut: &occ,
-            cfg: &cfg,
-        };
-        let target: Vec<InstrId> = (0..10u32).map(|i| InstrId((i * 3) % 10)).collect();
-        let mut table = PheromoneTable::new(ddg.len(), cfg.initial_pheromone);
-        table.seed_order(&target, cfg.tau_max);
-        let mut ant = Pass1Ant::new(&ctx, Heuristic::CriticalPath, 11);
-        while !ant.finished(&ctx) {
-            ant.step(&ctx, &table, Some(false)); // pure exploitation
-        }
-        assert_eq!(ant.result(&ctx).order, target);
     }
 }

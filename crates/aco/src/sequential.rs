@@ -6,7 +6,6 @@ use crate::config::AcoConfig;
 use crate::construct::{AntContext, Pass1Ant, Pass2Ant};
 use crate::pheromone::PheromoneTable;
 use crate::result::AcoResult;
-use crate::warm::WarmStart;
 use gpu_sim::CpuSpec;
 use list_sched::Heuristic;
 use machine_model::OccupancyModel;
@@ -70,25 +69,8 @@ impl SequentialScheduler {
     /// Schedules a region, returning the best schedule found together with
     /// per-pass statistics and the modeled CPU time.
     pub fn schedule(&mut self, ddg: &Ddg, occ: &OccupancyModel) -> AcoResult {
-        self.schedule_with(ddg, occ, None)
-    }
-
-    /// Schedules a region, optionally seeding both passes' pheromone
-    /// tables from a [`WarmStart`] hint (see [`crate::warm`]).
-    ///
-    /// With `warm = None` this is exactly [`SequentialScheduler::schedule`]
-    /// — bit for bit. An applicable hint replaces the cold uniform table
-    /// with a trail saturated along the hinted order and cuts the
-    /// no-improvement budget to [`crate::WARM_NO_IMPROVE_BUDGET`]; a hint whose
-    /// size does not match the region is ignored.
-    pub fn schedule_with(
-        &mut self,
-        ddg: &Ddg,
-        occ: &OccupancyModel,
-        warm: Option<&WarmStart>,
-    ) -> AcoResult {
         colony::with_context(&self.cfg, ddg, occ, |ctx| {
-            colony::run(ctx, occ, warm, &mut CpuExecutor::new(ctx))
+            colony::run(ctx, occ, &mut CpuExecutor::new(ctx))
         })
     }
 }
@@ -261,73 +243,6 @@ mod tests {
         let r = SequentialScheduler::new(AcoConfig::small(0)).schedule(&ddg, &occ);
         assert!(r.pass2.iterations <= 1);
         r.schedule.validate(&ddg).unwrap();
-    }
-
-    #[test]
-    fn schedule_with_none_is_bitwise_schedule() {
-        let ddg = workloads::patterns::sized(70, 21);
-        let occ = OccupancyModel::vega_like();
-        let cold = SequentialScheduler::new(AcoConfig::small(4)).schedule(&ddg, &occ);
-        let explicit =
-            SequentialScheduler::new(AcoConfig::small(4)).schedule_with(&ddg, &occ, None);
-        assert_eq!(cold.order, explicit.order);
-        assert_eq!(cold.schedule, explicit.schedule);
-        assert_eq!(cold.ops, explicit.ops);
-        assert_eq!(cold.pass1, explicit.pass1);
-        assert_eq!(cold.pass2, explicit.pass2);
-    }
-
-    #[test]
-    fn warm_start_never_degrades_and_saves_iterations() {
-        let occ = OccupancyModel::vega_like();
-        let mut saved_any = false;
-        for seed in 0..6u64 {
-            let ddg = workloads::patterns::sized(60 + 10 * (seed as usize % 3), seed);
-            let mut cfg = AcoConfig::small(seed);
-            cfg.pass2_gate_cycles = 1;
-            let cold = SequentialScheduler::new(cfg).schedule(&ddg, &occ);
-            let hint = WarmStart::new(cold.order.clone()).unwrap();
-            let warm = SequentialScheduler::new(cfg).schedule_with(&ddg, &occ, Some(&hint));
-            warm.schedule.validate(&ddg).unwrap();
-            // Quality: the warm search reproduces its seed in iteration 1
-            // and can only improve on it.
-            assert!(
-                occ.rp_cost(warm.prp) <= occ.rp_cost(cold.prp),
-                "seed {seed}: warm start degraded pressure cost"
-            );
-            if occ.rp_cost(warm.prp) == occ.rp_cost(cold.prp) {
-                assert!(
-                    warm.length <= cold.length,
-                    "seed {seed}: warm start degraded length at equal cost"
-                );
-            }
-            let cold_iters = cold.pass1.iterations + cold.pass2.iterations;
-            let warm_iters = warm.pass1.iterations + warm.pass2.iterations;
-            assert!(
-                warm_iters <= cold_iters,
-                "seed {seed}: warm start cost iterations ({warm_iters} vs {cold_iters})"
-            );
-            saved_any |= warm_iters < cold_iters;
-        }
-        assert!(
-            saved_any,
-            "warm starts must save iterations on at least one region"
-        );
-    }
-
-    #[test]
-    fn mismatched_warm_hint_is_ignored() {
-        let ddg = workloads::patterns::sized(50, 9);
-        let occ = OccupancyModel::vega_like();
-        let wrong_size = WarmStart::new((0..10u32).map(sched_ir::InstrId).collect()).unwrap();
-        let cold = SequentialScheduler::new(AcoConfig::small(2)).schedule(&ddg, &occ);
-        let hinted = SequentialScheduler::new(AcoConfig::small(2)).schedule_with(
-            &ddg,
-            &occ,
-            Some(&wrong_size),
-        );
-        assert_eq!(cold.order, hinted.order);
-        assert_eq!(cold.ops, hinted.ops);
     }
 
     #[test]

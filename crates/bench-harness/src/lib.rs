@@ -11,7 +11,6 @@ use machine_model::OccupancyModel;
 use sched_ir::Ddg;
 
 pub mod cache_bench;
-pub mod tuning_bench;
 pub mod wallclock;
 
 /// The paper's region-size bands: `[1-49]`, `[50-99]`, `>= 100`.

@@ -236,7 +236,7 @@ pub fn reference_checksum(suite_seed: u64, suite_scale: f64, scheduler: Schedule
     cfg.aco.pass2_gate_cycles = 1;
     let cache = cfg.cache.enabled.then(pipeline::ScheduleCache::new);
     let jobs = plan_jobs(&suite, &cfg);
-    let results = run_jobs(&suite, &occ, &cfg, &jobs, 1, cache.as_ref(), None);
+    let results = run_jobs(&suite, &occ, &cfg, &jobs, 1, cache.as_ref());
     let run = merge_job_results(
         &suite,
         &occ,
@@ -244,7 +244,6 @@ pub fn reference_checksum(suite_seed: u64, suite_scale: f64, scheduler: Schedule
         &jobs,
         results,
         cache.as_ref(),
-        None,
         |_, _, _, _, _| {},
     );
     suite_fingerprint(&run)

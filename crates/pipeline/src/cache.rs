@@ -65,7 +65,7 @@
 //!
 //! Persistence is **durable** — a long-running server leans on it across
 //! restarts (see `sched-serve`) — and goes through `sched_ir::record`, the
-//! codec the tuning store and the serve protocol share:
+//! codec the serve protocol shares:
 //!
 //! * `save_to` is [`sched_ir::record::atomic_save`]: a sibling temporary
 //!   file, flushed, synced and renamed over the target. A crash mid-save
@@ -94,21 +94,10 @@
 //! stamps (and therefore the victim choice) depend on interleaving, which
 //! is fine for the same reason the other counters are excluded from the
 //! suite fingerprint.
-//!
-//! # Warm-started entries
-//!
-//! [`ScheduleCache::compile_solo_with`] memoizes *warm-started*
-//! compilations (see [`aco::warm`]): a hint changes the compiled result,
-//! so the hint's fingerprint is folded into the key and stored in the
-//! entry's equality gate. `compile_solo` (no hint) keys exactly as it
-//! always has, so a warm entry can never answer a cold lookup or vice
-//! versa. Warm entries are **not persisted** — the `schedcache v1` format
-//! is unchanged — because a hint is reconstructed from the tuning store,
-//! not from the cache file.
 
 use crate::batch::compile_batch_group;
 use crate::config::{PipelineConfig, SchedulerKind};
-use crate::region::{compile_region_warm, FinalChoice, RegionCompilation};
+use crate::region::{compile_region, FinalChoice, RegionCompilation};
 use aco::{batch_block_split, AcoConfig, AcoResult, PassStats};
 use gpu_sim::MemLayout;
 use list_sched::{Heuristic, ScheduleResult};
@@ -212,11 +201,6 @@ fn inputs(cfg: &PipelineConfig, occ: &OccupancyModel) -> Inputs {
 #[derive(Debug)]
 struct CacheEntry {
     inputs: Inputs,
-    /// Fingerprint of the warm-start hint the compilation ran under
-    /// (`None` = cold). Part of the equality gate: a warm result must
-    /// never answer a cold lookup (or one under a different hint), even
-    /// across a 64-bit key collision.
-    warm_fp: Option<u64>,
     /// Last-touch logical time (set on insert and on every certified
     /// hit); the eviction victim is the entry with the smallest stamp.
     stamp: AtomicU64,
@@ -394,7 +378,17 @@ impl ScheduleCache {
         occ: &OccupancyModel,
         cfg: &PipelineConfig,
     ) -> RegionCompilation {
-        self.compile_solo_with(ddg, occ, cfg, None)
+        let key = solo_key(ddg, occ, cfg);
+        match self.lookup_solo_keyed(key, ddg, occ, cfg) {
+            Ok(comp) => return comp,
+            // Collision, config mismatch under a colliding key, or a
+            // tampered entry: never adopt — recompute and self-heal.
+            Err(Unadopted::Rejected) => self.bypasses.fetch_add(1, Ordering::Relaxed),
+            Err(Unadopted::Absent) => self.misses.fetch_add(1, Ordering::Relaxed),
+        };
+        let comp = compile_region(ddg, occ, cfg);
+        self.store(key, solo_entry(ddg, occ, cfg, &comp));
+        comp
     }
 
     /// The hit half of [`Self::compile_solo`] alone: the memoized
@@ -410,8 +404,8 @@ impl ScheduleCache {
         occ: &OccupancyModel,
         cfg: &PipelineConfig,
     ) -> Option<RegionCompilation> {
-        let key = solo_key_warm(ddg, occ, cfg, None);
-        self.lookup_solo_keyed(key, ddg, occ, cfg, None).ok()
+        let key = solo_key(ddg, occ, cfg);
+        self.lookup_solo_keyed(key, ddg, occ, cfg).ok()
     }
 
     /// The one hit arm of the solo paths; `Err` says why nothing was
@@ -422,7 +416,6 @@ impl ScheduleCache {
         ddg: &Ddg,
         occ: &OccupancyModel,
         cfg: &PipelineConfig,
-        warm_fp: Option<u64>,
     ) -> Result<RegionCompilation, Unadopted> {
         let entry = self.shard(key).get(key).ok_or(Unadopted::Absent)?;
         if let Payload::Solo {
@@ -431,7 +424,6 @@ impl ScheduleCache {
         } = &entry.payload
         {
             if entry.inputs == inputs(cfg, occ)
-                && entry.warm_fp == warm_fp
                 && cached_ddg.matches(ddg)
                 && certify_hit(ddg, occ, comp)
             {
@@ -441,34 +433,6 @@ impl ScheduleCache {
             }
         }
         Err(Unadopted::Rejected)
-    }
-
-    /// [`Self::compile_solo`] with an optional warm-start hint (see
-    /// [`crate::region::compile_region_warm`]). A hint changes the
-    /// compiled result, so warm lookups key on the hint's fingerprint as
-    /// well — a cold lookup can never adopt a warm result or vice versa —
-    /// and the hint fingerprint sits in the entry's equality gate to hold
-    /// across 64-bit key collisions. With `warm = None` this is exactly
-    /// `compile_solo`, same keys and all.
-    pub fn compile_solo_with(
-        &self,
-        ddg: &Ddg,
-        occ: &OccupancyModel,
-        cfg: &PipelineConfig,
-        warm: Option<&aco::WarmStart>,
-    ) -> RegionCompilation {
-        let warm_fp = warm.map(aco::WarmStart::fingerprint);
-        let key = solo_key_warm(ddg, occ, cfg, warm_fp);
-        match self.lookup_solo_keyed(key, ddg, occ, cfg, warm_fp) {
-            Ok(comp) => return comp,
-            // Collision, config mismatch under a colliding key, or a
-            // tampered entry: never adopt — recompute and self-heal.
-            Err(Unadopted::Rejected) => self.bypasses.fetch_add(1, Ordering::Relaxed),
-            Err(Unadopted::Absent) => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        let comp = compile_region_warm(ddg, occ, cfg, warm);
-        self.store(key, solo_entry_warm(ddg, occ, cfg, &comp, warm_fp));
-        comp
     }
 
     /// Compiles one cooperative batch group through the cache. The key
@@ -511,7 +475,6 @@ impl ScheduleCache {
             key,
             CacheEntry {
                 inputs: inputs(cfg, occ),
-                warm_fp: None,
                 stamp: AtomicU64::new(0),
                 payload: Payload::Group {
                     ddgs: members.into_iter().map(PackedDdg::new).collect(),
@@ -522,17 +485,14 @@ impl ScheduleCache {
         outcomes
     }
 
-    /// Writes every cold solo entry to `out` in the `schedcache v1` format,
+    /// Writes every solo entry to `out` in the `schedcache v1` format,
     /// sorted by key, and flushes: a write or flush error surfaces as
     /// `Err`, not in a buffered writer's drop.
     pub fn save_to_writer(&self, out: &mut impl Write) -> io::Result<()> {
         let mut entries: Vec<(u64, Arc<CacheEntry>)> = Vec::new();
         for shard in &self.shards {
             for (&k, e) in shard.read().iter() {
-                // Warm-started entries are skipped along with group ones:
-                // their hints come from a tuning store, not the cache file,
-                // and the `schedcache v1` format stays hint-free.
-                if matches!(e.payload, Payload::Solo { .. }) && e.warm_fp.is_none() {
+                if matches!(e.payload, Payload::Solo { .. }) {
                     entries.push((k, e.clone()));
                 }
             }
@@ -607,7 +567,6 @@ impl ScheduleCache {
                 key,
                 CacheEntry {
                     inputs,
-                    warm_fp: None,
                     stamp: AtomicU64::new(0),
                     payload: Payload::Solo {
                         ddg: PackedDdg::new(&ddg),
@@ -641,16 +600,14 @@ fn attach_group_cfgs(
         .collect()
 }
 
-fn solo_entry_warm(
+fn solo_entry(
     ddg: &Ddg,
     occ: &OccupancyModel,
     cfg: &PipelineConfig,
     comp: &RegionCompilation,
-    warm_fp: Option<u64>,
 ) -> CacheEntry {
     CacheEntry {
         inputs: inputs(cfg, occ),
-        warm_fp,
         stamp: AtomicU64::new(0),
         payload: Payload::Solo {
             ddg: PackedDdg::new(ddg),
@@ -789,24 +746,9 @@ fn heuristic_index(heur: Heuristic) -> u64 {
         .expect("every heuristic is in ALL") as u64
 }
 
-/// Solo key with the warm-start hint folded in **only when present**:
-/// a cold lookup's key is bit-identical to what it was before warm
-/// memoization existed (tag 1, no extra words), while a warm lookup keys
-/// under its own tag plus the hint fingerprint.
-fn solo_key_warm(
-    ddg: &Ddg,
-    occ: &OccupancyModel,
-    cfg: &PipelineConfig,
-    warm_fp: Option<u64>,
-) -> u64 {
+fn solo_key(ddg: &Ddg, occ: &OccupancyModel, cfg: &PipelineConfig) -> u64 {
     let mut h = Fnv64::new();
-    match warm_fp {
-        None => h.word(1), // entry-kind tag: cold solo
-        Some(fp) => {
-            h.word(3); // entry-kind tag: warm solo
-            h.word(fp);
-        }
-    }
+    h.word(1); // entry-kind tag
     hash_config(&mut h, cfg, occ);
     h.word(ddg_content_fingerprint(ddg));
     h.finish()
@@ -1087,19 +1029,6 @@ mod tests {
         }
     }
 
-    fn solo_entry(
-        ddg: &Ddg,
-        occ: &OccupancyModel,
-        cfg: &PipelineConfig,
-        comp: &RegionCompilation,
-    ) -> CacheEntry {
-        solo_entry_warm(ddg, occ, cfg, comp, None)
-    }
-
-    fn solo_key(ddg: &Ddg, occ: &OccupancyModel, cfg: &PipelineConfig) -> u64 {
-        solo_key_warm(ddg, occ, cfg, None)
-    }
-
     fn cfg(kind: SchedulerKind) -> PipelineConfig {
         let mut c = PipelineConfig::paper(kind, 0);
         c.aco.blocks = 4;
@@ -1314,46 +1243,6 @@ mod tests {
             .stamp
             .load(Ordering::Relaxed);
         assert!(after > before, "hit must refresh the stamp");
-    }
-
-    /// Warm-started results memoize under their own keys: they never
-    /// answer a cold lookup (or one under a different hint), and they are
-    /// not persisted — the cache file format stays hint-free.
-    #[test]
-    fn warm_entries_key_separately_and_are_not_persisted() {
-        let occ = machine_model::OccupancyModel::vega_like();
-        let c = cfg(SchedulerKind::ParallelAco);
-        let ddg = sample_ddg(77);
-        let hint = aco::WarmStart::new(ddg.topo_order().to_vec()).unwrap();
-        let cache = ScheduleCache::new();
-
-        let cold = cache.compile_solo(&ddg, &occ, &c);
-        let warm_miss = cache.compile_solo_with(&ddg, &occ, &c, Some(&hint));
-        let warm_hit = cache.compile_solo_with(&ddg, &occ, &c, Some(&hint));
-        assert!(comps_eq(&warm_miss, &warm_hit));
-        assert!(comps_eq(
-            &warm_miss,
-            &compile_region_warm(&ddg, &occ, &c, Some(&hint))
-        ));
-        let cold_again = cache.compile_solo(&ddg, &occ, &c);
-        assert!(comps_eq(&cold, &cold_again));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.bypasses), (2, 2, 0));
-        assert_eq!(cache.len(), 2, "cold and warm entries coexist");
-
-        // Persistence drops the warm entry; the reloaded cache still
-        // answers the cold lookup and recomputes the warm one.
-        let mut bytes = Vec::new();
-        cache.save_to_writer(&mut bytes).unwrap();
-        let loaded = ScheduleCache::load_from_reader(io::BufReader::new(&bytes[..])).unwrap();
-        assert_eq!(loaded.len(), 1, "warm entries must not persist");
-        assert!(comps_eq(&cold, &loaded.compile_solo(&ddg, &occ, &c)));
-        assert_eq!(loaded.stats().hits, 1);
-        assert!(comps_eq(
-            &warm_miss,
-            &loaded.compile_solo_with(&ddg, &occ, &c, Some(&hint))
-        ));
-        assert_eq!(loaded.stats().misses, 1);
     }
 
     #[test]

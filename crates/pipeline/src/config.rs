@@ -134,32 +134,6 @@ impl Default for AnalyzeConfig {
     }
 }
 
-/// The self-tuning search knob (see `aco-tune` and [`crate::tune`]).
-///
-/// When enabled, solo ACO region jobs consult a shared [`aco_tune::TuneStore`]:
-/// a deterministic per-class bandit picks the `AcoConfig` arm, and
-/// structure-fingerprint near-misses seed the pheromone trail from a
-/// previously converged order. Tuned compilations remain pure functions of
-/// `(DDG, tuned config, warm hint, machine model)` and key into the
-/// schedule cache accordingly, so cache transparency (D004) and
-/// thread-determinism hold with tuning on. Defaults to **off**: the
-/// untuned paper configuration stays the golden-fingerprint baseline, and
-/// tuning changes which schedules are produced (never their validity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TuneConfig {
-    /// Consult the tuning store for arm choices and warm-start hints.
-    pub enabled: bool,
-}
-
-#[allow(clippy::derivable_impls)] // symmetry with CacheConfig; the default
-                                  // polarity is a deliberate choice, not an
-                                  // accident of Default
-impl Default for TuneConfig {
-    fn default() -> TuneConfig {
-        TuneConfig { enabled: false }
-    }
-}
-
 /// Configuration of the per-region compilation flow and its filters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
@@ -197,10 +171,6 @@ pub struct PipelineConfig {
     /// and schedule claim). Read-only: results are byte-identical on and
     /// off; only [`crate::SuiteRun::analysis`] is populated.
     pub analyze: AnalyzeConfig,
-    /// Self-tuning search: per-class bandit arm selection plus pheromone
-    /// warm-starts from a shared tuning store. Changes which schedules the
-    /// ACO search converges to (deterministically); defaults to off.
-    pub tune: TuneConfig,
 }
 
 impl PipelineConfig {
@@ -226,7 +196,6 @@ impl PipelineConfig {
             host_threads: 1,
             cache: CacheConfig::default(),
             analyze: AnalyzeConfig::default(),
-            tune: TuneConfig::default(),
         }
     }
 
@@ -246,12 +215,6 @@ impl PipelineConfig {
     /// or off.
     pub fn with_analyze(mut self, enabled: bool) -> PipelineConfig {
         self.analyze = AnalyzeConfig { enabled };
-        self
-    }
-
-    /// The same configuration with self-tuning search switched on or off.
-    pub fn with_tune(mut self, enabled: bool) -> PipelineConfig {
-        self.tune = TuneConfig { enabled };
         self
     }
 

@@ -50,13 +50,12 @@ use crate::analyze::analyze_region;
 use crate::batch::{compile_batch_group, plan_batches};
 use crate::cache::ScheduleCache;
 use crate::config::{PipelineConfig, SchedulerKind};
-use crate::region::{compile_region_warm, RegionCompilation};
-use crate::tune::{tuned_solo_inputs, TuneTag};
+use crate::region::{compile_region, RegionCompilation};
 use aco::IdleCores;
-use aco_tune::TuneStore;
 use machine_model::OccupancyModel;
 use sched_analyze::Finding;
 use sched_ir::Ddg;
+use std::convert::Infallible;
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -102,10 +101,6 @@ pub struct RegionOutcome {
     pub cfg: PipelineConfig,
     /// The compilation outcome.
     pub comp: RegionCompilation,
-    /// How the compilation was tuned (`None` when tuning was off, the job
-    /// was a batch group, or the scheduler kind is not ACO). The merge
-    /// uses this to feed the outcome back into the tuning store.
-    pub tune: Option<TuneTag>,
     /// In-pipeline analysis of this compilation ([`analyze_region`]), not
     /// yet attributed to a suite position. Empty when
     /// [`PipelineConfig::analyze`] is off.
@@ -162,12 +157,9 @@ pub fn plan_jobs(suite: &Suite, cfg: &PipelineConfig) -> Vec<RegionJob> {
 /// list-scheduled compile takes 11–14 µs and a certified hit about 12 µs,
 /// so storing the region would buy no time and hold memory.
 ///
-/// When a [`TuneStore`] is supplied, solo ACO compilations consult it for
-/// an arm-adjusted configuration and a pheromone warm-start hint (see
-/// [`crate::tune`]). The store is only *read* here — `choose`/`warm_hint`
-/// are pure in (state, args) and the state is frozen for the whole job
-/// phase — so jobs stay pure and thread-count independent. Batch groups
-/// and non-ACO kinds ignore the store.
+/// `_retired` is always `None`: the sixth argument once carried the
+/// self-tuning store, which was removed. It stays, typed so that it can
+/// hold nothing, because the benchmark calls `run_job` with six arguments.
 ///
 /// With [`PipelineConfig::analyze`] enabled, every region the job compiled
 /// (cache hit or miss) is analyzed here, so analysis parallelizes with the
@@ -178,7 +170,7 @@ pub fn run_job(
     occ: &OccupancyModel,
     cfg: &PipelineConfig,
     cache: Option<&ScheduleCache>,
-    tune: Option<&TuneStore>,
+    _retired: Option<&Infallible>,
 ) -> Vec<RegionOutcome> {
     let analyze = |ddg: &Ddg, comp: &RegionCompilation| {
         if cfg.analyze.enabled {
@@ -190,28 +182,15 @@ pub fn run_job(
     match job {
         RegionJob::Solo { kernel, region } => {
             let ddg = &suite.kernels[*kernel].regions[*region];
-            let colony = cfg.scheduler.runs_colony();
-            let (region_cfg, warm, tag) = match tune.filter(|_| colony) {
-                Some(store) => {
-                    // The salt is the region's stable suite position, so a
-                    // single run spreads exploration across a class's
-                    // instances deterministically.
-                    let salt = ((*kernel as u64) << 32) | *region as u64;
-                    let (tcfg, warm, tag) = tuned_solo_inputs(ddg, salt, cfg, store);
-                    (tcfg, warm, Some(tag))
-                }
-                None => (*cfg, None, None),
-            };
-            let comp = match cache.filter(|_| colony) {
-                Some(cache) => cache.compile_solo_with(ddg, occ, &region_cfg, warm.as_ref()),
-                None => compile_region_warm(ddg, occ, &region_cfg, warm.as_ref()),
+            let comp = match cache.filter(|_| cfg.scheduler.runs_colony()) {
+                Some(cache) => cache.compile_solo(ddg, occ, cfg),
+                None => compile_region(ddg, occ, cfg),
             };
             vec![RegionOutcome {
                 region: *region,
-                cfg: region_cfg,
+                cfg: *cfg,
                 findings: analyze(ddg, &comp),
                 comp,
-                tune: tag,
             }]
         }
         RegionJob::Group { kernel, members } => {
@@ -227,7 +206,6 @@ pub fn run_job(
                     cfg: rcfg,
                     findings: analyze(&kernel.regions[ri], &comp),
                     comp,
-                    tune: None,
                 })
                 .collect()
         }
@@ -245,13 +223,12 @@ pub fn run_jobs(
     jobs: &[RegionJob],
     threads: usize,
     cache: Option<&ScheduleCache>,
-    tune: Option<&TuneStore>,
 ) -> Vec<Vec<RegionOutcome>> {
     let mut results = Vec::with_capacity(jobs.len());
     run_indexed(
         jobs.len(),
         threads,
-        |i| run_job(&jobs[i], suite, occ, cfg, cache, tune),
+        |i| run_job(&jobs[i], suite, occ, cfg, cache, None),
         |_, outcomes, _| results.push(outcomes),
     );
     results
@@ -381,7 +358,6 @@ pub struct StreamTiming {
 ///
 /// A job that panics fails the call with that panic, after the consumer
 /// has seen some prefix of the stream.
-#[allow(clippy::too_many_arguments)]
 pub fn run_jobs_streaming<C>(
     suite: &Suite,
     occ: &OccupancyModel,
@@ -389,7 +365,6 @@ pub fn run_jobs_streaming<C>(
     jobs: &[RegionJob],
     threads: usize,
     cache: Option<&ScheduleCache>,
-    tune: Option<&TuneStore>,
     consume: C,
 ) -> StreamTiming
 where
@@ -398,7 +373,7 @@ where
     run_indexed(
         jobs.len(),
         threads,
-        |i| run_job(&jobs[i], suite, occ, cfg, cache, tune),
+        |i| run_job(&jobs[i], suite, occ, cfg, cache, None),
         consume,
     )
 }
@@ -762,52 +737,6 @@ mod tests {
         stress(12);
     }
 
-    /// Satellite 3 (determinism): with a *frozen* tuning store, tuned job
-    /// results are bit-identical across thread counts — choices and warm
-    /// hints are pure reads, so the pool only changes wall-clock time.
-    #[test]
-    fn tuned_execution_is_thread_count_deterministic() {
-        let suite = tiny_suite();
-        let occ = OccupancyModel::vega_like();
-        let c = cfg(SchedulerKind::ParallelAco);
-        let jobs = plan_jobs(&suite, &c);
-        // Pre-learn some state so warm hints and commits are exercised.
-        let store = TuneStore::new();
-        for _ in 0..2 {
-            for results in run_jobs(&suite, &occ, &c, &jobs, 1, None, Some(&store)) {
-                for o in results {
-                    let tag = o.tune.expect("solo ACO jobs are tuned");
-                    crate::tune::observe_outcome(&store, &tag, &o.comp);
-                }
-            }
-        }
-        let inline = run_jobs(&suite, &occ, &c, &jobs, 1, None, Some(&store));
-        for threads in [2, 8] {
-            let pooled = run_jobs(&suite, &occ, &c, &jobs, threads, None, Some(&store));
-            assert_eq!(inline.len(), pooled.len());
-            for (a, b) in inline.iter().zip(&pooled) {
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.region, y.region);
-                    assert_eq!(x.cfg, y.cfg, "tuned config must not depend on threads");
-                    assert_eq!(x.comp.occupancy, y.comp.occupancy);
-                    assert_eq!(x.comp.length, y.comp.length);
-                    assert_eq!(
-                        x.comp.sched_time_us.to_bits(),
-                        y.comp.sched_time_us.to_bits()
-                    );
-                    assert_eq!(
-                        x.comp.aco.as_ref().map(|r| &r.order),
-                        y.comp.aco.as_ref().map(|r| &r.order)
-                    );
-                    assert_eq!(
-                        x.tune.map(|t| (t.class, t.arm, t.warm_started)),
-                        y.tune.map(|t| (t.class, t.arm, t.warm_started))
-                    );
-                }
-            }
-        }
-    }
-
     fn tiny_suite() -> Suite {
         Suite::generate(&SuiteConfig::scaled(7, 0.008))
     }
@@ -856,10 +785,10 @@ mod tests {
         ] {
             let c = cfg(kind);
             let jobs = plan_jobs(&suite, &c);
-            let inline = run_jobs(&suite, &occ, &c, &jobs, 1, None, None);
+            let inline = run_jobs(&suite, &occ, &c, &jobs, 1, None);
             let cache = ScheduleCache::new();
             for (threads, cache) in [(2, None), (5, None), (3, Some(&cache))] {
-                let pooled = run_jobs(&suite, &occ, &c, &jobs, threads, cache, None);
+                let pooled = run_jobs(&suite, &occ, &c, &jobs, threads, cache);
                 assert_eq!(inline.len(), pooled.len());
                 for (a, b) in inline.iter().zip(&pooled) {
                     assert_eq!(a.len(), b.len());

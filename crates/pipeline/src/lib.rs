@@ -33,13 +33,7 @@
 //! * **in-pipeline static analysis** ([`analyze`]) — the `sched-analyze`
 //!   S-code passes run read-only over every compiled region plus a
 //!   once-per-suite cache-key coverage check, aggregated into
-//!   [`SuiteRun::analysis`] ([`PipelineConfig::analyze`]),
-//! * **self-tuning search** ([`tune`]) — a deterministic per-class bandit
-//!   (`aco-tune`) picks ACO search-effort deltas per solo region and
-//!   warm-starts pheromones from previously learned orders of the same
-//!   structure class ([`PipelineConfig::tune`]); choices happen in the
-//!   parallel job phase, observations only on the canonical merge, so
-//!   tuned runs stay thread-count deterministic.
+//!   [`SuiteRun::analysis`] ([`PipelineConfig::analyze`]).
 
 #![forbid(unsafe_code)]
 
@@ -51,23 +45,18 @@ pub mod exec_model;
 pub mod host_pool;
 pub mod region;
 pub mod suite_run;
-pub mod tune;
 
-pub use aco_tune::TuneStore;
 pub use analyze::{analyze_region, check_config_drift, AnalysisReport};
 pub use batch::plan_batches;
 pub use cache::{CacheStats, ScheduleCache};
-pub use config::{
-    AnalyzeConfig, BatchingConfig, CacheConfig, PipelineConfig, SchedulerKind, TuneConfig,
-};
+pub use config::{AnalyzeConfig, BatchingConfig, CacheConfig, PipelineConfig, SchedulerKind};
 pub use exec_model::{benchmark_throughput, kernel_time_us, ExecModel};
 pub use host_pool::{
     plan_jobs as plan_suite_jobs, run_jobs_streaming, RegionJob, RegionOutcome, StreamTiming,
 };
-pub use region::{compile_region, compile_region_warm, FinalChoice, RegionCompilation};
+pub use region::{compile_region, FinalChoice, RegionCompilation};
 pub use suite_run::{
     compile_suite, compile_suite_observed, compile_suite_timed, compile_suite_with_cache,
     compile_suite_with_stores, merge_job_results, RegionRecord, SuiteMerger, SuiteRun,
     SuiteWallclock,
 };
-pub use tune::{observe_outcome, tuned_solo_inputs, TuneTag};

@@ -1,7 +1,7 @@
 //! Per-region compilation: heuristic → LB gate → ACO → filters.
 
 use crate::config::{PipelineConfig, SchedulerKind};
-use aco::{AcoResult, ParallelScheduler, SequentialScheduler, WarmStart};
+use aco::{AcoResult, ParallelScheduler, SequentialScheduler};
 use list_sched::{Heuristic, ListScheduler, ScheduleResult};
 use machine_model::OccupancyModel;
 use sched_ir::{Cycle, Ddg};
@@ -48,27 +48,11 @@ pub struct RegionCompilation {
 /// already matches the lower bounds ACO is skipped; otherwise ACO runs with
 /// the pass-2 cycle-threshold gate, and the post-scheduling filter compares
 /// the final ACO schedule against the heuristic one.
-pub fn compile_region(ddg: &Ddg, occ: &OccupancyModel, cfg: &PipelineConfig) -> RegionCompilation {
-    compile_region_warm(ddg, occ, cfg, None)
-}
-
-/// [`compile_region`] with an optional pheromone warm-start hint for the
-/// ACO schedulers (see [`aco::warm`]). With `warm = None` this is exactly
-/// `compile_region`, bit for bit; non-ACO scheduler kinds ignore the hint.
 ///
 /// The heuristic runs once per region: `BaseAmd` and `CriticalPath` run the
 /// list scheduler here, and an ACO kind keeps the colony's initial schedule
 /// ([`AcoResult::initial`]) as its baseline.
-///
-/// A warm-started compilation is a *different* pure function of its inputs
-/// than a cold one, so callers memoizing results must key on the hint too
-/// ([`crate::ScheduleCache::compile_solo_with`] does).
-pub fn compile_region_warm(
-    ddg: &Ddg,
-    occ: &OccupancyModel,
-    cfg: &PipelineConfig,
-    warm: Option<&WarmStart>,
-) -> RegionCompilation {
+pub fn compile_region(ddg: &Ddg, occ: &OccupancyModel, cfg: &PipelineConfig) -> RegionCompilation {
     // A batched-mode solo compilation (trivial regions the planner leaves
     // out, and the kernel post filter's occupancy-capped re-schedules) runs
     // the full-colony parallel scheduler, exactly like `ParallelAco`.
@@ -76,11 +60,11 @@ pub fn compile_region_warm(
         SchedulerKind::BaseAmd => Heuristic::AmdMaxOccupancy,
         SchedulerKind::CriticalPath => Heuristic::CriticalPath,
         SchedulerKind::SequentialAco => {
-            let aco = SequentialScheduler::new(cfg.aco).schedule_with(ddg, occ, warm);
+            let aco = SequentialScheduler::new(cfg.aco).schedule(ddg, occ);
             return aco_compilation(ddg, aco, cfg);
         }
         SchedulerKind::ParallelAco | SchedulerKind::BatchedParallelAco => {
-            let aco = ParallelScheduler::new(cfg.aco).schedule_with(ddg, occ, warm);
+            let aco = ParallelScheduler::new(cfg.aco).schedule(ddg, occ);
             return aco_compilation(ddg, aco.result, cfg);
         }
     };

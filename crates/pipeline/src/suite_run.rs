@@ -8,12 +8,11 @@ use crate::exec_model::{
 };
 use crate::host_pool::{plan_jobs, run_jobs_streaming, RegionJob, RegionOutcome};
 use crate::region::{compile_region, FinalChoice, RegionCompilation};
-use crate::tune::observe_outcome;
 use crate::SchedulerKind;
-use aco_tune::TuneStore;
 use machine_model::OccupancyModel;
 use sched_analyze::Finding;
 use sched_ir::{Cycle, Ddg, Fnv64};
+use std::convert::Infallible;
 use std::time::Instant;
 use workloads::Suite;
 
@@ -173,11 +172,6 @@ where
 /// one cache across several suite compilations — e.g. repeated runs of the
 /// same suite, or a persisted cache reloaded from disk. The run's
 /// [`SuiteRun::cache`] counters report only this call's activity.
-///
-/// With [`PipelineConfig::tune`] enabled this consults a *fresh* tuning
-/// store: the run explores arms and records hints, but the knowledge dies
-/// with the call. To actually profit from tuning, share a long-lived
-/// store via [`compile_suite_with_stores`].
 pub fn compile_suite_with_cache<F>(
     suite: &Suite,
     occ: &OccupancyModel,
@@ -188,23 +182,14 @@ pub fn compile_suite_with_cache<F>(
 where
     F: FnMut(usize, usize, &Ddg, &PipelineConfig, &RegionCompilation),
 {
-    let tune = cfg.tune.enabled.then(TuneStore::new);
-    compile_suite_with_stores(suite, occ, cfg, cache, tune.as_ref(), observe).0
+    compile_suite_with_stores(suite, occ, cfg, cache, observe).0
 }
 
-/// [`compile_suite_with_cache`] compiling through caller-owned stores: a
-/// schedule cache and a tuning store (either may be `None`, overriding
-/// `cfg.cache` / `cfg.tune`), with the host wall-clock breakdown. Sharing
-/// one [`TuneStore`] across repeated compilations is how the self-tuner
-/// learns: each run's job phase only *reads* the store (arm choices and
-/// warm hints are pure functions of the frozen state), and each run's
-/// canonical merge feeds outcomes back in a single-threaded fixed order —
-/// so the learned state after any run is byte-identical at every
-/// `host_threads` value.
+/// [`compile_suite_with_cache`] with the host wall-clock breakdown.
 ///
 /// This is the one drive body under every suite compiler, the
-/// `sched-serve` daemon's `suite` requests included: plan → frozen tune
-/// clone → streaming merge → finish. The clock is read only at phase and
+/// `sched-serve` daemon's `suite` requests included: plan → streaming
+/// merge → finish. The clock is read only at phase and
 /// consume boundaries (as the job loop already does around every job),
 /// never inside the schedulers.
 pub fn compile_suite_with_stores<F>(
@@ -212,7 +197,6 @@ pub fn compile_suite_with_stores<F>(
     occ: &OccupancyModel,
     cfg: &PipelineConfig,
     cache: Option<&ScheduleCache>,
-    tune: Option<&TuneStore>,
     observe: F,
 ) -> (SuiteRun, SuiteWallclock)
 where
@@ -224,13 +208,7 @@ where
     let stats_start = cache.map(ScheduleCache::stats).unwrap_or_default();
     let jobs = plan_jobs(suite, cfg);
     let plan_s = start.elapsed().as_secs_f64();
-    // Jobs must read a tuning state *frozen* at phase start — under the
-    // barrier shape that held for free (all reads preceded all merge
-    // writes); with the merge streaming alongside the jobs, a clone makes
-    // it hold by construction. Observations still land on the caller's
-    // store, in canonical order, on this thread.
-    let job_store = tune.cloned();
-    let mut merger = SuiteMerger::new(suite, occ, cfg, &jobs, cache, tune, observe);
+    let mut merger = SuiteMerger::new(suite, occ, cfg, &jobs, cache, None, observe);
     // Consume calls in seconds since `phase`. The pool's span clock starts
     // a moment after `phase`, which can only shave that moment off the
     // overlap, never add to it.
@@ -243,7 +221,6 @@ where
         &jobs,
         cfg.host_threads,
         cache,
-        job_store.as_ref(),
         |i, outcomes, in_flight| {
             let start = phase.elapsed().as_secs_f64();
             merger.consume(i, outcomes);
@@ -254,11 +231,6 @@ where
     let t_finish = Instant::now();
     let mut run = merger.finish();
     let merge_s = overlap.busy + t_finish.elapsed().as_secs_f64();
-    // The job phase's arm choices and warm hits landed on the frozen
-    // clone; fold its counters back so the caller's store reports them.
-    if let (Some(store), Some(job_store)) = (tune, job_store.as_ref()) {
-        store.absorb_counters(&job_store.stats());
-    }
     run.cache = cache
         .map(|c| c.stats().since(stats_start))
         .unwrap_or_default();
@@ -358,15 +330,7 @@ pub fn compile_suite_timed(
     cfg: &PipelineConfig,
 ) -> (SuiteRun, SuiteWallclock) {
     let cache = cfg.cache.enabled.then(ScheduleCache::new);
-    let tune = cfg.tune.enabled.then(TuneStore::new);
-    compile_suite_with_stores(
-        suite,
-        occ,
-        cfg,
-        cache.as_ref(),
-        tune.as_ref(),
-        |_, _, _, _, _| {},
-    )
+    compile_suite_with_stores(suite, occ, cfg, cache.as_ref(), |_, _, _, _, _| {})
 }
 
 /// The barrier-shape merge, retained as the **reference implementation**
@@ -379,12 +343,6 @@ pub fn compile_suite_timed(
 /// [`compile_suite_with_stores`]. `jobs` must be [`plan_jobs`]'s canonical
 /// list and `results` its per-job outcomes indexed the same way.
 /// [`SuiteRun::cache`] is left zeroed.
-///
-/// When a [`TuneStore`] is supplied, every tuned outcome is fed back into
-/// it here — and *only* here, single-threaded in canonical order, so the
-/// store's learned state after the call is independent of how the jobs
-/// were executed.
-#[allow(clippy::too_many_arguments)]
 pub fn merge_job_results<F>(
     suite: &Suite,
     occ: &OccupancyModel,
@@ -392,13 +350,12 @@ pub fn merge_job_results<F>(
     jobs: &[RegionJob],
     results: Vec<Vec<RegionOutcome>>,
     cache: Option<&ScheduleCache>,
-    tune: Option<&TuneStore>,
     observe: F,
 ) -> SuiteRun
 where
     F: FnMut(usize, usize, &Ddg, &PipelineConfig, &RegionCompilation),
 {
-    let mut merger = SuiteMerger::new(suite, occ, cfg, jobs, cache, tune, observe);
+    let mut merger = SuiteMerger::new(suite, occ, cfg, jobs, cache, None, observe);
     for (i, outcomes) in results.into_iter().enumerate() {
         merger.consume(i, outcomes);
     }
@@ -448,7 +405,7 @@ fn fold_aggregates(fp: &mut Fnv64, run: &SuiteRun) {
 /// The **streaming deterministic merge**: consumes per-job results one at
 /// a time, strictly in canonical job order, and performs the entire
 /// sequential half of suite compilation incrementally — observer replay,
-/// absorbing the jobs' analysis findings, tuner feedback, the kernel-level
+/// absorbing the jobs' analysis findings, the kernel-level
 /// post filter the moment a kernel's last job lands, modeled-time
 /// accounting, and the suite fingerprint as a running FNV-1a fold.
 ///
@@ -470,7 +427,6 @@ pub struct SuiteMerger<'a, F> {
     cfg: &'a PipelineConfig,
     jobs: &'a [RegionJob],
     cache: Option<&'a ScheduleCache>,
-    tune: Option<&'a TuneStore>,
     observe: F,
     exec: ExecModel,
     analysis: Option<AnalysisReport>,
@@ -498,13 +454,17 @@ where
 {
     /// A merger ready to consume job 0. `jobs` must be [`plan_jobs`]'s
     /// canonical list for `(suite, cfg)`.
+    ///
+    /// `_retired` is always `None`: the sixth argument once carried the
+    /// self-tuning store, which was removed. It stays, typed so that it can
+    /// hold nothing, because the benchmark calls `new` with seven arguments.
     pub fn new(
         suite: &'a Suite,
         occ: &'a OccupancyModel,
         cfg: &'a PipelineConfig,
         jobs: &'a [RegionJob],
         cache: Option<&'a ScheduleCache>,
-        tune: Option<&'a TuneStore>,
+        _retired: Option<&'a Infallible>,
         observe: F,
     ) -> SuiteMerger<'a, F> {
         let mut kernel_jobs = vec![0usize; suite.kernels.len()];
@@ -533,7 +493,6 @@ where
             cfg,
             jobs,
             cache,
-            tune,
             observe,
             exec: ExecModel {
                 max_occupancy: occ.max_waves(),
@@ -585,16 +544,12 @@ where
             region,
             cfg: region_cfg,
             comp,
-            tune: tag,
             findings,
         } in outcomes
         {
             let ddg = &suite.kernels[k].regions[region];
             (self.observe)(k, region, ddg, &region_cfg, &comp);
             self.absorb_findings(k, region, findings);
-            if let (Some(store), Some(tag)) = (self.tune, tag) {
-                observe_outcome(store, &tag, &comp);
-            }
             self.slots[region] = Some(comp);
         }
         self.next_job += 1;
@@ -893,64 +848,6 @@ mod tests {
             "real pipeline output flagged: {:?}",
             rep.deny_findings
         );
-    }
-
-    /// Satellite 3 / D004-with-tuning: compiling with a frozen learned
-    /// store is cache-transparent (identical results cache on and off) and
-    /// repeatable, and the knowledge a run feeds back is deterministic.
-    #[test]
-    fn tuned_runs_are_cache_transparent_and_repeatable() {
-        let suite = tiny_suite();
-        let occ = OccupancyModel::vega_like();
-        let c = cfg(SchedulerKind::ParallelAco);
-        // Learn for two rounds (explore, then mostly commit).
-        let store = TuneStore::new();
-        for _ in 0..2 {
-            compile_suite_with_stores(&suite, &occ, &c, None, Some(&store), |_, _, _, _, _| {});
-        }
-        assert!(store.stats().observations > 0, "merge must feed back");
-        // Clones carry the knowledge; each run below starts from the same
-        // frozen state.
-        let (s1, s2, s3) = (store.clone(), store.clone(), store.clone());
-        let run = |cache: Option<&ScheduleCache>, store: &TuneStore| {
-            compile_suite_with_stores(&suite, &occ, &c, cache, Some(store), |_, _, _, _, _| {})
-        };
-        let (off, _) = run(None, &s1);
-        let (on, wall) = run(Some(&ScheduleCache::new()), &s2);
-        let (again, _) = run(None, &s3);
-        for other in [&on, &again] {
-            assert_eq!(off.total_length(), other.total_length());
-            assert_eq!(off.total_occupancy(), other.total_occupancy());
-            assert_eq!(off.kernel_time_us, other.kernel_time_us);
-            assert_eq!(off.benchmark_throughput, other.benchmark_throughput);
-            assert_eq!(off.compile_time_s, other.compile_time_s);
-        }
-        assert!(on.cache.lookups() > 0, "cached run must use the cache");
-        assert!(wall.total_s >= wall.plan_s + wall.merge_s && wall.merge_s > 0.0);
-        // A second cached run from the same frozen state: same run, same
-        // cache delta, same counters left on the caller's store.
-        let s4 = store.clone();
-        let (twin, _) = run(Some(&ScheduleCache::new()), &s4);
-        assert_eq!(
-            (twin.fingerprint, twin.cache, s4.stats()),
-            (on.fingerprint, on.cache, s2.stats())
-        );
-    }
-
-    /// `cfg.tune` defaults off, and an explicitly disabled tuner is the
-    /// bitwise default pipeline — the golden-fingerprint contract.
-    #[test]
-    fn tuning_disabled_is_bitwise_default() {
-        let suite = tiny_suite();
-        let occ = OccupancyModel::vega_like();
-        let c = cfg(SchedulerKind::ParallelAco);
-        assert!(!c.tune.enabled, "paper config must not tune by default");
-        let base = compile_suite(&suite, &occ, &c);
-        let off = compile_suite(&suite, &occ, &c.with_tune(false));
-        assert_eq!(base.total_length(), off.total_length());
-        assert_eq!(base.kernel_time_us, off.kernel_time_us);
-        assert_eq!(base.benchmark_throughput, off.benchmark_throughput);
-        assert_eq!(base.compile_time_s, off.compile_time_s);
     }
 
     #[test]

@@ -88,7 +88,7 @@ fn merge_loop_is_allocation_free(analyze: bool) -> pipeline::SuiteRun {
     );
     // Produce the per-job results up front (job-phase allocations are
     // covered by alloc_free_run_job.rs, not here).
-    let results = run_jobs(&suite, &occ, &cfg, &jobs, 1, None, None);
+    let results = run_jobs(&suite, &occ, &cfg, &jobs, 1, None);
 
     // Construction allocates (pre-sizing the merge-side buffers) — that
     // is the point: all acquisition happens here, none in the loop.

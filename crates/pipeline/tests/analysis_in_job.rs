@@ -53,15 +53,7 @@ fn barrier(suite: &Suite, cfg: &PipelineConfig) -> AnalysisReport {
     let occ = OccupancyModel::vega_like();
     let cache = cfg.cache.enabled.then(ScheduleCache::new);
     let jobs = plan_jobs(suite, cfg);
-    let results = run_jobs(
-        suite,
-        &occ,
-        cfg,
-        &jobs,
-        cfg.host_threads,
-        cache.as_ref(),
-        None,
-    );
+    let results = run_jobs(suite, &occ, cfg, &jobs, cfg.host_threads, cache.as_ref());
     merge_job_results(
         suite,
         &occ,
@@ -69,7 +61,6 @@ fn barrier(suite: &Suite, cfg: &PipelineConfig) -> AnalysisReport {
         &jobs,
         results,
         cache.as_ref(),
-        None,
         |_, _, _, _, _| {},
     )
     .analysis

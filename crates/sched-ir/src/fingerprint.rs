@@ -19,8 +19,8 @@
 //! keying on names would needlessly miss those.
 //!
 //! The hash is 64-bit FNV-1a; [`Fnv64`] is the workspace's one
-//! accumulator, shared by the cache keys, the tuner, and the golden ACO
-//! and suite fingerprints.
+//! accumulator, shared by the cache keys and the golden ACO and suite
+//! fingerprints.
 
 use crate::builder::DdgBuilder;
 use crate::ddg::Ddg;
@@ -93,45 +93,6 @@ pub fn ddg_content_fingerprint(ddg: &Ddg) -> u64 {
         for &(s, lat) in succs {
             h.word(topo_pos[s.index()]);
             h.word(lat as u64);
-        }
-    }
-    h.finish()
-}
-
-/// Coarse *structure* fingerprint of a region: the template-class key of
-/// the tuner's pheromone warm-start store.
-///
-/// Where [`ddg_content_fingerprint`] commits to everything a scheduler's
-/// output can depend on (so equality implies bitwise-identical results),
-/// this hash deliberately commits only to the dependence *shape*: the
-/// instruction count, each node's Def/Use **counts** (not register
-/// identities), and the successor edges as topo-position pairs **without
-/// latencies**. Two instantiations of the same template — identical graphs
-/// whose latencies or concrete registers differ — therefore share a
-/// structure fingerprint while their content fingerprints differ.
-///
-/// A match is a *hint*, never a proof: consumers may only use it to bias a
-/// search (e.g. seeding a pheromone table), not to reuse results. The only
-/// hard guarantee equal hashes are given is nothing — even the instruction
-/// count must be re-validated by the consumer, since 64-bit collisions are
-/// possible.
-pub fn ddg_structure_fingerprint(ddg: &Ddg) -> u64 {
-    let mut topo_pos = vec![0u64; ddg.len()];
-    for (pos, id) in ddg.topo_order().iter().enumerate() {
-        topo_pos[id.index()] = pos as u64;
-    }
-    let mut h = Fnv64::new();
-    h.word(ddg.len() as u64);
-    h.word(ddg.edge_count() as u64);
-    for &id in ddg.topo_order() {
-        let i = ddg.instr(id);
-        h.word(topo_pos[id.index()]);
-        h.word(i.defs().len() as u64);
-        h.word(i.uses().len() as u64);
-        let succs = ddg.succs(id);
-        h.word(succs.len() as u64);
-        for &(s, _lat) in succs {
-            h.word(topo_pos[s.index()]);
         }
     }
     h.finish()
@@ -388,63 +349,6 @@ mod tests {
         assert_eq!(ddg_content_fingerprint(&a), ddg_content_fingerprint(&b));
         let c = chain(["p", "q", "r"], 3);
         assert_ne!(ddg_content_fingerprint(&a), ddg_content_fingerprint(&c));
-    }
-
-    #[test]
-    fn structure_fingerprint_ignores_latency_and_registers_but_not_shape() {
-        // Same shape, different latency: content differs, structure agrees.
-        let base = chain(["a", "b", "c"], 4);
-        let lat = chain(["a", "b", "c"], 5);
-        assert_ne!(
-            ddg_content_fingerprint(&base),
-            ddg_content_fingerprint(&lat)
-        );
-        assert_eq!(
-            ddg_structure_fingerprint(&base),
-            ddg_structure_fingerprint(&lat)
-        );
-
-        // Same shape, different register class: structure still agrees.
-        let mut b = DdgBuilder::new();
-        let x = b.instr("a", [Reg::sgpr(9)], []);
-        let y = b.instr("b", [Reg::vgpr(1)], [Reg::vgpr(0)]);
-        let z = b.instr("c", [], [Reg::vgpr(1)]);
-        b.edge(x, y, 4).unwrap();
-        b.edge(y, z, 1).unwrap();
-        let regs = b.build().unwrap();
-        assert_eq!(
-            ddg_structure_fingerprint(&base),
-            ddg_structure_fingerprint(&regs)
-        );
-
-        // Different edge shape: structure differs.
-        let mut b = DdgBuilder::new();
-        let x = b.instr("a", [Reg::vgpr(0)], []);
-        let y = b.instr("b", [Reg::vgpr(1)], [Reg::vgpr(0)]);
-        let z = b.instr("c", [], [Reg::vgpr(1)]);
-        b.edge(x, y, 4).unwrap();
-        b.edge(y, z, 1).unwrap();
-        b.edge(x, z, 1).unwrap();
-        let extra_edge = b.build().unwrap();
-        assert_ne!(
-            ddg_structure_fingerprint(&base),
-            ddg_structure_fingerprint(&extra_edge)
-        );
-
-        // Different Def/Use counts at the same shape: structure differs
-        // (operand counts steer the guiding heuristics, so they are part of
-        // the template class).
-        let mut b = DdgBuilder::new();
-        let x = b.instr("a", [Reg::vgpr(0), Reg::vgpr(7)], []);
-        let y = b.instr("b", [Reg::vgpr(1)], [Reg::vgpr(0)]);
-        let z = b.instr("c", [], [Reg::vgpr(1)]);
-        b.edge(x, y, 4).unwrap();
-        b.edge(y, z, 1).unwrap();
-        let extra_def = b.build().unwrap();
-        assert_ne!(
-            ddg_structure_fingerprint(&base),
-            ddg_structure_fingerprint(&extra_def)
-        );
     }
 
     #[test]

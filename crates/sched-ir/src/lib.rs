@@ -45,6 +45,6 @@ pub use bitmatrix::BitMatrix;
 pub use bounds::effective_latency;
 pub use builder::{csr_rows, DdgBuilder, DdgError};
 pub use ddg::{Ddg, TransitiveClosure};
-pub use fingerprint::{ddg_content_fingerprint, ddg_structure_fingerprint, Fnv64, PackedDdg};
+pub use fingerprint::{ddg_content_fingerprint, Fnv64, PackedDdg};
 pub use instr::{Instr, InstrId, InstrTable, Reg, RegClass, RegTable, MAX_REG_ID, REG_CLASS_COUNT};
 pub use schedule::{Cycle, Schedule, ScheduleError};

@@ -1,5 +1,5 @@
-//! One codec for the line formats (`schedcache v1`, `schedtune v1`, the
-//! serve protocol's counted payloads): [`atomic_save`], the counted-line
+//! One codec for the line formats (`schedcache v1` and the serve
+//! protocol's counted payloads): [`atomic_save`], the counted-line
 //! primitive [`read_lines`], the file reader [`Records`], and [`At`], which
 //! makes `schedcache: line 17: bad key ...` errors and reads typed fields.
 

@@ -26,11 +26,9 @@ use crate::proto::{self, Parsed, Response, ScheduleOpts, SuiteOpts};
 use crate::render;
 use crate::signal;
 use crate::stats::ServeStats;
-use aco_tune::TuneStore;
 use machine_model::OccupancyModel;
 use pipeline::{
-    compile_suite_with_stores, observe_outcome, tuned_solo_inputs, PipelineConfig,
-    RegionCompilation, ScheduleCache, SchedulerKind,
+    compile_suite_with_stores, PipelineConfig, RegionCompilation, ScheduleCache, SchedulerKind,
 };
 use sched_ir::record::read_lines;
 use sched_ir::{textir, Ddg};
@@ -52,13 +50,12 @@ pub struct ServeConfig {
     /// on shutdown and on `flush`. `None` disables persistence (the warm
     /// in-memory cache still serves all clients).
     pub cache_path: Option<PathBuf>,
-    /// Enable the self-tuning store (in-memory) even without a
-    /// persistence path. Off by default: untuned requests reproduce the
-    /// golden-fingerprint pipeline bit for bit.
+    /// Must be `false`. The field named the self-tuning store, which was
+    /// removed; it stays because the benchmark sets it, and
+    /// [`Server::start`] rejects `true` with `InvalidInput`.
     pub tune: bool,
-    /// Tuning-store persistence path (`schedtune v1`): implies tuning;
-    /// preloaded on boot when it exists, written on shutdown and on
-    /// `flush` alongside the cache.
+    /// Must be `None`, for the same reason as [`ServeConfig::tune`]:
+    /// [`Server::start`] rejects a path with `InvalidInput`.
     pub tune_path: Option<PathBuf>,
 }
 
@@ -165,14 +162,9 @@ pub struct Engine {
     /// The cache every request consults; preloaded on boot, persisted on
     /// shutdown/flush.
     pub cache: ScheduleCache,
-    /// The shared self-tuning store, `Some` when the daemon runs with
-    /// tuning enabled. All requests read from and learn into the same
-    /// store, so every client profits from every other client's regions.
-    pub tune: Option<TuneStore>,
     planner: Planner<Work>,
     stats: ServeStats,
     cache_path: Option<PathBuf>,
-    tune_path: Option<PathBuf>,
     /// Compile worker threads, and the host pool width of a `suite`.
     workers: usize,
 }
@@ -180,31 +172,19 @@ pub struct Engine {
 impl Engine {
     /// Renders the `stats` payload.
     fn stats_report(&self) -> String {
-        let tuner = self.tune.as_ref().map(TuneStore::stats);
         self.stats
-            .report(&self.cache.stats(), tuner.as_ref(), self.planner.queued())
+            .report(&self.cache.stats(), self.planner.queued())
     }
 
-    /// Persists every configured store (atomic temp + rename each):
-    /// the cache to `cache_path`, the tuning store to `tune_path`.
+    /// Persists the cache to `cache_path` (atomic temp + rename).
     fn flush(&self) -> Result<String, String> {
-        let mut flushed = Vec::new();
-        if let Some(path) = &self.cache_path {
-            self.cache
-                .save_to(path)
-                .map_err(|e| format!("writing cache {}: {e}", path.display()))?;
-            flushed.push(path.display().to_string());
-        }
-        if let (Some(store), Some(path)) = (&self.tune, &self.tune_path) {
-            store
-                .save_to(path)
-                .map_err(|e| format!("writing tuning store {}: {e}", path.display()))?;
-            flushed.push(path.display().to_string());
-        }
-        if flushed.is_empty() {
+        let Some(path) = &self.cache_path else {
             return Err("no cache file configured (start with --cache FILE)".into());
-        }
-        Ok(flushed.join(", "))
+        };
+        self.cache
+            .save_to(path)
+            .map_err(|e| format!("writing cache {}: {e}", path.display()))?;
+        Ok(path.display().to_string())
     }
 }
 
@@ -217,29 +197,24 @@ pub struct Server {
 impl Server {
     /// Boots the engine: loads the cache from `cache_path` when the file
     /// exists (a corrupt or truncated file is a boot error, not a silent
-    /// empty cache) and starts the worker pool.
+    /// empty cache) and starts the worker pool. `tune: true` or a
+    /// `tune_path` is an `InvalidInput` error: self-tuning was removed.
     pub fn start(config: ServeConfig) -> io::Result<Server> {
+        if config.tune || config.tune_path.is_some() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "self-tuning was removed: `tune` must be false and `tune_path` None",
+            ));
+        }
         let cache = match &config.cache_path {
             Some(p) if p.exists() => ScheduleCache::load_from(p)?,
             _ => ScheduleCache::new(),
         };
-        // A tuning path implies tuning; a corrupt or tampered store file
-        // is a boot error, same contract as the cache.
-        let tune = if config.tune || config.tune_path.is_some() {
-            Some(match &config.tune_path {
-                Some(p) if p.exists() => TuneStore::load_from(p)?,
-                _ => TuneStore::new(),
-            })
-        } else {
-            None
-        };
         let engine = Arc::new(Engine {
             cache,
-            tune,
             planner: Planner::new(config.queue_capacity),
             stats: ServeStats::default(),
             cache_path: config.cache_path,
-            tune_path: config.tune_path,
             workers: config.workers.max(1),
         });
         let workers = (0..engine.workers)
@@ -263,10 +238,10 @@ impl Server {
         for w in self.workers {
             let _ = w.join();
         }
-        if self.engine.cache_path.is_some() || self.engine.tune_path.is_some() {
+        if self.engine.cache_path.is_some() {
             self.engine
                 .flush()
-                .map_err(|e| io::Error::other(format!("persisting stores on shutdown: {e}")))?;
+                .map_err(|e| io::Error::other(format!("persisting cache on shutdown: {e}")))?;
         }
         Ok(())
     }
@@ -307,32 +282,12 @@ fn fail(engine: &Engine, work: &Work, panic: &(dyn Any + Send)) {
     ctx.out.send(&ctx.id, &Response::Err { message });
 }
 
-/// The shared tuning store when `cfg`'s scheduler draws an arm and a warm
-/// hint from it, `None` when the request is a plain `compile_solo`.
-fn tuning_for<'a>(engine: &'a Engine, cfg: &PipelineConfig) -> Option<&'a TuneStore> {
-    engine.tune.as_ref().filter(|_| cfg.scheduler.runs_colony())
-}
-
 fn run_region(engine: &Engine, w: &RegionWork, started: Instant) {
     let waited_us = started.duration_since(w.ctx.arrived).as_micros() as u64;
     if w.ctx.expired_at(started, &engine.stats) {
         return;
     }
-    // With tuning on, a `schedule` request is a solo region: choose an
-    // arm + warm hint from the shared store and feed the outcome straight
-    // back (requests are served whole by one worker, so the inline
-    // observation here is the single-threaded canonical point).
-    let comp = match tuning_for(engine, &w.cfg) {
-        Some(store) => {
-            let (tuned_cfg, warm, tag) = tuned_solo_inputs(&w.ddg, 0, &w.cfg, store);
-            let comp = engine
-                .cache
-                .compile_solo_with(&w.ddg, &w.occ, &tuned_cfg, warm.as_ref());
-            observe_outcome(store, &tag, &comp);
-            comp
-        }
-        None => engine.cache.compile_solo(&w.ddg, &w.occ, &w.cfg),
-    };
+    let comp = engine.cache.compile_solo(&w.ddg, &w.occ, &w.cfg);
     answer(engine, w, &comp, waited_us, started);
 }
 
@@ -378,7 +333,6 @@ fn run_suite(engine: &Engine, w: &SuiteWork, started: Instant) {
         &w.occ,
         &w.cfg.with_host_threads(engine.workers),
         Some(&engine.cache),
-        engine.tune.as_ref(),
         |_, _, _, _, _| {},
     );
     let payload = render::suite_report(&run);
@@ -545,13 +499,10 @@ fn submit_schedule(
     // Queue only what has to be compiled. A region already in the cache is
     // answered here: the hit is cheaper than the hand-off to a worker, it
     // never waits, and so neither the queue's bound nor the request's
-    // queue-wait deadline applies to it. A tuned request draws its arm and
-    // warm hint at service time, so it always takes the queue.
-    if tuning_for(engine, &work.cfg).is_none() {
-        if let Some(comp) = engine.cache.lookup_solo(&work.ddg, &work.occ, &work.cfg) {
-            answer(engine, &work, &comp, 0, work.ctx.arrived);
-            return;
-        }
+    // queue-wait deadline applies to it.
+    if let Some(comp) = engine.cache.lookup_solo(&work.ddg, &work.occ, &work.cfg) {
+        answer(engine, &work, &comp, 0, work.ctx.arrived);
+        return;
     }
     let priority = work.ddg.len() as u64;
     enqueue(engine, priority, Work::Region(Box::new(work)));

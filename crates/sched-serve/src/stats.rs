@@ -9,7 +9,6 @@
 //! for the run; `suite_overlap_us` is the slice of merge time the
 //! streaming consumer hid under still-running jobs.
 
-use aco_tune::TunerStats;
 use pipeline::CacheStats;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,9 +57,8 @@ impl ServeStats {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Renders the `stats` response payload. `tuner` is `Some` when the
-    /// daemon runs with self-tuning enabled.
-    pub fn report(&self, cache: &CacheStats, tuner: Option<&TunerStats>, queued: usize) -> String {
+    /// Renders the `stats` response payload.
+    pub fn report(&self, cache: &CacheStats, queued: usize) -> String {
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let avg = |total: u64, n: u64| total.checked_div(n).unwrap_or(0);
         let work_items = get(&self.regions) + get(&self.suites);
@@ -80,20 +78,6 @@ impl ServeStats {
             "cache: {} hits, {} misses, {} inserts, {} bypasses, {} evictions",
             cache.hits, cache.misses, cache.inserts, cache.bypasses, cache.evictions
         );
-        if let Some(t) = tuner {
-            let _ = writeln!(
-                out,
-                "tuner: {} choices ({} explored, {} committed), {} warm_hits, \
-                 {} warm_misses, {} observations, {} warm_records",
-                t.choices,
-                t.explored,
-                t.committed,
-                t.warm_hits,
-                t.warm_misses,
-                t.observations,
-                t.warm_records,
-            );
-        }
         let _ = writeln!(
             out,
             "queue: {queued} queued, {} regions compiled, {} suites",
@@ -140,7 +124,7 @@ mod tests {
             bypasses: 0,
             evictions: 2,
         };
-        let r = s.report(&cache, None, 2);
+        let r = s.report(&cache, 2);
         assert!(r.contains("requests: 5 received, 4 served, 0 errors, 1 overloaded"));
         assert!(r.contains("cache: 3 hits, 1 misses, 1 inserts, 0 bypasses, 2 evictions"));
         assert!(r.contains("queue: 2 queued, 4 regions compiled, 0 suites"));
@@ -152,26 +136,7 @@ mod tests {
     #[test]
     fn zero_work_items_avoid_division() {
         let s = ServeStats::default();
-        let r = s.report(&CacheStats::default(), None, 0);
+        let r = s.report(&CacheStats::default(), 0);
         assert!(r.contains("queue_wait 0 (avg 0), service 0 (avg 0)"));
-    }
-
-    #[test]
-    fn tuner_counters_render_when_enabled() {
-        let s = ServeStats::default();
-        let t = TunerStats {
-            choices: 9,
-            explored: 6,
-            committed: 3,
-            warm_hits: 2,
-            warm_misses: 7,
-            observations: 9,
-            warm_records: 4,
-        };
-        let r = s.report(&CacheStats::default(), Some(&t), 0);
-        assert!(r.contains(
-            "tuner: 9 choices (6 explored, 3 committed), 2 warm_hits, \
-             7 warm_misses, 9 observations, 4 warm_records"
-        ));
     }
 }

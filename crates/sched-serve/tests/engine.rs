@@ -3,9 +3,7 @@
 //! calls, typed overload/expiry behavior, and correct persistence.
 
 use machine_model::OccupancyModel;
-use pipeline::{
-    compile_suite, compile_suite_with_stores, PipelineConfig, ScheduleCache, SchedulerKind,
-};
+use pipeline::{compile_suite, PipelineConfig, ScheduleCache, SchedulerKind};
 use sched_serve::proto::{read_response, Response};
 use sched_serve::{handle_connection, render, ServeConfig, Server};
 use std::io::{BufReader, Write};
@@ -271,144 +269,6 @@ fn stats_and_flush_roundtrip_and_cache_persists() {
 }
 
 #[test]
-fn tuned_suite_is_deterministic_across_worker_counts() {
-    // A fresh tuned daemon snapshots its (empty) tuning store at suite
-    // submission, so arm choices are frozen: the same request must answer
-    // byte-identically no matter how many workers race over the jobs.
-    let script = "req s suite seed=5 scale=0.004\n";
-    let base = run_session(
-        ServeConfig {
-            workers: 1,
-            tune: true,
-            ..ServeConfig::default()
-        },
-        script,
-    );
-    assert_eq!(base.len(), 1);
-    let Response::Ok { payload: want } = &base[0].1 else {
-        panic!("expected ok, got {:?}", base[0].1);
-    };
-    for workers in [2, 8] {
-        let got = run_session(
-            ServeConfig {
-                workers,
-                tune: true,
-                ..ServeConfig::default()
-            },
-            script,
-        );
-        let Response::Ok { payload } = &got[0].1 else {
-            panic!("expected ok, got {:?}", got[0].1);
-        };
-        assert_eq!(payload, want, "tuned suite drifted at {workers} workers");
-    }
-}
-
-#[test]
-fn tuned_suite_counters_match_the_pipeline_driver() {
-    // A served suite runs its jobs against a frozen snapshot of the store;
-    // the snapshot's choices and warm hits must land back on the daemon's
-    // store, exactly as `compile_suite_with_stores` leaves them on a
-    // caller-owned one.
-    let server = Server::start(ServeConfig {
-        workers: 2,
-        tune: true,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    let script = "req s suite seed=5 scale=0.004\n";
-    handle_connection(
-        server.engine(),
-        script.as_bytes(),
-        Box::new(SharedBuf::default()),
-    );
-    server.wait_idle();
-    let served = server.engine().tune.as_ref().unwrap().stats();
-    server.shutdown().unwrap();
-
-    let suite = workloads::Suite::generate(&workloads::SuiteConfig::scaled(5, 0.004));
-    let mut cfg = PipelineConfig::paper(SchedulerKind::ParallelAco, 0);
-    cfg.aco.blocks = 4;
-    cfg.aco.pass2_gate_cycles = 1;
-    let store = aco_tune::TuneStore::new();
-    compile_suite_with_stores(
-        &suite,
-        &OccupancyModel::vega_like(),
-        &cfg,
-        Some(&ScheduleCache::new()),
-        Some(&store),
-        |_, _, _, _, _| {},
-    );
-    assert!(
-        store.stats().choices > 0,
-        "the suite must exercise the tuner"
-    );
-    assert_eq!(served, store.stats());
-}
-
-#[test]
-fn tuned_daemon_reports_tuner_stats_and_persists_the_store() {
-    let dir = std::env::temp_dir().join(format!("sched-serve-tune-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let tune_path = dir.join("tune.txt");
-    let _ = std::fs::remove_file(&tune_path);
-
-    let config = ServeConfig {
-        workers: 1,
-        tune_path: Some(tune_path.clone()),
-        ..ServeConfig::default()
-    };
-    let mut script = String::new();
-    script.push_str(&schedule_script("r1", ""));
-    script.push_str(&schedule_script("r2", ""));
-    let server = Server::start(config).unwrap();
-    let buf = SharedBuf::default();
-    handle_connection(server.engine(), script.as_bytes(), Box::new(buf.clone()));
-    server.wait_idle();
-    // Stats on a second connection, after both compiles finished (the
-    // inline stats answer would otherwise race the queued work).
-    handle_connection(server.engine(), "req s1 stats\n".as_bytes(), {
-        Box::new(buf.clone())
-    });
-    let bytes = buf.0.lock().unwrap().clone();
-    server.shutdown().unwrap();
-    let mut reader = BufReader::new(&bytes[..]);
-    let mut by_id = std::collections::HashMap::new();
-    while let Some((id, r)) = read_response(&mut reader).unwrap() {
-        by_id.insert(id, r);
-    }
-    for id in ["r1", "r2"] {
-        assert!(
-            matches!(by_id.get(id), Some(Response::Ok { .. })),
-            "{id}: {by_id:?}"
-        );
-    }
-    let Some(Response::Ok { payload }) = by_id.get("s1") else {
-        panic!("stats missing: {by_id:?}");
-    };
-    assert!(payload.contains("tuner: 2 choices"), "{payload}");
-    assert!(payload.contains("2 observations"), "{payload}");
-
-    // Shutdown persisted the learned store (tune_path alone, no cache
-    // path); it reloads cleanly and a daemon booted from it starts with
-    // the learned observations in place of a cold store.
-    assert!(tune_path.exists(), "shutdown must write the tuning store");
-    let reloaded = aco_tune::TuneStore::load_from(&tune_path).unwrap();
-    assert_eq!(reloaded.stats().choices, 0, "counters reset on load");
-    let responses = run_session(
-        ServeConfig {
-            workers: 1,
-            tune_path: Some(tune_path.clone()),
-            ..ServeConfig::default()
-        },
-        &schedule_script("r3", ""),
-    );
-    assert!(matches!(responses[0].1, Response::Ok { .. }));
-    let _ = std::fs::remove_file(&tune_path);
-    let _ = std::fs::remove_dir(&dir);
-}
-
-#[test]
 fn flush_without_cache_path_is_a_typed_error() {
     let responses = run_session(ServeConfig::default(), "req f flush\n");
     assert_eq!(responses.len(), 1);
@@ -416,4 +276,26 @@ fn flush_without_cache_path_is_a_typed_error() {
         panic!("expected err, got {:?}", responses[0].1);
     };
     assert!(message.contains("no cache file configured"), "{message}");
+}
+
+#[test]
+fn the_retired_tuning_fields_are_invalid_input() {
+    let path = std::env::temp_dir().join(format!("sched-serve-tune-{}", std::process::id()));
+    for config in [
+        ServeConfig {
+            tune: true,
+            ..ServeConfig::default()
+        },
+        ServeConfig {
+            tune_path: Some(path.clone()),
+            ..ServeConfig::default()
+        },
+    ] {
+        let Err(e) = Server::start(config) else {
+            panic!("a tuning daemon must not boot");
+        };
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(e.to_string().contains("self-tuning was removed"), "{e}");
+    }
+    assert!(!path.exists(), "a rejected boot must not write the path");
 }

@@ -5,47 +5,35 @@
 #                               # best of 3, writes BENCH_wallclock.json;
 #                               # then the schedule-cache benchmark on a
 #                               # duplicate-heavy suite (BENCH_cache.json)
-#                               # and the self-tuning benchmark on the same
-#                               # suite shape (BENCH_tuning.json)
 #   scripts/bench.sh --smoke    # tiny suites + self-gating: validates the
 #                               # JSON schemas, checks result checksums
 #                               # agree, requires the honest parallel best
 #                               # not to lose to sequential and the
 #                               # cache-on best not to lose to cache-off
-#                               # (10% noise allowance), requires a >=30%
-#                               # hit rate on the duplicate-heavy suite,
-#                               # and requires the tuned run to reach the
-#                               # fixed-config schedule length in strictly
-#                               # fewer ACO iterations
+#                               # (10% noise allowance), and requires a
+#                               # >=30% hit rate on the duplicate-heavy
+#                               # suite
 #
 # Extra arguments are forwarded to the `wallclock` binary, e.g.
 #   scripts/bench.sh --threads 1,2,4,8 --reps 5 --scale 0.05
-# except `--cache-out PATH` / `--tuning-out PATH`, which bench.sh consumes
-# itself as the output paths of the cache and tuning reports (defaults
-# BENCH_cache.json / BENCH_tuning.json). `--smoke` is forwarded to every
-# binary.
+# except `--cache-out PATH`, which bench.sh consumes itself as the output
+# path of the cache report (default BENCH_cache.json). `--smoke` is
+# forwarded to every binary.
 #
 # The reports separate the two time domains deliberately: the modeled GPU
 # microseconds inside a SuiteRun never change with host threads or the
 # cache (the checksum fields prove it); only the host seconds here do.
-# Tuning is the exception by design — it changes the *search inputs*, so
-# its report tracks iterations and schedule length, not checksums.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cache_out="BENCH_cache.json"
-tuning_out="BENCH_tuning.json"
 smoke=""
 wallclock_args=()
 while [[ $# -gt 0 ]]; do
     case "$1" in
         --cache-out)
             cache_out="$2"
-            shift 2
-            ;;
-        --tuning-out)
-            tuning_out="$2"
             shift 2
             ;;
         --smoke)
@@ -60,8 +48,8 @@ while [[ $# -gt 0 ]]; do
     esac
 done
 
-echo "==> cargo build --release -p bench-harness --bin wallclock --bin cache_bench --bin tuning_bench"
-cargo build --release -p bench-harness --bin wallclock --bin cache_bench --bin tuning_bench
+echo "==> cargo build --release -p bench-harness --bin wallclock --bin cache_bench"
+cargo build --release -p bench-harness --bin wallclock --bin cache_bench
 
 echo "==> wallclock ${wallclock_args[*]:-}"
 ./target/release/wallclock "${wallclock_args[@]:+${wallclock_args[@]}}"
@@ -69,7 +57,3 @@ echo "==> wallclock ${wallclock_args[*]:-}"
 echo "==> cache_bench ${smoke:+$smoke }--out $cache_out"
 # shellcheck disable=SC2086
 ./target/release/cache_bench $smoke --out "$cache_out"
-
-echo "==> tuning_bench ${smoke:+$smoke }--out $tuning_out"
-# shellcheck disable=SC2086
-./target/release/tuning_bench $smoke --out "$tuning_out"

@@ -13,7 +13,8 @@
 # matrix, the long host-pool lost-wake-up stress, the occupancy LUT over a
 # grid of models, a truncated cache file that must be a positioned error, a CLI
 # verify smoke run on generated regions, a `schedule --threads 1` vs
-# `--threads 2` byte comparison, a non-ASCII register token that
+# `--threads 2` byte comparison, an unknown flag that must be a usage
+# error, a non-ASCII register token that
 # must be a diagnostic and not a panic, a `schedule` header with a bad
 # option that must cost one `err` and not one per payload line, the
 # static-analysis deny-gate (`gpu-aco-cli analyze --json`), the wall-clock
@@ -31,12 +32,13 @@ cargo fmt --all --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> no product code names crossbeam, parking_lot or serde"
-# The three stand-ins under vendor/ have no user left; they stay in the
-# manifests only until a benchmark PR can move benchmark/Cargo.lock with
-# them. Until then nothing may start using them again.
-if grep -rnE 'crossbeam|parking_lot|serde' --include='*.rs' crates src tests examples; then
-    echo "a vendored stand-in regained a user (std has scope and Mutex; no serializer is vendored)"
+echo "==> no product code names crossbeam, parking_lot, serde or aco_tune"
+# The three stand-ins under vendor/ and the empty aco-tune package have no
+# user left; they stay in the manifests only until a benchmark PR can move
+# benchmark/Cargo.lock with them. Until then nothing may start using them
+# again.
+if grep -rnE 'crossbeam|parking_lot|serde|aco_tune' --include='*.rs' crates src tests examples; then
+    echo "a stand-in regained a user (std has scope and Mutex; no serializer is vendored; the tuner was removed)"
     exit 1
 fi
 
@@ -56,9 +58,9 @@ if [[ "${1:-}" != "--fast" ]]; then
     # Tier-1 runs 8,000 cases of tests/textir_fuzz.rs; this is the long run.
     cargo test --release -q --test textir_fuzz -- --ignored
 
-    echo "==> record codec == old loaders and writers on 315k token-soup files"
+    echo "==> record codec == old loader and writer on 117k token-soup files"
     # Tier-1 runs a few thousand cases of tests/record_fuzz.rs (schedcache,
-    # schedtune, serve framing); this is the long run.
+    # serve framing); this is the long run.
     cargo test --release -q --test record_fuzz -- --ignored
 
     echo "==> a packed cached region answers as content_eq does: 60k cases"
@@ -144,23 +146,13 @@ if [[ "${1:-}" != "--fast" ]]; then
         echo "a truncated cache file panicked the CLI"; exit 1
     fi
 
-    echo "==> schedule --tune smoke"
-    # Tuning composes with the cache without polluting it: a tuned run
-    # against the same cache file must leave the untuned cached output
-    # bitwise unchanged, --no-tune must override --tune, and the tuning
-    # store must persist across invocations.
-    ./target/release/gpu-aco-cli schedule "$smoke_dir/region.txt" --blocks 8 \
-        --cache "$smoke_dir/sched.cache" --tune "$smoke_dir/sched.tune" > /dev/null
-    [[ -s "$smoke_dir/sched.tune" ]] || { echo "--tune must write the store"; exit 1; }
-    grep -q "^schedtune v1$" "$smoke_dir/sched.tune" \
-        || { echo "tuning store header malformed"; exit 1; }
-    ./target/release/gpu-aco-cli schedule "$smoke_dir/region.txt" --blocks 8 \
-        --cache "$smoke_dir/sched.cache" --cache-stats 2>&1 > "$smoke_dir/cache_on3.txt" \
-        | grep -q "cache: 1 hits" || { echo "tuned run polluted the untuned cache"; exit 1; }
-    cmp "$smoke_dir/cache_on.txt" "$smoke_dir/cache_on3.txt"
-    ./target/release/gpu-aco-cli schedule "$smoke_dir/region.txt" --blocks 8 \
-        --tune "$smoke_dir/sched.tune" --no-tune > "$smoke_dir/no_tune.txt"
-    cmp "$smoke_dir/cache_off.txt" "$smoke_dir/no_tune.txt"
+    echo "==> an unknown flag is a usage error"
+    # A flag the subcommand does not take must fail, not run the default
+    # path silently and leave the file it names unwritten.
+    if ./target/release/gpu-aco-cli schedule "$smoke_dir/region.txt" \
+        --tune "$smoke_dir/x" > /dev/null 2>&1 || [[ -e "$smoke_dir/x" ]]; then
+        echo "schedule --tune must exit nonzero and write nothing"; exit 1
+    fi
 
     echo "==> serve daemon smoke"
     # Boot the daemon on a Unix socket, preloading the cache the smoke
@@ -239,8 +231,7 @@ EOF
 
     echo "==> scripts/bench.sh --smoke"
     scripts/bench.sh --smoke --out "$smoke_dir/BENCH_wallclock.json" \
-        --cache-out "$smoke_dir/BENCH_cache.json" \
-        --tuning-out "$smoke_dir/BENCH_tuning.json"
+        --cache-out "$smoke_dir/BENCH_cache.json"
 
     echo "==> wallclock smoke perf gate"
     # Schema-validate the bench reports with a real JSON parser (the
@@ -311,41 +302,6 @@ for metric in ("jobs_s", "merge_s", "best_total_s"):
         f"(committed baseline {base[metric]:.4f}s x 1.25)")
     print(f"perf gate: smoke {metric} {cur[metric]:.4f}s <= {limit:.4f}s "
           f"(baseline {base[metric]:.4f}s)")
-EOF
-
-    echo "==> tuning smoke gate"
-    # The tuning_bench binary already self-gates under --smoke (strictly
-    # fewer iterations, no length regression, warm hits fired); this step
-    # re-validates both the smoke report and the committed full-scale
-    # report with a real JSON parser so a renderer regression cannot slip
-    # through.
-    python3 - "$smoke_dir/BENCH_tuning.json" BENCH_tuning.json <<'EOF'
-import json, sys
-
-for path in sys.argv[1:]:
-    with open(path) as f:
-        rep = json.load(f)
-    assert rep["schema_version"] == 1, rep.get("schema_version")
-    assert rep["benchmark"] == "suite_compile_tuning", rep["benchmark"]
-    for key in ("cores", "scheduler", "suite", "threads", "warmup_rounds",
-                "repetitions", "samples", "tuner", "iterations_saved",
-                "length_regression", "wallclock_ratio"):
-        assert key in rep, f"{path}: missing key {key}"
-    assert len(rep["samples"]) == 2, f"{path}: need fixed + tuned samples"
-    fixed, tuned = rep["samples"]
-    assert fixed["tuned"] is False and tuned["tuned"] is True, f"{path}: sample order"
-    for s in rep["samples"]:
-        for key in ("total_iterations", "total_length", "best_total_s",
-                    "all_total_s"):
-            assert key in s, f"{path}: missing sample key {key}"
-    assert rep["iterations_saved"] == \
-        fixed["total_iterations"] - tuned["total_iterations"], f"{path}: math"
-    assert rep["iterations_saved"] > 0, \
-        f"{path}: tuning saved no iterations ({rep['iterations_saved']})"
-    assert rep["length_regression"] is False, f"{path}: tuned length regressed"
-    assert rep["tuner"]["warm_hits"] > 0, f"{path}: warm hints never fired"
-    print(f"tuning gate: {path}: {rep['iterations_saved']} iterations saved, "
-          f"{rep['tuner']['warm_hits']} warm hits, no length regression")
 EOF
 
     echo "==> benchmark/: unit tests + suite-unique, suite-dup, suite-variants, frontend-large, serve-warm and serve-mix smoke"

@@ -6,7 +6,6 @@
 //!                      [--seed N] [--blocks N] [--threads N] [--unit-aprp]
 //!                      [--dot <out.dot>]
 //! gpu-aco-cli schedule <region.txt> --cache <cache.txt> [--cache-stats] [--no-cache]
-//! gpu-aco-cli schedule <region.txt> --tune <tune.txt> [--cache <cache.txt>] [--no-tune]
 //! gpu-aco-cli schedule <region.txt>... --batch [--seed N] [--blocks N] [--unit-aprp]
 //! gpu-aco-cli generate <pattern> <size> [--seed N]     # emit a region file
 //! gpu-aco-cli inspect <region.txt>                     # bounds and stats
@@ -24,18 +23,6 @@
 //! pipeline path with the cache disabled — the printed schedule is
 //! bitwise identical either way. `--cache-stats` reports the
 //! hit/miss/insert/bypass/eviction counters on stderr.
-//!
-//! `--tune <tune.txt>` additionally routes ACO compilations through the
-//! self-tuning store (`aco_tune`): the region's feature class picks a
-//! tuned `AcoConfig` arm, a structure-fingerprint match seeds the
-//! pheromone trails from the cached winner's order, and the outcome is
-//! recorded back into `tune.txt` for the next invocation. Tuning *changes
-//! the search inputs*, so tuned schedules may legitimately differ from
-//! (never regress against certification of) the untuned output; the
-//! schedule cache keys tuned entries separately, which is why `--tune`
-//! and `--cache` compose without polluting the untuned entries.
-//! `--no-tune` forces the untuned path even when a tuning store is
-//! configured elsewhere (it is also the default).
 //!
 //! `--batch` schedules several regions in one cooperative multi-region
 //! launch pair (the paper's Section VII proposal): the colony's blocks are
@@ -59,6 +46,9 @@
 //! (`sched-analyze-findings/v1`) the CI deny-gate consumes; a baseline
 //! file suppresses known findings. Exit is nonzero iff an unsuppressed
 //! deny-level finding remains.
+//!
+//! Every subcommand rejects a `--flag` it does not take with a usage error,
+//! so a mistyped flag never runs a different configuration silently.
 //!
 //! The region file format is documented in [`sched_ir::textir`]; `generate`
 //! produces it from the rocPRIM-shaped workload generators.
@@ -87,7 +77,6 @@ const USAGE: &str = "usage:
                        [--seed N] [--blocks N] [--threads N] [--unit-aprp]
                        [--dot <out.dot>]
   gpu-aco-cli schedule <region.txt> --cache <cache.txt> [--cache-stats] [--no-cache]
-  gpu-aco-cli schedule <region.txt> --tune <tune.txt> [--cache <cache.txt>] [--no-tune]
   gpu-aco-cli schedule <region.txt>... --batch [--seed N] [--blocks N] [--unit-aprp]
   gpu-aco-cli generate <pattern> <size> [--seed N]
       patterns: reduction scan transform vector stencil sort gather random mixed
@@ -96,8 +85,8 @@ const USAGE: &str = "usage:
                      [--seed N] [--blocks N] [--threads N] [--unit-aprp] [--pedantic]
   gpu-aco-cli analyze <region.txt>... [--json] [--pedantic]
                       [--baseline <file>] [--write-baseline <file>]
-  gpu-aco-cli serve [--socket <path>] [--cache <cache.txt>]
-                    [--tune [<tune.txt>]] [--workers N] [--queue N]
+  gpu-aco-cli serve [--stdio | --socket <path>] [--cache <cache.txt>]
+                    [--workers N] [--queue N]
   gpu-aco-cli request --socket <path> schedule <region.txt>
                       [--scheduler amd|cp|seq|par] [--seed N] [--blocks N]
                       [--unit-aprp] [--deadline-ms N]
@@ -119,29 +108,16 @@ const USAGE: &str = "usage:
                 hits skip the ACO search and are re-certified before adoption
   --no-cache    same pipeline path with the cache disabled (identical output)
   --cache-stats report hit/miss/insert/bypass/eviction counters on stderr
-  --tune F      self-tune ACO compilations through the bandit/warm-start
-                store persisted at F (created if missing): tuned runs may
-                pick a different AcoConfig arm and warm-start the pheromone
-                trails, so the schedule may differ from the untuned output;
-                composes with --cache (tuned entries are keyed separately,
-                untuned cache entries stay byte-identical)
-  --no-tune     force the untuned fixed-config path (the default); with
-                both flags, --no-tune wins and the store file is untouched
 
-  serve         run the scheduling daemon: requests on stdin (default) or a
-                Unix socket (--socket), one warm schedule cache shared by
-                every client, preloaded from --cache and persisted back on
-                shutdown/flush; --tune enables the shared self-tuning store
-                (with FILE: preloaded/persisted like the cache; without:
-                in-memory for the daemon's lifetime); --workers compile
-                threads (default: all cores), --queue admission capacity
+  serve         run the scheduling daemon: requests on stdin (default, or
+                --stdio) or a Unix socket (--socket), one warm schedule
+                cache shared by every client, preloaded from --cache and
+                persisted back on shutdown/flush; --workers compile threads
+                (default: all cores), --queue admission capacity
                 (default 256)
   request       client for a running daemon: sends one request over the
-                socket and prints the response payload; byte-identical to
-                the one-shot `schedule --cache` output when the daemon runs
-                untuned — a daemon started with --tune answers from its
-                tuned/warm-started search instead, so compare against
-                `schedule --tune` in that case; exits nonzero on
+                socket and prints the response payload, byte-identical to
+                the one-shot `schedule --cache` output; exits nonzero on
                 err/overloaded/expired responses";
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -165,20 +141,78 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-/// The non-flag arguments, skipping the values of value-taking flags.
-fn positional_args<'a>(args: &'a [String], value_flags: &[&str]) -> Vec<&'a String> {
+/// The flags one subcommand takes.
+struct Flags {
+    /// Flags that take the argument after them as their value.
+    values: &'static [&'static str],
+    /// Flags that stand alone.
+    switches: &'static [&'static str],
+}
+
+const SCHEDULE_FLAGS: Flags = Flags {
+    values: &[
+        "--scheduler",
+        "--seed",
+        "--blocks",
+        "--threads",
+        "--dot",
+        "--cache",
+    ],
+    switches: &["--unit-aprp", "--batch", "--no-cache", "--cache-stats"],
+};
+const GENERATE_FLAGS: Flags = Flags {
+    values: &["--seed"],
+    switches: &[],
+};
+const INSPECT_FLAGS: Flags = Flags {
+    values: &[],
+    switches: &[],
+};
+const VERIFY_FLAGS: Flags = Flags {
+    values: &["--scheduler", "--seed", "--blocks", "--threads"],
+    switches: &["--unit-aprp", "--pedantic"],
+};
+const ANALYZE_FLAGS: Flags = Flags {
+    values: &["--baseline", "--write-baseline"],
+    switches: &["--json", "--pedantic"],
+};
+const SERVE_FLAGS: Flags = Flags {
+    values: &["--socket", "--cache", "--workers", "--queue"],
+    switches: &["--stdio"],
+};
+const REQUEST_FLAGS: Flags = Flags {
+    values: &[
+        "--socket",
+        "--scheduler",
+        "--seed",
+        "--blocks",
+        "--scale",
+        "--gate",
+        "--deadline-ms",
+    ],
+    switches: &["--unit-aprp"],
+};
+
+/// The non-flag arguments, skipping the values of value-taking flags. A
+/// `--flag` the subcommand does not take is an error: ignoring it would
+/// run a configuration the user did not ask for.
+fn positional_args<'a>(args: &'a [String], flags: &Flags) -> Result<Vec<&'a String>, String> {
     let mut out = Vec::new();
     let mut skip = false;
     for a in args {
         if skip {
             skip = false;
-        } else if value_flags.contains(&a.as_str()) {
+        } else if flags.values.contains(&a.as_str()) {
             skip = true;
-        } else if !a.starts_with("--") {
+        } else if a.starts_with("--") {
+            if !flags.switches.contains(&a.as_str()) {
+                return Err(format!("unknown option `{a}`"));
+            }
+        } else {
             out.push(a);
         }
     }
-    out
+    Ok(out)
 }
 
 /// `--threads`: host cores the command may use; `schedule` and `verify`
@@ -253,14 +287,15 @@ fn print_schedule(ddg: &Ddg, schedule: &Schedule) {
 }
 
 fn schedule(args: &[String]) -> Result<(), String> {
+    let paths = positional_args(args, &SCHEDULE_FLAGS)?;
     if args.iter().any(|a| a == "--batch") {
-        return schedule_batched(args);
+        return schedule_batched(args, &paths);
     }
     if args
         .iter()
-        .any(|a| a == "--cache" || a == "--no-cache" || a == "--cache-stats" || a == "--tune")
+        .any(|a| a == "--cache" || a == "--no-cache" || a == "--cache-stats")
     {
-        return schedule_cached(args);
+        return schedule_cached(args, &paths);
     }
     let path = args.first().ok_or("schedule needs a region file")?;
     let ddg = load_region(path)?;
@@ -356,34 +391,15 @@ fn schedule(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `schedule ... --cache/--no-cache/--tune`: compile through the
-/// pipeline's region flow so the content-addressed schedule cache can
-/// answer repeat regions. With `--cache FILE` the cache is loaded from
-/// (and saved back to) `FILE`; `--no-cache` runs the identical pipeline
-/// path without it, so the printed schedule is bitwise comparable between
-/// the two. `--tune FILE` layers the self-tuning store on top: ACO
-/// compilations draw an arm-adjusted config and a pheromone warm hint
-/// from `FILE` and record the outcome back; tuned cache entries key
-/// separately, so the composition never pollutes untuned lookups.
-fn schedule_cached(args: &[String]) -> Result<(), String> {
-    use gpu_aco::compile::{
-        compile_region, compile_region_warm, observe_outcome, tuned_solo_inputs, PipelineConfig,
-        ScheduleCache, SchedulerKind,
-    };
-    use gpu_aco::tuning::TuneStore;
+/// `schedule ... --cache/--no-cache`: compile through the pipeline's
+/// region flow so the content-addressed schedule cache can answer repeat
+/// regions. With `--cache FILE` the cache is loaded from (and saved back
+/// to) `FILE`; `--no-cache` runs the identical pipeline path without it,
+/// so the printed schedule is bitwise comparable between the two.
+fn schedule_cached(args: &[String], paths: &[&String]) -> Result<(), String> {
+    use gpu_aco::compile::{compile_region, PipelineConfig, ScheduleCache, SchedulerKind};
     use std::path::Path;
 
-    let paths = positional_args(
-        args,
-        &[
-            "--scheduler",
-            "--seed",
-            "--blocks",
-            "--threads",
-            "--cache",
-            "--tune",
-        ],
-    );
     let path = paths.first().ok_or("schedule needs a region file")?;
     let ddg = load_region(path)?;
     let occ = occupancy_model(args);
@@ -415,33 +431,10 @@ fn schedule_cached(args: &[String]) -> Result<(), String> {
         (Some(_), false) => Some(ScheduleCache::new()),
         _ => None,
     };
-    // --no-tune beats --tune: the store file is neither read nor written.
-    let no_tune = args.iter().any(|a| a == "--no-tune");
-    let tune_file = flag_value(args, "--tune").filter(|_| !no_tune);
-    let tune = match &tune_file {
-        Some(f) if Path::new(f).exists() => Some(
-            TuneStore::load_from(Path::new(f))
-                .map_err(|e| format!("loading tuning store {f}: {e}"))?,
-        ),
-        Some(_) => Some(TuneStore::new()),
-        None => None,
-    };
-    let comp =
-        IdleCores::new(threads - 1).enter(|| match tune.as_ref().filter(|_| kind.runs_colony()) {
-            Some(store) => {
-                let (tuned_cfg, warm, tag) = tuned_solo_inputs(&ddg, 0, &cfg, store);
-                let comp = match &cache {
-                    Some(c) => c.compile_solo_with(&ddg, &occ, &tuned_cfg, warm.as_ref()),
-                    None => compile_region_warm(&ddg, &occ, &tuned_cfg, warm.as_ref()),
-                };
-                observe_outcome(store, &tag, &comp);
-                comp
-            }
-            None => match &cache {
-                Some(c) => c.compile_solo(&ddg, &occ, &cfg),
-                None => compile_region(&ddg, &occ, &cfg),
-            },
-        });
+    let comp = IdleCores::new(threads - 1).enter(|| match &cache {
+        Some(c) => c.compile_solo(&ddg, &occ, &cfg),
+        None => compile_region(&ddg, &occ, &cfg),
+    });
     // The daemon (`serve`) renders through the same function, which is
     // what keeps its responses byte-identical to this command's output.
     let report = gpu_aco::serve::render::schedule_report(&ddg, &occ, kind, &comp)?;
@@ -457,27 +450,19 @@ fn schedule_cached(args: &[String]) -> Result<(), String> {
         c.save_to(Path::new(f))
             .map_err(|e| format!("writing cache {f}: {e}"))?;
     }
-    if let (Some(t), Some(f)) = (&tune, &tune_file) {
-        t.save_to(Path::new(f))
-            .map_err(|e| format!("writing tuning store {f}: {e}"))?;
-    }
     Ok(())
 }
 
 /// `schedule ... --batch`: one cooperative launch pair for all the regions.
-fn schedule_batched(args: &[String]) -> Result<(), String> {
+fn schedule_batched(args: &[String], paths: &[&String]) -> Result<(), String> {
     use gpu_aco::scheduler::batch_block_split;
 
     if args
         .iter()
-        .any(|a| a == "--cache" || a == "--no-cache" || a == "--cache-stats" || a == "--tune")
+        .any(|a| a == "--cache" || a == "--no-cache" || a == "--cache-stats")
     {
-        return Err("the cache and tuning flags are not supported with --batch".into());
+        return Err("the cache flags are not supported with --batch".into());
     }
-    let paths = positional_args(
-        args,
-        &["--scheduler", "--seed", "--blocks", "--threads", "--dot"],
-    );
     if paths.is_empty() {
         return Err("schedule --batch needs at least one region file".into());
     }
@@ -544,6 +529,7 @@ fn verify(args: &[String]) -> Result<(), String> {
     use gpu_aco::analyze::{render_text, LevelCounts};
     use gpu_aco::verify as sv;
 
+    positional_args(args, &VERIFY_FLAGS)?;
     let path = args.first().ok_or("verify needs a region file")?;
     let ddg = load_region(path)?;
     let occ = occupancy_model(args);
@@ -646,7 +632,7 @@ fn analyze(args: &[String]) -> Result<(), String> {
     use gpu_aco::analyze as sa;
     use gpu_aco::compile::{check_config_drift, PipelineConfig, SchedulerKind};
 
-    let paths = positional_args(args, &["--baseline", "--write-baseline"]);
+    let paths = positional_args(args, &ANALYZE_FLAGS)?;
     if paths.is_empty() {
         return Err("analyze needs at least one region file".into());
     }
@@ -712,6 +698,7 @@ fn analyze(args: &[String]) -> Result<(), String> {
 }
 
 fn generate(args: &[String]) -> Result<(), String> {
+    positional_args(args, &GENERATE_FLAGS)?;
     let pattern = args.first().ok_or("generate needs a pattern")?;
     let size: usize = args
         .get(1)
@@ -736,6 +723,7 @@ fn generate(args: &[String]) -> Result<(), String> {
 }
 
 fn inspect(args: &[String]) -> Result<(), String> {
+    positional_args(args, &INSPECT_FLAGS)?;
     let path = args.first().ok_or("inspect needs a region file")?;
     let ddg = load_region(path)?;
     let occ = OccupancyModel::vega_like();
@@ -773,6 +761,7 @@ fn inspect(args: &[String]) -> Result<(), String> {
 fn serve(args: &[String]) -> Result<(), String> {
     use gpu_aco::serve::ServeConfig;
 
+    positional_args(args, &SERVE_FLAGS)?;
     let workers = match flag_value(args, "--workers") {
         Some(s) => s
             .parse::<usize>()
@@ -786,22 +775,11 @@ fn serve(args: &[String]) -> Result<(), String> {
             .map_err(|_| "--queue must be an integer")?,
         None => 256,
     };
-    // `--tune` takes an optional FILE: with one, the store persists there
-    // like the cache; bare `--tune` keeps it in memory for the daemon's
-    // lifetime.
-    let (tune, tune_path) = match args.iter().position(|a| a == "--tune") {
-        Some(i) => match args.get(i + 1).filter(|v| !v.starts_with("--")) {
-            Some(f) => (true, Some(std::path::PathBuf::from(f))),
-            None => (true, None),
-        },
-        None => (false, None),
-    };
     let config = ServeConfig {
         workers,
         queue_capacity,
         cache_path: flag_value(args, "--cache").map(std::path::PathBuf::from),
-        tune,
-        tune_path,
+        ..ServeConfig::default()
     };
     match flag_value(args, "--socket") {
         Some(path) => gpu_aco::serve::serve_unix(std::path::Path::new(&path), config)
@@ -819,18 +797,7 @@ fn request(args: &[String]) -> Result<(), String> {
     use std::os::unix::net::UnixStream;
 
     let socket = flag_value(args, "--socket").ok_or("request needs --socket PATH")?;
-    let positional = positional_args(
-        args,
-        &[
-            "--socket",
-            "--scheduler",
-            "--seed",
-            "--blocks",
-            "--scale",
-            "--gate",
-            "--deadline-ms",
-        ],
-    );
+    let positional = positional_args(args, &REQUEST_FLAGS)?;
     let command = positional
         .first()
         .ok_or("request needs a command: schedule|suite|stats|flush")?;

@@ -21,8 +21,6 @@
 //!   and baseline suppression ([`sched_analyze`])
 //! * [`serve`] — the scheduling-as-a-service daemon: line-delimited
 //!   protocol, admission control, one warm shared cache ([`sched_serve`])
-//! * [`tuning`] — the per-class bandit auto-tuner and pheromone
-//!   warm-start store behind `--tune` ([`aco_tune`])
 //!
 //! # Quickstart
 //!
@@ -39,7 +37,6 @@
 //! ```
 
 pub use aco as scheduler;
-pub use aco_tune as tuning;
 pub use exact_sched as exact;
 pub use gpu_sim as sim;
 pub use list_sched as heuristics;

@@ -114,95 +114,28 @@ fn lent_cores_never_change_the_output() {
     assert!(stdout.contains("verify: par: ok"), "{stdout}");
 }
 
-fn fixture(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name)
-}
-
-/// `parent_schedtune_v1.tune` was written by `gpu-aco-cli schedule
-/// <region> --tune` before the record codec: four tuned runs over the three
-/// parent regions. It loads and saves back byte for byte, and one more
-/// tuned run prints what that binary printed (`.out`) and leaves the store
-/// it left (`.next.tune`).
-#[test]
-fn a_schedtune_file_written_before_the_record_codec_loads_and_tunes_the_same() {
-    let written = std::fs::read(fixture("parent_schedtune_v1.tune")).unwrap();
-    let store = gpu_aco::tuning::TuneStore::load_from_reader(&written[..]).unwrap();
-    let mut saved = Vec::new();
-    store.save_to_writer(&mut saved).unwrap();
-    assert!(
-        saved == written,
-        "load + save must reproduce the parent's bytes"
-    );
-
-    let dir = tmp_dir("parent-tune");
-    let tune = dir.join("t.tune");
-    std::fs::write(&tune, &written).unwrap();
-    let region = fixture("parent_region_a.txt");
-    let (region, tune_arg) = (region.to_str().unwrap(), tune.to_str().unwrap());
-    let out = cli(
-        &["schedule", region, "--blocks", "4", "--tune", tune_arg],
-        &dir,
-    );
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(out.stdout == std::fs::read(fixture("parent_schedtune_v1.out")).unwrap());
-    assert!(
-        std::fs::read(&tune).unwrap()
-            == std::fs::read(fixture("parent_schedtune_v1.next.tune")).unwrap()
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A corrupted cache or tuning-store file stops `schedule` and `serve` with
-/// exit 1 and an error that names the file and the line, never a panic.
+/// A corrupted cache file stops `schedule` and `serve` with exit 1 and an
+/// error that names the file and the line, never a panic.
 #[test]
 fn a_corrupted_store_file_is_an_error_that_names_its_line() {
     let dir = tmp_dir("corrupted-stores");
     let region = generate(&dir, "mixed", "60", "r.txt");
-    let (cache, tune) = (dir.join("c.cache"), dir.join("t.tune"));
-    let (cache_arg, tune_arg) = (cache.to_str().unwrap(), tune.to_str().unwrap());
-    let out = cli(
-        &[
-            "schedule", &region, "--cache", cache_arg, "--tune", tune_arg,
-        ],
-        &dir,
-    );
+    let cache = dir.join("c.cache");
+    let cache_arg = cache.to_str().unwrap();
+    let out = cli(&["schedule", &region, "--cache", cache_arg], &dir);
     assert!(out.status.success());
-    // The cache cut mid-entry; the first class statistic of the store made
-    // non-numeric.
+    // The cache cut mid-entry.
     let bytes = std::fs::read(&cache).unwrap();
     std::fs::write(&cache, &bytes[..bytes.len() / 2]).unwrap();
-    let text = std::fs::read_to_string(&tune).unwrap();
-    let class_line = text.lines().position(|l| l.starts_with("class ")).unwrap() + 1;
-    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    let mut toks: Vec<&str> = lines[class_line - 1].split(' ').collect();
-    toks[2] = "x1";
-    lines[class_line - 1] = toks.join(" ");
-    std::fs::write(&tune, lines.join("\n") + "\n").unwrap();
 
-    let tune_err =
-        format!("tuning store {tune_arg}: schedtune: line {class_line}: bad class statistic `x1`");
     for (args, want) in [
         (
             vec!["schedule", &region, "--cache", cache_arg],
             format!("error: loading cache {cache_arg}: schedcache: line "),
         ),
         (
-            vec!["schedule", &region, "--tune", tune_arg],
-            format!("error: loading {tune_err}"),
-        ),
-        (
             vec!["serve", "--stdio", "--cache", cache_arg],
             "error: serve: schedcache: line ".to_string(),
-        ),
-        (
-            vec!["serve", "--stdio", "--tune", tune_arg],
-            format!("error: serve: schedtune: line {class_line}: bad class statistic"),
         ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_gpu-aco-cli"))
@@ -215,6 +148,44 @@ fn a_corrupted_store_file_is_an_error_that_names_its_line() {
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.starts_with(&want), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A flag a subcommand does not take is a usage error, not a silently
+/// ignored word: a mistyped `--cache` or the removed `--tune` used to run
+/// the uncached, untuned path and exit 0. The named file is never written,
+/// and `serve` fails before it binds its socket.
+#[test]
+fn an_unknown_flag_is_a_usage_error() {
+    let dir = tmp_dir("unknown-flag");
+    let region = generate(&dir, "mixed", "60", "r.txt");
+    let file = dir.join("f");
+    let socket = dir.join("s.sock");
+    let (file_arg, socket_arg) = (file.to_str().unwrap(), socket.to_str().unwrap());
+    for (args, flag) in [
+        (vec!["schedule", &region, "--tune", file_arg], "--tune"),
+        (vec!["schedule", &region, "--cahce", file_arg], "--cahce"),
+        (vec!["schedule", &region, "--no-tune"], "--no-tune"),
+        (vec!["serve", "--socket", socket_arg, "--tune"], "--tune"),
+        (vec!["serve", "--stdio", "--tune", file_arg], "--tune"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_gpu-aco-cli"))
+            .args(&args)
+            .current_dir(&dir)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: unknown option `{flag}`")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!file.exists(), "{args:?} wrote {file_arg}");
+        assert!(!socket.exists(), "{args:?} bound {socket_arg}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -27,7 +27,7 @@ fn a_job_that_panics_on_a_pool_worker_fails_the_call() {
         };
         let mut consumed = Vec::new();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_jobs_streaming(&suite, &occ, &cfg, &jobs, 2, None, None, |i, _, _| {
+            run_jobs_streaming(&suite, &occ, &cfg, &jobs, 2, None, |i, _, _| {
                 consumed.push(i)
             })
         }));

@@ -9,7 +9,7 @@
 //! and 7 lent cores. Regions sit just below and just above the size
 //! constant; the colony has fewer wavefronts than participants, counts
 //! that do not divide evenly and more than the device runs at once; early
-//! termination, the stall fraction, a warm-start hint, an occupancy cap and
+//! termination, the stall fraction, an occupancy cap and
 //! `schedule_batch`'s split colonies are each varied. Each case also checks
 //! that cores were borrowed exactly where they may be, so the equality is
 //! never vacuous.
@@ -17,10 +17,7 @@
 //! `cargo test --release --test lending_exact -- --ignored` runs the full
 //! cross product on larger regions with longer searches.
 
-use aco::{
-    AcoConfig, IdleCores, ParallelOutcome, ParallelScheduler, Termination, WarmStart,
-    LEND_MIN_INSTRS,
-};
+use aco::{AcoConfig, IdleCores, ParallelOutcome, ParallelScheduler, Termination, LEND_MIN_INSTRS};
 use gpu_sim::LaunchProfile;
 use machine_model::OccupancyModel;
 use sched_ir::Ddg;
@@ -129,9 +126,9 @@ fn assert_same(what: &str, a: &ParallelOutcome, b: &ParallelOutcome) {
 /// Schedules `ddg` under `cfg` with no core lent, then with each count of
 /// `LENT`, and requires every outcome to equal the first — and cores to
 /// have been borrowed exactly when the region and colony allow it.
-fn check(what: &str, ddg: &Ddg, cfg: AcoConfig, warm: Option<&WarmStart>) {
+fn check(what: &str, ddg: &Ddg, cfg: AcoConfig) {
     let occ = OccupancyModel::vega_like();
-    let run = || ParallelScheduler::new(cfg).schedule_with(ddg, &occ, warm);
+    let run = || ParallelScheduler::new(cfg).schedule(ddg, &occ);
     let alone = run();
     let may_borrow = ddg.len() >= LEND_MIN_INSTRS && cfg.blocks > 1;
     for cores in LENT {
@@ -154,7 +151,7 @@ fn colony_shapes_never_change_a_bit() {
     for ddg in [below(), above()] {
         for blocks in [1, 2, 3, 8, 32] {
             let cfg = AcoConfig { blocks, ..base(3) };
-            check(&format!("{blocks} blocks"), &ddg, cfg, None);
+            check(&format!("{blocks} blocks"), &ddg, cfg);
         }
     }
 }
@@ -172,7 +169,7 @@ fn more_wavefronts_than_the_device_runs_at_once_never_change_a_bit() {
         },
         ..base(13)
     };
-    check("250 blocks", &above(), cfg, None);
+    check("250 blocks", &above(), cfg);
 }
 
 #[test]
@@ -187,24 +184,22 @@ fn divergence_toggles_never_change_a_bit() {
                 cfg.tuning.early_wavefront_termination = early;
                 cfg.tuning.stall_wavefront_fraction = stall;
                 let what = format!("early termination {early}, stall fraction {stall}");
-                check(&what, &ddg, cfg, None);
+                check(&what, &ddg, cfg);
             }
         }
     }
 }
 
 #[test]
-fn warm_starts_and_occupancy_caps_never_change_a_bit() {
+fn occupancy_caps_never_change_a_bit() {
     let occ = OccupancyModel::vega_like();
     for ddg in [below(), above()] {
         let cold = ParallelScheduler::new(base(7)).schedule(&ddg, &occ).result;
-        let hint = WarmStart::new(cold.order).expect("a complete order");
-        check("warm start", &ddg, base(8), Some(&hint));
         let capped = AcoConfig {
             occupancy_cap: Some(cold.occupancy.saturating_sub(2).max(1)),
             ..base(9)
         };
-        check("occupancy cap", &ddg, capped, None);
+        check("occupancy cap", &ddg, capped);
     }
 }
 
@@ -258,25 +253,19 @@ fn the_full_matrix_never_changes_a_bit() {
                     cfg.tuning.early_wavefront_termination = early;
                     cfg.tuning.stall_wavefront_fraction = stall;
                     let what = format!("{blocks} blocks, early {early}, stall {stall}");
-                    check(&what, ddg, cfg, None);
+                    check(&what, ddg, cfg);
                 }
             }
             let cold = ParallelScheduler::new(AcoConfig::small(17))
                 .schedule(ddg, &occ)
                 .result;
-            let hint = WarmStart::new(cold.order).expect("a complete order");
             let cfg = AcoConfig {
                 blocks,
                 pass2_gate_cycles: 1,
                 occupancy_cap: Some(cold.occupancy.saturating_sub(1).max(1)),
                 ..AcoConfig::small(19)
             };
-            check(
-                &format!("{blocks} blocks, warm + cap"),
-                ddg,
-                cfg,
-                Some(&hint),
-            );
+            check(&format!("{blocks} blocks, cap"), ddg, cfg);
         }
     }
 }

@@ -1,9 +1,9 @@
-//! Test oracle for the persisted line formats: the `schedcache v1` and
-//! `schedtune v1` loaders and writers the record codec replaced, kept
-//! verbatim as the reference (`LineStream`, `parse_prefixed`, the `int` /
-//! `sint` / `float` closures, the tuner's `lines()` loop). They load into
-//! plain maps instead of the product's stores, and write the map back the
-//! way the product's `save_to_writer` does (sorted, last key wins).
+//! Test oracle for the persisted line format: the `schedcache v1` loader
+//! and writer the record codec replaced, kept verbatim as the reference
+//! (`LineStream`, `parse_prefixed`, the `int` / `sint` / `float`
+//! closures). It loads into a plain map instead of the product's store,
+//! and writes the map back the way the product's `save_to_writer` does
+//! (sorted, last key wins).
 //!
 //! Two edits mark the load-time classes the product now rejects: every
 //! `as u32` that truncates a parsed value, and a repeated cache key, set
@@ -15,11 +15,10 @@ use gpu_aco::compile::{FinalChoice, RegionCompilation, SchedulerKind};
 use gpu_aco::heuristics::{Heuristic, ScheduleResult};
 use gpu_aco::ir::{textir, Cycle, Ddg, InstrId, Schedule};
 use gpu_aco::machine::OccupancyModel;
-use gpu_aco::scheduler::{AcoConfig, AcoResult, PassStats, WarmStart};
+use gpu_aco::scheduler::{AcoConfig, AcoResult, PassStats};
 use gpu_aco::sim::MemLayout;
-use gpu_aco::tuning::{arm_table_fingerprint, ArmStats, ARMS, CLASS_COUNT};
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::io::{self, BufRead, Write};
 
 // ------------------------------------------------------------ schedcache --
@@ -507,177 +506,4 @@ fn read_comp(it: &mut LineStream<impl BufRead>, n: usize) -> io::Result<RegionCo
         ),
         reverted: toks[6] != "0",
     })
-}
-
-// ------------------------------------------------------------- schedtune --
-
-/// What the old tuner loader built.
-#[derive(Debug, Clone)]
-pub struct TuneState {
-    pub classes: Vec<[ArmStats; ARMS.len()]>,
-    pub warm: HashMap<u64, Vec<InstrId>>,
-}
-
-impl TuneState {
-    fn empty() -> TuneState {
-        TuneState {
-            classes: vec![[ArmStats::default(); ARMS.len()]; CLASS_COUNT],
-            warm: HashMap::new(),
-        }
-    }
-}
-
-/// The old `TuneStore::save_to_writer`.
-pub fn save_tune(st: &TuneState, out: &mut impl Write) -> io::Result<()> {
-    writeln!(out, "schedtune v1")?;
-    writeln!(out, "arms {:#018x}", arm_table_fingerprint())?;
-    let mut class_lines = 0u64;
-    for (idx, stats) in st.classes.iter().enumerate() {
-        if stats.iter().all(|s| s.trials == 0) {
-            continue;
-        }
-        write!(out, "class {idx}")?;
-        for s in stats {
-            write!(
-                out,
-                " {} {} {}",
-                s.trials, s.total_length, s.total_iterations
-            )?;
-        }
-        writeln!(out)?;
-        class_lines += 1;
-    }
-    let mut warm: Vec<(&u64, &Vec<InstrId>)> = st.warm.iter().collect();
-    warm.sort_by_key(|&(fp, _)| *fp);
-    let warm_count = warm.len();
-    for (fp, order) in warm {
-        write!(out, "warm {fp:#018x} {} :", order.len())?;
-        for id in order {
-            write!(out, " {}", id.0)?;
-        }
-        writeln!(out)?;
-    }
-    writeln!(out, "eof {class_lines} {warm_count}")?;
-    out.flush()
-}
-
-/// The old `TuneStore::load_from_reader`.
-pub fn load_tune(reader: impl BufRead) -> io::Result<TuneState> {
-    let mut lines = reader.lines();
-    let mut next = |what: &str| -> io::Result<String> {
-        loop {
-            match lines.next().transpose()? {
-                None => return Err(tune_bad_data(&format!("truncated file: missing {what}"))),
-                Some(l) if l.trim().is_empty() => continue,
-                Some(l) => return Ok(l),
-            }
-        }
-    };
-    if next("header")?.trim() != "schedtune v1" {
-        return Err(tune_bad_data("not a schedtune v1 file"));
-    }
-    let arms_line = next("arm-table fingerprint")?;
-    let fp_text = arms_line
-        .trim()
-        .strip_prefix("arms ")
-        .ok_or_else(|| tune_bad_data("expected `arms <fingerprint>`"))?;
-    let fp = u64::from_str_radix(fp_text.trim().trim_start_matches("0x"), 16)
-        .map_err(|_| tune_bad_data("bad arm-table fingerprint"))?;
-    if fp != arm_table_fingerprint() {
-        return Err(tune_bad_data(
-            "tuning state was recorded under a different arm table",
-        ));
-    }
-    let mut state = TuneState::empty();
-    let mut class_lines = 0u64;
-    let mut seen_class = [false; CLASS_COUNT];
-    let (claimed_classes, claimed_warm): (u64, u64) = loop {
-        let line = next("`eof` trailer")?;
-        let trimmed = line.trim();
-        if let Some(counts) = trimmed.strip_prefix("eof ") {
-            let parts: Vec<&str> = counts.split_whitespace().collect();
-            if parts.len() != 2 {
-                return Err(tune_bad_data("`eof` trailer expects two counts"));
-            }
-            let c = parts[0]
-                .parse()
-                .map_err(|_| tune_bad_data("bad `eof` count"))?;
-            let w = parts[1]
-                .parse()
-                .map_err(|_| tune_bad_data("bad `eof` count"))?;
-            break (c, w);
-        } else if let Some(body) = trimmed.strip_prefix("class ") {
-            let toks: Vec<&str> = body.split_whitespace().collect();
-            if toks.len() != 1 + 3 * ARMS.len() {
-                return Err(tune_bad_data("class line has wrong field count"));
-            }
-            let idx: usize = toks[0]
-                .parse()
-                .map_err(|_| tune_bad_data("bad class index"))?;
-            if idx >= CLASS_COUNT {
-                return Err(tune_bad_data("class index out of range"));
-            }
-            if seen_class[idx] {
-                return Err(tune_bad_data("duplicate class line"));
-            }
-            seen_class[idx] = true;
-            for (a, chunk) in toks[1..].chunks(3).enumerate() {
-                let int = |s: &str| -> io::Result<u64> {
-                    s.parse().map_err(|_| tune_bad_data("bad class statistic"))
-                };
-                let s = ArmStats {
-                    trials: int(chunk[0])?,
-                    total_length: int(chunk[1])?,
-                    total_iterations: int(chunk[2])?,
-                };
-                if s.trials == 0 && (s.total_length != 0 || s.total_iterations != 0) {
-                    return Err(tune_bad_data("class statistics are inconsistent"));
-                }
-                state.classes[idx][a] = s;
-            }
-            class_lines += 1;
-        } else if let Some(body) = trimmed.strip_prefix("warm ") {
-            let (head, ids) = body
-                .split_once(':')
-                .ok_or_else(|| tune_bad_data("warm line missing id list"))?;
-            let head: Vec<&str> = head.split_whitespace().collect();
-            if head.len() != 2 {
-                return Err(tune_bad_data("warm line expects fingerprint and length"));
-            }
-            let wfp = u64::from_str_radix(head[0].trim_start_matches("0x"), 16)
-                .map_err(|_| tune_bad_data("bad warm fingerprint"))?;
-            let n: usize = head[1]
-                .parse()
-                .map_err(|_| tune_bad_data("bad warm length"))?;
-            let order: Vec<InstrId> = ids
-                .split_whitespace()
-                .map(|t| t.parse::<u32>().map(InstrId))
-                .collect::<Result<_, _>>()
-                .map_err(|_| tune_bad_data("bad warm instruction id"))?;
-            if order.len() != n {
-                return Err(tune_bad_data("warm order length mismatch"));
-            }
-            if WarmStart::new(order.clone()).is_none() {
-                return Err(tune_bad_data("warm order is not a permutation"));
-            }
-            if state.warm.insert(wfp, order).is_some() {
-                return Err(tune_bad_data("duplicate warm fingerprint"));
-            }
-        } else {
-            return Err(tune_bad_data(&format!("unrecognized line `{trimmed}`")));
-        }
-    };
-    if claimed_classes != class_lines || claimed_warm != state.warm.len() as u64 {
-        return Err(tune_bad_data("`eof` trailer disagrees with file contents"));
-    }
-    for line in lines {
-        if !line?.trim().is_empty() {
-            return Err(tune_bad_data("content after `eof` trailer"));
-        }
-    }
-    Ok(state)
-}
-
-fn tune_bad_data(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("schedtune: {msg}"))
 }

@@ -1,14 +1,14 @@
 //! Differential fuzz test of the record codec (`sched_ir::record`) and the
-//! three formats that read through it.
+//! two formats that read through it.
 //!
-//! * `schedcache v1` and `schedtune v1`: seeded token soup drawn from the
-//!   corners of both grammars — blank lines, `\r\n` and bare `\r`, missing
+//! * `schedcache v1`: seeded token soup drawn from the corners of the
+//!   grammar — blank lines, `\r\n` and bare `\r`, missing
 //!   and extra fields, `0x` prefixes present, absent or doubled, `+` signs,
 //!   u32 / u64 overflow, a `ddg <n>` that over- or under-counts, a block
 //!   that fails to parse or build, lying and missing `eof` trailers, content
 //!   after the trailer, repeated records, non-UTF-8 bytes and cuts — applied
-//!   to files the product wrote. Every file is held to the loaders and
-//!   writers kept verbatim in `tests/oracle/records.rs`: the old load + save
+//!   to files the product wrote. Every file is held to the loader and
+//!   writer kept verbatim in `tests/oracle/records.rs`: the old load + save
 //!   bytes equal the new load + save bytes, or both reject. The product may
 //!   reject where the oracle accepted only for the two classes it tightened
 //!   (a value that does not fit its field, a repeated cache key). Every
@@ -28,10 +28,8 @@
 mod records;
 
 use gpu_aco::compile::ScheduleCache;
-use gpu_aco::ir::InstrId;
 use gpu_aco::serve::proto::MAX_PAYLOAD_LINES;
 use gpu_aco::serve::{parse_request_line, read_response, render_response, Parsed, Response};
-use gpu_aco::tuning::{RegionClass, TuneStore};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::io;
@@ -124,24 +122,6 @@ const NOT_UTF8: &[&[u8]] = &[b"\xff", b"\xc3", b"\x80", b"\xfe\xfe"];
 fn fixture(name: &str) -> Vec<u8> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     std::fs::read(path.join(name)).unwrap()
-}
-
-/// A second `schedtune` seed: classes at both ends of the table and warm
-/// orders of several lengths.
-fn tune_seed() -> Vec<u8> {
-    let store = TuneStore::new();
-    for (class, arm, len, iters) in [(0, 0, 10, 4), (0, 5, 12, 9), (13, 2, 99, 0), (124, 1, 7, 7)] {
-        if let Some(c) = RegionClass::from_index(class) {
-            store.observe(c, arm, len, iters);
-        }
-    }
-    for (fp, n) in [(0x1u64, 1u32), (0xfeed, 3), (u64::MAX, 5)] {
-        let order: Vec<InstrId> = (0..n).rev().map(InstrId).collect();
-        store.record_warm(fp, &order);
-    }
-    let mut out = Vec::new();
-    store.save_to_writer(&mut out).unwrap();
-    out
 }
 
 /// Token soup over one seed file: a few grammar-corner mutations of its
@@ -312,7 +292,7 @@ impl Soup {
                     }
                 }
             }
-            // A repeated record: a whole cache entry, or a tuner line, with
+            // A repeated record: a whole cache entry, or one line, with
             // the trailer recounted half of the time.
             14 => {
                 let (start, len) = match self.line_starting("key ") {
@@ -363,6 +343,9 @@ impl Soup {
                     self.lines[i].splice(j..j + 1, with.bytes());
                 }
             }
+            // Arms 20 and 21 edit lines of the removed `schedtune` format.
+            // A cache file has such a line only after arm 13 appends one;
+            // they stay so that every case keeps its seed's input.
             20 => {
                 if let Some(i) = self.line_starting("class ") {
                     let with = self.one_of(&["0", "13", "124", "125", "99", "-1"]);
@@ -500,36 +483,6 @@ fn check_cache(case: u64, bytes: &[u8], tally: &mut Tally) {
     }
 }
 
-/// Holds the tuning-store loader to the oracle on one file.
-fn check_tune(case: u64, bytes: &[u8], tally: &mut Tally) {
-    let what = format!("case {case}: {:?}", String::from_utf8_lossy(bytes));
-    let old = records::load_tune(bytes).map(|st| {
-        let mut out = Vec::new();
-        records::save_tune(&st, &mut out).unwrap();
-        out
-    });
-    let new = catch_unwind(AssertUnwindSafe(|| {
-        TuneStore::load_from_reader(bytes).map(|s| {
-            let mut out = Vec::new();
-            s.save_to_writer(&mut out).unwrap();
-            out
-        })
-    }))
-    .unwrap_or_else(|_| panic!("{what}: the loader panicked"));
-    match (old, new) {
-        (Ok(old), Ok(new)) => {
-            assert!(old == new, "{what}: saved bytes differ");
-            tally.loaded += 1;
-        }
-        (Err(old), Err(new)) => {
-            assert_eq!(new.kind(), io::ErrorKind::InvalidData, "{what}: {old}");
-            positioned("schedtune", &new.to_string(), bytes, &what);
-            tally.rejected += 1;
-        }
-        (old, new) => panic!("{what}: oracle {:?} vs product {:?}", old.err(), new.err()),
-    }
-}
-
 fn run_cache(cases: std::ops::Range<u64>) -> Tally {
     let seed = fixture("parent_schedcache_v1.cache");
     let mut tally = Tally::default();
@@ -537,17 +490,6 @@ fn run_cache(cases: std::ops::Range<u64>) -> Tally {
         check_cache(case, &Soup::new(case, &seed).bytes(), &mut tally);
     }
     println!("schedcache: {tally:?}");
-    tally
-}
-
-fn run_tune(cases: std::ops::Range<u64>) -> Tally {
-    let seeds = [fixture("parent_schedtune_v1.tune"), tune_seed()];
-    let mut tally = Tally::default();
-    for case in cases {
-        let seed = &seeds[case as usize % seeds.len()];
-        check_tune(case, &Soup::new(case, seed).bytes(), &mut tally);
-    }
-    println!("schedtune: {tally:?}");
     tally
 }
 
@@ -560,33 +502,21 @@ fn cache_files_load_as_the_oracle_does() {
     assert!(tally.columns > 10, "{tally:?}");
 }
 
-#[test]
-fn tune_files_load_as_the_oracle_does() {
-    let tally = run_tune(0..2_500);
-    assert!(tally.loaded > 300, "{tally:?}");
-    assert!(tally.rejected > 1_000, "{tally:?}");
-}
-
-/// Both persisted files cut at every line boundary and at every byte of
-/// their first lines: a positioned error each time, never a half-load.
+/// The persisted cache file cut at every line boundary and at every byte
+/// of its first lines: a positioned error each time, never a half-load.
 #[test]
 fn every_cut_is_a_positioned_error() {
-    let cache = fixture("parent_schedcache_v1.cache");
-    let tune = fixture("parent_schedtune_v1.tune");
-    for (format, bytes) in [("schedcache", &cache), ("schedtune", &tune)] {
-        let cuts = (0..bytes.len())
-            .filter(|&i| i == 0 || bytes[i - 1] == b'\n')
-            .chain(1..bytes.len().min(200));
-        for cut in cuts {
-            let what = format!("{format} cut at byte {cut}");
-            let e = match format {
-                "schedcache" => ScheduleCache::load_from_reader(&bytes[..cut]).err(),
-                _ => TuneStore::load_from_reader(&bytes[..cut]).err(),
-            }
+    let bytes = fixture("parent_schedcache_v1.cache");
+    let cuts = (0..bytes.len())
+        .filter(|&i| i == 0 || bytes[i - 1] == b'\n')
+        .chain(1..bytes.len().min(200));
+    for cut in cuts {
+        let what = format!("schedcache cut at byte {cut}");
+        let e = ScheduleCache::load_from_reader(&bytes[..cut])
+            .err()
             .unwrap_or_else(|| panic!("{what}: loaded"));
-            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}");
-            positioned(format, &e.to_string(), &bytes[..cut], &what);
-        }
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}");
+        positioned("schedcache", &e.to_string(), &bytes[..cut], &what);
     }
 }
 
@@ -738,8 +668,6 @@ fn protocol_frames_and_round_trips() {
 fn record_formats_long() {
     let cache = run_cache(2_500..120_000);
     assert!(cache.loaded > 5_000 && cache.tightened > 1_000, "{cache:?}");
-    let tune = run_tune(2_500..200_000);
-    assert!(tune.loaded > 20_000, "{tune:?}");
     for case in 3_000..200_000 {
         check_protocol(case);
     }

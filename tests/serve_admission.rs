@@ -393,52 +393,6 @@ fn a_lying_cache_file_entry_is_not_answered_at_admission() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn a_tuned_aco_request_keeps_the_queue_and_an_untunable_one_does_not() {
-    let ddg = patterns::sized(24, 3);
-    let server = Server::start(ServeConfig {
-        workers: 1,
-        tune: true,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    let mut client = Client::connect(&server);
-    // Its arm and warm hint are drawn at service time, request by request.
-    for (i, id) in ["p1", "p2", "p3"].iter().enumerate() {
-        let resp = client.exchange(id, &schedule(id, "", &ddg));
-        assert!(matches!(resp, Response::Ok { .. }), "{id}: {resp:?}");
-        let stats = client.stats();
-        assert_eq!(before(&stats, " choices"), i as u64 + 1, "{stats}");
-        assert_eq!(before(&stats, " observations"), i as u64 + 1, "{stats}");
-    }
-    // BaseAmd runs no colony: a plain `compile_solo`, so admission
-    // answers its second request.
-    let want = one_shot(&ddg, SchedulerKind::BaseAmd);
-    expect_ok(
-        client.exchange("a1", &schedule("a1", "scheduler=amd", &ddg)),
-        &want,
-        "a1",
-    );
-    // A worker books a request after it has sent the reply.
-    server.wait_idle();
-    let cold = client.stats();
-    expect_ok(
-        client.exchange("a2", &schedule("a2", "scheduler=amd", &ddg)),
-        &want,
-        "a2",
-    );
-    let warm = client.stats();
-    assert_eq!(before(&warm, " hits"), before(&cold, " hits") + 1, "{warm}");
-    assert_eq!(
-        after(&warm, "queue_wait "),
-        after(&cold, "queue_wait "),
-        "{warm}"
-    );
-    assert_eq!(before(&warm, " choices"), 3, "{warm}");
-    client.close();
-    server.shutdown().unwrap();
-}
-
 /// The path that is newly concurrent: four connection threads answer hits
 /// themselves while two workers compile and insert.
 #[test]
