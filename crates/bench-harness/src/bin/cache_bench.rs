@@ -86,15 +86,7 @@ fn parse_args() -> Args {
 /// A scheduler kind by its short name (`amd`, `cp`, `seq`, `par`,
 /// `batched`) or its `Debug` name in any case (`ParallelAco`).
 fn scheduler_kind(name: &str) -> SchedulerKind {
-    let short = match name {
-        "amd" => Some(SchedulerKind::BaseAmd),
-        "cp" => Some(SchedulerKind::CriticalPath),
-        "seq" => Some(SchedulerKind::SequentialAco),
-        "par" => Some(SchedulerKind::ParallelAco),
-        "batched" => Some(SchedulerKind::BatchedParallelAco),
-        _ => None,
-    };
-    short
+    SchedulerKind::from_short_name(name)
         .or_else(|| {
             SchedulerKind::ALL
                 .into_iter()

@@ -41,6 +41,25 @@ impl SchedulerKind {
         }
     }
 
+    /// The kind's short name on the command line and in daemon requests:
+    /// `amd`, `cp`, `seq`, `par` or `batched`. The one table of these names.
+    pub fn short_name(self) -> &'static str {
+        match self {
+            SchedulerKind::BaseAmd => "amd",
+            SchedulerKind::CriticalPath => "cp",
+            SchedulerKind::SequentialAco => "seq",
+            SchedulerKind::ParallelAco => "par",
+            SchedulerKind::BatchedParallelAco => "batched",
+        }
+    }
+
+    /// The kind whose [`short_name`](Self::short_name) is `name`.
+    pub fn from_short_name(name: &str) -> Option<SchedulerKind> {
+        SchedulerKind::ALL
+            .into_iter()
+            .find(|k| k.short_name() == name)
+    }
+
     /// Whether a region compiled under this kind runs an ant colony after
     /// the heuristic. Only such a compilation is worth memoizing in a suite
     /// job or tuning: a list-scheduled region compiles in about the time a

@@ -4,7 +4,7 @@ use crate::config::{PipelineConfig, SchedulerKind};
 use aco::{AcoResult, ParallelScheduler, SequentialScheduler};
 use list_sched::{Heuristic, ListScheduler, ScheduleResult};
 use machine_model::OccupancyModel;
-use sched_ir::{Cycle, Ddg};
+use sched_ir::{Cycle, Ddg, Schedule, REG_CLASS_COUNT};
 
 /// Which schedule the pipeline kept for a region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +39,19 @@ pub struct RegionCompilation {
     pub sched_time_us: f64,
     /// Whether the post-scheduling filter reverted an ACO schedule.
     pub reverted: bool,
+}
+
+impl RegionCompilation {
+    /// The schedule [`Self::choice`] kept, with its peak register pressure.
+    pub fn kept_schedule(&self) -> (&Schedule, [u32; REG_CLASS_COUNT]) {
+        match self.choice {
+            FinalChoice::Aco => {
+                let r = self.aco.as_ref().expect("choice Aco implies an ACO result");
+                (&r.schedule, r.prp)
+            }
+            FinalChoice::Heuristic => (&self.heuristic.schedule, self.heuristic.prp),
+        }
+    }
 }
 
 /// Compiles one region under the configured scheduler.

@@ -11,9 +11,13 @@
 //! *transport layer, not a new semantics*:
 //!
 //! * [`proto`] — the line-delimited request/response framing spoken over
-//!   stdio or a Unix socket. A `schedule` response body is **byte
-//!   identical** to what `gpu-aco-cli schedule` prints for the same
-//!   input, because both sides call [`render::schedule_report`]; a
+//!   stdio or a Unix socket, and [`proto::ScheduleOpts`], the one options
+//!   model of a single-region request that `gpu-aco-cli schedule` and
+//!   `verify` parse their flags into too. A `schedule` response body is
+//!   **byte identical** to what `gpu-aco-cli schedule <region>` prints for
+//!   the same options and any of `amd|cp|seq|par`, cached or not, because
+//!   both sides compile under [`proto::ScheduleOpts::config`] through the
+//!   pipeline's one region path and call [`render::schedule_report`]; a
 //!   `suite` response pins the run with the same suite fingerprint the
 //!   golden tests use.
 //! * [`planner`] — admission control and backpressure: a bounded

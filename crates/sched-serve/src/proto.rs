@@ -32,15 +32,20 @@
 //! nor `expired`. `overloaded` is the typed admission-control rejection of
 //! a request that needed a compile (the bounded queue was full; it was
 //! **not** enqueued); `expired` means a request was queued but its
-//! `deadline-ms` elapsed before a worker started it. Option defaults
-//! mirror the one-shot CLI (`scheduler=par seed=0 blocks=32`), so a bare
-//! `schedule` request returns byte-for-byte what `gpu-aco-cli schedule
-//! <region>` prints. A `suite` request's defaults (`scale=0.008 blocks=4
-//! gate=1`) mirror the golden-fingerprint suite configuration, so `suite
-//! seed=5` must report the pinned `SUITE_GOLDEN` fingerprint of
-//! `sched-verify`.
+//! `deadline-ms` elapsed before a worker started it.
+//!
+//! [`ScheduleOpts`] owns a single-region request, the daemon's and the
+//! CLI's alike: `gpu-aco-cli schedule` and `verify` parse their flags with
+//! [`ScheduleOpts::set`] and compile under [`ScheduleOpts::config`], so the
+//! defaults (`scheduler=par seed=0 blocks=32`), validation and error text
+//! are one, and a `schedule` reply's payload is byte-for-byte what
+//! `gpu-aco-cli schedule <region>` prints with the same options. A `suite`
+//! request's defaults (`scale=0.008 blocks=4 gate=1`) mirror the
+//! golden-fingerprint suite configuration, so `suite seed=5` must report
+//! the pinned `SUITE_GOLDEN` fingerprint of `sched-verify`.
 
-use pipeline::SchedulerKind;
+use machine_model::OccupancyModel;
+use pipeline::{PipelineConfig, SchedulerKind};
 use sched_ir::record::read_lines;
 use std::io::{self, BufRead};
 use std::str::SplitWhitespace;
@@ -54,7 +59,8 @@ pub const MAX_PAYLOAD_LINES: usize = 100_000;
 /// can enqueue.
 pub const MAX_SUITE_SCALE: f64 = 0.1;
 
-/// Options of a `schedule` request; defaults mirror the one-shot CLI.
+/// Options of a `schedule` request, and of `gpu-aco-cli schedule` and
+/// `verify` for the kinds they share with it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleOpts {
     /// Scheduler kind (cache-persistable kinds only: amd, cp, seq, par).
@@ -78,6 +84,44 @@ impl Default for ScheduleOpts {
             unit_aprp: false,
             deadline_ms: None,
         }
+    }
+}
+
+impl ScheduleOpts {
+    /// Applies one option: a request's `key=value` token, or `key` alone
+    /// for a switch (`value` is `None`). The CLI passes its `--key value`
+    /// flags here too, so both front doors validate alike.
+    pub fn set(&mut self, key: &str, value: Option<&str>) -> Result<(), String> {
+        match (key, value) {
+            ("scheduler", Some(v)) => self.scheduler = scheduler_kind(v, false)?,
+            ("seed", Some(v)) => self.seed = v.parse().map_err(|_| "bad seed")?,
+            ("blocks", Some(v)) => self.blocks = parse_blocks(v)?,
+            ("deadline-ms", Some(v)) => {
+                self.deadline_ms = Some(v.parse().map_err(|_| "bad deadline-ms")?);
+            }
+            ("unit-aprp", None) => self.unit_aprp = true,
+            (_, Some(v)) => return Err(format!("unknown schedule option `{key}={v}`")),
+            (_, None) => return Err(format!("unknown schedule option `{key}`")),
+        }
+        Ok(())
+    }
+
+    /// The occupancy model and pipeline configuration the region compiles
+    /// under: the paper's configuration for the kind and seed, with the
+    /// colony's blocks.
+    pub fn config(&self) -> (OccupancyModel, PipelineConfig) {
+        let mut cfg = PipelineConfig::paper(self.scheduler, self.seed);
+        cfg.aco.blocks = self.blocks;
+        (occupancy_model(self.unit_aprp), cfg)
+    }
+}
+
+/// The unit occupancy model under `unit-aprp`, the Vega-like one otherwise.
+pub(crate) fn occupancy_model(unit_aprp: bool) -> OccupancyModel {
+    if unit_aprp {
+        OccupancyModel::unit()
+    } else {
+        OccupancyModel::vega_like()
     }
 }
 
@@ -158,15 +202,14 @@ fn perr(id: Option<&str>, msg: impl Into<String>) -> ParseErr {
     }
 }
 
+/// The kind a `scheduler=` value names; `batched` only where a batch
+/// group exists (`suite`), never for a solo region.
 fn scheduler_kind(name: &str, allow_batched: bool) -> Result<SchedulerKind, String> {
-    match name {
-        "amd" => Ok(SchedulerKind::BaseAmd),
-        "cp" => Ok(SchedulerKind::CriticalPath),
-        "seq" => Ok(SchedulerKind::SequentialAco),
-        "par" => Ok(SchedulerKind::ParallelAco),
-        "batched" if allow_batched => Ok(SchedulerKind::BatchedParallelAco),
-        other => Err(format!("unknown scheduler `{other}`")),
+    match SchedulerKind::from_short_name(name) {
+        Some(SchedulerKind::BatchedParallelAco) if !allow_batched => None,
+        kind => kind,
     }
+    .ok_or_else(|| format!("unknown scheduler `{name}`"))
 }
 
 /// Parses one request header line.
@@ -195,7 +238,7 @@ pub fn parse_request_line(line: &str) -> Result<(String, Parsed), ParseErr> {
             Parsed::Flush
         }
         "schedule" => parse_schedule(id, toks)?,
-        "suite" => Parsed::Suite(parse_suite(id, toks)?),
+        "suite" => Parsed::Suite(parse_suite_opts(toks).map_err(|msg| perr(Some(id), msg))?),
         other => return Err(perr(Some(id), format!("unknown command `{other}`"))),
     };
     Ok((id.to_string(), parsed))
@@ -237,49 +280,32 @@ fn parse_schedule_opts(opts: SplitWhitespace) -> Result<ScheduleOpts, String> {
     let mut o = ScheduleOpts::default();
     for tok in opts {
         match tok.split_once('=') {
-            Some(("scheduler", v)) => o.scheduler = scheduler_kind(v, false)?,
-            Some(("seed", v)) => o.seed = v.parse().map_err(|_| "bad seed")?,
-            Some(("blocks", v)) => o.blocks = parse_blocks(v)?,
-            Some(("deadline-ms", v)) => {
-                o.deadline_ms = Some(v.parse().map_err(|_| "bad deadline-ms")?);
-            }
-            None if tok == "unit-aprp" => o.unit_aprp = true,
-            _ => return Err(format!("unknown schedule option `{tok}`")),
+            Some((key, value)) => o.set(key, Some(value))?,
+            None => o.set(tok, None)?,
         }
     }
     Ok(o)
 }
 
-fn parse_suite(id: &str, opts: SplitWhitespace) -> Result<SuiteOpts, ParseErr> {
+fn parse_suite_opts(opts: SplitWhitespace) -> Result<SuiteOpts, String> {
     let mut o = SuiteOpts::default();
     for tok in opts {
         match tok.split_once('=') {
-            Some(("scheduler", v)) => {
-                o.scheduler = scheduler_kind(v, true).map_err(|e| perr(Some(id), e))?;
-            }
-            Some(("seed", v)) => {
-                o.seed = v.parse().map_err(|_| perr(Some(id), "bad seed"))?;
-            }
+            Some(("scheduler", v)) => o.scheduler = scheduler_kind(v, true)?,
+            Some(("seed", v)) => o.seed = v.parse().map_err(|_| "bad seed")?,
             Some(("scale", v)) => {
-                o.scale = v.parse().map_err(|_| perr(Some(id), "bad scale"))?;
+                o.scale = v.parse().map_err(|_| "bad scale")?;
                 if !(o.scale > 0.0 && o.scale <= MAX_SUITE_SCALE) {
-                    return Err(perr(
-                        Some(id),
-                        format!("scale must be in (0, {MAX_SUITE_SCALE}]"),
-                    ));
+                    return Err(format!("scale must be in (0, {MAX_SUITE_SCALE}]"));
                 }
             }
-            Some(("blocks", v)) => {
-                o.blocks = parse_blocks(v).map_err(|e| perr(Some(id), e))?;
-            }
-            Some(("gate", v)) => {
-                o.gate = v.parse().map_err(|_| perr(Some(id), "bad gate"))?;
-            }
+            Some(("blocks", v)) => o.blocks = parse_blocks(v)?,
+            Some(("gate", v)) => o.gate = v.parse().map_err(|_| "bad gate")?,
             Some(("deadline-ms", v)) => {
-                o.deadline_ms = Some(v.parse().map_err(|_| perr(Some(id), "bad deadline-ms"))?);
+                o.deadline_ms = Some(v.parse().map_err(|_| "bad deadline-ms")?);
             }
             None if tok == "unit-aprp" => o.unit_aprp = true,
-            _ => return Err(perr(Some(id), format!("unknown suite option `{tok}`"))),
+            _ => return Err(format!("unknown suite option `{tok}`")),
         }
     }
     Ok(o)

@@ -2,12 +2,14 @@
 //!
 //! The acceptance bar for the serve transport is *byte identity*: a
 //! `schedule` response body must equal what `gpu-aco-cli schedule
-//! <region> --cache/--no-cache` prints for the same input. Rather than
-//! test two renderers against each other forever, there is exactly one —
-//! this module — and both the CLI's cached-schedule path and the daemon's
-//! workers call it. Drift is structurally impossible.
+//! <region>` prints for the same options, with or without `--cache F`.
+//! Rather than test two renderers against each other forever, there is
+//! exactly one — this module — and both the CLI and the daemon's workers
+//! call it: [`schedule_report`] for the pipeline kinds (`amd|cp|seq|par`),
+//! and [`schedule_line`] under the CLI's direct `luc` and `exact` reports
+//! too. Drift is structurally impossible.
 
-use pipeline::{FinalChoice, RegionCompilation, SchedulerKind, SuiteRun};
+use pipeline::{RegionCompilation, SchedulerKind, SuiteRun};
 use sched_ir::{Ddg, Schedule};
 use std::fmt::Write as _;
 
@@ -21,13 +23,7 @@ pub fn schedule_report(
     kind: SchedulerKind,
     comp: &RegionCompilation,
 ) -> Result<String, String> {
-    let (sched, prp) = match comp.choice {
-        FinalChoice::Aco => {
-            let r = comp.aco.as_ref().expect("choice Aco implies an ACO result");
-            (&r.schedule, r.prp)
-        }
-        FinalChoice::Heuristic => (&comp.heuristic.schedule, comp.heuristic.prp),
-    };
+    let (sched, prp) = comp.kept_schedule();
     sched
         .validate(ddg)
         .map_err(|e| format!("internal error: invalid schedule: {e}"))?;

@@ -27,9 +27,7 @@ use crate::render;
 use crate::signal;
 use crate::stats::ServeStats;
 use machine_model::OccupancyModel;
-use pipeline::{
-    compile_suite_with_stores, PipelineConfig, RegionCompilation, ScheduleCache, SchedulerKind,
-};
+use pipeline::{compile_suite_with_stores, PipelineConfig, RegionCompilation, ScheduleCache};
 use sched_ir::record::read_lines;
 use sched_ir::{textir, Ddg};
 use std::any::Any;
@@ -130,7 +128,6 @@ struct RegionWork {
     ddg: Ddg,
     occ: OccupancyModel,
     cfg: PipelineConfig,
-    kind: SchedulerKind,
     ctx: RequestCtx,
 }
 
@@ -302,7 +299,7 @@ fn answer(
     waited_us: u64,
     started: Instant,
 ) {
-    let resp = match render::schedule_report(&w.ddg, &w.occ, w.kind, comp) {
+    let resp = match render::schedule_report(&w.ddg, &w.occ, w.cfg.scheduler, comp) {
         Ok(payload) => {
             ServeStats::bump(&engine.stats.served, 1);
             Response::Ok { payload }
@@ -482,18 +479,11 @@ fn submit_schedule(
             return;
         }
     };
-    let occ = if opts.unit_aprp {
-        OccupancyModel::unit()
-    } else {
-        OccupancyModel::vega_like()
-    };
-    let mut cfg = PipelineConfig::paper(opts.scheduler, opts.seed);
-    cfg.aco.blocks = opts.blocks;
+    let (occ, cfg) = opts.config();
     let work = RegionWork {
         ddg,
         occ,
         cfg,
-        kind: opts.scheduler,
         ctx: request_ctx(id, out, opts.deadline_ms),
     };
     // Queue only what has to be compiled. A region already in the cache is
@@ -523,11 +513,7 @@ fn submit_suite(engine: &Engine, out: &Arc<ResponseWriter>, id: String, opts: Su
     let mut cfg = PipelineConfig::paper(opts.scheduler, 0);
     cfg.aco.blocks = opts.blocks;
     cfg.aco.pass2_gate_cycles = opts.gate;
-    let occ = if opts.unit_aprp {
-        OccupancyModel::unit()
-    } else {
-        OccupancyModel::vega_like()
-    };
+    let occ = proto::occupancy_model(opts.unit_aprp);
     let priority = suite.regions().map(|(_, _, ddg)| ddg.len() as u64).sum();
     let work = SuiteWork {
         suite,
@@ -617,6 +603,7 @@ pub fn serve_unix(socket_path: &Path, config: ServeConfig) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipeline::SchedulerKind;
     use std::sync::atomic::Ordering;
     use std::sync::mpsc;
 

@@ -61,7 +61,20 @@ pub fn verify_region_compilation(
     c: &RegionCompilation,
 ) -> Vec<Finding> {
     let mut diags = lint::lint_ddg(ddg);
-    diags.extend(certify::certify_list(ddg, occ, &c.heuristic));
+    diags.extend(certify_region_compilation(ddg, occ, cfg, c));
+    diags
+}
+
+/// [`verify_region_compilation`] without the DDG lint, for a caller that
+/// has linted the region already: certifies the heuristic schedule and
+/// (when present) the ACO result under the configuration it ran with.
+pub fn certify_region_compilation(
+    ddg: &Ddg,
+    occ: &OccupancyModel,
+    cfg: &PipelineConfig,
+    c: &RegionCompilation,
+) -> Vec<Finding> {
+    let mut diags = certify::certify_list(ddg, occ, &c.heuristic);
     if let Some(aco) = &c.aco {
         diags.extend(certify::certify_aco(ddg, occ, &cfg.aco, aco));
     }

@@ -13,8 +13,8 @@
 # matrix, the long host-pool lost-wake-up stress, the occupancy LUT over a
 # grid of models, a truncated cache file that must be a positioned error, a CLI
 # verify smoke run on generated regions, a `schedule --threads 1` vs
-# `--threads 2` byte comparison, an unknown flag that must be a usage
-# error, a non-ASCII register token that
+# `--threads 2` byte comparison, a flag before the region file, an unknown
+# flag that must be a usage error, a non-ASCII register token that
 # must be a diagnostic and not a panic, a `schedule` header with a bad
 # option that must cost one `err` and not one per payload line, the
 # static-analysis deny-gate (`gpu-aco-cli analyze --json`), the wall-clock
@@ -121,15 +121,20 @@ if [[ "${1:-}" != "--fast" ]]; then
     done
 
     echo "==> schedule cache on/off smoke"
+    # `--cache F`, cold and warm, prints the bytes bare `schedule` prints.
     ./target/release/gpu-aco-cli schedule "$smoke_dir/region.txt" --blocks 8 \
         --cache "$smoke_dir/sched.cache" --cache-stats > "$smoke_dir/cache_on.txt"
     ./target/release/gpu-aco-cli schedule "$smoke_dir/region.txt" --blocks 8 \
         --cache "$smoke_dir/sched.cache" --cache-stats 2>&1 > "$smoke_dir/cache_on2.txt" \
         | grep -q "cache: 1 hits" || { echo "second cached run must hit"; exit 1; }
     ./target/release/gpu-aco-cli schedule "$smoke_dir/region.txt" --blocks 8 \
-        --no-cache > "$smoke_dir/cache_off.txt"
+        > "$smoke_dir/cache_off.txt"
     cmp "$smoke_dir/cache_on.txt" "$smoke_dir/cache_off.txt"
     cmp "$smoke_dir/cache_on.txt" "$smoke_dir/cache_on2.txt"
+
+    echo "==> a flag before the region file"
+    # The file is the positional wherever it stands, not the first word.
+    ./target/release/gpu-aco-cli schedule --blocks 8 "$smoke_dir/region.txt" > /dev/null
 
     echo "==> a cache file cut mid-entry is a positioned error"
     # Loading must fail with exit 1 and name the line, never half-load or
@@ -184,7 +189,7 @@ if [[ "${1:-}" != "--fast" ]]; then
     grep -q "^fingerprint 0x" "$smoke_dir/serve_suite.txt" \
         || { echo "daemon suite reply lacks its fingerprint:"; cat "$smoke_dir/serve_suite.txt"; exit 1; }
     cmp "$smoke_dir/serve1.txt" "$smoke_dir/cache_on.txt"
-    ./target/release/gpu-aco-cli schedule "$smoke_dir/region2.txt" --no-cache \
+    ./target/release/gpu-aco-cli schedule "$smoke_dir/region2.txt" \
         --scheduler amd > "$smoke_dir/oneshot2.txt"
     cmp "$smoke_dir/serve2.txt" "$smoke_dir/oneshot2.txt"
     ./target/release/gpu-aco-cli request --socket "$smoke_dir/daemon.sock" stats \

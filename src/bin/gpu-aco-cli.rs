@@ -2,10 +2,9 @@
 //! the workspace's schedulers.
 //!
 //! ```text
-//! gpu-aco-cli schedule <region.txt> [--scheduler amd|cp|luc|seq|par|exact]
+//! gpu-aco-cli schedule <region.txt> [--scheduler amd|cp|seq|par|luc|exact]
 //!                      [--seed N] [--blocks N] [--threads N] [--unit-aprp]
-//!                      [--dot <out.dot>]
-//! gpu-aco-cli schedule <region.txt> --cache <cache.txt> [--cache-stats] [--no-cache]
+//!                      [--cache <cache.txt>] [--cache-stats] [--dot <out.dot>]
 //! gpu-aco-cli schedule <region.txt>... --batch [--seed N] [--blocks N] [--unit-aprp]
 //! gpu-aco-cli generate <pattern> <size> [--seed N]     # emit a region file
 //! gpu-aco-cli inspect <region.txt>                     # bounds and stats
@@ -14,28 +13,28 @@
 //!                     [--baseline <file>] [--write-baseline <file>]
 //! ```
 //!
-//! `--cache <cache.txt>` routes the compilation through the pipeline's
-//! content-addressed [`gpu_aco::compile::ScheduleCache`], persisted at the
-//! given path across invocations: a region whose DDG content and
-//! scheduling configuration match a stored entry skips the ACO search
-//! entirely (the hit is re-certified before adoption, so a tampered cache
-//! file can never smuggle in a wrong schedule). `--no-cache` runs the same
-//! pipeline path with the cache disabled — the printed schedule is
-//! bitwise identical either way. `--cache-stats` reports the
-//! hit/miss/insert/bypass/eviction counters on stderr.
+//! `schedule --scheduler amd|cp|seq|par` (default `par`) parses its options
+//! into the daemon's [`gpu_aco::serve::proto::ScheduleOpts`], compiles the
+//! region through the pipeline's one region path (heuristic, two-pass ACO,
+//! post filter) and prints the daemon's `schedule` reply byte for byte.
+//! `--cache <cache.txt>` answers through the content-addressed
+//! [`gpu_aco::compile::ScheduleCache`] persisted at that path, with the
+//! same bytes: a hit skips the ACO search and is re-certified before
+//! adoption. `luc` and `exact`, which no pipeline kind runs, and `--batch`
+//! call their scheduler directly and print a report of their own.
 //!
 //! `--batch` schedules several regions in one cooperative multi-region
 //! launch pair (the paper's Section VII proposal): the colony's blocks are
 //! split across the regions, the launch/allocation/transfer overheads are
 //! paid once per pass, and each region's schedule is bitwise-identical to
-//! a solo run with its block share.
+//! a solo parallel-ACO run with its block share.
 //!
 //! `verify` runs the independent verification layer (`sched-verify`): it
 //! lints the region and the ACO configuration, schedules the region with
-//! the selected scheduler(s), re-derives every claim each scheduler makes
-//! (order, pressure, occupancy, length, bounds, two-pass invariant), and
-//! exits nonzero if any deny-level finding is reported (the same
-//! `Finding` model and text renderer `analyze` uses).
+//! the selected scheduler(s) as `schedule` does, re-derives every claim
+//! each scheduler makes (order, pressure, occupancy, length, bounds,
+//! two-pass invariant), and exits nonzero if any deny-level finding is
+//! reported (the same `Finding` model and text renderer `analyze` uses).
 //!
 //! `analyze` runs the exact static dataflow passes (`sched-analyze`):
 //! S001 transitive-redundant edges, S002 cycles with a minimal witness,
@@ -47,15 +46,21 @@
 //! file suppresses known findings. Exit is nonzero iff an unsuppressed
 //! deny-level finding remains.
 //!
-//! Every subcommand rejects a `--flag` it does not take with a usage error,
-//! so a mistyped flag never runs a different configuration silently.
+//! Flags and positionals come in any order. An unknown, valueless or
+//! repeated flag is a usage error, so a mistyped command line never runs a
+//! different configuration silently.
 //!
 //! The region file format is documented in [`sched_ir::textir`]; `generate`
 //! produces it from the rocPRIM-shaped workload generators.
 
+use gpu_aco::compile::{
+    compile_region, PipelineConfig, RegionCompilation, ScheduleCache, SchedulerKind,
+};
 use gpu_aco::heuristics::{Heuristic, ListScheduler};
 use gpu_aco::machine::OccupancyModel;
-use gpu_aco::scheduler::{AcoConfig, IdleCores, ParallelScheduler, SequentialScheduler};
+use gpu_aco::scheduler::{AcoConfig, IdleCores, ParallelScheduler};
+use gpu_aco::serve::proto::ScheduleOpts;
+use gpu_aco::serve::render;
 use sched_ir::{textir, Ddg, Schedule};
 use std::process::ExitCode;
 
@@ -73,15 +78,14 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  gpu-aco-cli schedule <region.txt> [--scheduler amd|cp|luc|seq|par|exact]
+  gpu-aco-cli schedule <region.txt> [--scheduler amd|cp|seq|par|luc|exact]
                        [--seed N] [--blocks N] [--threads N] [--unit-aprp]
-                       [--dot <out.dot>]
-  gpu-aco-cli schedule <region.txt> --cache <cache.txt> [--cache-stats] [--no-cache]
+                       [--cache <cache.txt>] [--cache-stats] [--dot <out.dot>]
   gpu-aco-cli schedule <region.txt>... --batch [--seed N] [--blocks N] [--unit-aprp]
   gpu-aco-cli generate <pattern> <size> [--seed N]
       patterns: reduction scan transform vector stencil sort gather random mixed
   gpu-aco-cli inspect <region.txt>
-  gpu-aco-cli verify <region.txt> [--scheduler amd|cp|luc|seq|par|exact|all]
+  gpu-aco-cli verify <region.txt> [--scheduler amd|cp|seq|par|luc|exact|all]
                      [--seed N] [--blocks N] [--threads N] [--unit-aprp] [--pedantic]
   gpu-aco-cli analyze <region.txt>... [--json] [--pedantic]
                       [--baseline <file>] [--write-baseline <file>]
@@ -95,6 +99,8 @@ const USAGE: &str = "usage:
                       [--gate N] [--unit-aprp] [--deadline-ms N]
   gpu-aco-cli request --socket <path> stats|flush
 
+  --scheduler   amd|cp|seq|par (default par) print the pipeline's report,
+                the daemon's `schedule` reply; luc and exact run directly
   --json        emit the sched-analyze-findings/v1 JSON report on stdout
   --pedantic    include pedantic-level findings (S001) in the report
   --baseline F  suppress the findings recorded in baseline file F
@@ -103,10 +109,10 @@ const USAGE: &str = "usage:
                 --scheduler par, N-1 idle cores run some of the wavefronts
                 of each ACO iteration of a large region; results are
                 identical at any value
-  --cache F     compile via the pipeline's certified schedule cache,
+  --cache F     answer through the pipeline's certified schedule cache,
                 persisted at F across invocations (schedulers amd|cp|seq|par);
-                hits skip the ACO search and are re-certified before adoption
-  --no-cache    same pipeline path with the cache disabled (identical output)
+                hits skip the ACO search and are re-certified before
+                adoption; the output is the same bytes as without it
   --cache-stats report hit/miss/insert/bypass/eviction counters on stderr
 
   serve         run the scheduling daemon: requests on stdin (default, or
@@ -117,7 +123,7 @@ const USAGE: &str = "usage:
                 (default 256)
   request       client for a running daemon: sends one request over the
                 socket and prints the response payload, byte-identical to
-                the one-shot `schedule --cache` output; exits nonzero on
+                the one-shot `schedule` output; exits nonzero on
                 err/overloaded/expired responses";
 
 fn run(args: &[String]) -> Result<(), String> {
@@ -134,135 +140,127 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Pulls `--flag value` out of an argument list.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+/// One subcommand's arguments, parsed once: the positionals in order and
+/// every flag given, with its value.
+struct Args<'a> {
+    positionals: Vec<&'a str>,
+    flags: Vec<(&'a str, Option<&'a str>)>,
 }
 
-/// The flags one subcommand takes.
-struct Flags {
-    /// Flags that take the argument after them as their value.
-    values: &'static [&'static str],
-    /// Flags that stand alone.
-    switches: &'static [&'static str],
-}
-
-const SCHEDULE_FLAGS: Flags = Flags {
-    values: &[
-        "--scheduler",
-        "--seed",
-        "--blocks",
-        "--threads",
-        "--dot",
-        "--cache",
-    ],
-    switches: &["--unit-aprp", "--batch", "--no-cache", "--cache-stats"],
-};
-const GENERATE_FLAGS: Flags = Flags {
-    values: &["--seed"],
-    switches: &[],
-};
-const INSPECT_FLAGS: Flags = Flags {
-    values: &[],
-    switches: &[],
-};
-const VERIFY_FLAGS: Flags = Flags {
-    values: &["--scheduler", "--seed", "--blocks", "--threads"],
-    switches: &["--unit-aprp", "--pedantic"],
-};
-const ANALYZE_FLAGS: Flags = Flags {
-    values: &["--baseline", "--write-baseline"],
-    switches: &["--json", "--pedantic"],
-};
-const SERVE_FLAGS: Flags = Flags {
-    values: &["--socket", "--cache", "--workers", "--queue"],
-    switches: &["--stdio"],
-};
-const REQUEST_FLAGS: Flags = Flags {
-    values: &[
-        "--socket",
-        "--scheduler",
-        "--seed",
-        "--blocks",
-        "--scale",
-        "--gate",
-        "--deadline-ms",
-    ],
-    switches: &["--unit-aprp"],
-};
-
-/// The non-flag arguments, skipping the values of value-taking flags. A
-/// `--flag` the subcommand does not take is an error: ignoring it would
-/// run a configuration the user did not ask for.
-fn positional_args<'a>(args: &'a [String], flags: &Flags) -> Result<Vec<&'a String>, String> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-        } else if flags.values.contains(&a.as_str()) {
-            skip = true;
-        } else if a.starts_with("--") {
-            if !flags.switches.contains(&a.as_str()) {
+impl<'a> Args<'a> {
+    /// Splits `args` by the flags a subcommand takes: `values`, each with
+    /// the argument after it, and `switches`. A `--flag` it does not take,
+    /// a value flag whose value is missing or is itself a `--flag`, and a
+    /// flag given twice are errors: each would run a configuration the user
+    /// did not ask for.
+    fn parse(args: &'a [String], values: &[&str], switches: &[&str]) -> Result<Args<'a>, String> {
+        let mut parsed = Args {
+            positionals: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut it = args.iter().map(String::as_str);
+        while let Some(a) = it.next() {
+            let value = if values.contains(&a) {
+                match it.next() {
+                    Some(v) if !v.starts_with("--") => Some(v),
+                    _ => return Err(format!("option `{a}` needs a value")),
+                }
+            } else if switches.contains(&a) {
+                None
+            } else if a.starts_with("--") {
                 return Err(format!("unknown option `{a}`"));
+            } else {
+                parsed.positionals.push(a);
+                continue;
+            };
+            if parsed.has(a) {
+                return Err(format!("option `{a}` given more than once"));
             }
-        } else {
-            out.push(a);
+            parsed.flags.push((a, value));
+        }
+        Ok(parsed)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|&(f, _)| f == flag)
+    }
+
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.flags
+            .iter()
+            .find(|&&(f, _)| f == flag)
+            .and_then(|&(_, v)| v)
+    }
+
+    /// The value of `flag` as an integer, when given.
+    fn integer<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.value(flag)
+            .map(|s| s.parse().map_err(|_| format!("{flag} must be an integer")))
+            .transpose()
+    }
+
+    /// The one positional argument; `missing` is the error without one.
+    fn only(&self, missing: &str) -> Result<&'a str, String> {
+        match self.positionals[..] {
+            [one] => Ok(one),
+            [] => Err(missing.into()),
+            [_, extra, ..] => Err(unexpected(extra)),
         }
     }
-    Ok(out)
+}
+
+fn unexpected(arg: &str) -> String {
+    format!("unexpected argument `{arg}`")
 }
 
 /// `--threads`: host cores the command may use; `schedule` and `verify`
 /// lend all but one to the wavefronts of the region's ACO iterations.
 /// Defaults to every available core; schedules are identical at any value,
 /// so this is purely a wall-clock knob.
-fn host_threads(args: &[String]) -> Result<usize, String> {
-    match flag_value(args, "--threads") {
-        Some(s) => s
-            .parse::<usize>()
-            .map(|n| n.max(1))
-            .map_err(|_| "--threads must be an integer".into()),
-        None => Ok(std::thread::available_parallelism().map_or(1, |n| n.get())),
-    }
-}
-
-/// `--seed`: the ACO RNG seed (default 0).
-fn aco_seed(args: &[String]) -> Result<u64, String> {
-    flag_value(args, "--seed").map_or(Ok(0), |s| {
-        s.parse().map_err(|_| "--seed must be an integer".into())
+fn host_threads(args: &Args) -> Result<usize, String> {
+    Ok(match args.integer::<usize>("--threads")? {
+        Some(n) => n.max(1),
+        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
     })
 }
 
-/// `--unit-aprp` selects the identity-APRP model; Vega-like otherwise.
-fn occupancy_model(args: &[String]) -> OccupancyModel {
-    if args.iter().any(|a| a == "--unit-aprp") {
-        OccupancyModel::unit()
-    } else {
-        OccupancyModel::vega_like()
+/// The single-region options `schedule` and `verify` share with the
+/// daemon's `schedule` request, parsed by the daemon's own per-option
+/// parser, so defaults, validation and error text are the daemon's. A
+/// `--scheduler` value in `direct` names a scheduler no pipeline kind runs
+/// (`luc`, `exact`, and `all` on `verify`); it is returned beside the
+/// options and leaves their kind at its default.
+fn region_opts<'a>(
+    args: &Args<'a>,
+    direct: &[&str],
+) -> Result<(ScheduleOpts, Option<&'a str>), String> {
+    let mut opts = ScheduleOpts::default();
+    let mut picked = None;
+    for &(flag, value) in &args.flags {
+        match (flag, value) {
+            ("--scheduler", Some(v)) if direct.contains(&v) => picked = Some(v),
+            ("--scheduler" | "--seed" | "--blocks" | "--unit-aprp", _) => {
+                opts.set(&flag[2..], value)?;
+            }
+            _ => {}
+        }
     }
+    Ok((opts, picked))
 }
 
-/// The list scheduler `--scheduler amd|cp|luc` names.
-fn list_heuristic(name: &str) -> Heuristic {
-    match name {
-        "amd" => Heuristic::AmdMaxOccupancy,
-        "cp" => Heuristic::CriticalPath,
-        _ => Heuristic::LastUseCount,
-    }
-}
-
-/// `--blocks`: the colony's wavefront count (default 32), validated once
-/// for every subcommand that takes it, with the daemon's message.
-fn colony_blocks(args: &[String]) -> Result<u32, String> {
-    match flag_value(args, "--blocks").map(|s| s.parse::<u32>()) {
-        None => Ok(32),
-        Some(Ok(0)) => Err("blocks must be positive".into()),
-        Some(Ok(blocks)) => Ok(blocks),
-        Some(Err(_)) => Err("--blocks must be an integer".into()),
-    }
+/// Compiles `ddg` through the pipeline's one region path — through `cache`
+/// when there is one — with `threads - 1` idle cores lent to the colony.
+fn compile(
+    ddg: &Ddg,
+    occ: &OccupancyModel,
+    cfg: &PipelineConfig,
+    threads: usize,
+    cache: Option<&ScheduleCache>,
+) -> RegionCompilation {
+    IdleCores::new(threads - 1).enter(|| match cache {
+        Some(c) => c.compile_solo(ddg, occ, cfg),
+        None => compile_region(ddg, occ, cfg),
+    })
 }
 
 fn load_region(path: &str) -> Result<Ddg, String> {
@@ -270,110 +268,110 @@ fn load_region(path: &str) -> Result<Ddg, String> {
     textir::parse(&text).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-fn print_schedule(ddg: &Ddg, schedule: &Schedule) {
-    let order = schedule.order();
-    let mut next = 0;
-    print!("schedule:");
-    for id in order {
-        let c = schedule.cycle(id);
-        while next < c {
-            print!(" _");
-            next += 1;
-        }
-        print!(" {}", ddg.instr(id).name());
-        next = c + 1;
-    }
-    println!();
-}
+fn schedule(argv: &[String]) -> Result<(), String> {
+    use std::path::Path;
 
-fn schedule(args: &[String]) -> Result<(), String> {
-    let paths = positional_args(args, &SCHEDULE_FLAGS)?;
-    if args.iter().any(|a| a == "--batch") {
-        return schedule_batched(args, &paths);
-    }
-    if args
-        .iter()
-        .any(|a| a == "--cache" || a == "--no-cache" || a == "--cache-stats")
-    {
-        return schedule_cached(args, &paths);
-    }
-    let path = args.first().ok_or("schedule needs a region file")?;
-    let ddg = load_region(path)?;
-    let occ = occupancy_model(args);
-    let seed = aco_seed(args)?;
-    let blocks = colony_blocks(args)?;
-    let which = flag_value(args, "--scheduler").unwrap_or_else(|| "par".into());
+    let args = Args::parse(
+        argv,
+        &[
+            "--scheduler",
+            "--seed",
+            "--blocks",
+            "--threads",
+            "--dot",
+            "--cache",
+        ],
+        &["--unit-aprp", "--batch", "--cache-stats"],
+    )?;
+    let (opts, direct) = region_opts(&args, &["luc", "exact"])?;
     // Validate --threads up front so a bad value errors even when the
     // selected scheduler never reads it.
-    let threads = host_threads(args)?;
-    let cfg = AcoConfig {
-        blocks,
-        ..AcoConfig::paper(seed)
-    };
-
-    let (name, sched, prp, extra) = match which.as_str() {
-        "amd" | "cp" | "luc" => {
-            let h = list_heuristic(&which);
-            let r = ListScheduler::new(h).schedule(&ddg, &occ);
-            (
-                format!("{h:?} list scheduler"),
-                r.schedule,
-                r.prp,
-                String::new(),
-            )
+    let threads = host_threads(&args)?;
+    if args.has("--batch") {
+        return schedule_batched(&args, opts, direct);
+    }
+    let ddg = load_region(args.only("schedule needs a region file")?)?;
+    let (occ, cfg) = opts.config();
+    let cache_file = args.value("--cache");
+    let sched = match direct {
+        Some(name) if cache_file.is_some() || args.has("--cache-stats") => {
+            return Err(format!(
+                "the schedule cache supports --scheduler amd|cp|seq|par, not `{name}`"
+            ));
         }
-        "seq" => {
-            let r = SequentialScheduler::new(cfg).schedule(&ddg, &occ);
-            let extra = format!(
-                ", modeled CPU time {:.1} us ({} + {} iterations)",
-                r.time_us, r.pass1.iterations, r.pass2.iterations
+        Some(name) => schedule_direct(name, &ddg, &occ)?,
+        None => {
+            let cache = match cache_file {
+                Some(f) if Path::new(f).exists() => Some(
+                    ScheduleCache::load_from(Path::new(f))
+                        .map_err(|e| format!("loading cache {f}: {e}"))?,
+                ),
+                Some(_) => Some(ScheduleCache::new()),
+                None => None,
+            };
+            let comp = compile(&ddg, &occ, &cfg, threads, cache.as_ref());
+            print!(
+                "{}",
+                render::schedule_report(&ddg, &occ, cfg.scheduler, &comp)?
             );
-            ("sequential ACO".into(), r.schedule, r.prp, extra)
-        }
-        "par" => {
-            let out = IdleCores::new(threads - 1)
-                .enter(|| ParallelScheduler::new(cfg).schedule(&ddg, &occ));
-            let extra = format!(
-                ", modeled GPU time {:.1} us ({} + {} iterations)",
-                out.gpu.total_us(),
-                out.result.pass1.iterations,
-                out.result.pass2.iterations
-            );
-            (
-                "parallel ACO".into(),
-                out.result.schedule,
-                out.result.prp,
-                extra,
-            )
-        }
-        "exact" => {
-            if ddg.len() > exact_sched::MAX_EXACT_SIZE {
-                return Err(format!(
-                    "exact search supports at most {} instructions (region has {})",
-                    exact_sched::MAX_EXACT_SIZE,
-                    ddg.len()
-                ));
+            if args.has("--cache-stats") {
+                let s = cache.as_ref().map(ScheduleCache::stats).unwrap_or_default();
+                eprintln!(
+                    "cache: {} hits, {} misses, {} inserts, {} bypasses, {} evictions",
+                    s.hits, s.misses, s.inserts, s.bypasses, s.evictions
+                );
             }
-            let r = exact_sched::two_pass_optimum(&ddg, &occ, &exact_sched::BnbConfig::default());
-            let extra = format!(
-                ", {} search nodes{}",
-                r.nodes,
-                if r.proven_optimal {
-                    ", proven optimal"
-                } else {
-                    " (limit hit)"
-                }
-            );
-            ("exact B&B".into(), r.schedule, r.prp, extra)
+            if let (Some(c), Some(f)) = (&cache, cache_file) {
+                c.save_to(Path::new(f))
+                    .map_err(|e| format!("writing cache {f}: {e}"))?;
+            }
+            comp.kept_schedule().0.clone()
         }
-        other => return Err(format!("unknown scheduler `{other}`")),
     };
+    if let Some(out) = args.value("--dot") {
+        std::fs::write(out, sched_ir::dot::to_dot_with_schedule(&ddg, &sched))
+            .map_err(|e| format!("writing {out}: {e}"))?;
+        println!("wrote {out}");
+    }
+    Ok(())
+}
 
+/// `schedule --scheduler luc|exact`: the two schedulers no pipeline kind
+/// runs, called directly. Prints their report and returns the schedule.
+fn schedule_direct(name: &str, ddg: &Ddg, occ: &OccupancyModel) -> Result<Schedule, String> {
+    let (title, sched, prp, extra) = if name == "luc" {
+        let r = ListScheduler::new(Heuristic::LastUseCount).schedule(ddg, occ);
+        (
+            "LastUseCount list scheduler",
+            r.schedule,
+            r.prp,
+            String::new(),
+        )
+    } else {
+        if ddg.len() > exact_sched::MAX_EXACT_SIZE {
+            return Err(format!(
+                "exact search supports at most {} instructions (region has {})",
+                exact_sched::MAX_EXACT_SIZE,
+                ddg.len()
+            ));
+        }
+        let r = exact_sched::two_pass_optimum(ddg, occ, &exact_sched::BnbConfig::default());
+        let extra = format!(
+            ", {} search nodes{}",
+            r.nodes,
+            if r.proven_optimal {
+                ", proven optimal"
+            } else {
+                " (limit hit)"
+            }
+        );
+        ("exact B&B", r.schedule, r.prp, extra)
+    };
     sched
-        .validate(&ddg)
+        .validate(ddg)
         .map_err(|e| format!("internal error: invalid schedule: {e}"))?;
     println!(
-        "{name}: {} instructions in {} cycles ({} stalls), VGPR PRP {}, SGPR PRP {}, \
+        "{title}: {} instructions in {} cycles ({} stalls), VGPR PRP {}, SGPR PRP {}, \
          occupancy {}{extra}",
         ddg.len(),
         sched.length(),
@@ -382,96 +380,34 @@ fn schedule(args: &[String]) -> Result<(), String> {
         prp[1],
         occ.occupancy(prp),
     );
-    print_schedule(&ddg, &sched);
-    if let Some(out) = flag_value(args, "--dot") {
-        std::fs::write(&out, sched_ir::dot::to_dot_with_schedule(&ddg, &sched))
-            .map_err(|e| format!("writing {out}: {e}"))?;
-        println!("wrote {out}");
-    }
-    Ok(())
-}
-
-/// `schedule ... --cache/--no-cache`: compile through the pipeline's
-/// region flow so the content-addressed schedule cache can answer repeat
-/// regions. With `--cache FILE` the cache is loaded from (and saved back
-/// to) `FILE`; `--no-cache` runs the identical pipeline path without it,
-/// so the printed schedule is bitwise comparable between the two.
-fn schedule_cached(args: &[String], paths: &[&String]) -> Result<(), String> {
-    use gpu_aco::compile::{compile_region, PipelineConfig, ScheduleCache, SchedulerKind};
-    use std::path::Path;
-
-    let path = paths.first().ok_or("schedule needs a region file")?;
-    let ddg = load_region(path)?;
-    let occ = occupancy_model(args);
-    let seed = aco_seed(args)?;
-    let blocks = colony_blocks(args)?;
-    let threads = host_threads(args)?;
-    let which = flag_value(args, "--scheduler").unwrap_or_else(|| "par".into());
-    let kind = match which.as_str() {
-        "amd" => SchedulerKind::BaseAmd,
-        "cp" => SchedulerKind::CriticalPath,
-        "seq" => SchedulerKind::SequentialAco,
-        "par" => SchedulerKind::ParallelAco,
-        other => {
-            return Err(format!(
-                "the schedule cache supports --scheduler amd|cp|seq|par, not `{other}`"
-            ))
-        }
-    };
-    let mut cfg = PipelineConfig::paper(kind, seed);
-    cfg.aco.blocks = blocks;
-
-    let no_cache = args.iter().any(|a| a == "--no-cache");
-    let cache_file = flag_value(args, "--cache");
-    let cache = match (&cache_file, no_cache) {
-        (Some(f), false) if Path::new(f).exists() => Some(
-            ScheduleCache::load_from(Path::new(f))
-                .map_err(|e| format!("loading cache {f}: {e}"))?,
-        ),
-        (Some(_), false) => Some(ScheduleCache::new()),
-        _ => None,
-    };
-    let comp = IdleCores::new(threads - 1).enter(|| match &cache {
-        Some(c) => c.compile_solo(&ddg, &occ, &cfg),
-        None => compile_region(&ddg, &occ, &cfg),
-    });
-    // The daemon (`serve`) renders through the same function, which is
-    // what keeps its responses byte-identical to this command's output.
-    let report = gpu_aco::serve::render::schedule_report(&ddg, &occ, kind, &comp)?;
-    print!("{report}");
-    if args.iter().any(|a| a == "--cache-stats") {
-        let s = cache.as_ref().map(ScheduleCache::stats).unwrap_or_default();
-        eprintln!(
-            "cache: {} hits, {} misses, {} inserts, {} bypasses, {} evictions",
-            s.hits, s.misses, s.inserts, s.bypasses, s.evictions
-        );
-    }
-    if let (Some(c), Some(f)) = (&cache, &cache_file) {
-        c.save_to(Path::new(f))
-            .map_err(|e| format!("writing cache {f}: {e}"))?;
-    }
-    Ok(())
+    print!("{}", render::schedule_line(ddg, &sched));
+    Ok(sched)
 }
 
 /// `schedule ... --batch`: one cooperative launch pair for all the regions.
-fn schedule_batched(args: &[String], paths: &[&String]) -> Result<(), String> {
+/// It always runs parallel ACO, so another `--scheduler` or a `--dot` it
+/// would not write is an error.
+fn schedule_batched(args: &Args, opts: ScheduleOpts, direct: Option<&str>) -> Result<(), String> {
     use gpu_aco::scheduler::batch_block_split;
 
-    if args
-        .iter()
-        .any(|a| a == "--cache" || a == "--no-cache" || a == "--cache-stats")
-    {
+    if args.has("--cache") || args.has("--cache-stats") {
         return Err("the cache flags are not supported with --batch".into());
     }
+    if direct.is_some() || opts.scheduler != SchedulerKind::ParallelAco {
+        let name = args.value("--scheduler").unwrap_or_default();
+        return Err(format!(
+            "--batch runs parallel ACO only, not `--scheduler {name}`"
+        ));
+    }
+    if args.has("--dot") {
+        return Err("--dot is not supported with --batch".into());
+    }
+    let paths = &args.positionals;
     if paths.is_empty() {
         return Err("schedule --batch needs at least one region file".into());
     }
-    // --threads is accepted (and validated) for uniformity, but the batch
-    // path always runs the simulated-GPU scheduler, which never reads it.
-    host_threads(args)?;
-    let occ = occupancy_model(args);
-    let seed = aco_seed(args)?;
-    let blocks = colony_blocks(args)?;
+    let (occ, _) = opts.config();
+    let blocks = opts.blocks;
     if paths.len() as u32 > blocks {
         return Err(format!(
             "a batch of {} regions oversubscribes the {blocks}-block colony; \
@@ -481,7 +417,7 @@ fn schedule_batched(args: &[String], paths: &[&String]) -> Result<(), String> {
     }
     let cfg = AcoConfig {
         blocks,
-        ..AcoConfig::paper(seed)
+        ..AcoConfig::paper(opts.seed)
     };
 
     let regions: Vec<Ddg> = paths
@@ -525,27 +461,29 @@ fn schedule_batched(args: &[String], paths: &[&String]) -> Result<(), String> {
     Ok(())
 }
 
-fn verify(args: &[String]) -> Result<(), String> {
+fn verify(argv: &[String]) -> Result<(), String> {
     use gpu_aco::analyze::{render_text, LevelCounts};
     use gpu_aco::verify as sv;
 
-    positional_args(args, &VERIFY_FLAGS)?;
-    let path = args.first().ok_or("verify needs a region file")?;
+    let args = Args::parse(
+        argv,
+        &["--scheduler", "--seed", "--blocks", "--threads"],
+        &["--unit-aprp", "--pedantic"],
+    )?;
+    let path = args.only("verify needs a region file")?;
+    let (opts, direct) = region_opts(&args, &["luc", "exact", "all"])?;
+    // Validate --threads up front so a bad value errors even when the
+    // parallel scheduler is not among the certified set.
+    let threads = host_threads(&args)?;
     let ddg = load_region(path)?;
-    let occ = occupancy_model(args);
-    let seed = aco_seed(args)?;
-    let blocks = colony_blocks(args)?;
-    let cfg = AcoConfig {
-        blocks,
-        ..AcoConfig::paper(seed)
-    };
+    let (occ, cfg) = opts.config();
 
-    let mut diags = if args.iter().any(|a| a == "--pedantic") {
+    let mut diags = if args.has("--pedantic") {
         sv::lint_ddg_pedantic(&ddg)
     } else {
         sv::lint_ddg(&ddg)
     };
-    diags.extend(sv::lint_config(&cfg));
+    diags.extend(sv::lint_config(&cfg.aco));
 
     // Deny-level lints (a non-SSA region, a degenerate configuration) make
     // the input unschedulable — report them instead of handing the
@@ -555,33 +493,18 @@ fn verify(args: &[String]) -> Result<(), String> {
         return Err("verification failed: the region or configuration is invalid".into());
     }
 
-    let which = flag_value(args, "--scheduler").unwrap_or_else(|| "all".into());
-    // Validate --threads up front so a bad value errors even when the
-    // parallel scheduler is not among the certified set.
-    let threads = host_threads(args)?;
-    let schedulers: Vec<&str> = match which.as_str() {
-        "all" => vec!["amd", "cp", "luc", "seq", "par", "exact"],
-        s @ ("amd" | "cp" | "luc" | "seq" | "par" | "exact") => vec![s],
-        other => return Err(format!("unknown scheduler `{other}`")),
+    let schedulers = match (direct, args.has("--scheduler")) {
+        (Some(name), _) if name != "all" => vec![name],
+        (None, true) => vec![opts.scheduler.short_name()],
+        _ => vec!["amd", "cp", "luc", "seq", "par", "exact"],
     };
     let mut certified = 0usize;
     for s in schedulers {
         let before = diags.len();
         match s {
-            "amd" | "cp" | "luc" => {
-                let r = ListScheduler::new(list_heuristic(s)).schedule(&ddg, &occ);
+            "luc" => {
+                let r = ListScheduler::new(Heuristic::LastUseCount).schedule(&ddg, &occ);
                 diags.extend(sv::certify_list(&ddg, &occ, &r));
-            }
-            "seq" => {
-                let r = SequentialScheduler::new(cfg).schedule(&ddg, &occ);
-                diags.extend(sv::certify_aco(&ddg, &occ, &cfg, &r));
-            }
-            "par" => {
-                let out = IdleCores::new(threads - 1)
-                    .enter(|| ParallelScheduler::new(cfg).schedule(&ddg, &occ));
-                diags.extend(sv::certify_aco(&ddg, &occ, &cfg, &out.result));
-                let lent = [0, 1, threads - 1];
-                diags.extend(sv::check_lending_determinism(&ddg, &occ, &cfg, &lent));
             }
             "exact" => {
                 if ddg.len() > exact_sched::MAX_EXACT_SIZE {
@@ -596,7 +519,18 @@ fn verify(args: &[String]) -> Result<(), String> {
                     exact_sched::two_pass_optimum(&ddg, &occ, &exact_sched::BnbConfig::default());
                 diags.extend(sv::certify_exact(&ddg, &occ, &r));
             }
-            _ => unreachable!(),
+            kind => {
+                // The compilation `schedule` prints for this kind; the
+                // region was linted above.
+                let scheduler = SchedulerKind::from_short_name(kind).expect("a pipeline kind");
+                let (_, cfg) = ScheduleOpts { scheduler, ..opts }.config();
+                let comp = compile(&ddg, &occ, &cfg, threads, None);
+                diags.extend(sv::certify_region_compilation(&ddg, &occ, &cfg, &comp));
+                if scheduler == SchedulerKind::ParallelAco {
+                    let lent = [0, 1, threads - 1];
+                    diags.extend(sv::check_lending_determinism(&ddg, &occ, &cfg.aco, &lent));
+                }
+            }
         }
         certified += 1;
         if diags.len() == before {
@@ -628,19 +562,23 @@ fn verify(args: &[String]) -> Result<(), String> {
 /// When a region does build into a valid DDG, the AMD heuristic schedules
 /// it and the claimed length/PRP are checked against the exact lower
 /// bounds (S005/S006).
-fn analyze(args: &[String]) -> Result<(), String> {
+fn analyze(argv: &[String]) -> Result<(), String> {
     use gpu_aco::analyze as sa;
-    use gpu_aco::compile::{check_config_drift, PipelineConfig, SchedulerKind};
+    use gpu_aco::compile::check_config_drift;
 
-    let paths = positional_args(args, &ANALYZE_FLAGS)?;
+    let args = Args::parse(
+        argv,
+        &["--baseline", "--write-baseline"],
+        &["--json", "--pedantic"],
+    )?;
+    let paths = &args.positionals;
     if paths.is_empty() {
         return Err("analyze needs at least one region file".into());
     }
     let occ = OccupancyModel::vega_like();
     let mut findings = Vec::new();
-    for path in &paths {
-        let text =
-            std::fs::read_to_string(path.as_str()).map_err(|e| format!("reading {path}: {e}"))?;
+    for &path in paths {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
         let raw = textir::parse_raw(&text).map_err(|e| format!("parsing {path}: {e}"))?;
         let claim = raw.clone().into_ddg().ok().map(|ddg| {
             let r = ListScheduler::new(Heuristic::AmdMaxOccupancy).schedule(&ddg, &occ);
@@ -652,31 +590,31 @@ fn analyze(args: &[String]) -> Result<(), String> {
         });
         let g = sa::RegionGraph::from_raw(&raw);
         let file_findings = sa::analyze_with_claims(&g, claim.as_slice());
-        findings.extend(file_findings.into_iter().map(|f| f.in_file(path.as_str())));
+        findings.extend(file_findings.into_iter().map(|f| f.in_file(path)));
     }
     findings.extend(check_config_drift(
         &PipelineConfig::paper(SchedulerKind::ParallelAco, 0),
         &occ,
     ));
-    if !args.iter().any(|a| a == "--pedantic") {
+    if !args.has("--pedantic") {
         findings.retain(|f| f.level > sa::Level::Pedantic);
     }
 
-    let (findings, suppressed) = match flag_value(args, "--baseline") {
+    let (findings, suppressed) = match args.value("--baseline") {
         Some(f) => {
             let text =
-                std::fs::read_to_string(&f).map_err(|e| format!("reading baseline {f}: {e}"))?;
+                std::fs::read_to_string(f).map_err(|e| format!("reading baseline {f}: {e}"))?;
             sa::Baseline::parse(&text).apply(findings)
         }
         None => (findings, 0),
     };
-    if let Some(out) = flag_value(args, "--write-baseline") {
-        std::fs::write(&out, sa::Baseline::accepting(&findings).to_text())
+    if let Some(out) = args.value("--write-baseline") {
+        std::fs::write(out, sa::Baseline::accepting(&findings).to_text())
             .map_err(|e| format!("writing baseline {out}: {e}"))?;
         eprintln!("wrote baseline {out} ({} finding(s))", findings.len());
     }
 
-    if args.iter().any(|a| a == "--json") {
+    if args.has("--json") {
         println!("{}", sa::render_json(&findings, suppressed));
     } else {
         print!("{}", sa::render_text("analyze", &findings));
@@ -697,16 +635,17 @@ fn analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn generate(args: &[String]) -> Result<(), String> {
-    positional_args(args, &GENERATE_FLAGS)?;
-    let pattern = args.first().ok_or("generate needs a pattern")?;
-    let size: usize = args
-        .get(1)
-        .ok_or("generate needs a size")?
-        .parse()
-        .map_err(|_| "size must be an integer")?;
-    let seed = aco_seed(args)?;
-    let ddg = match pattern.as_str() {
+fn generate(argv: &[String]) -> Result<(), String> {
+    let args = Args::parse(argv, &["--seed"], &[])?;
+    let (pattern, size) = match args.positionals[..] {
+        [pattern, size] => (pattern, size),
+        [] => return Err("generate needs a pattern".into()),
+        [_] => return Err("generate needs a size".into()),
+        [_, _, extra, ..] => return Err(unexpected(extra)),
+    };
+    let size: usize = size.parse().map_err(|_| "size must be an integer")?;
+    let seed = args.integer("--seed")?.unwrap_or(0);
+    let ddg = match pattern {
         "reduction" => workloads::patterns::reduction(size.max(1), seed),
         "scan" => workloads::patterns::scan(size.max(1), seed),
         "transform" => workloads::patterns::transform_chain(size.max(1), 4, seed),
@@ -722,10 +661,9 @@ fn generate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn inspect(args: &[String]) -> Result<(), String> {
-    positional_args(args, &INSPECT_FLAGS)?;
-    let path = args.first().ok_or("inspect needs a region file")?;
-    let ddg = load_region(path)?;
+fn inspect(argv: &[String]) -> Result<(), String> {
+    let args = Args::parse(argv, &[], &[])?;
+    let ddg = load_region(args.only("inspect needs a region file")?)?;
     let occ = OccupancyModel::vega_like();
     let stats = ddg.reg_stats();
     let tc = ddg.transitive_closure();
@@ -758,31 +696,28 @@ fn inspect(args: &[String]) -> Result<(), String> {
 /// `serve`: run the scheduling daemon. Stdio transport by default (EOF
 /// drains and persists); `--socket PATH` serves concurrent Unix-socket
 /// clients until SIGTERM/SIGINT, then drains and persists.
-fn serve(args: &[String]) -> Result<(), String> {
+fn serve(argv: &[String]) -> Result<(), String> {
     use gpu_aco::serve::ServeConfig;
 
-    positional_args(args, &SERVE_FLAGS)?;
-    let workers = match flag_value(args, "--workers") {
-        Some(s) => s
-            .parse::<usize>()
-            .map(|n| n.max(1))
-            .map_err(|_| "--workers must be an integer")?,
-        None => std::thread::available_parallelism().map_or(2, |n| n.get()),
-    };
-    let queue_capacity = match flag_value(args, "--queue") {
-        Some(s) => s
-            .parse::<usize>()
-            .map_err(|_| "--queue must be an integer")?,
-        None => 256,
-    };
+    let args = Args::parse(
+        argv,
+        &["--socket", "--cache", "--workers", "--queue"],
+        &["--stdio"],
+    )?;
+    if let Some(extra) = args.positionals.first() {
+        return Err(unexpected(extra));
+    }
+    let defaults = ServeConfig::default();
     let config = ServeConfig {
-        workers,
-        queue_capacity,
-        cache_path: flag_value(args, "--cache").map(std::path::PathBuf::from),
-        ..ServeConfig::default()
+        workers: args
+            .integer::<usize>("--workers")?
+            .map_or(defaults.workers, |n| n.max(1)),
+        queue_capacity: args.integer("--queue")?.unwrap_or(defaults.queue_capacity),
+        cache_path: args.value("--cache").map(std::path::PathBuf::from),
+        ..defaults
     };
-    match flag_value(args, "--socket") {
-        Some(path) => gpu_aco::serve::serve_unix(std::path::Path::new(&path), config)
+    match args.value("--socket") {
+        Some(path) => gpu_aco::serve::serve_unix(std::path::Path::new(path), config)
             .map_err(|e| format!("serve --socket {path}: {e}")),
         None => gpu_aco::serve::serve_stdio(config).map_err(|e| format!("serve: {e}")),
     }
@@ -791,40 +726,41 @@ fn serve(args: &[String]) -> Result<(), String> {
 /// `request`: one-shot client for a running daemon. Prints the response
 /// payload on stdout; `err`, `overloaded` and `expired` responses exit
 /// nonzero with the typed condition on stderr.
-fn request(args: &[String]) -> Result<(), String> {
+fn request(argv: &[String]) -> Result<(), String> {
     use gpu_aco::serve::proto::{read_response, Response};
     use std::io::{BufReader, Write};
     use std::os::unix::net::UnixStream;
 
-    let socket = flag_value(args, "--socket").ok_or("request needs --socket PATH")?;
-    let positional = positional_args(args, &REQUEST_FLAGS)?;
-    let command = positional
-        .first()
-        .ok_or("request needs a command: schedule|suite|stats|flush")?;
-
-    // Assemble the request line from the flags the one-shot commands use.
+    let args = Args::parse(
+        argv,
+        &[
+            "--socket",
+            "--scheduler",
+            "--seed",
+            "--blocks",
+            "--scale",
+            "--gate",
+            "--deadline-ms",
+        ],
+        &["--unit-aprp"],
+    )?;
+    let socket = args
+        .value("--socket")
+        .ok_or("request needs --socket PATH")?;
+    // The request line's options are the flags the one-shot commands use.
     let mut opts = String::new();
-    for flag in ["--scheduler", "--seed", "--blocks", "--scale", "--gate"] {
-        if let Some(v) = flag_value(args, flag) {
-            opts.push_str(&format!(" {}={v}", &flag[2..]));
+    for &(flag, value) in args.flags.iter().filter(|&&(f, _)| f != "--socket") {
+        opts.push_str(&format!(" {}", &flag[2..]));
+        if let Some(v) = value {
+            opts.push_str(&format!("={v}"));
         }
     }
-    if args.iter().any(|a| a == "--unit-aprp") {
-        opts.push_str(" unit-aprp");
-    }
-    if let Some(v) = flag_value(args, "--deadline-ms") {
-        opts.push_str(&format!(" deadline-ms={v}"));
-    }
-    let wire = match command.as_str() {
-        "stats" => "req cli stats\n".to_string(),
-        "flush" => "req cli flush\n".to_string(),
-        "suite" => format!("req cli suite{opts}\n"),
-        "schedule" => {
-            let path = positional
-                .get(1)
-                .ok_or("request schedule needs a region file")?;
-            let text = std::fs::read_to_string(path.as_str())
-                .map_err(|e| format!("reading {path}: {e}"))?;
+    let wire = match args.positionals[..] {
+        [cmd @ ("stats" | "flush")] => format!("req cli {cmd}\n"),
+        ["suite"] => format!("req cli suite{opts}\n"),
+        ["schedule"] => return Err("request schedule needs a region file".into()),
+        ["schedule", path] => {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
             let text = if text.ends_with('\n') {
                 text
             } else {
@@ -835,11 +771,13 @@ fn request(args: &[String]) -> Result<(), String> {
                 text.lines().count()
             )
         }
-        other => return Err(format!("unknown request command `{other}`")),
+        [] => return Err("request needs a command: schedule|suite|stats|flush".into()),
+        ["schedule" | "suite" | "stats" | "flush", .., extra] => return Err(unexpected(extra)),
+        [cmd, ..] => return Err(format!("unknown request command `{cmd}`")),
     };
 
     let mut stream =
-        UnixStream::connect(&socket).map_err(|e| format!("connecting {socket}: {e}"))?;
+        UnixStream::connect(socket).map_err(|e| format!("connecting {socket}: {e}"))?;
     stream
         .write_all(wire.as_bytes())
         .and_then(|()| stream.flush())

@@ -147,7 +147,7 @@ fn a_warm_request_is_answered_while_the_worker_is_busy_and_the_queue_is_full() {
     let file = dir.join("warm.txt");
     std::fs::write(&file, textir::to_text(&warm)).unwrap();
     let cli = Command::new(env!("CARGO_BIN_EXE_gpu-aco-cli"))
-        .args(["schedule", file.to_str().unwrap(), "--no-cache"])
+        .args(["schedule", file.to_str().unwrap()])
         .output()
         .unwrap();
     assert!(cli.status.success());

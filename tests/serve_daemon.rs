@@ -80,15 +80,7 @@ fn stdio_session_is_byte_identical_to_one_shot_cli() {
     let dir = tmp_dir("stdio");
     let region = write_region(&dir, "r.txt", "mixed", "60", "7");
     let one_shot = cli(
-        &[
-            "schedule",
-            &region,
-            "--no-cache",
-            "--scheduler",
-            "seq",
-            "--seed",
-            "2",
-        ],
+        &["schedule", &region, "--scheduler", "seq", "--seed", "2"],
         &dir,
     );
     assert!(one_shot.status.success());
@@ -279,10 +271,7 @@ fn concurrent_socket_clients_match_one_shot_and_cache_survives_sigterm() {
     let mut paths = Vec::new();
     for (name, pattern, size, seed, sched) in &cases {
         let path = write_region(&dir, name, pattern, size, seed);
-        let one = cli(
-            &["schedule", &path, "--no-cache", "--scheduler", sched],
-            &dir,
-        );
+        let one = cli(&["schedule", &path, "--scheduler", sched], &dir);
         assert!(one.status.success());
         expected.push(one.stdout);
         paths.push(path);
