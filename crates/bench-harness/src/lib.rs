@@ -10,9 +10,6 @@ use aco::{AcoConfig, ParallelScheduler, SequentialScheduler};
 use machine_model::OccupancyModel;
 use sched_ir::Ddg;
 
-pub mod cache_bench;
-pub mod wallclock;
-
 /// The paper's region-size bands: `[1-49]`, `[50-99]`, `>= 100`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SizeBand {

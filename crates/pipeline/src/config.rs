@@ -113,8 +113,9 @@ impl Default for BatchingConfig {
 /// The cache is transparent — region compilation is a pure function of the
 /// cache key, every hit is re-certified against the new region instance,
 /// and suite golden fingerprints are identical on and off at any thread
-/// count — so it defaults to **on**. The knob exists for A/B timing
-/// (`BENCH_cache.json`) and for the D004 transparency check itself.
+/// count — so it defaults to **on**. The knob exists for the D004
+/// transparency check itself and for the tests that hold cache-on results
+/// to cache-off ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Consult and populate the schedule cache during suite compilation.

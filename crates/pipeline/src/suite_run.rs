@@ -313,15 +313,6 @@ pub struct SuiteWallclock {
     pub total_s: f64,
 }
 
-impl SuiteWallclock {
-    /// The serialized critical path: plan, the job span, and only the
-    /// non-overlapped remainder of the merge. This is what end-to-end
-    /// time converges to as the streaming consumer hides the merge.
-    pub fn critical_path_s(&self) -> f64 {
-        self.plan_s + self.jobs_s + (self.merge_s - self.merge_overlap_s)
-    }
-}
-
 /// [`compile_suite`] with a measured host wall-clock breakdown. The
 /// returned [`SuiteRun`] is exactly what [`compile_suite`] returns.
 pub fn compile_suite_timed(

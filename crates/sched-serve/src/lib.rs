@@ -3,8 +3,10 @@
 //!
 //! The one-shot CLI pays the whole warm-up cost — process boot, cache
 //! load, first-compilation misses — on every invocation. Real fleets are
-//! duplicate-heavy (`BENCH_cache.json`: 62.7% of lookups repeat), so the
-//! "millions of users" shape is a daemon that keeps **one warm
+//! duplicate-heavy (the benchmark's `suite-dup` suite,
+//! `SuiteConfig::duplicate_heavy(5, 0.01)`: `Suite::duplicate_stats()`
+//! finds 71 content-distinct regions of 146, so about half of all lookups
+//! repeat), so the "millions of users" shape is a daemon that keeps **one warm
 //! [`pipeline::ScheduleCache`] shared across all clients**: preloaded on
 //! boot, consulted by every request, persisted atomically on shutdown and
 //! on demand. This crate is that daemon, deliberately built as a

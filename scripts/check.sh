@@ -17,11 +17,13 @@
 # flag that must be a usage error, a non-ASCII register token that
 # must be a diagnostic and not a panic, a `schedule` header with a bad
 # option that must cost one `err` and not one per payload line, the
-# static-analysis deny-gate (`gpu-aco-cli analyze --json`), the wall-clock
-# smoke perf gate, and the `benchmark/` package's unit tests and
-# self-checking `--smoke` runs of `suite-unique`, `suite-dup`,
-# `suite-variants`, `frontend-large`, `serve-warm` and `serve-mix`
-# (which must leave `benchmark/` and BENCHMARK.json untouched).
+# static-analysis deny-gate (`gpu-aco-cli analyze --json`), the
+# `benchmark/` package's unit tests and self-checking `--smoke` runs of
+# `suite-unique`, `suite-dup`, `suite-variants`, `frontend-large`,
+# `serve-warm` and `serve-mix` (which must leave `benchmark/` and
+# BENCHMARK.json untouched), and the suite compile-time gate: two more
+# `suite-unique` and `suite-dup` smoke runs each, the minimum `compile_s`
+# of each workload's three held under a ceiling.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -234,81 +236,6 @@ assert rep["deny"] == 0, f"deny-gate: {rep['deny']} deny finding(s): {rep['findi
 print(f"analyze gate: clean ({rep['warn']} warn, {rep['pedantic']} pedantic)")
 EOF
 
-    echo "==> scripts/bench.sh --smoke"
-    scripts/bench.sh --smoke --out "$smoke_dir/BENCH_wallclock.json" \
-        --cache-out "$smoke_dir/BENCH_cache.json"
-
-    echo "==> wallclock smoke perf gate"
-    # Schema-validate the bench reports with a real JSON parser (the
-    # binaries only do structural checks). Schema v3 is mandatory: v2
-    # artifacts (no streaming-merge split) are rejected so a stale
-    # committed report cannot pass. Then compare the smoke run's
-    # sequential jobs_s, merge_s, and best_total_s against the committed
-    # baseline: a regression beyond 1.25x on any of them fails the gate.
-    # Regenerate the baseline on the reference machine with
-    #   ./target/release/wallclock --smoke --out /dev/null
-    # and edit BENCH_smoke_baseline.json when a slowdown is intentional.
-    python3 - "$smoke_dir/BENCH_wallclock.json" BENCH_smoke_baseline.json \
-        BENCH_wallclock.json <<'EOF'
-import json, sys
-
-def validate(path):
-    with open(path) as f:
-        rep = json.load(f)
-    got = rep.get("schema_version")
-    assert got != 2, f"{path}: schema v2 artifact — regenerate with the v3 bench"
-    assert got == 3, f"{path}: unknown schema_version {got}"
-    assert rep["benchmark"] == "suite_compile_wallclock", rep["benchmark"]
-    for key in ("cores", "scheduler", "suite", "repetitions", "checksum",
-                "checksums_agree", "samples", "sequential_best_s",
-                "parallel_best_s", "speedup"):
-        assert key in rep, f"{path}: missing key {key}"
-    assert rep["checksums_agree"] is True, f"{path}: checksum drift"
-    assert rep["samples"], f"{path}: no samples"
-    for s in rep["samples"]:
-        for key in ("threads", "oversubscribed", "best_total_s", "plan_s",
-                    "jobs_s", "merge_s", "merge_overlap_s", "critical_path_s",
-                    "all_total_s", "modeled_compile_s"):
-            assert key in s, f"{path}: missing sample key {key}"
-        assert s["oversubscribed"] == (s["threads"] > rep["cores"]), \
-            f"{path}: bad oversubscription label at {s['threads']} threads"
-        # Streaming-merge split sanity: overlap is a sub-span of merge,
-        # inline (1-thread) runs cannot overlap, and the critical path is
-        # exactly the non-overlapped portion of the phase sum.
-        assert 0.0 <= s["merge_overlap_s"] <= s["merge_s"] + 1e-12, \
-            f"{path}: merge_overlap_s outside [0, merge_s] at {s['threads']} threads"
-        if s["threads"] <= 1:
-            assert s["merge_overlap_s"] == 0.0, \
-                f"{path}: inline merge reported overlap"
-        want_cp = s["plan_s"] + s["jobs_s"] + (s["merge_s"] - s["merge_overlap_s"])
-        assert abs(s["critical_path_s"] - want_cp) <= 1e-9, \
-            f"{path}: critical_path_s disagrees with the phase split"
-    # The headline numbers must come from honest rows only.
-    honest = [s["best_total_s"] for s in rep["samples"]
-              if s["threads"] > 1 and not s["oversubscribed"]]
-    want = min(honest) if honest else None
-    assert rep["parallel_best_s"] == want, \
-        f"{path}: parallel_best_s drew from an oversubscribed row"
-    return rep
-
-smoke = validate(sys.argv[1])
-validate(sys.argv[3])  # the committed full-scale report stays well-formed
-with open(sys.argv[2]) as f:
-    base = json.load(f)
-assert base["schema_version"] == 2, \
-    "baseline must be schema 2 (jobs_s + merge_s + best_total_s)"
-assert smoke["suite"]["scale"] == base["suite"]["scale"], \
-    "baseline/smoke suite scale mismatch"
-cur = next(s for s in smoke["samples"] if s["threads"] == base["threads"])
-for metric in ("jobs_s", "merge_s", "best_total_s"):
-    limit = base[metric] * 1.25
-    assert cur[metric] <= limit, (
-        f"perf gate: smoke {metric} {cur[metric]:.4f}s exceeds {limit:.4f}s "
-        f"(committed baseline {base[metric]:.4f}s x 1.25)")
-    print(f"perf gate: smoke {metric} {cur[metric]:.4f}s <= {limit:.4f}s "
-          f"(baseline {base[metric]:.4f}s)")
-EOF
-
     echo "==> benchmark/: unit tests + suite-unique, suite-dup, suite-variants, frontend-large, serve-warm and serve-mix smoke"
     # The repository's one benchmark (BENCHMARK.json, benchmark/) is its own
     # cargo workspace, so `--workspace` above never builds it. Its smoke run
@@ -325,10 +252,50 @@ EOF
     # reply checked byte for byte against the one-shot render: `serve-warm`
     # is all admission hits, `serve-mix` all compiles.
     cargo test --offline --quiet --manifest-path benchmark/Cargo.toml
-    for workload in suite-unique suite-dup suite-variants frontend-large serve-warm serve-mix; do
+    smoke() {
         cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-            --workload "$workload" --smoke | tail -n 1
+            --workload "$1" --smoke | tail -n 1 | tee -a "$smoke_dir/$1.jsonl"
+    }
+    for workload in suite-unique suite-dup suite-variants frontend-large serve-warm serve-mix; do
+        smoke "$workload"
     done
+
+    echo "==> suite compile-time gate: best of three --smoke runs"
+    # The runs above are the first of three for suite-unique and suite-dup;
+    # two more each, alternated, then the minimum compile_s of each
+    # workload's three must stay under its ceiling. Noise on a shared host
+    # only adds time, so the minimum is the run closest to the code's own
+    # cost.
+    for _ in 1 2; do
+        smoke suite-unique > /dev/null
+        smoke suite-dup > /dev/null
+    done
+    python3 - "$smoke_dir" <<'EOF'
+import json, sys
+
+# Ceilings, seconds, on the 2-core reference host. Each sits just under the
+# fastest minimum-of-three of the regressions the gate exists to catch and
+# above the slowest minimum-of-three of the unregressed code (CHANGES.md
+# lists every run): pressure what-if queries rescanning their operands
+# instead of reading the tables, and the process pinned to one CPU. A
+# merge that redoes per-region work costs about what the jobs do, so it
+# trips them too. A schedule cache that always misses saves less time at
+# smoke size than the host's noise; the hit-rate floor of
+# tests/cache_policy.rs and the cache smoke above catch that instead.
+CEILINGS = {"suite-unique": 0.30, "suite-dup": 0.30}
+
+failed = False
+for workload, ceiling in CEILINGS.items():
+    with open(f"{sys.argv[1]}/{workload}.jsonl") as f:
+        runs = [json.loads(line)["metrics"]["compile_s"]["value"] for line in f]
+    assert len(runs) == 3, f"{workload}: {len(runs)} smoke runs, want 3"
+    best = min(runs)
+    verdict = "pass" if best <= ceiling else "FAIL"
+    print(f"{workload}: compile_s {' '.join(f'{r:.3f}' for r in runs)} s, "
+          f"min {best:.3f} s, ceiling {ceiling:.3f} s: {verdict}")
+    failed |= best > ceiling
+sys.exit(1 if failed else 0)
+EOF
     # The benchmark's files are frozen between benchmark PRs: a product
     # dependency edit that made cargo rewrite benchmark/Cargo.lock just now
     # (or any other drift under those paths) must fail here, not leave the

@@ -113,7 +113,8 @@ const USAGE: &str = "usage:
                 persisted at F across invocations (schedulers amd|cp|seq|par);
                 hits skip the ACO search and are re-certified before
                 adoption; the output is the same bytes as without it
-  --cache-stats report hit/miss/insert/bypass/eviction counters on stderr
+  --cache-stats report the --cache hit/miss/insert/bypass/eviction counters
+                on stderr (needs --cache)
 
   serve         run the scheduling daemon: requests on stdin (default, or
                 --stdio) or a Unix socket (--socket), one warm schedule
@@ -290,11 +291,14 @@ fn schedule(argv: &[String]) -> Result<(), String> {
     if args.has("--batch") {
         return schedule_batched(&args, opts, direct);
     }
+    let cache_file = args.value("--cache");
+    if cache_file.is_none() && args.has("--cache-stats") {
+        return Err("--cache-stats needs --cache <cache.txt>".into());
+    }
     let ddg = load_region(args.only("schedule needs a region file")?)?;
     let (occ, cfg) = opts.config();
-    let cache_file = args.value("--cache");
     let sched = match direct {
-        Some(name) if cache_file.is_some() || args.has("--cache-stats") => {
+        Some(name) if cache_file.is_some() => {
             return Err(format!(
                 "the schedule cache supports --scheduler amd|cp|seq|par, not `{name}`"
             ));

@@ -37,26 +37,29 @@ fn list_scheduled_suites_never_touch_the_cache() {
     }
 }
 
+/// On suites with 60% template duplicates the cache stores what it
+/// compiles and answers at least 30% of its lookups, at any thread count,
+/// without moving a result.
 #[test]
 fn a_duplicate_heavy_aco_suite_still_fills_the_cache_and_hits() {
-    let suite = Suite::generate(&SuiteConfig::duplicate_heavy(3, 0.004));
-    let want = compile(&suite, &cfg(SchedulerKind::ParallelAco, 1), None).fingerprint;
-    for threads in [1, 2] {
-        let cache = ScheduleCache::new();
-        let run = compile(
-            &suite,
-            &cfg(SchedulerKind::ParallelAco, threads),
-            Some(&cache),
-        );
-        assert_eq!(run.fingerprint, want, "ParallelAco at {threads} threads");
-        assert!(
-            !cache.is_empty(),
-            "ParallelAco at {threads} threads stored nothing"
-        );
-        assert!(
-            run.cache.hits > 0,
-            "no hit at {threads} threads: {:?}",
-            run.cache
-        );
+    for (seed, scale) in [(3, 0.004), (5, 0.008)] {
+        let suite = Suite::generate(&SuiteConfig::duplicate_heavy(seed, scale));
+        let want = compile(&suite, &cfg(SchedulerKind::ParallelAco, 1), None).fingerprint;
+        for threads in [1, 2] {
+            let cache = ScheduleCache::new();
+            let run = compile(
+                &suite,
+                &cfg(SchedulerKind::ParallelAco, threads),
+                Some(&cache),
+            );
+            let at = format!("seed {seed}, scale {scale}, {threads} threads");
+            assert_eq!(run.fingerprint, want, "ParallelAco at {at}");
+            assert!(!cache.is_empty(), "ParallelAco at {at} stored nothing");
+            assert!(
+                run.cache.hit_rate() >= 0.30,
+                "hit rate under 30% at {at}: {:?}",
+                run.cache
+            );
+        }
     }
 }

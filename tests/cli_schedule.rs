@@ -298,6 +298,10 @@ fn flags_before_the_positionals_and_malformed_flags() {
             vec!["schedule", &region, &region],
             "error: unexpected argument",
         ),
+        (
+            vec!["schedule", &region, "--scheduler", "amd", "--cache-stats"],
+            "error: --cache-stats needs --cache",
+        ),
     ] {
         let (code, stderr) = fails(&args, &dir);
         assert_eq!(code, Some(1), "{args:?}: {stderr}");
