@@ -1,10 +1,9 @@
-//! Shared helpers for the table/figure reproduction harnesses.
-//!
-//! Every table and figure of the paper's evaluation has a dedicated bench
-//! target (`cargo bench -p bench-harness --bench <name>`); this library
-//! holds what they share: region sampling by the paper's size bands,
-//! speedup measurement between the sequential and parallel schedulers,
-//! aggregate statistics, and plain-text table rendering.
+//! Helpers of the `tables` bench target, which regenerates every table and
+//! figure of the paper's evaluation as a marked block of EXPERIMENTS.md
+//! (`cargo bench -p bench-harness --bench tables`): region sampling by the
+//! paper's size bands, speedup measurement between the sequential and
+//! parallel schedulers, aggregate statistics, markdown rendering and the
+//! block splicer.
 
 use aco::{AcoConfig, ParallelScheduler, SequentialScheduler};
 use machine_model::OccupancyModel;
@@ -116,67 +115,54 @@ pub fn geomean(xs: &[f64]) -> Option<f64> {
     Some((xs.iter().map(|x| x.ln()).sum::<f64>() / xs.len() as f64).exp())
 }
 
-/// Renders a fixed-width table with a title row, as the paper's tables.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n{title}");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+/// Renders a markdown table: a left-aligned label column, right-aligned
+/// value columns, every line ending in `\n`. Cells are not padded, so a
+/// changed value moves one line of a diff.
+pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
+    let line = |cells: &[&str]| format!("| {} |\n", cells.join(" | "));
+    let mut out = line(headers);
+    out += &format!("|---{}|\n", "|---:".repeat(headers.len() - 1));
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
+        out += &line(&row.iter().map(String::as_str).collect::<Vec<_>>());
     }
-    let line: String = widths
-        .iter()
-        .map(|w| "-".repeat(w + 2))
-        .collect::<Vec<_>>()
-        .join("+");
-    println!("{line}");
-    let hdr: Vec<String> = headers
-        .iter()
-        .enumerate()
-        .map(|(i, h)| format!(" {:<w$} ", h, w = widths[i]))
-        .collect();
-    println!("{}", hdr.join("|"));
-    println!("{line}");
-    for row in rows {
-        let cells: Vec<String> = row
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!(" {:>w$} ", c, w = widths.get(i).copied().unwrap_or(8)))
-            .collect();
-        println!("{}", cells.join("|"));
-    }
-    println!("{line}");
+    out
 }
 
-/// Renders a unit-width text histogram (the Figure 2/3 distributions).
-pub fn print_histogram(title: &str, values: &[f64], bucket_width: f64) {
-    println!("\n{title}");
-    if values.is_empty() {
-        println!("  (no data)");
-        return;
-    }
-    let max = values.iter().cloned().fold(f64::MIN, f64::max);
-    let buckets = ((max / bucket_width).ceil() as usize + 1).max(1);
-    let mut counts = vec![0usize; buckets];
-    for &v in values {
-        counts[((v / bucket_width) as usize).min(buckets - 1)] += 1;
-    }
-    let peak = counts.iter().copied().max().unwrap_or(1).max(1);
-    for (i, &c) in counts.iter().enumerate() {
-        if c == 0 {
-            continue;
+/// Replaces the body of every generated block of `doc` with its new text.
+///
+/// A block named `NAME` is the text between a line `<!-- generated:NAME -->`
+/// and a line `<!-- /generated:NAME -->`; `blocks` pairs each name with its
+/// body, which ends in `\n`. Text outside the blocks is kept byte for byte,
+/// so splicing a document twice with the same bodies changes nothing. A
+/// block whose opening marker is missing, appears twice or is never closed,
+/// and a block in `doc` that `blocks` does not name, is an error naming the
+/// block: nothing is ever appended to the document.
+pub fn splice(doc: &str, blocks: &[(&str, String)]) -> Result<String, String> {
+    let mut out = doc.to_string();
+    for (name, body) in blocks {
+        let open = format!("<!-- generated:{name} -->\n");
+        let close = format!("<!-- /generated:{name} -->");
+        let start = match out.match_indices(&open).map(|(i, _)| i).collect::<Vec<_>>()[..] {
+            [i] => i + open.len(),
+            [] => return Err(format!("block `{name}`: no `{}` line", open.trim_end())),
+            _ => return Err(format!("block `{name}`: opened more than once")),
+        };
+        let end = match out.matches(&close).count() {
+            1 => out.find(&close).filter(|&i| i >= start),
+            _ => None,
         }
-        let bar = "#".repeat((c * 50).div_ceil(peak));
-        println!(
-            "  [{:>5.1}-{:>5.1}) {:>4} {}",
-            i as f64 * bucket_width,
-            (i + 1) as f64 * bucket_width,
-            c,
-            bar
-        );
+        .ok_or_else(|| format!("block `{name}`: not closed once by `{close}` after its opening"))?;
+        out.replace_range(start..end, body);
+    }
+    let stray = out
+        .lines()
+        .filter_map(|line| line.strip_prefix("<!-- generated:")?.strip_suffix(" -->"))
+        .find(|n| blocks.iter().all(|(name, _)| name != n));
+    match stray {
+        Some(stray) => Err(format!(
+            "block `{stray}`: in the document but not generated"
+        )),
+        None => Ok(out),
     }
 }
 
@@ -217,6 +203,75 @@ mod tests {
         assert!(geomean(&[]).is_none());
         let g = geomean(&[1.0, 4.0]).unwrap();
         assert!((g - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn markdown_table_aligns_values_right() {
+        let rows = [vec!["Regions".to_string(), "277".to_string()]];
+        assert_eq!(
+            markdown_table(&["Stat", "measured"], &rows),
+            "| Stat | measured |\n|---|---:|\n| Regions | 277 |\n"
+        );
+    }
+
+    const DOC: &str = "# T\n\nprose <!-- x --> 1.5%\n<!-- generated:a -->\nold\n\
+                       <!-- /generated:a -->\nmiddle\n<!-- generated:b -->\n\
+                       <!-- /generated:b -->\nno final newline";
+
+    fn bodies() -> Vec<(&'static str, String)> {
+        vec![
+            ("a", "| 1 |\n".to_string()),
+            ("b", "new\nlines\n".to_string()),
+        ]
+    }
+
+    #[test]
+    fn splice_keeps_the_text_outside_the_blocks_and_a_second_splice_is_a_no_op() {
+        let once = splice(DOC, &bodies()).unwrap();
+        assert_eq!(
+            once,
+            "# T\n\nprose <!-- x --> 1.5%\n<!-- generated:a -->\n| 1 |\n\
+             <!-- /generated:a -->\nmiddle\n<!-- generated:b -->\nnew\nlines\n\
+             <!-- /generated:b -->\nno final newline"
+        );
+        assert_eq!(splice(&once, &bodies()).unwrap(), once);
+    }
+
+    #[test]
+    fn a_missing_duplicated_unclosed_or_stray_marker_is_an_error_naming_the_block() {
+        let cases = [
+            ("missing", DOC.replace("<!-- generated:b -->\n", ""), "`b`"),
+            (
+                "duplicated",
+                format!("{DOC}\n<!-- generated:a -->\n"),
+                "`a`",
+            ),
+            ("unclosed", DOC.replace("<!-- /generated:a -->", ""), "`a`"),
+            (
+                "closed twice",
+                format!("{DOC}\n<!-- /generated:b -->"),
+                "`b`",
+            ),
+            (
+                "closed before opened",
+                DOC.replace(
+                    "<!-- generated:a -->\nold\n<!-- /generated:a -->",
+                    "<!-- /generated:a -->\nold\n<!-- generated:a -->",
+                ),
+                "`a`",
+            ),
+            (
+                "stray",
+                format!("{DOC}\n<!-- generated:c -->\n<!-- /generated:c -->\n"),
+                "`c`",
+            ),
+        ];
+        for (what, doc, name) in cases {
+            match splice(&doc, &bodies()) {
+                Ok(_) => panic!("{what}: spliced"),
+                Err(e) => assert!(e.starts_with(&format!("block {name}")), "{what}: {e}"),
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 # clean at -D warnings across every target, no Rust source naming a
 # vendored stand-in crate, all workspace tests green,
 # and (unless --fast) the release build the tier-1 gate uses, the bench
-# binaries compiling, the full-corpus flat-IR differential test, the long
+# binaries compiling, the `tables` bench regenerating EXPERIMENTS.md's
+# generated blocks, which must leave the file as committed (its wall time is
+# printed), the full-corpus flat-IR differential test, the long
 # text-IR parser, record-format and packed-region fuzz runs, the full lent-core equality
 # matrix, the long host-pool lost-wake-up stress, the occupancy LUT over a
 # grid of models, a truncated cache file that must be a positioned error, a CLI
@@ -50,6 +52,17 @@ if [[ "${1:-}" != "--fast" ]]; then
 
     echo "==> cargo bench --workspace --no-run"
     cargo bench --workspace --no-run
+
+    echo "==> EXPERIMENTS.md's generated tables are current"
+    # The `tables` target rewrites every generated block of EXPERIMENTS.md
+    # from seeded modeled runs, so a fresh run must reproduce the committed
+    # file: a difference is a hand-edited block, or a result that moved
+    # without its tables. A missing or broken block marker fails the run.
+    tables_start=$SECONDS
+    cargo bench -p bench-harness --bench tables
+    echo "tables: $(( SECONDS - tables_start )) s"
+    git diff --exit-code -- EXPERIMENTS.md \
+        || { echo "EXPERIMENTS.md differs from its generated tables; commit the regenerated file"; exit 1; }
 
     echo "==> flat region IR == old front door on the 9,941-region corpus"
     # Tier-1 runs a reduced corpus of tests/region_ir_exact.rs; this is the
