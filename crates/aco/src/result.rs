@@ -84,18 +84,6 @@ impl AcoResult {
             time_us,
         }
     }
-
-    /// Occupancy gain over the initial heuristic schedule (negative =
-    /// regression).
-    pub fn occupancy_gain(&self) -> i64 {
-        self.occupancy as i64 - self.initial.occupancy as i64
-    }
-
-    /// Length change versus the initial heuristic schedule (positive =
-    /// ACO is longer).
-    pub fn length_delta(&self) -> i64 {
-        self.length as i64 - self.initial.length as i64
-    }
 }
 
 #[cfg(test)]
@@ -112,8 +100,7 @@ mod tests {
         let r = AcoResult::trivial(&ddg, &occ, initial.clone(), 1.0);
         assert_eq!(r.length, initial.length);
         assert_eq!(r.prp, initial.prp);
-        assert_eq!(r.occupancy_gain(), 0);
-        assert_eq!(r.length_delta(), 0);
+        assert_eq!(r.occupancy, initial.occupancy);
         assert!(r.pass1.hit_lb && r.pass2.hit_lb);
     }
 }

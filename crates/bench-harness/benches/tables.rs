@@ -361,7 +361,10 @@ fn ablation_tables(occ: &OccupancyModel) -> [(&'static str, String); 2] {
         for (regions, optimized) in &bands {
             let mut sum = [0.0f64; 2];
             let mut sum_un = [0.0f64; 2];
-            let mut best = [0.0f64; 2];
+            // The largest gain of a region that ran the pass; none if no
+            // region did. A band where every region regressed prints its
+            // smallest loss as a negative maximum.
+            let mut best: [Option<f64>; 2] = [None; 2];
             for (i, (ddg, opt)) in regions.iter().zip(optimized).enumerate() {
                 let unopt = pass_us(ddg, config(i, ablated));
                 for p in 0..2 {
@@ -369,7 +372,8 @@ fn ablation_tables(occ: &OccupancyModel) -> [(&'static str, String); 2] {
                     if o > 0.0 && u > 0.0 {
                         sum[p] += o;
                         sum_un[p] += u;
-                        best[p] = best[p].max((u / o - 1.0) * 100.0);
+                        let gain = (u / o - 1.0) * 100.0;
+                        best[p] = Some(best[p].map_or(gain, |b| b.max(gain)));
                     }
                 }
             }
@@ -379,7 +383,10 @@ fn ablation_tables(occ: &OccupancyModel) -> [(&'static str, String); 2] {
                 } else {
                     "-".to_string()
                 });
-                rows[2 * p + 1].push(format!("{:.*}%", decimals, best[p]));
+                rows[2 * p + 1].push(match best[p] {
+                    Some(b) => format!("{:.*}%", decimals, b),
+                    None => "-".to_string(),
+                });
             }
         }
         let stats = [

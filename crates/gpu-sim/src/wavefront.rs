@@ -63,13 +63,6 @@ impl WavefrontCost {
         self.cycles += steps * self.alu_op_cycles;
     }
 
-    /// A lockstep loop whose trip count differs per lane: the wavefront
-    /// pays for the *maximum* trip count (idle lanes still occupy the SIMD).
-    pub fn lockstep_max(&mut self, per_lane_steps: impl IntoIterator<Item = u64>) {
-        let max = per_lane_steps.into_iter().max().unwrap_or(0);
-        self.cycles += max * self.alu_op_cycles;
-    }
-
     /// A divergent region: lanes partition into control paths with the
     /// given per-path step counts; paths execute serially (the SIMT
     /// re-convergence stack), so the wavefront pays the *sum*.
@@ -143,16 +136,6 @@ mod tests {
         w.uniform(10);
         assert_eq!(w.cycles(), 10 * 4);
         assert_eq!(w.divergent_steps(), 0);
-    }
-
-    #[test]
-    fn lockstep_max_charges_slowest_lane() {
-        let mut w = wf();
-        w.lockstep_max([1u64, 5, 3]);
-        assert_eq!(w.cycles(), 5 * 4);
-        let mut e = wf();
-        e.lockstep_max(std::iter::empty::<u64>());
-        assert_eq!(e.cycles(), 0);
     }
 
     #[test]

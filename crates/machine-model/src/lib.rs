@@ -1,5 +1,5 @@
-//! Machine models for the scheduling target: issue width, operation
-//! latencies, and the occupancy / adjusted-peak-register-pressure (APRP)
+//! Machine models for the scheduling target: operation latencies and the
+//! occupancy / adjusted-peak-register-pressure (APRP)
 //! model of Section II-A of the paper.
 //!
 //! The evaluation target is an AMD Vega-like GPU (Radeon VII): occupancy —
@@ -9,10 +9,8 @@
 //! [`OccupancyModel::aprp`] returns the largest PRP with the same occupancy,
 //! which is the cost function the ACO scheduler minimizes in its first pass.
 
-pub mod issue;
 pub mod latency;
 pub mod occupancy;
 
-pub use issue::IssueModel;
 pub use latency::{op_latency, OpKind};
 pub use occupancy::{OccupancyLut, OccupancyModel, Waves};

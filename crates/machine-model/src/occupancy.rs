@@ -188,15 +188,6 @@ impl OccupancyModel {
         (self.class_occupancy(class, prp) == occ).then_some(prp)
     }
 
-    /// Per-class APRPs for a PRP vector.
-    pub fn aprp_vec(&self, prp: [u32; REG_CLASS_COUNT]) -> [u32; REG_CLASS_COUNT] {
-        let mut out = [0u32; REG_CLASS_COUNT];
-        for c in RegClass::ALL {
-            out[c.index()] = self.aprp(c, prp[c.index()]);
-        }
-        out
-    }
-
     /// Scalar pass-1 cost of a PRP vector: lost occupancy dominates, APRP
     /// breaks ties within an occupancy band.
     ///

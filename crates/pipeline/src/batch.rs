@@ -18,7 +18,6 @@ use crate::region::{aco_compilation, RegionCompilation};
 use aco::{batch_block_split, ParallelScheduler};
 use machine_model::OccupancyModel;
 use sched_ir::Ddg;
-use workloads::Kernel;
 
 /// Plans the cooperative launch groups for one kernel.
 ///
@@ -35,27 +34,25 @@ pub fn plan_batches(sizes: &[usize], blocks: u32, cfg: &BatchingConfig) -> Vec<V
     eligible.chunks(cap).map(<[usize]>::to_vec).collect()
 }
 
-/// Compiles one planned group of a kernel's regions in a single cooperative
-/// launch pair, assembling per-region compilations whose time accounting
-/// reflects the *batched* launches (each pass's shared cost is attributed
-/// to its regions in proportion to their solo share, so the per-region
-/// times sum to the batched total).
+/// Compiles one planned group of regions in a single cooperative launch
+/// pair, assembling per-region compilations whose time accounting reflects
+/// the *batched* launches (each pass's shared cost is attributed to its
+/// regions in proportion to their solo share, so the per-region times sum
+/// to the batched total).
 ///
 /// Pure in its inputs — no observer, no shared state — so the suite
 /// compiler's host worker pool can run groups concurrently. Each returned
-/// entry is `(region index, config, compilation)`, where the config is the
-/// split-colony configuration the region's construction actually ran under;
-/// replaying those tuples in order through the observer keeps the
+/// entry is `(config, compilation)`, in member order, where the config is
+/// the split-colony configuration the region's construction actually ran
+/// under; replaying those pairs in order through the observer keeps the
 /// certification hook (`sched-verify`) exact for batched schedules too.
-pub(crate) fn compile_batch_group(
-    kernel: &Kernel,
-    group: &[usize],
+pub fn compile_batch_group(
+    members: &[&Ddg],
     occ: &OccupancyModel,
     cfg: &PipelineConfig,
-) -> Vec<(usize, PipelineConfig, RegionCompilation)> {
-    let refs: Vec<&Ddg> = group.iter().map(|&ri| &kernel.regions[ri]).collect();
-    let batch = ParallelScheduler::new(cfg.aco).schedule_batch(&refs, occ);
-    let split = batch_block_split(cfg.aco.blocks, group.len() as u32);
+) -> Vec<(PipelineConfig, RegionCompilation)> {
+    let batch = ParallelScheduler::new(cfg.aco).schedule_batch(members, occ);
+    let split = batch_block_split(cfg.aco.blocks, members.len() as u32);
     // Solo per-pass totals, for proportional attribution of the shared
     // launch costs.
     let solo_pass_us = |pass: usize| -> Vec<f64> {
@@ -81,11 +78,10 @@ pub(crate) fn compile_batch_group(
     };
     let (p1_shares, p2_shares) = (shares(0), shares(1));
 
-    group
+    members
         .iter()
         .enumerate()
-        .map(|(pos, &ri)| {
-            let ddg = &kernel.regions[ri];
+        .map(|(pos, ddg)| {
             let mut result = batch.outcomes[pos].result.clone();
             result.pass1.time_us = p1_shares[pos];
             result.pass2.time_us = p2_shares[pos];
@@ -93,7 +89,7 @@ pub(crate) fn compile_batch_group(
             let c = aco_compilation(ddg, result, cfg);
             let mut region_cfg = *cfg;
             region_cfg.aco.blocks = split[pos];
-            (ri, region_cfg, c)
+            (region_cfg, c)
         })
         .collect()
 }
@@ -103,6 +99,7 @@ mod tests {
     use super::*;
     use crate::config::SchedulerKind;
     use crate::region::heuristic_model_time_us;
+    use workloads::Kernel;
 
     #[test]
     fn planner_skips_trivial_and_caps_groups() {
@@ -162,12 +159,13 @@ mod tests {
         let groups = plan_batches(&sizes, cfg.aco.blocks, &cfg.batching);
         // One group of 3 (sizes 30/45/60 sorted: [30, 45, 60]); split 4/4/4.
         assert_eq!(groups.len(), 1);
-        let outcomes = compile_batch_group(&kernel, &groups[0], &occ, &cfg);
+        let members: Vec<&Ddg> = groups[0].iter().map(|&ri| &kernel.regions[ri]).collect();
+        let outcomes = compile_batch_group(&members, &occ, &cfg);
         assert_eq!(outcomes.len(), 3);
-        for (ri, region_cfg, c) in &outcomes {
+        for (&ri, (region_cfg, c)) in groups[0].iter().zip(&outcomes) {
             let mut solo_cfg = *region_cfg;
             solo_cfg.scheduler = SchedulerKind::ParallelAco;
-            let solo = compile_region(&kernel.regions[*ri], &occ, &solo_cfg);
+            let solo = compile_region(&kernel.regions[ri], &occ, &solo_cfg);
             let (a, s) = (c.aco.as_ref().unwrap(), solo.aco.as_ref().unwrap());
             assert_eq!(a.order, s.order, "region {ri}");
             assert_eq!(a.schedule, s.schedule, "region {ri}");
@@ -189,10 +187,12 @@ mod tests {
         let sizes: Vec<usize> = kernel.regions.iter().map(Ddg::len).collect();
         let groups = plan_batches(&sizes, cfg.aco.blocks, &cfg.batching);
         assert_eq!(groups.len(), 1, "all four regions fit one group");
-        let compiled = compile_batch_group(&kernel, &groups[0], &occ, &cfg);
-        let attributed: f64 = compiled
+        let members: Vec<&Ddg> = groups[0].iter().map(|&ri| &kernel.regions[ri]).collect();
+        let compiled = compile_batch_group(&members, &occ, &cfg);
+        let attributed: f64 = members
             .iter()
-            .map(|(ri, _, c)| c.sched_time_us - heuristic_model_time_us(&kernel.regions[*ri]))
+            .zip(&compiled)
+            .map(|(ddg, (_, c))| c.sched_time_us - heuristic_model_time_us(ddg))
             .sum();
         assert!(
             (attributed - batch.batched_us).abs() < 1e-6,

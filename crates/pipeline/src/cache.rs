@@ -110,7 +110,6 @@ use std::io::{self, BufRead, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
-use workloads::Kernel;
 
 /// Hit/miss/insert/bypass counters of one suite compilation (or one cache
 /// lifetime). A *bypass* is a lookup whose entry failed re-certification
@@ -441,44 +440,42 @@ impl ScheduleCache {
     /// against its new region instance.
     pub(crate) fn compile_group(
         &self,
-        kernel: &Kernel,
-        group: &[usize],
+        members: &[&Ddg],
         occ: &OccupancyModel,
         cfg: &PipelineConfig,
-    ) -> Vec<(usize, PipelineConfig, RegionCompilation)> {
-        let members: Vec<&Ddg> = group.iter().map(|&ri| &kernel.regions[ri]).collect();
-        let key = group_key(&members, occ, cfg);
+    ) -> Vec<(PipelineConfig, RegionCompilation)> {
+        let key = group_key(members, occ, cfg);
         if let Some(entry) = self.shard(key).get(key) {
             if let Payload::Group { ddgs, comps } = &entry.payload {
                 let ok = entry.inputs == inputs(cfg, occ)
                     && ddgs.len() == members.len()
                     && ddgs
                         .iter()
-                        .zip(&members)
+                        .zip(members)
                         .all(|(cached, new)| cached.matches(new))
                     && comps
                         .iter()
-                        .zip(&members)
+                        .zip(members)
                         .all(|(comp, new)| certify_hit(new, occ, comp));
                 if ok {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     entry.stamp.store(self.tick(), Ordering::Relaxed);
-                    return attach_group_cfgs(group, comps.clone(), cfg);
+                    return attach_group_cfgs(comps.clone(), cfg);
                 }
             }
             self.bypasses.fetch_add(1, Ordering::Relaxed);
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        let outcomes = compile_batch_group(kernel, group, occ, cfg);
+        let outcomes = compile_batch_group(members, occ, cfg);
         self.store(
             key,
             CacheEntry {
                 inputs: inputs(cfg, occ),
                 stamp: AtomicU64::new(0),
                 payload: Payload::Group {
-                    ddgs: members.into_iter().map(PackedDdg::new).collect(),
-                    comps: outcomes.iter().map(|(_, _, c)| c.clone()).collect(),
+                    ddgs: members.iter().copied().map(PackedDdg::new).collect(),
+                    comps: outcomes.iter().map(|(_, c)| c.clone()).collect(),
                 },
             },
         );
@@ -583,19 +580,17 @@ impl ScheduleCache {
 /// Attaches the split-colony per-member configuration to cached group
 /// compilations, mirroring what [`compile_batch_group`] returns.
 fn attach_group_cfgs(
-    group: &[usize],
     comps: Vec<RegionCompilation>,
     cfg: &PipelineConfig,
-) -> Vec<(usize, PipelineConfig, RegionCompilation)> {
-    let split = batch_block_split(cfg.aco.blocks, group.len() as u32);
-    group
-        .iter()
+) -> Vec<(PipelineConfig, RegionCompilation)> {
+    let split = batch_block_split(cfg.aco.blocks, comps.len() as u32);
+    split
+        .into_iter()
         .zip(comps)
-        .enumerate()
-        .map(|(pos, (&ri, comp))| {
+        .map(|(blocks, comp)| {
             let mut region_cfg = *cfg;
-            region_cfg.aco.blocks = split[pos];
-            (ri, region_cfg, comp)
+            region_cfg.aco.blocks = blocks;
+            (region_cfg, comp)
         })
         .collect()
 }
@@ -1255,13 +1250,13 @@ mod tests {
         let group: Vec<usize> = (0..kernel.regions.len().min(3)).collect();
         assert!(group.len() >= 2, "need a real group");
         let cache = ScheduleCache::new();
-        let fresh = compile_batch_group(kernel, &group, &occ, &c);
-        let miss = cache.compile_group(kernel, &group, &occ, &c);
-        let hit = cache.compile_group(kernel, &group, &occ, &c);
+        let members: Vec<&Ddg> = group.iter().map(|&ri| &kernel.regions[ri]).collect();
+        let fresh = compile_batch_group(&members, &occ, &c);
+        let miss = cache.compile_group(&members, &occ, &c);
+        let hit = cache.compile_group(&members, &occ, &c);
         for (f, m) in [(&fresh, &miss), (&fresh, &hit)] {
             assert_eq!(f.len(), m.len());
-            for ((ri_a, cfg_a, comp_a), (ri_b, cfg_b, comp_b)) in f.iter().zip(m.iter()) {
-                assert_eq!(ri_a, ri_b);
+            for ((cfg_a, comp_a), (cfg_b, comp_b)) in f.iter().zip(m.iter()) {
                 assert_eq!(cfg_a, cfg_b, "split-colony config must be reconstructed");
                 assert!(comps_eq(comp_a, comp_b));
             }

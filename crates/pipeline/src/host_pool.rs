@@ -195,16 +195,19 @@ pub fn run_job(
         }
         RegionJob::Group { kernel, members } => {
             let kernel = &suite.kernels[*kernel];
+            let ddgs: Vec<&Ddg> = members.iter().map(|&ri| &kernel.regions[ri]).collect();
             let outcomes = match cache {
-                Some(cache) => cache.compile_group(kernel, members, occ, cfg),
-                None => compile_batch_group(kernel, members, occ, cfg),
+                Some(cache) => cache.compile_group(&ddgs, occ, cfg),
+                None => compile_batch_group(&ddgs, occ, cfg),
             };
-            outcomes
-                .into_iter()
-                .map(|(ri, rcfg, comp)| RegionOutcome {
+            members
+                .iter()
+                .zip(ddgs)
+                .zip(outcomes)
+                .map(|((&ri, ddg), (rcfg, comp))| RegionOutcome {
                     region: ri,
                     cfg: rcfg,
-                    findings: analyze(&kernel.regions[ri], &comp),
+                    findings: analyze(ddg, &comp),
                     comp,
                 })
                 .collect()

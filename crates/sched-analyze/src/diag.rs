@@ -279,15 +279,6 @@ impl LevelCounts {
         }
         c
     }
-
-    /// Number of findings at or above the given level.
-    pub fn at_or_above(&self, level: Level) -> usize {
-        match level {
-            Level::Deny => self.deny,
-            Level::Warn => self.deny + self.warn,
-            Level::Pedantic => self.deny + self.warn + self.pedantic,
-        }
-    }
 }
 
 /// Renders findings rustc-style, one paragraph each, with a trailing
@@ -480,14 +471,6 @@ mod tests {
         assert!(Level::Warn > Level::Pedantic);
         assert_eq!(Level::parse("deny"), Some(Level::Deny));
         assert_eq!(Level::parse("bogus"), None);
-        let c = LevelCounts {
-            deny: 1,
-            warn: 2,
-            pedantic: 4,
-        };
-        assert_eq!(c.at_or_above(Level::Deny), 1);
-        assert_eq!(c.at_or_above(Level::Warn), 3);
-        assert_eq!(c.at_or_above(Level::Pedantic), 7);
     }
 
     #[test]

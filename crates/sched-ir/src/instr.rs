@@ -237,11 +237,6 @@ impl<'a> Instr<'a> {
     pub fn defs_of(&self, class: RegClass) -> usize {
         self.defs().iter().filter(|r| r.class() == class).count()
     }
-
-    /// Number of registers of `class` used by this instruction.
-    pub fn uses_of(&self, class: RegClass) -> usize {
-        self.uses().iter().filter(|r| r.class() == class).count()
-    }
 }
 
 impl fmt::Debug for Instr<'_> {
@@ -433,8 +428,6 @@ mod tests {
         let i = t.get(0);
         assert_eq!(i.defs_of(RegClass::Vgpr), 1);
         assert_eq!(i.defs_of(RegClass::Sgpr), 1);
-        assert_eq!(i.uses_of(RegClass::Vgpr), 2);
-        assert_eq!(i.uses_of(RegClass::Sgpr), 1);
     }
 
     #[test]

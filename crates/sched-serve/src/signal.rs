@@ -38,13 +38,7 @@ pub fn install_shutdown_handler() {
     }
 }
 
-/// True once a termination signal arrived (or a test requested shutdown).
+/// True once a termination signal arrived.
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
-}
-
-/// Sets or clears the flag directly — lets tests exercise the drain path
-/// without delivering real signals.
-pub fn request_shutdown(value: bool) {
-    SHUTDOWN.store(value, Ordering::SeqCst);
 }

@@ -106,7 +106,14 @@ if [[ "${1:-}" != "--fast" ]]; then
     ./target/release/gpu-aco-cli verify "$smoke_dir/region.txt" --blocks 8
     ./target/release/gpu-aco-cli generate reduction 40 --seed 9 > "$smoke_dir/region2.txt"
     ./target/release/gpu-aco-cli schedule "$smoke_dir/region.txt" "$smoke_dir/region2.txt" \
-        --batch --blocks 8 > /dev/null
+        --scheduler batched --blocks 8 > /dev/null
+
+    echo "==> schedule: several files print each file's report in order"
+    ./target/release/gpu-aco-cli schedule "$smoke_dir/region.txt" "$smoke_dir/region2.txt" \
+        > "$smoke_dir/two_files.txt"
+    { ./target/release/gpu-aco-cli schedule "$smoke_dir/region.txt"
+      ./target/release/gpu-aco-cli schedule "$smoke_dir/region2.txt"; } > "$smoke_dir/one_by_one.txt"
+    cmp "$smoke_dir/two_files.txt" "$smoke_dir/one_by_one.txt"
 
     echo "==> schedule: lent cores leave the output alone"
     # --threads 2 lends one idle core to the wavefronts of each ACO

@@ -1,11 +1,10 @@
-//! Command-line front end: schedule a region from a text file with any of
+//! Command-line front end: schedule regions from text files with any of
 //! the workspace's schedulers.
 //!
 //! ```text
-//! gpu-aco-cli schedule <region.txt> [--scheduler amd|cp|seq|par|luc|exact]
+//! gpu-aco-cli schedule <region.txt>... [--scheduler amd|cp|seq|par|batched|luc|exact]
 //!                      [--seed N] [--blocks N] [--threads N] [--unit-aprp]
 //!                      [--cache <cache.txt>] [--cache-stats] [--dot <out.dot>]
-//! gpu-aco-cli schedule <region.txt>... --batch [--seed N] [--blocks N] [--unit-aprp]
 //! gpu-aco-cli generate <pattern> <size> [--seed N]     # emit a region file
 //! gpu-aco-cli inspect <region.txt>                     # bounds and stats
 //! gpu-aco-cli verify <region.txt> [--scheduler ...|all] [--pedantic]
@@ -14,20 +13,21 @@
 //! ```
 //!
 //! `schedule --scheduler amd|cp|seq|par` (default `par`) parses its options
-//! into the daemon's [`gpu_aco::serve::proto::ScheduleOpts`], compiles the
+//! into the daemon's [`gpu_aco::serve::proto::ScheduleOpts`], compiles each
 //! region through the pipeline's one region path (heuristic, two-pass ACO,
-//! post filter) and prints the daemon's `schedule` reply byte for byte.
-//! `--cache <cache.txt>` answers through the content-addressed
-//! [`gpu_aco::compile::ScheduleCache`] persisted at that path, with the
-//! same bytes: a hit skips the ACO search and is re-certified before
-//! adoption. `luc` and `exact`, which no pipeline kind runs, and `--batch`
-//! call their scheduler directly and print a report of their own.
+//! post filter) and prints the daemon's `schedule` reply byte for byte, one
+//! per file in argument order. `--cache <cache.txt>` answers through the
+//! content-addressed [`gpu_aco::compile::ScheduleCache`] persisted at that
+//! path, with the same bytes: a hit skips the ACO search and is
+//! re-certified before adoption.
 //!
-//! `--batch` schedules several regions in one cooperative multi-region
-//! launch pair (the paper's Section VII proposal): the colony's blocks are
-//! split across the regions, the launch/allocation/transfer overheads are
-//! paid once per pass, and each region's schedule is bitwise-identical to
-//! a solo parallel-ACO run with its block share.
+//! `--scheduler batched` plans the files into cooperative launch groups
+//! (the paper's Section VII proposal) under the pipeline's batching policy
+//! and compiles each group in one launch pair, as a `batched` suite
+//! compiles a kernel: each region keeps what a solo `par` run with its
+//! share of the blocks keeps. `luc` and `exact`, which no pipeline kind
+//! runs, call their scheduler directly on one file and print a report of
+//! their own.
 //!
 //! `verify` runs the independent verification layer (`sched-verify`): it
 //! lints the region and the ACO configuration, schedules the region with
@@ -53,12 +53,13 @@
 //! The region file format is documented in [`sched_ir::textir`]; `generate`
 //! produces it from the rocPRIM-shaped workload generators.
 
+use gpu_aco::compile::batch::compile_batch_group;
 use gpu_aco::compile::{
-    compile_region, PipelineConfig, RegionCompilation, ScheduleCache, SchedulerKind,
+    compile_region, plan_batches, PipelineConfig, RegionCompilation, ScheduleCache, SchedulerKind,
 };
 use gpu_aco::heuristics::{Heuristic, ListScheduler};
 use gpu_aco::machine::OccupancyModel;
-use gpu_aco::scheduler::{AcoConfig, IdleCores, ParallelScheduler};
+use gpu_aco::scheduler::IdleCores;
 use gpu_aco::serve::proto::ScheduleOpts;
 use gpu_aco::serve::render;
 use sched_ir::{textir, Ddg, Schedule};
@@ -78,10 +79,9 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  gpu-aco-cli schedule <region.txt> [--scheduler amd|cp|seq|par|luc|exact]
+  gpu-aco-cli schedule <region.txt>... [--scheduler amd|cp|seq|par|batched|luc|exact]
                        [--seed N] [--blocks N] [--threads N] [--unit-aprp]
                        [--cache <cache.txt>] [--cache-stats] [--dot <out.dot>]
-  gpu-aco-cli schedule <region.txt>... --batch [--seed N] [--blocks N] [--unit-aprp]
   gpu-aco-cli generate <pattern> <size> [--seed N]
       patterns: reduction scan transform vector stencil sort gather random mixed
   gpu-aco-cli inspect <region.txt>
@@ -100,7 +100,9 @@ const USAGE: &str = "usage:
   gpu-aco-cli request --socket <path> stats|flush
 
   --scheduler   amd|cp|seq|par (default par) print the pipeline's report,
-                the daemon's `schedule` reply; luc and exact run directly
+                the daemon's `schedule` reply, for each region file; batched
+                compiles the files in cooperative launch groups; luc and
+                exact run directly on one file
   --json        emit the sched-analyze-findings/v1 JSON report on stdout
   --pedantic    include pedantic-level findings (S001) in the report
   --baseline F  suppress the findings recorded in baseline file F
@@ -228,9 +230,10 @@ fn host_threads(args: &Args) -> Result<usize, String> {
 /// The single-region options `schedule` and `verify` share with the
 /// daemon's `schedule` request, parsed by the daemon's own per-option
 /// parser, so defaults, validation and error text are the daemon's. A
-/// `--scheduler` value in `direct` names a scheduler no pipeline kind runs
-/// (`luc`, `exact`, and `all` on `verify`); it is returned beside the
-/// options and leaves their kind at its default.
+/// `--scheduler` value in `direct` names a scheduler the daemon's request
+/// does not run (`luc`, `exact`, `batched` on `schedule`, and `all` on
+/// `verify`); it is returned beside the options and leaves their kind at
+/// its default.
 fn region_opts<'a>(
     args: &Args<'a>,
     direct: &[&str],
@@ -249,18 +252,38 @@ fn region_opts<'a>(
     Ok((opts, picked))
 }
 
-/// Compiles `ddg` through the pipeline's one region path — through `cache`
-/// when there is one — with `threads - 1` idle cores lent to the colony.
+/// Compiles `regions` in order, with `threads - 1` idle cores lent to the
+/// colony. A `batched` configuration plans them into cooperative launch
+/// groups as the suite compiler plans a kernel's; a region no group holds
+/// takes the pipeline's one region path, through `cache` when there is one.
 fn compile(
-    ddg: &Ddg,
+    regions: &[Ddg],
     occ: &OccupancyModel,
     cfg: &PipelineConfig,
     threads: usize,
     cache: Option<&ScheduleCache>,
-) -> RegionCompilation {
-    IdleCores::new(threads - 1).enter(|| match cache {
-        Some(c) => c.compile_solo(ddg, occ, cfg),
-        None => compile_region(ddg, occ, cfg),
+) -> Vec<RegionCompilation> {
+    let mut comps: Vec<Option<RegionCompilation>> = regions.iter().map(|_| None).collect();
+    IdleCores::new(threads - 1).enter(|| {
+        if cfg.scheduler == SchedulerKind::BatchedParallelAco {
+            let sizes: Vec<usize> = regions.iter().map(Ddg::len).collect();
+            for group in plan_batches(&sizes, cfg.aco.blocks, &cfg.batching) {
+                let members: Vec<&Ddg> = group.iter().map(|&i| &regions[i]).collect();
+                let compiled = compile_batch_group(&members, occ, cfg);
+                for (i, (_, comp)) in group.into_iter().zip(compiled) {
+                    comps[i] = Some(comp);
+                }
+            }
+        }
+        let solo = |ddg| match cache {
+            Some(c) => c.compile_solo(ddg, occ, cfg),
+            None => compile_region(ddg, occ, cfg),
+        };
+        regions
+            .iter()
+            .zip(comps)
+            .map(|(ddg, comp)| comp.unwrap_or_else(|| solo(ddg)))
+            .collect()
     })
 }
 
@@ -282,29 +305,39 @@ fn schedule(argv: &[String]) -> Result<(), String> {
             "--dot",
             "--cache",
         ],
-        &["--unit-aprp", "--batch", "--cache-stats"],
+        &["--unit-aprp", "--cache-stats"],
     )?;
-    let (opts, direct) = region_opts(&args, &["luc", "exact"])?;
+    let (mut opts, direct) = region_opts(&args, &["luc", "exact", "batched"])?;
     // Validate --threads up front so a bad value errors even when the
     // selected scheduler never reads it.
     let threads = host_threads(&args)?;
-    if args.has("--batch") {
-        return schedule_batched(&args, opts, direct);
-    }
     let cache_file = args.value("--cache");
     if cache_file.is_none() && args.has("--cache-stats") {
         return Err("--cache-stats needs --cache <cache.txt>".into());
     }
-    let ddg = load_region(args.only("schedule needs a region file")?)?;
+    // A graph and the direct schedulers' reports are of one region.
+    if args.has("--dot") || matches!(direct, Some("luc" | "exact")) {
+        args.only("schedule needs a region file")?;
+    }
+    let mut regions = Vec::new();
+    for path in &args.positionals {
+        regions.push(load_region(path)?);
+    }
+    if regions.is_empty() {
+        return Err("schedule needs a region file".into());
+    }
+    if let (Some(name), Some(_)) = (direct, cache_file) {
+        return Err(format!(
+            "the schedule cache supports --scheduler amd|cp|seq|par, not `{name}`"
+        ));
+    }
+    if direct == Some("batched") {
+        opts.scheduler = SchedulerKind::BatchedParallelAco;
+    }
     let (occ, cfg) = opts.config();
     let sched = match direct {
-        Some(name) if cache_file.is_some() => {
-            return Err(format!(
-                "the schedule cache supports --scheduler amd|cp|seq|par, not `{name}`"
-            ));
-        }
-        Some(name) => schedule_direct(name, &ddg, &occ)?,
-        None => {
+        Some(name @ ("luc" | "exact")) => schedule_direct(name, &regions[0], &occ)?,
+        _ => {
             let cache = match cache_file {
                 Some(f) if Path::new(f).exists() => Some(
                     ScheduleCache::load_from(Path::new(f))
@@ -313,11 +346,11 @@ fn schedule(argv: &[String]) -> Result<(), String> {
                 Some(_) => Some(ScheduleCache::new()),
                 None => None,
             };
-            let comp = compile(&ddg, &occ, &cfg, threads, cache.as_ref());
-            print!(
-                "{}",
-                render::schedule_report(&ddg, &occ, cfg.scheduler, &comp)?
-            );
+            let comps = compile(&regions, &occ, &cfg, threads, cache.as_ref());
+            for (ddg, comp) in regions.iter().zip(&comps) {
+                let report = render::schedule_report(ddg, &occ, cfg.scheduler, comp)?;
+                print!("{report}");
+            }
             if args.has("--cache-stats") {
                 let s = cache.as_ref().map(ScheduleCache::stats).unwrap_or_default();
                 eprintln!(
@@ -329,12 +362,15 @@ fn schedule(argv: &[String]) -> Result<(), String> {
                 c.save_to(Path::new(f))
                     .map_err(|e| format!("writing cache {f}: {e}"))?;
             }
-            comp.kept_schedule().0.clone()
+            comps[0].kept_schedule().0.clone()
         }
     };
     if let Some(out) = args.value("--dot") {
-        std::fs::write(out, sched_ir::dot::to_dot_with_schedule(&ddg, &sched))
-            .map_err(|e| format!("writing {out}: {e}"))?;
+        std::fs::write(
+            out,
+            sched_ir::dot::to_dot_with_schedule(&regions[0], &sched),
+        )
+        .map_err(|e| format!("writing {out}: {e}"))?;
         println!("wrote {out}");
     }
     Ok(())
@@ -386,83 +422,6 @@ fn schedule_direct(name: &str, ddg: &Ddg, occ: &OccupancyModel) -> Result<Schedu
     );
     print!("{}", render::schedule_line(ddg, &sched));
     Ok(sched)
-}
-
-/// `schedule ... --batch`: one cooperative launch pair for all the regions.
-/// It always runs parallel ACO, so another `--scheduler` or a `--dot` it
-/// would not write is an error.
-fn schedule_batched(args: &Args, opts: ScheduleOpts, direct: Option<&str>) -> Result<(), String> {
-    use gpu_aco::scheduler::batch_block_split;
-
-    if args.has("--cache") || args.has("--cache-stats") {
-        return Err("the cache flags are not supported with --batch".into());
-    }
-    if direct.is_some() || opts.scheduler != SchedulerKind::ParallelAco {
-        let name = args.value("--scheduler").unwrap_or_default();
-        return Err(format!(
-            "--batch runs parallel ACO only, not `--scheduler {name}`"
-        ));
-    }
-    if args.has("--dot") {
-        return Err("--dot is not supported with --batch".into());
-    }
-    let paths = &args.positionals;
-    if paths.is_empty() {
-        return Err("schedule --batch needs at least one region file".into());
-    }
-    let (occ, _) = opts.config();
-    let blocks = opts.blocks;
-    if paths.len() as u32 > blocks {
-        return Err(format!(
-            "a batch of {} regions oversubscribes the {blocks}-block colony; \
-             pass fewer regions or raise --blocks",
-            paths.len()
-        ));
-    }
-    let cfg = AcoConfig {
-        blocks,
-        ..AcoConfig::paper(opts.seed)
-    };
-
-    let regions: Vec<Ddg> = paths
-        .iter()
-        .map(|p| load_region(p))
-        .collect::<Result<_, _>>()?;
-    let refs: Vec<&Ddg> = regions.iter().collect();
-    let batch = ParallelScheduler::new(cfg).schedule_batch(&refs, &occ);
-    let split = batch_block_split(blocks, refs.len() as u32);
-
-    println!(
-        "batched parallel ACO: {} regions, {blocks}-block colony split {split:?}",
-        refs.len()
-    );
-    for (pos, (path, outcome)) in paths.iter().zip(&batch.outcomes).enumerate() {
-        let r = &outcome.result;
-        r.schedule
-            .validate(&regions[pos])
-            .map_err(|e| format!("internal error: invalid schedule for {path}: {e}"))?;
-        println!(
-            "  {path}: {} instructions in {} cycles, VGPR PRP {}, occupancy {} \
-             ({} blocks, {} + {} iterations)",
-            regions[pos].len(),
-            r.length,
-            r.prp[0],
-            r.occupancy,
-            split[pos],
-            r.pass1.iterations,
-            r.pass2.iterations,
-        );
-    }
-    let saving = if batch.individual_us > 0.0 {
-        100.0 * (batch.individual_us - batch.batched_us) / batch.individual_us
-    } else {
-        0.0
-    };
-    println!(
-        "modeled GPU time: batched {:.1} us vs {:.1} us individually ({saving:.1}% saved)",
-        batch.batched_us, batch.individual_us
-    );
-    Ok(())
 }
 
 fn verify(argv: &[String]) -> Result<(), String> {
@@ -528,7 +487,7 @@ fn verify(argv: &[String]) -> Result<(), String> {
                 // region was linted above.
                 let scheduler = SchedulerKind::from_short_name(kind).expect("a pipeline kind");
                 let (_, cfg) = ScheduleOpts { scheduler, ..opts }.config();
-                let comp = compile(&ddg, &occ, &cfg, threads, None);
+                let comp = compile(std::slice::from_ref(&ddg), &occ, &cfg, threads, None).remove(0);
                 diags.extend(sv::certify_region_compilation(&ddg, &occ, &cfg, &comp));
                 if scheduler == SchedulerKind::ParallelAco {
                     let lent = [0, 1, threads - 1];

@@ -1,5 +1,6 @@
 //! End-to-end tests of `gpu-aco-cli schedule` and `verify` around the
-//! colony size and the host cores they may use.
+//! colony size, the host cores they may use and the region files
+//! `schedule` takes.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -51,7 +52,15 @@ fn zero_blocks_is_an_error_not_a_panic() {
             "--cache",
             &cache,
         ],
-        &["schedule", &region, &region, "--batch", "--blocks", "0"],
+        &[
+            "schedule",
+            &region,
+            &region,
+            "--scheduler",
+            "batched",
+            "--blocks",
+            "0",
+        ],
         &["verify", &region, "--blocks", "0"],
         &["verify", &region, "--scheduler", "par", "--blocks", "0"],
     ];
@@ -157,6 +166,7 @@ fn an_unknown_flag_is_a_usage_error() {
         (vec!["schedule", &region, "--no-tune"], "--no-tune"),
         (vec!["serve", "--socket", socket_arg, "--tune"], "--tune"),
         (vec!["serve", "--stdio", "--tune", file_arg], "--tune"),
+        (vec!["schedule", &region, &region, "--batch"], "--batch"),
     ] {
         let out = cli(&args, &dir);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -180,41 +190,40 @@ fn fails(args: &[&str], dir: &Path) -> (Option<i32>, String) {
     (out.status.code(), stderr)
 }
 
-/// `--batch` always runs parallel ACO and writes no graph, so another
-/// `--scheduler` or a `--dot` is a usage error, and the `--dot` file is
-/// never written.
+/// A graph and the direct schedulers' reports are of one region, and the
+/// cache holds no batched compilation: each is a usage error that writes
+/// neither the graph nor the cache.
 #[test]
-fn batch_rejects_a_scheduler_and_a_dot_it_would_ignore() {
-    let dir = tmp_dir("batch-flags");
+fn one_region_options_and_a_batched_cache_are_usage_errors() {
+    let dir = tmp_dir("one-region-options");
     let region = generate(&dir, "mixed", "20", "r.txt");
-    let dot = dir.join("out.dot");
-    let dot_arg = dot.to_str().unwrap();
+    let (dot, cache) = (dir.join("out.dot"), dir.join("c.cache"));
+    let (dot_arg, cache_arg) = (dot.to_str().unwrap(), cache.to_str().unwrap());
+    let unexpected = format!("error: unexpected argument `{region}`");
     for (args, want) in [
         (
-            vec![
-                "schedule",
-                &region,
-                &region,
-                "--batch",
-                "--scheduler",
-                "seq",
-            ],
-            "error: --batch runs parallel ACO only, not `--scheduler seq`",
+            vec!["schedule", &region, &region, "--dot", dot_arg],
+            unexpected.as_str(),
+        ),
+        (
+            vec!["schedule", &region, &region, "--scheduler", "luc"],
+            &unexpected,
+        ),
+        (
+            vec!["schedule", &region, &region, "--scheduler", "exact"],
+            &unexpected,
         ),
         (
             vec![
                 "schedule",
                 &region,
                 &region,
-                "--batch",
                 "--scheduler",
-                "luc",
+                "batched",
+                "--cache",
+                cache_arg,
             ],
-            "error: --batch runs parallel ACO only, not `--scheduler luc`",
-        ),
-        (
-            vec!["schedule", &region, &region, "--batch", "--dot", dot_arg],
-            "error: --dot is not supported with --batch",
+            "error: the schedule cache supports --scheduler amd|cp|seq|par, not `batched`",
         ),
     ] {
         let (code, stderr) = fails(&args, &dir);
@@ -222,17 +231,90 @@ fn batch_rejects_a_scheduler_and_a_dot_it_would_ignore() {
         assert!(stderr.starts_with(want), "{args:?}: {stderr}");
         assert!(stderr.contains("usage:"), "{args:?}: {stderr}");
         assert!(!dot.exists(), "{args:?} wrote {dot_arg}");
+        assert!(!cache.exists(), "{args:?} wrote {cache_arg}");
     }
-    let args = [
-        "schedule",
-        &region,
-        &region,
-        "--batch",
-        "--scheduler",
-        "par",
-    ];
-    let out = cli(&args, &dir);
-    assert!(out.status.success(), "{args:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `schedule A B` prints exactly `schedule A` followed by `schedule B`,
+/// with and without `--cache F`.
+#[test]
+fn several_files_print_each_file_report_in_order() {
+    let dir = tmp_dir("several-files");
+    let a = generate(&dir, "mixed", "30", "a.txt");
+    let b = generate(&dir, "reduction", "40", "b.txt");
+    let run = |args: &[&str]| {
+        let out = cli(args, &dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    for kind in ["amd", "par"] {
+        let flags = ["--scheduler", kind, "--blocks", "4"];
+        let one = |file: &str| run(&[&["schedule", file][..], &flags].concat());
+        let want = one(&a) + &one(&b);
+        assert_eq!(want.matches("pipeline ").count(), 2, "{want}");
+        let both = [&["schedule", &a, &b][..], &flags].concat();
+        assert_eq!(run(&both), want, "{kind}");
+        let cache = dir.join(format!("{kind}.cache"));
+        let cached = [&both[..], &["--cache", cache.to_str().unwrap()]].concat();
+        assert_eq!(run(&cached), want, "{kind}: cold cache");
+        assert_eq!(run(&cached), want, "{kind}: warm cache");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--scheduler batched` plans the files into cooperative launch groups,
+/// and each region keeps what its own `par` run with its share of the
+/// colony keeps: at 12 blocks these six regions form one group of 2-block
+/// shares. The second region's colony schedule gains 2 waves at a cost of
+/// 118 cycles, so the post filter keeps the heuristic's, as it does on a
+/// solo run. Only the kind name in the header differs.
+#[test]
+fn batched_regions_keep_what_their_solo_par_runs_keep() {
+    let dir = tmp_dir("batched");
+    let files: Vec<String> = (1..=6u32)
+        .map(|s| {
+            let out = cli(
+                &[
+                    "generate",
+                    "mixed",
+                    &(40 + 23 * s).to_string(),
+                    "--seed",
+                    &s.to_string(),
+                ],
+                &dir,
+            );
+            assert!(out.status.success());
+            let path = dir.join(format!("r{s}.txt"));
+            std::fs::write(&path, &out.stdout).unwrap();
+            path.to_string_lossy().into_owned()
+        })
+        .collect();
+    let run = |args: &[&str]| {
+        let out = cli(args, &dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let mut args = vec!["schedule", "--scheduler", "batched", "--blocks", "12"];
+    args.extend(files.iter().map(String::as_str));
+    let batched = run(&args);
+    let solo: String = files
+        .iter()
+        .map(|f| run(&["schedule", f, "--scheduler", "par", "--blocks", "2"]))
+        .collect();
+    assert_eq!(
+        batched,
+        solo.replace("pipeline ParallelAco:", "pipeline BatchedParallelAco:")
+    );
+    assert!(
+        batched.contains(
+            "pipeline BatchedParallelAco: 87 instructions in 161 cycles (74 stalls), \
+             VGPR PRP 29, SGPR PRP 1, occupancy 8 (kept Heuristic)\n"
+        ),
+        "{batched}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -295,7 +377,7 @@ fn flags_before_the_positionals_and_malformed_flags() {
             "error: option `--seed` given more than once",
         ),
         (
-            vec!["schedule", &region, &region],
+            vec!["schedule", &region, &region, "--scheduler", "luc"],
             "error: unexpected argument",
         ),
         (
