@@ -98,7 +98,7 @@
 use crate::batch::compile_batch_group;
 use crate::config::{PipelineConfig, SchedulerKind};
 use crate::region::{compile_region, FinalChoice, RegionCompilation};
-use aco::{batch_block_split, AcoConfig, AcoResult, PassStats};
+use aco::{batch_block_split, AcoConfig, AcoResult, GpuTuning, PassStats, Termination};
 use gpu_sim::MemLayout;
 use list_sched::{Heuristic, ScheduleResult};
 use machine_model::OccupancyModel;
@@ -186,14 +186,32 @@ enum Payload {
 
 /// Everything a [`RegionCompilation`] depends on besides its region: the
 /// scheduler kind, the ACO configuration, the revert knobs and the machine
-/// model. Host-thread count, base compile costs, batching policy (group
-/// membership is already in the key) and the cache knob itself are
-/// deliberately left out.
+/// model. The one definition of a configuration's identity: the key folds
+/// its [`config_words`], the `cfg` line prints them, and a hit requires
+/// equal `Inputs`.
 type Inputs = (SchedulerKind, AcoConfig, (u32, u32), OccupancyModel);
 
 fn inputs(cfg: &PipelineConfig, occ: &OccupancyModel) -> Inputs {
-    let revert = (cfg.revert_occupancy_gain, cfg.revert_length_penalty);
-    (cfg.scheduler, cfg.aco, revert, *occ)
+    // Every field is named, so a new one fails to build until it is placed.
+    // The ones bound to `_` change no schedule, so configurations that
+    // differ only there must share entries: the batching policy decides
+    // group membership, which the group key already holds; the base
+    // compile costs are added after compilation; host threads, the cache
+    // and analysis are transparent by contract.
+    let PipelineConfig {
+        scheduler,
+        aco,
+        revert_occupancy_gain,
+        revert_length_penalty,
+        batching: _,
+        base_cost_per_region_us: _,
+        base_cost_per_instr_us: _,
+        host_threads: _,
+        cache: _,
+        analyze: _,
+    } = *cfg;
+    let revert = (revert_occupancy_gain, revert_length_penalty);
+    (scheduler, aco, revert, *occ)
 }
 
 /// One memoized compilation plus everything the equality gate compares.
@@ -502,7 +520,7 @@ impl ScheduleCache {
                 unreachable!("group entries filtered above")
             };
             writeln!(out, "key {key:#018x}")?;
-            write_cfg_line(out, &entry)?;
+            write_cfg_line(out, &entry.inputs)?;
             let text = textir::to_text(&ddg.unpack());
             writeln!(out, "ddg {}", text.lines().count())?;
             out.write_all(text.as_bytes())?;
@@ -666,10 +684,7 @@ fn is_permutation(order: &[InstrId], n: usize) -> bool {
 
 /// Folds the scheduling-relevant configuration ([`config_words`]) into a
 /// hasher.
-///
-/// `pub(crate)` so the S007 drift check ([`crate::analyze`]) can probe
-/// that every field the passes read really moves this hash.
-pub(crate) fn hash_config(h: &mut Fnv64, cfg: &PipelineConfig, occ: &OccupancyModel) {
+fn hash_config(h: &mut Fnv64, cfg: &PipelineConfig, occ: &OccupancyModel) {
     for w in config_words(&inputs(cfg, occ)) {
         h.word(w);
     }
@@ -685,47 +700,87 @@ const CAP_WORD: usize = 29;
 /// both the cache key and the `cfg` line of `schedcache v1` use: scheduler
 /// kind, the revert knobs, every `AcoConfig` field, and the machine model's
 /// full parameter signature.
-fn config_words((scheduler, a, revert, occ): &Inputs) -> [u64; 37] {
+///
+/// The structs are destructured with no `..` and an unused binding is an
+/// error, so a field added to `AcoConfig`, `Termination` or `GpuTuning`
+/// does not build until it has a word here (and a slot in
+/// [`parse_cfg_line`], whose struct literals are exhaustive too).
+#[deny(unused_variables)]
+fn config_words(&(scheduler, aco, (revert_gain, revert_penalty), occ): &Inputs) -> [u64; 37] {
+    let AcoConfig {
+        seed,
+        sequential_ants,
+        blocks,
+        threads_per_block,
+        decay,
+        q0,
+        beta,
+        initial_pheromone,
+        deposit,
+        tau_min,
+        tau_max,
+        termination:
+            Termination {
+                small,
+                medium,
+                large,
+                max_iterations,
+            },
+        heuristic,
+        optional_stall_budget,
+        tuning:
+            GpuTuning {
+                layout,
+                preallocate,
+                batched_transfer,
+                tight_ready_ub,
+                wavefront_level_choice,
+                stall_wavefront_fraction,
+                early_wavefront_termination,
+                per_wavefront_heuristics,
+            },
+        pass2_gate_cycles,
+        occupancy_cap,
+    } = aco;
     let kind = SchedulerKind::ALL
         .iter()
-        .position(|k| k == scheduler)
+        .position(|&k| k == scheduler)
         .expect("every kind is in ALL") as u64;
-    let (t, term) = (&a.tuning, &a.termination);
-    let layout = match t.layout {
+    let layout = match layout {
         MemLayout::Soa => 0,
         MemLayout::Aos => 1,
     };
     let head = [
         kind,
-        revert.0.into(),
-        revert.1.into(),
-        a.seed,
-        a.sequential_ants.into(),
-        a.blocks.into(),
-        a.threads_per_block.into(),
-        a.decay.to_bits(),
-        a.q0.to_bits(),
-        a.beta.to_bits(),
-        a.initial_pheromone.to_bits(),
-        a.deposit.to_bits(),
-        a.tau_min.to_bits(),
-        a.tau_max.to_bits(),
-        term.small.into(),
-        term.medium.into(),
-        term.large.into(),
-        term.max_iterations.into(),
-        heuristic_index(a.heuristic),
-        a.optional_stall_budget.to_bits(),
+        revert_gain.into(),
+        revert_penalty.into(),
+        seed,
+        sequential_ants.into(),
+        blocks.into(),
+        threads_per_block.into(),
+        decay.to_bits(),
+        q0.to_bits(),
+        beta.to_bits(),
+        initial_pheromone.to_bits(),
+        deposit.to_bits(),
+        tau_min.to_bits(),
+        tau_max.to_bits(),
+        small.into(),
+        medium.into(),
+        large.into(),
+        max_iterations.into(),
+        heuristic_index(heuristic),
+        optional_stall_budget.to_bits(),
         layout,
-        t.preallocate.into(),
-        t.batched_transfer.into(),
-        t.tight_ready_ub.into(),
-        t.wavefront_level_choice.into(),
-        t.stall_wavefront_fraction.to_bits(),
-        t.early_wavefront_termination.into(),
-        t.per_wavefront_heuristics.into(),
-        a.pass2_gate_cycles.into(),
-        a.occupancy_cap.map_or(u64::MAX, u64::from),
+        preallocate.into(),
+        batched_transfer.into(),
+        tight_ready_ub.into(),
+        wavefront_level_choice.into(),
+        stall_wavefront_fraction.to_bits(),
+        early_wavefront_termination.into(),
+        per_wavefront_heuristics.into(),
+        pass2_gate_cycles.into(),
+        occupancy_cap.map_or(u64::MAX, u64::from),
     ];
     let mut words = [0; 37];
     let sig = occ.signature().map(u64::from);
@@ -762,9 +817,9 @@ fn group_key(members: &[&Ddg], occ: &OccupancyModel, cfg: &PipelineConfig) -> u6
 
 // -------------------------------------------------------- persistence --
 
-fn write_cfg_line(out: &mut impl Write, e: &CacheEntry) -> io::Result<()> {
+fn write_cfg_line(out: &mut impl Write, inputs: &Inputs) -> io::Result<()> {
     write!(out, "cfg")?;
-    let words = config_words(&e.inputs);
+    let words = config_words(inputs);
     for (i, w) in words.into_iter().enumerate() {
         match i {
             _ if FLOAT_WORDS.contains(&i) => write!(out, " {w:x}")?,
@@ -815,7 +870,7 @@ fn parse_cfg_line(line: Line) -> io::Result<Inputs> {
         deposit: float(11),
         tau_min: float(12),
         tau_max: float(13),
-        termination: aco::Termination {
+        termination: Termination {
             small: int(14)?,
             medium: int(15)?,
             large: int(16)?,
@@ -823,7 +878,7 @@ fn parse_cfg_line(line: Line) -> io::Result<Inputs> {
         },
         heuristic,
         optional_stall_budget: float(19),
-        tuning: aco::GpuTuning {
+        tuning: GpuTuning {
             layout: match w[20] {
                 0 => MemLayout::Soa,
                 1 => MemLayout::Aos,
@@ -1265,6 +1320,77 @@ mod tests {
         assert_eq!(cache.stats().misses, 1);
     }
 
+    fn seed_99(c: &PipelineConfig) -> PipelineConfig {
+        PipelineConfig {
+            aco: AcoConfig { seed: 99, ..c.aco },
+            ..*c
+        }
+    }
+
+    fn aco_order(r: &RegionCompilation) -> Option<Vec<InstrId>> {
+        r.aco.as_ref().map(|a| a.order.clone())
+    }
+
+    /// The equality gate: an entry compiled under another configuration and
+    /// stored under this one's key holds valid schedules of the same region,
+    /// so re-certification passes it and only `inputs` equality keeps it out.
+    #[test]
+    fn a_solo_entry_of_another_seed_is_bypassed() {
+        let occ = machine_model::OccupancyModel::vega_like();
+        let c = cfg(SchedulerKind::ParallelAco);
+        let other = seed_99(&c);
+        let ddg = sample_ddg(7);
+        let want = compile_region(&ddg, &occ, &c);
+        let planted = compile_region(&ddg, &occ, &other);
+        assert_ne!(
+            aco_order(&want),
+            aco_order(&planted),
+            "the seeds must differ"
+        );
+        let cache = ScheduleCache::new();
+        let key = solo_key(&ddg, &occ, &c);
+        let entry = solo_entry(&ddg, &occ, &other, &planted);
+        cache.shard(key).insert(key, Arc::new(entry));
+        assert!(comps_eq(&want, &cache.compile_solo(&ddg, &occ, &c)));
+        assert_eq!((cache.stats().hits, cache.stats().bypasses), (0, 1));
+    }
+
+    /// The same gate on a batch group's entry.
+    #[test]
+    fn a_group_entry_of_another_seed_is_bypassed() {
+        let occ = machine_model::OccupancyModel::vega_like();
+        let mut c = cfg(SchedulerKind::BatchedParallelAco);
+        c.aco.blocks = 16;
+        let other = seed_99(&c);
+        let suite = Suite::generate(&SuiteConfig::scaled(7, 0.008));
+        let members: Vec<&Ddg> = suite.kernels[0].regions.iter().take(3).collect();
+        assert!(members.len() >= 2, "need a real group");
+        let want = compile_batch_group(&members, &occ, &c);
+        let planted = compile_batch_group(&members, &occ, &other);
+        let orders = |g: &[(PipelineConfig, RegionCompilation)]| -> Vec<_> {
+            g.iter().map(|(_, r)| aco_order(r)).collect()
+        };
+        assert_ne!(orders(&want), orders(&planted), "the seeds must differ");
+        let cache = ScheduleCache::new();
+        let key = group_key(&members, &occ, &c);
+        let entry = CacheEntry {
+            inputs: inputs(&other, &occ),
+            stamp: AtomicU64::new(0),
+            payload: Payload::Group {
+                ddgs: members.iter().copied().map(PackedDdg::new).collect(),
+                comps: planted.into_iter().map(|(_, comp)| comp).collect(),
+            },
+        };
+        cache.shard(key).insert(key, Arc::new(entry));
+        let got = cache.compile_group(&members, &occ, &c);
+        assert_eq!(got.len(), want.len());
+        for ((cfg_a, comp_a), (cfg_b, comp_b)) in want.iter().zip(&got) {
+            assert_eq!(cfg_a, cfg_b);
+            assert!(comps_eq(comp_a, comp_b));
+        }
+        assert_eq!((cache.stats().hits, cache.stats().bypasses), (0, 1));
+    }
+
     #[test]
     fn save_load_roundtrip_preserves_solo_entries() {
         let occ = machine_model::OccupancyModel::vega_like();
@@ -1413,6 +1539,86 @@ mod tests {
     /// A repeated key used to replace the earlier entry while the `eof`
     /// count counted both, so the file loaded and saved back one entry
     /// short. It is now an error at the second key.
+    /// A `cfg` line gives back the configuration it was written from. Every
+    /// field is off its `paper()` value and every word that is not a flag
+    /// is distinct, so two fields that share a slot cannot both survive;
+    /// the flags, which can only be 0 or 1, are set back one at a time.
+    #[test]
+    fn a_cfg_line_round_trips_every_field() {
+        let base: Inputs = (
+            SchedulerKind::BatchedParallelAco,
+            AcoConfig {
+                seed: 103,
+                sequential_ants: 104,
+                blocks: 105,
+                threads_per_block: 106,
+                decay: 0.5,
+                q0: 0.75,
+                beta: 3.5,
+                initial_pheromone: 2.5,
+                deposit: 1.5,
+                tau_min: 0.125,
+                tau_max: 16.0,
+                termination: Termination {
+                    small: 114,
+                    medium: 115,
+                    large: 116,
+                    max_iterations: 117,
+                },
+                heuristic: Heuristic::AmdMaxOccupancy,
+                optional_stall_budget: 0.625,
+                tuning: GpuTuning {
+                    layout: MemLayout::Aos,
+                    preallocate: false,
+                    batched_transfer: false,
+                    tight_ready_ub: false,
+                    wavefront_level_choice: false,
+                    stall_wavefront_fraction: 0.375,
+                    early_wavefront_termination: false,
+                    per_wavefront_heuristics: false,
+                },
+                pass2_gate_cycles: 128,
+                occupancy_cap: Some(129),
+            },
+            (101, 102),
+            OccupancyModel::from_signature([131, 132, 133, 134, 135, 136, 137]),
+        );
+        let paper = inputs(
+            &PipelineConfig::paper(SchedulerKind::ParallelAco, 0),
+            &OccupancyModel::vega_like(),
+        );
+        const FLAGS: [usize; 7] = [20, 21, 22, 23, 24, 26, 27];
+        let (words, paper_words) = (config_words(&base), config_words(&paper));
+        assert!(words.iter().zip(&paper_words).all(|(w, p)| w != p));
+        let others: HashSet<u64> = (0..words.len())
+            .filter(|i| !FLAGS.contains(i))
+            .map(|i| words[i])
+            .collect();
+        assert_eq!(others.len(), words.len() - FLAGS.len());
+
+        let flag_backs: [fn(&mut GpuTuning); 7] = [
+            |t| t.layout = MemLayout::Soa,
+            |t| t.preallocate = true,
+            |t| t.batched_transfer = true,
+            |t| t.tight_ready_ub = true,
+            |t| t.wavefront_level_choice = true,
+            |t| t.early_wavefront_termination = true,
+            |t| t.per_wavefront_heuristics = true,
+        ];
+        let variants = flag_backs.iter().map(|set| {
+            let mut v = base;
+            set(&mut v.1.tuning);
+            v
+        });
+        for want in std::iter::once(base).chain(variants) {
+            let mut line = Vec::new();
+            write_cfg_line(&mut line, &want).unwrap();
+            let mut r = Records::new(&line[..], "schedcache");
+            let got = parse_cfg_line(r.expect_line("cfg").unwrap()).unwrap();
+            assert_eq!(got, want, "{}", String::from_utf8_lossy(&line));
+        }
+    }
+
     #[test]
     fn a_repeated_key_is_a_positioned_error() {
         let lines = saved_lines();

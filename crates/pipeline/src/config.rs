@@ -133,8 +133,8 @@ impl Default for CacheConfig {
 /// When enabled, every compiled region is run through `sched-analyze`'s
 /// exact S-code passes — the DDG itself (S001–S004) and the winning
 /// schedule's claimed length/PRP against recomputed lower bounds
-/// (S005/S006) — plus a once-per-suite S007 cache-key coverage check, and
-/// the findings are aggregated into [`crate::AnalysisReport`]. Analysis is
+/// (S005/S006) — and the findings are aggregated into
+/// [`crate::AnalysisReport`]. Analysis is
 /// read-only: schedules, records, and golden fingerprints are bitwise
 /// identical on and off. Defaults to **off** because the closure-based
 /// passes cost real time on large suites; the CI gate and

@@ -31,9 +31,8 @@
 //!   region instance, so results are byte-identical cache on and off
 //!   ([`PipelineConfig::cache`]),
 //! * **in-pipeline static analysis** ([`analyze`]) — the `sched-analyze`
-//!   S-code passes run read-only over every compiled region plus a
-//!   once-per-suite cache-key coverage check, aggregated into
-//!   [`SuiteRun::analysis`] ([`PipelineConfig::analyze`]).
+//!   S-code passes run read-only over every compiled region, aggregated
+//!   into [`SuiteRun::analysis`] ([`PipelineConfig::analyze`]).
 
 #![forbid(unsafe_code)]
 
@@ -46,7 +45,7 @@ pub mod host_pool;
 pub mod region;
 pub mod suite_run;
 
-pub use analyze::{analyze_region, check_config_drift, AnalysisReport};
+pub use analyze::{analyze_region, AnalysisReport};
 pub use batch::plan_batches;
 pub use cache::{CacheStats, ScheduleCache};
 pub use config::{AnalyzeConfig, BatchingConfig, CacheConfig, PipelineConfig, SchedulerKind};

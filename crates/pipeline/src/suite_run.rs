@@ -1,6 +1,6 @@
 //! Compiling an entire benchmark suite and aggregating its statistics.
 
-use crate::analyze::{analyze_region, check_config_drift, AnalysisReport};
+use crate::analyze::{analyze_region, AnalysisReport};
 use crate::cache::{CacheStats, ScheduleCache};
 use crate::config::PipelineConfig;
 use crate::exec_model::{
@@ -89,11 +89,6 @@ pub struct SuiteRun {
 }
 
 impl SuiteRun {
-    /// Total scheduling time across all regions, seconds.
-    pub fn sched_time_s(&self) -> f64 {
-        self.regions.iter().map(|r| r.sched_time_us).sum::<f64>() / 1e6
-    }
-
     /// Number of regions ACO processed in pass 1.
     pub fn pass1_count(&self) -> usize {
         self.regions.iter().filter(|r| r.pass1_processed).count()
@@ -468,12 +463,8 @@ where
         // In-pipeline static analysis covers exactly the compilations the
         // observer sees (including capped re-schedules) and never mutates
         // one, so it cannot perturb the run. The per-region passes ran in
-        // the jobs; only the once-per-suite S007 check runs here.
-        let analysis = cfg.analyze.enabled.then(|| {
-            let mut rep = AnalysisReport::default();
-            rep.absorb(check_config_drift(cfg, occ));
-            rep
-        });
+        // the jobs; the merge only absorbs their findings.
+        let analysis = cfg.analyze.enabled.then(AnalysisReport::default);
         let mut slots = Vec::with_capacity(max_regions);
         if let Some(first) = suite.kernels.first() {
             slots.resize_with(first.regions.len(), || None);

@@ -90,9 +90,6 @@ pub mod codes {
     pub const PRP_INFEASIBLE: &str = "S005";
     /// A claimed schedule length below the critical-path lower bound.
     pub const LENGTH_INFEASIBLE: &str = "S006";
-    /// Configuration-fingerprint drift: a scheduling-relevant field is
-    /// not covered by the cache key.
-    pub const CONFIG_DRIFT: &str = "S007";
 }
 
 /// Which graph object a finding is about.

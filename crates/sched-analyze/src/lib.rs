@@ -2,9 +2,8 @@
 //!
 //! Where `sched-verify` certifies scheduler *outputs* (C-codes over a
 //! finished schedule), this crate analyzes *inputs and claims*: the
-//! dependence graph a scheduler is about to consume, the metrics it
-//! reports back, and the configuration fingerprint the schedule cache
-//! keys on. Every pass is **exact** — backed by a recomputed ground
+//! dependence graph a scheduler is about to consume and the metrics it
+//! reports back. Every pass is **exact** — backed by a recomputed ground
 //! truth, never a heuristic — and reports clippy-style diagnostics with
 //! stable S-codes, deny/warn/pedantic severities, text-IR source spans,
 //! machine-readable JSON, and baseline suppression.
@@ -20,9 +19,8 @@
 //!   schedule-length and (bitset cut) register-pressure lower bounds;
 //! * [`passes`] — the S-code passes (S001 exact transitive reduction,
 //!   S002 cycles, S003 orphans, S004 machine-model latency, S005/S006
-//!   infeasible PRP/length claims, S007 config-fingerprint drift), with
-//!   [`analyze_with_claims`] running all of a region's over one set of
-//!   facts;
+//!   infeasible PRP/length claims), with [`analyze_with_claims`] running
+//!   all of a region's over one set of facts;
 //! * [`diag`] — findings, severities, renderers, and baselines: the one
 //!   diagnostics model of the workspace (`sched-verify` reports through
 //!   it too);
@@ -55,6 +53,5 @@ pub mod passes;
 pub use diag::{codes, render_json, render_text, Anchor, Baseline, Finding, Level, LevelCounts};
 pub use graph::{RegionEdge, RegionGraph};
 pub use passes::{
-    analyze_graph, analyze_with_claims, check_claims, check_config_coverage, op_kind_of_name,
-    ConfigProbe, ScheduleClaim,
+    analyze_graph, analyze_with_claims, check_claims, op_kind_of_name, ScheduleClaim,
 };

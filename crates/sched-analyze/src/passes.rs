@@ -8,12 +8,10 @@
 //! | S004 | deny     | edge latency disagrees with the machine model    |
 //! | S005 | deny     | claimed PRP below the exact static lower bound   |
 //! | S006 | deny     | claimed length below the critical-path bound     |
-//! | S007 | deny     | config field not covered by the cache key        |
 //!
 //! S001–S004 are *graph* passes over a [`RegionGraph`]
 //! ([`analyze_graph`]); S005/S006 check a scheduler's [`ScheduleClaim`]
-//! against recomputed lower bounds ([`check_claims`]); S007 is a generic
-//! coverage check over any config type ([`check_config_coverage`]).
+//! against recomputed lower bounds ([`check_claims`]).
 //! [`analyze_with_claims`] runs the graph passes and any number of claim
 //! checks over one set of per-region facts — one topological order, one
 //! pair of lower bounds — and is what per-region callers use.
@@ -281,47 +279,6 @@ pub fn analyze_with_claims(g: &RegionGraph, claims: &[ScheduleClaim]) -> Vec<Fin
     findings
 }
 
-/// One mutation probe of a config type for S007: flipping `field` must
-/// change the fingerprint.
-pub struct ConfigProbe<C> {
-    /// Name of the config field the probe perturbs.
-    pub field: &'static str,
-    /// Sets the field to a value different from any default.
-    pub mutate: fn(&mut C),
-}
-
-/// S007: checks that a fingerprint function covers every probed config
-/// field. For each probe, the config is cloned, mutated, and
-/// re-fingerprinted; an unchanged fingerprint means a scheduling-relevant
-/// field is missing from the cache key, so stale cached schedules could be
-/// served for a different configuration.
-pub fn check_config_coverage<C: Clone>(
-    base: &C,
-    probes: &[ConfigProbe<C>],
-    fingerprint: impl Fn(&C) -> u64,
-) -> Vec<Finding> {
-    let base_fp = fingerprint(base);
-    let mut findings = Vec::new();
-    for probe in probes {
-        let mut mutated = base.clone();
-        (probe.mutate)(&mut mutated);
-        if fingerprint(&mutated) == base_fp {
-            findings.push(Finding::new(
-                codes::CONFIG_DRIFT,
-                Level::Deny,
-                Anchor::ConfigField(probe.field),
-                format!(
-                    "mutating config field `{}` leaves the cache fingerprint at \
-                     {base_fp:#018x}: cached schedules would be reused across \
-                     configs that schedule differently",
-                    probe.field
-                ),
-            ));
-        }
-    }
-    findings
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,31 +397,5 @@ mod tests {
             vec![codes::LENGTH_INFEASIBLE, codes::PRP_INFEASIBLE]
         );
         assert!(f.iter().all(|f| f.level == Level::Deny));
-    }
-
-    #[test]
-    fn config_coverage_flags_uncovered_fields() {
-        #[derive(Clone)]
-        struct Cfg {
-            covered: u64,
-            ignored: u64,
-        }
-        let probes = [
-            ConfigProbe::<Cfg> {
-                field: "covered",
-                mutate: |c| c.covered += 1,
-            },
-            ConfigProbe::<Cfg> {
-                field: "ignored",
-                mutate: |c| c.ignored += 1,
-            },
-        ];
-        let base = Cfg {
-            covered: 1,
-            ignored: 2,
-        };
-        let f = check_config_coverage(&base, &probes, |c| c.covered.wrapping_mul(0x9e37));
-        assert_eq!(codes_of(&f), vec![codes::CONFIG_DRIFT]);
-        assert_eq!(f[0].anchor, Anchor::ConfigField("ignored"));
     }
 }

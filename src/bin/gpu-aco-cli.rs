@@ -39,12 +39,11 @@
 //! `analyze` runs the exact static dataflow passes (`sched-analyze`):
 //! S001 transitive-redundant edges, S002 cycles with a minimal witness,
 //! S003 orphan nodes, S004 latencies that contradict the machine model,
-//! S005/S006 infeasible pressure/length claims against the AMD heuristic's
-//! schedule, and the S007 cache-key coverage check. Findings carry source
-//! spans from the region file; `--json` emits the machine-readable report
-//! (`sched-analyze-findings/v1`) the CI deny-gate consumes; a baseline
-//! file suppresses known findings. Exit is nonzero iff an unsuppressed
-//! deny-level finding remains.
+//! and S005/S006 infeasible pressure/length claims against the AMD
+//! heuristic's schedule. Findings carry source spans from the region file;
+//! `--json` emits the machine-readable report (`sched-analyze-findings/v1`)
+//! the CI deny-gate consumes; a baseline file suppresses known findings.
+//! Exit is nonzero iff an unsuppressed deny-level finding remains.
 //!
 //! Flags and positionals come in any order. An unknown, valueless or
 //! repeated flag is a usage error, so a mistyped command line never runs a
@@ -517,7 +516,7 @@ fn verify(argv: &[String]) -> Result<(), String> {
 }
 
 /// `analyze`: the exact S-code dataflow passes over one or more region
-/// files, plus the once-per-invocation S007 cache-key coverage check.
+/// files.
 ///
 /// Files are parsed with [`textir::parse_raw`] so structurally broken
 /// regions (cycles, dangling edge endpoints) still analyze — a cyclic
@@ -527,7 +526,6 @@ fn verify(argv: &[String]) -> Result<(), String> {
 /// bounds (S005/S006).
 fn analyze(argv: &[String]) -> Result<(), String> {
     use gpu_aco::analyze as sa;
-    use gpu_aco::compile::check_config_drift;
 
     let args = Args::parse(
         argv,
@@ -555,10 +553,6 @@ fn analyze(argv: &[String]) -> Result<(), String> {
         let file_findings = sa::analyze_with_claims(&g, claim.as_slice());
         findings.extend(file_findings.into_iter().map(|f| f.in_file(path)));
     }
-    findings.extend(check_config_drift(
-        &PipelineConfig::paper(SchedulerKind::ParallelAco, 0),
-        &occ,
-    ));
     if !args.has("--pedantic") {
         findings.retain(|f| f.level > sa::Level::Pedantic);
     }

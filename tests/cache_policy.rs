@@ -1,12 +1,17 @@
-//! Which suite jobs the schedule cache serves. A job that runs a colony
-//! is memoized; a list-scheduled job (`BaseAmd`, `CriticalPath`) compiles
-//! directly, because its compile costs about what a certified hit does.
-//! Either way the suite's results are the cache-off results, bit for bit.
+//! Which suite jobs the schedule cache serves, and which configuration an
+//! entry answers. A job that runs a colony is memoized; a list-scheduled
+//! job (`BaseAmd`, `CriticalPath`) compiles directly, because its compile
+//! costs about what a certified hit does. Either way the suite's results
+//! are the cache-off results, bit for bit. A persisted entry is answered
+//! only under the configuration it was compiled under, and the keys and
+//! `cfg` lines a file holds stay what earlier builds wrote.
 
 use machine_model::OccupancyModel;
 use pipeline::{
-    compile_suite_with_cache, CacheStats, PipelineConfig, ScheduleCache, SchedulerKind, SuiteRun,
+    compile_region, compile_suite_with_cache, CacheStats, PipelineConfig, RegionCompilation,
+    ScheduleCache, SchedulerKind, SuiteRun,
 };
+use std::path::Path;
 use workloads::{Suite, SuiteConfig};
 
 fn cfg(kind: SchedulerKind, threads: usize) -> PipelineConfig {
@@ -61,5 +66,94 @@ fn a_duplicate_heavy_aco_suite_still_fills_the_cache_and_hits() {
                 run.cache
             );
         }
+    }
+}
+
+/// What a compilation answers: the final choice and every schedule.
+fn answer(c: &RegionCompilation) -> impl PartialEq + std::fmt::Debug {
+    let aco = c
+        .aco
+        .as_ref()
+        .map(|a| (a.schedule.clone(), a.order.clone()));
+    let heur = (c.heuristic.schedule.clone(), c.heuristic.order.clone());
+    (c.choice, c.length, c.occupancy, c.reverted, heur, aco)
+}
+
+/// One solo entry compiled under `c`, as the file `save_to_writer` writes.
+fn saved_entry(ddg: &sched_ir::Ddg, c: &PipelineConfig) -> String {
+    let cache = ScheduleCache::new();
+    cache.compile_solo(ddg, &OccupancyModel::vega_like(), c);
+    let mut out = Vec::new();
+    cache.save_to_writer(&mut out).unwrap();
+    String::from_utf8(out).unwrap()
+}
+
+fn key_line(file: &str) -> &str {
+    file.lines()
+        .find(|l| l.starts_with("key "))
+        .expect("one entry")
+}
+
+/// A loaded entry whose `key` line is rewritten to another seed's key
+/// holds valid schedules of the same region, so re-certification passes
+/// it; the configuration its `cfg` line names keeps it from answering.
+#[test]
+fn a_persisted_entry_under_another_seeds_key_is_bypassed() {
+    let occ = OccupancyModel::vega_like();
+    let ddg = workloads::patterns::sized(40, 7);
+    let ours = cfg(SchedulerKind::ParallelAco, 1);
+    let theirs = PipelineConfig {
+        aco: aco::AcoConfig {
+            seed: 99,
+            ..ours.aco
+        },
+        ..ours
+    };
+    let want = compile_region(&ddg, &occ, &ours);
+    assert_ne!(
+        answer(&want),
+        answer(&compile_region(&ddg, &occ, &theirs)),
+        "the two seeds must schedule this region differently"
+    );
+    let their_file = saved_entry(&ddg, &theirs);
+    let our_file = saved_entry(&ddg, &ours);
+    let forged = their_file.replacen(key_line(&their_file), key_line(&our_file), 1);
+    assert_ne!(forged, their_file);
+
+    let cache = ScheduleCache::load_from_reader(forged.as_bytes()).expect("a well-formed file");
+    let got = cache.compile_solo(&ddg, &occ, &ours);
+    assert_eq!(answer(&got), answer(&want));
+    let s = cache.stats();
+    assert_eq!((s.hits, s.misses, s.bypasses), (0, 0, 1));
+}
+
+/// The keys and `cfg` lines of a file written before the configuration's
+/// word list was restated: each region hits under the configuration the
+/// CLI compiled it with.
+#[test]
+fn a_file_written_by_an_earlier_build_hits_under_its_own_configuration() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let read = |name: &str| std::fs::read_to_string(fixtures.join(name)).unwrap();
+    let cache = ScheduleCache::load_from_reader(read("parent_schedcache_v1.cache").as_bytes())
+        .expect("the fixture loads");
+    let occ = OccupancyModel::vega_like();
+    let mut par = PipelineConfig::paper(SchedulerKind::ParallelAco, 0);
+    par.aco.blocks = 4;
+    for (region, c) in [
+        (
+            "parent_region_b.txt",
+            PipelineConfig::paper(SchedulerKind::BaseAmd, 0),
+        ),
+        ("parent_region_a.txt", par),
+        (
+            "parent_region_c.txt",
+            PipelineConfig::paper(SchedulerKind::SequentialAco, 7),
+        ),
+    ] {
+        let ddg = sched_ir::textir::parse(&read(region)).unwrap();
+        let before = cache.stats();
+        cache.compile_solo(&ddg, &occ, &c);
+        let s = cache.stats().since(before);
+        assert_eq!((s.hits, s.misses, s.bypasses), (1, 0, 0), "{region}");
     }
 }
