@@ -250,10 +250,16 @@ pub(crate) fn run<'a, E: Executor<'a>>(
     let target_cost = pass2_target(cfg, occ, best_cost);
 
     // ---- Pass 2: minimise length under the pass-1 cost constraint. ----
+    // A schedule on the length bound is optimal, so pass 2 is skipped, and
+    // a pass 2 that reaches the bound stops. The cycle threshold (Section
+    // VI-D) still measures its gap from `max(n, critical path)`: measured
+    // from the tighter bound, a 21-cycle threshold gates out regions pass 2
+    // still shortens.
     let len_lb = ddg.schedule_length_lb();
+    let gate_floor = (n as Cycle).max(ddg.critical_path_length());
     let gate = cfg.pass2_gate_cycles.max(1) as Cycle;
     let mut pass2 = PassStats::default();
-    if best_length >= len_lb + gate {
+    if best_length > len_lb && best_length >= gate_floor + gate {
         colony.pheromone.reset();
         // The incumbent's cycles live in a plain buffer during the search
         // and become a `Schedule` exactly once, by move, after it.

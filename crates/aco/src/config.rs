@@ -156,9 +156,10 @@ pub struct AcoConfig {
     /// GPU optimization toggles (parallel scheduler only).
     pub tuning: GpuTuning,
     /// Pass-2 gate: run the ILP pass only when the pass-2 input schedule is
-    /// at least this many cycles above the length lower bound. The paper's
+    /// at least this many cycles above `max(n, critical path)`. The paper's
     /// compile-time filter settles on 21 cycles (Section VI-D, Table 7);
-    /// 0 disables the gate.
+    /// 0 disables the gate. Independently of it, an input on the length
+    /// lower bound (`Ddg::schedule_length_lb`) is optimal and skips pass 2.
     pub pass2_gate_cycles: u32,
     /// Kernel-level occupancy target: when set, pass 2's pressure
     /// constraint is relaxed to the APRP band of this occupancy — pressure

@@ -99,9 +99,9 @@ pub struct ParallelOutcome {
 /// ```
 /// use aco::{AcoConfig, ParallelScheduler};
 /// use machine_model::{OccupancyLut, OccupancyModel};
-/// use sched_ir::figure1;
 ///
-/// let ddg = figure1::ddg();
+/// // A generated region above its length bound, so the colony launches.
+/// let ddg = workloads::patterns::sized(40, 3);
 /// let occ = OccupancyModel::vega_like();
 /// let out = ParallelScheduler::new(AcoConfig::small(42)).schedule(&ddg, &occ);
 /// out.result.schedule.validate(&ddg).unwrap();

@@ -177,7 +177,10 @@ mod tests {
     #[test]
     fn batched_time_attribution_sums_to_shared_cost() {
         let occ = OccupancyModel::vega_like();
-        let kernel = kernel_of_sizes(&[20, 35, 50, 80], 4200);
+        // A seed whose regions still search: under seed 4200 the length
+        // bound proves enough of them optimal before launch that the batch
+        // costs exactly what solo launches do.
+        let kernel = kernel_of_sizes(&[20, 35, 50, 80], 4208);
         let mut cfg = PipelineConfig::paper(SchedulerKind::BatchedParallelAco, 1);
         cfg.aco.blocks = 16;
         cfg.aco.pass2_gate_cycles = 1;

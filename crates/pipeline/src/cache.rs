@@ -103,6 +103,7 @@ use gpu_sim::MemLayout;
 use list_sched::{Heuristic, ScheduleResult};
 use machine_model::OccupancyModel;
 use reg_pressure::RegUniverse;
+use sched_ir::bounds::BOUND_VERSION;
 use sched_ir::record::{self, flag, Line, Records};
 use sched_ir::{ddg_content_fingerprint, textir, Cycle, Ddg, Fnv64, InstrId, PackedDdg, Schedule};
 use std::collections::{HashMap, HashSet};
@@ -683,8 +684,13 @@ fn is_permutation(order: &[InstrId], n: usize) -> bool {
 // ---------------------------------------------------------------- keys --
 
 /// Folds the scheduling-relevant configuration ([`config_words`]) into a
-/// hasher.
+/// hasher, after the length bound's [`BOUND_VERSION`]: entries store pass
+/// statistics the bound decides, so an entry a build with another bound
+/// persisted sits under another key and is a miss, never a replay. The
+/// version is in the key only, not in the `cfg` line, so `schedcache v1`
+/// files keep their format.
 fn hash_config(h: &mut Fnv64, cfg: &PipelineConfig, occ: &OccupancyModel) {
+    h.word(BOUND_VERSION);
     for w in config_words(&inputs(cfg, occ)) {
         h.word(w);
     }

@@ -88,7 +88,7 @@ pub mod codes {
     /// A claimed peak register pressure below the exact static lower
     /// bound: the claim is infeasible.
     pub const PRP_INFEASIBLE: &str = "S005";
-    /// A claimed schedule length below the critical-path lower bound.
+    /// A claimed schedule length below the length lower bound.
     pub const LENGTH_INFEASIBLE: &str = "S006";
 }
 

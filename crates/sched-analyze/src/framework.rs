@@ -4,7 +4,8 @@
 //! [`RegionGraph`] — topological order via Kahn's algorithm (returning a
 //! minimal witness cycle instead of an order when the graph is cyclic),
 //! the descendant and ancestor reachability closures as bit matrices,
-//! levels (earliest starts), the exact transitive reduction behind S001,
+//! levels (earliest starts) and tails (distances to a leaf), the exact
+//! transitive reduction behind S001,
 //! and the schedule-length and register-pressure lower bounds the
 //! claim-checking passes compare against.
 //!
@@ -159,6 +160,21 @@ pub fn levels(g: &RegionGraph, order: &[u32]) -> Vec<u64> {
     level
 }
 
+/// Tail of every node: the longest effective-latency path to any leaf,
+/// counting the node's own issue cycle (a leaf's tail is 1).
+pub fn tails(g: &RegionGraph, order: &[u32]) -> Vec<u64> {
+    let mut tail = vec![1u64; g.len()];
+    for &v in order.iter().rev() {
+        for e in g.succ_edges(v) {
+            let cand = tail[e.to as usize] + eff(e.latency);
+            if cand > tail[v as usize] {
+                tail[v as usize] = cand;
+            }
+        }
+    }
+    tail
+}
+
 /// One transitively redundant edge, with the implied-path evidence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RedundantEdge {
@@ -247,13 +263,12 @@ pub fn redundant_edges(g: &RegionGraph, order: &[u32]) -> Vec<RedundantEdge> {
 }
 
 /// Lower bound on the length (in cycles) of any single-issue schedule of
-/// the region: `max(node count, longest effective-latency path + 1)`.
+/// the region: the one-machine heads-and-tails bound
+/// ([`sched_ir::bounds::heads_tails_length_lb`]) over this module's own
+/// [`levels`] and [`tails`], which is never below the node count or the
+/// longest effective-latency path + 1.
 pub fn length_lower_bound(g: &RegionGraph, order: &[u32]) -> u64 {
-    if g.is_empty() {
-        return 0;
-    }
-    let cp = levels(g, order).into_iter().max().unwrap_or(0) + 1;
-    (g.len() as u64).max(cp)
+    sched_ir::bounds::heads_tails_length_lb(&levels(g, order), &tails(g, order))
 }
 
 /// Where one register is defined and used, for [`pressure_lower_bound`].

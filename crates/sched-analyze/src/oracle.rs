@@ -252,7 +252,7 @@ pub(crate) fn check_claims(g: &RegionGraph, claim: &ScheduleClaim) -> Vec<Findin
             Level::Deny,
             Anchor::Claim("schedule_length"),
             format!(
-                "{} claims schedule length {} but the critical-path lower bound \
+                "{} claims schedule length {} but the length lower bound \
                  is {}: the claim is infeasible",
                 claim.source, claim.length, length_lb
             ),

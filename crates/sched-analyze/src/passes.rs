@@ -7,7 +7,7 @@
 //! | S003 | warn     | orphan node: no edges, no defs, no uses          |
 //! | S004 | deny     | edge latency disagrees with the machine model    |
 //! | S005 | deny     | claimed PRP below the exact static lower bound   |
-//! | S006 | deny     | claimed length below the critical-path bound     |
+//! | S006 | deny     | claimed length below the heads-and-tails bound   |
 //!
 //! S001–S004 are *graph* passes over a [`RegionGraph`]
 //! ([`analyze_graph`]); S005/S006 check a scheduler's [`ScheduleClaim`]
@@ -227,7 +227,7 @@ impl LowerBounds {
                 Level::Deny,
                 Anchor::Claim("schedule_length"),
                 format!(
-                    "{} claims schedule length {} but the critical-path lower bound \
+                    "{} claims schedule length {} but the length lower bound \
                      is {}: the claim is infeasible",
                     claim.source, claim.length, self.length
                 ),
@@ -306,6 +306,24 @@ mod tests {
     fn figure1_is_clean() {
         let ddg = sched_ir::figure1::ddg();
         assert!(analyze_graph(&RegionGraph::from_ddg(&ddg)).is_empty());
+    }
+
+    #[test]
+    fn a_seven_cycle_figure1_claim_is_infeasible() {
+        // Seven cycles matches both the instruction count and the critical
+        // path, but single issue cannot reach it: the heads-and-tails bound
+        // of Figure 1 is 8 (see `sched_ir::figure1`).
+        let ddg = sched_ir::figure1::ddg();
+        let g = RegionGraph::from_ddg(&ddg);
+        let claim = |length| ScheduleClaim {
+            length,
+            prp: [u32::MAX; REG_CLASS_COUNT],
+            source: "test",
+        };
+        let findings = check_claims(&g, &claim(7));
+        assert_eq!(codes_of(&findings), [codes::LENGTH_INFEASIBLE]);
+        assert!(findings[0].message.contains("length lower bound is 8"));
+        assert!(check_claims(&g, &claim(8)).is_empty());
     }
 
     #[test]

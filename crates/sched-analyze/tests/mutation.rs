@@ -259,7 +259,7 @@ fn understated_claims_are_always_detected() {
         for (name, ddg) in clean_regions(seed) {
             let g = RegionGraph::from_ddg(&ddg);
             let honest = real_claim(&ddg, Heuristic::AmdMaxOccupancy);
-            // Understate the length below the critical-path bound.
+            // Understate the length below the length bound.
             let lying_length = ScheduleClaim {
                 length: (ddg.len() as u64).min(honest.length) - 1,
                 ..honest

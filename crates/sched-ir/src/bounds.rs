@@ -2,15 +2,31 @@
 //!
 //! The ACO pipeline gates its invocation on lower bounds (Section VI-A): a
 //! heuristic schedule that already matches the lower bound is provably
-//! optimal and ACO is skipped. This module provides
+//! optimal and ACO is skipped, and a pass that reaches the bound stops. This
+//! module provides
 //!
 //! * latency-weighted critical-path distances (forward and backward), which
-//!   also drive the Critical-Path guiding heuristic, and
-//! * schedule-length and register-pressure lower bounds.
+//!   also drive the Critical-Path guiding heuristic,
+//! * the schedule-length lower bound, [`heads_tails_length_lb`]: the optimum
+//!   of the one-machine relaxation with heads and tails (1|r_j,q_j|C_max over
+//!   unit jobs, the root bound of Carlier's branch and bound). Each
+//!   instruction is a unit job released at its earliest start and followed
+//!   by its distance to a leaf; only single issue and those two numbers
+//!   constrain it. The relaxation's optimum is never below the instruction
+//!   count or the critical path, so it replaces both, and
+//! * register-pressure lower bounds.
 
 use crate::ddg::Ddg;
 use crate::instr::{RegClass, RegTable, REG_CLASS_COUNT};
 use crate::schedule::Cycle;
+use std::collections::BinaryHeap;
+
+/// Version of [`Ddg::schedule_length_lb`], bumped with any change of the
+/// bound. The colony skips pass 2 on an input that sits on the bound and
+/// stops a pass that reaches it, so pass statistics depend on the bound; a
+/// store of compiled results folds this word into its keys, so a result
+/// computed under another bound is never replayed.
+pub const BOUND_VERSION: u64 = 2;
 
 /// Effective latency of a dependence edge under single-issue semantics:
 /// even a latency-0 edge separates producer and consumer by one cycle,
@@ -64,16 +80,21 @@ impl Ddg {
         self.distance_to_leaf().into_iter().max().unwrap_or(0)
     }
 
-    /// Lower bound on the length of any single-issue schedule:
-    /// `max(instruction count, critical path length)`.
+    /// Lower bound on the length of any single-issue schedule: the
+    /// heads-and-tails bound ([`heads_tails_length_lb`]) with each
+    /// instruction's head its [`Ddg::earliest_starts`] and its tail its
+    /// [`Ddg::distance_to_leaf`]. It is at least the instruction count and
+    /// at least the critical path length.
     ///
     /// ```
     /// use sched_ir::figure1;
     /// let ddg = figure1::ddg();
     /// assert!(ddg.schedule_length_lb() >= ddg.len() as u32);
+    /// assert!(ddg.schedule_length_lb() >= ddg.critical_path_length());
     /// ```
     pub fn schedule_length_lb(&self) -> Cycle {
-        (self.len() as Cycle).max(self.critical_path_length())
+        let lb = heads_tails_length_lb(&self.earliest_starts(), &self.distance_to_leaf());
+        Cycle::try_from(lb).expect("a length bound fits a cycle count")
     }
 
     /// Per-class register statistics of the region.
@@ -135,6 +156,52 @@ impl Ddg {
     }
 }
 
+/// The optimum of the one-machine heads-and-tails relaxation over unit jobs:
+/// job `j` may not issue before cycle `heads[j]`, one job issues per cycle,
+/// and a job issued at cycle `t` keeps the schedule running until at least
+/// `t + tails[j]`. Sweeping the cycles in order and issuing, each cycle, the
+/// released job with the largest tail (Jackson's rule) is optimal for unit
+/// jobs with integer heads, so the largest `t + tails[j]` it reaches bounds
+/// every schedule that respects the heads and tails from below.
+///
+/// With tails of at least 1 (a job's own cycle) the bound is at least the
+/// job count and at least every `heads[j] + tails[j]`. Costs O(n log n).
+///
+/// # Panics
+///
+/// Panics if the two slices differ in length.
+///
+/// ```
+/// use sched_ir::bounds::heads_tails_length_lb;
+/// // Three jobs released at 0 with tails 3, 3, 3: one of them issues at
+/// // cycle 2 and runs to 5, beyond both the count (3) and the path (3).
+/// assert_eq!(heads_tails_length_lb(&[0u32, 0, 0], &[3u32, 3, 3]), 5);
+/// ```
+pub fn heads_tails_length_lb<T: Copy + Into<u64>>(heads: &[T], tails: &[T]) -> u64 {
+    assert_eq!(heads.len(), tails.len(), "one tail per head");
+    let mut jobs: Vec<(u64, u64)> = heads
+        .iter()
+        .zip(tails)
+        .map(|(&r, &q)| (r.into(), q.into()))
+        .collect();
+    jobs.sort_unstable_by_key(|&(r, _)| r);
+    let mut released = BinaryHeap::with_capacity(jobs.len());
+    let (mut next, mut t, mut lb) = (0, 0, 0);
+    while next < jobs.len() || !released.is_empty() {
+        if released.is_empty() {
+            t = t.max(jobs[next].0);
+        }
+        while let Some(&(_, q)) = jobs.get(next).filter(|&&(r, _)| r <= t) {
+            released.push(q);
+            next += 1;
+        }
+        let q = released.pop().expect("a job is released by cycle t");
+        lb = lb.max(t + q);
+        t += 1;
+    }
+    lb
+}
+
 /// Per-class register statistics of a region (see [`Ddg::reg_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegStats {
@@ -183,6 +250,28 @@ mod tests {
         let g = bld.build().unwrap();
         assert_eq!(g.critical_path_length(), 1);
         assert_eq!(g.schedule_length_lb(), 5);
+    }
+
+    #[test]
+    fn single_issue_serializes_producers_with_long_tails() {
+        // a, b, c --2--> d: count 4, critical path 3, but the third
+        // producer issues at cycle 2 and d two cycles after it.
+        let mut bld = DdgBuilder::new();
+        let d = bld.instr("d", [], []);
+        for name in ["a", "b", "c"] {
+            let p = bld.instr(name, [], []);
+            bld.edge(p, d, 2).unwrap();
+        }
+        let g = bld.build().unwrap();
+        assert_eq!(g.critical_path_length(), 3);
+        assert_eq!(g.schedule_length_lb(), 5);
+    }
+
+    #[test]
+    fn heads_tails_bound_sweeps_idle_cycles() {
+        // Nothing is released before cycle 4; then two jobs compete.
+        assert_eq!(heads_tails_length_lb(&[4u32, 4], &[2u32, 2]), 7);
+        assert_eq!(heads_tails_length_lb::<u32>(&[], &[]), 0);
     }
 
     #[test]

@@ -126,9 +126,15 @@ mod tests {
     }
 
     #[test]
-    fn unconstrained_lb_is_seven() {
+    fn unconstrained_lb_is_eight() {
+        // Seven instructions and a critical path of 7 (A -4-> E -2-> G),
+        // but no 7-cycle schedule exists: G at cycle 6 forces E <= 4 and
+        // F <= 5, hence A at 0 and both B and D at <= 1, and one issue slot
+        // per cycle cannot hold all three.
         let ddg = ddg();
-        assert_eq!(ddg.schedule_length_lb(), 7);
+        assert_eq!(ddg.len(), 7);
+        assert_eq!(ddg.critical_path_length(), 7);
+        assert_eq!(ddg.schedule_length_lb(), 8);
     }
 
     #[test]

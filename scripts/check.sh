@@ -11,7 +11,8 @@
 # binaries compiling, the `tables` bench regenerating EXPERIMENTS.md's
 # generated blocks, which must leave the file as committed (its wall time is
 # printed), the full-corpus flat-IR differential test, the long
-# text-IR parser, record-format and packed-region fuzz runs, the full lent-core equality
+# text-IR parser, record-format and packed-region fuzz runs, the long
+# brute-force soundness run of the length bound, the full lent-core equality
 # matrix, the long host-pool lost-wake-up stress, the occupancy LUT over a
 # grid of models, a truncated cache file that must be a positioned error, a CLI
 # verify smoke run on generated regions, a `schedule --threads 1` vs
@@ -77,6 +78,11 @@ if [[ "${1:-}" != "--fast" ]]; then
     # Tier-1 runs a few thousand cases of tests/record_fuzz.rs (schedcache,
     # serve framing); this is the long run.
     cargo test --release -q --test record_fuzz -- --ignored
+
+    echo "==> the length bound never exceeds the brute-force optimum: 20k DAGs"
+    # Tier-1 runs 500 DAGs of up to 7 instructions of
+    # tests/length_bound_oracle.rs; this is the long run, up to 8.
+    cargo test --release -q --test length_bound_oracle -- --ignored
 
     echo "==> a packed cached region answers as content_eq does: 60k cases"
     # Tier-1 runs 300 cases of tests/packed_ddg_fuzz.rs (random regions,

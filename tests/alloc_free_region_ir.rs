@@ -248,9 +248,10 @@ fn cli(args: &[&str], dir: &Path) -> std::process::Output {
 }
 
 #[test]
-fn a_schedcache_file_written_before_the_flat_ir_loads_and_every_entry_hits() {
-    // Written by `gpu-aco-cli schedule <region> <flags> --cache` at the
-    // parent commit, one entry per region file below.
+fn a_pre_flat_ir_schedcache_file_loads_then_misses_under_the_new_bound() {
+    // Written by `gpu-aco-cli schedule <region> <flags> --cache` at a commit
+    // before the flat IR, one entry per region file below, under the
+    // earlier length bound.
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let written = std::fs::read(fixtures.join("parent_schedcache_v1.cache")).unwrap();
 
@@ -270,26 +271,41 @@ fn a_schedcache_file_written_before_the_flat_ir_loads_and_every_entry_hits() {
     let cache_file = dir.join("sched.cache");
     std::fs::write(&cache_file, &written).unwrap();
     let cache_file = cache_file.to_string_lossy().into_owned();
-    for (region, flags) in [
+    let runs = [
         ("parent_region_a.txt", &["--blocks", "4"][..]),
         ("parent_region_b.txt", &["--scheduler", "amd"][..]),
         (
             "parent_region_c.txt",
             &["--scheduler", "seq", "--seed", "7"][..],
         ),
+    ];
+    // The entries hold pass statistics of the earlier bound, and the
+    // bound's version word in the key keeps them out: each region misses,
+    // not bypasses, and prints what an uncached run prints. The second
+    // round reads the file the first saved and hits.
+    for expected in [
+        "cache: 0 hits, 1 misses, 1 inserts, 0 bypasses",
+        "cache: 1 hits, 0 misses, 0 inserts, 0 bypasses",
     ] {
-        let region = fixtures.join(region).to_string_lossy().into_owned();
-        let mut args = vec!["schedule", &region];
-        args.extend_from_slice(flags);
-        args.extend_from_slice(&["--cache", &cache_file, "--cache-stats"]);
-        let out = cli(&args, &dir);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "{region}: {stderr}");
-        assert!(
-            stderr.contains("cache: 1 hits, 0 misses, 0 inserts, 0 bypasses"),
-            "{region}: {stderr}"
-        );
+        for (region, flags) in runs {
+            let region = fixtures.join(region).to_string_lossy().into_owned();
+            let mut args = vec!["schedule", &region];
+            args.extend_from_slice(flags);
+            let uncached = cli(&args, &dir);
+            args.extend_from_slice(&["--cache", &cache_file, "--cache-stats"]);
+            let out = cli(&args, &dir);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{region}: {stderr}");
+            assert!(stderr.contains(expected), "{region}: {stderr}");
+            assert!(
+                uncached.status.success() && out.stdout == uncached.stdout,
+                "{region}"
+            );
+        }
     }
-    // Hits insert nothing: the file the CLI saved back is still the parent's.
-    assert!(std::fs::read(&cache_file).unwrap() == written);
+    // Hits insert nothing: the file the second round saved holds the
+    // parent's three entries and this build's three.
+    let resaved = ScheduleCache::load_from(Path::new(&cache_file)).unwrap();
+    assert_eq!(resaved.len(), 6);
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -3,8 +3,8 @@
 //! job (`BaseAmd`, `CriticalPath`) compiles directly, because its compile
 //! costs about what a certified hit does. Either way the suite's results
 //! are the cache-off results, bit for bit. A persisted entry is answered
-//! only under the configuration it was compiled under, and the keys and
-//! `cfg` lines a file holds stay what earlier builds wrote.
+//! only under the configuration and the length bound it was compiled
+//! under, and a file earlier builds wrote still loads as written.
 
 use machine_model::OccupancyModel;
 use pipeline::{
@@ -127,19 +127,40 @@ fn a_persisted_entry_under_another_seeds_key_is_bypassed() {
     assert_eq!((s.hits, s.misses, s.bypasses), (0, 0, 1));
 }
 
-/// The keys and `cfg` lines of a file written before the configuration's
-/// word list was restated: each region hits under the configuration the
-/// CLI compiled it with.
+/// What a compilation records beyond its answer: the pass statistics and
+/// modeled time the length bound decides.
+fn record(c: &RegionCompilation) -> impl PartialEq + std::fmt::Debug {
+    let passes = c.aco.as_ref().map(|a| (a.pass1, a.pass2));
+    let flags = (c.pass1_processed, c.pass2_processed);
+    (answer(c), flags, c.sched_time_us.to_bits(), passes)
+}
+
+/// A file written before the length bound tightened, under the
+/// configurations the CLI compiled its regions with. It still loads and
+/// re-saves byte for byte, but its entries hold pass statistics the old
+/// bound decided, and the bound's version word in the key keeps them out:
+/// each region is a miss, not a bypass, and compiles as an uncached run
+/// does. A file this build saves then hits.
 #[test]
-fn a_file_written_by_an_earlier_build_hits_under_its_own_configuration() {
+fn a_file_written_under_an_earlier_length_bound_misses_and_a_resaved_file_hits() {
     let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let read = |name: &str| std::fs::read_to_string(fixtures.join(name)).unwrap();
-    let cache = ScheduleCache::load_from_reader(read("parent_schedcache_v1.cache").as_bytes())
-        .expect("the fixture loads");
+    let written = read("parent_schedcache_v1.cache");
+    let cache = ScheduleCache::load_from_reader(written.as_bytes()).expect("the fixture loads");
+    let save = |cache: &ScheduleCache| {
+        let mut out = Vec::new();
+        cache.save_to_writer(&mut out).unwrap();
+        out
+    };
+    assert!(
+        save(&cache) == written.as_bytes(),
+        "load + save must give the file back"
+    );
+
     let occ = OccupancyModel::vega_like();
     let mut par = PipelineConfig::paper(SchedulerKind::ParallelAco, 0);
     par.aco.blocks = 4;
-    for (region, c) in [
+    let regions = [
         (
             "parent_region_b.txt",
             PipelineConfig::paper(SchedulerKind::BaseAmd, 0),
@@ -149,11 +170,22 @@ fn a_file_written_by_an_earlier_build_hits_under_its_own_configuration() {
             "parent_region_c.txt",
             PipelineConfig::paper(SchedulerKind::SequentialAco, 7),
         ),
-    ] {
-        let ddg = sched_ir::textir::parse(&read(region)).unwrap();
-        let before = cache.stats();
-        cache.compile_solo(&ddg, &occ, &c);
-        let s = cache.stats().since(before);
-        assert_eq!((s.hits, s.misses, s.bypasses), (1, 0, 0), "{region}");
-    }
+    ]
+    .map(|(region, c)| (region, sched_ir::textir::parse(&read(region)).unwrap(), c));
+    let lookups = |cache: &ScheduleCache| {
+        regions.each_ref().map(|(region, ddg, c)| {
+            let before = cache.stats();
+            let got = cache.compile_solo(ddg, &occ, c);
+            assert_eq!(
+                record(&got),
+                record(&compile_region(ddg, &occ, c)),
+                "{region}"
+            );
+            let s = cache.stats().since(before);
+            (s.hits, s.misses, s.bypasses)
+        })
+    };
+    assert_eq!(lookups(&cache), [(0, 1, 0); 3]);
+    let resaved = ScheduleCache::load_from_reader(&save(&cache)[..]).expect("this build's file");
+    assert_eq!(lookups(&resaved), [(1, 0, 0); 3]);
 }

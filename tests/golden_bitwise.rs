@@ -26,26 +26,29 @@ use workloads::{Suite, SuiteConfig};
 use aco::{AcoConfig, ParallelScheduler, SequentialScheduler};
 
 /// Captured from the seed implementation (commit ef7a1ae) via
-/// `examples/golden_dump.rs`.
+/// `examples/golden_dump.rs`. The constants that fold pass-2 statistics
+/// were captured again when the length bound became the one-machine
+/// heads-and-tails bound: pass-2 iteration counts and modeled times moved,
+/// schedules did not.
 const SEQ_GOLDEN: &[(usize, u64, u64, u64)] = &[
     (40, 7, 3, 0x3f93_1651_838a_ada3),
     (80, 21, 9, 0x0943_f344_e143_39b2),
-    (120, 13, 5, 0x5497_62ff_7951_31b2),
+    (120, 13, 5, 0xbb9c_7931_fbe6_a777),
 ];
 
 const PAR_GOLDEN: &[(usize, u64, u64, u64)] = &[
     (40, 7, 3, 0x2b43_207a_72cb_91a3),
-    (80, 11, 3, 0xb352_e9e4_a96f_ecbf),
-    (120, 13, 5, 0x131d_e74f_15d6_bff2),
+    (80, 11, 3, 0xd3eb_90ef_57f5_0cc1),
+    (120, 13, 5, 0x7f5b_f476_a922_14b7),
 ];
 
-const BATCH_GOLDEN: u64 = 0x7dbd_576b_6740_b537;
+const BATCH_GOLDEN: u64 = 0x2246_4b3c_359a_b656;
 
 const SUITE_GOLDEN: &[(SchedulerKind, u64)] = &[
     (SchedulerKind::BaseAmd, 0x17ab_1421_e1f4_ab35),
-    (SchedulerKind::SequentialAco, 0xfae2_90c1_d504_8d86),
-    (SchedulerKind::ParallelAco, 0x0bab_ab0d_95ed_2a9b),
-    (SchedulerKind::BatchedParallelAco, 0xf4e9_8570_6500_64e0),
+    (SchedulerKind::SequentialAco, 0x1c9e_acdf_d73e_4ee4),
+    (SchedulerKind::ParallelAco, 0x3a98_329e_e7b6_c157),
+    (SchedulerKind::BatchedParallelAco, 0xd666_0215_adc6_c011),
 ];
 
 fn paper_cfg(seed: u64) -> AcoConfig {
