@@ -635,6 +635,8 @@ pub(crate) struct Pass2State<'a> {
     pending: Vec<u32>,
     /// `(instruction, cycle its operands become available)`.
     ready: Vec<(InstrId, Cycle)>,
+    /// Issue cycle of each issued instruction; an unissued one's slot holds
+    /// the latest operand arrival its issued producers have posted.
     cycles: Vec<Cycle>,
     order: Vec<InstrId>,
     now: Cycle,
@@ -908,18 +910,13 @@ impl<'a> Pass2State<'a> {
         self.order.push(id);
         self.last = Some(id);
         let mut succ_ops = 0u32;
-        for &(s, _) in ctx.ddg.succs(id) {
+        for &(s, lat) in ctx.ddg.succs(id) {
             succ_ops += 1;
+            let arrival = &mut self.cycles[s.index()];
+            *arrival = (*arrival).max(self.now + lat as Cycle);
             self.pending[s.index()] -= 1;
             if self.pending[s.index()] == 0 {
-                let rc = ctx
-                    .ddg
-                    .preds(s)
-                    .iter()
-                    .map(|&(p, lat)| self.cycles[p.index()] + lat as Cycle)
-                    .max()
-                    .unwrap_or(0);
-                self.ready.push((s, rc));
+                self.ready.push((s, *arrival));
             }
         }
         self.now += 1;
@@ -1127,7 +1124,9 @@ impl<'a> Pass2Ant<'a> {
         self.state.order()
     }
 
-    /// Per-instruction issue cycles (dense, indexed by instruction).
+    /// Per-instruction issue cycles (dense, indexed by instruction;
+    /// complete once [`Pass2Ant::finished`], and until then an unissued
+    /// instruction's entry is its operand arrival so far).
     pub fn cycles(&self) -> &[Cycle] {
         self.state.cycles()
     }

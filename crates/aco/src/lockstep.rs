@@ -494,7 +494,8 @@ impl<'a> Pass2Wavefront<'a> {
         self.slots[class].order()
     }
 
-    /// Per-instruction issue cycles of a class's lanes so far.
+    /// Per-instruction issue cycles of a class's lanes so far (an
+    /// unissued instruction's entry is its operand arrival so far).
     pub fn cycles(&self, class: usize) -> &[Cycle] {
         self.slots[class].cycles()
     }

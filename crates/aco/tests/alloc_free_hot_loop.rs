@@ -92,7 +92,7 @@ fn pass1_and_pass2_constructions_allocate_nothing() {
     }
     // Plain reset (the colony's per-iteration entry point) is silent too:
     // it seeds the ready list from the DDG's cached root set rather than
-    // re-deriving roots with a preds scan.
+    // re-deriving roots with a `pred_counts` scan.
     for seed in 20..24u64 {
         let (n, ()) = count_events(|| {
             ant1.reset(&ctx, seed);

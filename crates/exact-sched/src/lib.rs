@@ -108,7 +108,7 @@ impl<'a> Search<'a> {
             ddg,
             occ,
             pressure: PressureTracker::new(universe),
-            pending: ddg.ids().map(|i| ddg.preds(i).len() as u32).collect(),
+            pending: ddg.pred_counts().to_vec(),
             ready: ddg.roots().collect(),
             order: Vec::with_capacity(ddg.len()),
             cycles: vec![0; ddg.len()],
@@ -270,11 +270,20 @@ pub fn min_length_schedule(
         }
     }
     let mut s = Search::new(ddg, occ, &universe, cfg);
+    // Every instruction's `(producer, latency)` list, derived once from the
+    // successor rows for the earliest-fit cycle of each branch.
+    let mut preds: Vec<Vec<(InstrId, u16)>> = vec![Vec::new(); ddg.len()];
+    for p in ddg.ids() {
+        for &(succ, lat) in ddg.succs(p) {
+            preds[succ.index()].push((p, lat));
+        }
+    }
 
     /// `next_free` is the next issue slot of the earliest-fit schedule
     /// being built incrementally.
     fn dfs(
         s: &mut Search<'_>,
+        preds: &[Vec<(InstrId, u16)>],
         next_free: Cycle,
         target_cost: u64,
         len_lb: Cycle,
@@ -307,9 +316,7 @@ pub fn min_length_schedule(
             let snapshot = s.pressure.clone();
             let (id, added) = s.push(pos);
             // Earliest-fit issue cycle for `id`.
-            let earliest = s
-                .ddg
-                .preds(id)
+            let earliest = preds[id.index()]
                 .iter()
                 .map(|&(p, lat)| s.cycles[p.index()] + lat as Cycle)
                 .max()
@@ -317,13 +324,13 @@ pub fn min_length_schedule(
                 .max(next_free);
             let old_cycle = s.cycles[id.index()];
             s.cycles[id.index()] = earliest;
-            dfs(s, earliest + 1, target_cost, len_lb, best);
+            dfs(s, preds, earliest + 1, target_cost, len_lb, best);
             s.cycles[id.index()] = old_cycle;
             s.pop(id, pos, added);
             s.pressure = snapshot;
         }
     }
-    dfs(&mut s, 0, target_cost, len_lb, &mut best);
+    dfs(&mut s, &preds, 0, target_cost, len_lb, &mut best);
 
     let (_, order) = best?;
     let prp = reg_pressure::prp_of_order(ddg, &order);

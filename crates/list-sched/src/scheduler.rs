@@ -152,18 +152,15 @@ impl ListScheduler {
                     cycles[id.index()] = now;
                     pressure.issue(id);
                     order.push(id);
-                    for &(s, _) in ddg.succs(id) {
+                    for &(s, lat) in ddg.succs(id) {
+                        // Operands are available once every producer's
+                        // latency has elapsed: an unissued instruction's
+                        // cycle holds the latest arrival posted so far.
+                        let arrival = &mut cycles[s.index()];
+                        *arrival = (*arrival).max(now + lat as Cycle);
                         pending_preds[s.index()] -= 1;
                         if pending_preds[s.index()] == 0 {
-                            // Operands are available once every producer's
-                            // latency has elapsed.
-                            let rc = ddg
-                                .preds(s)
-                                .iter()
-                                .map(|&(p, lat)| cycles[p.index()] + lat as Cycle)
-                                .max()
-                                .unwrap_or(0);
-                            ready.push((s, rc));
+                            ready.push((s, *arrival));
                         }
                     }
                     now += 1;

@@ -96,8 +96,8 @@ impl DdgBuilder {
     ///
     /// Duplicate edges between the same pair are merged: the first keeps
     /// its position and takes the largest latency (the binding constraint).
-    /// Successor rows list edges in insertion order, predecessor rows in
-    /// global insertion order (the *stored order* of [`Ddg`]'s docs).
+    /// Successor rows list edges in insertion order (the *stored order* of
+    /// [`Ddg`]'s docs).
     ///
     /// # Errors
     ///
@@ -149,22 +149,22 @@ pub(crate) fn build(
     if edges.len() != added {
         (succ_off, by_from) = csr_rows(n, &edges, |e| e.0 .0);
     }
-    let (pred_off, by_to) = csr_rows(n, &edges, |e| e.1 .0);
-    // Predecessor rows follow the successor rows in the one edge block.
     assert!(
-        2 * edges.len() <= u32::MAX as usize,
+        edges.len() <= u32::MAX as usize,
         "region IR offsets fit u32"
     );
-    let bias = edges.len() as u32;
-    let mut offsets = Vec::with_capacity(3 * n + 2);
+    // The successor offsets, then the predecessor counts behind them.
+    let mut offsets = Vec::with_capacity(2 * n + 1);
     offsets.extend_from_slice(&succ_off);
-    offsets.extend(pred_off.iter().map(|&o| o + bias));
-    offsets.extend(pred_off.windows(2).map(|w| w[1] - w[0]));
-    let edge = |&e: &u32| edges[e as usize];
-    let mut flat = Vec::with_capacity(2 * edges.len());
-    flat.extend(by_from.iter().map(|e| (edge(e).1, edge(e).2)));
-    flat.extend(by_to.iter().map(|e| (edge(e).0, edge(e).2)));
-    let pred_counts = &offsets[2 * n + 2..];
+    offsets.resize(2 * n + 1, 0);
+    for e in &edges {
+        offsets[n + 1 + e.1.index()] += 1;
+    }
+    let flat: Vec<(InstrId, u16)> = by_from
+        .iter()
+        .map(|&e| (edges[e as usize].1, edges[e as usize].2))
+        .collect();
+    let pred_counts = &offsets[n + 1..];
 
     // Kahn's algorithm, FIFO by id: every node enters the order once, so it
     // is its own queue; the zero-indegree prefix is the root set, in id
@@ -266,7 +266,7 @@ mod tests {
         b.edge(a, c, 4).unwrap();
         let g = b.build().unwrap();
         assert_eq!(g.succs(a), &[(c, 9)]);
-        assert_eq!(g.preds(c), &[(a, 9)]);
+        assert!(g.succs(c).is_empty());
         // The cached count must agree with what the builder merged down to.
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.pred_counts(), &[0, 1]);
@@ -285,7 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn merged_duplicates_keep_first_position_in_both_directions() {
+    fn merged_duplicates_keep_first_position_in_their_row() {
         let mut b = DdgBuilder::new();
         let ids: Vec<InstrId> = (0..4)
             .map(|i| b.instr(format_args!("i{i}"), [], []))
@@ -310,7 +310,8 @@ mod tests {
         };
         assert_eq!(row(g.succs(ids[0])), [(3, 9), (2, 1), (1, 6)]);
         assert_eq!(row(g.succs(ids[1])), [(3, 7)]);
-        assert_eq!(row(g.preds(ids[3])), [(1, 7), (0, 9), (2, 4)]);
+        assert_eq!(row(g.succs(ids[2])), [(3, 4)]);
+        assert!(g.succs(ids[3]).is_empty());
         assert_eq!(g.pred_counts(), &[0, 1, 1, 3]);
         assert_eq!(g.edge_count(), 5);
         // FIFO Kahn: node 0 releases 2 before 1 (its stored successor order).

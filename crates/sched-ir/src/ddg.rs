@@ -16,14 +16,15 @@ use crate::instr::{Instr, InstrId, InstrTable};
 /// A region of any size is six exact-fit heap blocks: the
 /// [`InstrTable`]'s three, then one each for the offsets, the orders and
 /// the edges. `offsets` holds `n + 1` successor offsets into `edges`, then
-/// `n + 1` predecessor offsets (biased by the edge count, so they index
-/// `edges` too), then the `n` predecessor counts; `order` holds the
-/// topological order, then the roots; `edges` holds every successor row,
-/// then every predecessor row, as `(instruction, latency)` pairs. So
-/// `succs(id)`/`preds(id)` are offset-pair slices and every accessor is a
-/// slice of one block. Per-list *stored order* is fixed by
-/// [`crate::DdgBuilder::build`]: `content_eq`, the content fingerprint,
-/// and ACO tie-breaking all depend on it.
+/// the `n` predecessor counts; `order` holds the topological order, then
+/// the roots; `edges` holds every successor row, as `(instruction,
+/// latency)` pairs. Each dependence is stored once: a scheduler that needs
+/// an instruction's operand-arrival cycle folds `issue + latency` into it
+/// as each producer issues, on the successor walk it already makes. So
+/// `succs(id)` is an offset-pair slice and every accessor is a slice of one
+/// block. Per-row *stored order* is fixed by [`crate::DdgBuilder::build`]:
+/// `content_eq`, the content fingerprint, and ACO tie-breaking all depend
+/// on it.
 #[derive(Debug, Clone)]
 pub struct Ddg {
     pub(crate) instrs: InstrTable,
@@ -65,18 +66,11 @@ impl Ddg {
         &self.edges[o[i] as usize..o[i + 1] as usize]
     }
 
-    /// Predecessor edges of `id` as `(predecessor, latency)` pairs.
-    #[inline]
-    pub fn preds(&self, id: InstrId) -> &[(InstrId, u16)] {
-        let (o, i) = (&self.offsets, self.len() + 1 + id.index());
-        &self.edges[o[i] as usize..o[i + 1] as usize]
-    }
-
-    /// Number of dependence edges: half the edge block, so calling this
-    /// in a loop is free.
+    /// Number of dependence edges: the length of the edge block, so
+    /// calling this in a loop is free.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edges.len() / 2
+        self.edges.len()
     }
 
     /// The `n + 1` successor offsets into the edge block.
@@ -84,26 +78,22 @@ impl Ddg {
         &self.offsets[..=self.len()]
     }
 
-    /// Every successor row, back to back.
-    fn succ_edges(&self) -> &[(InstrId, u16)] {
-        &self.edges[..self.edge_count()]
-    }
-
-    /// Predecessor count of every instruction, indexed by [`InstrId`].
+    /// Predecessor count of every instruction, indexed by [`InstrId`]:
+    /// how many successor rows name it.
     ///
     /// This is the initial pending-predecessor vector every ant reset
-    /// needs; exposing it as a slice lets resets be a single `memcpy`
-    /// instead of a per-id `preds(id).len()` loop.
+    /// needs; stored beside the successor offsets, so a reset is a single
+    /// `memcpy` and no scheduler counts producers itself.
     #[inline]
     pub fn pred_counts(&self) -> &[u32] {
-        &self.offsets[2 * self.len() + 2..]
+        &self.offsets[self.len() + 1..]
     }
 
     /// Instructions with no predecessors (ready at cycle 0), in id order.
     ///
     /// Cached at build time: every ant construction seeds its ready list
-    /// from the roots, so deriving them would otherwise put a full preds
-    /// scan on the colony's hottest path.
+    /// from the roots, so deriving them would otherwise put a full
+    /// `pred_counts` scan on the colony's hottest path.
     pub fn roots(&self) -> impl Iterator<Item = InstrId> + '_ {
         self.order[self.len()..].iter().copied()
     }
@@ -144,7 +134,7 @@ impl Ddg {
             && a.len() == b.len()
             && a.ends.iter().zip(&b.ends).all(|(x, y)| x[1..] == y[1..])
             && self.succ_off() == other.succ_off()
-            && self.succ_edges() == other.succ_edges()
+            && self.edges == other.edges
     }
 
     /// Computes the transitive closure of the dependence relation.
@@ -272,7 +262,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_roots_match_preds_scan_in_id_order() {
+    fn cached_roots_match_a_successor_row_scan_in_id_order() {
         let mut b = DdgBuilder::new();
         let a = b.instr("a", [], []);
         let x = b.instr("b", [], []);
@@ -281,7 +271,8 @@ mod tests {
         b.edge(a, y, 1).unwrap();
         b.edge(x, y, 1).unwrap();
         let g = b.build().unwrap();
-        let scanned: Vec<InstrId> = g.ids().filter(|&i| g.preds(i).is_empty()).collect();
+        let named = |i: InstrId| g.ids().any(|p| g.succs(p).iter().any(|&(s, _)| s == i));
+        let scanned: Vec<InstrId> = g.ids().filter(|&i| !named(i)).collect();
         assert_eq!(g.roots().collect::<Vec<_>>(), scanned);
         assert_eq!(scanned, vec![InstrId(0), InstrId(1), InstrId(3)]);
     }

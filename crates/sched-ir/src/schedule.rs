@@ -99,18 +99,33 @@ impl Schedule {
     /// respects its precedence constraints.
     pub fn from_order(ddg: &Ddg, order: &[InstrId]) -> Schedule {
         assert_eq!(order.len(), ddg.len(), "order must cover the whole region");
+        // An unissued instruction's cycle is the latest operand arrival
+        // its issued producers have posted so far.
         let mut cycles = vec![0 as Cycle; ddg.len()];
+        let mut pending = ddg.pred_counts().to_vec();
         let mut done = vec![false; ddg.len()];
         let mut next_free: Cycle = 0;
         for &id in order {
-            let mut earliest = next_free;
-            for &(p, lat) in ddg.preds(id) {
-                assert!(done[p.index()], "order violates precedence: {p} after {id}");
-                earliest = earliest.max(cycles[p.index()] + lat as Cycle);
+            if done[id.index()] {
+                // Posted once already; the final check names the repeat.
+                continue;
             }
-            cycles[id.index()] = earliest;
+            if pending[id.index()] != 0 {
+                let p = ddg
+                    .ids()
+                    .find(|p| !done[p.index()] && ddg.succs(*p).iter().any(|&(s, _)| s == id))
+                    .expect("a pending producer");
+                panic!("order violates precedence: {p} after {id}");
+            }
+            let now = cycles[id.index()].max(next_free);
+            cycles[id.index()] = now;
             done[id.index()] = true;
-            next_free = earliest + 1;
+            next_free = now + 1;
+            for &(s, lat) in ddg.succs(id) {
+                pending[s.index()] -= 1;
+                let arrival = &mut cycles[s.index()];
+                *arrival = (*arrival).max(now + lat as Cycle);
+            }
         }
         assert!(done.iter().all(|&d| d), "order is not a permutation");
         Schedule { cycles }
@@ -204,6 +219,11 @@ impl Schedule {
                 }
             }
         }
+        if !self.may_share_a_cycle() {
+            return Ok(());
+        }
+        // The sorted scan names the earliest shared cycle and its two
+        // lowest ids.
         let order = self.order();
         for pair in order.windows(2) {
             if self.cycle(pair[0]) == self.cycle(pair[1]) {
@@ -215,6 +235,26 @@ impl Schedule {
             }
         }
         Ok(())
+    }
+
+    /// Whether two instructions may issue in one cycle: `false` proves
+    /// they do not. One pass marks each cycle in a bitmap of the schedule's
+    /// length; a schedule too sparse for one (64 cycles an instruction or
+    /// more) answers `true` and leaves the verdict to a sort.
+    fn may_share_a_cycle(&self) -> bool {
+        let last = self.cycles.iter().max().map_or(0, |&c| c as usize);
+        if last >= 64 * self.cycles.len() {
+            return true;
+        }
+        let mut seen = vec![0u64; last / 64 + 1];
+        for &c in &self.cycles {
+            let (word, bit) = (&mut seen[c as usize / 64], 1u64 << (c % 64));
+            if *word & bit != 0 {
+                return true;
+            }
+            *word |= bit;
+        }
+        false
     }
 }
 
@@ -297,6 +337,57 @@ mod tests {
             s.validate(&g),
             Err(ScheduleError::IssueConflict { cycle: 1, .. })
         ));
+    }
+
+    #[test]
+    fn issue_conflicts_name_the_earliest_shared_cycle_and_its_lowest_ids() {
+        let mut b = DdgBuilder::new();
+        for i in 0..6 {
+            b.instr(format!("i{i}"), [], []);
+        }
+        let g = b.build().unwrap();
+        // Cycle 7 is shared by 4 and 1, cycle 2 by 5, 3 and 0.
+        let s = Schedule::from_cycles(vec![2, 7, 9, 2, 7, 2]);
+        let conflict = ScheduleError::IssueConflict {
+            cycle: 2,
+            a: InstrId(0),
+            b: InstrId(3),
+        };
+        assert_eq!(s.validate(&g), Err(conflict.clone()));
+        // Too sparse for the bitmap: the sort alone answers, alike.
+        let sparse = Schedule::from_cycles(vec![2, 7, 900, 2, 7, 2]);
+        assert_eq!(sparse.validate(&g), Err(conflict));
+        Schedule::from_cycles(vec![0, u32::MAX, 3, 2, 63, 64])
+            .validate(&g)
+            .unwrap();
+        Schedule::from_cycles(vec![0, 9, 3, 2, 63, 64])
+            .validate(&g)
+            .unwrap();
+    }
+
+    #[test]
+    fn from_order_posts_the_latest_operand_arrival() {
+        // a -> c (latency 5), b -> c (latency 1): c waits on a's arrival
+        // whichever producer issues last.
+        let mut b = DdgBuilder::new();
+        let (x, y, z) = (
+            b.instr("a", [], []),
+            b.instr("b", [], []),
+            b.instr("c", [], []),
+        );
+        b.edge(x, z, 5).unwrap();
+        b.edge(y, z, 1).unwrap();
+        let g = b.build().unwrap();
+        assert_eq!(Schedule::from_order(&g, &[x, y, z]).cycles(), &[0, 1, 5]);
+        assert_eq!(Schedule::from_order(&g, &[y, x, z]).cycles(), &[1, 0, 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn from_order_panics_on_a_repeated_id() {
+        // The repeat must not post to (or underflow) 1's pending count.
+        let g = chain_lat(&[1, 1]);
+        let _ = Schedule::from_order(&g, &[InstrId(0), InstrId(0), InstrId(1)]);
     }
 
     #[test]

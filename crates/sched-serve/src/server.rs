@@ -257,18 +257,18 @@ fn worker_loop(engine: &Engine) {
             Work::Suite(w) => run_suite(engine, w, started),
         }));
         if let Err(payload) = served {
-            fail(engine, &work, &*payload);
+            let ctx = work.ctx();
+            fail(engine, &ctx.out, &ctx.id, &*payload);
         }
         engine.planner.task_done();
     }
 }
 
-/// Answers the request of a work item whose compile panicked with one
-/// `err`, so the worker lives on and nobody waits for an answer that never
-/// comes. A suite's pool re-raises a job's panic on this worker, so a
-/// suite fails here too.
-fn fail(engine: &Engine, work: &Work, panic: &(dyn Any + Send)) {
-    let ctx = work.ctx();
+/// Answers a request whose service panicked with one `err`, so the worker
+/// or connection thread lives on and nobody waits for an answer that never
+/// comes. A suite's pool re-raises a job's panic on its worker, so a suite
+/// fails here too, and so does a `schedule` admitted on its connection.
+fn fail(engine: &Engine, out: &ResponseWriter, id: &str, panic: &(dyn Any + Send)) {
     let text = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
         (Some(text), _) => text,
         (_, Some(text)) => text.as_str(),
@@ -276,7 +276,7 @@ fn fail(engine: &Engine, work: &Work, panic: &(dyn Any + Send)) {
     };
     ServeStats::bump(&engine.stats.errors, 1);
     let message = format!("internal error: {text}");
-    ctx.out.send(&ctx.id, &Response::Err { message });
+    out.send(id, &Response::Err { message });
 }
 
 fn run_region(engine: &Engine, w: &RegionWork, started: Instant) {
@@ -459,10 +459,29 @@ fn request_ctx(id: String, out: &Arc<ResponseWriter>, deadline_ms: Option<u64>) 
     }
 }
 
+/// Admits one `schedule` request on its connection thread. The parse, the
+/// cache lookup and a hit's certify → render → send run here, under the
+/// guard a worker's compile runs under: a panic costs the request one
+/// `err`, one counted error, and the connection reads on.
 fn submit_schedule(
     engine: &Engine,
     out: &Arc<ResponseWriter>,
     id: String,
+    opts: ScheduleOpts,
+    payload: &str,
+) {
+    let admitted = panic::catch_unwind(AssertUnwindSafe(|| {
+        admit_schedule(engine, out, &id, opts, payload)
+    }));
+    if let Err(panic) = admitted {
+        fail(engine, out, &id, &*panic);
+    }
+}
+
+fn admit_schedule(
+    engine: &Engine,
+    out: &Arc<ResponseWriter>,
+    id: &str,
     opts: ScheduleOpts,
     payload: &str,
 ) {
@@ -471,7 +490,7 @@ fn submit_schedule(
         Err(e) => {
             ServeStats::bump(&engine.stats.errors, 1);
             out.send(
-                &id,
+                id,
                 &Response::Err {
                     message: format!("parsing region: {e}"),
                 },
@@ -484,13 +503,17 @@ fn submit_schedule(
         ddg,
         occ,
         cfg,
-        ctx: request_ctx(id, out, opts.deadline_ms),
+        ctx: request_ctx(id.to_owned(), out, opts.deadline_ms),
     };
     // Queue only what has to be compiled. A region already in the cache is
     // answered here: the hit is cheaper than the hand-off to a worker, it
     // never waits, and so neither the queue's bound nor the request's
     // queue-wait deadline applies to it.
     if let Some(comp) = engine.cache.lookup_solo(&work.ddg, &work.occ, &work.cfg) {
+        #[cfg(test)]
+        if tests::PANIC_ON_NEXT_HIT.take() {
+            panic!("a hit that cannot be answered");
+        }
         answer(engine, &work, &comp, 0, work.ctx.arrived);
         return;
     }
@@ -604,8 +627,15 @@ pub fn serve_unix(socket_path: &Path, config: ServeConfig) -> io::Result<()> {
 mod tests {
     use super::*;
     use pipeline::SchedulerKind;
+    use std::cell::Cell;
     use std::sync::atomic::Ordering;
     use std::sync::mpsc;
+
+    thread_local! {
+        /// Arms a panic in this thread's next admission hit, between the
+        /// cache lookup and the answer.
+        pub(super) static PANIC_ON_NEXT_HIT: Cell<bool> = const { Cell::new(false) };
+    }
 
     /// A client connection's byte stream, readable by the test, and when
     /// its last reply landed.
@@ -710,6 +740,49 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("resp r1 ok "), "the worker survived:\n{text}");
+    }
+
+    #[test]
+    fn a_panicking_hit_is_one_err_and_the_connection_reads_on() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let engine = server.engine();
+        let text = textir::to_text(&workloads::patterns::sized(20, 3));
+        let request = |id: &str| format!("req {id} schedule ddg {}\n{text}", text.lines().count());
+        let warm = Sink::default();
+        handle_connection(engine, request("r1").as_bytes(), Box::new(warm.clone()));
+        server.wait_idle();
+        assert!(warm.text().starts_with("resp r1 ok "), "{}", warm.text());
+        let errors = || engine.stats.errors.load(Ordering::SeqCst);
+        assert_eq!(errors(), 0);
+
+        // Same region again: a hit, answered on this (the connection's)
+        // thread, where the seam panics it.
+        PANIC_ON_NEXT_HIT.set(true);
+        let sink = Sink::default();
+        let script = format!("{}req r3 stats\n{}", request("r2"), request("r4"));
+        handle_connection(engine, script.as_bytes(), Box::new(sink.clone()));
+        server.wait_idle();
+        assert!(!PANIC_ON_NEXT_HIT.get(), "the seam fired");
+        let text = sink.text();
+        let lines: Vec<&str> = text.lines().filter(|l| l.starts_with("resp ")).collect();
+        assert_eq!(
+            lines[0], "resp r2 err internal error: a hit that cannot be answered",
+            "one err for the panicked hit:\n{text}"
+        );
+        assert!(lines[1].starts_with("resp r3 ok "), "{text}");
+        assert!(lines[2].starts_with("resp r4 ok "), "{text}");
+        assert_eq!(lines.len(), 3, "{text}");
+        assert_eq!(errors(), 1, "the panic is one counted error");
+        // r3's stats reply already counts it: r1 and r3 served, r2 an error.
+        assert!(
+            text.contains("requests: 3 received, 2 served, 1 errors"),
+            "{text}"
+        );
+        server.shutdown().unwrap();
     }
 
     /// Overlapped merge time is a part of the merge time: a consume call

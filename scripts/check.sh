@@ -10,8 +10,10 @@
 # and (unless --fast) the release build the tier-1 gate uses, the bench
 # binaries compiling, the `tables` bench regenerating EXPERIMENTS.md's
 # generated blocks, which must leave the file as committed (its wall time is
-# printed), the full-corpus flat-IR differential test, the long
-# text-IR parser, record-format and packed-region fuzz runs, the long
+# printed), the full-corpus flat-IR differential test (which also holds
+# `Schedule::from_order` to earliest fit over the oracle's predecessor
+# lists on random topological orders of every region), the long text-IR
+# parser, record-format and packed-region fuzz runs, the long
 # brute-force soundness run of the length bound, the full lent-core equality
 # matrix, the long host-pool lost-wake-up stress, the occupancy LUT over a
 # grid of models, a truncated cache file that must be a positioned error, a CLI
@@ -67,7 +69,9 @@ if [[ "${1:-}" != "--fast" ]]; then
 
     echo "==> flat region IR == old front door on the 9,941-region corpus"
     # Tier-1 runs a reduced corpus of tests/region_ir_exact.rs; this is the
-    # whole frontend-large corpus plus the larger mutation sweep.
+    # whole frontend-large corpus plus the larger mutation sweep, each built
+    # region also checked for from_order == earliest fit over the oracle's
+    # predecessor lists.
     cargo test --release -q --test region_ir_exact -- --ignored
 
     echo "==> text-IR parser == old front door on 392k token-soup texts"

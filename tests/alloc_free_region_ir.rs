@@ -180,7 +180,7 @@ fn a_region_is_a_constant_number_of_allocations_at_any_size() {
 /// heap blocks plus their inline `Ddg`s, measured on a copy of every
 /// region so that nothing but the layout counts.
 #[test]
-fn the_frontend_corpus_costs_at_most_76_bytes_per_instruction() {
+fn the_frontend_corpus_costs_at_most_63_bytes_per_instruction() {
     let suite = Suite::generate(&SuiteConfig::scaled(5, 0.15));
     let regions: Vec<&Ddg> = suite.regions().map(|(_, _, ddg)| ddg).collect();
     let instrs: usize = regions.iter().map(|ddg| ddg.len()).sum();
@@ -191,9 +191,10 @@ fn the_frontend_corpus_costs_at_most_76_bytes_per_instruction() {
         "{} regions, {instrs} instructions: {per_instr:.1} B/instr",
         regions.len()
     );
-    // Measured 69.7 (a `Ddg` of ten `Vec`s with 8-byte registers read 87.1);
-    // the bound is that plus 10%.
-    assert!(per_instr <= 76.0, "{per_instr:.1} B/instr");
+    // Measured 57.3 (69.7 with each dependence also kept as a predecessor
+    // row; a `Ddg` of ten `Vec`s with 8-byte registers read 87.1); the
+    // bound is that plus 10%.
+    assert!(per_instr <= 63.0, "{per_instr:.1} B/instr");
 }
 
 /// The schedule cache's copy of a region is one allocation at any size,

@@ -64,14 +64,13 @@ fn min_length(ddg: &Ddg) -> Cycle {
             }
         }
     }
-    let preds: Vec<u32> = ddg
-        .ids()
-        .map(|id| {
-            ddg.preds(id)
-                .iter()
-                .fold(0, |m, &(p, _)| m | 1 << p.index())
-        })
-        .collect();
+    // Each instruction's producers as a bit set, from the successor rows.
+    let mut preds = vec![0u32; ddg.len()];
+    for p in ddg.ids() {
+        for &(s, _) in ddg.succs(p) {
+            preds[s.index()] |= 1 << p.index();
+        }
+    }
     let mut best = Cycle::MAX;
     visit(
         ddg,

@@ -453,3 +453,30 @@ pub fn ddg_content_fingerprint(ddg: &Ddg) -> u64 {
     }
     h.finish()
 }
+
+/// One row of `(producer, latency)` pairs.
+pub type PredRow = Vec<(InstrId, u16)>;
+
+/// The comparison the flat region's missing predecessor rows leave: the
+/// oracle's row of every instruction, in producer-id order, next to the
+/// row derived from `flat`'s successor rows (whose walk in id order yields
+/// producer-id order). The oracle stores its rows in global insertion
+/// order, which successor rows cannot recover; the set of `(producer,
+/// latency)` pairs is what any reader of them sees.
+pub fn pred_rows(old: &Ddg, flat: &gpu_aco::ir::Ddg) -> Vec<(PredRow, PredRow)> {
+    let mut derived = vec![PredRow::new(); flat.len()];
+    for p in flat.ids() {
+        for &(s, lat) in flat.succs(p) {
+            derived[s.index()].push((p, lat));
+        }
+    }
+    derived
+        .into_iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let mut want = old.preds(InstrId(i as u32)).to_vec();
+            want.sort_unstable();
+            (want, row)
+        })
+        .collect()
+}

@@ -56,7 +56,7 @@ proptest! {
     #[test]
     fn ready_list_never_exceeds_ub(ddg in arb_ddg(40)) {
         let ub = ddg.transitive_closure().ready_list_ub();
-        let mut pending: Vec<usize> = ddg.ids().map(|i| ddg.preds(i).len()).collect();
+        let mut pending = ddg.pred_counts().to_vec();
         let mut ready: Vec<InstrId> = ddg.roots().collect();
         while let Some(id) = ready.pop() {
             prop_assert!(ready.len() < ub, "ready list {} > UB {ub}", ready.len() + 1);
@@ -139,7 +139,7 @@ proptest! {
 /// A random topological order of `ddg`, deterministic in `seed`.
 fn random_topo_order(ddg: &Ddg, seed: u64) -> Vec<InstrId> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut pending: Vec<usize> = ddg.ids().map(|i| ddg.preds(i).len()).collect();
+    let mut pending = ddg.pred_counts().to_vec();
     let mut ready: Vec<InstrId> = ddg.roots().collect();
     let mut order = Vec::with_capacity(ddg.len());
     while !ready.is_empty() {

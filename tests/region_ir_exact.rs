@@ -2,9 +2,12 @@
 //! `textir::parse_raw` → `RawRegion::into_ddg` (→ `DdgBuilder::build`) and
 //! `textir::to_text` give the value the array-of-structures code they
 //! replaced gives (`tests/oracle/mod.rs`, verbatim) — the same
-//! `ParseTextError`, or the same names, defs, uses, `succs` / `preds`
-//! stored order, `pred_counts`, `topo_order`, roots, `content_eq` answers
-//! and content fingerprint, and byte-equal text.
+//! `ParseTextError`, or the same names, defs, uses, `succs` stored order,
+//! predecessor rows (derived from the successor rows), `pred_counts`,
+//! `topo_order`, roots, `content_eq` answers and content fingerprint, and
+//! byte-equal text. On every region built, `Schedule::from_order` over the
+//! topological order and two random topological orders equals earliest fit
+//! over the oracle's predecessor lists.
 //!
 //! Tier-1 runs a reduced corpus; the 9,941 regions of `frontend-large` run
 //! with `cargo test --release --test region_ir_exact -- --ignored`
@@ -14,7 +17,7 @@ mod oracle;
 
 use gpu_aco::bench_workloads::{mutate, patterns, Suite, SuiteConfig};
 use gpu_aco::ir::textir::{self, ParseTextError};
-use gpu_aco::ir::{ddg_content_fingerprint, Ddg};
+use gpu_aco::ir::{ddg_content_fingerprint, Cycle, Ddg, Schedule};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,7 +41,9 @@ fn assert_same_region(old: &oracle::Ddg, new: &Ddg, what: &str) {
         assert_eq!(o.defs(), n.defs(), "{what}: defs of {id}");
         assert_eq!(o.uses(), n.uses(), "{what}: uses of {id}");
         assert_eq!(old.succs(id), new.succs(id), "{what}: succs of {id}");
-        assert_eq!(old.preds(id), new.preds(id), "{what}: preds of {id}");
+    }
+    for (i, (old_row, row)) in oracle::pred_rows(old, new).iter().enumerate() {
+        assert_eq!(old_row, row, "{what}: preds of i{i}");
     }
     assert_eq!(old.pred_counts, new.pred_counts(), "{what}: pred_counts");
     assert_eq!(old.topo, new.topo_order(), "{what}: topo_order");
@@ -53,6 +58,47 @@ fn assert_same_region(old: &oracle::Ddg, new: &Ddg, what: &str) {
         textir::to_text(new),
         "{what}: to_text"
     );
+}
+
+/// `Schedule::from_order`, which derives each operand arrival as the
+/// producers issue, against earliest fit over the oracle's predecessor
+/// lists: on the topological order and on random ones drawn from `seed`.
+fn assert_from_order_is_earliest_fit(old: &oracle::Ddg, new: &Ddg, what: &str, seed: u64) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut orders = vec![old.topo.clone()];
+    for _ in 0..2 {
+        let mut pending = old.pred_counts.clone();
+        let mut ready = old.roots.clone();
+        let mut order = Vec::with_capacity(old.len());
+        while !ready.is_empty() {
+            let id = ready.swap_remove(rng.gen_range(0..ready.len()));
+            order.push(id);
+            for &(s, _) in old.succs(id) {
+                pending[s.index()] -= 1;
+                if pending[s.index()] == 0 {
+                    ready.push(s);
+                }
+            }
+        }
+        orders.push(order);
+    }
+    for order in orders {
+        let mut want: Vec<Cycle> = vec![0; old.len()];
+        let mut next_free = 0;
+        for &id in &order {
+            let arrival = old
+                .preds(id)
+                .iter()
+                .map(|&(p, lat)| want[p.index()] + lat as Cycle);
+            want[id.index()] = arrival.fold(next_free, Cycle::max);
+            next_free = want[id.index()] + 1;
+        }
+        assert_eq!(
+            Schedule::from_order(new, &order).cycles(),
+            want,
+            "{what}: from_order of {order:?}"
+        );
+    }
 }
 
 /// Holds the flat front door to the oracle on one text. `prev` is the last
@@ -99,6 +145,7 @@ fn check(text: &str, prev: &mut Option<(oracle::Ddg, Ddg)>, tally: &mut Tally) {
         }
         (Ok(old), Ok(new)) => {
             assert_same_region(&old, &new, &what);
+            assert_from_order_is_earliest_fit(&old, &new, &what, tally.built as u64);
             let strict = strict.expect("parse is parse_raw + into_ddg");
             assert!(strict.content_eq(&new) && new.content_eq(&strict), "{what}");
             if let Some((prev_old, prev_new)) = prev {

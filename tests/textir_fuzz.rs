@@ -336,8 +336,8 @@ fn check(case: u64, text: &str, tally: &mut Tally) {
             tally.unbuildable += 1;
         }
         (Ok(old), Ok(new)) => {
-            for id in new.ids() {
-                assert_eq!(old.preds(id), new.preds(id), "{what}: preds of {id}");
+            for (i, (old_row, row)) in oracle::pred_rows(&old, &new).iter().enumerate() {
+                assert_eq!(old_row, row, "{what}: preds of i{i}");
             }
             assert_eq!(old.pred_counts, new.pred_counts(), "{what}");
             assert_eq!(old.topo, new.topo_order(), "{what}");
