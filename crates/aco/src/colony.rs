@@ -255,8 +255,8 @@ pub(crate) fn run<'a, E: Executor<'a>>(
     // VI-D) still measures its gap from `max(n, critical path)`: measured
     // from the tighter bound, a 21-cycle threshold gates out regions pass 2
     // still shortens.
-    let len_lb = ddg.schedule_length_lb();
-    let gate_floor = (n as Cycle).max(ddg.critical_path_length());
+    let len_lb = ctx.analysis.facts.length_lb;
+    let gate_floor = (n as Cycle).max(ctx.analysis.facts.critical_path);
     let gate = cfg.pass2_gate_cycles.max(1) as Cycle;
     let mut pass2 = PassStats::default();
     if best_length > len_lb && best_length >= gate_floor + gate {

@@ -159,7 +159,8 @@ pub struct AcoConfig {
     /// at least this many cycles above `max(n, critical path)`. The paper's
     /// compile-time filter settles on 21 cycles (Section VI-D, Table 7);
     /// 0 disables the gate. Independently of it, an input on the length
-    /// lower bound (`Ddg::schedule_length_lb`) is optimal and skips pass 2.
+    /// lower bound is optimal and skips pass 2. Both read the region's
+    /// [`sched_ir::RegionFacts`], derived once per colony run.
     pub pass2_gate_cycles: u32,
     /// Kernel-level occupancy target: when set, pass 2's pressure
     /// constraint is relaxed to the APRP band of this occupancy — pressure

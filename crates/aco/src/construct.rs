@@ -37,7 +37,8 @@ pub const OPS_PER_STEP: u64 = 2;
 pub struct AntContext<'a> {
     /// The region being scheduled.
     pub ddg: &'a Ddg,
-    /// The region facts the ants read (η terms, ready-list UB).
+    /// The region facts the ants and pass-2 gates read (η terms, path facts,
+    /// ready-list UB).
     pub analysis: &'a RegionAnalysis,
     /// Interned registers.
     pub universe: &'a RegUniverse,

@@ -2,16 +2,19 @@
 
 use machine_model::OccupancyLut;
 use reg_pressure::PressureTracker;
-use sched_ir::{Ddg, InstrId, REG_CLASS_COUNT};
+use sched_ir::{Cycle, Ddg, InstrId, RegionFacts, REG_CLASS_COUNT};
 
-/// The per-region facts the ACO colony's ants read.
+/// The per-region facts the ACO colony reads.
 ///
 /// Built once per colony run (`aco::colony::with_context`); the list
-/// scheduler reads only the η terms and builds them with [`eta_terms`].
+/// scheduler reads no bound and builds only the η terms, with [`eta_terms`]
+/// over [`Ddg::distance_to_leaf`].
 #[derive(Debug, Clone)]
 pub struct RegionAnalysis {
+    /// Tails, critical path and length lower bound, derived once.
+    pub facts: RegionFacts,
     /// The terms of η that depend on the instruction alone, per
-    /// instruction ([`eta_terms`]).
+    /// instruction ([`eta_terms`] of the facts' tails).
     pub eta_terms: Vec<EtaTerms>,
     /// Tight ready-list size upper bound (Section V-A), read by the
     /// simulated GPU's launch-setup cost model.
@@ -32,13 +35,12 @@ pub struct EtaTerms {
     pub amd_tiebreak: f64,
 }
 
-/// The η terms of every instruction of `ddg`, from its latency-weighted
-/// distances to a leaf.
-pub fn eta_terms(ddg: &Ddg) -> Vec<EtaTerms> {
-    let dist_to_leaf = ddg.distance_to_leaf();
-    let critical_path = dist_to_leaf.iter().copied().max().unwrap_or(0) as f64;
-    let n = dist_to_leaf.len() as f64;
-    dist_to_leaf
+/// The η terms of every instruction of a region, from its latency-weighted
+/// distances to a leaf ([`Ddg::distance_to_leaf`], one per instruction).
+pub fn eta_terms(tails: &[Cycle]) -> Vec<EtaTerms> {
+    let critical_path = tails.iter().copied().max().unwrap_or(0) as f64;
+    let n = tails.len() as f64;
+    tails
         .iter()
         .map(|&dist| {
             let dist = dist as f64;
@@ -52,10 +54,12 @@ pub fn eta_terms(ddg: &Ddg) -> Vec<EtaTerms> {
 }
 
 impl RegionAnalysis {
-    /// Runs both analyses on a region.
+    /// Runs the analyses on a region.
     pub fn new(ddg: &Ddg) -> RegionAnalysis {
+        let facts = RegionFacts::new(ddg);
         RegionAnalysis {
-            eta_terms: eta_terms(ddg),
+            eta_terms: eta_terms(&facts.tails),
+            facts,
             ready_list_ub: ddg.transitive_closure().ready_list_ub(),
         }
     }
@@ -207,7 +211,7 @@ mod tests {
     #[test]
     fn critical_path_prefers_long_chains() {
         let (ddg, ids) = figure1::ddg_with_ids();
-        let terms = eta_terms(&ddg);
+        let terms = eta_terms(&ddg.distance_to_leaf());
         let occ = OccupancyLut::new(&OccupancyModel::vega_like());
         let universe = RegUniverse::new(&ddg);
         let t = PressureTracker::new(&universe);
@@ -221,7 +225,7 @@ mod tests {
     #[test]
     fn last_use_count_prefers_killers() {
         let (ddg, ids) = figure1::ddg_with_ids();
-        let terms = eta_terms(&ddg);
+        let terms = eta_terms(&ddg.distance_to_leaf());
         let occ = OccupancyLut::new(&OccupancyModel::vega_like());
         let universe = RegUniverse::new(&ddg);
         let mut t = PressureTracker::new(&universe);
@@ -236,7 +240,7 @@ mod tests {
     #[test]
     fn eta_is_strictly_positive_for_all_heuristics() {
         let ddg = figure1::ddg();
-        let terms = eta_terms(&ddg);
+        let terms = eta_terms(&ddg.distance_to_leaf());
         let occ = OccupancyLut::new(&OccupancyModel::vega_like());
         let universe = RegUniverse::new(&ddg);
         let t = PressureTracker::new(&universe);

@@ -20,4 +20,4 @@ pub mod eval;
 pub mod scheduler;
 
 pub use eval::{eta_terms, EtaTerms, Heuristic, HeuristicEval, RegionAnalysis};
-pub use scheduler::{evaluate_order, ListScheduler, ScheduleResult};
+pub use scheduler::{ListScheduler, ScheduleResult};

@@ -1,6 +1,6 @@
 //! Batched multi-region compilation: the paper's Section VII proposal
 //! ("scheduling multiple regions in parallel") promoted into a first-class
-//! pipeline mode ([`SchedulerKind::BatchedParallelAco`]).
+//! pipeline mode ([`crate::SchedulerKind::BatchedParallelAco`]).
 //!
 //! The planner groups a kernel's ACO-eligible regions into cooperative
 //! launch groups under the colony's block-budget invariant — a group never

@@ -317,8 +317,8 @@ impl ScheduleCache {
     }
 
     /// An empty cache bounded to roughly `capacity` entries (the bound is
-    /// enforced per shard, as `max(1, capacity / SHARD_COUNT)` each, so the
-    /// effective total is at least [`SHARD_COUNT`] and within one shard's
+    /// enforced per shard, as `max(1, capacity / 16)` for each of the 16
+    /// shards, so the effective total is at least 16 and within one shard's
     /// share of the requested value). Exceeding the bound evicts the
     /// least-recently-touched entries — see the module docs.
     pub fn with_capacity(capacity: usize) -> ScheduleCache {

@@ -75,26 +75,18 @@ impl Ddg {
         dist
     }
 
-    /// Length in cycles of the critical (longest latency) path.
-    pub fn critical_path_length(&self) -> Cycle {
-        self.distance_to_leaf().into_iter().max().unwrap_or(0)
-    }
-
     /// Lower bound on the length of any single-issue schedule: the
-    /// heads-and-tails bound ([`heads_tails_length_lb`]) with each
-    /// instruction's head its [`Ddg::earliest_starts`] and its tail its
-    /// [`Ddg::distance_to_leaf`]. It is at least the instruction count and
-    /// at least the critical path length.
+    /// [`RegionFacts::length_lb`] of the region. A reader that also needs
+    /// the tails or the critical path builds the [`RegionFacts`] instead.
     ///
     /// ```
-    /// use sched_ir::figure1;
+    /// use sched_ir::{figure1, RegionFacts};
     /// let ddg = figure1::ddg();
     /// assert!(ddg.schedule_length_lb() >= ddg.len() as u32);
-    /// assert!(ddg.schedule_length_lb() >= ddg.critical_path_length());
+    /// assert!(ddg.schedule_length_lb() >= RegionFacts::new(&ddg).critical_path);
     /// ```
     pub fn schedule_length_lb(&self) -> Cycle {
-        let lb = heads_tails_length_lb(&self.earliest_starts(), &self.distance_to_leaf());
-        Cycle::try_from(lb).expect("a length bound fits a cycle count")
+        RegionFacts::new(self).length_lb
     }
 
     /// Per-class register statistics of the region.
@@ -153,6 +145,33 @@ impl Ddg {
             }
         }
         lb
+    }
+}
+
+/// The path facts of a region, derived once, that the colony's gates
+/// (Section VI-A) and the critical-path η read. The heads
+/// ([`Ddg::earliest_starts`]) only feed the bound and are not kept.
+#[derive(Debug, Clone)]
+pub struct RegionFacts {
+    /// Each instruction's [`Ddg::distance_to_leaf`], its own cycle counted.
+    pub tails: Vec<Cycle>,
+    /// The critical path length: the largest tail (0 for no instruction).
+    pub critical_path: Cycle,
+    /// [`heads_tails_length_lb`] over the earliest starts and the tails:
+    /// at least the instruction count and at least the critical path.
+    pub length_lb: Cycle,
+}
+
+impl RegionFacts {
+    /// Derives the facts: two path passes over `ddg`, then one sweep.
+    pub fn new(ddg: &Ddg) -> RegionFacts {
+        let tails = ddg.distance_to_leaf();
+        let lb = heads_tails_length_lb(&ddg.earliest_starts(), &tails);
+        RegionFacts {
+            critical_path: tails.iter().copied().max().unwrap_or(0),
+            length_lb: Cycle::try_from(lb).expect("a length bound fits a cycle count"),
+            tails,
+        }
     }
 }
 
@@ -237,7 +256,7 @@ mod tests {
         assert_eq!(est[b.index()], 2);
         assert_eq!(est[c.index()], 1);
         assert_eq!(est[d.index()], 5);
-        assert_eq!(g.critical_path_length(), 6);
+        assert_eq!(RegionFacts::new(&g).critical_path, 6);
         assert_eq!(g.schedule_length_lb(), 6); // cp (6) > n (4)
     }
 
@@ -248,7 +267,7 @@ mod tests {
             bld.instr(format!("i{i}"), [], []);
         }
         let g = bld.build().unwrap();
-        assert_eq!(g.critical_path_length(), 1);
+        assert_eq!(RegionFacts::new(&g).critical_path, 1);
         assert_eq!(g.schedule_length_lb(), 5);
     }
 
@@ -263,7 +282,7 @@ mod tests {
             bld.edge(p, d, 2).unwrap();
         }
         let g = bld.build().unwrap();
-        assert_eq!(g.critical_path_length(), 3);
+        assert_eq!(RegionFacts::new(&g).critical_path, 3);
         assert_eq!(g.schedule_length_lb(), 5);
     }
 
@@ -311,7 +330,7 @@ mod tests {
         let est = g.earliest_starts();
         assert_eq!(est[a.index()], 0);
         assert_eq!(est[b.index()], 1);
-        assert_eq!(g.critical_path_length(), 2);
+        assert_eq!(RegionFacts::new(&g).critical_path, 2);
         // The two analyses agree on the same effective edge weight.
         assert_eq!(super::effective_latency(0), 1);
         assert_eq!(super::effective_latency(7), 7);

@@ -133,7 +133,7 @@ mod tests {
         // per cycle cannot hold all three.
         let ddg = ddg();
         assert_eq!(ddg.len(), 7);
-        assert_eq!(ddg.critical_path_length(), 7);
+        assert_eq!(crate::RegionFacts::new(&ddg).critical_path, 7);
         assert_eq!(ddg.schedule_length_lb(), 8);
     }
 

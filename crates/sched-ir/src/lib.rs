@@ -42,7 +42,7 @@ pub mod schedule;
 pub mod textir;
 
 pub use bitmatrix::BitMatrix;
-pub use bounds::effective_latency;
+pub use bounds::{effective_latency, RegionFacts};
 pub use builder::{csr_rows, DdgBuilder, DdgError};
 pub use ddg::{Ddg, TransitiveClosure};
 pub use fingerprint::{ddg_content_fingerprint, Fnv64, PackedDdg};

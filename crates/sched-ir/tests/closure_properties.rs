@@ -2,7 +2,8 @@
 //! DFS, and derived bounds are internally consistent.
 
 use proptest::prelude::*;
-use sched_ir::{Ddg, DdgBuilder, InstrId, Schedule};
+use sched_ir::bounds::heads_tails_length_lb;
+use sched_ir::{Ddg, DdgBuilder, InstrId, RegionFacts, Schedule};
 
 /// Random DAG with edges from lower to higher indices.
 fn arb_ddg(max_n: usize) -> impl Strategy<Value = Ddg> {
@@ -114,11 +115,18 @@ proptest! {
     #[test]
     fn critical_path_is_max_earliest_start_plus_tail(ddg in arb_ddg(30)) {
         let est = ddg.earliest_starts();
-        let cp = ddg.critical_path_length();
+        let tails = ddg.distance_to_leaf();
+        let facts = RegionFacts::new(&ddg);
+        // The facts are the from-scratch derivations, each derived once.
+        prop_assert_eq!(&facts.tails, &tails);
+        let cp = facts.critical_path;
+        prop_assert_eq!(cp, tails.iter().copied().max().unwrap_or(0));
+        prop_assert_eq!(u64::from(facts.length_lb), heads_tails_length_lb(&est, &tails));
+        prop_assert_eq!(facts.length_lb, ddg.schedule_length_lb());
         // Any instruction's earliest start is strictly below the CP length.
         for id in ddg.ids() {
             prop_assert!(est[id.index()] < cp.max(1) + cp, "est exceeds CP bounds");
         }
-        prop_assert!(ddg.schedule_length_lb() >= cp);
+        prop_assert!(cp <= facts.length_lb);
     }
 }

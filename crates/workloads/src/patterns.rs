@@ -685,7 +685,9 @@ mod tests {
         // 12 loads + 3 combines + 1 store
         assert_eq!(g.len(), 16);
         // Dependent loads: critical path far above the ALU-only depth.
-        assert!(g.critical_path_length() >= 3 * op_latency(OpKind::VMemLoad) as u32);
+        assert!(
+            sched_ir::RegionFacts::new(&g).critical_path >= 3 * op_latency(OpKind::VMemLoad) as u32
+        );
         assert_eq!(g.roots().count(), 4);
     }
 

@@ -5,7 +5,8 @@
 #   scripts/check.sh --fast   # skip the release build
 #
 # Mirrors what reviewers expect before a merge: rustfmt clean, clippy
-# clean at -D warnings across every target, no Rust source naming a
+# clean at -D warnings across every target, rustdoc clean at -D warnings
+# (no broken or private intra-doc link), no Rust source naming a
 # vendored stand-in crate, all workspace tests green,
 # and (unless --fast) the release build the tier-1 gate uses, the bench
 # binaries compiling, the `tables` bench regenerating EXPERIMENTS.md's
@@ -38,6 +39,10 @@ cargo fmt --all --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+# A deleted or renamed item that a doc link still names fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> no product code names crossbeam, parking_lot, serde or aco_tune"
 # The three stand-ins under vendor/ and the empty aco-tune package have no

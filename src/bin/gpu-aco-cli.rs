@@ -56,7 +56,7 @@ use gpu_aco::compile::batch::compile_batch_group;
 use gpu_aco::compile::{
     compile_region, plan_batches, PipelineConfig, RegionCompilation, ScheduleCache, SchedulerKind,
 };
-use gpu_aco::heuristics::{Heuristic, ListScheduler};
+use gpu_aco::heuristics::{Heuristic, ListScheduler, RegionAnalysis};
 use gpu_aco::machine::OccupancyModel;
 use gpu_aco::scheduler::IdleCores;
 use gpu_aco::serve::proto::ScheduleOpts;
@@ -623,21 +623,18 @@ fn inspect(argv: &[String]) -> Result<(), String> {
     let ddg = load_region(args.only("inspect needs a region file")?)?;
     let occ = OccupancyModel::vega_like();
     let stats = ddg.reg_stats();
-    let tc = ddg.transitive_closure();
+    let analysis = RegionAnalysis::new(&ddg);
+    let rp_lb = ddg.rp_lower_bound();
     println!("instructions     : {}", ddg.len());
     println!("edges            : {}", ddg.edge_count());
-    println!("critical path    : {} cycles", ddg.critical_path_length());
-    println!("length LB        : {} cycles", ddg.schedule_length_lb());
+    println!("critical path    : {} cycles", analysis.facts.critical_path);
+    println!("length LB        : {} cycles", analysis.facts.length_lb);
     println!(
         "ready-list UB    : {} (loose bound {})",
-        tc.ready_list_ub(),
+        analysis.ready_list_ub,
         ddg.len()
     );
-    println!(
-        "RP lower bound   : VGPR {}, SGPR {}",
-        ddg.rp_lower_bound()[0],
-        ddg.rp_lower_bound()[1]
-    );
+    println!("RP lower bound   : VGPR {}, SGPR {}", rp_lb[0], rp_lb[1]);
     println!(
         "live-in / out    : {:?} / {:?}",
         stats.live_in, stats.live_out

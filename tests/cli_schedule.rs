@@ -397,6 +397,32 @@ fn flags_before_the_positionals_and_malformed_flags() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `inspect` prints the region's facts: the critical path, length bound
+/// and ready-list bound come from one `RegionAnalysis`, and every number
+/// is pinned.
+#[test]
+fn inspect_prints_the_region_facts() {
+    let dir = tmp_dir("inspect");
+    let out = cli(&["generate", "mixed", "60", "--seed", "7"], &dir);
+    assert!(out.status.success());
+    std::fs::write(dir.join("r.txt"), &out.stdout).unwrap();
+    let out = cli(&["inspect", "r.txt"], &dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "instructions     : 64\n\
+         edges            : 104\n\
+         critical path    : 71 cycles\n\
+         length LB        : 120 cycles\n\
+         ready-list UB    : 32 (loose bound 64)\n\
+         RP lower bound   : VGPR 1, SGPR 1\n\
+         live-in / out    : [0, 1] / [0, 0]\n\
+         AMD heuristic    : 122 cycles, VGPR PRP 9, occupancy 10\n"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// For every pipeline kind, bare `schedule R` prints exactly the payload
 /// of the daemon's reply to the same bare `schedule` request, and exactly
 /// what `schedule R --cache F` prints on a cold and on a warm cache.

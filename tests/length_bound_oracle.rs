@@ -15,7 +15,7 @@
 //! `cargo test --release -q --test length_bound_oracle -- --ignored`
 //! (`scripts/check.sh` runs it).
 
-use gpu_aco::ir::{Cycle, Ddg, DdgBuilder, InstrId, Schedule};
+use gpu_aco::ir::{Cycle, Ddg, DdgBuilder, InstrId, RegionFacts, Schedule};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -89,7 +89,7 @@ fn check(cases: u64, max_n: usize) -> usize {
     for seed in 0..cases {
         let ddg = random_dag(seed, max_n);
         let lb = ddg.schedule_length_lb();
-        let old = (ddg.len() as Cycle).max(ddg.critical_path_length());
+        let old = (ddg.len() as Cycle).max(RegionFacts::new(&ddg).critical_path);
         let opt = min_length(&ddg);
         assert!(lb <= opt, "seed {seed}: bound {lb} above the optimum {opt}");
         assert!(lb >= old, "seed {seed}: bound {lb} below max(n, cp) {old}");
