@@ -1,13 +1,14 @@
 //! Content-addressed memoization of region compilations.
 //!
 //! Template-instantiated kernels produce many *structurally identical*
-//! scheduling regions, and the whole per-region flow
-//! ([`compile_region`], [`crate::batch::compile_batch_group`]) is a pure
-//! function of `(DDG content, scheduling config, occupancy model)` — so a
-//! schedule computed once can be reused for every duplicate. The
+//! scheduling regions, and the whole per-region flow ([`compile_region`])
+//! is a pure function of `(DDG content, scheduling config, occupancy
+//! model)` — so a schedule computed once can be reused for every
+//! duplicate. The
 //! [`ScheduleCache`] keys entries by the canonical FNV-1a fingerprint of
-//! exactly those inputs ([`sched_ir::ddg_content_fingerprint`] plus the
-//! scheduling-relevant configuration) and guards every hit twice:
+//! exactly those inputs ([`sched_ir::ddg_content_fingerprint`], a hash of
+//! the words the equality gate compares, plus the scheduling-relevant
+//! configuration) and guards every hit twice:
 //!
 //! 1. **Full structural equality** — the entry stores its config and its
 //!    region as a [`PackedDdg`]: one allocation holding what
@@ -31,14 +32,23 @@
 //!
 //! # What is memoized
 //!
-//! A suite memoizes only compilations that run a colony
-//! ([`SchedulerKind::runs_colony`]): solo ACO jobs, batch groups and the
-//! kernel post filter's capped re-schedules. A list-scheduled suite job
-//! (`BaseAmd`, `CriticalPath`) compiles directly in
-//! [`crate::host_pool::run_job`]: on `frontend-large` a certified hit
-//! (key fingerprint, equality gate, re-certification) costs about 12 µs and
-//! the compile it replaces 11–14 µs, so the cache bought no time there and
-//! held 3,230 entries. The single-region callers
+//! A suite memoizes only solo compilations that run a colony
+//! ([`SchedulerKind::runs_colony`]): solo ACO jobs and the kernel post
+//! filter's capped re-schedules. Two kinds of suite job compile directly in
+//! [`crate::host_pool::run_job`]:
+//!
+//! * A list-scheduled job (`BaseAmd`, `CriticalPath`): on `frontend-large`
+//!   a certified hit (key fingerprint, equality gate, re-certification)
+//!   costs about 12 µs and the compile it replaces 11–14 µs, so the cache
+//!   bought no time there and held 3,230 entries.
+//! * A batch group ([`crate::batch::compile_batch_group`]): an entry keyed
+//!   by every member in group order would almost never answer. When groups
+//!   had entries, 3 of the 27 group lookups of `suite-variants` (the one
+//!   benchmark workload with groups) hit, each a group of eight small
+//!   regions that compiles in under 0.1 ms: 0.19 ms out of 265 ms of group
+//!   compiles.
+//!
+//! The single-region callers
 //! ([`ScheduleCache::compile_solo`] from the daemon's `schedule` admission
 //! and the CLI's `--cache`) memoize every kind: there a hit skips a queue
 //! or survives a restart.
@@ -60,8 +70,7 @@
 //! entries in the `schedcache v1` line format (the workspace deliberately
 //! vendors no serializer). Loaded entries pass through the same equality +
 //! re-certification gates as in-memory ones, so a corrupted or hand-edited
-//! cache file can cost misses, never wrong schedules. Group entries are
-//! launch-geometry specific and are not persisted.
+//! cache file can cost misses, never wrong schedules.
 //!
 //! Persistence is **durable** — a long-running server leans on it across
 //! restarts (see `sched-serve`) — and goes through `sched_ir::record`, the
@@ -95,10 +104,9 @@
 //! is fine for the same reason the other counters are excluded from the
 //! suite fingerprint.
 
-use crate::batch::compile_batch_group;
 use crate::config::{PipelineConfig, SchedulerKind};
 use crate::region::{compile_region, FinalChoice, RegionCompilation};
-use aco::{batch_block_split, AcoConfig, AcoResult, GpuTuning, PassStats, Termination};
+use aco::{AcoConfig, AcoResult, GpuTuning, PassStats, Termination};
 use gpu_sim::MemLayout;
 use list_sched::{Heuristic, ScheduleResult};
 use machine_model::OccupancyModel;
@@ -163,28 +171,6 @@ impl CacheStats {
     }
 }
 
-/// What a cache entry memoizes.
-///
-/// The variants differ in size, but a `Payload` only ever lives inside an
-/// `Arc<CacheEntry>` — one allocation per entry, never moved by value on
-/// a hot path — so boxing the large variant would add indirection for
-/// nothing.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-enum Payload {
-    /// One solo region compilation.
-    Solo {
-        ddg: PackedDdg,
-        comp: RegionCompilation,
-    },
-    /// One cooperative batch group: per-member compilations in group
-    /// order (member regions stored for the equality check).
-    Group {
-        ddgs: Vec<PackedDdg>,
-        comps: Vec<RegionCompilation>,
-    },
-}
-
 /// Everything a [`RegionCompilation`] depends on besides its region: the
 /// scheduler kind, the ACO configuration, the revert knobs and the machine
 /// model. The one definition of a configuration's identity: the key folds
@@ -196,7 +182,7 @@ fn inputs(cfg: &PipelineConfig, occ: &OccupancyModel) -> Inputs {
     // Every field is named, so a new one fails to build until it is placed.
     // The ones bound to `_` change no schedule, so configurations that
     // differ only there must share entries: the batching policy decides
-    // group membership, which the group key already holds; the base
+    // group membership, and batch groups compile uncached; the base
     // compile costs are added after compilation; host threads, the cache
     // and analysis are transparent by contract.
     let PipelineConfig {
@@ -222,7 +208,8 @@ struct CacheEntry {
     /// Last-touch logical time (set on insert and on every certified
     /// hit); the eviction victim is the entry with the smallest stamp.
     stamp: AtomicU64,
-    payload: Payload,
+    ddg: PackedDdg,
+    comp: RegionCompilation,
 }
 
 type Map = HashMap<u64, Arc<CacheEntry>>;
@@ -436,96 +423,35 @@ impl ScheduleCache {
         cfg: &PipelineConfig,
     ) -> Result<RegionCompilation, Unadopted> {
         let entry = self.shard(key).get(key).ok_or(Unadopted::Absent)?;
-        if let Payload::Solo {
-            ddg: cached_ddg,
-            comp,
-        } = &entry.payload
+        if entry.inputs == inputs(cfg, occ)
+            && entry.ddg.matches(ddg)
+            && certify_hit(ddg, occ, &entry.comp)
         {
-            if entry.inputs == inputs(cfg, occ)
-                && cached_ddg.matches(ddg)
-                && certify_hit(ddg, occ, comp)
-            {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                entry.stamp.store(self.tick(), Ordering::Relaxed);
-                return Ok(comp.clone());
-            }
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            entry.stamp.store(self.tick(), Ordering::Relaxed);
+            return Ok(entry.comp.clone());
         }
         Err(Unadopted::Rejected)
     }
 
-    /// Compiles one cooperative batch group through the cache. The key
-    /// covers every member's content in group order (construction results
-    /// depend on the whole group), and a hit re-certifies every member
-    /// against its new region instance.
-    pub(crate) fn compile_group(
-        &self,
-        members: &[&Ddg],
-        occ: &OccupancyModel,
-        cfg: &PipelineConfig,
-    ) -> Vec<(PipelineConfig, RegionCompilation)> {
-        let key = group_key(members, occ, cfg);
-        if let Some(entry) = self.shard(key).get(key) {
-            if let Payload::Group { ddgs, comps } = &entry.payload {
-                let ok = entry.inputs == inputs(cfg, occ)
-                    && ddgs.len() == members.len()
-                    && ddgs
-                        .iter()
-                        .zip(members)
-                        .all(|(cached, new)| cached.matches(new))
-                    && comps
-                        .iter()
-                        .zip(members)
-                        .all(|(comp, new)| certify_hit(new, occ, comp));
-                if ok {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    entry.stamp.store(self.tick(), Ordering::Relaxed);
-                    return attach_group_cfgs(comps.clone(), cfg);
-                }
-            }
-            self.bypasses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        let outcomes = compile_batch_group(members, occ, cfg);
-        self.store(
-            key,
-            CacheEntry {
-                inputs: inputs(cfg, occ),
-                stamp: AtomicU64::new(0),
-                payload: Payload::Group {
-                    ddgs: members.iter().copied().map(PackedDdg::new).collect(),
-                    comps: outcomes.iter().map(|(_, c)| c.clone()).collect(),
-                },
-            },
-        );
-        outcomes
-    }
-
-    /// Writes every solo entry to `out` in the `schedcache v1` format,
-    /// sorted by key, and flushes: a write or flush error surfaces as
-    /// `Err`, not in a buffered writer's drop.
+    /// Writes every entry to `out` in the `schedcache v1` format, sorted
+    /// by key, and flushes: a write or flush error surfaces as `Err`, not
+    /// in a buffered writer's drop.
     pub fn save_to_writer(&self, out: &mut impl Write) -> io::Result<()> {
         let mut entries: Vec<(u64, Arc<CacheEntry>)> = Vec::new();
         for shard in &self.shards {
-            for (&k, e) in shard.read().iter() {
-                if matches!(e.payload, Payload::Solo { .. }) {
-                    entries.push((k, e.clone()));
-                }
-            }
+            entries.extend(shard.read().iter().map(|(&k, e)| (k, e.clone())));
         }
         entries.sort_by_key(|&(k, _)| k);
         writeln!(out, "schedcache v1")?;
         let count = entries.len();
         for (key, entry) in entries {
-            let Payload::Solo { ddg, comp } = &entry.payload else {
-                unreachable!("group entries filtered above")
-            };
             writeln!(out, "key {key:#018x}")?;
             write_cfg_line(out, &entry.inputs)?;
-            let text = textir::to_text(&ddg.unpack());
+            let text = textir::to_text(&entry.ddg.unpack());
             writeln!(out, "ddg {}", text.lines().count())?;
             out.write_all(text.as_bytes())?;
-            write_comp(out, comp)?;
+            write_comp(out, &entry.comp)?;
             writeln!(out, "end")?;
         }
         writeln!(out, "eof {count}")?;
@@ -584,34 +510,14 @@ impl ScheduleCache {
                 CacheEntry {
                     inputs,
                     stamp: AtomicU64::new(0),
-                    payload: Payload::Solo {
-                        ddg: PackedDdg::new(&ddg),
-                        comp,
-                    },
+                    ddg: PackedDdg::new(&ddg),
+                    comp,
                 },
             );
         }
         r.finish()?;
         Ok(cache)
     }
-}
-
-/// Attaches the split-colony per-member configuration to cached group
-/// compilations, mirroring what [`compile_batch_group`] returns.
-fn attach_group_cfgs(
-    comps: Vec<RegionCompilation>,
-    cfg: &PipelineConfig,
-) -> Vec<(PipelineConfig, RegionCompilation)> {
-    let split = batch_block_split(cfg.aco.blocks, comps.len() as u32);
-    split
-        .into_iter()
-        .zip(comps)
-        .map(|(blocks, comp)| {
-            let mut region_cfg = *cfg;
-            region_cfg.aco.blocks = blocks;
-            (region_cfg, comp)
-        })
-        .collect()
 }
 
 fn solo_entry(
@@ -623,10 +529,8 @@ fn solo_entry(
     CacheEntry {
         inputs: inputs(cfg, occ),
         stamp: AtomicU64::new(0),
-        payload: Payload::Solo {
-            ddg: PackedDdg::new(ddg),
-            comp: comp.clone(),
-        },
+        ddg: PackedDdg::new(ddg),
+        comp: comp.clone(),
     }
 }
 
@@ -683,17 +587,21 @@ fn is_permutation(order: &[InstrId], n: usize) -> bool {
 
 // ---------------------------------------------------------------- keys --
 
-/// Folds the scheduling-relevant configuration ([`config_words`]) into a
-/// hasher, after the length bound's [`BOUND_VERSION`]: entries store pass
-/// statistics the bound decides, so an entry a build with another bound
-/// persisted sits under another key and is a miss, never a replay. The
-/// version is in the key only, not in the `cfg` line, so `schedcache v1`
-/// files keep their format.
-fn hash_config(h: &mut Fnv64, cfg: &PipelineConfig, occ: &OccupancyModel) {
+/// The key of `ddg` under `cfg` and `occ`: the length bound's
+/// [`BOUND_VERSION`], the scheduling-relevant configuration
+/// ([`config_words`]) and the region's content fingerprint. Entries store
+/// pass statistics the bound decides, so an entry a build with another
+/// bound persisted sits under another key and is a miss, never a replay.
+/// The version is in the key only, not in the `cfg` line, so
+/// `schedcache v1` files keep their format.
+fn solo_key(ddg: &Ddg, occ: &OccupancyModel, cfg: &PipelineConfig) -> u64 {
+    let mut h = Fnv64::new();
     h.word(BOUND_VERSION);
     for w in config_words(&inputs(cfg, occ)) {
         h.word(w);
     }
+    h.word(ddg_content_fingerprint(ddg));
+    h.finish()
 }
 
 /// Positions of the `f64` fields (as bits) in [`config_words`]; the
@@ -802,25 +710,6 @@ fn heuristic_index(heur: Heuristic) -> u64 {
         .expect("every heuristic is in ALL") as u64
 }
 
-fn solo_key(ddg: &Ddg, occ: &OccupancyModel, cfg: &PipelineConfig) -> u64 {
-    let mut h = Fnv64::new();
-    h.word(1); // entry-kind tag
-    hash_config(&mut h, cfg, occ);
-    h.word(ddg_content_fingerprint(ddg));
-    h.finish()
-}
-
-fn group_key(members: &[&Ddg], occ: &OccupancyModel, cfg: &PipelineConfig) -> u64 {
-    let mut h = Fnv64::new();
-    h.word(2); // entry-kind tag
-    hash_config(&mut h, cfg, occ);
-    h.word(members.len() as u64);
-    for ddg in members {
-        h.word(ddg_content_fingerprint(ddg));
-    }
-    h.finish()
-}
-
 // -------------------------------------------------------- persistence --
 
 fn write_cfg_line(out: &mut impl Write, inputs: &Inputs) -> io::Result<()> {
@@ -840,7 +729,7 @@ fn write_cfg_line(out: &mut impl Write, inputs: &Inputs) -> io::Result<()> {
 /// they came from, each field at its declared width.
 fn parse_cfg_line(line: Line) -> io::Result<Inputs> {
     let at = line.at;
-    let toks = at.fields(line.after("cfg ")?, 37, "cfg")?;
+    let toks = at.fields::<37>(line.after("cfg ")?, "cfg")?;
     let mut w = [0u64; 37];
     for (i, (w, tok)) in w.iter_mut().zip(&toks).enumerate() {
         *w = match i {
@@ -941,7 +830,7 @@ fn read_sres(line: Line, tag: &str, n: usize) -> io::Result<ScheduleResult> {
         .after(tag)?
         .split_once(':')
         .ok_or_else(|| at.err("missing cycle list"))?;
-    let head = at.fields(head, 4, "schedule claims")?;
+    let head = at.fields::<4>(head, "schedule claims")?;
     let int = |s: &str| at.num::<u32>(s, "integer");
     let cycles: Vec<Cycle> = cycles
         .split_whitespace()
@@ -979,7 +868,7 @@ fn write_pass(out: &mut impl Write, p: &PassStats) -> io::Result<()> {
 
 fn read_pass(line: Line) -> io::Result<PassStats> {
     let at = line.at;
-    let toks = at.fields(line.after("pass ")?, 6, "pass")?;
+    let toks = at.fields::<6>(line.after("pass ")?, "pass")?;
     Ok(PassStats {
         iterations: at.num(toks[0], "iterations")?,
         improved: flag(toks[1]),
@@ -1024,7 +913,7 @@ fn write_comp(out: &mut impl Write, c: &RegionCompilation) -> io::Result<()> {
 fn read_comp(r: &mut Records<impl BufRead>, n: usize) -> io::Result<RegionCompilation> {
     let line = r.expect_line("comp")?;
     let at = line.at;
-    let toks = at.fields(line.after("comp ")?, 8, "comp")?;
+    let toks = at.fields::<8>(line.after("comp ")?, "comp")?;
     let size = at.num(toks[0], "size")?;
     let choice = [FinalChoice::Heuristic, FinalChoice::Aco][usize::from(flag(toks[1]))];
     let occupancy = at.num(toks[2], "occupancy")?;
@@ -1038,7 +927,7 @@ fn read_comp(r: &mut Records<impl BufRead>, n: usize) -> io::Result<RegionCompil
         None
     } else {
         let at = line.at;
-        let toks = at.fields(line.after("aco some ")?, 6, "aco")?;
+        let toks = at.fields::<6>(line.after("aco some ")?, "aco")?;
         let int = |s: &str| at.num::<u32>(s, "integer");
         let (prp, occupancy, length) =
             ([int(toks[0])?, int(toks[1])?], int(toks[2])?, int(toks[3])?);
@@ -1076,7 +965,6 @@ fn read_comp(r: &mut Records<impl BufRead>, n: usize) -> io::Result<RegionCompil
 mod tests {
     use super::*;
     use crate::region::compile_region;
-    use workloads::{Suite, SuiteConfig};
 
     impl Shard {
         /// Uncapped insert: tests poke entries past the capacity discipline.
@@ -1301,31 +1189,6 @@ mod tests {
         assert!(after > before, "hit must refresh the stamp");
     }
 
-    #[test]
-    fn group_hits_reconstruct_split_colony_configs() {
-        let occ = machine_model::OccupancyModel::vega_like();
-        let mut c = cfg(SchedulerKind::BatchedParallelAco);
-        c.aco.blocks = 16;
-        let suite = Suite::generate(&SuiteConfig::scaled(7, 0.008));
-        let kernel = &suite.kernels[0];
-        let group: Vec<usize> = (0..kernel.regions.len().min(3)).collect();
-        assert!(group.len() >= 2, "need a real group");
-        let cache = ScheduleCache::new();
-        let members: Vec<&Ddg> = group.iter().map(|&ri| &kernel.regions[ri]).collect();
-        let fresh = compile_batch_group(&members, &occ, &c);
-        let miss = cache.compile_group(&members, &occ, &c);
-        let hit = cache.compile_group(&members, &occ, &c);
-        for (f, m) in [(&fresh, &miss), (&fresh, &hit)] {
-            assert_eq!(f.len(), m.len());
-            for ((cfg_a, comp_a), (cfg_b, comp_b)) in f.iter().zip(m.iter()) {
-                assert_eq!(cfg_a, cfg_b, "split-colony config must be reconstructed");
-                assert!(comps_eq(comp_a, comp_b));
-            }
-        }
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().misses, 1);
-    }
-
     fn seed_99(c: &PipelineConfig) -> PipelineConfig {
         PipelineConfig {
             aco: AcoConfig { seed: 99, ..c.aco },
@@ -1358,42 +1221,6 @@ mod tests {
         let entry = solo_entry(&ddg, &occ, &other, &planted);
         cache.shard(key).insert(key, Arc::new(entry));
         assert!(comps_eq(&want, &cache.compile_solo(&ddg, &occ, &c)));
-        assert_eq!((cache.stats().hits, cache.stats().bypasses), (0, 1));
-    }
-
-    /// The same gate on a batch group's entry.
-    #[test]
-    fn a_group_entry_of_another_seed_is_bypassed() {
-        let occ = machine_model::OccupancyModel::vega_like();
-        let mut c = cfg(SchedulerKind::BatchedParallelAco);
-        c.aco.blocks = 16;
-        let other = seed_99(&c);
-        let suite = Suite::generate(&SuiteConfig::scaled(7, 0.008));
-        let members: Vec<&Ddg> = suite.kernels[0].regions.iter().take(3).collect();
-        assert!(members.len() >= 2, "need a real group");
-        let want = compile_batch_group(&members, &occ, &c);
-        let planted = compile_batch_group(&members, &occ, &other);
-        let orders = |g: &[(PipelineConfig, RegionCompilation)]| -> Vec<_> {
-            g.iter().map(|(_, r)| aco_order(r)).collect()
-        };
-        assert_ne!(orders(&want), orders(&planted), "the seeds must differ");
-        let cache = ScheduleCache::new();
-        let key = group_key(&members, &occ, &c);
-        let entry = CacheEntry {
-            inputs: inputs(&other, &occ),
-            stamp: AtomicU64::new(0),
-            payload: Payload::Group {
-                ddgs: members.iter().copied().map(PackedDdg::new).collect(),
-                comps: planted.into_iter().map(|(_, comp)| comp).collect(),
-            },
-        };
-        cache.shard(key).insert(key, Arc::new(entry));
-        let got = cache.compile_group(&members, &occ, &c);
-        assert_eq!(got.len(), want.len());
-        for ((cfg_a, comp_a), (cfg_b, comp_b)) in want.iter().zip(&got) {
-            assert_eq!(cfg_a, cfg_b);
-            assert!(comps_eq(comp_a, comp_b));
-        }
         assert_eq!((cache.stats().hits, cache.stats().bypasses), (0, 1));
     }
 

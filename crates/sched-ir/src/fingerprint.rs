@@ -2,21 +2,22 @@
 //!
 //! The pipeline's schedule cache keys regions by *content*: two regions
 //! with the same instruction count, the same per-id Def/Use register
-//! sets, and the same successor edges in the same stored order produce
+//! lists, and the same successor edges in the same stored order produce
 //! bitwise-identical scheduler output, so a schedule computed for one can
-//! be reused for the other. [`ddg_content_fingerprint`] hashes exactly
-//! that content — walking nodes in the cached topological order so the
-//! hash also commits to the build-time canonicalization — and
-//! [`Ddg::content_eq`] is the full structural-equality check run on every
-//! hash match, so a 64-bit collision can never smuggle in a wrong
-//! schedule. [`PackedDdg`] is the compact copy of a region the cache
-//! stores for that check: one allocation, compared without unpacking.
+//! be reused for the other. That content is one word stream,
+//! `content_words`, read in id order: [`ddg_content_fingerprint`] hashes
+//! it for the cache key, [`PackedDdg`] stores it for the cache's equality
+//! gate, and [`PackedDdg::matches`] compares a region's stream against the
+//! stored one. So the key separates exactly what the gate compares, and
+//! [`Ddg::content_eq`] stays as the independent reference both are tested
+//! against; a 64-bit collision can never smuggle in a wrong schedule,
+//! because every hash match is gated.
 //!
-//! Instruction *names* are deliberately excluded from both the hash and
-//! the equality check: no scheduler reads them, and no schedule,
-//! pressure, occupancy, or cost result depends on them. Template
-//! instantiation produces regions identical up to mnemonic suffixes;
-//! keying on names would needlessly miss those.
+//! Instruction *names* are deliberately excluded from the stream: no
+//! scheduler reads them, and no schedule, pressure, occupancy, or cost
+//! result depends on them. Template instantiation produces regions
+//! identical up to mnemonic suffixes; keying on names would needlessly
+//! miss those.
 //!
 //! The hash is 64-bit FNV-1a; [`Fnv64`] is the workspace's one
 //! accumulator, shared by the cache keys and the golden ACO and suite
@@ -58,43 +59,18 @@ impl Default for Fnv64 {
     }
 }
 
-/// Canonical fingerprint of a region's scheduling content.
-///
-/// Hashes, in the cached topological order: each node's topo position,
-/// its raw id, its Def and Use register lists (class index + id, in list
-/// order), and its successor edges as `(topo position of target,
-/// latency)` in stored adjacency order — prefixed by the instruction and
-/// edge counts. Everything a scheduler's output can depend on is
-/// committed; instruction names are not (see module docs).
+/// Canonical fingerprint of a region's scheduling content: FNV-1a over
+/// its content words, the words a [`PackedDdg`] stores and
+/// [`PackedDdg::matches`] compares (the instruction count, then per
+/// instruction its def and use counts, its registers and its successor
+/// edges in stored order). Everything a scheduler's output can depend on
+/// is committed; instruction names are not (see module docs).
 pub fn ddg_content_fingerprint(ddg: &Ddg) -> u64 {
-    let mut topo_pos = vec![0u64; ddg.len()];
-    for (pos, id) in ddg.topo_order().iter().enumerate() {
-        topo_pos[id.index()] = pos as u64;
-    }
     let mut h = Fnv64::new();
-    h.word(ddg.len() as u64);
-    h.word(ddg.edge_count() as u64);
-    for &id in ddg.topo_order() {
-        let i = ddg.instr(id);
-        h.word(topo_pos[id.index()]);
-        h.word(id.0 as u64);
-        h.word(i.defs().len() as u64);
-        for r in i.defs() {
-            h.word(r.class().index() as u64);
-            h.word(r.id() as u64);
-        }
-        h.word(i.uses().len() as u64);
-        for r in i.uses() {
-            h.word(r.class().index() as u64);
-            h.word(r.id() as u64);
-        }
-        let succs = ddg.succs(id);
-        h.word(succs.len() as u64);
-        for &(s, lat) in succs {
-            h.word(topo_pos[s.index()]);
-            h.word(lat as u64);
-        }
-    }
+    content_words(ddg, |w| {
+        h.word(w);
+        true
+    });
     h.finish()
 }
 
@@ -192,7 +168,9 @@ impl PackedDdg {
 }
 
 /// Feeds `word` the content words of `ddg` (see [`PackedDdg`]) until it
-/// returns `false`; returns whether it never did.
+/// returns `false`; returns whether it never did. The one content stream:
+/// the fingerprint hashes it, `PackedDdg::new` stores it and `matches`
+/// compares it.
 #[inline]
 fn content_words(ddg: &Ddg, mut word: impl FnMut(u64) -> bool) -> bool {
     let t = &ddg.instrs;

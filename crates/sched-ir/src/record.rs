@@ -105,12 +105,20 @@ impl At {
         tok.parse().map_err(|e| self.bad(what, tok, e))
     }
 
-    /// The white-space separated fields of `text`, which must number `n`.
-    pub fn fields<'t>(self, text: &'t str, n: usize, what: &str) -> io::Result<Vec<&'t str>> {
-        let fields: Vec<&str> = text.split_whitespace().collect();
-        match fields.len() {
-            len if len == n => Ok(fields),
-            len => Err(self.err(format_args!("{what} expects {n} fields, got {len}"))),
+    /// The white-space separated fields of `text`, which must number `N`.
+    pub fn fields<'t, const N: usize>(self, text: &'t str, what: &str) -> io::Result<[&'t str; N]> {
+        let mut fields = [""; N];
+        let mut len = 0;
+        for tok in text.split_whitespace() {
+            if let Some(field) = fields.get_mut(len) {
+                *field = tok;
+            }
+            len += 1;
+        }
+        if len == N {
+            Ok(fields)
+        } else {
+            Err(self.err(format_args!("{what} expects {N} fields, got {len}")))
         }
     }
 

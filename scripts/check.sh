@@ -14,7 +14,7 @@
 # printed), the full-corpus flat-IR differential test (which also holds
 # `Schedule::from_order` to earliest fit over the oracle's predecessor
 # lists on random topological orders of every region), the long text-IR
-# parser, record-format and packed-region fuzz runs, the long
+# parser, record-format and packed-region/cache-key fuzz runs, the long
 # brute-force soundness run of the length bound, the full lent-core equality
 # matrix, the long host-pool lost-wake-up stress, the occupancy LUT over a
 # grid of models, a truncated cache file that must be a positioned error, a CLI
@@ -93,9 +93,12 @@ if [[ "${1:-}" != "--fast" ]]; then
     # tests/length_bound_oracle.rs; this is the long run, up to 8.
     cargo test --release -q --test length_bound_oracle -- --ignored
 
-    echo "==> a packed cached region answers as content_eq does: 60k cases"
+    echo "==> a packed cached region and its key fingerprint answer as content_eq does: 60k cases"
     # Tier-1 runs 300 cases of tests/packed_ddg_fuzz.rs (random regions,
     # mutants, name/latency/edge-order near misses); this is the long run.
+    # It holds both halves of a cache lookup to `Ddg::content_eq`: the
+    # equality gate (`PackedDdg::matches`) and the key (equal content
+    # fingerprints exactly when the content is equal).
     cargo test --release -q --test packed_ddg_fuzz -- --ignored
 
     echo "==> lent idle cores never change a bit: the full matrix"

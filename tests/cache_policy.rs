@@ -1,15 +1,18 @@
 //! Which suite jobs the schedule cache serves, and which configuration an
-//! entry answers. A job that runs a colony is memoized; a list-scheduled
-//! job (`BaseAmd`, `CriticalPath`) compiles directly, because its compile
-//! costs about what a certified hit does. Either way the suite's results
+//! entry answers. A solo job that runs a colony is memoized; a
+//! list-scheduled job (`BaseAmd`, `CriticalPath`) compiles directly,
+//! because its compile costs about what a certified hit does, and so does a
+//! batch group, whose lookups almost never hit. Either way the suite's results
 //! are the cache-off results, bit for bit. A persisted entry is answered
 //! only under the configuration and the length bound it was compiled
 //! under, and a file earlier builds wrote still loads as written.
 
 use machine_model::OccupancyModel;
+use pipeline::batch::compile_batch_group;
+use pipeline::host_pool::run_job;
 use pipeline::{
-    compile_region, compile_suite_with_cache, CacheStats, PipelineConfig, RegionCompilation,
-    ScheduleCache, SchedulerKind, SuiteRun,
+    compile_region, compile_suite_with_cache, plan_suite_jobs, CacheStats, PipelineConfig,
+    RegionCompilation, RegionJob, ScheduleCache, SchedulerKind, SuiteRun,
 };
 use std::path::Path;
 use workloads::{Suite, SuiteConfig};
@@ -40,6 +43,35 @@ fn list_scheduled_suites_never_touch_the_cache() {
             assert_eq!(run.cache.lookups(), 0);
         }
     }
+}
+
+/// A batch group compiles as `compile_batch_group` does, split-colony
+/// configurations and all, and neither looks up nor stores anything.
+#[test]
+fn batch_groups_never_touch_the_cache() {
+    let occ = OccupancyModel::vega_like();
+    let suite = Suite::generate(&SuiteConfig::scaled(5, 0.008));
+    let c = cfg(SchedulerKind::BatchedParallelAco, 1);
+    let cache = ScheduleCache::new();
+    let mut groups = 0;
+    for job in plan_suite_jobs(&suite, &c) {
+        let RegionJob::Group { kernel, members } = &job else {
+            continue;
+        };
+        let regions = &suite.kernels[*kernel].regions;
+        let ddgs: Vec<_> = members.iter().map(|&ri| &regions[ri]).collect();
+        let want = compile_batch_group(&ddgs, &occ, &c);
+        let got = run_job(&job, &suite, &occ, &c, Some(&cache), None);
+        assert_eq!(got.len(), want.len(), "group {groups}");
+        for (outcome, (want_cfg, want_comp)) in got.iter().zip(&want) {
+            assert_eq!(outcome.cfg, *want_cfg, "group {groups}");
+            assert_eq!(record(&outcome.comp), record(want_comp), "group {groups}");
+        }
+        groups += 1;
+    }
+    assert!(groups >= 2, "the suite must plan groups, planned {groups}");
+    assert_eq!(cache.stats(), CacheStats::default());
+    assert_eq!(cache.len(), 0);
 }
 
 /// On suites with 60% template duplicates the cache stores what it

@@ -83,10 +83,6 @@ impl Ddg {
         self.succ_edges.len()
     }
 
-    pub fn topo_order(&self) -> &[InstrId] {
-        &self.topo
-    }
-
     pub fn ids(&self) -> impl Iterator<Item = InstrId> {
         (0..self.len() as u32).map(InstrId)
     }
@@ -420,35 +416,27 @@ pub fn to_text(ddg: &Ddg) -> String {
     out
 }
 
-/// Canonical fingerprint of a region's scheduling content (the word stream
-/// of `sched_ir::ddg_content_fingerprint`).
+/// Canonical fingerprint of a region's scheduling content, derived here
+/// from the oracle's own rows: FNV-1a over the instruction count, then per
+/// instruction in id order its def and use counts, its registers (`id << 1
+/// | class`, defs then uses) and its successor edges (target, latency) in
+/// stored order. The word stream `sched_ir::ddg_content_fingerprint` hashes
+/// and `sched_ir::PackedDdg` stores.
 pub fn ddg_content_fingerprint(ddg: &Ddg) -> u64 {
-    let mut topo_pos = vec![0u64; ddg.len()];
-    for (pos, id) in ddg.topo_order().iter().enumerate() {
-        topo_pos[id.index()] = pos as u64;
-    }
     let mut h = Fnv64::new();
     h.word(ddg.len() as u64);
-    h.word(ddg.edge_count() as u64);
-    for &id in ddg.topo_order() {
+    for id in ddg.ids() {
         let i = ddg.instr(id);
-        h.word(topo_pos[id.index()]);
-        h.word(id.0 as u64);
         h.word(i.defs().len() as u64);
-        for r in i.defs() {
-            h.word(r.class().index() as u64);
-            h.word(r.id() as u64);
-        }
         h.word(i.uses().len() as u64);
-        for r in i.uses() {
-            h.word(r.class().index() as u64);
-            h.word(r.id() as u64);
+        for r in i.defs().iter().chain(i.uses()) {
+            h.word(u64::from(r.id()) << 1 | r.class().index() as u64);
         }
         let succs = ddg.succs(id);
         h.word(succs.len() as u64);
         for &(s, lat) in succs {
-            h.word(topo_pos[s.index()]);
-            h.word(lat as u64);
+            h.word(s.0.into());
+            h.word(lat.into());
         }
     }
     h.finish()

@@ -1,8 +1,12 @@
-//! Property test of `PackedDdg`, the schedule cache's stored region: on
-//! random regions, generated ones, `workloads::mutate` mutants and pairs
-//! that differ only in names, latencies or edge order,
+//! Property test of `PackedDdg`, the schedule cache's stored region, and
+//! of the cache key's content fingerprint: on random regions, generated
+//! ones, `workloads::mutate` mutants and pairs that differ only in names,
+//! latencies or edge order,
 //!
-//! * `PackedDdg::new(a).matches(b)` is `a.content_eq(b)`, and
+//! * `PackedDdg::new(a).matches(b)` is `a.content_eq(b)`,
+//! * `ddg_content_fingerprint(a) == ddg_content_fingerprint(b)` is
+//!   `a.content_eq(b)`, so the key separates exactly what the cache's
+//!   equality gate compares, and
 //! * `PackedDdg::new(a).unpack()` prints `a`'s text.
 //!
 //! Each case is generated from its own seed, so a failure names the one
@@ -12,7 +16,7 @@
 
 use gpu_aco::bench_workloads::{mutate, patterns};
 use gpu_aco::ir::textir::to_text;
-use gpu_aco::ir::{Ddg, DdgBuilder, InstrId, PackedDdg, Reg, MAX_REG_ID};
+use gpu_aco::ir::{ddg_content_fingerprint, Ddg, DdgBuilder, InstrId, PackedDdg, Reg, MAX_REG_ID};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -163,6 +167,7 @@ fn regions(case: u64) -> Vec<Ddg> {
 /// content-equal and how many were not.
 fn check(case: u64) -> (usize, usize) {
     let all = regions(case);
+    let fps: Vec<u64> = all.iter().map(ddg_content_fingerprint).collect();
     let (mut equal, mut unequal) = (0, 0);
     for (i, a) in all.iter().enumerate() {
         let packed = PackedDdg::new(a);
@@ -174,6 +179,11 @@ fn check(case: u64) -> (usize, usize) {
         for (j, b) in all.iter().enumerate() {
             let want = a.content_eq(b);
             assert_eq!(packed.matches(b), want, "case {case}, regions {i} and {j}");
+            assert_eq!(
+                fps[i] == fps[j],
+                want,
+                "case {case}, regions {i} and {j}: fingerprints"
+            );
             if want {
                 equal += 1;
             } else {
